@@ -38,7 +38,7 @@ util::Result<std::vector<std::uint8_t>> dag_get_file(const ContentStore& store,
                                                      const Cid& root);
 
 /// All block CIDs reachable from `root` (root first, depth-first) — the
-/// want-list a retriever hands to BitSwap.
+/// blocks a retriever must fetch to rebuild the file.
 util::Result<std::vector<Cid>> dag_enumerate(const ContentStore& store,
                                              const Cid& root);
 

@@ -71,7 +71,9 @@ struct NetworkMetrics {
   std::uint64_t regions = 0;
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
-  /// Delivered after the transfer's protocol deadline.
+  /// Delivered on or after the transfer's protocol deadline tick: the
+  /// deadline check runs before that tick's deliveries, so an arrival
+  /// on the tick is already too late.
   std::uint64_t delivered_late = 0;
   std::uint64_t dropped_loss = 0;
   std::uint64_t dropped_partition = 0;

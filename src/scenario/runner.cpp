@@ -81,10 +81,9 @@ void save_id_set(const std::unordered_set<Id>& set,
 
 }  // namespace
 
-ScenarioRunner::ScenarioRunner(ScenarioSpec spec, bool force_sim_delivery)
+ScenarioRunner::ScenarioRunner(ScenarioSpec spec)
     : spec_(std::move(spec)),
-      workload_rng_(spec_.seed ^ kWorkloadSeedSalt),
-      force_sim_delivery_(force_sim_delivery) {
+      workload_rng_(spec_.seed ^ kWorkloadSeedSalt) {
   {
     const util::Status valid = spec_.validate();
     FI_CHECK_MSG(valid.is_ok(), "invalid ScenarioSpec: " << valid.to_string());
@@ -249,14 +248,12 @@ void ScenarioRunner::build_network() {
     }
   });
 
-  if (spec_.network.enabled || force_sim_delivery_) {
-    // The model's RNG streams from its own salt, so latency/loss draws
-    // perturb neither protocol, workload, adversary nor traffic draws.
-    // In force mode the spec's block is disabled and to_net_config()
-    // yields the all-zero (instantaneous) profile.
-    netmodel_ = std::make_unique<sim::NetModel>(
-        spec_.network.to_net_config(), spec_.seed ^ kNetSeedSalt);
-  }
+  // The model's RNG streams from its own salt, so latency/loss draws
+  // perturb neither protocol, workload, adversary nor traffic draws.
+  // Without a `network.*` block to_net_config() is the all-zero profile,
+  // which delivers every message at its send time and draws nothing.
+  netmodel_ = std::make_unique<sim::NetModel>(spec_.network.to_net_config(),
+                                              spec_.seed ^ kNetSeedSalt);
 
   if (spec_.traffic.enabled) {
     // Stream layout: honest streams first, then one contiguous block per
@@ -300,37 +297,29 @@ void ScenarioRunner::setup_population() {
   setup_seconds_ = seconds_since(setup0);
 }
 
-void ScenarioRunner::confirm_transfer(
-    const core::ReplicaTransferRequested& req) {
-  if (!net_->sectors().exists(req.to)) return;
-  if (!refused_sectors_.empty() && refused_sectors_.contains(req.to)) {
-    // A refresh-sabotaging adversary holds the receiving sector: the
-    // transfer is never confirmed, so Auto_CheckRefresh (or
-    // Auto_CheckAlloc, for uploads) sees it miss the deadline.
-    const auto claim = sector_claims_.find(req.to);
-    if (claim != sector_claims_.end()) {
-      ++adversaries_[claim->second].counters.transfers_refused;
-    }
-    return;
-  }
-  // Rejections are expected (the file may have been lost or discarded
-  // between request and confirmation) and are visible in the punishment
-  // and refresh-failure counters, so they are not tracked separately.
-  (void)net_->file_confirm(net_->sectors().at(req.to).owner, req.file,
-                           req.index, req.to, {}, std::nullopt);
-}
-
 void ScenarioRunner::deliver_messages() {
   sim::TransferMessage msg;
   while (netmodel_->pop_due(net_->now(), msg)) {
-    core::ReplicaTransferRequested req;
-    req.file = msg.file;
-    req.index = msg.index;
-    req.from = msg.from_sector;
-    req.to = msg.to_sector;
-    req.client = msg.client;
-    req.deadline = msg.deadline;
-    confirm_transfer(req);
+    // The receiver acts when the bytes arrive, not when the chain asks:
+    // the exists/refused checks are evaluated at delivery time.
+    if (!net_->sectors().exists(msg.to_sector)) continue;
+    if (!refused_sectors_.empty() &&
+        refused_sectors_.contains(msg.to_sector)) {
+      // A refresh-sabotaging adversary holds the receiving sector: the
+      // transfer is never confirmed, so Auto_CheckRefresh (or
+      // Auto_CheckAlloc, for uploads) sees it miss the deadline.
+      const auto claim = sector_claims_.find(msg.to_sector);
+      if (claim != sector_claims_.end()) {
+        ++adversaries_[claim->second].counters.transfers_refused;
+      }
+      continue;
+    }
+    // Rejections are expected (the file may have been lost or discarded
+    // between request and delivery) and are visible in the punishment and
+    // refresh-failure counters, so they are not tracked separately.
+    (void)net_->file_confirm(net_->sectors().at(msg.to_sector).owner,
+                             msg.file, msg.index, msg.to_sector, {},
+                             std::nullopt);
   }
 }
 
@@ -340,17 +329,7 @@ void ScenarioRunner::drain_transfers() {
   // queue stays valid if that ever changes.
   std::vector<core::ReplicaTransferRequested> batch;
   batch.swap(transfer_queue_);
-  if (netmodel_ == nullptr) {
-    for (const core::ReplicaTransferRequested& req : batch) {
-      confirm_transfer(req);
-    }
-    return;
-  }
-  // Sim-backed path: every request becomes a message with sampled latency;
-  // the exists/refused checks move to delivery time (the receiver acts
-  // when the bytes arrive, not when the chain asks). Dispatch first, then
-  // deliver, so zero-latency messages pop at this very drain point in FIFO
-  // order — the exact check/confirm interleaving of the direct loop.
+  deliver_messages();
   const Time now = net_->now();
   for (const core::ReplicaTransferRequested& req : batch) {
     sim::TransferMessage msg;
@@ -366,8 +345,11 @@ void ScenarioRunner::drain_transfers() {
     const ByteCount size =
         net_->file_exists(req.file) ? net_->file(req.file).size : 0;
     netmodel_->send(now, size, msg);
+    // Delivering right after each send keeps the heap down to the
+    // messages really in flight (none under the zero profile). It cannot
+    // reorder anything: a send reads no state that file_confirm writes.
+    deliver_messages();
   }
-  deliver_messages();
 }
 
 void ScenarioRunner::advance_confirming(Time horizon) {
@@ -376,15 +358,13 @@ void ScenarioRunner::advance_confirming(Time horizon) {
   // batch, and Auto_CheckAlloc must find them confirmed.
   drain_transfers();
   while (true) {
-    const Time next_task = net_->next_task_time();
-    const Time next_msg =
-        netmodel_ != nullptr ? netmodel_->next_delivery_time() : kNoTime;
     // Message due times are advance targets too: a message landing between
     // task batches must confirm before the next deadline task runs. At
     // equal timestamps engine tasks run first (advance_to executes the
     // batch, then drain delivers), so a message arriving exactly on its
     // deadline tick is too late — delivery order is pure (time, seq).
-    const Time next = std::min(next_task, next_msg);
+    const Time next =
+        std::min(net_->next_task_time(), netmodel_->next_delivery_time());
     if (next == kNoTime || next > horizon) break;
     net_->advance_to(next);
     drain_transfers();
@@ -641,7 +621,8 @@ void ScenarioRunner::begin_phase(const PhaseSpec& phase) {
     }
     case PhaseKind::partition:
       // Spec validation ties net-condition phases to an enabled network
-      // block, so netmodel_ is live here (and in the outage/heal paths).
+      // block, so the model has regions to cut here (and in the outage
+      // and heal paths).
       netmodel_->set_region_partitioned(phase.region, true);
       suppress_region_proofs(phase.region);
       break;
@@ -943,8 +924,7 @@ MetricsReport ScenarioRunner::finalize() {
 
   if (traffic_ != nullptr) report.traffic = traffic_->metrics();
   if (spec_.network.enabled) {
-    // Gated on the spec block, not netmodel_ presence: a force_sim_delivery
-    // run with the block disabled must keep the net-free report bytes.
+    // Gated on the spec block, so net-free reports keep their bytes.
     NetworkMetrics& nm = report.network;
     nm.enabled = true;
     nm.regions = netmodel_->regions();
@@ -1072,12 +1052,17 @@ void ScenarioRunner::save_state(util::BinaryWriter& writer) const {
   // pre-traffic builds.
   if (traffic_ != nullptr) traffic_->save_state(writer);
 
-  // Net tail after the traffic tail, gated on the spec block (not
-  // netmodel_ presence) so net-free snapshots — including
-  // force_sim_delivery test runs — keep the byte format.
+  // Net tail after the traffic tail, gated on the spec block so net-free
+  // snapshots keep the byte format. Leaving the model out is sound only
+  // because the zero profile has nothing in flight at a checkpoint and
+  // draws no randomness: a resumed model starts out equivalent.
   if (spec_.network.enabled) {
     util::save_u64_seq(writer, net_suppressed_);
     netmodel_->save_state(writer);
+  } else {
+    FI_CHECK_MSG(netmodel_->in_flight() == 0,
+                 "net-free snapshot with " << netmodel_->in_flight()
+                                           << " messages in flight");
   }
 }
 

@@ -23,10 +23,11 @@
 /// registers the provider fleet, uploads the initial file population, then
 /// executes each phase by stepping the pending-list epoch loop one task
 /// batch at a time, playing the honest off-chain side in between —
-/// confirming every requested replica transfer (initial uploads and
-/// refresh handoffs) before its deadline, exactly the discipline a real
-/// provider daemon follows. Skipping that discipline turns every refresh
-/// into a punish/retry storm, which is a workload you would express as an
+/// sending every requested replica transfer (initial uploads and refresh
+/// handoffs) through the `sim::NetModel` delivery network and confirming
+/// it when it arrives, exactly the discipline a real provider daemon
+/// follows. Skipping that discipline turns every refresh into a
+/// punish/retry storm, which is a workload you would express as an
 /// adversary knob, not an accident of the harness.
 ///
 /// Adversaries (`spec.adversaries`) are the declarative departure from
@@ -75,15 +76,7 @@ inline constexpr std::uint64_t kNetSeedSalt = 0x4e65744d6f64656cULL;
 class ScenarioRunner {
  public:
   /// Builds the network and setup population; `spec` must validate.
-  ///
-  /// `force_sim_delivery` is the zero-latency-equivalence test hook: it
-  /// routes transfers through a `sim::NetModel` with the all-zero profile
-  /// even when the spec's `network.*` block is absent. The model is
-  /// behaviorally invisible in that configuration (no RNG draws, empty
-  /// in-flight set at every checkpoint, no report block, no snapshot
-  /// tail), so reports and state hashes must match the instantaneous loop
-  /// byte for byte — the property `tests/netchaos_test.cpp` pins.
-  explicit ScenarioRunner(ScenarioSpec spec, bool force_sim_delivery = false);
+  explicit ScenarioRunner(ScenarioSpec spec);
 
   ScenarioRunner(const ScenarioRunner&) = delete;
   ScenarioRunner& operator=(const ScenarioRunner&) = delete;
@@ -166,12 +159,9 @@ class ScenarioRunner {
   /// observe).
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
-  /// The simulated delivery network, when one is active (spec `network.*`
-  /// block or `force_sim_delivery`); nullptr on the instantaneous path.
-  /// Read-only observation hook for tests and tooling.
-  [[nodiscard]] const sim::NetModel* netmodel() const {
-    return netmodel_.get();
-  }
+  /// The simulated delivery network every replica transfer travels
+  /// through. Read-only observation hook for tests and tooling.
+  [[nodiscard]] const sim::NetModel& netmodel() const { return *netmodel_; }
 
  private:
   struct ResumeTag {};
@@ -230,22 +220,18 @@ class ScenarioRunner {
   util::Status load_state(util::BinaryReader& reader);
 
   // ---- Epoch loop ---------------------------------------------------------
-  /// Instantaneous path: confirms a requested transfer unless the target
-  /// sector is gone or in an adversary's refusal set (checks evaluated at
-  /// confirmation time — i.e. at message delivery, when sim-backed).
-  void confirm_transfer(const core::ReplicaTransferRequested& request);
-  /// Dispatches every queued replica-transfer request — directly
-  /// (instantaneous loop) or as a latency-sampled `sim::NetModel` message —
-  /// then delivers every message due at or before the current time.
-  void drain_transfers();
-  /// Pops and confirms every sim message due at or before `net_->now()`.
+  /// Pops every message due at or before `net_->now()` and confirms it,
+  /// unless the target sector is gone or in an adversary's refusal set
+  /// (checks evaluated at delivery time).
   void deliver_messages();
+  /// Sends every queued replica-transfer request as a latency-sampled
+  /// message, delivering whatever is due after each send.
+  void drain_transfers();
   /// Advances to `horizon` one task batch at a time, draining transfer
-  /// requests between batches. With a sim network, message due times are
-  /// advance targets too; engine tasks at time `t` run before deliveries
-  /// at `t` (a message landing exactly on its deadline tick is too late) —
-  /// with zero latency every message is delivered at its dispatch drain
-  /// point, which reproduces the instantaneous loop exactly.
+  /// requests between batches. Message due times are advance targets too;
+  /// engine tasks at time `t` run before deliveries at `t` (a message
+  /// landing exactly on its deadline tick is too late). With zero latency
+  /// every message is delivered at the drain point that sent it.
   void advance_confirming(Time horizon);
   /// Advances whole proof cycles, consulting every adversary before each
   /// one and bumping the epoch counter after it.
@@ -319,11 +305,10 @@ class ScenarioRunner {
   std::unordered_set<core::SectorId> refused_sectors_;
   std::uint64_t epoch_ = 0;
 
-  /// Simulated delivery network (present iff `spec.network.enabled`, or
-  /// with the all-zero profile under `force_sim_delivery`): replica
-  /// transfers travel through it as latency-sampled messages. Its report
-  /// block and snapshot tail stay gated on `spec_.network.enabled`, so the
-  /// force mode is byte-invisible.
+  /// Simulated delivery network: replica transfers travel through it as
+  /// latency-sampled messages. Without a `network.*` block it runs the
+  /// all-zero profile, and its report block and snapshot tail are left
+  /// out (both stay gated on `spec_.network.enabled`).
   std::unique_ptr<sim::NetModel> netmodel_;
   /// Sectors whose proofs the net layer suppressed (region partition or
   /// outage), kept sorted. Disjoint from adversary withholding marks:
@@ -340,10 +325,6 @@ class ScenarioRunner {
   /// the running base unused).
   // fi-lint: not-serialized(derived from the spec's adversary list)
   std::vector<std::uint64_t> gang_base_;
-
-  // fi-lint: not-serialized(construction input; test-only hook — resume
-  // never runs in force mode, the spec's network block governs there)
-  bool force_sim_delivery_ = false;
 
   std::uint64_t initial_files_stored_ = 0;
   std::uint64_t add_rejections_ = 0;

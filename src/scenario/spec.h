@@ -167,16 +167,16 @@ struct PhaseSpec {
 };
 
 /// Simulated-delivery configuration (`network.*` config keys; disabled
-/// unless `network.regions` is present). When enabled, the runner routes
-/// every replica transfer — initial uploads and refresh handoffs — through
-/// a `sim::NetModel`: each becomes a message with latency sampled from the
+/// unless `network.regions` is present). The runner routes every replica
+/// transfer — initial uploads and refresh handoffs — through a
+/// `sim::NetModel`: each becomes a message with latency sampled from the
 /// per-link profile these knobs describe, providers live in `regions`
 /// regional subnets (sector `s` in region `s % regions`), and partition /
-/// outage phases can block regions mid-run. Scenarios without the block
-/// behave exactly as before — no keys are emitted, no state is serialized,
-/// and reports are byte-identical to pre-network builds. The defaults are
-/// the zero-latency profile, so `network.regions = 1` alone is behaviorally
-/// identical to the instantaneous loop (the equivalence the tests pin).
+/// outage phases can block regions mid-run. Without the block the model
+/// runs the all-zero profile (every message arrives at its send time) and
+/// stays out of the spec text, the report and the snapshot, so those
+/// bytes are the same as before the network existed. `network.regions =
+/// 1` alone selects that same zero profile but reports and snapshots it.
 struct NetworkSpec {
   /// Derived, not a config key: true iff `network.regions` is present.
   bool enabled = false;
@@ -258,10 +258,11 @@ struct ScenarioSpec {
 
   std::vector<PhaseSpec> phases;
 
-  /// Simulated-delivery network (`network.*` config keys; disabled unless
-  /// `network.regions` is present). When enabled, replica transfers travel
-  /// as latency-sampled messages through a `sim::NetModel` and partition /
-  /// outage phases become available — see `NetworkSpec`.
+  /// Simulated-delivery network profile (`network.*` config keys; disabled
+  /// unless `network.regions` is present). Replica transfers always travel
+  /// as messages through a `sim::NetModel`; enabling the block sets their
+  /// latency/loss profile and makes partition / outage phases available —
+  /// see `NetworkSpec`.
   NetworkSpec network;
 
   /// Retrieval-traffic engine configuration (`traffic.*` config keys;

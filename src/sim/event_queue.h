@@ -9,10 +9,12 @@
 #include "util/check.h"
 #include "util/types.h"
 
-/// Discrete-event scheduler: the single clock for protocol pending-list
-/// tasks, network message deliveries, and actor behaviour. Events at equal
+/// Closure-based discrete-event scheduler: the clock `core::Simulation`
+/// drives its provider/client actor behaviour with. Events at equal
 /// timestamps run in scheduling order (stable), which keeps simulations
-/// deterministic under a fixed seed.
+/// deterministic under a fixed seed. Scenario runs do not use it: their
+/// clock is the protocol pending list, and replica transfers travel
+/// through `sim::NetModel` (net_model.h).
 namespace fi::sim {
 
 class EventQueue {

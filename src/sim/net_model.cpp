@@ -95,7 +95,7 @@ bool NetModel::pop_due(Time now, TransferMessage& out) {
       continue;
     }
     ++delivered_;
-    if (entry.deliver_at > entry.msg.deadline) ++delivered_late_;
+    if (entry.deliver_at >= entry.msg.deadline) ++delivered_late_;
     const Time latency = entry.deliver_at - entry.sent_at;
     ++region_delivered_[dst];
     region_latency_sum_[dst] += latency;

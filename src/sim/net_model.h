@@ -7,15 +7,13 @@
 #include "util/prng.h"
 #include "util/types.h"
 
-/// Serializable deterministic delivery substrate for the scenario engine.
-///
-/// `sim::Network` (network.h) is the closure-based model used by agent
-/// tests; its handlers cannot be serialized, so it cannot live inside a
-/// snapshot. `NetModel` is the scenario-grade replacement: typed messages
-/// in a flat min-heap keyed `(deliver_at, seq)` — the same order-is-state
-/// tie-break discipline as `EventQueue` and the protocol pending list — a
-/// private seeded RNG for latency/loss draws, and per-region partition and
-/// outage flags. Everything mutable has a canonical little-endian encoding
+/// Serializable deterministic delivery substrate for the scenario engine:
+/// the one path every replica transfer (upload or refresh handoff) takes
+/// from request to confirmation. Typed messages sit in a flat min-heap
+/// keyed `(deliver_at, seq)` — the same order-is-state tie-break
+/// discipline as the protocol pending list — beside a private seeded RNG
+/// for latency/loss draws and per-region partition and outage flags.
+/// Everything mutable has a canonical little-endian encoding
 /// (`save_state`/`load_state`), so a resumed run delivers byte-identically
 /// to an uninterrupted one, in-flight messages included.
 ///
@@ -28,9 +26,8 @@ namespace fi::sim {
 /// Latency/loss knobs, fixed at construction (they come from the scenario
 /// spec, which is immutable for the lifetime of a run). All-zero knobs
 /// with `regions == 1` make delivery instantaneous: a message sent at time
-/// `t` is due at `t`, no RNG draw is consumed, and the model is
-/// behaviorally invisible — the zero-latency special case the equivalence
-/// tests pin.
+/// `t` is due at `t` and no RNG draw is consumed — the profile a scenario
+/// without a `network.*` block runs.
 struct NetConfig {
   std::uint64_t regions = 1;
   Time base_latency = 0;      ///< ticks per message, any link
@@ -104,8 +101,10 @@ class NetModel {
   // ---- Counters -----------------------------------------------------------
   [[nodiscard]] std::uint64_t sent() const { return sent_; }
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
-  /// Delivered after the message's protocol deadline (the network, not an
-  /// adversary, made the transfer miss its window).
+  /// Delivered on or after the message's protocol deadline tick (the
+  /// network, not an adversary, made the transfer miss its window). The
+  /// deadline check runs before deliveries of the same tick, so an
+  /// arrival exactly on the deadline has already missed it.
   [[nodiscard]] std::uint64_t delivered_late() const { return delivered_late_; }
   [[nodiscard]] std::uint64_t dropped_loss() const { return dropped_loss_; }
   [[nodiscard]] std::uint64_t dropped_partition() const {

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "ipfs/bitswap.h"
 #include "ipfs/cid.h"
 #include "ipfs/content_store.h"
 #include "ipfs/dht.h"
@@ -165,101 +164,6 @@ TEST(DhtTest, XorDistanceIsAMetric) {
   const PeerId b = peer_id_from_node(2);
   EXPECT_EQ(xor_distance(a, a), XorDistance{});
   EXPECT_EQ(xor_distance(a, b), xor_distance(b, a));
-}
-
-// ---------------------------------------------------------------------------
-// BitSwap over the simulated network
-// ---------------------------------------------------------------------------
-
-struct BitswapNode {
-  ContentStore store;
-  std::unique_ptr<BitswapEngine> engine;
-};
-
-TEST(Bitswap, FetchesWholeDagFromPeer) {
-  sim::EventQueue queue;
-  sim::Network net(queue, 7);
-  BitswapNode alice, bob;
-  const sim::NodeId na = net.add_node(
-      [&](const sim::Message& m) { alice.engine->handle(m); });
-  const sim::NodeId nb = net.add_node(
-      [&](const sim::Message& m) { bob.engine->handle(m); });
-  alice.engine = std::make_unique<BitswapEngine>(net, na, alice.store);
-  bob.engine = std::make_unique<BitswapEngine>(net, nb, bob.store);
-
-  const auto data = random_bytes(20'000, 30);
-  const Cid root =
-      dag_put_file(bob.store, data, {.chunk_size = 1024, .fanout = 4});
-
-  bool done = false, ok = false;
-  alice.engine->fetch_dag(nb, root, [&](const Cid& r, bool complete) {
-    done = true;
-    ok = complete;
-    EXPECT_EQ(r, root);
-  });
-  queue.run_all();
-  ASSERT_TRUE(done);
-  ASSERT_TRUE(ok);
-  const auto back = dag_get_file(alice.store, root);
-  ASSERT_TRUE(back.is_ok());
-  EXPECT_EQ(back.value(), data);
-  // Traffic ledger: bob sent at least the file size to alice.
-  EXPECT_GE(bob.engine->bytes_sent_to(na), data.size());
-  EXPECT_GE(alice.engine->bytes_received_from(nb), data.size());
-}
-
-TEST(Bitswap, MissingBlockReportsIncomplete) {
-  sim::EventQueue queue;
-  sim::Network net(queue, 8);
-  BitswapNode alice, bob;
-  const sim::NodeId na = net.add_node(
-      [&](const sim::Message& m) { alice.engine->handle(m); });
-  const sim::NodeId nb = net.add_node(
-      [&](const sim::Message& m) { bob.engine->handle(m); });
-  alice.engine = std::make_unique<BitswapEngine>(net, na, alice.store);
-  bob.engine = std::make_unique<BitswapEngine>(net, nb, bob.store);
-
-  const auto data = random_bytes(8000, 31);
-  const Cid root =
-      dag_put_file(bob.store, data, {.chunk_size = 512, .fanout = 4});
-  const auto cids = dag_enumerate(bob.store, root);
-  ASSERT_TRUE(cids.is_ok());
-  bob.store.remove(cids.value().back());  // bob lost one leaf
-
-  bool done = false, ok = true;
-  alice.engine->fetch_dag(nb, root, [&](const Cid&, bool complete) {
-    done = true;
-    ok = complete;
-  });
-  queue.run_all();
-  EXPECT_TRUE(done);
-  EXPECT_FALSE(ok);
-}
-
-TEST(Bitswap, ServesWantsFromLocalStore) {
-  sim::EventQueue queue;
-  sim::Network net(queue, 9);
-  BitswapNode alice, bob;
-  const sim::NodeId na = net.add_node(
-      [&](const sim::Message& m) { alice.engine->handle(m); });
-  const sim::NodeId nb = net.add_node(
-      [&](const sim::Message& m) { bob.engine->handle(m); });
-  alice.engine = std::make_unique<BitswapEngine>(net, na, alice.store);
-  bob.engine = std::make_unique<BitswapEngine>(net, nb, bob.store);
-
-  // Alice already has the file: fetch completes without network bytes of
-  // payload flowing from bob.
-  const auto data = random_bytes(5000, 32);
-  const Cid root = dag_put_file(alice.store, data);
-  dag_put_file(bob.store, data);
-
-  bool ok = false;
-  alice.engine->fetch_dag(nb, root, [&](const Cid&, bool complete) {
-    ok = complete;
-  });
-  queue.run_all();
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(alice.engine->bytes_received_from(nb), 0u);
 }
 
 }  // namespace

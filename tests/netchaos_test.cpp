@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <span>
@@ -15,18 +14,15 @@
 #include "sim/net_model.h"
 #include "snapshot/snapshot.h"
 #include "util/binary_io.h"
-#include "util/config.h"
 
-/// Chaos suite for the simulated delivery network (PR 9):
+/// Chaos suite for the simulated delivery network:
 ///
-///  * zero-latency equivalence — a sim-backed run with the all-zero
-///    profile is byte-identical (report and state hash) to the
-///    instantaneous loop, for in-code specs and shipped configs alike;
 ///  * partitions during refresh windows fire the Fig. 9 failure path;
 ///  * crash-restart outages past the ProofDeadline confiscate and
 ///    compensate with exact conservation, and healed regions resume
 ///    proving with no double-punishment;
-///  * deadline-miss rates vary monotonically with injected latency;
+///  * deadline-miss rates vary monotonically with injected latency, and
+///    an arrival on its deadline tick counts as a network miss;
 ///  * mid-partition snapshots round-trip byte-identically with messages
 ///    still in flight, and truncated net tails are rejected.
 namespace fi {
@@ -34,112 +30,19 @@ namespace {
 
 namespace fs = std::filesystem;
 
-#ifndef FI_CONFIG_DIR
-#error "FI_CONFIG_DIR must be defined by the build"
-#endif
-
 struct RunOutcome {
   std::string report_json;
   std::string state_hash;
 };
 
-RunOutcome run_outcome(scenario::ScenarioSpec spec,
-                       bool force_sim_delivery = false) {
-  scenario::ScenarioRunner runner(std::move(spec), force_sim_delivery);
+RunOutcome run_outcome(scenario::ScenarioSpec spec) {
+  scenario::ScenarioRunner runner(std::move(spec));
   const std::string json = runner.run().to_json();
   return {json, snapshot::state_hash(runner)};
 }
 
 scenario::MetricsReport run_report(scenario::ScenarioSpec spec) {
   return scenario::ScenarioRunner(std::move(spec)).run();
-}
-
-/// A small spec exercising the whole instantaneous pipeline: churn with
-/// discards, a corruption burst (confiscation + compensation), refresh
-/// pressure, and a rent audit.
-scenario::ScenarioSpec pipeline_spec() {
-  scenario::ScenarioSpec spec;
-  spec.name = "netchaos_pipeline";
-  spec.seed = 31337;
-  spec.sectors = 80;
-  spec.sector_units = 4;
-  spec.initial_files = 120;
-  spec.file_size_min = 1024;
-  spec.file_size_max = 2048;
-  spec.file_value = 10;
-  spec.params.min_value = 10;
-  spec.params.avg_refresh = 8;
-  spec.phases.push_back(scenario::PhaseSpec::make_churn(3, 10, 0.02));
-  spec.phases.push_back(scenario::PhaseSpec::make_corrupt_burst(0.05, 2));
-  spec.phases.push_back(scenario::PhaseSpec::make_idle(2));
-  spec.phases.push_back(scenario::PhaseSpec::make_rent_audit(1));
-  return spec;
-}
-
-/// Loads a shipped config and scales it down to unit-test size, keeping
-/// its phase/adversary shape (mirrors the snapshot_test shrink).
-scenario::ScenarioSpec shrunk_config_spec(const std::string& name) {
-  auto loaded =
-      util::Config::load((fs::path(FI_CONFIG_DIR) / name).string());
-  EXPECT_TRUE(loaded.is_ok()) << loaded.status().to_string();
-  auto parsed = scenario::ScenarioSpec::from_config(loaded.value());
-  EXPECT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-  scenario::ScenarioSpec spec = std::move(parsed).value();
-  spec.sectors = std::min<std::uint64_t>(spec.sectors, 80);
-  spec.initial_files = std::min<std::uint64_t>(spec.initial_files, 120);
-  for (scenario::PhaseSpec& phase : spec.phases) {
-    phase.cycles = std::min<std::uint64_t>(phase.cycles, 6);
-    phase.periods = std::min<std::uint64_t>(phase.periods, 1);
-    phase.adds_per_cycle = std::min<std::uint64_t>(phase.adds_per_cycle, 8);
-    phase.add_sectors = std::min<std::uint64_t>(phase.add_sectors, 10);
-    phase.down_cycles = std::min(phase.down_cycles, phase.cycles);
-  }
-  for (adversary::AdversarySpec& adv : spec.adversaries) {
-    adv.start_epoch = std::min<std::uint64_t>(adv.start_epoch, 1);
-    adv.sectors = std::min<std::uint64_t>(adv.sectors, 6);
-    adv.requests_per_epoch =
-        std::min<std::uint64_t>(adv.requests_per_epoch, 12);
-  }
-  if (spec.traffic.enabled) {
-    spec.traffic.requests_per_cycle =
-        std::min<std::uint64_t>(spec.traffic.requests_per_cycle, 48);
-    if (spec.traffic.defense_enabled) {
-      spec.traffic.defense_warmup =
-          std::min<std::uint64_t>(spec.traffic.defense_warmup, 2);
-    }
-  }
-  return spec;
-}
-
-// ---------------------------------------------------------------------------
-// Zero-latency equivalence
-// ---------------------------------------------------------------------------
-
-TEST(ZeroLatencyEquivalence, PipelineSpecByteIdentical) {
-  // The sim-backed run with the all-zero profile must reproduce the
-  // instantaneous loop byte for byte: same report JSON, same end-of-run
-  // state hash. This is the property that lets the 13 pre-network golden
-  // hashes stand unchanged while every transfer now rides the event core.
-  const RunOutcome direct = run_outcome(pipeline_spec());
-  const RunOutcome simmed =
-      run_outcome(pipeline_spec(), /*force_sim_delivery=*/true);
-  EXPECT_EQ(direct.report_json, simmed.report_json);
-  EXPECT_EQ(direct.state_hash, simmed.state_hash);
-}
-
-TEST(ZeroLatencyEquivalence, ShippedConfigsByteIdentical) {
-  // Shrunk shipped configs cover the interplay surfaces the in-code spec
-  // does not: refresh sabotage (transfer refusal at delivery time),
-  // retrieval traffic, and proof withholding.
-  for (const std::string name :
-       {"smoke.cfg", "refresh_saboteur.cfg", "retrieval_zipf.cfg",
-        "proof_withholder.cfg"}) {
-    const RunOutcome direct = run_outcome(shrunk_config_spec(name));
-    const RunOutcome simmed =
-        run_outcome(shrunk_config_spec(name), /*force_sim_delivery=*/true);
-    EXPECT_EQ(direct.report_json, simmed.report_json) << name;
-    EXPECT_EQ(direct.state_hash, simmed.state_hash) << name;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -301,6 +204,34 @@ TEST(NetChaos, DeadlineMissesGrowMonotonicallyWithLatency) {
   EXPECT_GT(protocol_failures[2], protocol_failures[0]);
 }
 
+TEST(NetChaos, ArrivalOnDeadlineTickIsANetworkMiss) {
+  // delay_per_kib = 10 gives 1-KiB uploads a 10-tick window. Auto_CheckAlloc
+  // runs at the deadline tick before that tick's deliveries, so an upload
+  // arriving after exactly 10 ticks has already failed, just as one
+  // arriving after 11 has: both latencies must be counted as late.
+  for (const Time base : {Time{10}, Time{11}}) {
+    scenario::ScenarioSpec spec;
+    spec.name = "netchaos_deadline_tick";
+    spec.seed = 77;
+    spec.sectors = 40;
+    spec.sector_units = 4;
+    spec.initial_files = 60;
+    spec.file_size_min = 1024;
+    spec.file_size_max = 1024;
+    spec.file_value = 10;
+    spec.params.min_value = 10;
+    spec.params.delay_per_kib = 10;
+    spec.network.enabled = true;
+    spec.network.regions = 1;
+    spec.network.base_latency = base;
+    spec.phases.push_back(scenario::PhaseSpec::make_idle(1));
+    const scenario::MetricsReport report = run_report(std::move(spec));
+    EXPECT_EQ(report.totals.upload_failures, 60u) << "base " << base;
+    EXPECT_EQ(report.network.delivered_late, 180u) << "base " << base;
+    EXPECT_EQ(report.network.deadline_misses_network, 180u) << "base " << base;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Malice vs network attribution
 // ---------------------------------------------------------------------------
@@ -377,8 +308,7 @@ TEST(NetSnapshot, MidPartitionRoundTripIsByteIdentical) {
     scenario::ScenarioRunner saver(in_flight_spec());
     saver.set_epoch_callback([&](const scenario::ScenarioRunner& at) {
       if (at.epoch() != 3) return;  // inside the partition phase
-      ASSERT_NE(at.netmodel(), nullptr);
-      saved_in_flight = at.netmodel()->in_flight() > 0;
+      saved_in_flight = at.netmodel().in_flight() > 0;
       const auto status = snapshot::save_to_file(at, path.string());
       ASSERT_TRUE(status.is_ok()) << status.to_string();
     });

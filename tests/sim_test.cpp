@@ -7,7 +7,6 @@
 #include "scenario/spec.h"
 #include "sim/event_queue.h"
 #include "sim/net_model.h"
-#include "sim/network.h"
 #include "snapshot/snapshot.h"
 #include "util/binary_io.h"
 
@@ -95,101 +94,6 @@ TEST(EventQueue, RunAllGuardsAgainstRunaway) {
   std::function<void()> forever = [&] { q.schedule_after(1, forever); };
   q.schedule_at(0, forever);
   EXPECT_THROW(q.run_all(1000), util::InvariantViolation);
-}
-
-// ---------------------------------------------------------------------------
-// Network
-// ---------------------------------------------------------------------------
-
-struct Inbox {
-  std::vector<Message> messages;
-  Network::Handler handler() {
-    return [this](const Message& m) { messages.push_back(m); };
-  }
-};
-
-TEST(SimNetwork, DeliversWithLatency) {
-  EventQueue q;
-  Network net(q, 1);
-  Inbox a, b;
-  const NodeId na = net.add_node(a.handler());
-  const NodeId nb = net.add_node(b.handler());
-  net.set_default_link({.base_latency = 7, .ticks_per_kib = 0});
-  net.send({na, nb, "ping", {}, 1});
-  q.run_all();
-  ASSERT_EQ(b.messages.size(), 1u);
-  EXPECT_EQ(b.messages[0].kind, "ping");
-  EXPECT_EQ(q.now(), 7u);
-}
-
-TEST(SimNetwork, BandwidthScalesWithPayload) {
-  EventQueue q;
-  Network net(q, 1);
-  Inbox a, b;
-  const NodeId na = net.add_node(a.handler());
-  const NodeId nb = net.add_node(b.handler());
-  net.set_default_link({.base_latency = 1, .ticks_per_kib = 2});
-  net.send({na, nb, "data", std::vector<std::uint8_t>(4096, 0), 1});
-  q.run_all();
-  EXPECT_EQ(q.now(), 1u + 2u * 4u);
-}
-
-TEST(SimNetwork, PerLinkProfileOverridesDefault) {
-  EventQueue q;
-  Network net(q, 1);
-  Inbox a, b;
-  const NodeId na = net.add_node(a.handler());
-  const NodeId nb = net.add_node(b.handler());
-  net.set_default_link({.base_latency = 100, .ticks_per_kib = 0});
-  net.set_link(na, nb, {.base_latency = 3, .ticks_per_kib = 0});
-  net.send({na, nb, "fast", {}, 1});
-  q.run_all();
-  EXPECT_EQ(q.now(), 3u);
-}
-
-TEST(SimNetwork, DownNodeDropsTraffic) {
-  EventQueue q;
-  Network net(q, 1);
-  Inbox a, b;
-  const NodeId na = net.add_node(a.handler());
-  const NodeId nb = net.add_node(b.handler());
-  net.set_node_down(nb, true);
-  net.send({na, nb, "lost", {}, 1});
-  q.run_all();
-  EXPECT_TRUE(b.messages.empty());
-  EXPECT_EQ(net.messages_dropped(), 1u);
-  net.set_node_down(nb, false);
-  net.send({na, nb, "found", {}, 2});
-  q.run_all();
-  EXPECT_EQ(b.messages.size(), 1u);
-}
-
-TEST(SimNetwork, CrashAfterSendDropsInFlight) {
-  EventQueue q;
-  Network net(q, 1);
-  Inbox a, b;
-  const NodeId na = net.add_node(a.handler());
-  const NodeId nb = net.add_node(b.handler());
-  net.set_default_link({.base_latency = 10, .ticks_per_kib = 0});
-  net.send({na, nb, "in-flight", {}, 1});
-  net.set_node_down(nb, true);  // crashes before delivery
-  q.run_all();
-  EXPECT_TRUE(b.messages.empty());
-}
-
-TEST(SimNetwork, LossyLinkDropsApproximatelyAtRate) {
-  EventQueue q;
-  Network net(q, 99);
-  Inbox a, b;
-  const NodeId na = net.add_node(a.handler());
-  const NodeId nb = net.add_node(b.handler());
-  net.set_default_link(
-      {.base_latency = 1, .ticks_per_kib = 0, .drop_probability = 0.3});
-  for (int i = 0; i < 2000; ++i) {
-    net.send({na, nb, "maybe", {}, static_cast<std::uint64_t>(i)});
-  }
-  q.run_all();
-  EXPECT_NEAR(static_cast<double>(b.messages.size()) / 2000.0, 0.7, 0.04);
 }
 
 // ---------------------------------------------------------------------------

@@ -330,8 +330,9 @@ class Model:
     def __init__(self) -> None:
         self.files: dict[str, SourceFile] = {}
         # simple name -> all definitions seen (several directories may
-        # define the same simple name, e.g. core::Network / sim::Network);
-        # lookups resolve by path affinity via class_def().
+        # define the same simple name, e.g. the nested `Entry` structs of
+        # crypto/sha256_batch.h and sim/event_queue.h); lookups resolve by
+        # path affinity via class_def().
         self.class_defs: dict[str, list[ClassDef]] = {}
         self.functions: list[FunctionDef] = []
 
