@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Check that every library file under src/ is reachable from a root.
+
+Usage: check_reachability.py [--repo DIR]
+
+The roots are the programs that reproduce the paper: the tools
+(tools/*.cpp) and the theorem/table reproductions
+(bench/bench_theorem*.cpp, bench/bench_table*.cpp). Starting from them,
+the script follows quoted `#include "dir/file.h"` lines (resolved
+against src/, the library's include root); a reached header also
+reaches the .cpp beside it, since that is where its definitions live.
+Every src/ file the walk never reaches is printed. Tests, examples and
+the other benches do not count as roots: a module that only they
+exercise is dead library code.
+
+PENDING names the unreached files still awaiting that decision (wire in
+or delete; ROADMAP item 3). The list may only shrink: the exit status is
+1 if an unreached file is not on it, or if an entry on it is reached or
+no longer exists.
+
+Standard library only, by design: the repo's tooling policy is no
+third-party dependencies outside the C++ toolchain.
+"""
+
+import argparse
+import re
+import sys
+from pathlib import Path
+
+ROOT_GLOBS = (
+    "tools/*.cpp",
+    "bench/bench_theorem*.cpp",
+    "bench/bench_table*.cpp",
+)
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
+SOURCE_SUFFIXES = (".h", ".cpp")
+
+# The off-chain agent stack: core/agents drives the engine with real bytes
+# through DRep capacity replicas, §VI-C erasure segmentation and the
+# EventQueue clock. Only tests reach it.
+PENDING = (
+    "src/core/agents.cpp",
+    "src/core/agents.h",
+    "src/core/drep.cpp",
+    "src/core/drep.h",
+    "src/erasure/gf256.cpp",
+    "src/erasure/gf256.h",
+    "src/erasure/reed_solomon.cpp",
+    "src/erasure/reed_solomon.h",
+    "src/erasure/segmenter.cpp",
+    "src/erasure/segmenter.h",
+    "src/sim/event_queue.cpp",
+    "src/sim/event_queue.h",
+)
+
+
+def reachable(repo: Path) -> set[Path]:
+    src = repo / "src"
+    todo = [p for pattern in ROOT_GLOBS for p in sorted(repo.glob(pattern))]
+    seen: set[Path] = set()
+    while todo:
+        path = todo.pop()
+        if path in seen:
+            continue
+        seen.add(path)
+        for target in INCLUDE_RE.findall(path.read_text(encoding="utf-8")):
+            header = src / target
+            if not header.is_file():
+                continue
+            todo.append(header)
+            impl = header.with_suffix(".cpp")
+            if impl.is_file():
+                todo.append(impl)
+    return seen
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repo", default=".", type=Path)
+    repo = parser.parse_args().repo.resolve()
+
+    reached = reachable(repo)
+    library = sorted(
+        p
+        for p in (repo / "src").rglob("*")
+        if p.is_file() and p.suffix in SOURCE_SUFFIXES
+    )
+    unreached = [p.relative_to(repo).as_posix() for p in library
+                 if p not in reached]
+    new = [p for p in unreached if p not in PENDING]
+    stale = [p for p in PENDING if p not in unreached]
+    for path in unreached:
+        print(path + ("  (pending)" if path in PENDING else ""))
+    for path in stale:
+        print(f"{path}  (on PENDING but reached or gone: drop the entry)")
+    if new:
+        print(
+            f"check_reachability: {len(new)} of {len(library)} src/ files "
+            f"are reached from no root ({', '.join(ROOT_GLOBS)}); "
+            "wire each into a tool or paper reproduction, or delete it",
+            file=sys.stderr,
+        )
+    if stale:
+        print(f"check_reachability: {len(stale)} stale PENDING entries",
+              file=sys.stderr)
+    if new or stale:
+        return 1
+    print(f"check_reachability: {len(library) - len(unreached)} of "
+          f"{len(library)} src/ files reachable, {len(unreached)} pending")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,5 +1,8 @@
 #include "api/session.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "snapshot/snapshot.h"
 #include "util/config.h"
 
@@ -35,8 +38,16 @@ util::Result<Session> Session::from_spec(scenario::ScenarioSpec spec) {
   // Validate before constructing: the runner FI_CHECKs validity (an
   // invariant for it, an expected failure for an API caller).
   if (auto status = spec.validate(); !status.is_ok()) return status;
-  return Session(
-      std::make_unique<scenario::ScenarioRunner>(std::move(spec)));
+  // A valid spec can still size its setup funding (deposits, rent and
+  // traffic budgets) past u64; the checked arithmetic throws, and that is
+  // bad input, not a crash.
+  try {
+    return Session(
+        std::make_unique<scenario::ScenarioRunner>(std::move(spec)));
+  } catch (const std::overflow_error& e) {
+    return util::err(util::ErrorCode::invalid_argument,
+                     std::string("scenario setup overflows: ") + e.what());
+  }
 }
 
 util::Result<scenario::ScenarioSpec> Session::load_spec(

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 
 #include "crypto/porep.h"
 #include "util/check.h"
@@ -110,12 +111,18 @@ struct Params {
 
   /// Deposit pledged for a sector of the given capacity (§IV-B):
   /// `capacity/minCapacity × γ_deposit × capPara × minValue`, rounded up so
-  /// rounding never under-collateralizes.
+  /// rounding never under-collateralizes. Throws `std::overflow_error` when
+  /// the deposit does not fit in a token amount (`util/checked.h`).
   [[nodiscard]] TokenAmount sector_deposit(ByteCount capacity) const {
     const double units = static_cast<double>(capacity) /
                          static_cast<double>(min_capacity);
     const double deposit = gamma_deposit * cap_para *
                            static_cast<double>(min_value) * units;
+    // 2^64 is exact as a double; converting anything at or above it (or a
+    // NaN) to u64 is undefined behaviour.
+    if (!(deposit >= 0.0 && deposit < 0x1p64)) {
+      throw std::overflow_error("sector deposit exceeds u64");
+    }
     return static_cast<TokenAmount>(deposit) +
            (deposit > static_cast<double>(static_cast<TokenAmount>(deposit))
                 ? 1

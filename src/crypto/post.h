@@ -48,8 +48,8 @@ bool verify_window(const WindowProof& proof, const Hash256& expected_comm_r,
                    std::uint32_t challenge_count);
 
 /// WinningPoSt: single-challenge eligibility ticket for Expected Consensus.
-/// Returns the election ticket hash; the ledger compares it to a power-scaled
-/// threshold (see `fi::ledger::election_wins`).
+/// Returns the election ticket hash, which a consensus layer compares to a
+/// power-scaled threshold.
 Hash256 winning_ticket(const Hash256& beacon, AccountId miner,
                        const Hash256& comm_r);
 

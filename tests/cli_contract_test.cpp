@@ -137,6 +137,19 @@ TEST(FiSimCli, InputFailuresExitOne) {
                                       " --save-at 10000");
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_NE(result.err.find("never fired"), std::string::npos);
+
+  // Valid specs whose setup funding (deposits, rent, traffic and gas
+  // budgets) overflows u64 are bad input: a clean exit 1, not an abort.
+  for (const char* set :
+       {"net.unit_rent=100000000000000000", "sector_units=100000000000000",
+        "net.gas_per_task=10000000000000000000",
+        "net.traffic_fee_per_kib=10000000000000000000",
+        "net.gamma_deposit=1e17"}) {
+    const CommandResult overflow = fi_sim("--scenario " + smoke_cfg() +
+                                          " --out /dev/null --set " + set);
+    EXPECT_EQ(overflow.exit_code, 1) << set;
+    EXPECT_NE(overflow.err.find("overflow"), std::string::npos) << set;
+  }
 }
 
 TEST(FiSimCli, GoodRunExitsZero) {

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "core/alloc_table.h"
 #include "core/deposit.h"
 #include "core/drep.h"
 #include "core/params.h"
 #include "core/pending_list.h"
 #include "core/sector.h"
-#include "core/subnet.h"
-#include "util/stats.h"
+
+#include "stats_support.h"
 
 namespace fi::core {
 namespace {
@@ -46,6 +49,15 @@ TEST(ParamsTest, DepositRoundsUp) {
   Params p = small_params();
   p.gamma_deposit = 0.033;  // 3.3 per unit -> 4
   EXPECT_EQ(p.sector_deposit(1024), 4u);
+}
+
+TEST(ParamsTest, DepositOverflowThrowsInsteadOfWrapping) {
+  Params p = small_params();
+  p.gamma_deposit = 1e17;  // 1e19 tokens per unit: fits u64 once, not twice
+  EXPECT_EQ(p.sector_deposit(1024), 10'000'000'000'000'000'000u);
+  EXPECT_THROW((void)p.sector_deposit(2 * 1024), std::overflow_error);
+  p.gamma_deposit = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)p.sector_deposit(1024), std::overflow_error);
 }
 
 TEST(ParamsTest, ValidateRejectsBadConfig) {
@@ -468,54 +480,6 @@ TEST(DRepTest, DistinctReplicasOfSameFileCoexist) {
   EXPECT_EQ(drep.used_by_files(), 200u);
   EXPECT_THROW(drep.add_replica(replica_nonce(9, 1), 100),
                util::InvariantViolation);
-}
-
-// ---------------------------------------------------------------------------
-// §VI-D value subnets
-// ---------------------------------------------------------------------------
-
-TEST(SubnetTest, RoutesByValueLevel) {
-  ledger::Ledger ledger;
-  Params p = small_params();
-  ValueSubnets subnets({10, 100, 1000}, p, ledger, 7);
-  EXPECT_EQ(subnets.subnet_count(), 3u);
-  EXPECT_EQ(subnets.level_for(10).value(), 0u);
-  EXPECT_EQ(subnets.level_for(100).value(), 1u);   // largest dividing level
-  EXPECT_EQ(subnets.level_for(110).value(), 0u);   // only 10 divides 110
-  EXPECT_EQ(subnets.level_for(3000).value(), 2u);
-  EXPECT_FALSE(subnets.level_for(5).is_ok());
-}
-
-TEST(SubnetTest, ReplicaCountStaysNearKAcrossLevels) {
-  ledger::Ledger ledger;
-  Params p = small_params();
-  ValueSubnets subnets({10, 100, 1000}, p, ledger, 7);
-  // A 1000-value file in the level-1000 subnet has exactly k replicas,
-  // instead of k*100 in the base network.
-  EXPECT_EQ(subnets.subnet(2).params().replica_count(1000), p.k);
-}
-
-TEST(SubnetTest, FileAddLandsInCorrectSubnet) {
-  ledger::Ledger ledger;
-  Params p = small_params();
-  p.verify_proofs = false;
-  ValueSubnets subnets({10, 100}, p, ledger, 7);
-  const AccountId provider = ledger.create_account(1'000'000);
-  const AccountId client = ledger.create_account(1'000'000);
-  for (std::size_t level = 0; level < 2; ++level) {
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(
-          subnets.subnet(level).sector_register(provider, 4 * 1024).is_ok());
-    }
-  }
-  FileInfo info;
-  info.size = 100;
-  info.value = 100;
-  const auto result = subnets.file_add(client, info);
-  ASSERT_TRUE(result.is_ok());
-  EXPECT_EQ(result.value().first, 1u);
-  EXPECT_TRUE(subnets.subnet(1).file_exists(result.value().second));
-  EXPECT_FALSE(subnets.subnet(0).file_exists(result.value().second));
 }
 
 }  // namespace

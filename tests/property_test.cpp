@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 #include <optional>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/drep.h"
@@ -184,6 +187,26 @@ TEST_P(ProtocolFuzz, InvariantsHoldUnderRandomOperations) {
   }
   const TokenAmount initial_supply = ledger.total_supply();
 
+  std::map<core::FileId, int> lost_events;
+  net.subscribe([&](const core::Event& e) {
+    if (const auto* lost = std::get_if<core::FileLost>(&e)) {
+      ++lost_events[lost->file];
+    }
+  });
+
+  // Transient outages, FIFO by restore time (now + two proof cycles).
+  // Restoring is a no-op once Auto_CheckProof has confiscated the sector.
+  std::deque<std::pair<core::SectorId, Time>> outages;
+  auto pass_time = [&](Time dt) {
+    const Time target = net.now() + dt;
+    while (!outages.empty() && outages.front().second <= target) {
+      net.advance_to(outages.front().second);
+      net.restore_sector_physical(outages.front().first);
+      outages.pop_front();
+    }
+    net.advance_to(target);
+  };
+
   auto confirm_everything = [&] {
     for (core::FileId f : files) {
       if (!net.file_exists(f)) continue;
@@ -200,7 +223,7 @@ TEST_P(ProtocolFuzz, InvariantsHoldUnderRandomOperations) {
   };
 
   for (int step = 0; step < 300; ++step) {
-    switch (rng.uniform_below(10)) {
+    switch (rng.uniform_below(11)) {
       case 0:
       case 1:
       case 2: {  // add a file
@@ -240,9 +263,18 @@ TEST_P(ProtocolFuzz, InvariantsHoldUnderRandomOperations) {
         }
         break;
       }
+      case 7: {  // transient outage: dark past ProofDue, back in 2 cycles
+        const core::SectorId s = sectors[rng.uniform_below(sectors.size())];
+        if (net.sectors().at(s).state == core::SectorState::normal &&
+            !net.is_physically_corrupted(s)) {
+          net.corrupt_sector_physical(s);
+          outages.emplace_back(s, net.now() + 2 * params.proof_cycle);
+        }
+        break;
+      }
       default: {  // let time pass and play honest provider
         confirm_everything();
-        net.advance(1 + rng.uniform_below(60));
+        pass_time(1 + rng.uniform_below(60));
         confirm_everything();
         break;
       }
@@ -299,13 +331,31 @@ TEST_P(ProtocolFuzz, InvariantsHoldUnderRandomOperations) {
       total_deposits += net.deposits().remaining(s);
     }
     ASSERT_EQ(net.deposits().escrow_balance(), total_deposits);
-  }
 
-  // Losses (if any) were compensated up to pool capacity.
-  const auto& stats = net.stats();
-  if (stats.files_lost > 0) {
-    EXPECT_GT(stats.value_compensated + net.deposits().outstanding_liabilities(),
-              0u);
+    // 5. Every lost value is either paid out or owed as a liability.
+    ASSERT_EQ(net.deposits().total_compensated() +
+                  net.deposits().outstanding_liabilities(),
+              net.stats().value_lost)
+        << "step " << step << " seed " << seed;
+
+    // 6. No replica claims to be live on a corrupted sector.
+    for (core::FileId f : files) {
+      if (!net.file_exists(f)) continue;
+      for (core::ReplicaIndex i = 0;
+           i < net.allocations().replica_count(f); ++i) {
+        const core::AllocEntry& e = net.allocations().entry(f, i);
+        if (e.state != core::AllocState::normal) continue;
+        ASSERT_NE(net.sectors().at(e.prev).state, core::SectorState::corrupted)
+            << "file " << f << " replica " << i << " step " << step
+            << " seed " << seed;
+      }
+    }
+
+    // 7. A file is lost at most once, and a lost file is gone.
+    for (const auto& [f, count] : lost_events) {
+      ASSERT_EQ(count, 1) << "file " << f << " seed " << seed;
+      ASSERT_FALSE(net.file_exists(f)) << "file " << f << " seed " << seed;
+    }
   }
 }
 

@@ -10,8 +10,9 @@
 #include "util/fenwick.h"
 #include "util/hex.h"
 #include "util/prng.h"
-#include "util/stats.h"
 #include "util/status.h"
+
+#include "stats_support.h"
 
 namespace fi::util {
 namespace {
@@ -310,22 +311,6 @@ TEST(Stats, RunningStatsMatchKnownValues) {
   EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(Stats, HistogramQuantiles) {
-  Histogram h(0.0, 1.0, 100);
-  for (int i = 0; i < 1000; ++i) h.add(i / 1000.0);
-  EXPECT_EQ(h.total(), 1000u);
-  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.02);
-  EXPECT_NEAR(h.quantile(0.99), 0.99, 0.02);
-}
-
-TEST(Stats, HistogramClampsOutOfRange) {
-  Histogram h(0.0, 1.0, 10);
-  h.add(-5.0);
-  h.add(27.0);
-  EXPECT_EQ(h.bucket_count(0), 1u);
-  EXPECT_EQ(h.bucket_count(9), 1u);
 }
 
 // ---------------------------------------------------------------------------

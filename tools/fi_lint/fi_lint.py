@@ -44,11 +44,12 @@ from checks import (  # noqa: E402
 from cpp_model import Model  # noqa: E402
 
 # Layers whose code feeds canonical state — the determinism checker's scope
-# (ISSUE 6; src/util and src/crypto host the sanctioned primitives; src/sim
-# joined in PR 9 when NetModel became the scenario delivery substrate,
-# src/ipfs is still not wired into the epoch loop).
+# (src/util and src/crypto host the sanctioned primitives; src/sim joined
+# when NetModel became the scenario delivery substrate, src/ipfs when its
+# ContentStore became the traffic tick's retrieval cache).
 DETERMINISM_DIRS = ("src/core", "src/scenario", "src/adversary",
-                    "src/snapshot", "src/ledger", "src/traffic", "src/sim")
+                    "src/snapshot", "src/ledger", "src/traffic", "src/sim",
+                    "src/ipfs")
 
 CHECKERS = ("serialization-coverage", "determinism", "snapshot-hygiene")
 
