@@ -35,22 +35,17 @@ ROOT_GLOBS = (
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
 SOURCE_SUFFIXES = (".h", ".cpp")
 
-# The off-chain agent stack: core/agents drives the engine with real bytes
-# through DRep capacity replicas, §VI-C erasure segmentation and the
-# EventQueue clock. Only tests reach it.
+# What is left of the deleted off-chain agent stack: DRep capacity
+# replicas and the GF(256) Reed-Solomon codec. Nothing calls them now the
+# agents are gone; only their own tests and bench_micro's Reed-Solomon
+# cases reach them.
 PENDING = (
-    "src/core/agents.cpp",
-    "src/core/agents.h",
     "src/core/drep.cpp",
     "src/core/drep.h",
     "src/erasure/gf256.cpp",
     "src/erasure/gf256.h",
     "src/erasure/reed_solomon.cpp",
     "src/erasure/reed_solomon.h",
-    "src/erasure/segmenter.cpp",
-    "src/erasure/segmenter.h",
-    "src/sim/event_queue.cpp",
-    "src/sim/event_queue.h",
 )
 
 

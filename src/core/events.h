@@ -11,10 +11,10 @@
 
 /// Protocol events ("inform ..." lines in the pseudocode, Figs. 4–9).
 ///
-/// The chain state machine emits events; simulation actors (clients,
-/// providers) and test observers subscribe. Events are the only channel by
-/// which off-chain actors learn what the network expects of them (e.g. a
-/// replica transfer deadline).
+/// The chain state machine emits events; the scenario runner, benches and
+/// test observers subscribe. Events are the only channel by which the
+/// off-chain side learns what the network expects of it (e.g. a replica
+/// transfer deadline).
 namespace fi::core {
 
 /// A file was successfully stored (Auto_CheckAlloc success).

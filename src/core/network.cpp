@@ -280,6 +280,8 @@ util::Result<FileId> Network::file_add(ClientId client, const FileInfo& info) {
     return util::err(util::ErrorCode::insufficient_funds,
                      "cannot prepay traffic fees and gas");
   }
+  const Time deadline =
+      util::checked_add(now_, params_.transfer_window(info.size));
 
   // Sample cp sectors (Fig. 4: resample while the draw lacks space).
   std::vector<SectorId> chosen;
@@ -312,7 +314,6 @@ util::Result<FileId> Network::file_add(ClientId client, const FileInfo& info) {
   ++files_version_;
   alloc_table_.create_file(id, cp);
 
-  const Time deadline = now_ + params_.transfer_window(info.size);
   for (std::uint32_t i = 0; i < cp; ++i) {
     link_next(id, i, chosen[i]);
     bus_.emit(ReplicaTransferRequested{id, i, kNoSector, chosen[i], client,
@@ -748,12 +749,13 @@ bool Network::start_refresh_to(FileId file, ReplicaIndex index,
   FI_CHECK(it != files_.end());
   const AllocEntry& e = alloc_table_.entry(file, index);
   FI_CHECK(e.state == AllocState::normal);
+  const Time deadline =
+      util::checked_add(now_, params_.transfer_window(it->second.desc.size));
   if (!reserve_sector(target, it->second.desc.size).is_ok()) {
     return false;
   }
   link_next(file, index, target);
   alloc_table_.set_state(file, index, AllocState::alloc);
-  const Time deadline = now_ + params_.transfer_window(it->second.desc.size);
   pending_.schedule(deadline, Task{TaskKind::check_refresh, file, index});
   bus_.emit(ReplicaTransferRequested{file, index, e.prev, target,
                                      it->second.owner, deadline});

@@ -39,8 +39,9 @@ class TaskPool;  // util/task_pool.h — kept out of this header
 /// mechanism (§IV-A), §VI-B Poisson admission rebalancing, and simulation
 /// hooks for corruption injection.
 ///
-/// The engine tracks metadata only (sizes, commitments, balances); actual
-/// file bytes live with the off-chain actors in `core/agents.h`.
+/// The engine tracks metadata only (sizes, commitments, balances); file
+/// bytes stay off-chain with the caller, which proves storage through
+/// `file_confirm`/`file_prove` or lets auto-prove stand in for it.
 ///
 /// Epoch sweeps (challenge evaluation, refresh verification, PoSt
 /// timeliness) can run across a worker pool — see `set_workers` and the
@@ -201,8 +202,8 @@ class Network {
 
   // ---- Simulation hooks ---------------------------------------------------
 
-  /// Physically corrupts a sector: with auto-prove off, its provider agent
-  /// is expected to stop proving; with auto-prove on, the engine stops
+  /// Physically corrupts a sector: with auto-prove off, its provider is
+  /// expected to stop proving; with auto-prove on, the engine stops
   /// auto-proving for it and Auto_CheckProof confiscates it at the
   /// ProofDeadline — the full detection pipeline. Also doubles as "proof
   /// withholding" for adversary studies (`adversary::WithholdProofs`): the

@@ -5,6 +5,7 @@
 
 #include "crypto/porep.h"
 #include "util/check.h"
+#include "util/checked.h"
 #include "util/types.h"
 
 /// Protocol parameters (paper Table I and §IV).
@@ -96,6 +97,14 @@ struct Params {
                  "proof_deadline must exceed proof_due");
     FI_CHECK_MSG(avg_refresh >= 1.0, "avg_refresh below one cycle");
     FI_CHECK_MSG(punish_bp <= 10'000, "punish_bp above 100%");
+    // Zero would reschedule the rent task at `now`, so time never advances.
+    FI_CHECK_MSG(rent_period_cycles >= 1,
+                 "rent_period_cycles must be at least 1");
+    // Zero draws no sector, so every File_Add fails.
+    FI_CHECK_MSG(max_alloc_resample >= 1,
+                 "max_alloc_resample must be at least 1");
+    // Zero openings would let any prover who knows comm_r pass WindowPoSt.
+    FI_CHECK_MSG(post_challenges >= 1, "post_challenges must be at least 1");
     FI_CHECK_MSG(cr_size > 0 && cr_size <= min_capacity,
                  "cr_size must fit in the smallest sector");
   }
@@ -130,8 +139,9 @@ struct Params {
   }
 
   /// Transfer window for a file of `size` bytes (`DelayPerSize × f.size`).
+  /// Throws `std::overflow_error` when the window does not fit in a `Time`.
   [[nodiscard]] Time transfer_window(ByteCount size) const {
-    const Time ticks = delay_per_kib * ((size + 1023) / 1024);
+    const Time ticks = util::checked_mul(delay_per_kib, (size + 1023) / 1024);
     return ticks < min_transfer_window ? min_transfer_window : ticks;
   }
 

@@ -27,11 +27,6 @@ TokenAmount RetrievalMarket::quote(ProviderId provider,
   return util::checked_mul(ask_of(provider), (bytes + 1023) / 1024);
 }
 
-util::Status RetrievalMarket::settle(ClientId client, ProviderId provider,
-                                     ByteCount bytes) {
-  return settle_to(client, provider, provider, bytes, quote(provider, bytes));
-}
-
 util::Status RetrievalMarket::settle_to(ClientId client, ProviderId seller,
                                         AccountId payee, ByteCount bytes,
                                         TokenAmount price) {

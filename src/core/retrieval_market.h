@@ -45,14 +45,12 @@ class RetrievalMarket {
   /// Price quoted by `provider` for `bytes` of content.
   [[nodiscard]] TokenAmount quote(ProviderId provider, ByteCount bytes) const;
 
-  /// Settles the payment for a served retrieval; fails (and records
-  /// nothing) if the client cannot pay.
-  util::Status settle(ClientId client, ProviderId provider, ByteCount bytes);
-
-  /// Settles at an explicit price (the defense layer's surge repricing)
-  /// with the accounting keyed by `seller` — the competing holder, a
-  /// sector in the scenario engine's per-sector QoS model — while the
-  /// tokens land in `payee`, the seller's owning account.
+  /// Settles the payment for a served retrieval at `price` (the quote, or
+  /// the defense layer's surge repricing); fails (and records nothing) if
+  /// the client cannot pay. The accounting is keyed by `seller` — the
+  /// competing holder, a sector in the scenario engine's per-sector QoS
+  /// model — while the tokens land in `payee`, the seller's owning
+  /// account.
   util::Status settle_to(ClientId client, ProviderId seller, AccountId payee,
                          ByteCount bytes, TokenAmount price);
 

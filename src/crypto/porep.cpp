@@ -1,8 +1,6 @@
 #include "crypto/porep.h"
 
 #include <cstring>
-#include <map>
-#include <mutex>
 
 #include "util/check.h"
 
@@ -200,18 +198,6 @@ std::vector<std::uint8_t> make_capacity_replica(AccountId provider,
   const ReplicaId id{provider, sector, kCapacityNonceBit | cr_index};
   const std::vector<std::uint8_t> zeros(size, 0);
   return seal(zeros, id, params);
-}
-
-Hash256 zero_comm_d(std::size_t size) {
-  static std::mutex mutex;
-  static std::map<std::size_t, Hash256> cache;
-  std::scoped_lock lock(mutex);
-  auto it = cache.find(size);
-  if (it != cache.end()) return it->second;
-  const std::vector<std::uint8_t> zeros(size, 0);
-  const Hash256 root = merkle_root_of_data(zeros);
-  cache.emplace(size, root);
-  return root;
 }
 
 }  // namespace fi::crypto

@@ -99,8 +99,4 @@ std::vector<std::uint8_t> make_capacity_replica(AccountId provider,
                                                 std::size_t size,
                                                 const SealParams& params);
 
-/// CommD of an all-zero file of the given size (cached internally for the
-/// common CR size, since every CR shares it).
-Hash256 zero_comm_d(std::size_t size);
-
 }  // namespace fi::crypto

@@ -11,8 +11,8 @@
 /// Encoding multiplies the data shards by a systematic generator matrix
 /// (identity on top of a Cauchy-derived parity block), so any
 /// `data_shards` of the `data_shards + parity_shards` outputs reconstruct
-/// the original. Used by the §VI-C large-file segmenter and the Storj
-/// baseline model.
+/// the original. No engine path calls it; bench_micro times it at the
+/// Storj shape (29 data, 51 parity shards).
 namespace fi::erasure {
 
 class ReedSolomon {

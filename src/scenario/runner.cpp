@@ -292,8 +292,9 @@ void ScenarioRunner::setup_population() {
   }
   // Let every initial upload confirm and pass Auto_CheckAlloc so phase 0
   // starts from a fully stored population.
-  advance_confirming(net_->now() +
-                     p.transfer_window(spec_.file_size_max) + 1);
+  advance_confirming(util::checked_add(
+      util::checked_add(net_->now(), p.transfer_window(spec_.file_size_max)),
+      1));
   setup_seconds_ = seconds_since(setup0);
 }
 

@@ -9,8 +9,8 @@
 /// and in the closed-form theorem bounds.
 namespace fi {
 
-/// Simulated time, in abstract ticks. The discrete-event scheduler
-/// (`fi::sim::EventQueue`) and the protocol pending list share this clock.
+/// Simulated time, in abstract ticks: the clock of the protocol pending
+/// list, which `sim::NetModel` deliveries share.
 using Time = std::uint64_t;
 
 /// Sentinel for "no timestamp" (the paper's `last = -1`).

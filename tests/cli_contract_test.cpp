@@ -144,11 +144,22 @@ TEST(FiSimCli, InputFailuresExitOne) {
        {"net.unit_rent=100000000000000000", "sector_units=100000000000000",
         "net.gas_per_task=10000000000000000000",
         "net.traffic_fee_per_kib=10000000000000000000",
-        "net.gamma_deposit=1e17"}) {
+        "net.gamma_deposit=1e17",
+        "net.min_transfer_window=18446744073709551615"}) {
     const CommandResult overflow = fi_sim("--scenario " + smoke_cfg() +
                                           " --out /dev/null --set " + set);
     EXPECT_EQ(overflow.exit_code, 1) << set;
     EXPECT_NE(overflow.err.find("overflow"), std::string::npos) << set;
+  }
+
+  // Degenerate protocol parameters that would otherwise run to a clean
+  // exit 0 (no file stored; WindowPoSt with no openings).
+  for (const char* set :
+       {"net.max_alloc_resample=0", "net.post_challenges=0"}) {
+    const CommandResult invalid = fi_sim("--scenario " + smoke_cfg() +
+                                         " --out /dev/null --set " + set);
+    EXPECT_EQ(invalid.exit_code, 1) << set;
+    EXPECT_NE(invalid.err.find("at least 1"), std::string::npos) << set;
   }
 }
 

@@ -67,12 +67,30 @@ TEST(ParamsTest, ValidateRejectsBadConfig) {
   p = small_params();
   p.cr_size = p.min_capacity + 1;
   EXPECT_THROW(p.validate(), util::InvariantViolation);
+  // Zero would hang the rent clock, fail every File_Add, or accept a
+  // WindowPoSt with no openings.
+  p = small_params();
+  p.rent_period_cycles = 0;
+  EXPECT_THROW(p.validate(), util::InvariantViolation);
+  p = small_params();
+  p.max_alloc_resample = 0;
+  EXPECT_THROW(p.validate(), util::InvariantViolation);
+  p = small_params();
+  p.post_challenges = 0;
+  EXPECT_THROW(p.validate(), util::InvariantViolation);
 }
 
 TEST(ParamsTest, TransferWindowScalesWithSize) {
   const Params p = small_params();
   EXPECT_EQ(p.transfer_window(1), p.min_transfer_window);
   EXPECT_EQ(p.transfer_window(10 * 1024), 10u * p.delay_per_kib);
+}
+
+TEST(ParamsTest, TransferWindowOverflowThrowsInsteadOfWrapping) {
+  Params p = small_params();
+  p.delay_per_kib = Time{1} << 62;
+  EXPECT_EQ(p.transfer_window(3 * 1024), Time{3} << 62);
+  EXPECT_THROW((void)p.transfer_window(4 * 1024), std::overflow_error);
 }
 
 // ---------------------------------------------------------------------------

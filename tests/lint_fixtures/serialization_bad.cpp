@@ -84,4 +84,47 @@ class AggregateDrift {
   Counters counters_;
 };
 
+// Attributes and alignas() between the class key and the name. Two
+// [[nodiscard]] classes, so a model that names them both `nodiscard`
+// cannot resolve either one and misses the dropped field.
+class [[nodiscard]] AttributedDropsField {
+ public:
+  void save(util::BinaryWriter& writer) const { writer.u64(kept_); }
+  void load(util::BinaryReader& reader) { kept_ = reader.u64(); }
+
+ private:
+  std::uint64_t kept_ = 0;
+  std::uint64_t skipped_ = 0;  // MARKER missing-in-save missing-in-load
+};
+
+class [[nodiscard]] AttributedClean {
+ public:
+  void save(util::BinaryWriter& writer) const { writer.u64(value_); }
+  void load(util::BinaryReader& reader) { value_ = reader.u64(); }
+
+ private:
+  std::uint64_t value_ = 0;
+};
+
+// A nested alignas(64) struct encoded field by field, one field skipped.
+class AlignedScanDrift {
+ public:
+  void save(util::BinaryWriter& writer) const {
+    writer.u64(scan_.hits);  // MARKER aggregate-site
+    writer.u64(scan_.misses);
+  }
+  void load(util::BinaryReader& reader) {
+    scan_.hits = reader.u64();  // MARKER aggregate-site-load
+    scan_.misses = reader.u64();
+  }
+
+ private:
+  struct alignas(64) Scan {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t late = 0;  // MARKER aggregate-missing
+  };
+  Scan scan_;
+};
+
 }  // namespace fixture

@@ -158,12 +158,6 @@ TEST(PoRep, CapacityReplicaUnsealsToZeros) {
   EXPECT_EQ(unseal(cr, id, kParams), std::vector<std::uint8_t>(1024, 0));
 }
 
-TEST(PoRep, ZeroCommDCached) {
-  EXPECT_EQ(zero_comm_d(4096), zero_comm_d(4096));
-  EXPECT_EQ(zero_comm_d(1024),
-            merkle_root_of_data(std::vector<std::uint8_t>(1024, 0)));
-}
-
 // ---------------------------------------------------------------------------
 // WindowPoSt
 // ---------------------------------------------------------------------------
@@ -227,13 +221,6 @@ TEST(PoSt, ChallengesDeterministicAndBeaconSensitive) {
             window_challenges(beacon1, comm, 8, 1000));
   EXPECT_NE(window_challenges(beacon1, comm, 8, 1000),
             window_challenges(beacon2, comm, 8, 1000));
-}
-
-TEST(PoSt, WinningTicketDependsOnMinerAndBeacon) {
-  const Hash256 beacon = hash_u64s("b", {1});
-  const Hash256 comm = hash_u64s("c", {1});
-  EXPECT_NE(winning_ticket(beacon, 1, comm), winning_ticket(beacon, 2, comm));
-  EXPECT_EQ(winning_ticket(beacon, 1, comm), winning_ticket(beacon, 1, comm));
 }
 
 }  // namespace

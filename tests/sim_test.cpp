@@ -5,96 +5,12 @@
 
 #include "scenario/runner.h"
 #include "scenario/spec.h"
-#include "sim/event_queue.h"
 #include "sim/net_model.h"
 #include "snapshot/snapshot.h"
 #include "util/binary_io.h"
 
 namespace fi::sim {
 namespace {
-
-// ---------------------------------------------------------------------------
-// EventQueue
-// ---------------------------------------------------------------------------
-
-TEST(EventQueue, RunsInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(30, [&] { order.push_back(3); });
-  q.schedule_at(10, [&] { order.push_back(1); });
-  q.schedule_at(20, [&] { order.push_back(2); });
-  q.run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(q.now(), 30u);
-}
-
-TEST(EventQueue, StableOrderWithinTimestamp) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.schedule_at(5, [&order, i] { order.push_back(i); });
-  }
-  q.run_all();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(EventQueue, RunUntilStopsAtDeadline) {
-  EventQueue q;
-  int ran = 0;
-  q.schedule_at(10, [&] { ++ran; });
-  q.schedule_at(20, [&] { ++ran; });
-  q.schedule_at(30, [&] { ++ran; });
-  q.run_until(20);
-  EXPECT_EQ(ran, 2);
-  EXPECT_EQ(q.now(), 20u);
-  EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  int ran = 0;
-  const auto id = q.schedule_at(10, [&] { ++ran; });
-  q.schedule_at(10, [&] { ++ran; });
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));  // already cancelled
-  q.run_all();
-  EXPECT_EQ(ran, 1);
-}
-
-TEST(EventQueue, EventsCanScheduleEvents) {
-  EventQueue q;
-  std::vector<Time> fire_times;
-  std::function<void()> recurring = [&] {
-    fire_times.push_back(q.now());
-    if (fire_times.size() < 5) q.schedule_after(10, recurring);
-  };
-  q.schedule_at(0, recurring);
-  q.run_all();
-  EXPECT_EQ(fire_times, (std::vector<Time>{0, 10, 20, 30, 40}));
-}
-
-TEST(EventQueue, SchedulingInPastThrows) {
-  EventQueue q;
-  q.schedule_at(10, [] {});
-  q.run_all();
-  EXPECT_THROW(q.schedule_at(5, [] {}), util::InvariantViolation);
-}
-
-TEST(EventQueue, NextEventTimeSkipsCancelled) {
-  EventQueue q;
-  const auto id = q.schedule_at(5, [] {});
-  q.schedule_at(9, [] {});
-  EXPECT_EQ(q.next_event_time(), 5u);
-  q.cancel(id);
-  EXPECT_EQ(q.next_event_time(), 9u);
-}
-
-TEST(EventQueue, RunAllGuardsAgainstRunaway) {
-  EventQueue q;
-  std::function<void()> forever = [&] { q.schedule_after(1, forever); };
-  q.schedule_at(0, forever);
-  EXPECT_THROW(q.run_all(1000), util::InvariantViolation);
-}
 
 // ---------------------------------------------------------------------------
 // NetModel — the serializable scenario-grade delivery substrate
@@ -110,8 +26,8 @@ std::vector<TransferMessage> drain_due(NetModel& model, Time now) {
 
 TEST(NetModel, SameTimestampPopsInSendOrder) {
   // The (deliver_at, seq) tie-break: messages due at the same tick pop in
-  // FIFO send order, exactly like EventQueue events and the protocol
-  // pending list — delivery order is state, so it must be canonical.
+  // FIFO send order, exactly like the protocol pending list — delivery
+  // order is state, so it must be canonical.
   NetConfig config;  // all-zero: every message due at its send time
   NetModel model(config, 7);
   for (std::uint64_t i = 0; i < 10; ++i) {

@@ -275,6 +275,52 @@ def _has_toplevel_parens(stmt: list[Token]) -> bool:
     return False
 
 
+def _skip_group(stmt: list[Token], i: int) -> int:
+    """Index just past the bracket group opening at `stmt[i]`."""
+    close = {"(": ")", "[": "]"}[stmt[i].text]
+    depth = 0
+    for j in range(i, len(stmt)):
+        if stmt[j].text == stmt[i].text:
+            depth += 1
+        elif stmt[j].text == close:
+            depth -= 1
+            if depth == 0:
+                return j + 1
+    return len(stmt)
+
+
+def _class_head(stmt: list[Token]) -> tuple[str, Token | None] | None:
+    """(key, name) when `stmt` heads a class/struct/union definition.
+
+    Attributes (`[[nodiscard]]`) and `alignas(...)` are skipped: they
+    neither name the type nor make the head look like a function. Any
+    other top-level `(` marks a function head, and gives None. The name is
+    None for an anonymous type.
+    """
+    head: list[Token] = []
+    i = 0
+    while i < len(stmt):
+        nxt = stmt[i + 1].text if i + 1 < len(stmt) else ""
+        if stmt[i].text == "[" and nxt == "[":
+            i = _skip_group(stmt, i)
+        elif stmt[i].text == "alignas" and nxt == "(":
+            i = _skip_group(stmt, i + 1)
+        else:
+            head.append(stmt[i])
+            i += 1
+    key = next((k for k, t in enumerate(head)
+                if t.text in ("class", "struct", "union")), None)
+    if key is None or _has_toplevel_parens(head):
+        return None
+    name = None
+    for tok in head[key + 1:]:
+        if tok.kind == ID and tok.text != "final":
+            name = tok
+        elif name is not None or tok.text == ":":
+            break
+    return head[key].text, name
+
+
 def _declarator_name(stmt: list[Token]) -> tuple[str, int, str] | None:
     """(name, line, type_text) of a member-variable declaration, or None."""
     angle = 0
@@ -329,10 +375,9 @@ class Model:
 
     def __init__(self) -> None:
         self.files: dict[str, SourceFile] = {}
-        # simple name -> all definitions seen (several directories may
-        # define the same simple name, e.g. the nested `Entry` structs of
-        # crypto/sha256_batch.h and sim/event_queue.h); lookups resolve by
-        # path affinity via class_def().
+        # simple name -> all definitions seen (two files may define the
+        # same simple name, such as a nested `Entry` struct); lookups
+        # resolve by path affinity via class_def().
         self.class_defs: dict[str, list[ClassDef]] = {}
         self.functions: list[FunctionDef] = []
 
@@ -358,24 +403,7 @@ class Model:
                 continue
             if "enum" in heads:
                 continue
-            kind_idx = next(
-                (i for i, t in enumerate(heads) if t in ("class", "struct", "union")),
-                None,
-            )
-            if kind_idx is not None and not _has_toplevel_parens(stmt):
-                name = None
-                for tok in stmt[kind_idx + 1 :]:
-                    if tok.kind == ID and tok.text not in (
-                        "final", "alignas", "public", "private", "protected",
-                    ):
-                        name = tok
-                    elif tok.text in (":", "final"):
-                        break
-                    elif name is not None:
-                        break
-                if name is None or heads[kind_idx] == "union":
-                    continue
-                self._add_class(src, name.text, name.line, block)
+            if self._add_class_at(src, stmt, block):
                 continue
             # Function definition?
             fn = self._function_of(stmt)
@@ -420,6 +448,18 @@ class Model:
                 return name_tok, cls, stmt[idx + 1 : j - 1]
         return None
 
+    def _add_class_at(self, src: SourceFile, stmt: list[Token],
+                      block: list[Token]) -> bool:
+        """Models `stmt { block }` if it defines a class or struct; True
+        when `stmt` is any class/struct/union head (done with it)."""
+        head = _class_head(stmt)
+        if head is None:
+            return False
+        key, name = head
+        if name is not None and key != "union":
+            self._add_class(src, name.text, name.line, block)
+        return True
+
     def _add_class(self, src: SourceFile, name: str, line: int,
                    body: list[Token]) -> None:
         cls = ClassDef(name=name, path=src.path, line=line)
@@ -445,16 +485,7 @@ class Model:
                 continue
             if "enum" in heads:
                 continue
-            if block is not None and (
-                "class" in heads or "struct" in heads
-            ) and not _has_toplevel_parens(stmt):
-                name = None
-                for tok in stmt[1:]:
-                    if tok.kind == ID and tok.text != "final":
-                        name = tok
-                        break
-                if name is not None:
-                    self._add_class(src, name.text, name.line, block)
+            if block is not None and self._add_class_at(src, stmt, block):
                 continue
             fn = self._function_of(stmt)
             if fn is not None:
