@@ -6,16 +6,15 @@
 // Three sections:
 //   A. Rent-distribution scaling — the O(1)-per-cycle accumulator must stay
 //      flat as the sector count grows 100x.
-//   B. Worker sweep — per-epoch latency of the parallel challenge/refresh
-//      sweeps at increasing `engine.workers`, with a byte-identity check of
-//      every report against the serial run (the determinism contract).
+//   B. Epoch latency — wall time per proving/refresh epoch over a fixed
+//      stored population.
 //   C. Full churn at scale with a conservation audit (exit status).
 //
 // With --json, sections A and B are additionally emitted as machine-readable
 // JSON (schema: docs/BENCHMARKS.md); CI feeds that file to
 // scripts/check_bench_regression.py against bench/baseline.json.
 //
-// Usage: bench_scale_engine [files] [--sweep 1,2,4,8] [--json <path>]
+// Usage: bench_scale_engine [files] [--json <path>]
 
 #include <cerrno>
 #include <cstdio>
@@ -28,7 +27,6 @@
 #include "scenario/runner.h"
 #include "scenario/spec.h"
 #include "util/config.h"
-#include "util/task_pool.h"
 
 namespace {
 
@@ -61,13 +59,6 @@ ScenarioSpec scale_spec() {
 struct RentRow {
   std::uint64_t sectors = 0;
   double us_per_rent_cycle = 0.0;
-};
-
-struct SweepRow {
-  std::uint64_t workers = 0;
-  double per_epoch_seconds = 0.0;
-  double speedup_vs_serial = 1.0;
-  bool report_identical_to_serial = true;
 };
 
 /// Section A: per-rent-cycle cost vs sector count with a fixed file
@@ -106,29 +97,20 @@ std::vector<RentRow> rent_cycle_scaling() {
 }
 
 /// Section B: per-epoch latency of the proving/refresh epoch loop over a
-/// fixed stored population, as a function of the sweep worker count. The
-/// serial run is the reference for both speedup and byte-identity.
-std::vector<SweepRow> worker_sweep(std::uint64_t nf,
-                                   const std::vector<std::uint64_t>& workers) {
+/// fixed stored population.
+double epoch_latency(std::uint64_t nf) {
   constexpr std::uint64_t kCycles = 4;
   const std::uint64_t ns = sectors_for(nf);
-  std::printf("Worker sweep: %llu files, %llu sectors, %llu proving epochs "
-              "per point\n",
+  std::printf("Epoch latency: %llu files, %llu sectors, %llu proving "
+              "epochs\n",
               static_cast<unsigned long long>(nf),
               static_cast<unsigned long long>(ns),
               static_cast<unsigned long long>(kCycles));
-  std::printf("%8s %16s %10s %10s\n", "workers", "s/epoch", "speedup",
-              "identical");
-
-  std::vector<SweepRow> rows;
-  std::string serial_json;
-  double serial_epoch = 0.0;
-  // One untimed warmup so the serial reference is not penalized for
-  // first-run costs (allocator pools, page faults) that later points
-  // would otherwise inherit for free.
+  // One untimed warmup so the measurement is not charged for first-run
+  // costs (allocator pools, page faults).
   {
     ScenarioSpec warm = scale_spec();
-    warm.name = "worker_sweep_warmup";
+    warm.name = "epoch_latency_warmup";
     warm.seed = 42;
     warm.sectors = ns;
     warm.initial_files = nf;
@@ -137,39 +119,20 @@ std::vector<SweepRow> worker_sweep(std::uint64_t nf,
     ScenarioRunner runner(std::move(warm));
     (void)runner.run();
   }
-  for (const std::uint64_t w : workers) {
-    ScenarioSpec spec = scale_spec();
-    spec.name = "worker_sweep";
-    spec.seed = 42;
-    spec.engine_workers = w;
-    spec.sectors = ns;
-    spec.initial_files = nf;
-    spec.params.avg_refresh = 20.0;  // visible refresh traffic
-    spec.phases.push_back(PhaseSpec::make_idle(kCycles));
+  ScenarioSpec spec = scale_spec();
+  spec.name = "epoch_latency";
+  spec.seed = 42;
+  spec.sectors = ns;
+  spec.initial_files = nf;
+  spec.params.avg_refresh = 20.0;  // visible refresh traffic
+  spec.phases.push_back(PhaseSpec::make_idle(kCycles));
 
-    ScenarioRunner runner(std::move(spec));
-    const MetricsReport report = runner.run();
-    const std::string json = report.to_json(false);
-    SweepRow row;
-    row.workers = w;
-    row.per_epoch_seconds =
-        report.phases[0].wall_seconds / static_cast<double>(kCycles);
-    if (rows.empty()) {
-      serial_json = json;
-      serial_epoch = row.per_epoch_seconds;
-    }
-    row.speedup_vs_serial =
-        row.per_epoch_seconds > 0.0 ? serial_epoch / row.per_epoch_seconds
-                                    : 1.0;
-    row.report_identical_to_serial = (json == serial_json);
-    std::printf("%8llu %16.4f %10.2f %10s\n",
-                static_cast<unsigned long long>(w), row.per_epoch_seconds,
-                row.speedup_vs_serial,
-                row.report_identical_to_serial ? "yes" : "NO");
-    rows.push_back(row);
-  }
-  std::printf("\n");
-  return rows;
+  ScenarioRunner runner(std::move(spec));
+  const MetricsReport report = runner.run();
+  const double per_epoch =
+      report.phases[0].wall_seconds / static_cast<double>(kCycles);
+  std::printf("  %.4f s/epoch\n\n", per_epoch);
+  return per_epoch;
 }
 
 /// Section C: full churn at scale — add/prove/refresh/corrupt/rent over a
@@ -237,28 +200,18 @@ int churn_at_scale(std::uint64_t nf) {
 }
 
 bool write_json(const std::string& path, std::uint64_t files,
-                const std::vector<SweepRow>& sweep,
-                const std::vector<RentRow>& rent) {
+                double per_epoch_seconds, const std::vector<RentRow>& rent) {
   const std::uint64_t ns = sectors_for(files);
   std::ofstream out(path, std::ios::binary);
   out << "{\n";
   out << "  \"bench\": \"bench_scale_engine\",\n";
   out << "  \"files\": " << files << ",\n";
   out << "  \"sectors\": " << ns << ",\n";
-  out << "  \"worker_sweep\": [\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"workers\": %llu, \"per_epoch_seconds\": %.6f, "
-                  "\"speedup_vs_serial\": %.3f, "
-                  "\"report_identical_to_serial\": %s}%s\n",
-                  static_cast<unsigned long long>(sweep[i].workers),
-                  sweep[i].per_epoch_seconds, sweep[i].speedup_vs_serial,
-                  sweep[i].report_identical_to_serial ? "true" : "false",
-                  i + 1 < sweep.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ],\n";
+  char epoch[96];
+  std::snprintf(epoch, sizeof(epoch),
+                "    {\"files\": %llu, \"per_epoch_seconds\": %.6f}\n",
+                static_cast<unsigned long long>(files), per_epoch_seconds);
+  out << "  \"epoch_latency\": [\n" << epoch << "  ],\n";
   out << "  \"rent_scaling\": [\n";
   for (std::size_t i = 0; i < rent.size(); ++i) {
     char buf[96];
@@ -278,7 +231,7 @@ bool write_json(const std::string& path, std::uint64_t files,
 int usage(const char* argv0, const char* complaint) {
   std::fprintf(stderr,
                "bench_scale_engine: %s\n"
-               "usage: %s [files] [--sweep 1,2,4,8] [--json <path>]\n",
+               "usage: %s [files] [--json <path>]\n",
                complaint, argv0);
   return 2;
 }
@@ -292,37 +245,16 @@ bool parse_u64(const char* text, std::uint64_t& out) {
 
 int main(int argc, char** argv) {
   std::uint64_t nf = 100'000;
-  std::vector<std::uint64_t> sweep_workers{1, 2, 4, 8};
   std::string json_path;
   bool files_given = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if ((arg == "--json" || arg == "--sweep") && i + 1 >= argc) {
-      return usage(argv[0], (arg + " expects a value").c_str());
+    if (arg == "--json" && i + 1 >= argc) {
+      return usage(argv[0], "--json expects a value");
     }
     if (arg == "--json") {
       json_path = argv[++i];
-    } else if (arg == "--sweep") {
-      sweep_workers.clear();
-      std::string list = argv[++i];
-      std::size_t pos = 0;
-      while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string token =
-            list.substr(pos, comma == std::string::npos ? std::string::npos
-                                                        : comma - pos);
-        std::uint64_t w = 0;
-        if (!parse_u64(token.c_str(), w) ||
-            w > fi::util::TaskPool::kMaxWorkers) {
-          return usage(argv[0],
-                       "--sweep expects a comma-separated list of positive "
-                       "worker counts");
-        }
-        sweep_workers.push_back(w);
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
     } else if (!files_given && !arg.empty() && arg[0] != '-') {
       // Validate instead of feeding strtoull garbage into the workload: a
       // non-numeric or zero argument is an error, and absurd counts clamp.
@@ -342,16 +274,11 @@ int main(int argc, char** argv) {
       return usage(argv[0], ("unknown argument '" + arg + "'").c_str());
     }
   }
-  if (sweep_workers.empty() || sweep_workers.front() != 1) {
-    // The first sweep point is the serial reference for speedup and the
-    // byte-identity check.
-    sweep_workers.insert(sweep_workers.begin(), 1);
-  }
 
   std::printf("Engine scale benchmark — million-file trajectory\n\n");
   const std::vector<RentRow> rent = rent_cycle_scaling();
-  const std::vector<SweepRow> sweep = worker_sweep(nf, sweep_workers);
-  if (!json_path.empty() && !write_json(json_path, nf, sweep, rent)) {
+  const double per_epoch = epoch_latency(nf);
+  if (!json_path.empty() && !write_json(json_path, nf, per_epoch, rent)) {
     std::fprintf(stderr, "bench_scale_engine: failed to write %s\n",
                  json_path.c_str());
     return 1;

@@ -9,9 +9,7 @@ Usage:
 Both files follow the emitting bench's --json schema (docs/BENCHMARKS.md)
 and carry a top-level "bench" name, which selects the gate schema:
 
-  bench_scale_engine   worker_sweep / rent_scaling, lower-is-better, plus
-                       a byte-identity check of every sweep point's report
-                       against the serial run (the determinism contract).
+  bench_scale_engine   epoch_latency / rent_scaling, lower-is-better.
   bench_retrieval      retrieval_throughput, HIGHER-is-better (requests/sec
                        through the full retrieval pipeline), plus a hard
                        floor of 10^5 requests/sec that no baseline drift
@@ -20,8 +18,8 @@ and carry a top-level "bench" name, which selects the gate schema:
 For every point in the *baseline* the measured run must exist and must not
 regress past baseline x/÷ threshold; the threshold is deliberately generous
 (default 2x) because CI runners vary — the gate catches algorithmic
-regressions (a hot path going accidentally quadratic, a sweep silently
-serializing), not single-digit-percent noise. Hard floors are absolute:
+regressions (a hot path going accidentally quadratic), not
+single-digit-percent noise. Hard floors are absolute:
 they bind even when the baseline would allow worse.
 
 A missing, unreadable, or structurally empty baseline is an ERROR, not a
@@ -46,7 +44,7 @@ import sys
 # The hard floor (higher-direction only) binds regardless of the baseline.
 BENCH_SCHEMAS = {
     "bench_scale_engine": {
-        "worker_sweep": ("workers", "per_epoch_seconds", "lower", None),
+        "epoch_latency": ("files", "per_epoch_seconds", "lower", None),
         "rent_scaling": ("sectors", "us_per_rent_cycle", "lower", None),
     },
     "bench_retrieval": {
@@ -213,13 +211,6 @@ def main():
     for axis, (key, metric, direction, floor) in schema.items():
         check_axis(axis, measured.get(axis, []), baseline.get(axis, []),
                    key, metric, direction, floor, args.threshold, failures)
-
-    for row in measured.get("worker_sweep", []):
-        if not row.get("report_identical_to_serial", False):
-            failures.append(
-                f"worker_sweep [workers={row.get('workers')}]: report is "
-                f"NOT byte-identical to the serial run — determinism "
-                f"contract broken")
 
     if args.append_trajectory:
         if not append_trajectory(args.append_trajectory, args.run_label,

@@ -26,7 +26,6 @@ SCENARIO_KEYS = COMMON_KEYS | {
     "parent_snapshot",
     "parent_hash",
     "epochs",
-    "workers",
 }
 BASELINE_KEYS = COMMON_KEYS | {
     "protocol",
@@ -102,7 +101,7 @@ def check_node(path: Path, index: int, node: dict, names: dict) -> list:
             continue
         errors.append(f"{where}: key {key!r} does not apply to a {kind} node")
 
-    for key in ("epochs", "workers", "seed", "sectors", "files", "file_size",
+    for key in ("epochs", "seed", "sectors", "files", "file_size",
                 "file_value"):
         if key in node and not node[key].isdigit():
             errors.append(f"{where}: {key} must be an unsigned integer")

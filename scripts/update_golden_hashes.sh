@@ -11,8 +11,8 @@
 #   scripts/update_golden_hashes.sh [build_dir]
 #
 # The hash is machine-independent by construction (fixed-width integer
-# state, explicit little-endian encoding, worker-count invariant), so a
-# locally generated file matches CI.
+# state, explicit little-endian encoding), so a locally generated file
+# matches CI.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -15,8 +15,7 @@
 /// mirroring the `phase.<i>.*` convention). Each block instantiates one
 /// `AdversaryStrategy` (see `adversary/strategy.h`) that the
 /// `ScenarioRunner` consults once per proof cycle on its own deterministic
-/// RNG stream, so attack schedules replay bit-for-bit from the spec —
-/// including across `engine.workers` counts.
+/// RNG stream, so attack schedules replay bit-for-bit from the spec.
 namespace fi::adversary {
 
 /// Attack archetypes, covering the paper's threat surface (Theorems 2–4):

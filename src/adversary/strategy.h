@@ -26,8 +26,7 @@
 /// Determinism contract: a strategy's decisions may depend only on the
 /// view (network state, epoch, its own RNG stream, its own counters) —
 /// never on wall clock, addresses, or unordered-container iteration — so
-/// the same spec and seed replay the same attack byte-for-byte at any
-/// `engine.workers` count.
+/// the same spec and seed replay the same attack byte-for-byte.
 namespace fi::adversary {
 
 // ---- Actions ---------------------------------------------------------------

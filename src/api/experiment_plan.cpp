@@ -83,12 +83,6 @@ util::Result<ExperimentPlan> ExperimentPlan::from_config(
     if (!epochs.is_ok()) return epochs.status();
     node.epochs = epochs.value();
 
-    if (config.contains(prefix + "workers")) {
-      auto workers = config.get_u64(prefix + "workers");
-      if (!workers.is_ok()) return workers.status();
-      node.workers = workers.value();
-    }
-
     // `set.<config key>` overrides, in the config's canonical (sorted)
     // key order — deterministic, and plans care about the set, not the
     // sequence (duplicate keys cannot occur in a parsed config).
@@ -198,10 +192,6 @@ util::Status ExperimentPlan::validate() const {
       if (!node.overrides.empty()) {
         return node_err(i, "baseline nodes take protocol knobs, not set.* "
                            "overrides");
-      }
-      if (node.workers.has_value()) {
-        return node_err(i, "baseline models are single-threaded; workers "
-                           "does not apply");
       }
       if (node.baseline.protocol.empty()) {
         return node_err(i, "baseline nodes need a protocol");

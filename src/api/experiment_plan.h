@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,7 +50,6 @@ struct PlanNode {
   std::string parent_hash;
   /// Proof cycles to run; 0 = to completion (final report + table row).
   std::uint64_t epochs = 0;
-  std::optional<std::uint64_t> workers;
   /// `--set`-style spec overrides, applied in plan order.
   std::vector<std::pair<std::string, std::string>> overrides;
 

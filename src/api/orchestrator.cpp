@@ -57,7 +57,6 @@ void run_scenario_node(const PlanNode& node, const std::string& parent_hash,
 
   Session::OpenOptions options;
   options.overrides = node.overrides;
-  options.workers = node.workers;
 
   util::Result<Session> opened = [&]() -> util::Result<Session> {
     if (!node.parent.empty()) {

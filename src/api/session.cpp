@@ -10,19 +10,16 @@ namespace fi {
 
 namespace {
 
-/// Layers `--set`-style overrides (and the worker knob, last) onto a
-/// spec's lossless config-text form and re-parses. Round-tripping through
-/// `to_config_string` keeps exactly one source of truth for key names and
-/// validation: an override is legal here iff it is legal in a config file.
+/// Layers `--set`-style overrides onto a spec's lossless config-text form
+/// and re-parses. Round-tripping through `to_config_string` keeps exactly
+/// one source of truth for key names and validation: an override is legal
+/// here iff it is legal in a config file.
 util::Result<scenario::ScenarioSpec> apply_overrides(
     const scenario::ScenarioSpec& base, const Session::OpenOptions& options) {
   auto config = util::Config::parse(base.to_config_string());
   if (!config.is_ok()) return config.status();
   for (const auto& [key, value] : options.overrides) {
     config.value().set(key, value);
-  }
-  if (options.workers.has_value()) {
-    config.value().set("engine.workers", std::to_string(*options.workers));
   }
   return scenario::ScenarioSpec::from_config(config.value());
 }
@@ -56,9 +53,6 @@ util::Result<scenario::ScenarioSpec> Session::load_spec(
   if (!config.is_ok()) return config.status();
   for (const auto& [key, value] : options.overrides) {
     config.value().set(key, value);
-  }
-  if (options.workers.has_value()) {
-    config.value().set("engine.workers", std::to_string(*options.workers));
   }
   return scenario::ScenarioSpec::from_config(config.value());
 }

@@ -23,8 +23,8 @@
 /// binary — the CLI, the orchestrator, a test, an embedding application —
 /// drives runs through the same calls, and all of them inherit the
 /// determinism contract: a session's reports, state hashes, and snapshot
-/// bytes are pure functions of (spec, epochs run), independent of worker
-/// count and of how the run was segmented.
+/// bytes are pure functions of (spec, epochs run), independent of how the
+/// run was segmented.
 ///
 /// Equivalences pinned by `tests/session_test.cpp`:
 ///   - stepping `run_epochs(1)` to completion + `report()` is
@@ -39,10 +39,10 @@ class Session final : public SessionBase {
  public:
   /// Knobs applied when opening or forking a session. `overrides` are
   /// `--set`-style key=value pairs layered over the base spec (config
-  /// keys, see docs/SCENARIOS.md); `workers` overrides `engine.workers`
-  /// last — a pure throughput knob, byte-invisible in reports and hashes.
+  /// keys, see docs/SCENARIOS.md).
   struct OpenOptions {
     std::vector<std::pair<std::string, std::string>> overrides;
+    /// Inert: only perfbench/src/main.cpp sets it; deleted with mirror.cpp.
     std::optional<std::uint64_t> workers;
   };
 
@@ -85,7 +85,7 @@ class Session final : public SessionBase {
   [[nodiscard]] std::uint64_t epoch() const override;
 
   /// SHA-256 of the canonical state body (`snapshot::state_hash`):
-  /// replayable across machines, worker counts, and save/load history.
+  /// replayable across machines and save/load history.
   [[nodiscard]] std::string state_hash() const override;
 
   /// Writes a `FISNAP01` snapshot of the current state; any session (or

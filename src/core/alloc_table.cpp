@@ -88,6 +88,7 @@ AllocTable::SweepView AllocTable::sweep_view_of(FileId file) {
   view.next_ = next_.data() + range.offset;
   view.last_ = last_.data() + range.offset;
   view.comm_r_ = comm_r_.data() + range.offset;
+  view.version_ = &version_;
   view.count_ = range.count;
   return view;
 }

@@ -60,16 +60,14 @@ struct EntryKeyHash {
 
 class AllocTable {
  public:
-  /// Mutable per-file window over the slab for the engine's epoch sweeps:
+  /// Mutable per-file window over the slab for the engine's proof sweep:
   /// one hash lookup yields direct array access to all of a file's
-  /// replicas (contiguous slots).
-  ///
-  /// Concurrency contract: views are safe from concurrent sweep workers as
-  /// long as no thread mutates the table's structure (create/remove_file,
-  /// set_prev/next/state). A worker may write ONLY `last` — and only for
-  /// files its shard owns; prev/next/state/comm_r are coupled to the
-  /// reverse indexes and the normal-entry sampler and must go through the
-  /// setters below. Invalidated by any structural mutation.
+  /// replicas (contiguous slots). Reads are live, so they see later
+  /// setter writes to the same file. Only `last` is writable here;
+  /// prev/next/state/comm_r are coupled to the reverse indexes and the
+  /// normal-entry sampler and must go through the setters below.
+  /// Invalidated by create_file (the slab may reallocate), remove_file
+  /// and load.
   class SweepView {
    public:
     [[nodiscard]] std::uint32_t size() const { return count_; }
@@ -80,10 +78,10 @@ class AllocTable {
     [[nodiscard]] const crypto::Hash256& comm_r(ReplicaIndex i) const {
       return comm_r_[i];
     }
-    /// The one sanctioned concurrent write (own shard only; see above).
-    /// Does NOT bump the table's version — the sweep's serial merge point
-    /// calls `note_sweep_writes` once per batch instead.
-    void set_last(ReplicaIndex i, Time t) { last_[i] = t; }
+    void set_last(ReplicaIndex i, Time t) {
+      ++*version_;
+      last_[i] = t;
+    }
 
    private:
     friend class AllocTable;
@@ -92,6 +90,7 @@ class AllocTable {
     const SectorId* next_ = nullptr;
     Time* last_ = nullptr;
     const crypto::Hash256* comm_r_ = nullptr;
+    std::uint64_t* version_ = nullptr;
     std::uint32_t count_ = 0;
   };
 
@@ -150,11 +149,8 @@ class AllocTable {
   [[nodiscard]] std::size_t file_count() const { return ranges_.size(); }
 
   /// Mutation counter for incremental state hashing: bumped by every
-  /// serial mutating member. Concurrent sweep `last` stamps bypass it by
-  /// design (no shared-counter race); the sweep's serial merge point must
-  /// call `note_sweep_writes` once per batch.
+  /// mutating member, `SweepView::set_last` included.
   [[nodiscard]] std::uint64_t version() const { return version_; }
-  void note_sweep_writes() { ++version_; }
 
   /// Canonical snapshot encoding / full-state restore (`src/snapshot`).
   ///

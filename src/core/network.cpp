@@ -5,7 +5,6 @@
 
 #include "util/checked.h"
 #include "util/distributions.h"
-#include "util/task_pool.h"
 
 namespace fi::core {
 
@@ -18,14 +17,6 @@ std::int64_t sample_refresh_countdown(util::Xoshiro256& rng,
   const double cycles = std::ceil(x);
   return cycles < 1.0 ? 1 : static_cast<std::int64_t>(cycles);
 }
-
-/// Same-kind task runs shorter than this execute serially even when a pool
-/// is configured — below it, pool dispatch costs more than the scan saves.
-constexpr std::size_t kMinSweepRun = 16;
-
-/// Sweep shard boundaries round to this many tasks (one cache line of
-/// 8-byte proof stamps) so adjacent workers never stamp the same line.
-constexpr std::size_t kSweepShardGranularity = 8;
 
 }  // namespace
 
@@ -49,19 +40,8 @@ Network::Network(Params params, ledger::Ledger& ledger, std::uint64_t seed,
     };
   }
   // Recurring rent distribution (§IV-A2).
-  pending_.schedule(
-      static_cast<Time>(params_.rent_period_cycles) * params_.proof_cycle,
-      Task{TaskKind::rent_distribution, kNoFile, 0});
-}
-
-Network::~Network() = default;
-
-void Network::set_workers(std::uint64_t workers) {
-  const unsigned resolved = util::TaskPool::resolve_workers(workers);
-  if (resolved == workers_) return;
-  sweep_pool_.reset();
-  workers_ = resolved;
-  if (workers_ > 1) sweep_pool_ = std::make_unique<util::TaskPool>(workers_);
+  pending_.schedule(params_.rent_period(),
+                    Task{TaskKind::rent_distribution, kNoFile, 0});
 }
 
 const FileDescriptor& Network::file(FileId file) const {
@@ -384,99 +364,9 @@ void Network::advance_to(Time t) {
     ++files_version_;
     due_buffer_.clear();
     pending_.pop_due_into(batch_time, due_buffer_);
-    run_batch(due_buffer_);
+    for (const auto& [time, task] : due_buffer_) run_task(task);
   }
   now_ = t;
-}
-
-void Network::run_batch(const std::vector<std::pair<Time, Task>>& due) {
-  std::size_t i = 0;
-  while (i < due.size()) {
-    const TaskKind kind = due[i].second.kind;
-    if (sweep_pool_ &&
-        (kind == TaskKind::check_proof || kind == TaskKind::check_refresh)) {
-      std::size_t j = i + 1;
-      while (j < due.size() && due[j].second.kind == kind) ++j;
-      if (j - i >= kMinSweepRun) {
-        if (kind == TaskKind::check_proof) {
-          run_check_proof_sweep(due, i, j);
-        } else {
-          run_check_refresh_sweep(due, i, j);
-        }
-        i = j;
-        continue;
-      }
-    }
-    run_task(due[i].second);
-    ++i;
-  }
-}
-
-void Network::run_check_proof_sweep(
-    const std::vector<std::pair<Time, Task>>& due, std::size_t begin,
-    std::size_t end) {
-  const std::size_t n = end - begin;
-  if (proof_scans_.size() < n) proof_scans_.resize(n);
-  // Shard boundaries rounded to 8 tasks: batches run in file-id order and
-  // files sit contiguously in the alloc slab, so aligning the split keeps
-  // two workers' proof stamps (8 Time values per cache line) off the same
-  // line at the seam.
-  sweep_pool_->parallel_for(
-      n, kSweepShardGranularity,
-      [&](std::size_t lo, std::size_t hi, std::size_t) {
-        for (std::size_t k = lo; k < hi; ++k) {
-          scan_check_proof(due[begin + k].second.file, proof_scans_[k]);
-        }
-      });
-  // Worker-side `last` stamps bypass the table's version counter (no shared
-  // atomic on the hot path); account for them once at the merge point.
-  alloc_table_.note_sweep_writes();
-  bool hazard = false;
-  for (std::size_t k = 0; k < n; ++k) {
-    hazard = hazard || proof_scans_[k].any_breach;
-  }
-  if (hazard) {
-    // Some sector breached ProofDeadline: confiscation marks entries of
-    // *other* files corrupted, so scans taken against pre-batch state may
-    // be stale. Replay the run serially — each file re-scans live state
-    // in turn, which is exactly the serial engine. The sweep's optimistic
-    // proof stamps are harmless: only replicas in non-physically-corrupted
-    // sectors were stamped, and those sectors cannot be confiscated within
-    // this batch, so the serial replay stamps the same set.
-    for (std::size_t k = 0; k < n; ++k) {
-      auto_check_proof(due[begin + k].second.file);
-    }
-    return;
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    apply_check_proof(due[begin + k].second.file, proof_scans_[k]);
-  }
-}
-
-void Network::run_check_refresh_sweep(
-    const std::vector<std::pair<Time, Task>>& due, std::size_t begin,
-    std::size_t end) {
-  // Unlike proof sweeps, refresh merges never invalidate later scans: both
-  // Fig. 9 branches mutate only the handled replica's entry, sector
-  // capacities, deposits and the ledger — never another entry's
-  // {existence, next, state} that classification reads. (A batch cannot
-  // hold two tasks for the same replica: a replica has at most one
-  // outstanding refresh, and a retry's deadline is always scheduled in a
-  // later batch.) So there is no hazard fallback here.
-  const std::size_t n = end - begin;
-  if (refresh_scans_.size() < n) refresh_scans_.resize(n);
-  sweep_pool_->parallel_for(
-      n, kSweepShardGranularity,
-      [&](std::size_t lo, std::size_t hi, std::size_t) {
-        for (std::size_t k = lo; k < hi; ++k) {
-          const Task& task = due[begin + k].second;
-          scan_check_refresh(task.file, task.index, refresh_scans_[k]);
-        }
-      });
-  for (std::size_t k = 0; k < n; ++k) {
-    const Task& task = due[begin + k].second;
-    apply_check_refresh(task.file, task.index, refresh_scans_[k]);
-  }
 }
 
 void Network::run_task(const Task& task) {
@@ -542,54 +432,45 @@ void Network::auto_check_alloc(FileId file) {
 }
 
 void Network::auto_check_proof(FileId file) {
-  // Serial execution is the same scan + apply pair the sharded sweep runs,
-  // so the parallel path cannot drift from this one. The hazard body takes
-  // over when a replica breached ProofDeadline (sector confiscation).
-  ProofScan scan;
-  scan_check_proof(file, scan);
-  alloc_table_.note_sweep_writes();
-  if (scan.any_breach) {
-    check_proof_hazard(file);
-  } else {
-    apply_check_proof(file, scan);
-  }
-}
-
-void Network::scan_check_proof(FileId file, ProofScan& out) {
-  // Concurrency contract (the parallel scan phase): this function may run
-  // on a worker thread with other scans over *different* files. It reads
-  // shared tables and writes only this file's entries' proof stamps —
-  // stamping is keyed on `auto_prove_` plus physical corruption, neither
-  // of which a concurrent scan (or a later merge in the same batch)
-  // changes, so the stamps equal what serial execution writes.
-  out.rec = nullptr;
-  out.all_corrupted = true;
-  out.any_breach = false;
-  out.late.clear();
   const auto it = files_.find(file);
   if (it == files_.end()) return;
-  out.rec = &it->second;
+  FileRecord& rec = it->second;
+  const bool discarded_for_rent = charge_rent_or_discard(rec);
 
+  // Proof timeliness per replica, in replica order. The view reads entries
+  // live: confiscating one replica's sector can re-link or corrupt this
+  // file's other entries. It stays valid throughout, because
+  // corrupt_sector_internal never creates or removes a file, so the slab
+  // never reallocates during the pass.
   AllocTable::SweepView entries = alloc_table_.sweep_view_of(file);
   for (ReplicaIndex i = 0; i < entries.size(); ++i) {
     if (entries.state(i) == AllocState::corrupted) continue;  // dead slot
-    out.all_corrupted = false;
     const SectorId prev = entries.prev(i);
     if (prev == kNoSector) continue;
     if (sector_table_.state(prev) == SectorState::corrupted) continue;
     if (auto_prove_ && !is_physically_corrupted(prev)) {
-      // Fresh by construction: neither late nor breached.
-      entries.set_last(i, now_);
+      entries.set_last(i, now_);  // fresh: neither late nor breached
       continue;
     }
     const Time last = entries.last(i);
-    const bool never = (last == kNoTime);
-    if (never || last + params_.proof_deadline < now_) {
-      out.any_breach = true;
+    if (last == kNoTime || last + params_.proof_deadline < now_) {
+      // ProofDeadline breached: confiscate and corrupt the sector.
+      corrupt_sector_internal(prev);
     } else if (last + params_.proof_due < now_) {
-      out.late.push_back(i);
+      const TokenAmount slashed = deposit_book_.punish(prev, params_.punish_bp);
+      ++stats_.punishments;
+      bus_.emit(ProviderPunished{prev, slashed, "late proof"});
     }
   }
+
+  bool all_corrupted = true;
+  for (ReplicaIndex i = 0; i < entries.size(); ++i) {
+    if (entries.state(i) != AllocState::corrupted) {
+      all_corrupted = false;
+      break;
+    }
+  }
+  finish_check_proof(file, rec, discarded_for_rent, all_corrupted);
 }
 
 bool Network::charge_rent_or_discard(FileRecord& rec) {
@@ -644,62 +525,6 @@ void Network::finish_check_proof(FileId file, FileRecord& rec,
       auto_refresh(file, index);
     }
   }
-}
-
-void Network::apply_check_proof(FileId file, const ProofScan& scan) {
-  if (scan.rec == nullptr) return;
-  FileRecord& rec = *scan.rec;
-  const bool discarded_for_rent = charge_rent_or_discard(rec);
-
-  // Late (but not breaching) proofs, in replica order — the scan already
-  // stamped fresh replicas and classified the rest.
-  for (const ReplicaIndex i : scan.late) {
-    const SectorId holder = alloc_table_.entry(file, i).prev;
-    const TokenAmount slashed =
-        deposit_book_.punish(holder, params_.punish_bp);
-    ++stats_.punishments;
-    bus_.emit(ProviderPunished{holder, slashed, "late proof"});
-  }
-
-  finish_check_proof(file, rec, discarded_for_rent, scan.all_corrupted);
-}
-
-void Network::check_proof_hazard(FileId file) {
-  const auto it = files_.find(file);
-  if (it == files_.end()) return;
-  FileRecord& rec = it->second;
-  const bool discarded_for_rent = charge_rent_or_discard(rec);
-
-  // Proof timeliness per replica, with live re-reads: corrupting one
-  // replica's sector can mark this file's other entries corrupted.
-  for (ReplicaIndex i = 0; i < rec.desc.cp; ++i) {
-    const AllocEntry& e = alloc_table_.entry(file, i);
-    if (e.state == AllocState::corrupted || e.prev == kNoSector) continue;
-    if (sector_table_.state(e.prev) == SectorState::corrupted) continue;
-    if (auto_prove_ && !is_physically_corrupted(e.prev)) {
-      alloc_table_.set_last(file, i, now_);
-    }
-    const Time last = alloc_table_.entry(file, i).last;
-    const bool never = (last == kNoTime);
-    if (never || last + params_.proof_deadline < now_) {
-      // ProofDeadline breached: confiscate and corrupt the sector.
-      corrupt_sector_internal(e.prev);
-    } else if (last + params_.proof_due < now_) {
-      const TokenAmount slashed =
-          deposit_book_.punish(e.prev, params_.punish_bp);
-      ++stats_.punishments;
-      bus_.emit(ProviderPunished{e.prev, slashed, "late proof"});
-    }
-  }
-
-  bool all_corrupted = true;
-  for (ReplicaIndex i = 0; i < rec.desc.cp; ++i) {
-    if (alloc_table_.entry(file, i).state != AllocState::corrupted) {
-      all_corrupted = false;
-      break;
-    }
-  }
-  finish_check_proof(file, rec, discarded_for_rent, all_corrupted);
 }
 
 void Network::auto_refresh(FileId file, ReplicaIndex index) {
@@ -764,40 +589,13 @@ bool Network::start_refresh_to(FileId file, ReplicaIndex index,
 }
 
 void Network::auto_check_refresh(FileId file, ReplicaIndex index) {
-  // Serial execution shares the sweep's scan + apply pair (see
-  // auto_check_proof).
-  RefreshScan scan;
-  scan_check_refresh(file, index, scan);
-  apply_check_refresh(file, index, scan);
-}
-
-void Network::scan_check_refresh(FileId file, ReplicaIndex index,
-                                 RefreshScan& out) {
-  // Concurrency contract: pure read — may run on a worker thread alongside
-  // scans of other tasks in the batch.
-  out.outcome = RefreshScan::Outcome::skip;
-  out.rec = nullptr;
   const auto it = files_.find(file);
   if (it == files_.end()) return;
-  const AllocEntry& e = alloc_table_.entry(file, index);
+  const FileRecord& rec = it->second;
+  const AllocEntry e = alloc_table_.entry(file, index);
   if (e.next == kNoSector) return;  // stale: cancelled or already completed
+
   if (e.state == AllocState::confirm) {
-    out.outcome = RefreshScan::Outcome::success;
-    out.rec = &it->second;
-  } else if (e.state == AllocState::alloc) {
-    out.outcome = RefreshScan::Outcome::failure;
-    out.rec = &it->second;
-  }
-  // state == corrupted: the storing sector died mid-refresh; nothing to do.
-}
-
-void Network::apply_check_refresh(FileId file, ReplicaIndex index,
-                                  const RefreshScan& scan) {
-  if (scan.outcome == RefreshScan::Outcome::skip) return;
-  const FileRecord& rec = *scan.rec;
-  const AllocEntry& e = alloc_table_.entry(file, index);
-
-  if (scan.outcome == RefreshScan::Outcome::success) {
     // Handoff succeeded: swap prev <- next (Fig. 9).
     const SectorId old = e.prev;
     const SectorId fresh = e.next;
@@ -812,6 +610,8 @@ void Network::apply_check_refresh(FileId file, ReplicaIndex index,
     ++stats_.refreshes_completed;
     return;
   }
+  // state == corrupted: the storing sector died mid-refresh; nothing to do.
+  if (e.state != AllocState::alloc) return;
 
   // Handoff failed: punish the successor and every current holder
   // (liveness — any of them could have served the data), then retry.
@@ -859,10 +659,8 @@ void Network::distribute_rent() {
       if (credited > 0) bus_.emit(RentDistributed{credited});
     }
   }
-  pending_.schedule(
-      now_ + static_cast<Time>(params_.rent_period_cycles) *
-                 params_.proof_cycle,
-      Task{TaskKind::rent_distribution, kNoFile, 0});
+  pending_.schedule(now_ + params_.rent_period(),
+                    Task{TaskKind::rent_distribution, kNoFile, 0});
 }
 
 TokenAmount Network::owed_rent(const Sector& s) const {

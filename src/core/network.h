@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -22,10 +21,6 @@
 #include "util/prng.h"
 #include "util/status.h"
 
-namespace fi::util {
-class TaskPool;  // util/task_pool.h — kept out of this header
-}
-
 /// The FileInsurer network state machine (§IV) — the on-chain protocol.
 ///
 /// This class implements, exactly as in Figs. 4–9:
@@ -42,11 +37,6 @@ class TaskPool;  // util/task_pool.h — kept out of this header
 /// The engine tracks metadata only (sizes, commitments, balances); file
 /// bytes stay off-chain with the caller, which proves storage through
 /// `file_confirm`/`file_prove` or lets auto-prove stand in for it.
-///
-/// Epoch sweeps (challenge evaluation, refresh verification, PoSt
-/// timeliness) can run across a worker pool — see `set_workers` and the
-/// "Parallel epoch sweeps" section below; results are byte-identical for
-/// every worker count.
 namespace fi::core {
 
 /// Client-declared description of a file to store (File_Add inputs).
@@ -105,30 +95,8 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Out-of-line: `util::TaskPool` is only a forward declaration here.
-  ~Network();
-
-  // ---- Parallel epoch sweeps ---------------------------------------------
-  //
-  // Large same-timestamp batches of Auto_CheckProof / Auto_CheckRefresh
-  // tasks are executed as sharded sweeps: a read-mostly *scan* phase
-  // classifies every replica concurrently (each worker owns a contiguous
-  // shard of the batch; the only writes are proof stamps to its own
-  // shard's entries), then a serial *merge* phase folds the per-shard
-  // verdicts in shard order, performing every ledger/event/RNG side
-  // effect exactly as the serial engine would. A scan that detects a
-  // ProofDeadline breach (sector confiscation mutates cross-file state)
-  // makes the whole run fall back to the serial path, so a run with
-  // `workers = N` is byte-identical to `workers = 1` — events, balances,
-  // stats, and reports never depend on the worker count.
-
-  /// Sets the worker count for epoch sweeps: 1 (default) = serial in the
-  /// calling thread, 0 = one worker per hardware thread, N = exactly N
-  /// workers (clamped to `util::TaskPool::kMaxWorkers`). May be called
-  /// between (not during) requests/`advance_to`.
-  void set_workers(std::uint64_t workers);
-  /// The effective worker count after resolution.
-  [[nodiscard]] unsigned workers() const { return workers_; }
+  /// Inert: only perfbench/src/mirror.cpp calls it; deleted with that file.
+  void set_workers(std::uint64_t /*unused*/) {}
 
   // ---- Provider requests (Fig. 5, Fig. 6) -------------------------------
 
@@ -310,7 +278,7 @@ class Network {
   /// are emitted in sorted order; order-bearing dense arrays verbatim), so
   /// hashing this encoding is a state fingerprint.
   ///
-  /// Not included: params, seed/beacon, workers and subscribers — those are
+  /// Not included: params, seed/beacon and subscribers — those are
   /// construction-time configuration the restoring caller must supply
   /// identically (the scenario layer rebuilds them from the spec embedded
   /// in the snapshot file).
@@ -381,82 +349,11 @@ class Network {
   void auto_check_refresh(FileId file, ReplicaIndex index);
   void distribute_rent();
 
-  // ---- Sharded epoch sweeps ----------------------------------------------
-  //
-  // Every Auto_CheckProof / Auto_CheckRefresh execution — serial or
-  // parallel — is the same scan + apply pair, so the two paths cannot
-  // drift. The scan is safe to run concurrently over disjoint files: it
-  // reads shared tables and writes only its own file's proof stamps.
-
-  /// One file's precomputed Auto_CheckProof outcome (Fig. 8 replica loop).
-  /// Cache-line aligned: scan slots sit in a shared array written
-  /// concurrently by shard workers, so one slot per line keeps a worker's
-  /// stores from invalidating its neighbors' lines (false sharing).
-  struct alignas(64) ProofScan {
-    /// The file's record, or nullptr if it vanished before the sweep.
-    FileRecord* rec = nullptr;
-    /// Every replica entry is `corrupted` (the Fig. 8 loss condition).
-    bool all_corrupted = false;
-    /// Some replica breached ProofDeadline: applying requires sector
-    /// confiscation, which mutates cross-file state — hazard.
-    bool any_breach = false;
-    /// Replicas past ProofDue but not ProofDeadline, in replica order.
-    std::vector<ReplicaIndex> late;
-  };
-
-  /// One replica's precomputed Auto_CheckRefresh branch (Fig. 9).
-  /// Cache-line aligned for the same false-sharing reason as ProofScan.
-  struct alignas(64) RefreshScan {
-    enum class Outcome : std::uint8_t {
-      skip,     ///< file gone, request stale, or storing sector corrupted
-      success,  ///< entry confirmed: complete the prev <- next swap
-      failure,  ///< entry still `alloc`: punish and retry
-    };
-    Outcome outcome = Outcome::skip;
-    FileRecord* rec = nullptr;
-  };
-
-  /// Executes one popped task batch, carving maximal same-kind runs of
-  /// check_proof / check_refresh tasks into sharded sweeps when a pool is
-  /// configured; everything else runs serially in place. Runs shorter than
-  /// the dispatch-cost threshold stay serial even with a pool.
-  void run_batch(const std::vector<std::pair<Time, Task>>& due);
-  /// Sweep entry point for a run of check_proof tasks `[begin, end)` in
-  /// `due`: parallel scan into `proof_scans_`, then either the serial
-  /// in-order merge (`apply_check_proof` per file) or — when any scan saw
-  /// a ProofDeadline breach — a whole-run serial replay through
-  /// `check_proof_hazard`, since confiscation invalidates scans of other
-  /// files in the same run.
-  void run_check_proof_sweep(const std::vector<std::pair<Time, Task>>& due,
-                             std::size_t begin, std::size_t end);
-  /// Sweep entry point for a run of check_refresh tasks `[begin, end)`:
-  /// parallel scan into `refresh_scans_`, then the serial in-order merge.
-  /// No hazard fallback is needed — neither Fig. 9 branch mutates state
-  /// another refresh task's classification reads.
-  void run_check_refresh_sweep(const std::vector<std::pair<Time, Task>>& due,
-                               std::size_t begin, std::size_t end);
-  /// Concurrent-safe classification of one file's replicas against the
-  /// epoch clock; stamps auto-proven replicas (writes only this file's
-  /// entries).
-  void scan_check_proof(FileId file, ProofScan& out);
-  /// Serial merge half: rent, punishments, discard/loss settlement,
-  /// re-arming and the refresh countdown. Valid only when no breach was
-  /// scanned anywhere in the run.
-  void apply_check_proof(FileId file, const ProofScan& scan);
-  /// The full serial Fig. 8 body including sector confiscation — the
-  /// hazard path.
-  void check_proof_hazard(FileId file);
-  /// Shared Fig. 8 blocks, called by both apply_check_proof and
-  /// check_proof_hazard so the two settle identically: the
-  /// rent-charge-or-discard head (returns discarded_for_rent) and the
-  /// removal/loss/re-arm/countdown tail.
+  /// Fig. 8 helpers: the rent-charge-or-discard head (returns
+  /// discarded_for_rent) and the removal/loss/re-arm/countdown tail.
   bool charge_rent_or_discard(FileRecord& rec);
   void finish_check_proof(FileId file, FileRecord& rec,
                           bool discarded_for_rent, bool all_corrupted);
-  /// Concurrent-safe classification of one refresh handoff.
-  void scan_check_refresh(FileId file, ReplicaIndex index, RefreshScan& out);
-  void apply_check_refresh(FileId file, ReplicaIndex index,
-                           const RefreshScan& scan);
 
   // ---- Internal helpers ----------------------------------------------------
   FileRecord& record(FileId file);
@@ -551,17 +448,6 @@ class Network {
   /// sorted id list the historical hash set serialized — byte-identical.
   std::vector<std::uint8_t> physically_corrupted_;
 
-  /// Worker pool for epoch sweeps (null while `workers_ == 1`).
-  unsigned workers_ = 1;
-  // fi-lint: not-serialized(host-side thread pool; rebuilt lazily from
-  // `workers_` on the next sweep, carries no simulation state)
-  std::unique_ptr<util::TaskPool> sweep_pool_;
-  /// Per-batch scan slots, reused across sweeps to avoid churn. Indexed by
-  /// position within the current run; each worker writes only its shard.
-  // fi-lint: not-serialized(scratch buffers valid only within one sweep)
-  std::vector<ProofScan> proof_scans_;
-  // fi-lint: not-serialized(scratch buffers valid only within one sweep)
-  std::vector<RefreshScan> refresh_scans_;
   /// Popped-batch buffer reused across `advance_to` iterations so the
   /// steady-state epoch loop pops without allocating.
   // fi-lint: not-serialized(scratch buffer valid only within one batch)

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "crypto/porep.h"
@@ -97,9 +98,14 @@ struct Params {
                  "proof_deadline must exceed proof_due");
     FI_CHECK_MSG(avg_refresh >= 1.0, "avg_refresh below one cycle");
     FI_CHECK_MSG(punish_bp <= 10'000, "punish_bp above 100%");
-    // Zero would reschedule the rent task at `now`, so time never advances.
+    // Zero would reschedule the rent task at `now`, so time never advances;
+    // so would a period that wraps the clock to zero.
     FI_CHECK_MSG(rent_period_cycles >= 1,
                  "rent_period_cycles must be at least 1");
+    FI_CHECK_MSG(proof_cycle <= std::numeric_limits<Time>::max() /
+                                    rent_period_cycles,
+                 "rent period (rent_period_cycles x proof_cycle) overflows "
+                 "the clock");
     // Zero draws no sector, so every File_Add fails.
     FI_CHECK_MSG(max_alloc_resample >= 1,
                  "max_alloc_resample must be at least 1");
@@ -111,11 +117,15 @@ struct Params {
 
   /// Replica count for a file of the given value (`backupCnt` in Fig. 4):
   /// `cp = k · value / minValue`. Value must be a positive multiple of
-  /// `min_value`.
+  /// `min_value`. Throws `std::overflow_error` when cp exceeds u32.
   [[nodiscard]] std::uint32_t replica_count(TokenAmount value) const {
     FI_CHECK_MSG(value >= min_value && value % min_value == 0,
                  "file value must be a positive multiple of min_value");
-    return static_cast<std::uint32_t>(k * (value / min_value));
+    const std::uint64_t cp = util::checked_mul(k, value / min_value);
+    if (cp > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::overflow_error("replica count exceeds u32");
+    }
+    return static_cast<std::uint32_t>(cp);
   }
 
   /// Deposit pledged for a sector of the given capacity (§IV-B):
@@ -145,15 +155,25 @@ struct Params {
     return ticks < min_transfer_window ? min_transfer_window : ticks;
   }
 
-  /// Storage rent for one file replica set for one proof cycle.
-  [[nodiscard]] TokenAmount rent_per_cycle(ByteCount size,
-                                           std::uint32_t cp) const {
-    return unit_rent * ((size + 1023) / 1024) * cp;
+  /// Ticks between two rent distributions (`rent_period_cycles ×
+  /// ProofCycle`). Throws `std::overflow_error` when it does not fit in a
+  /// `Time`; `validate` rejects such params up front.
+  [[nodiscard]] Time rent_period() const {
+    return util::checked_mul(rent_period_cycles, proof_cycle);
   }
 
-  /// Traffic fee for transferring one replica of a file.
+  /// Storage rent for one file replica set for one proof cycle. Throws
+  /// `std::overflow_error` when it does not fit in a token amount.
+  [[nodiscard]] TokenAmount rent_per_cycle(ByteCount size,
+                                           std::uint32_t cp) const {
+    return util::checked_mul(
+        util::checked_mul(unit_rent, (size + 1023) / 1024), cp);
+  }
+
+  /// Traffic fee for transferring one replica of a file. Throws
+  /// `std::overflow_error` when it does not fit in a token amount.
   [[nodiscard]] TokenAmount traffic_fee(ByteCount size) const {
-    return traffic_fee_per_kib * ((size + 1023) / 1024);
+    return util::checked_mul(traffic_fee_per_kib, (size + 1023) / 1024);
   }
 };
 

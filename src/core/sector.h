@@ -62,16 +62,10 @@ class SectorTable {
   [[nodiscard]] bool exists(SectorId id) const { return id < owners_.size(); }
   /// Materialized full-record view of one sector (a *copy*: it does not
   /// track later table mutations — re-read after mutating).
-  ///
-  /// Concurrency contract: `exists`, `at`, the single-field reads and the
-  /// O(1) totals below are plain reads over stable storage and are safe
-  /// from concurrent sweep workers as long as no thread mutates the table
-  /// (register / reserve / release / state transitions all count as
-  /// mutations).
   [[nodiscard]] Sector at(SectorId id) const;
   [[nodiscard]] std::size_t count() const { return owners_.size(); }
 
-  /// Single-field reads — the sweep hot path uses these so a proof scan
+  /// Single-field reads — the sweep hot path uses these so a proof sweep
   /// streams the (dense) state array instead of striding 64-byte records.
   [[nodiscard]] SectorState state(SectorId id) const {
     FI_CHECK_MSG(id < states_.size(), "unknown sector id");

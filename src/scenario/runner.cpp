@@ -61,9 +61,11 @@ std::uint64_t planned_adds(const ScenarioSpec& spec) {
 std::uint64_t planned_cycles(const ScenarioSpec& spec) {
   std::uint64_t cycles = 8;  // setup flush + slack
   for (const PhaseSpec& phase : spec.phases) {
-    cycles += phase.kind == PhaseKind::rent_audit
-                  ? phase.periods * spec.params.rent_period_cycles
-                  : phase.cycles;
+    cycles = util::checked_add(
+        cycles, phase.kind == PhaseKind::rent_audit
+                    ? util::checked_mul(phase.periods,
+                                        spec.params.rent_period_cycles)
+                    : phase.cycles);
   }
   return cycles;
 }
@@ -195,9 +197,6 @@ void ScenarioRunner::build_network() {
 
   net_ = std::make_unique<core::Network>(p, ledger_, spec_.seed);
   net_->set_auto_prove(true);
-  // Purely a throughput knob: the sweep merge is deterministic, so the
-  // report is byte-identical for every worker count.
-  net_->set_workers(spec_.engine_workers);
   net_->subscribe([this](const core::Event& event) {
     if (const auto* transfer =
             std::get_if<core::ReplicaTransferRequested>(&event)) {

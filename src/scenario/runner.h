@@ -44,8 +44,7 @@
 /// kWorkloadSeedSalt` so workload draws never perturb protocol draws; and
 /// each adversary strategy streams from its own
 /// `spec.seed ^ kAdversarySeedSalt`-derived stream, so attack schedules
-/// perturb neither of the above — reports stay byte-identical across
-/// `engine.workers` too.
+/// perturb neither of the above.
 ///
 /// Snapshot/resume: the run loop is an explicit epoch-granular state
 /// machine (`RunProgress`), so between any two proof cycles the whole
@@ -134,8 +133,7 @@ class ScenarioRunner {
   void save_state(util::BinaryWriter& writer) const;
 
   /// Rebuilds a runner mid-run from `save_state` output. `spec` must be
-  /// the spec of the saved run (the snapshot file embeds it);
-  /// `engine_workers` may differ — it is a pure throughput knob.
+  /// the spec of the saved run (the snapshot file embeds it).
   static util::Result<std::unique_ptr<ScenarioRunner>> resume(
       ScenarioSpec spec, util::BinaryReader& reader);
 

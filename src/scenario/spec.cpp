@@ -4,13 +4,18 @@
 #include <limits>
 #include <sstream>
 
-#include "util/task_pool.h"
-
 namespace fi::scenario {
 
 namespace {
 
 using util::format_shortest_double;
+
+/// Keys an older spec wrote that this one no longer reads. Each is
+/// accepted with any value, ignored, and never re-emitted by
+/// `to_config_string`, so every saved spec and FISNAP01 header still loads.
+constexpr const char* kRetiredKeys[] = {
+    "engine.workers",  // the intra-epoch sweep pool's thread count
+};
 
 std::string phase_key(std::size_t index, const char* field) {
   return "phase." + std::to_string(index) + "." + field;
@@ -289,13 +294,8 @@ util::Result<ScenarioSpec> ScenarioSpec::from_config(
   FI_SPEC_FIELD(get_u64_or, file_value);
 #undef FI_SPEC_FIELD
 
-  {
-    // Strict range validation: negative values fail the unsigned parse,
-    // absurd counts fail the range check (0 = hardware concurrency).
-    auto workers = config.get_u64_in_range_or(
-        "engine.workers", spec.engine_workers, 0, util::TaskPool::kMaxWorkers);
-    if (!workers.is_ok()) return workers.status();
-    spec.engine_workers = workers.value();
+  for (const char* key : kRetiredKeys) {
+    if (config.contains(key)) (void)config.get_string(key);
   }
 
   if (util::Status s = parse_params(config, spec.params); !s.is_ok()) {
@@ -361,14 +361,6 @@ util::Status ScenarioSpec::validate() const {
     return util::err(util::ErrorCode::invalid_argument,
                      "the scenario engine runs the network in metadata mode "
                      "(auto-prove); net.verify_proofs must be false");
-  }
-  if (engine_workers > util::TaskPool::kMaxWorkers) {
-    // File configs get this from from_config's range check; this covers
-    // in-code specs.
-    return util::err(util::ErrorCode::invalid_argument,
-                     "engine.workers must be at most " +
-                         std::to_string(util::TaskPool::kMaxWorkers) +
-                         " (0 = one per hardware thread)");
   }
   if (sectors == 0) {
     return util::err(util::ErrorCode::invalid_argument,
@@ -507,7 +499,6 @@ std::string ScenarioSpec::to_config_string() const {
   std::ostringstream out;
   out << "name = " << name << "\n";
   out << "seed = " << seed << "\n";
-  out << "engine.workers = " << engine_workers << "\n";
   out << "sectors = " << sectors << "\n";
   out << "sector_units = " << sector_units << "\n";
   out << "initial_files = " << initial_files << "\n";

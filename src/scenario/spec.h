@@ -234,10 +234,7 @@ struct ScenarioSpec {
   /// draws, corruption targets).
   std::uint64_t seed = 1;
 
-  /// Worker threads for the engine's parallel epoch sweeps
-  /// (`engine.workers`): 1 = serial (default), 0 = one per hardware
-  /// thread, at most `util::TaskPool::kMaxWorkers`. Purely a performance
-  /// knob — reports are byte-identical for every value.
+  /// Inert: only perfbench/src/main.cpp sets it; deleted with mirror.cpp.
   std::uint64_t engine_workers = 1;
 
   /// Protocol parameters, exposed as `net.*` config keys.
@@ -281,7 +278,9 @@ struct ScenarioSpec {
   /// Parses a spec from a config, consuming every key it understands and
   /// rejecting configs with unknown keys (typo defense). Phases are the
   /// dotted groups `phase.<i>.*` for i = 0, 1, ... with no gaps, and
-  /// adversaries likewise the groups `adversary.<i>.*`.
+  /// adversaries likewise the groups `adversary.<i>.*`. Retired keys
+  /// that older specs wrote (`engine.workers`) are accepted with any
+  /// value and ignored.
   static util::Result<ScenarioSpec> from_config(const util::Config& config);
   /// `Config::load` + `from_config`.
   static util::Result<ScenarioSpec> from_file(const std::string& path);

@@ -130,13 +130,10 @@ util::Result<Snapshot> read_file(const std::string& path) {
 }
 
 util::Result<std::unique_ptr<scenario::ScenarioRunner>> resume_from_file(
-    const std::string& path, std::optional<std::uint64_t> workers_override) {
+    const std::string& path) {
   auto snapshot = read_file(path);
   if (!snapshot.is_ok()) return snapshot.status();
   Snapshot snap = std::move(snapshot).value();
-  if (workers_override.has_value()) {
-    snap.spec.engine_workers = *workers_override;
-  }
   util::BinaryReader reader(snap.body);
   auto runner = scenario::ScenarioRunner::resume(std::move(snap.spec), reader);
   if (!runner.is_ok()) {

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -28,13 +27,14 @@
 /// state is deserialized; the embedded spec makes a snapshot
 /// self-describing (`--load` needs no `--scenario`).
 ///
-/// The *body* is the canonical state encoding: deterministic, free of
-/// wall-clock values, and independent of `engine.workers` (a pure
-/// throughput knob, carried in the spec text only). Its SHA-256 —
-/// `state_hash()` — is therefore a replayable fingerprint of the entire
-/// simulation: equal specs and equal epochs give equal hashes on every
-/// machine, worker count, and save/load history, which is the invariant
-/// the CI golden-hashes job pins (`tests/golden/state_hashes.txt`).
+/// The *body* is the canonical state encoding: deterministic and free of
+/// wall-clock values. Its SHA-256 — `state_hash()` — is therefore a
+/// replayable fingerprint of the entire simulation: equal specs and equal
+/// epochs give equal hashes on every machine and save/load history, which
+/// is the invariant the CI golden-hashes job pins
+/// (`tests/golden/state_hashes.txt`). Specs written by older builds may
+/// carry keys this build ignores (`ScenarioSpec::from_config`'s retired
+/// keys, such as `engine.workers`); their snapshots load unchanged.
 namespace fi::snapshot {
 
 inline constexpr std::uint32_t kFormatVersion = 1;
@@ -74,11 +74,8 @@ struct Snapshot {
 /// files with a descriptive status.
 [[nodiscard]] util::Result<Snapshot> read_file(const std::string& path);
 
-/// `read_file` + `ScenarioRunner::resume`. `workers_override`, when set,
-/// replaces the saved `engine.workers` — the sweep merge is deterministic,
-/// so the continued run is byte-identical for every value.
+/// `read_file` + `ScenarioRunner::resume`.
 [[nodiscard]] util::Result<std::unique_ptr<scenario::ScenarioRunner>>
-resume_from_file(const std::string& path,
-                 std::optional<std::uint64_t> workers_override = {});
+resume_from_file(const std::string& path);
 
 }  // namespace fi::snapshot

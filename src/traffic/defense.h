@@ -21,7 +21,7 @@
 ///
 /// Everything is integer counts plus a handful of IEEE-exact double ops
 /// (+, *, /, sqrt are correctly rounded), so classification decisions are
-/// bit-identical across platforms and worker counts.
+/// bit-identical across platforms.
 namespace fi::traffic {
 
 inline constexpr std::uint64_t kNeverFlagged = ~std::uint64_t{0};

@@ -35,8 +35,8 @@
 ///
 /// Determinism: one private PRNG (seed ^ kTrafficSeedSalt), consumed in
 /// a fixed order each epoch; no wall clocks; every container iterated
-/// for effects or encoding is dense and index-ordered. Reports and
-/// snapshots are byte-identical for any `engine.workers`.
+/// for effects or encoding is dense and index-ordered, so reports and
+/// snapshots are byte-identical across runs of the same spec.
 namespace fi::traffic {
 
 using core::ClientId;

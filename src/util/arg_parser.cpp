@@ -62,22 +62,6 @@ void ArgParser::add_u64(const std::string& name, std::uint64_t* out,
   flags_.push_back(std::move(flag));
 }
 
-void ArgParser::add_optional_u64(const std::string& name,
-                                 std::optional<std::uint64_t>* out,
-                                 std::string value_name, std::string help,
-                                 std::uint64_t min, std::string expects) {
-  FI_CHECK_MSG(find(name) == nullptr, "duplicate flag " << name);
-  Flag flag;
-  flag.name = name;
-  flag.kind = Kind::optional_u64;
-  flag.value_name = std::move(value_name);
-  flag.help = std::move(help);
-  flag.min = min;
-  flag.expects = expects.empty() ? "a number" : std::move(expects);
-  flag.optional_u64_out = out;
-  flags_.push_back(std::move(flag));
-}
-
 void ArgParser::add_repeated_kv(
     const std::string& name,
     std::vector<std::pair<std::string, std::string>>* out, std::string help) {
@@ -117,19 +101,14 @@ Status ArgParser::parse(int argc, char** argv) {
       case Kind::string:
         *flag->string_out = value;
         break;
-      case Kind::u64:
-      case Kind::optional_u64: {
+      case Kind::u64: {
         std::uint64_t parsed = 0;
         if (!parse_u64(value.c_str(), parsed) || parsed < flag->min) {
           return err(ErrorCode::invalid_argument,
                      arg + " expects " + flag->expects + ", got '" + value +
                          "'");
         }
-        if (flag->kind == Kind::u64) {
-          *flag->u64_out = parsed;
-        } else {
-          *flag->optional_u64_out = parsed;
-        }
+        *flag->u64_out = parsed;
         break;
       }
       case Kind::kv: {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,12 +44,6 @@ class ArgParser {
                std::string value_name, std::string help,
                std::uint64_t min = 0, std::string expects = {});
 
-  /// Like `add_u64` but distinguishes "absent" from any numeric value.
-  void add_optional_u64(const std::string& name,
-                        std::optional<std::uint64_t>* out,
-                        std::string value_name, std::string help,
-                        std::uint64_t min = 0, std::string expects = {});
-
   /// Repeatable `--flag key=value` pairs ('=' required, key non-empty).
   void add_repeated_kv(
       const std::string& name,
@@ -76,7 +69,7 @@ class ArgParser {
   [[nodiscard]] int usage_error(const std::string& message) const;
 
  private:
-  enum class Kind : std::uint8_t { presence, string, u64, optional_u64, kv };
+  enum class Kind : std::uint8_t { presence, string, u64, kv };
 
   struct Flag {
     std::string name;
@@ -89,7 +82,6 @@ class ArgParser {
     bool* bool_out = nullptr;
     std::string* string_out = nullptr;
     std::uint64_t* u64_out = nullptr;
-    std::optional<std::uint64_t>* optional_u64_out = nullptr;
     std::vector<std::pair<std::string, std::string>>* kv_out = nullptr;
   };
 

@@ -292,23 +292,6 @@ Result<std::uint64_t> Config::get_u64_or(const std::string& key,
   return get_u64(key);
 }
 
-Result<std::uint64_t> Config::get_u64_in_range_or(const std::string& key,
-                                                  std::uint64_t fallback,
-                                                  std::uint64_t min,
-                                                  std::uint64_t max) const {
-  if (!contains(key)) return fallback;
-  auto value = get_u64(key);
-  if (!value.is_ok()) return value;
-  if (value.value() < min || value.value() > max) {
-    return err(ErrorCode::invalid_argument,
-               "config key '" + key + "': value " +
-                   std::to_string(value.value()) +
-                   " outside the allowed range [" + std::to_string(min) +
-                   ", " + std::to_string(max) + "]");
-  }
-  return value;
-}
-
 Result<double> Config::get_double_or(const std::string& key,
                                      double fallback) const {
   if (!contains(key)) return fallback;

@@ -61,12 +61,6 @@ class Config {
                                                   std::string fallback) const;
   [[nodiscard]] Result<std::uint64_t> get_u64_or(const std::string& key,
                                                  std::uint64_t fallback) const;
-  /// `get_u64_or` plus strict range validation: a present value outside
-  /// [min, max] is an error naming the allowed range (negative values
-  /// already fail `get_u64`'s unsigned parse). The fallback is trusted.
-  [[nodiscard]] Result<std::uint64_t> get_u64_in_range_or(
-      const std::string& key, std::uint64_t fallback, std::uint64_t min,
-      std::uint64_t max) const;
   [[nodiscard]] Result<double> get_double_or(const std::string& key,
                                              double fallback) const;
   [[nodiscard]] Result<bool> get_bool_or(const std::string& key,

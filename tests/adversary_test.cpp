@@ -147,9 +147,8 @@ TEST(AdversarySpecTest, ValidateRejectsWrongKindKnobsOnInCodeSpecs) {
 
 // ---- Determinism -----------------------------------------------------------
 
-ScenarioSpec strategy_spec(StrategyKind kind, std::uint64_t workers) {
+ScenarioSpec strategy_spec(StrategyKind kind) {
   ScenarioSpec spec = adversary_base_spec();
-  spec.engine_workers = workers;
   switch (kind) {
     case StrategyKind::targeted_file:
       spec.adversaries.push_back(AdversarySpec::make_targeted_file(2, 0, 1));
@@ -190,25 +189,21 @@ ScenarioSpec strategy_spec(StrategyKind kind, std::uint64_t workers) {
   return spec;
 }
 
-TEST(AdversaryDeterminismTest, SameSeedAndWorkerCountsAreByteIdentical) {
+TEST(AdversaryDeterminismTest, SameSeedIsByteIdentical) {
   for (const StrategyKind kind :
        {StrategyKind::targeted_file, StrategyKind::colluding_pool,
         StrategyKind::proof_withholder, StrategyKind::churn_griefer,
         StrategyKind::adaptive_threshold, StrategyKind::refresh_saboteur}) {
-    ScenarioRunner serial(strategy_spec(kind, 1));
-    const std::string reference = serial.run().to_json(false);
+    ScenarioRunner first(strategy_spec(kind));
+    const std::string reference = first.run().to_json(false);
     ASSERT_FALSE(reference.empty());
     EXPECT_NE(reference.find("\"adversaries\""), std::string::npos);
     EXPECT_NE(reference.find("\"rent_conserved\": true"), std::string::npos)
         << strategy_kind_name(kind);
 
-    ScenarioRunner repeat(strategy_spec(kind, 1));
+    ScenarioRunner repeat(strategy_spec(kind));
     EXPECT_EQ(reference, repeat.run().to_json(false))
         << "same-seed drift for " << strategy_kind_name(kind);
-
-    ScenarioRunner parallel(strategy_spec(kind, 8));
-    EXPECT_EQ(reference, parallel.run().to_json(false))
-        << "worker drift for " << strategy_kind_name(kind);
   }
 }
 
@@ -220,7 +215,7 @@ const AdversaryMetrics& single_adversary(const MetricsReport& report) {
 }
 
 TEST(AdversaryCountersTest, TargetedFileAttacksAndAttributes) {
-  ScenarioRunner runner(strategy_spec(StrategyKind::targeted_file, 1));
+  ScenarioRunner runner(strategy_spec(StrategyKind::targeted_file));
   const MetricsReport report = runner.run();
   const AdversaryMetrics& adv = single_adversary(report);
   EXPECT_EQ(adv.strategy, "targeted_file");
@@ -240,7 +235,7 @@ TEST(AdversaryCountersTest, TargetedFileAttacksAndAttributes) {
 }
 
 TEST(AdversaryCountersTest, ProofWithholderPaysPenaltiesButKeepsDeposits) {
-  ScenarioRunner runner(strategy_spec(StrategyKind::proof_withholder, 1));
+  ScenarioRunner runner(strategy_spec(StrategyKind::proof_withholder));
   const MetricsReport report = runner.run();
   const AdversaryMetrics& adv = single_adversary(report);
   EXPECT_GT(adv.counters.proofs_withheld, 0u);
@@ -254,7 +249,7 @@ TEST(AdversaryCountersTest, ProofWithholderPaysPenaltiesButKeepsDeposits) {
 }
 
 TEST(AdversaryCountersTest, ChurnGrieferCyclesItsFleet) {
-  ScenarioRunner runner(strategy_spec(StrategyKind::churn_griefer, 1));
+  ScenarioRunner runner(strategy_spec(StrategyKind::churn_griefer));
   const MetricsReport report = runner.run();
   const AdversaryMetrics& adv = single_adversary(report);
   EXPECT_GE(adv.counters.sectors_joined, 6u);   // at least the initial fleet
@@ -264,7 +259,7 @@ TEST(AdversaryCountersTest, ChurnGrieferCyclesItsFleet) {
 }
 
 TEST(AdversaryCountersTest, RefreshSaboteurRefusesAndStops) {
-  ScenarioRunner runner(strategy_spec(StrategyKind::refresh_saboteur, 1));
+  ScenarioRunner runner(strategy_spec(StrategyKind::refresh_saboteur));
   const MetricsReport report = runner.run();
   const AdversaryMetrics& adv = single_adversary(report);
   EXPECT_GT(adv.counters.transfers_refused, 0u);
@@ -274,7 +269,7 @@ TEST(AdversaryCountersTest, RefreshSaboteurRefusesAndStops) {
 }
 
 TEST(AdversaryCountersTest, AdaptiveThresholdGoesDormantUnderBudget) {
-  ScenarioRunner runner(strategy_spec(StrategyKind::adaptive_threshold, 1));
+  ScenarioRunner runner(strategy_spec(StrategyKind::adaptive_threshold));
   const MetricsReport report = runner.run();
   const AdversaryMetrics& adv = single_adversary(report);
   EXPECT_GT(adv.counters.sectors_corrupted, 0u);

@@ -107,7 +107,7 @@ TEST(FiSimCli, UsageErrorsExitTwo) {
   EXPECT_EQ(fi_sim("--scenario a.cfg --load b.fisnap").exit_code, 2);
   // Malformed --set (no '='), malformed numeric operand.
   EXPECT_EQ(fi_sim("--scenario a.cfg --set seed7").exit_code, 2);
-  EXPECT_EQ(fi_sim("--scenario a.cfg --workers lots").exit_code, 2);
+  EXPECT_EQ(fi_sim("--scenario a.cfg --hash-network-every lots").exit_code, 2);
   // Checkpoint flags that contradict each other or lack --save.
   EXPECT_EQ(fi_sim("--scenario a.cfg --save-at 3").exit_code, 2);
   EXPECT_EQ(
@@ -145,7 +145,17 @@ TEST(FiSimCli, InputFailuresExitOne) {
         "net.gas_per_task=10000000000000000000",
         "net.traffic_fee_per_kib=10000000000000000000",
         "net.gamma_deposit=1e17",
-        "net.min_transfer_window=18446744073709551615"}) {
+        "net.min_transfer_window=18446744073709551615",
+        // Rent per cycle 4 × 2^62 and the per-replica fee 2 × 2^63 wrap
+        // to 0; cp = 4 × value/minValue exceeds u32 (or wraps to 0).
+        "file_size_max=1024 --set net.k=4 "
+        "--set net.unit_rent=4611686018427387904",
+        "file_size_min=2048 --set file_size_max=2048 "
+        "--set net.traffic_fee_per_kib=9223372036854775808",
+        "file_value=10737418250 --set net.k=4",
+        "file_value=10737418240 --set net.k=4",
+        // The planned cycle count 2^40 × 2^24 wraps.
+        "phase.2.periods=1099511627776 --set net.rent_period_cycles=16777216"}) {
     const CommandResult overflow = fi_sim("--scenario " + smoke_cfg() +
                                           " --out /dev/null --set " + set);
     EXPECT_EQ(overflow.exit_code, 1) << set;
@@ -161,6 +171,23 @@ TEST(FiSimCli, InputFailuresExitOne) {
     EXPECT_EQ(invalid.exit_code, 1) << set;
     EXPECT_NE(invalid.err.find("at least 1"), std::string::npos) << set;
   }
+}
+
+TEST(FiSimCli, WrappingRentPeriodExitsOne) {
+  // rent_period_cycles × proof_cycle = 2^31 × 2^33 wraps to 0, which would
+  // reschedule the rent task at `now` forever. Without smoke's rent_audit
+  // phase, setup funding does not overflow first, so validation must.
+  const std::string smoke = slurp(smoke_cfg());
+  const fs::path cfg = write_temp("fi_cli_rent_period.cfg",
+                                  smoke.substr(0, smoke.find("phase.2.")));
+  const CommandResult result = fi_sim(
+      "--scenario " + cfg.string() +
+      " --out /dev/null --set net.proof_cycle=8589934592"
+      " --set net.proof_due=8589934592 --set net.proof_deadline=8589934593"
+      " --set net.rent_period_cycles=2147483648");
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.err.find("rent period"), std::string::npos) << result.err;
+  fs::remove(cfg);
 }
 
 TEST(FiSimCli, GoodRunExitsZero) {

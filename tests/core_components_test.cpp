@@ -38,6 +38,27 @@ TEST(ParamsTest, ReplicaCountFollowsValue) {
   EXPECT_THROW((void)p.replica_count(0), util::InvariantViolation);
 }
 
+TEST(ParamsTest, ReplicaCountAboveU32Throws) {
+  Params p = small_params();
+  p.k = 4;
+  // cp = 4 × 1,073,741,823 fits in u32; one more minValue does not, and
+  // 4 × 2^30 = 2^32 must not wrap to cp = 0.
+  EXPECT_EQ(p.replica_count(10'737'418'230), 4'294'967'292u);
+  EXPECT_THROW((void)p.replica_count(10'737'418'240), std::overflow_error);
+  EXPECT_THROW((void)p.replica_count(10'737'418'250), std::overflow_error);
+}
+
+TEST(ParamsTest, RentAndTrafficFeeOverflowThrowsInsteadOfWrapping) {
+  Params p = small_params();
+  p.unit_rent = TokenAmount{1} << 62;
+  EXPECT_EQ(p.rent_per_cycle(1024, 3), TokenAmount{3} << 62);
+  EXPECT_THROW((void)p.rent_per_cycle(1024, 4), std::overflow_error);
+  EXPECT_THROW((void)p.rent_per_cycle(4 * 1024, 1), std::overflow_error);
+  p.traffic_fee_per_kib = TokenAmount{1} << 63;
+  EXPECT_EQ(p.traffic_fee(1024), TokenAmount{1} << 63);
+  EXPECT_THROW((void)p.traffic_fee(2 * 1024), std::overflow_error);
+}
+
 TEST(ParamsTest, DepositProportionalToCapacity) {
   const Params p = small_params();
   // deposit = units * gamma * capPara * minValue = units * 0.05*10*10 = 5/unit
@@ -78,6 +99,17 @@ TEST(ParamsTest, ValidateRejectsBadConfig) {
   p = small_params();
   p.post_challenges = 0;
   EXPECT_THROW(p.validate(), util::InvariantViolation);
+  // A rent period of 2^31 × 2^33 = 2^64 ticks would wrap to zero and
+  // reschedule the rent task at `now` forever; one cycle fewer fits.
+  p = small_params();
+  p.proof_cycle = Time{1} << 33;
+  p.proof_due = p.proof_cycle;
+  p.proof_deadline = p.proof_cycle + 1;
+  p.rent_period_cycles = std::uint32_t{1} << 31;
+  EXPECT_THROW(p.validate(), util::InvariantViolation);
+  p.rent_period_cycles -= 1;
+  EXPECT_NO_THROW(p.validate());
+  EXPECT_EQ(p.rent_period(), (Time{1} << 33) * ((Time{1} << 31) - 1));
 }
 
 TEST(ParamsTest, TransferWindowScalesWithSize) {

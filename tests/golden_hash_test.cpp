@@ -12,7 +12,8 @@
 
 /// The tier-1 half of the golden-hash contract: every shipped config's
 /// end-of-run state hash — what `fi_sim --scenario <cfg> --hash-state`
-/// prints — must equal its line in tests/golden/state_hashes.txt. The
+/// prints — must equal its line in tests/golden/state_hashes.txt, and its
+/// report must satisfy rent conservation and the insurance identity. The
 /// million-file `churn_1m` run is left to the CI golden-hashes job, which
 /// regenerates the whole file with scripts/update_golden_hashes.sh.
 namespace fi {
@@ -63,10 +64,18 @@ TEST_P(GoldenHash, EndStateMatchesGoldenFile) {
   auto session = Session::from_config_file(
       (fs::path(FI_CONFIG_DIR) / (name + ".cfg")).string());
   ASSERT_TRUE(session.is_ok()) << session.status().to_string();
-  (void)session.value().report();
+  const scenario::MetricsReport report = session.value().report();
   EXPECT_EQ(session.value().state_hash(), expected->second)
       << name << ": if the behavior change is intended, run "
       << "scripts/update_golden_hashes.sh and commit the result";
+
+  // The protocol's two end-of-run invariants: rent conservation (§IV-A2)
+  // and the insurance identity (§IV-B) — every lost token was either
+  // compensated or is still owed.
+  EXPECT_TRUE(report.rent_conserved) << name;
+  EXPECT_EQ(report.totals.value_lost,
+            report.totals.value_compensated + report.outstanding_liabilities)
+      << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(

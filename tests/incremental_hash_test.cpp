@@ -208,11 +208,8 @@ scenario::ScenarioSpec small_spec() {
 TEST(IncrementalHashRunner, InvariantHoldsAtEveryEpochCheckpoint) {
   // The epoch callback is the checkpoint-safe point the snapshot layer
   // hooks; a persistent hasher there exercises the version counters across
-  // full proof-cycle batches, including the parallel sweep's merge-point
-  // version notes.
-  scenario::ScenarioSpec spec = small_spec();
-  spec.engine_workers = 4;
-  scenario::ScenarioRunner runner(std::move(spec));
+  // full proof-cycle batches, including the proof sweep's `last` stamps.
+  scenario::ScenarioRunner runner(small_spec());
   IncrementalNetworkHasher hasher;
   std::uint64_t checkpoints = 0;
   runner.set_epoch_callback([&](const scenario::ScenarioRunner& at_epoch) {

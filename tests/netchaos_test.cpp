@@ -318,7 +318,7 @@ TEST(NetSnapshot, MidPartitionRoundTripIsByteIdentical) {
   // The checkpoint really did carry live messages across the boundary.
   EXPECT_TRUE(saved_in_flight);
 
-  auto resumed = snapshot::resume_from_file(path.string(), /*workers=*/8);
+  auto resumed = snapshot::resume_from_file(path.string());
   ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
   EXPECT_EQ((*resumed.value()).run().to_json(), uninterrupted.report_json);
   EXPECT_EQ(snapshot::state_hash(*resumed.value()), uninterrupted.state_hash);

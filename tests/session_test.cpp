@@ -198,28 +198,6 @@ TEST(SessionCheckpoint, FileBytesMatchMonolithicSaveAt) {
   }
 }
 
-TEST(SessionResume, WorkerOverrideIsByteInvisible) {
-  const scenario::ScenarioSpec spec = shrunk_spec("smoke.cfg");
-  const RunOutcome mono = monolithic_run(spec);
-
-  const fs::path path = temp_path("workers");
-  {
-    Session session = open_session(spec);
-    (void)session.run_epochs(3);
-    ASSERT_TRUE(session.checkpoint(path.string()).is_ok());
-  }
-
-  Session::OpenOptions options;
-  options.workers = 8;
-  auto resumed = Session::from_snapshot_file(path.string(), options);
-  ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
-  Session session = std::move(resumed).value();
-  EXPECT_EQ(session.epoch(), 3u);
-  EXPECT_EQ(session.report().to_json(), mono.report_json);
-  EXPECT_EQ(session.state_hash(), mono.state_hash);
-  fs::remove(path);
-}
-
 // ---------------------------------------------------------------------------
 // Forks: shared prefix, divergent futures
 // ---------------------------------------------------------------------------

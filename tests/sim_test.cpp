@@ -3,10 +3,7 @@
 #include <string>
 #include <vector>
 
-#include "scenario/runner.h"
-#include "scenario/spec.h"
 #include "sim/net_model.h"
-#include "snapshot/snapshot.h"
 #include "util/binary_io.h"
 
 namespace fi::sim {
@@ -182,59 +179,6 @@ TEST(NetModel, SaveLoadRoundTripsInFlightMessages) {
   original.save_state(end_a);
   restored.save_state(end_b);
   EXPECT_EQ(end_a.data(), end_b.data());
-}
-
-// ---------------------------------------------------------------------------
-// NetModel under the scenario engine: worker-count byte-identity
-// ---------------------------------------------------------------------------
-
-scenario::ScenarioSpec net_condition_spec() {
-  scenario::ScenarioSpec spec;
-  spec.name = "sim_test_net";
-  spec.seed = 2024;
-  spec.sectors = 60;
-  spec.sector_units = 4;
-  spec.initial_files = 90;
-  spec.file_size_min = 1024;
-  spec.file_size_max = 1024;
-  spec.file_value = 10;
-  spec.params.min_value = 10;
-  spec.params.avg_refresh = 5;
-  spec.params.delay_per_kib = 30;
-  spec.network.enabled = true;
-  spec.network.regions = 3;
-  spec.network.base_latency = 2;
-  spec.network.region_latency = 4;
-  spec.network.jitter = 3;
-  spec.network.drop_probability = 0.05;
-  spec.phases.push_back(scenario::PhaseSpec::make_idle(2));
-  spec.phases.push_back(scenario::PhaseSpec::make_partition(1, 2));
-  spec.phases.push_back(scenario::PhaseSpec::make_idle(2));
-  spec.phases.push_back(scenario::PhaseSpec::make_outage(2, 1, 3));
-  spec.phases.push_back(scenario::PhaseSpec::make_idle(1));
-  return spec;
-}
-
-TEST(NetModelScenario, ByteIdenticalAcrossWorkerCounts) {
-  // Latency, drops, partitions, and a crash-restart must all ride the
-  // deterministic sweep merge: the report and end-of-run state hash are a
-  // pure function of the spec, independent of engine.workers.
-  std::string report_w1;
-  std::string hash_w1;
-  for (const std::uint64_t workers : {1ull, 4ull, 16ull}) {
-    scenario::ScenarioSpec spec = net_condition_spec();
-    spec.engine_workers = workers;
-    scenario::ScenarioRunner runner(std::move(spec));
-    const std::string report = runner.run().to_json();
-    const std::string hash = snapshot::state_hash(runner);
-    if (workers == 1) {
-      report_w1 = report;
-      hash_w1 = hash;
-    } else {
-      EXPECT_EQ(report, report_w1) << "workers=" << workers;
-      EXPECT_EQ(hash, hash_w1) << "workers=" << workers;
-    }
-  }
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // validation (truncation, corruption, wrong version), and the headline
 // invariant — for every shipped config shape, save at an epoch E, load,
 // and continue: the final report JSON and the canonical state hash must be
-// byte-identical to the uninterrupted run, at engine.workers 1 and 8.
+// byte-identical to the uninterrupted run.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +10,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "crypto/sha256.h"
 #include "scenario/runner.h"
 #include "scenario/spec.h"
 #include "snapshot/snapshot.h"
@@ -190,12 +192,10 @@ fs::path temp_snapshot_path(const std::string& tag) {
 }
 
 /// The headline invariant: run uninterrupted; run again saving at
-/// `save_epoch`; resume from the file (optionally at a different worker
-/// count) and finish. All three reports and both state hashes must match
-/// byte for byte.
+/// `save_epoch`; resume from the file and finish. All three reports and
+/// both state hashes must match byte for byte.
 void expect_save_load_identity(const scenario::ScenarioSpec& spec,
                                std::uint64_t save_epoch,
-                               std::uint64_t resume_workers,
                                const std::string& tag) {
   const RunOutcome uninterrupted = run_to_completion(spec);
 
@@ -215,7 +215,7 @@ void expect_save_load_identity(const scenario::ScenarioSpec& spec,
   ASSERT_TRUE(fs::exists(path)) << tag << ": save_epoch " << save_epoch
                                 << " never reached";
 
-  auto resumed = snapshot::resume_from_file(path.string(), resume_workers);
+  auto resumed = snapshot::resume_from_file(path.string());
   ASSERT_TRUE(resumed.is_ok()) << tag << ": " << resumed.status().to_string();
   scenario::ScenarioRunner& runner = *resumed.value();
   EXPECT_EQ(runner.epoch(), save_epoch) << tag;
@@ -238,21 +238,8 @@ TEST(SnapshotRoundTrip, EveryShippedConfigAtSeveralEpochs) {
     const std::string name = config.stem().string();
     // Early (mid-attack for adversary configs: start_epoch is shrunk to
     // ≤1) and late save points.
-    expect_save_load_identity(spec, 2, 1, name + "_e2");
-    expect_save_load_identity(spec, epochs - 1, 1, name + "_late");
-  }
-}
-
-TEST(SnapshotRoundTrip, WorkerCountMayChangeAcrossResume) {
-  // Resuming a serial run with 8 sweep workers (and vice versa) must not
-  // perturb a single byte — the acceptance bar for `engine.workers` being
-  // a pure throughput knob.
-  for (const char* name : {"smoke.cfg", "colluding_pool.cfg"}) {
-    scenario::ScenarioSpec spec =
-        shrunk_spec(fs::path(FI_CONFIG_DIR) / name);
-    expect_save_load_identity(spec, 3, 8, std::string("w8_") + name);
-    spec.engine_workers = 8;
-    expect_save_load_identity(spec, 3, 1, std::string("w1_") + name);
+    expect_save_load_identity(spec, 2, name + "_e2");
+    expect_save_load_identity(spec, epochs - 1, name + "_late");
   }
 }
 
@@ -281,6 +268,69 @@ TEST(SnapshotRoundTrip, PeriodicCheckpointsAllResume) {
   ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
   EXPECT_EQ(resumed.value()->run().to_json(), uninterrupted.report_json);
   fs::remove(path);
+}
+
+// ---------------------------------------------------------------------------
+// Snapshots written by older builds
+// ---------------------------------------------------------------------------
+
+/// A FISNAP01 image framed as `save_to_file` frames one, with the digest
+/// computed over the given spec text and body.
+std::vector<std::uint8_t> snapshot_image(
+    const std::string& spec_text, const std::vector<std::uint8_t>& body) {
+  const std::span<const std::uint8_t> spec_bytes(
+      reinterpret_cast<const std::uint8_t*>(spec_text.data()),
+      spec_text.size());
+  crypto::Sha256 digest;
+  digest.update(spec_bytes);
+  digest.update(body);
+  util::BinaryWriter image;
+  image.raw(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(snapshot::kMagic),
+      sizeof(snapshot::kMagic)));
+  image.u32(snapshot::kFormatVersion);
+  image.str(spec_text);
+  image.u64(body.size());
+  image.raw(digest.finalize());
+  image.raw(body);
+  return image.data();
+}
+
+TEST(SnapshotCompat, RetiredEngineWorkersKeyStillResumes) {
+  // Snapshots written while the engine had a sweep thread pool embed
+  // `engine.workers = <n>` right after `seed` in their spec text. Such an
+  // image must still parse and continue byte-identically.
+  const scenario::ScenarioSpec spec =
+      shrunk_spec(fs::path(FI_CONFIG_DIR) / "smoke.cfg");
+  const RunOutcome uninterrupted = run_to_completion(spec);
+
+  std::vector<std::uint8_t> body;
+  {
+    scenario::ScenarioRunner saver(spec);
+    saver.set_epoch_callback([&](const scenario::ScenarioRunner& at_epoch) {
+      if (at_epoch.epoch() == 3) body = snapshot::encode_state(at_epoch);
+    });
+    (void)saver.run();
+  }
+  ASSERT_FALSE(body.empty());
+  std::string spec_text = spec.to_config_string();
+  const std::string seed_line = "seed = " + std::to_string(spec.seed) + "\n";
+  const std::size_t seed_at = spec_text.find(seed_line);
+  ASSERT_NE(seed_at, std::string::npos);
+  spec_text.insert(seed_at + seed_line.size(), "engine.workers = 8\n");
+
+  auto parsed = snapshot::parse(snapshot_image(spec_text, body), "old image");
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  snapshot::Snapshot snap = std::move(parsed).value();
+  // Ignored, and not re-emitted.
+  EXPECT_EQ(snap.spec.to_config_string(), spec.to_config_string());
+  util::BinaryReader reader(snap.body);
+  auto resumed = scenario::ScenarioRunner::resume(std::move(snap.spec), reader);
+  ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
+  scenario::ScenarioRunner& runner = *resumed.value();
+  EXPECT_EQ(runner.epoch(), 3u);
+  EXPECT_EQ(runner.run().to_json(), uninterrupted.report_json);
+  EXPECT_EQ(snapshot::state_hash(runner), uninterrupted.state_hash);
 }
 
 // ---------------------------------------------------------------------------
@@ -383,27 +433,6 @@ TEST_F(SnapshotFileTest, SpecTamperingIsRejectedByDigest) {
   *it = 'q';
   write_raw(raw_);
   EXPECT_FALSE(snapshot::resume_from_file(path_.string()).is_ok());
-}
-
-TEST_F(SnapshotFileTest, StateHashIsWorkerAndHistoryInvariant) {
-  // The same spec run to the same epoch has one canonical hash, no matter
-  // the worker count: the property the golden-hash CI gate relies on.
-  auto hash_at_epoch_2 = [this](std::uint64_t workers) {
-    scenario::ScenarioSpec spec = spec_;
-    spec.engine_workers = workers;
-    std::string hash;
-    scenario::ScenarioRunner runner(spec);
-    runner.set_epoch_callback(
-        [&hash](const scenario::ScenarioRunner& at_epoch) {
-          if (at_epoch.epoch() == 2) hash = snapshot::state_hash(at_epoch);
-        });
-    (void)runner.run();
-    return hash;
-  };
-  const std::string serial = hash_at_epoch_2(1);
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial.size(), 64u);
-  EXPECT_EQ(hash_at_epoch_2(8), serial);
 }
 
 }  // namespace

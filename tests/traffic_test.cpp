@@ -352,28 +352,6 @@ TEST(TrafficQosTest, RetrievalSettlementConservesTheLedger) {
   EXPECT_TRUE(report.rent_conserved);
 }
 
-// ---- Determinism -----------------------------------------------------------
-
-TEST(TrafficDeterminismTest, ReportsAreByteIdenticalAcrossWorkerCounts) {
-  const auto spec_with_workers = [](std::uint64_t workers) {
-    ScenarioSpec spec = traffic_base_spec(91);
-    enable_defense(spec);
-    spec.engine_workers = workers;
-    spec.adversaries.push_back(
-        AdversarySpec::make_retrieval_ddos(100, 2, 4));
-    spec.adversaries.push_back(AdversarySpec::make_cartel_starver(0.2, 0, 2));
-    return spec;
-  };
-  ScenarioRunner serial(spec_with_workers(1));
-  const std::string reference = serial.run().to_json(false);
-  EXPECT_NE(reference.find("\"traffic\""), std::string::npos);
-  for (const std::uint64_t workers : {4u, 16u}) {
-    ScenarioRunner parallel(spec_with_workers(workers));
-    EXPECT_EQ(reference, parallel.run().to_json(false))
-        << "worker drift at engine.workers = " << workers;
-  }
-}
-
 // ---- Snapshot round-trip ---------------------------------------------------
 
 std::string state_hash_of(ScenarioSpec spec) {

@@ -21,8 +21,8 @@
 // Snapshots (docs/ARCHITECTURE.md, src/snapshot): --save checkpoints the
 // whole simulation — engine tables, ledger, every PRNG stream, adversary
 // and phase progress — and --load continues it; the continued run's report
-// and --hash-state output are byte-identical to the uninterrupted run's,
-// at any --workers value. --hash-state prints the SHA-256 fingerprint of
+// and --hash-state output are byte-identical to the uninterrupted run's.
+// --hash-state prints the SHA-256 fingerprint of
 // the canonical end-of-run state as the last stdout line (use --out for
 // the report when capturing it); the CI golden-hashes job pins these
 // per-config in tests/golden/state_hashes.txt.
@@ -62,16 +62,12 @@ int main(int argc, char** argv) {
   parser.add_string("--load", &load_path, "file",
                     "resume a saved run instead of --scenario; the\n"
                     "continuation is byte-identical to the\n"
-                    "uninterrupted run (--workers may differ)");
+                    "uninterrupted run");
   parser.add_string("--out", &out_path, "path",
                     "write the JSON report here (default: stdout)");
   parser.add_flag("--timings", &timings,
                   "include wall-clock timings in the report\n"
                   "(breaks byte-for-byte reproducibility)");
-  parser.add_optional_u64("--workers", &options.workers, "n",
-                          "engine sweep workers (alias for --set\n"
-                          "engine.workers=<n>; 0 = hardware threads);\n"
-                          "reports are byte-identical for every value");
   parser.add_repeated_kv("--set", &options.overrides,
                          "override a config key (repeatable)");
   parser.add_flag("--dump-spec", &dump_spec,
@@ -116,14 +112,12 @@ int main(int argc, char** argv) {
     return parser.usage_error("--save-at and --save-every are exclusive");
   }
   if (!load_path.empty() && !options.overrides.empty()) {
-    // A snapshot embeds its spec; only the worker count — a pure
-    // throughput knob — may be overridden for the continuation.
-    // (fi_orchestrate plan nodes *can* fork a snapshot with divergent
-    // knobs; the CLI keeps --load a faithful continuation.)
+    // A snapshot embeds its spec. (fi_orchestrate plan nodes *can* fork a
+    // snapshot with divergent knobs; the CLI keeps --load a faithful
+    // continuation.)
     return parser.usage_error(
         "--set cannot modify a resumed run (the snapshot pins the spec); "
-        "use --workers to change the worker count, or an fi_orchestrate "
-        "plan to fork divergent branches");
+        "use an fi_orchestrate plan to fork divergent branches");
   }
 
   if (dump_spec) {
