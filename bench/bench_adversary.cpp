@@ -5,9 +5,9 @@
 // penalties paid). Rent must conserve in every cell (exit status).
 //
 // Intensity means: the controlled fleet fraction for colluding_pool /
-// proof_withholder / refresh_saboteur / churn_griefer, holders-per-epoch
-// (x20) for targeted_file, and the penalty budget as a fraction of all
-// pledged deposits for adaptive_threshold.
+// informed_pool / proof_withholder / refresh_saboteur / churn_griefer,
+// holders-per-epoch (x20) for targeted_file, and the penalty budget as a
+// fraction of all pledged deposits for adaptive_threshold.
 //
 // Usage: bench_adversary [files] [--intensities 0.05,0.2]
 //                        [--strategies colluding_pool,refresh_saboteur]
@@ -36,6 +36,7 @@ constexpr StrategyKind kAllStrategies[] = {
     StrategyKind::targeted_file,      StrategyKind::colluding_pool,
     StrategyKind::proof_withholder,   StrategyKind::churn_griefer,
     StrategyKind::adaptive_threshold, StrategyKind::refresh_saboteur,
+    StrategyKind::informed_pool,
 };
 
 std::uint64_t sectors_for(std::uint64_t files) {
@@ -74,6 +75,8 @@ AdversarySpec adversary_for(StrategyKind kind, double intensity,
           static_cast<std::uint64_t>(intensity * 20.0) + 1, 0, 1);
     case StrategyKind::colluding_pool:
       return AdversarySpec::make_colluding_pool(intensity, 2, 1);
+    case StrategyKind::informed_pool:
+      return AdversarySpec::make_informed_pool(intensity, 2, 1);
     case StrategyKind::proof_withholder:
       return AdversarySpec::make_proof_withholder(intensity, 1'000, 1);
     case StrategyKind::churn_griefer:

@@ -1,55 +1,91 @@
 // Reproduces the Theorem 3 corollary (§V-B3): the fraction of file value
 // lost when an adversary corrupts a λ fraction of capacity.
 //
-// For each replication factor k and corruption level λ we measure the
-// realized loss under (a) random corruption and (b) the informed targeted
-// adversary, and print them against the theorem's bound
-//   γ_lost <= max{5λ^k, λ^{k/2}, (log term)}.
+// Each cell runs the protocol engine (`fi::Session`) twice on one
+// placement: a random `corrupt_burst` of λ of the sectors, and the
+// span-greedy `informed_pool` adversary with the same budget. Loss comes
+// from Auto_CheckProof, compensation from deposits at Theorem 4's ratio,
+// and the bound is γ_lost <= max{5λ^k, λ^{k/2}, (log term)}.
 // The paper's headline: with k=20, even λ=0.5 loses < 0.1% of value.
+// Exits 1 if any cell breaks the bound or leaves a loss uncompensated.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <vector>
+#include <utility>
 
+#include "adversary/spec.h"
 #include "analysis/bounds.h"
-#include "analysis/placement.h"
-#include "util/prng.h"
+#include "api/session.h"
+#include "scenario/spec.h"
 
 int main() {
   using namespace fi::analysis;
+  using fi::scenario::PhaseSpec;
+  using fi::scenario::ScenarioSpec;
 
   constexpr std::uint64_t kFiles = 100'000;
-  constexpr std::uint32_t kSectors = 1000;
-  constexpr int kTrials = 3;
-  const double gamma_v_m = 1.0;  // network filled to its designed value
-  const double cap_para = static_cast<double>(kFiles) / kSectors;
+  constexpr std::uint64_t kSectors = 1000;
+  const double files = static_cast<double>(kFiles);
+  const double sectors = static_cast<double>(kSectors);
+
+  // (lost value, compensated / lost) of one engine run; 1 when none lost.
+  const auto run = [files](const ScenarioSpec& spec) {
+    const fi::core::NetworkStats t =
+        fi::Session::from_spec(spec).value().report().totals;
+    return std::pair{
+        static_cast<double>(t.value_lost) /
+            (files * static_cast<double>(spec.params.min_value)),
+        t.value_lost == 0 ? 1.0
+                          : static_cast<double>(t.value_compensated) /
+                                static_cast<double>(t.value_lost)};
+  };
 
   std::printf("Theorem 3 reproduction — lost-value ratio vs corruption\n");
-  std::printf("(Nv = %llu files, Ns = %u sectors, i.i.d. placement, "
-              "%d trials per cell)\n",
-              static_cast<unsigned long long>(kFiles), kSectors, kTrials);
+  std::printf("(protocol engine: Nv = %llu files, Ns = %llu sectors, "
+              "gamma_v_m = 1, Theorem 4 deposits, one run per cell)\n",
+              static_cast<unsigned long long>(kFiles),
+              static_cast<unsigned long long>(kSectors));
 
+  bool all_hold = true;
   for (const std::uint32_t k : {4u, 8u, 12u, 20u}) {
-    const ReplicaPlacement placement(kFiles, k, kSectors, /*seed=*/k * 101);
-    fi::util::Xoshiro256 rng(k * 999 + 7);
     std::printf("\nk = %u\n", k);
-    std::printf("%8s %14s %14s %14s %8s\n", "lambda", "random loss",
-                "targeted loss", "bound", "holds");
+    std::printf("%8s %14s %14s %12s %14s %8s\n", "lambda", "random loss",
+                "targeted loss", "compensated", "bound", "holds");
     for (const double lambda : {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}) {
-      double random_loss = 0.0, targeted_loss = 0.0;
-      for (int t = 0; t < kTrials; ++t) {
-        random_loss += placement.lost_fraction(
-            random_corruption(kSectors, lambda, rng));
-        targeted_loss += placement.lost_fraction(
-            targeted_corruption(placement, lambda, rng));
-      }
-      random_loss /= kTrials;
-      targeted_loss /= kTrials;
-      const double bound =
-          theorem3_gamma_lost_bound(lambda, k, kSectors, gamma_v_m, cap_para);
-      const bool holds = random_loss <= bound && targeted_loss <= bound;
-      std::printf("%8.1f %14.6f %14.6f %14.6f %8s\n", lambda, random_loss,
-                  targeted_loss, std::min(bound, 1.0), holds ? "yes" : "NO");
+      // 1 KiB files at value = min_value (cp = k), filling the network's
+      // value capacity exactly (γ_v^m = 1).
+      ScenarioSpec spec;
+      spec.name = "theorem3";
+      spec.seed = k * 101;
+      spec.sectors = kSectors;
+      spec.sector_units = 4 * k;
+      spec.initial_files = kFiles;
+      spec.file_size_min = 1024;
+      spec.file_size_max = 1024;
+      spec.params.k = k;
+      spec.file_value = spec.params.min_value;
+      spec.params.cap_para =
+          files / (sectors * static_cast<double>(spec.sector_units));
+      spec.params.gamma_deposit = theorem4_deposit_ratio_bound(
+          lambda, k, sectors, spec.params.cap_para);
+      ScenarioSpec targeted = spec;
+      spec.phases.push_back(PhaseSpec::make_corrupt_burst(lambda, 2));
+      targeted.adversaries.push_back(
+          fi::adversary::AdversarySpec::make_informed_pool(lambda, 1));
+      targeted.phases.push_back(PhaseSpec::make_idle(2));
+
+      const auto [random_loss, random_comp] = run(spec);
+      const auto [targeted_loss, targeted_comp] = run(targeted);
+      const double compensated = std::min(random_comp, targeted_comp);
+      const double bound = theorem3_gamma_lost_bound(
+          lambda, k, sectors, /*gamma_v_m=*/1.0, files / sectors);
+      const bool holds = random_loss <= bound && targeted_loss <= bound &&
+                         compensated == 1.0;
+      all_hold = all_hold && holds;
+      std::printf("%8.1f %14.6f %14.6f %12.3f %14.6f %8s\n", lambda,
+                  random_loss, targeted_loss, compensated,
+                  std::min(bound, 1.0), holds ? "yes" : "NO");
     }
   }
 
@@ -58,12 +94,12 @@ int main() {
               "lambda=0.5\n");
   std::printf("  5*lambda^k      = %.2e\n  lambda^(k/2)    = %.2e\n",
               5.0 * std::pow(0.5, 20), std::pow(0.5, 10));
-  for (const double gmv : {0.005, 0.05, 0.5}) {
+  for (const double gmv : {0.005, 0.05, 0.2, 0.5}) {
     std::printf("  bound(gamma_v_m=%.3f) = %.6f\n", gmv,
                 theorem3_gamma_lost_bound(0.5, 20, 1e6, gmv, 1e3));
   }
   std::printf("Paper claims gamma_lost <= 0.001 when gamma_v_m >= 0.005; see "
-              "EXPERIMENTS.md\nfor a note on the paper's third-term "
-              "arithmetic.\n");
-  return 0;
+              "docs/BENCHMARKS.md\n(Theorem 3) for a note on the paper's "
+              "third-term arithmetic.\n");
+  return all_hold ? 0 : 1;
 }

@@ -38,7 +38,7 @@ BASELINE_KEYS = COMMON_KEYS | {
     "sybil_fraction",
     "epochs",
 }
-BASELINE_PROTOCOLS = {"fileinsurer", "filecoin", "sia", "storj", "arweave"}
+BASELINE_PROTOCOLS = {"filecoin", "sia", "storj", "arweave"}
 
 
 def parse_kv(path: Path):
@@ -116,7 +116,13 @@ def check_node(path: Path, index: int, node: dict, names: dict) -> list:
 
     if kind == "baseline":
         protocol = node.get("protocol", "")
-        if protocol not in BASELINE_PROTOCOLS:
+        if protocol == "fileinsurer":
+            errors.append(
+                f"{where}: baseline protocol 'fileinsurer' was retired: "
+                f"FileInsurer rows come from scenario nodes that run the "
+                f"protocol engine, as in plans/table4.plan"
+            )
+        elif protocol not in BASELINE_PROTOCOLS:
             errors.append(
                 f"{where}: unknown baseline protocol {protocol!r} "
                 f"(valid: {', '.join(sorted(BASELINE_PROTOCOLS))})"

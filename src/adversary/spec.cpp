@@ -50,6 +50,7 @@ const char* strategy_kind_name(StrategyKind kind) {
     case StrategyKind::refresh_saboteur: return "refresh_saboteur";
     case StrategyKind::retrieval_ddos: return "retrieval_ddos";
     case StrategyKind::cartel_starver: return "cartel_starver";
+    case StrategyKind::informed_pool: return "informed_pool";
   }
   return "unknown";
 }
@@ -59,7 +60,8 @@ util::Result<StrategyKind> strategy_kind_from_name(std::string_view name) {
        {StrategyKind::targeted_file, StrategyKind::colluding_pool,
         StrategyKind::proof_withholder, StrategyKind::churn_griefer,
         StrategyKind::adaptive_threshold, StrategyKind::refresh_saboteur,
-        StrategyKind::retrieval_ddos, StrategyKind::cartel_starver}) {
+        StrategyKind::retrieval_ddos, StrategyKind::cartel_starver,
+        StrategyKind::informed_pool}) {
     if (name == strategy_kind_name(kind)) return kind;
   }
   return util::err(util::ErrorCode::invalid_argument,
@@ -97,6 +99,7 @@ util::Result<AdversarySpec> AdversarySpec::from_config(
       FI_ADV_FIELD(get_u64_or, budget, 0);
       break;
     case StrategyKind::colluding_pool:
+    case StrategyKind::informed_pool:
       FI_ADV_FIELD(get_double_or, fraction, 0.0);
       FI_ADV_FIELD(get_u64_or, window, 1);
       break;
@@ -144,7 +147,9 @@ util::Status AdversarySpec::validate(const std::string& where) const {
     bool at_default;
     const char* name;
   };
-  const bool takes_fraction = kind == StrategyKind::colluding_pool ||
+  const bool is_pool = kind == StrategyKind::colluding_pool ||
+                       kind == StrategyKind::informed_pool;
+  const bool takes_fraction = is_pool ||
                               kind == StrategyKind::proof_withholder ||
                               kind == StrategyKind::refresh_saboteur ||
                               kind == StrategyKind::cartel_starver;
@@ -153,7 +158,7 @@ util::Status AdversarySpec::validate(const std::string& where) const {
                               kind == StrategyKind::cartel_starver;
   const Knob knobs[] = {
       {takes_fraction, fraction == 0.0, "fraction"},
-      {kind == StrategyKind::colluding_pool, window == 1, "window"},
+      {is_pool, window == 1, "window"},
       {kind == StrategyKind::targeted_file, sectors_per_epoch == 1,
        "sectors_per_epoch"},
       {kind == StrategyKind::targeted_file, budget == 0, "budget"},
@@ -200,6 +205,7 @@ util::Status AdversarySpec::validate(const std::string& where) const {
       }
       break;
     case StrategyKind::colluding_pool:
+    case StrategyKind::informed_pool:
       if (window == 0) {
         return util::err(util::ErrorCode::invalid_argument,
                          where + ".window must be positive");
@@ -274,6 +280,7 @@ void AdversarySpec::serialize(std::string& out, std::size_t index) const {
       emit_u64("budget", budget);
       break;
     case StrategyKind::colluding_pool:
+    case StrategyKind::informed_pool:
       emit("fraction", util::format_shortest_double(fraction));
       emit_u64("window", window);
       break;

@@ -62,6 +62,11 @@ enum class StrategyKind : std::uint8_t {
   /// complement of the refresh saboteur's inbound refusal. Requires a
   /// scenario with the traffic engine enabled.
   cartel_starver,
+  /// A `colluding_pool` recruited with full knowledge of the placement
+  /// (the span-greedy attack Theorem 3's bound defends against): whole
+  /// holder sets of the files spanning the fewest sectors first, then
+  /// random live sectors, up to its `fraction` budget.
+  informed_pool,
 };
 
 [[nodiscard]] const char* strategy_kind_name(StrategyKind kind);
@@ -79,10 +84,11 @@ struct AdversarySpec {
   std::string label;
   /// First epoch (proof cycle since setup) the strategy acts on.
   std::uint64_t start_epoch = 0;
-  /// colluding_pool / proof_withholder / refresh_saboteur: fraction of the
-  /// fleet the adversary controls.
+  /// colluding_pool / informed_pool / proof_withholder / refresh_saboteur /
+  /// cartel_starver: fraction of the fleet the adversary controls.
   double fraction = 0.0;
-  /// colluding_pool: epochs over which the pool corrupts itself.
+  /// colluding_pool / informed_pool: epochs over which the pool corrupts
+  /// itself.
   std::uint64_t window = 1;
   /// targeted_file: holders corrupted per epoch.
   std::uint64_t sectors_per_epoch = 1;
@@ -152,6 +158,13 @@ struct AdversarySpec {
     a.fraction = fraction;
     a.window = window;
     a.start_epoch = start_epoch;
+    return a;
+  }
+  static AdversarySpec make_informed_pool(double fraction,
+                                          std::uint64_t window = 1,
+                                          std::uint64_t start_epoch = 0) {
+    AdversarySpec a = make_colluding_pool(fraction, window, start_epoch);
+    a.kind = StrategyKind::informed_pool;
     return a;
   }
   static AdversarySpec make_proof_withholder(double fraction,

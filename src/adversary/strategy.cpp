@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "util/check.h"
 #include "util/distributions.h"
@@ -65,6 +66,29 @@ std::size_t fraction_of(std::size_t n, double fraction) {
   return static_cast<std::size_t>(std::llround(fraction * static_cast<double>(n)));
 }
 
+/// Distinct healthy holders of `file`, ascending sector id (none once the
+/// network dropped the file). The alloc table keeps `prev` through
+/// corruption, so filter by entry and sector state.
+std::vector<SectorId> healthy_holders(const core::Network& net,
+                                      core::FileId file) {
+  std::vector<SectorId> holders;
+  if (!net.file_exists(file)) return holders;
+  const std::uint32_t cp = net.allocations().replica_count(file);
+  for (core::ReplicaIndex r = 0; r < cp; ++r) {
+    const core::AllocEntry& e = net.allocations().entry(file, r);
+    if (e.state == core::AllocState::corrupted || e.prev == core::kNoSector) {
+      continue;
+    }
+    const SectorState state = net.sectors().at(e.prev).state;
+    if (state == SectorState::normal || state == SectorState::disabled) {
+      holders.push_back(e.prev);
+    }
+  }
+  std::sort(holders.begin(), holders.end());
+  holders.erase(std::unique(holders.begin(), holders.end()), holders.end());
+  return holders;
+}
+
 // ---- targeted_file ---------------------------------------------------------
 
 /// Theorem 3 stressor: lock onto one live file and corrupt its current
@@ -89,23 +113,7 @@ class TargetedFile final : public AdversaryStrategy {
       }
       return;
     }
-    // Current healthy holders of the target, ascending sector id (the
-    // alloc table keeps `prev` through corruption, so filter by state).
-    std::vector<SectorId> holders;
-    const std::uint32_t cp = view.net().allocations().replica_count(target_);
-    for (core::ReplicaIndex r = 0; r < cp; ++r) {
-      const core::AllocEntry& e = view.net().allocations().entry(target_, r);
-      if (e.state == core::AllocState::corrupted || e.prev == core::kNoSector) {
-        continue;
-      }
-      const SectorState state = view.net().sectors().at(e.prev).state;
-      if (state == SectorState::normal || state == SectorState::disabled) {
-        holders.push_back(e.prev);
-      }
-    }
-    std::sort(holders.begin(), holders.end());
-    holders.erase(std::unique(holders.begin(), holders.end()), holders.end());
-
+    const std::vector<SectorId> holders = healthy_holders(view.net(), target_);
     std::uint64_t quota = spec_.sectors_per_epoch;
     if (spec_.budget != 0) {
       quota = std::min(quota, spec_.budget - std::min(spent_, spec_.budget));
@@ -149,11 +157,55 @@ class TargetedFile final : public AdversaryStrategy {
   std::uint64_t spent_ = 0;
 };
 
-// ---- colluding_pool --------------------------------------------------------
+// ---- colluding_pool / informed_pool ---------------------------------------
+
+/// Span-greedy recruitment with full knowledge of the placement: take the
+/// missing holders of the live files spanning the fewest healthy sectors
+/// first (stable order) while they fit in `quota`, then fill the quota
+/// with a random sample of the other `normal` sectors.
+std::vector<SectorId> recruit_informed(AdversaryView& view,
+                                       const std::vector<SectorId>& normal,
+                                       std::size_t quota) {
+  const core::Network& net = view.net();
+  std::vector<std::vector<SectorId>> spans;
+  spans.reserve(view.live_files().size());
+  for (const core::FileId file : view.live_files()) {
+    spans.push_back(healthy_holders(net, file));
+  }
+  std::stable_sort(spans.begin(), spans.end(),
+                   [](const std::vector<SectorId>& a,
+                      const std::vector<SectorId>& b) {
+                     return a.size() < b.size();
+                   });
+
+  std::vector<bool> taken(net.sectors().count(), false);
+  std::vector<SectorId> members;
+  std::vector<SectorId> missing;
+  for (const std::vector<SectorId>& span : spans) {
+    missing.clear();
+    for (const SectorId s : span) {
+      if (!taken[s]) missing.push_back(s);
+    }
+    if (missing.empty() || members.size() + missing.size() > quota) continue;
+    for (const SectorId s : missing) {
+      taken[s] = true;
+      members.push_back(s);
+    }
+  }
+
+  std::vector<SectorId> rest;
+  std::copy_if(normal.begin(), normal.end(), std::back_inserter(rest),
+               [&taken](SectorId s) { return !taken[s]; });
+  rest = sample_sectors(std::move(rest), quota - members.size(), view.rng());
+  members.insert(members.end(), rest.begin(), rest.end());
+  return members;
+}
 
 /// Theorem 4 stressor: a fraction of the fleet corrupts itself across a
 /// coordinated window of epochs (the §V-B3 catastrophe, spread in time so
-/// detection and compensation interleave with further losses).
+/// detection and compensation interleave with further losses). The
+/// `colluding_pool` coalition is a uniform sample of the live fleet; the
+/// `informed_pool` one is recruited span-greedily (`recruit_informed`).
 class ColludingPool final : public AdversaryStrategy {
  public:
   explicit ColludingPool(AdversarySpec spec) : spec_(std::move(spec)) {}
@@ -167,7 +219,9 @@ class ColludingPool final : public AdversaryStrategy {
       // the coalition's effective share.
       std::vector<SectorId> pool = normal_sector_ids(view.net());
       const std::size_t quota = fraction_of(pool.size(), spec_.fraction);
-      members_ = sample_sectors(std::move(pool), quota, view.rng());
+      members_ = spec_.kind == StrategyKind::informed_pool
+                     ? recruit_informed(view, pool, quota)
+                     : sample_sectors(std::move(pool), quota, view.rng());
       view.set_extra("pool_size", static_cast<double>(members_.size()));
       // Spread the pool evenly over the window, remainder up front.
       per_epoch_ = (members_.size() + spec_.window - 1) / spec_.window;
@@ -516,6 +570,7 @@ std::unique_ptr<AdversaryStrategy> make_strategy(const AdversarySpec& spec) {
     case StrategyKind::targeted_file:
       return std::make_unique<TargetedFile>(spec);
     case StrategyKind::colluding_pool:
+    case StrategyKind::informed_pool:
       return std::make_unique<ColludingPool>(spec);
     case StrategyKind::proof_withholder:
       return std::make_unique<ProofWithholder>(spec);

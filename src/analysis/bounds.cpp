@@ -71,8 +71,4 @@ double file_loss_probability(double lambda, std::uint32_t cp) {
   return std::pow(lambda, static_cast<double>(cp));
 }
 
-double expected_random_loss_fraction(double lambda, std::uint32_t k) {
-  return file_loss_probability(lambda, k);
-}
-
 }  // namespace fi::analysis

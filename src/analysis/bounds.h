@@ -55,8 +55,4 @@ double theorem4_deposit_ratio_bound(double lambda, std::uint32_t k, double ns,
 /// Lemma 3.
 double file_loss_probability(double lambda, std::uint32_t cp);
 
-/// Expected lost-value fraction under a *random* λ-corruption (not the
-/// adversarial bound): λ^k for uniform-value files.
-double expected_random_loss_fraction(double lambda, std::uint32_t k);
-
 }  // namespace fi::analysis

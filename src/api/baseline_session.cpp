@@ -4,7 +4,6 @@
 
 #include "baselines/arweave_model.h"
 #include "baselines/filecoin_model.h"
-#include "baselines/fileinsurer_model.h"
 #include "baselines/sia_model.h"
 #include "baselines/storj_model.h"
 #include "util/binary_io.h"
@@ -14,12 +13,9 @@ namespace fi {
 
 namespace {
 
-util::Result<std::unique_ptr<baselines::DsnProtocol>> make_model(
-    const std::string& protocol) {
-  using Model = std::unique_ptr<baselines::DsnProtocol>;
-  if (protocol == "fileinsurer") {
-    return Model(std::make_unique<baselines::FileInsurerModel>());
-  }
+using Model = std::unique_ptr<baselines::DsnProtocol>;
+
+util::Result<Model> make_model(const std::string& protocol) {
   if (protocol == "filecoin") {
     return Model(std::make_unique<baselines::FilecoinModel>());
   }
@@ -30,42 +26,56 @@ util::Result<std::unique_ptr<baselines::DsnProtocol>> make_model(
   if (protocol == "arweave") {
     return Model(std::make_unique<baselines::ArweaveModel>());
   }
+  if (protocol == "fileinsurer") {
+    return util::err(util::ErrorCode::invalid_argument,
+                     "baseline protocol 'fileinsurer' was retired: FileInsurer "
+                     "rows come from scenario nodes that run the protocol "
+                     "engine, as in plans/table4.plan");
+  }
   return util::err(util::ErrorCode::invalid_argument,
                    "unknown baseline protocol '" + protocol +
-                       "' (expected fileinsurer, filecoin, sia, storj or "
-                       "arweave)");
+                       "' (expected filecoin, sia, storj or arweave)");
+}
+
+/// `validate()` and `open()` share this: every spec check, then the model
+/// the checked spec names (built once).
+util::Result<Model> checked_model(const BaselineSpec& spec) {
+  const auto invalid = [](const std::string& message) {
+    return util::err(util::ErrorCode::invalid_argument, message);
+  };
+  if (spec.files == 0) return invalid("baseline files must be >= 1");
+  if (spec.file_size == 0) return invalid("baseline file_size must be >= 1");
+  if (spec.file_value == 0) {
+    return invalid("baseline file_value must be >= 1 (a zero-value workload "
+                   "has nothing to lose or compensate)");
+  }
+  if (spec.epochs == 0) {
+    return invalid("baseline epochs (corruption trials) must be >= 1");
+  }
+  if (spec.lambda <= 0.0 || spec.lambda >= 1.0) {
+    return invalid("baseline lambda must be in (0, 1)");
+  }
+  if (spec.sybil_fraction <= 0.0 || spec.sybil_fraction >= 1.0) {
+    return invalid("baseline sybil_fraction must be in (0, 1)");
+  }
+  auto model = make_model(spec.protocol);
+  if (!model.is_ok()) return model.status();
+  if (spec.sectors < model.value()->min_units()) {
+    return invalid("baseline sectors must be >= " +
+                   std::to_string(model.value()->min_units()) + " for the " +
+                   spec.protocol + " model");
+  }
+  return model;
 }
 
 }  // namespace
 
 util::Status BaselineSpec::validate() const {
-  if (sectors == 0) {
-    return util::err(util::ErrorCode::invalid_argument,
-                     "baseline sectors must be >= 1");
-  }
-  if (files == 0) {
-    return util::err(util::ErrorCode::invalid_argument,
-                     "baseline files must be >= 1");
-  }
-  if (epochs == 0) {
-    return util::err(util::ErrorCode::invalid_argument,
-                     "baseline epochs (corruption trials) must be >= 1");
-  }
-  if (lambda <= 0.0 || lambda >= 1.0) {
-    return util::err(util::ErrorCode::invalid_argument,
-                     "baseline lambda must be in (0, 1)");
-  }
-  if (sybil_fraction <= 0.0 || sybil_fraction >= 1.0) {
-    return util::err(util::ErrorCode::invalid_argument,
-                     "baseline sybil_fraction must be in (0, 1)");
-  }
-  return make_model(protocol).is_ok() ? util::Status::ok()
-                                      : make_model(protocol).status();
+  return checked_model(*this).status();
 }
 
 util::Result<BaselineSession> BaselineSession::open(const BaselineSpec& spec) {
-  if (auto status = spec.validate(); !status.is_ok()) return status;
-  auto model = make_model(spec.protocol);
+  auto model = checked_model(spec);
   if (!model.is_ok()) return model.status();
 
   const std::vector<baselines::WorkloadFile> files(

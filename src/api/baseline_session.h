@@ -11,10 +11,10 @@
 #include "util/status.h"
 #include "util/types.h"
 
-/// The revived `src/baselines/` models (FileInsurer reduced to the
-/// Table-IV frame, Filecoin, Sia, Storj, Arweave) behind the same
-/// stepping interface as `fi::Session`, so one experiment plan can mix
-/// full simulations and baseline models and aggregate them into a single
+/// The `src/baselines/` competitor models (Filecoin, Sia, Storj, Arweave)
+/// behind the same stepping interface as `fi::Session`, so one experiment
+/// plan can mix full FileInsurer simulations (its only model: the
+/// protocol engine) and baseline models and aggregate them into a single
 /// FileInsurer-vs-world table.
 ///
 /// An epoch here is one λ-capacity corruption trial (placement kept,
@@ -26,7 +26,7 @@
 namespace fi {
 
 struct BaselineSpec {
-  std::string protocol;  ///< fileinsurer | filecoin | sia | storj | arweave
+  std::string protocol;  ///< filecoin | sia | storj | arweave
   std::uint64_t seed = 42;
   std::uint32_t sectors = 10000;  ///< equal storage units
   std::uint64_t files = 100000;

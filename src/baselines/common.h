@@ -7,9 +7,10 @@
 #include "util/prng.h"
 #include "util/types.h"
 
-/// Common interface for the DSN protocol models compared in Table IV:
-/// FileInsurer vs Filecoin, Arweave, Storj and Sia. Table IV is qualitative
-/// in the paper; these models let the comparison bench *measure* each cell —
+/// Common interface for the competitor DSN models of Table IV: Filecoin,
+/// Arweave, Storj and Sia. FileInsurer's own rows run the protocol engine
+/// (scenario nodes in plans/table4.plan). Table IV is qualitative in the
+/// paper; these models let the comparison *measure* each competitor cell —
 /// loss under a λ-capacity corruption, compensation paid, and the effect of
 /// a Sybil attacker backing many identities with one physical disk.
 namespace fi::baselines {
@@ -47,6 +48,11 @@ class DsnProtocol {
   /// failing. Without PoRep all claimed units vanish together.
   virtual CorruptionOutcome sybil_single_disk_failure(
       double identity_fraction) = 0;
+
+  /// Fewest storage units `setup` can place a file on (the distinct
+  /// holders a replication model needs, the shards an erasure code needs
+  /// to survive).
+  [[nodiscard]] virtual std::uint32_t min_units() const { return 1; }
 
   /// Bytes stored per byte of user data under the current placement
   /// (replica count for replication, n/k for erasure coding); valid after

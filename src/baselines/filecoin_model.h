@@ -29,6 +29,9 @@ class FilecoinModel final : public DsnProtocol {
   CorruptionOutcome sybil_single_disk_failure(
       double identity_fraction) override;
 
+  [[nodiscard]] std::uint32_t min_units() const override {
+    return config_.replicas;
+  }
   [[nodiscard]] double storage_overhead() const override {
     return placement_.mean_units_per_file();
   }

@@ -43,17 +43,6 @@ std::vector<std::uint32_t> ShardPlacement::draw_distinct(
   return out;
 }
 
-std::vector<std::uint32_t> ShardPlacement::draw_iid(std::uint32_t units,
-                                                    std::uint32_t count,
-                                                    util::Xoshiro256& rng) {
-  std::vector<std::uint32_t> out;
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    out.push_back(static_cast<std::uint32_t>(rng.uniform_below(units)));
-  }
-  return out;
-}
-
 std::vector<bool> ShardPlacement::corrupt_fraction(std::uint32_t units,
                                                    double lambda,
                                                    util::Xoshiro256& rng) {

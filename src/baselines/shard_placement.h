@@ -24,7 +24,6 @@ class ShardPlacement {
 
   void add_file(FileLayout layout);
 
-  [[nodiscard]] std::size_t file_count() const { return files_.size(); }
   [[nodiscard]] TokenAmount total_value() const { return total_value_; }
   /// Mean placed units per file — the replication models' storage
   /// overhead (each unit holds a full copy); erasure models scale it by
@@ -34,9 +33,6 @@ class ShardPlacement {
     std::size_t units = 0;
     for (const FileLayout& file : files_) units += file.units.size();
     return static_cast<double>(units) / static_cast<double>(files_.size());
-  }
-  [[nodiscard]] const FileLayout& layout(std::size_t i) const {
-    return files_[i];
   }
 
   /// Value of files with fewer than `survive_threshold` shards on live
@@ -48,12 +44,6 @@ class ShardPlacement {
   static std::vector<std::uint32_t> draw_distinct(std::uint32_t units,
                                                   std::uint32_t count,
                                                   util::Xoshiro256& rng);
-
-  /// Independent (with replacement) uniform draw — FileInsurer's i.i.d.
-  /// placement.
-  static std::vector<std::uint32_t> draw_iid(std::uint32_t units,
-                                             std::uint32_t count,
-                                             util::Xoshiro256& rng);
 
   /// Random corruption of ⌊λ·units⌋ units.
   static std::vector<bool> corrupt_fraction(std::uint32_t units,

@@ -26,6 +26,9 @@ class StorjModel final : public DsnProtocol {
   CorruptionOutcome sybil_single_disk_failure(
       double identity_fraction) override;
 
+  [[nodiscard]] std::uint32_t min_units() const override {
+    return config_.data_shards;
+  }
   /// Each of the n shards is 1/k of the file, so overhead is n/k.
   [[nodiscard]] double storage_overhead() const override {
     return placement_.mean_units_per_file() /

@@ -1,13 +1,17 @@
 // Adversary engine: adversary.<i>.* spec parsing/rejection/round-trips,
-// per-strategy same-seed determinism and worker-count invariance of the
-// serialized reports, and per-strategy outcome counters / attribution.
+// per-strategy same-seed determinism of the serialized reports,
+// per-strategy outcome counters / attribution, and the informed pool's
+// span-greedy recruitment.
 
+#include <cmath>
+#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "adversary/spec.h"
 #include "adversary/strategy.h"
+#include "api/session.h"
 #include "scenario/metrics.h"
 #include "scenario/runner.h"
 #include "scenario/spec.h"
@@ -30,7 +34,8 @@ TEST(AdversarySpecTest, StrategyNamesRoundTrip) {
   for (const StrategyKind kind :
        {StrategyKind::targeted_file, StrategyKind::colluding_pool,
         StrategyKind::proof_withholder, StrategyKind::churn_griefer,
-        StrategyKind::adaptive_threshold, StrategyKind::refresh_saboteur}) {
+        StrategyKind::adaptive_threshold, StrategyKind::refresh_saboteur,
+        StrategyKind::informed_pool}) {
     const auto parsed =
         fi::adversary::strategy_kind_from_name(strategy_kind_name(kind));
     ASSERT_TRUE(parsed.is_ok());
@@ -157,6 +162,9 @@ ScenarioSpec strategy_spec(StrategyKind kind) {
       spec.adversaries.push_back(
           AdversarySpec::make_colluding_pool(0.2, 2, 1));
       break;
+    case StrategyKind::informed_pool:
+      spec.adversaries.push_back(AdversarySpec::make_informed_pool(0.2, 2, 1));
+      break;
     case StrategyKind::proof_withholder:
       spec.adversaries.push_back(
           AdversarySpec::make_proof_withholder(0.25, 100, 1));
@@ -193,7 +201,8 @@ TEST(AdversaryDeterminismTest, SameSeedIsByteIdentical) {
   for (const StrategyKind kind :
        {StrategyKind::targeted_file, StrategyKind::colluding_pool,
         StrategyKind::proof_withholder, StrategyKind::churn_griefer,
-        StrategyKind::adaptive_threshold, StrategyKind::refresh_saboteur}) {
+        StrategyKind::adaptive_threshold, StrategyKind::refresh_saboteur,
+        StrategyKind::informed_pool}) {
     ScenarioRunner first(strategy_spec(kind));
     const std::string reference = first.run().to_json(false);
     ASSERT_FALSE(reference.empty());
@@ -214,6 +223,14 @@ const AdversaryMetrics& single_adversary(const MetricsReport& report) {
   return report.adversaries.front();
 }
 
+/// A strategy's report extra, or -1 when it never set it.
+double extra(const AdversaryMetrics& adv, const std::string& name) {
+  for (const auto& [key, value] : adv.counters.extras) {
+    if (key == name) return value;
+  }
+  return -1.0;
+}
+
 TEST(AdversaryCountersTest, TargetedFileAttacksAndAttributes) {
   ScenarioRunner runner(strategy_spec(StrategyKind::targeted_file));
   const MetricsReport report = runner.run();
@@ -227,11 +244,7 @@ TEST(AdversaryCountersTest, TargetedFileAttacksAndAttributes) {
   EXPECT_LE(adv.counters.files_lost, report.totals.files_lost);
   EXPECT_LE(adv.counters.compensation_paid, report.totals.value_compensated);
   // The strategy reports its target.
-  bool has_target = false;
-  for (const auto& [name, value] : adv.counters.extras) {
-    if (name == "target_file") has_target = value >= 0.0;
-  }
-  EXPECT_TRUE(has_target);
+  EXPECT_GE(extra(adv, "target_file"), 0.0);
 }
 
 TEST(AdversaryCountersTest, ProofWithholderPaysPenaltiesButKeepsDeposits) {
@@ -273,14 +286,65 @@ TEST(AdversaryCountersTest, AdaptiveThresholdGoesDormantUnderBudget) {
   const MetricsReport report = runner.run();
   const AdversaryMetrics& adv = single_adversary(report);
   EXPECT_GT(adv.counters.sectors_corrupted, 0u);
-  double went_dormant = -1.0;
-  for (const auto& [name, value] : adv.counters.extras) {
-    if (name == "went_dormant") went_dormant = value;
-  }
   // Budget 2000 vs 1600-token deposits: it must stop after the first few
   // confiscations.
-  EXPECT_EQ(went_dormant, 1.0);
+  EXPECT_EQ(extra(adv, "went_dormant"), 1.0);
   EXPECT_GE(adv.counters.deposits_confiscated, 2000u);
+}
+
+// ---- informed_pool ---------------------------------------------------------
+
+TEST(InformedPoolTest, RecruitsExactlyItsFractionOfTheLiveFleet) {
+  for (const double fraction : {0.1, 0.25, 0.5}) {
+    ScenarioSpec spec = adversary_base_spec();  // 60 sectors
+    spec.adversaries.push_back(AdversarySpec::make_informed_pool(fraction));
+    ScenarioRunner runner(std::move(spec));
+    const MetricsReport report = runner.run();
+    const AdversaryMetrics& adv = single_adversary(report);
+    const auto expected = static_cast<double>(std::llround(fraction * 60.0));
+    EXPECT_EQ(extra(adv, "pool_size"), expected) << fraction;
+    EXPECT_EQ(static_cast<double>(adv.counters.sectors_corrupted), expected)
+        << fraction;
+  }
+}
+
+TEST(InformedPoolTest, LosesMoreThanTwiceTheFilesOfARandomPool) {
+  // With files scarce relative to sectors, knowing the placement lets the
+  // pool spend its 60-sector budget on whole replica sets (about 27 of 100
+  // files); a random pool of the same size loses about λ^3 ≈ 2.7%.
+  const auto files_lost = [](AdversarySpec adversary) {
+    ScenarioSpec spec = adversary_base_spec();
+    spec.sectors = 200;
+    spec.sector_units = 1;
+    spec.initial_files = 100;
+    spec.adversaries.push_back(std::move(adversary));
+    ScenarioRunner runner(std::move(spec));
+    return runner.run().totals.files_lost;
+  };
+  const std::uint64_t informed =
+      files_lost(AdversarySpec::make_informed_pool(0.3, 1, 1));
+  const std::uint64_t random =
+      files_lost(AdversarySpec::make_colluding_pool(0.3, 1, 1));
+  EXPECT_GT(informed, 2 * random) << "random pool lost " << random;
+}
+
+TEST(InformedPoolTest, ResumeMidWindowIsByteIdentical) {
+  // Window 3 from epoch 1: saved after epoch 1's turn, a third of the pool
+  // is corrupted and the rest is saved state.
+  ScenarioSpec spec = adversary_base_spec();
+  spec.adversaries.push_back(AdversarySpec::make_informed_pool(0.3, 3, 1));
+
+  fi::Session whole = fi::Session::from_spec(spec).value();
+  const std::string reference = whole.report().to_json(false);
+
+  fi::Session first = fi::Session::from_spec(spec).value();
+  ASSERT_EQ(first.run_epochs(2), 2u);
+  const std::string path = ::testing::TempDir() + "fi_informed_pool.fisnap";
+  ASSERT_TRUE(first.checkpoint(path).is_ok());
+  fi::Session resumed = fi::Session::from_snapshot_file(path).value();
+  std::filesystem::remove(path);
+  EXPECT_EQ(resumed.report().to_json(false), reference);
+  EXPECT_EQ(resumed.state_hash(), whole.state_hash());
 }
 
 TEST(AdversaryCountersTest, ReportOmitsAdversariesWhenNoneConfigured) {

@@ -1,20 +1,38 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "api/comparison.h"
+#include "api/session.h"
 #include "baselines/arweave_model.h"
 #include "baselines/filecoin_model.h"
-#include "baselines/fileinsurer_model.h"
 #include "baselines/shard_placement.h"
 #include "baselines/sia_model.h"
 #include "baselines/storj_model.h"
+
+#ifndef FI_CONFIG_DIR
+#error "FI_CONFIG_DIR must be defined by the build"
+#endif
 
 namespace fi::baselines {
 namespace {
 
 std::vector<WorkloadFile> uniform_workload(std::size_t n) {
   return std::vector<WorkloadFile>(n, WorkloadFile{1024, 100});
+}
+
+/// FileInsurer's Table IV row: the protocol engine on the shipped
+/// half-collapse scenario (λ = 0.5), through the orchestrator's row builder.
+ComparisonRow fileinsurer_row() {
+  Session session =
+      Session::from_config_file(std::string(FI_CONFIG_DIR) + "/attack_half.cfg")
+          .value();
+  const scenario::MetricsReport report = session.report();
+  return row_from_report("fileinsurer", session.spec(), report,
+                         session.epoch(), session.state_hash());
 }
 
 // ---------------------------------------------------------------------------
@@ -51,29 +69,6 @@ TEST(ShardPlacementTest, CorruptFractionExactBudget) {
 // ---------------------------------------------------------------------------
 // Per-protocol behaviour
 // ---------------------------------------------------------------------------
-
-TEST(FileInsurerModelTest, FullCompensationAtTheorem4Deposit) {
-  FileInsurerModel model;  // k=20, gamma=0.0046
-  model.setup(1000, uniform_workload(2000), 1);
-  const auto outcome = model.corrupt_random(0.5);
-  // Robustness: k=20 makes loss essentially impossible at this scale.
-  EXPECT_LT(outcome.lost_value_fraction, 1e-3);
-  EXPECT_DOUBLE_EQ(outcome.compensated_fraction, 1.0);
-  EXPECT_TRUE(model.prevents_sybil());
-  EXPECT_TRUE(model.provable_robustness());
-  EXPECT_TRUE(model.full_compensation());
-}
-
-TEST(FileInsurerModelTest, LowKLosesButStillCompensates) {
-  FileInsurerConfig config;
-  config.k = 2;  // deliberately fragile so losses occur
-  config.gamma_deposit = 0.5;
-  FileInsurerModel model(config);
-  model.setup(100, uniform_workload(5000), 2);
-  const auto outcome = model.corrupt_random(0.5);
-  EXPECT_NEAR(outcome.lost_value_fraction, 0.25, 0.05);  // ~λ^2
-  EXPECT_DOUBLE_EQ(outcome.compensated_fraction, 1.0);
-}
 
 TEST(FilecoinModelTest, LosesAndBarelyCompensates) {
   FilecoinModel model;  // 3 replicas, 10% collateral
@@ -112,7 +107,6 @@ TEST(SybilComparison, PoRepProtocolsUnaffectedBySingleDisk) {
   // The same single-disk Sybil attack against PoRep-based protocols
   // corrupts exactly one unit: losses stay negligible.
   std::vector<std::unique_ptr<DsnProtocol>> protected_protocols;
-  protected_protocols.push_back(std::make_unique<FileInsurerModel>());
   protected_protocols.push_back(std::make_unique<FilecoinModel>());
   protected_protocols.push_back(std::make_unique<StorjModel>());
   for (auto& protocol : protected_protocols) {
@@ -142,52 +136,44 @@ TEST(ArweaveModelTest, ReplicationFollowsStorageFraction) {
 }
 
 TEST(TableFour, StaticPropertyMatrixMatchesPaper) {
-  // Table IV's qualitative rows, re-derived from the models.
-  FileInsurerModel fileinsurer;
+  // Table IV's qualitative rows: FileInsurer's from its engine row, the
+  // competitors' from their models.
+  const ComparisonRow fileinsurer = fileinsurer_row();
+  EXPECT_TRUE(fileinsurer.capacity_scalable);
+  EXPECT_TRUE(fileinsurer.prevents_sybil);
+  EXPECT_TRUE(fileinsurer.provable_robustness);
+  EXPECT_TRUE(fileinsurer.full_compensation);
+
   FilecoinModel filecoin;
   ArweaveModel arweave;
   StorjModel storj;
   SiaModel sia;
-  const DsnProtocol* protocols[] = {&fileinsurer, &filecoin, &arweave, &storj,
-                                    &sia};
+  const DsnProtocol* protocols[] = {&filecoin, &arweave, &storj, &sia};
   for (const DsnProtocol* p : protocols) {
     EXPECT_TRUE(p->capacity_scalable()) << p->name();
+    // Provable robustness and full compensation: FileInsurer only.
+    EXPECT_FALSE(p->provable_robustness()) << p->name();
+    EXPECT_FALSE(p->full_compensation()) << p->name();
   }
   // Preventing Sybil attacks: all but Sia.
-  EXPECT_TRUE(fileinsurer.prevents_sybil());
   EXPECT_TRUE(filecoin.prevents_sybil());
   EXPECT_TRUE(arweave.prevents_sybil());
   EXPECT_TRUE(storj.prevents_sybil());
   EXPECT_FALSE(sia.prevents_sybil());
-  // Provable robustness and full compensation: FileInsurer only.
-  for (const DsnProtocol* p : protocols) {
-    if (p->name() == "FileInsurer") {
-      EXPECT_TRUE(p->provable_robustness());
-      EXPECT_TRUE(p->full_compensation());
-    } else {
-      EXPECT_FALSE(p->provable_robustness()) << p->name();
-      EXPECT_FALSE(p->full_compensation()) << p->name();
-    }
-  }
 }
 
 TEST(TableFour, CompensationOrderingUnderHalfCollapse) {
   // FileInsurer compensates fully; Filecoin partially; the rest nothing.
-  FileInsurerConfig fi_config;
-  fi_config.k = 2;  // force visible losses so compensation is exercised
-  fi_config.gamma_deposit = 0.5;
-  FileInsurerModel fileinsurer(fi_config);
+  const ComparisonRow fileinsurer = fileinsurer_row();
+  ASSERT_TRUE(fileinsurer.has_outcome);
   FilecoinModel filecoin;
   StorjModel storj;
-  SiaModel sia;
-  ArweaveModel arweave;
-  DsnProtocol* protocols[] = {&fileinsurer, &filecoin, &storj, &sia, &arweave};
-  for (DsnProtocol* p : protocols) p->setup(200, uniform_workload(4000), 9);
-  const double fi_comp = fileinsurer.corrupt_random(0.5).compensated_fraction;
+  filecoin.setup(200, uniform_workload(4000), 9);
+  storj.setup(200, uniform_workload(4000), 9);
   const double fc_comp = filecoin.corrupt_random(0.5).compensated_fraction;
   const double sj_comp = storj.corrupt_random(0.8).compensated_fraction;
-  EXPECT_DOUBLE_EQ(fi_comp, 1.0);
-  EXPECT_GT(fi_comp, fc_comp);
+  EXPECT_DOUBLE_EQ(fileinsurer.compensated_fraction, 1.0);
+  EXPECT_GT(fileinsurer.compensated_fraction, fc_comp);
   EXPECT_GT(fc_comp, sj_comp);
 }
 

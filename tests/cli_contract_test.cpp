@@ -242,6 +242,21 @@ TEST(FiOrchestrateCli, ValidateChecksThePlanOnly) {
             1);
 }
 
+TEST(FiOrchestrateCli, ValidateRejectsABaselineThatCannotRun) {
+  // Storj needs 29 units per file: 10 sectors used to validate, then abort.
+  const fs::path plan = write_temp("fi_cli_storj.plan",
+                                   "node.0.name = s\n"
+                                   "node.0.kind = baseline\n"
+                                   "node.0.protocol = storj\n"
+                                   "node.0.sectors = 10\n");
+  const CommandResult result =
+      fi_orchestrate("--plan " + plan.string() + " --validate");
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.err.find("sectors must be >= 29"), std::string::npos)
+      << result.err;
+  fs::remove(plan);
+}
+
 TEST(FiOrchestrateCli, TinyPlanRunsAndEmitsTable) {
   const fs::path plan = write_temp("fi_cli_tiny.plan",
                                    "plan.name = tiny\n"

@@ -287,5 +287,29 @@ TEST(BaselineSession, RejectsUnknownProtocolAndBadKnobs) {
   EXPECT_FALSE(BaselineSpec(spec).validate().is_ok());
 }
 
+TEST(BaselineSession, RejectsSpecsItCannotRun) {
+  // Each used to pass validation and then abort or misreport: too few
+  // units for a file's distinct holders or surviving shards, a workload
+  // with nothing to lose or insure, and the retired FileInsurer model.
+  const std::pair<BaselineSpec, const char*> cases[] = {
+      {{.protocol = "storj", .sectors = 10}, "sectors must be >= 29"},
+      {{.protocol = "filecoin", .sectors = 2}, "sectors must be >= 3"},
+      {{.protocol = "sia", .sectors = 2}, "sectors must be >= 3"},
+      {{.protocol = "sia", .sectors = 3, .file_size = 0}, "file_size"},
+      {{.protocol = "sia", .sectors = 3, .file_value = 0}, "file_value"},
+      {{.protocol = "fileinsurer"}, "scenario nodes"},
+  };
+  for (const auto& [spec, needle] : cases) {
+    EXPECT_NE(spec.validate().message().find(needle), std::string::npos)
+        << spec.validate().to_string();
+    EXPECT_FALSE(BaselineSession::open(spec).is_ok()) << needle;
+  }
+  EXPECT_TRUE((BaselineSpec{.protocol = "sia", .sectors = 3}).validate().is_ok());
+  expect_rejected(
+      "node.0.name = a\nnode.0.kind = baseline\n"
+      "node.0.protocol = fileinsurer\n",
+      "plans/table4.plan");
+}
+
 }  // namespace
 }  // namespace fi
