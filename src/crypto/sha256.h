@@ -1,12 +1,18 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
-/// From-scratch SHA-256 (FIPS 180-4). No external crypto dependency is
-/// available offline, and everything above (Merkle trees, PoRep seals, PoSt
-/// challenges, block hashes, CIDs) keys off this one primitive.
+/// SHA-256 (FIPS 180-4), with no external crypto dependency. Everything
+/// above (Merkle trees, PoRep seals, PoSt challenges, CIDs, state hashes and
+/// snapshot digests) keys off this one primitive.
+///
+/// Two compression loops sit behind it: the portable FIPS 180-4 loop, and
+/// on x86-64 a loop on the SHA extensions (SHA-NI), chosen once per process
+/// from CPUID. Both give bit-identical digests; the portable loop is the
+/// only path on other targets and on CPUs without the extensions.
 namespace fi::crypto {
 
 using Digest = std::array<std::uint8_t, 32>;
@@ -27,7 +33,8 @@ class Sha256 {
   void reset();
 
  private:
-  void process_block(const std::uint8_t* block);
+  /// Compresses `blocks` consecutive 64-byte blocks into `state_`.
+  void process_blocks(const std::uint8_t* data, std::size_t blocks);
 
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
@@ -37,5 +44,27 @@ class Sha256 {
 
 /// One-shot convenience wrapper.
 Digest sha256(std::span<const std::uint8_t> data);
+
+/// The compression loops behind `Sha256`, exposed so tests can run both on
+/// every host and compare them. Each compresses `blocks` consecutive
+/// 64-byte blocks at `data` into `state` (the eight working words a..h).
+namespace detail {
+
+using State = std::array<std::uint32_t, 8>;
+
+void compress_portable(State& state, const std::uint8_t* data,
+                       std::size_t blocks);
+
+/// True when CPUID reports the SHA extensions and SSE4.1 (always false off
+/// x86-64). Detected on the first call and cached.
+bool has_sha_ni();
+
+#if defined(__x86_64__)
+/// Only valid when `has_sha_ni()`.
+void compress_sha_ni(State& state, const std::uint8_t* data,
+                     std::size_t blocks);
+#endif
+
+}  // namespace detail
 
 }  // namespace fi::crypto

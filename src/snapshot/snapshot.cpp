@@ -1,7 +1,9 @@
 #include "snapshot/snapshot.h"
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "crypto/sha256.h"
 #include "util/binary_io.h"
@@ -118,14 +120,43 @@ util::Result<Snapshot> parse(std::span<const std::uint8_t> raw,
 }
 
 util::Result<Snapshot> read_file(const std::string& path) {
+  // Only a regular file is read, in one call, into a buffer sized by the
+  // file system. A directory opens as an ifstream too, but reading it fails
+  // and its stream offsets are meaningless.
+  std::error_code ec;
+  const std::filesystem::file_type type =
+      std::filesystem::status(path, ec).type();
+  if (type == std::filesystem::file_type::not_found) {
+    return util::err(util::ErrorCode::not_found,
+                     "cannot open snapshot file: " + path);
+  }
+  if (ec) {
+    return util::err(util::ErrorCode::unavailable,
+                     "cannot stat snapshot file " + path + ": " + ec.message());
+  }
+  if (type != std::filesystem::file_type::regular) {
+    return util::err(util::ErrorCode::invalid_argument,
+                     "snapshot path is not a regular file: " + path);
+  }
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) {
+    return util::err(util::ErrorCode::unavailable,
+                     "cannot size snapshot file " + path + ": " + ec.message());
+  }
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return util::err(util::ErrorCode::not_found,
                      "cannot open snapshot file: " + path);
   }
-  std::vector<std::uint8_t> raw((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-  in.close();
+  std::vector<std::uint8_t> raw(static_cast<std::size_t>(size));
+  in.read(reinterpret_cast<char*>(raw.data()),
+          static_cast<std::streamsize>(raw.size()));
+  if (static_cast<std::uintmax_t>(in.gcount()) != size) {
+    return util::err(util::ErrorCode::unavailable,
+                     "short read of snapshot file " + path + ": " +
+                         std::to_string(in.gcount()) + " of " +
+                         std::to_string(size) + " bytes");
+  }
   return parse(raw, path);
 }
 

@@ -51,7 +51,8 @@ inline constexpr char kMagic[8] = {'F', 'I', 'S', 'N', 'A', 'P', '0', '1'};
 
 /// Writes a snapshot file for the runner's current state. The runner must
 /// be at a checkpoint-safe point — between proof cycles (the epoch
-/// callback) or after `run()` returned.
+/// callback) or after `run()` returned. The body is encoded into a
+/// buffered writer, which hashes nothing, and digested once with the spec.
 util::Status save_to_file(const scenario::ScenarioRunner& runner,
                           const std::string& path);
 
@@ -71,7 +72,9 @@ struct Snapshot {
 
 /// Reads and validates a snapshot file: magic, version, framing lengths,
 /// digest, and spec parse. Rejects truncated, corrupted and wrong-version
-/// files with a descriptive status.
+/// files with a descriptive status, as well as a path that is not a
+/// regular file (a directory, say). The file is read with one call into a
+/// buffer sized by the file system.
 [[nodiscard]] util::Result<Snapshot> read_file(const std::string& path);
 
 /// `read_file` + `ScenarioRunner::resume`.

@@ -5,18 +5,14 @@
 
 namespace fi::util {
 
-void BinaryWriter::put(std::uint8_t b) {
-  hasher_.update(std::span<const std::uint8_t>(&b, 1));
-  if (keep_bytes_) buf_.push_back(b);
-  ++size_;
+void BinaryWriter::u8(std::uint8_t v) {
+  raw(std::span<const std::uint8_t>(&v, 1));
 }
 
-void BinaryWriter::u8(std::uint8_t v) { put(v); }
-
 // Scalars assemble their little-endian bytes on the stack and go through
-// raw() so the hasher and buffer each see one bulk update per value — the
+// raw() so the buffer or the hasher sees one bulk update per value — the
 // encoding is u64-dominated, and per-byte SHA-256 updates would make
-// checkpointing a 10^6-file run pay hundreds of millions of update calls.
+// hashing a 10^6-file state pay hundreds of millions of update calls.
 
 void BinaryWriter::u16(std::uint16_t v) {
   const std::uint8_t bytes[2] = {static_cast<std::uint8_t>(v),
@@ -45,7 +41,7 @@ void BinaryWriter::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
 void BinaryWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
-void BinaryWriter::boolean(bool v) { put(v ? 1 : 0); }
+void BinaryWriter::boolean(bool v) { u8(v ? 1 : 0); }
 
 void BinaryWriter::bytes(std::span<const std::uint8_t> data) {
   u64(data.size());
@@ -53,8 +49,11 @@ void BinaryWriter::bytes(std::span<const std::uint8_t> data) {
 }
 
 void BinaryWriter::raw(std::span<const std::uint8_t> data) {
-  hasher_.update(data);
-  if (keep_bytes_) buf_.insert(buf_.end(), data.begin(), data.end());
+  if (keep_bytes_) {
+    buf_.insert(buf_.end(), data.begin(), data.end());
+  } else {
+    hasher_.update(data);
+  }
   size_ += data.size();
 }
 
@@ -64,6 +63,7 @@ void BinaryWriter::str(std::string_view s) {
 }
 
 crypto::Digest BinaryWriter::digest() const {
+  if (keep_bytes_) return crypto::sha256(buf_);
   crypto::Sha256 copy = hasher_;  // finalize() consumes; hash a copy
   return copy.finalize();
 }

@@ -13,10 +13,13 @@
 ///
 /// Every multi-byte value is written explicitly little-endian, one byte at
 /// a time, so the encoding is identical on every platform regardless of
-/// host endianness or struct layout. The writer feeds a streaming SHA-256
-/// as it goes, which makes `state_hash()` — the digest of the canonical
-/// encoding — available without buffering the whole image (hash-only
-/// mode), and lets snapshot files carry a self-checking digest.
+/// host endianness or struct layout. The writer either buffers the bytes
+/// (snapshot bodies, forks) or, in hash-only mode, feeds them to a
+/// streaming SHA-256 and keeps nothing, which makes `state_hash()` — the
+/// digest of the canonical encoding — available without buffering the
+/// whole image. A buffered writer hashes nothing while it encodes; its
+/// `digest()` hashes the buffer on demand, so callers that never ask for
+/// it (a snapshot file digests spec and body together) pay for no hash.
 ///
 /// The reader is failure-latching: any read past the end (or a malformed
 /// value such as a non-0/1 boolean) sets a sticky fail flag and returns a
@@ -30,6 +33,7 @@ class BinaryWriter {
  public:
   /// `keep_bytes == false` builds a hash-only writer: bytes are digested
   /// and counted but not stored (for `state_hash()` over large states).
+  /// A buffered writer (the default) stores bytes and hashes none.
   explicit BinaryWriter(bool keep_bytes = true) : keep_bytes_(keep_bytes) {}
 
   void u8(std::uint8_t v);
@@ -54,16 +58,15 @@ class BinaryWriter {
   /// The buffered encoding (empty in hash-only mode).
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
   /// SHA-256 of everything written so far (does not disturb the stream —
-  /// more writes may follow).
+  /// more writes may follow). Buffered mode hashes the whole buffer on each
+  /// call; hash-only mode finalizes a copy of the running hasher.
   [[nodiscard]] crypto::Digest digest() const;
 
  private:
-  void put(std::uint8_t b);
-
   bool keep_bytes_;
-  std::vector<std::uint8_t> buf_;
+  std::vector<std::uint8_t> buf_;  ///< buffered mode only
   std::uint64_t size_ = 0;
-  crypto::Sha256 hasher_;
+  crypto::Sha256 hasher_;  ///< hash-only mode only
 };
 
 class BinaryReader {

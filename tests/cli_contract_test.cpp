@@ -128,6 +128,15 @@ TEST(FiSimCli, InputFailuresExitOne) {
   EXPECT_EQ(fi_sim("--load " + garbage.string()).exit_code, 1);
   fs::remove(garbage);
 
+  // A directory is not a snapshot: a clean exit 1, not an uncaught stream
+  // exception.
+  const fs::path dir = fs::path(::testing::TempDir()) / "fi_cli_load_dir";
+  fs::create_directories(dir);
+  const CommandResult from_dir = fi_sim("--load " + dir.string() + "/");
+  fs::remove(dir);
+  EXPECT_EQ(from_dir.exit_code, 1);
+  EXPECT_NE(from_dir.err.find("not a regular file"), std::string::npos);
+
   // A save point past the end of the run must not look like success.
   const CommandResult result = fi_sim("--scenario " + smoke_cfg() +
                                       " --out /dev/null --save " +

@@ -57,6 +57,18 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
   ASSERT_EQ(off, data.size());
   EXPECT_EQ(hasher.finalize(), sha256(data));
+
+  // Split a message of five blocks and a tail at every offset: the second
+  // update() first tops up the buffered partial block, then hands the whole
+  // blocks after it to the compression loop in one run.
+  const std::span<const std::uint8_t> message(data.data(), 5 * 64 + 17);
+  const Digest expected = sha256(message);
+  for (std::size_t split = 0; split <= message.size(); ++split) {
+    Sha256 two_part;
+    two_part.update(message.first(split));
+    two_part.update(message.subspan(split));
+    EXPECT_EQ(two_part.finalize(), expected) << "split at " << split;
+  }
 }
 
 TEST(Sha256, ResetRestoresInitialState) {
@@ -66,6 +78,101 @@ TEST(Sha256, ResetRestoresInitialState) {
   hasher.update(bytes_of("abc"));
   EXPECT_EQ(util::to_hex(hasher.finalize()),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+// ---------------------------------------------------------------------------
+// Compression loops: portable and SHA-NI, compared block for block
+// ---------------------------------------------------------------------------
+
+using CompressLoop = void (*)(detail::State&, const std::uint8_t*,
+                              std::size_t);
+
+constexpr detail::State kFipsInitialState = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+/// Pads `message` as FIPS 180-4 §5.1.1 does, runs `loop` over every block
+/// from the initial state, and returns the hex digest.
+std::string digest_via(CompressLoop loop,
+                       const std::vector<std::uint8_t>& message) {
+  std::vector<std::uint8_t> padded = message;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = std::uint64_t{message.size()} * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  detail::State state = kFipsInitialState;
+  loop(state, padded.data(), padded.size() / 64);
+  std::vector<std::uint8_t> out;
+  for (const std::uint32_t word : state) {
+    for (int i = 3; i >= 0; --i) {
+      out.push_back(static_cast<std::uint8_t>(word >> (8 * i)));
+    }
+  }
+  return util::to_hex(out);
+}
+
+struct FipsVector {
+  std::vector<std::uint8_t> message;
+  const char* digest;
+};
+
+std::vector<FipsVector> fips_vectors() {
+  return {
+      {{}, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {bytes_of("abc"),
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {bytes_of("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {bytes_of("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+      {std::vector<std::uint8_t>(1'000'000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+}
+
+TEST(Sha256Compress, PortableLoopMatchesFipsVectors) {
+  // Runs on every host, including those where sha256() takes the hardware
+  // loop, so the portable loop never goes untested.
+  for (const FipsVector& v : fips_vectors()) {
+    EXPECT_EQ(digest_via(&detail::compress_portable, v.message), v.digest)
+        << v.message.size() << "-byte message";
+  }
+}
+
+TEST(Sha256Compress, HardwareLoopMatchesPortable) {
+#if defined(__x86_64__)
+  if (!detail::has_sha_ni()) {
+    GTEST_SKIP() << "CPUID reports no SHA extensions on this CPU; sha256() "
+                    "runs the portable loop only";
+  }
+  for (const FipsVector& v : fips_vectors()) {
+    EXPECT_EQ(digest_via(&detail::compress_sha_ni, v.message), v.digest)
+        << v.message.size() << "-byte message";
+  }
+  // Random runs of 1-64 blocks from random chaining states: the hardware
+  // loop reorders the state into its (a, b, e, f) / (c, d, g, h) layout on
+  // entry and back on exit, which a fixed initial state would not exercise
+  // fully.
+  util::Xoshiro256 rng(5);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t blocks = 1 + rng.uniform_below(64);
+    std::vector<std::uint8_t> data(blocks * 64);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+    detail::State portable;
+    for (auto& word : portable) word = static_cast<std::uint32_t>(rng());
+    detail::State hardware = portable;
+    detail::compress_portable(portable, data.data(), blocks);
+    detail::compress_sha_ni(hardware, data.data(), blocks);
+    ASSERT_EQ(hardware, portable) << "trial " << trial << ", " << blocks
+                                  << " blocks";
+  }
+#else
+  GTEST_SKIP() << "no SHA extensions loop on this target; sha256() runs the "
+                  "portable loop only";
+#endif
 }
 
 // ---------------------------------------------------------------------------

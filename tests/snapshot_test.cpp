@@ -20,6 +20,7 @@
 #include "snapshot/snapshot.h"
 #include "util/binary_io.h"
 #include "util/config.h"
+#include "util/hex.h"
 
 namespace fi {
 namespace {
@@ -333,6 +334,32 @@ TEST(SnapshotCompat, RetiredEngineWorkersKeyStillResumes) {
   EXPECT_EQ(snapshot::state_hash(runner), uninterrupted.state_hash);
 }
 
+TEST(SnapshotCompat, CheckpointFileBytesArePinned) {
+  // save_to_file and parse compute the payload digest with one helper, so
+  // a change to the framing or the digest that moves both sides together
+  // passes every round trip above, yet no snapshot written before it
+  // loads any more. Pin the SHA-256 of a whole checkpoint file instead.
+  const fs::path path = temp_snapshot_path("pinned_bytes");
+  {
+    scenario::ScenarioRunner saver(
+        shrunk_spec(fs::path(FI_CONFIG_DIR) / "smoke.cfg"));
+    saver.set_epoch_callback([&](const scenario::ScenarioRunner& at_epoch) {
+      if (at_epoch.epoch() == 3) {
+        ASSERT_TRUE(snapshot::save_to_file(at_epoch, path.string()).is_ok());
+      }
+    });
+    (void)saver.run();
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> file((std::istreambuf_iterator<char>(in)),
+                                       std::istreambuf_iterator<char>());
+  in.close();
+  fs::remove(path);
+  EXPECT_EQ(file.size(), 61712u);
+  EXPECT_EQ(util::to_hex(crypto::sha256(file)),
+            "d597786ef76be2f6337e8a4cb72d8b9ba8aa2a33e83afef2af0b31ba27b45b53");
+}
+
 // ---------------------------------------------------------------------------
 // Rejection of bad snapshot files
 // ---------------------------------------------------------------------------
@@ -381,6 +408,21 @@ TEST_F(SnapshotFileTest, MissingFileIsRejected) {
   const auto result = snapshot::resume_from_file(path_.string() + ".nope");
   ASSERT_FALSE(result.is_ok());
   EXPECT_EQ(result.status().code(), util::ErrorCode::not_found);
+}
+
+TEST_F(SnapshotFileTest, DirectoryIsRejected) {
+  // A directory opens as an ifstream, but reading it fails; the reader
+  // must say so with a status rather than throw or size a buffer from it.
+  const fs::path dir = path_.string() + ".d";
+  fs::create_directory(dir);
+  const auto read = snapshot::read_file(dir.string());
+  const auto resumed = snapshot::resume_from_file(dir.string());
+  fs::remove(dir);
+  ASSERT_FALSE(read.is_ok());
+  EXPECT_EQ(read.status().code(), util::ErrorCode::invalid_argument);
+  EXPECT_NE(read.status().message().find("not a regular file"),
+            std::string::npos);
+  EXPECT_FALSE(resumed.is_ok());
 }
 
 TEST_F(SnapshotFileTest, BadMagicIsRejected) {
