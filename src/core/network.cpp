@@ -323,9 +323,10 @@ util::Status Network::file_discard(ClientId client, FileId file) {
   return util::Status::ok();
 }
 
-util::Result<std::vector<SectorId>> Network::file_get(ClientId client,
-                                                      FileId file) {
+util::Status Network::file_get(ClientId client, FileId file,
+                               std::vector<SectorId>& holders) {
   ++misc_version_;
+  holders.clear();
   const auto it = files_.find(file);
   if (it == files_.end()) {
     return util::err(util::ErrorCode::not_found, "unknown file");
@@ -334,15 +335,18 @@ util::Result<std::vector<SectorId>> Network::file_get(ClientId client,
     return util::err(util::ErrorCode::insufficient_funds,
                      "cannot pay request gas");
   }
-  std::vector<SectorId> holders;
   for (ReplicaIndex i = 0; i < it->second.desc.cp; ++i) {
     const AllocEntry& e = alloc_table_.entry(file, i);
     if (e.state == AllocState::corrupted || e.prev == kNoSector) continue;
     if (sector_table_.state(e.prev) == SectorState::corrupted) continue;
     holders.push_back(e.prev);
   }
-  bus_.emit(RetrievalRequested{file, client, holders});
-  return holders;
+  // The event owns its list, so no listener can hold a view past emit;
+  // lend it the caller's buffer and take it back rather than copy it.
+  Event event{RetrievalRequested{file, client, std::move(holders)}};
+  bus_.emit(event);
+  holders = std::move(std::get<RetrievalRequested>(event).holders);
+  return util::Status::ok();
 }
 
 // ---------------------------------------------------------------------------

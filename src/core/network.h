@@ -139,9 +139,13 @@ class Network {
   /// Auto_CheckProof (Fig. 4/8).
   util::Status file_discard(ClientId client, FileId file);
 
-  /// File_Get: returns the sectors currently able to serve the file and
-  /// emits a RetrievalRequested event for the retrieval market.
-  util::Result<std::vector<SectorId>> file_get(ClientId client, FileId file);
+  /// File_Get: clears `holders` and fills it with the sectors currently
+  /// able to serve the file, then emits a RetrievalRequested event
+  /// carrying that list to the bus's listeners. A caller that reuses one
+  /// buffer across requests makes a lookup allocation-free. On error
+  /// `holders` is left empty.
+  util::Status file_get(ClientId client, FileId file,
+                        std::vector<SectorId>& holders);
 
   // ---- Time ----------------------------------------------------------------
 

@@ -7,21 +7,6 @@
 
 namespace fi::core {
 
-std::optional<ProviderId> RetrievalMarket::select(
-    const std::vector<ProviderId>& candidates) const {
-  std::optional<ProviderId> best;
-  TokenAmount best_price = 0;
-  for (ProviderId candidate : candidates) {
-    const TokenAmount price = ask_of(candidate);
-    if (!best.has_value() || price < best_price ||
-        (price == best_price && candidate < *best)) {
-      best = candidate;
-      best_price = price;
-    }
-  }
-  return best;
-}
-
 TokenAmount RetrievalMarket::quote(ProviderId provider,
                                    ByteCount bytes) const {
   return util::checked_mul(ask_of(provider), (bytes + 1023) / 1024);

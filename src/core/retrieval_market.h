@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -15,10 +14,11 @@
 /// to the request for the corresponding payment ... the clients and
 /// providers exchange the file without the witness of DSN."
 ///
-/// Providers post asks (price per KiB served); a File_Get's holder set is
-/// resolved to the cheapest cooperative holder, and payment settles
-/// directly between the two accounts — off-chain from the DSN's point of
-/// view, on our shared ledger for accounting.
+/// Providers post asks (price per KiB served); the traffic engine
+/// (`src/traffic`) resolves a File_Get's holder set to the cheapest
+/// cooperative holder against this book, and payment settles directly
+/// between the two accounts — off-chain from the DSN's point of view, on
+/// our shared ledger for accounting.
 namespace fi::core {
 
 class RetrievalMarket {
@@ -36,11 +36,6 @@ class RetrievalMarket {
     const auto it = asks_.find(provider);
     return it == asks_.end() ? default_price_ : it->second;
   }
-
-  /// Competition: the cheapest candidate wins; ties break toward the
-  /// lowest account id (deterministic).
-  [[nodiscard]] std::optional<ProviderId> select(
-      const std::vector<ProviderId>& candidates) const;
 
   /// Price quoted by `provider` for `bytes` of content.
   [[nodiscard]] TokenAmount quote(ProviderId provider, ByteCount bytes) const;

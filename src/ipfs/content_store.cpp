@@ -2,11 +2,15 @@
 
 namespace fi::ipfs {
 
-Cid ContentStore::put(Codec codec, std::vector<std::uint8_t> data) {
+ContentStore::PutResult ContentStore::put(Codec codec,
+                                          std::span<const std::uint8_t> data) {
   const Cid cid = make_cid(codec, data);
-  const auto [it, inserted] = blocks_.try_emplace(cid, std::move(data));
-  if (inserted) total_bytes_ += it->second.size();
-  return cid;
+  const auto [it, inserted] = blocks_.try_emplace(cid);
+  if (inserted) {
+    it->second.assign(data.begin(), data.end());
+    total_bytes_ += data.size();
+  }
+  return {cid, inserted};
 }
 
 bool ContentStore::has(const Cid& cid) const { return blocks_.contains(cid); }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -13,8 +14,16 @@ namespace fi::ipfs {
 
 class ContentStore {
  public:
-  /// Stores a block under its content id; returns the CID.
-  Cid put(Codec codec, std::vector<std::uint8_t> data);
+  struct PutResult {
+    Cid cid;
+    /// False when the block was already stored (nothing was copied).
+    bool inserted = false;
+  };
+
+  /// Stores a block under its content id. Hashes `data` once and copies
+  /// it only when the block is new, so a put doubles as the membership
+  /// test; keep the returned CID to `remove` the block without rehashing.
+  PutResult put(Codec codec, std::span<const std::uint8_t> data);
 
   [[nodiscard]] bool has(const Cid& cid) const;
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> get(

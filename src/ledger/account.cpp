@@ -73,11 +73,25 @@ void Ledger::load(util::BinaryReader& reader) {
   balances_.clear();
   const std::uint64_t n = reader.count(16);
   balances_.reserve(n);
+  // save() writes strictly ascending ids in [1, next_id_) whose balances
+  // sum to total_supply_; reject any other body rather than merge rows or
+  // restore a ledger that breaks money conservation.
+  AccountId prev = 0;
+  TokenAmount sum = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     const AccountId id = reader.u64();
     const TokenAmount balance = reader.u64();
-    balances_[id] = balance;
+    // Stopping once the rows exceed the supply also keeps the sum from
+    // wrapping.
+    if (id <= prev || id >= next_id_ || balance > total_supply_ - sum) {
+      reader.fail();
+      return;
+    }
+    balances_.emplace(id, balance);
+    prev = id;
+    sum += balance;
   }
+  if (sum != total_supply_) reader.fail();
 }
 
 }  // namespace fi::ledger

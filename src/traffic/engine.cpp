@@ -14,16 +14,12 @@ namespace {
 
 /// A file's cache block: its id, little-endian (the simulation tracks
 /// metadata only, so the block stands in for the file's bytes).
-std::vector<std::uint8_t> file_block(FileId file) {
-  std::vector<std::uint8_t> data(8);
-  for (std::size_t i = 0; i < 8; ++i) {
+std::array<std::uint8_t, 8> file_block(FileId file) {
+  std::array<std::uint8_t, 8> data{};
+  for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<std::uint8_t>(file >> (8 * i));
   }
   return data;
-}
-
-ipfs::Cid file_cid(FileId file) {
-  return ipfs::make_cid(ipfs::Codec::raw, file_block(file));
 }
 
 /// Smallest histogram bucket at which the cumulative count reaches
@@ -129,11 +125,10 @@ void TrafficEngine::ensure_ask(SectorId sector) {
   market_.post_ask(sector, spec_.price_per_kib + (sector & 1));
 }
 
-void TrafficEngine::cache_insert(FileId file) {
-  store_.put(ipfs::Codec::raw, file_block(file));
-  cache_fifo_.push_back(file);
+void TrafficEngine::cache_admit(FileId file, const ipfs::Cid& cid) {
+  cache_fifo_.push_back(CachedBlock{file, cid});
   while (store_.block_count() > spec_.cache_blocks) {
-    store_.remove(file_cid(cache_fifo_[cache_head_]));
+    store_.remove(cache_fifo_[cache_head_].cid);
     ++cache_head_;
   }
   if (cache_head_ > 0 && cache_head_ * 2 > cache_fifo_.size()) {
@@ -161,37 +156,40 @@ void TrafficEngine::issue(std::uint64_t stream, FileId file) {
   }
   ++admitted_epoch_[si];
 
-  auto holders = net_.file_get(client_, file);
-  if (!holders.is_ok() || holders.value().empty()) {
+  if (!net_.file_get(client_, file, candidates_).is_ok() ||
+      candidates_.empty()) {
     ++lookup_failures_;
     return;
   }
 
-  std::vector<SectorId> candidates;
-  candidates.reserve(holders.value().size());
-  for (const SectorId holder : holders.value()) {
+  // Drop refusing holders in place, keeping the lookup order.
+  std::size_t kept = 0;
+  for (const SectorId holder : candidates_) {
     if (holder < serve_refused_.size() && serve_refused_[holder] != 0) {
       grow_to(refusal_hits_, holder);
       ++refusal_hits_[holder];
       continue;
     }
-    candidates.push_back(holder);
+    candidates_[kept++] = holder;
   }
-  if (candidates.empty()) {
+  candidates_.resize(kept);
+  if (candidates_.empty()) {
     ++starved_[si];
     ++starved_total_;
     return;
   }
 
   // Provider-side content cache: a hit serves from the hot store, a miss
-  // adds one fetch cycle and warms the cache.
+  // adds one fetch cycle and warms the cache. The put is the lookup, so
+  // the CID is hashed once per request.
   std::uint64_t extra_latency = 0;
-  if (store_.has(file_cid(file))) {
+  const auto [cid, inserted] = store_.put(ipfs::Codec::raw, file_block(file));
+  if (!inserted) {
     ++cache_hits_;
   } else {
     ++cache_misses_;
     extra_latency = 1;
-    cache_insert(file);
+    cache_admit(file, cid);
   }
 
   // Market competition with QoS awareness: cheapest ask wins, ties break
@@ -199,7 +197,7 @@ void TrafficEngine::issue(std::uint64_t stream, FileId file) {
   SectorId best = kNoSector;
   TokenAmount best_price = 0;
   std::uint64_t best_queue = 0;
-  for (const SectorId candidate : candidates) {
+  for (const SectorId candidate : candidates_) {
     ensure_ask(candidate);
     const TokenAmount price = market_.ask_of(candidate);
     const std::uint64_t depth = queue_depth(candidate);
@@ -258,6 +256,9 @@ void TrafficEngine::on_epoch(std::uint64_t epoch,
     const double per_stream_mean =
         static_cast<double>(rate_for(epoch)) /
         static_cast<double>(honest_streams_);
+    // Nothing on the request path adds or removes a file, so the
+    // population, and with it the sampler's constants, is fixed here.
+    const util::ZipfSampler zipf(live_files.size(), spec_.zipf_s);
     for (std::uint64_t stream = 0; stream < honest_streams_; ++stream) {
       const std::uint64_t n = util::sample_poisson(rng_, per_stream_mean);
       for (std::uint64_t r = 0; r < n; ++r) {
@@ -265,9 +266,7 @@ void TrafficEngine::on_epoch(std::uint64_t epoch,
         if (flash_now && rng_.uniform_double() < spec_.flash_focus) {
           file = hot_file_;
         } else {
-          const std::uint64_t rank =
-              util::sample_zipf(rng_, live_files.size(), spec_.zipf_s);
-          file = live_files[static_cast<std::size_t>(rank - 1)];
+          file = live_files[static_cast<std::size_t>(zipf(rng_) - 1)];
         }
         issue(stream, file);
       }
@@ -347,7 +346,7 @@ void TrafficEngine::save_state(util::BinaryWriter& writer) const {
   // which load_state rebuilds the block store.
   writer.u64(cache_fifo_.size() - cache_head_);
   for (std::size_t i = cache_head_; i < cache_fifo_.size(); ++i) {
-    writer.u64(cache_fifo_[i]);
+    writer.u64(cache_fifo_[i].file);
   }
   writer.u64(hot_file_);
   writer.u64(pending_.size());
@@ -387,11 +386,12 @@ void TrafficEngine::load_state(util::BinaryReader& reader) {
   for (std::uint64_t& word : rng_state) word = reader.u64();
   rng_.set_state(rng_state);
   market_.load_state(reader);
-  cache_fifo_ = util::load_u64_seq<FileId>(reader);
+  cache_fifo_.clear();
   cache_head_ = 0;
   store_ = ipfs::ContentStore{};
-  for (const FileId file : cache_fifo_) {
-    store_.put(ipfs::Codec::raw, file_block(file));
+  for (const FileId file : util::load_u64_seq<FileId>(reader)) {
+    const ipfs::Cid cid = store_.put(ipfs::Codec::raw, file_block(file)).cid;
+    cache_fifo_.push_back(CachedBlock{file, cid});
   }
   hot_file_ = reader.u64();
   pending_.clear();

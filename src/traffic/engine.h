@@ -155,6 +155,15 @@ class TrafficEngine {
     std::uint64_t requests = 0;
   };
 
+  /// One cache FIFO entry: the file and its block's CID, kept so eviction
+  /// removes the block without hashing it again.
+  struct CachedBlock {
+    FileId file = kNoFile;
+    // fi-lint: not-serialized(derived from the file id; load_state rehashes
+    // each cached block once)
+    ipfs::Cid cid;
+  };
+
   /// Offered request rate for `epoch`: base, diurnal triangle wave,
   /// flash-crowd multiplier.
   [[nodiscard]] std::uint64_t rate_for(std::uint64_t epoch) const;
@@ -170,8 +179,9 @@ class TrafficEngine {
   [[nodiscard]] std::uint64_t queue_depth(SectorId sector) const {
     return sector < queues_.size() ? queues_[sector] : 0;
   }
-  /// Caches a file's content block, FIFO-evicting past the cache size.
-  void cache_insert(FileId file);
+  /// Queues a block `store_` just inserted, FIFO-evicting past the cache
+  /// size.
+  void cache_admit(FileId file, const ipfs::Cid& cid);
 
   // fi-lint: not-serialized(configuration, rebuilt from the scenario spec
   // when the engine is re-created on resume)
@@ -190,12 +200,16 @@ class TrafficEngine {
   // fi-lint: not-serialized(memo of idempotent ask posts; the asks
   // themselves live in the market's serialized book)
   std::vector<std::uint8_t> ask_posted_;
+  // fi-lint: not-serialized(scratch: one request's serving holders,
+  // refilled by every issue(); reused so a cache hit allocates nothing)
+  std::vector<SectorId> candidates_;
 
   util::Xoshiro256 rng_;
   core::RetrievalMarket market_;
-  /// Cached file ids in insertion order; `cache_head_` marks the FIFO
-  /// front (ring-style so eviction is O(1), compacted when stale).
-  std::vector<FileId> cache_fifo_;
+  /// Cached blocks in insertion order; `cache_head_` marks the FIFO
+  /// front (ring-style so eviction is O(1), compacted when stale). Only
+  /// the file ids are encoded.
+  std::vector<CachedBlock> cache_fifo_;
   std::size_t cache_head_ = 0;
   /// The flash crowd's hot file (picked once at flash onset).
   FileId hot_file_ = kNoFile;

@@ -76,36 +76,46 @@ std::uint64_t sample_poisson(Xoshiro256& rng, double mean) {
   }
 }
 
-std::uint64_t sample_zipf(Xoshiro256& rng, std::uint64_t n, double s) {
+ZipfSampler::ZipfSampler(std::uint64_t n, double s)
+    : n_(n),
+      s_(s),
+      one_minus_s_(1.0 - s),
+      log_form_(std::abs(one_minus_s_) < 1e-12),
+      h_x1_(h_integral(1.5) - 1.0),
+      spread_(h_integral(static_cast<double>(n) + 0.5) - h_x1_) {
   FI_CHECK(n >= 1);
   FI_CHECK(s > 0);
-  // Rejection-inversion (Hörmann & Derflinger 1996), no table precomputation.
-  const double one_minus_s = 1.0 - s;
-  auto h_integral = [&](double x) {
-    const double log_x = std::log(x);
-    if (std::abs(one_minus_s) < 1e-12) return log_x;
-    return std::expm1(one_minus_s * log_x) / one_minus_s;
-  };
-  auto h = [&](double x) { return std::exp(-s * std::log(x)); };
-  const double h_x1 = h_integral(1.5) - 1.0;
-  const double h_n = h_integral(static_cast<double>(n) + 0.5);
-  const double spread = h_n - h_x1;
+}
+
+double ZipfSampler::h_integral(double x) const {
+  const double log_x = std::log(x);
+  if (log_form_) return log_x;
+  return std::expm1(one_minus_s_ * log_x) / one_minus_s_;
+}
+
+double ZipfSampler::h(double x) const { return std::exp(-s_ * std::log(x)); }
+
+std::uint64_t ZipfSampler::operator()(Xoshiro256& rng) const {
   for (;;) {
-    const double u = h_x1 + rng.uniform_double() * spread;
+    const double u = h_x1_ + rng.uniform_double() * spread_;
     double x;  // inverse of h_integral
-    if (std::abs(one_minus_s) < 1e-12) {
+    if (log_form_) {
       x = std::exp(u);
     } else {
-      x = std::exp(std::log1p(u * one_minus_s) / one_minus_s);
+      x = std::exp(std::log1p(u * one_minus_s_) / one_minus_s_);
     }
     const double k = std::floor(x + 0.5);
     if (k < 1.0) continue;
-    if (k > static_cast<double>(n)) continue;
+    if (k > static_cast<double>(n_)) continue;
     // Accept when u lies inside the histogram column of k.
     if (u >= h_integral(k + 0.5) - h(k)) {
       return static_cast<std::uint64_t>(k);
     }
   }
+}
+
+std::uint64_t sample_zipf(Xoshiro256& rng, std::uint64_t n, double s) {
+  return ZipfSampler(n, s)(rng);
 }
 
 const char* size_distribution_name(SizeDistribution dist) {

@@ -35,7 +35,33 @@ double sample_positive_normal(Xoshiro256& rng, double mean, double stddev);
 /// transformed-rejection (PTRS) method for large ones.
 std::uint64_t sample_poisson(Xoshiro256& rng, double mean);
 
-/// Zipf over {1..n} with exponent `s` (rank-frequency workload skew).
+/// Zipf over {1..n} with exponent `s` (rank-frequency workload skew), by
+/// rejection-inversion (Hörmann & Derflinger 1996), no table. The
+/// constructor computes the per-(n, s) constants once — build one per
+/// population and reuse it for every draw; each call runs the rejection
+/// loop.
+class ZipfSampler {
+ public:
+  ZipfSampler(std::uint64_t n, double s);
+
+  std::uint64_t operator()(Xoshiro256& rng) const;
+
+ private:
+  [[nodiscard]] double h_integral(double x) const;
+  [[nodiscard]] double h(double x) const;
+
+  // Declaration order is initialization order: each constant below is
+  // computed from the ones above it.
+  std::uint64_t n_;
+  double s_;
+  double one_minus_s_;
+  /// |1 - s| < 1e-12: h_integral is log x and its inverse exp u.
+  bool log_form_;
+  double h_x1_;
+  double spread_;
+};
+
+/// One draw of `ZipfSampler(n, s)`.
 std::uint64_t sample_zipf(Xoshiro256& rng, std::uint64_t n, double s);
 
 /// Partial Fisher–Yates: shuffles a uniform sample without replacement of

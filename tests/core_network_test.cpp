@@ -612,19 +612,23 @@ TEST_F(NetworkFixture, FileGetListsLiveHolders) {
   build(test_params());
   net->set_auto_prove(true);
   const FileId id = add_and_store(1000, 20);
-  auto holders = net->file_get(client, id);
-  ASSERT_TRUE(holders.is_ok());
-  EXPECT_EQ(holders.value().size(), 4u);
+  std::vector<SectorId> holders;
+  ASSERT_TRUE(net->file_get(client, id, holders).is_ok());
+  EXPECT_EQ(holders.size(), 4u);
+  // The event carries the list the caller gets back.
+  ASSERT_EQ(events_of<RetrievalRequested>().size(), 1u);
+  EXPECT_EQ(events_of<RetrievalRequested>()[0].holders, holders);
   // Corrupt one holder: every replica it hosted drops out of the list
   // (i.i.d. placement can put several replicas in one sector).
-  const SectorId victim = holders.value()[0];
+  const SectorId victim = holders[0];
   const auto hosted = static_cast<std::size_t>(
-      std::count(holders.value().begin(), holders.value().end(), victim));
+      std::count(holders.begin(), holders.end(), victim));
   net->corrupt_sector_now(victim);
-  auto holders2 = net->file_get(client, id);
-  ASSERT_TRUE(holders2.is_ok());
-  EXPECT_EQ(holders2.value().size(), 4u - hosted);
+  // The buffer is cleared and refilled, not appended to.
+  ASSERT_TRUE(net->file_get(client, id, holders).is_ok());
+  EXPECT_EQ(holders.size(), 4u - hosted);
   EXPECT_EQ(events_of<RetrievalRequested>().size(), 2u);
+  EXPECT_EQ(events_of<RetrievalRequested>()[1].holders, holders);
 }
 
 // ---------------------------------------------------------------------------

@@ -206,8 +206,10 @@ TEST_F(EdgeFixture, UploadTargetDiesBeforeConfirmToleratedAsDeadSlot) {
 
 TEST_F(EdgeFixture, RequestsAgainstUnknownEntitiesRejected) {
   build();
-  EXPECT_EQ(net->file_get(client, 999).status().code(),
+  std::vector<SectorId> holders{7};
+  EXPECT_EQ(net->file_get(client, 999, holders).code(),
             util::ErrorCode::not_found);
+  EXPECT_TRUE(holders.empty());
   EXPECT_EQ(net->file_discard(client, 999).code(),
             util::ErrorCode::not_found);
   EXPECT_EQ(net->sector_disable(providers[0], 999).code(),

@@ -1,13 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "core/retrieval_market.h"
 #include "ledger/account.h"
 
-/// Tests for the competitive retrieval market (§III-E): cheapest-ask
-/// selection and settlement. The traffic engine drives the same market end
-/// to end (tests/traffic_test.cpp).
+/// Tests for the competitive retrieval market (§III-E): the ask book,
+/// quotes and settlement. Choosing among holders is the traffic tick's
+/// rule (cheapest ask, then shortest queue, then lowest sector id), driven
+/// end to end in tests/traffic_test.cpp and pinned by the golden hashes.
 namespace fi {
 namespace {
 
@@ -25,30 +24,10 @@ struct MarketFixture : ::testing::Test {
   AccountId pricey = ledger.create_account(0);
 };
 
-TEST_F(MarketFixture, CheapestAskWinsSelection) {
-  market.post_ask(cheap, 1);
-  market.post_ask(pricey, 7);
-  const auto winner = market.select({pricey, cheap});
-  ASSERT_TRUE(winner.has_value());
-  EXPECT_EQ(*winner, cheap);
-}
-
 TEST_F(MarketFixture, DefaultPriceAppliesToSilentProviders) {
   EXPECT_EQ(market.ask_of(cheap), 3u);
   market.post_ask(cheap, 1);
   EXPECT_EQ(market.ask_of(cheap), 1u);
-}
-
-TEST_F(MarketFixture, TiesBreakDeterministically) {
-  market.post_ask(cheap, 2);
-  market.post_ask(pricey, 2);
-  const AccountId low = std::min(cheap, pricey);
-  EXPECT_EQ(*market.select({pricey, cheap}), low);
-  EXPECT_EQ(*market.select({cheap, pricey}), low);
-}
-
-TEST_F(MarketFixture, EmptyCandidateSetSelectsNothing) {
-  EXPECT_FALSE(market.select({}).has_value());
 }
 
 TEST_F(MarketFixture, SettleMovesQuoteAndTracksVolume) {

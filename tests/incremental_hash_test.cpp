@@ -126,7 +126,8 @@ TEST_F(IncrementalHashFixture, InvariantHoldsAfterEveryMutation) {
   // get/discard still mutate state (rng draws, stats, escrow) when they
   // run, and the invariant must hold either way.
   if (net->file_exists(file.value())) {
-    ASSERT_TRUE(net->file_get(client, file.value()).is_ok());
+    std::vector<core::SectorId> holders;
+    ASSERT_TRUE(net->file_get(client, file.value(), holders).is_ok());
     expect_incremental_matches_full("file_get");
 
     ASSERT_TRUE(net->file_discard(client, file.value()).is_ok());

@@ -34,7 +34,9 @@ TEST(Cid, ContentAddressing) {
 TEST(ContentStore, PutGetRemove) {
   ContentStore store;
   const auto data = random_bytes(64, 4);
-  const Cid cid = store.put(Codec::raw, data);
+  const auto [cid, inserted] = store.put(Codec::raw, data);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(cid, make_cid(Codec::raw, data));
   EXPECT_TRUE(store.has(cid));
   EXPECT_EQ(store.get(cid), data);
   EXPECT_EQ(store.total_bytes(), 64u);
@@ -46,10 +48,20 @@ TEST(ContentStore, PutGetRemove) {
 
 TEST(ContentStore, DeduplicatesIdenticalBlocks) {
   ContentStore store;
-  store.put(Codec::raw, random_bytes(64, 5));
-  store.put(Codec::raw, random_bytes(64, 5));
+  const auto first = store.put(Codec::raw, random_bytes(64, 5));
+  EXPECT_TRUE(first.inserted);
+  // A second put of the same bytes is the membership test: same CID,
+  // nothing stored or counted again.
+  const auto second = store.put(Codec::raw, random_bytes(64, 5));
+  EXPECT_FALSE(second.inserted);
+  EXPECT_EQ(second.cid, first.cid);
   EXPECT_EQ(store.block_count(), 1u);
   EXPECT_EQ(store.total_bytes(), 64u);
+  // The returned CID removes the block without the bytes.
+  EXPECT_TRUE(store.remove(second.cid));
+  EXPECT_EQ(store.block_count(), 0u);
+  EXPECT_EQ(store.total_bytes(), 0u);
+  EXPECT_TRUE(store.put(Codec::raw, random_bytes(64, 5)).inserted);
 }
 
 }  // namespace

@@ -788,7 +788,8 @@ TEST(NetworkLayoutEquivalence, RandomizedOpsRoundTripByteIdentical) {
           const FileId file =
               known_files[rng.uniform_below(known_files.size())];
           if (net.file_exists(file)) {
-            ASSERT_TRUE(net.file_get(client, file).is_ok());
+            std::vector<SectorId> holders;
+            ASSERT_TRUE(net.file_get(client, file, holders).is_ok());
           }
         }
         break;

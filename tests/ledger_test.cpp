@@ -1,10 +1,32 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "ledger/account.h"
+#include "util/binary_io.h"
 #include "util/prng.h"
 
 namespace fi::ledger {
 namespace {
+
+/// A ledger body in `Ledger::save`'s layout: next id, supply, then
+/// (id, balance) rows as given.
+std::vector<std::uint8_t> ledger_body(
+    AccountId next_id, TokenAmount supply,
+    const std::vector<std::pair<AccountId, TokenAmount>>& rows) {
+  util::BinaryWriter writer;
+  writer.u64(next_id);
+  writer.u64(supply);
+  writer.u64(rows.size());
+  for (const auto& [id, balance] : rows) {
+    writer.u64(id);
+    writer.u64(balance);
+  }
+  return writer.data();
+}
 
 // ---------------------------------------------------------------------------
 // Accounts
@@ -72,6 +94,64 @@ TEST(Accounts, SupplyConservedUnderTransferStorm) {
   for (AccountId a : accounts) total += ledger.balance(a);
   EXPECT_EQ(total, 20'000u);
   EXPECT_EQ(ledger.total_supply(), 20'000u);
+}
+
+TEST(Accounts, LoadRoundTrips) {
+  Ledger ledger;
+  const AccountId a = ledger.create_account(100);
+  const AccountId b = ledger.create_account(0);
+  const AccountId c = ledger.create_account(250);
+  ASSERT_TRUE(ledger.transfer(c, b, 50).is_ok());
+  ASSERT_TRUE(ledger.mint(a, 7).is_ok());
+  util::BinaryWriter saved;
+  ledger.save(saved);
+
+  Ledger restored;
+  restored.create_account(5);  // load replaces the contents, not merges
+  util::BinaryReader reader(saved.data());
+  restored.load(reader);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_TRUE(reader.exhausted());
+  EXPECT_EQ(restored.account_count(), 3u);
+  EXPECT_EQ(restored.total_supply(), 357u);
+  for (const AccountId id : {a, b, c}) {
+    EXPECT_EQ(restored.balance(id), ledger.balance(id));
+  }
+  util::BinaryWriter again;
+  restored.save(again);
+  EXPECT_EQ(again.data(), saved.data());
+  // Fresh ids continue where the saved ledger stopped.
+  EXPECT_EQ(restored.create_account(), ledger.create_account());
+}
+
+TEST(Accounts, LoadRejectsNonCanonicalBodies) {
+  {
+    const auto body = ledger_body(3, 300, {{1, 100}, {2, 200}});
+    Ledger ledger;
+    util::BinaryReader reader(body);
+    ledger.load(reader);
+    ASSERT_TRUE(reader.ok()) << "the canonical body must load";
+  }
+  constexpr TokenAmount kMax = std::numeric_limits<TokenAmount>::max();
+  const struct {
+    const char* what;
+    std::vector<std::uint8_t> body;
+  } cases[] = {
+      // The second row would replace the first: supply 300, balances 200.
+      {"repeated id", ledger_body(3, 300, {{1, 100}, {1, 100}, {2, 100}})},
+      {"descending ids", ledger_body(3, 300, {{2, 200}, {1, 100}})},
+      {"id at next_id", ledger_body(3, 300, {{1, 100}, {3, 200}})},
+      {"id zero", ledger_body(3, 300, {{0, 100}, {1, 200}})},
+      {"supply disagrees", ledger_body(3, 300, {{1, 100}, {2, 150}})},
+      // Wrapping arithmetic would sum these rows to exactly the supply.
+      {"sum wraps", ledger_body(3, 5, {{1, kMax}, {2, 6}})},
+  };
+  for (const auto& c : cases) {
+    Ledger ledger;
+    util::BinaryReader reader(c.body);
+    ledger.load(reader);
+    EXPECT_FALSE(reader.ok()) << c.what;
+  }
 }
 
 }  // namespace

@@ -146,6 +146,49 @@ TEST(Distributions, ZipfRanksDecreaseInFrequency) {
   EXPECT_GT(counts[5], counts[10]);
 }
 
+// Exact draws, so a change to the rejection loop's arithmetic shows even
+// where no shipped config reaches it: s = 1 (the log branch) and s > 1.
+// One sampler reused across draws (the traffic tick's path) must give the
+// same stream as one-shot `sample_zipf` calls.
+TEST(Distributions, ZipfDrawsArePinned) {
+  const struct {
+    std::uint64_t n;
+    double s;
+    std::vector<std::uint64_t> draws;
+  } cases[] = {
+      {10,
+       1.0,
+       {9, 2, 8, 9, 4, 2, 1, 6, 2, 3, 1, 3,
+        10, 2, 1, 6, 2, 5, 1, 2, 8, 5, 1, 2,
+        1, 2, 1, 6, 2, 1, 1, 2}},
+      {10'000,
+       0.8,
+       {7893, 270, 6017, 8076, 2072, 337, 4, 4627, 274, 1135, 3, 818,
+        9565, 532, 3, 4211, 187, 2495, 1, 314, 6180, 3037, 10, 398,
+        22, 307, 5, 4075, 654, 6, 1, 232}},
+      {10'000,
+       0.9,
+       {7104, 92, 4827, 7342, 1123, 119, 2, 3340, 94, 515, 1, 342,
+        9375, 203, 2, 2931, 61, 1438, 1, 110, 5013, 1874, 4, 144,
+        8, 107, 2, 2800, 260, 3, 1, 78}},
+      {10'000,
+       1.2,
+       {2432, 5, 740, 2736, 48, 6, 1, 305, 5, 19, 1, 13,
+        7381, 8, 1, 232, 4, 68, 1, 5, 820, 103, 1, 6,
+        1, 5, 1, 212, 10, 1, 1, 4}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message() << "n=" << c.n << " s=" << c.s);
+    Xoshiro256 one_shot(19);
+    Xoshiro256 reused(19);
+    const ZipfSampler sampler(c.n, c.s);
+    for (const std::uint64_t expected : c.draws) {
+      EXPECT_EQ(sample_zipf(one_shot, c.n, c.s), expected);
+      EXPECT_EQ(sampler(reused), expected);
+    }
+  }
+}
+
 TEST(Distributions, TableThreeSizeDistributionsHaveExpectedMeans) {
   Xoshiro256 rng(18);
   const struct {
