@@ -1,11 +1,10 @@
 // Engineering micro-benchmarks (not in the paper): throughput of the
 // primitives every experiment rests on — hashing, Merkle trees, PoRep
-// sealing/verification, WindowPoSt, Reed–Solomon, capacity-weighted sector
-// sampling, and the protocol engine's hot paths.
+// sealing/verification, WindowPoSt, capacity-weighted sector sampling, and
+// the protocol engine's hot paths.
 
 #include <benchmark/benchmark.h>
 
-#include <optional>
 #include <vector>
 
 #include "core/network.h"
@@ -13,7 +12,6 @@
 #include "crypto/porep.h"
 #include "crypto/post.h"
 #include "crypto/sha256.h"
-#include "erasure/reed_solomon.h"
 #include "ledger/account.h"
 #include "util/fenwick.h"
 #include "util/prng.h"
@@ -102,35 +100,6 @@ void BM_WindowPoStVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WindowPoStVerify);
-
-// ---------------------------------------------------------------------------
-// Erasure coding
-// ---------------------------------------------------------------------------
-
-void BM_ReedSolomonEncode(benchmark::State& state) {
-  const fi::erasure::ReedSolomon rs(29, 51);  // Storj shape
-  const auto data = random_bytes(29 * 1024, 7);
-  const auto shards = fi::erasure::split_into_shards(data, 29);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rs.encode(shards));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data.size()));
-}
-BENCHMARK(BM_ReedSolomonEncode);
-
-void BM_ReedSolomonReconstruct(benchmark::State& state) {
-  const fi::erasure::ReedSolomon rs(29, 51);
-  const auto data = random_bytes(29 * 1024, 8);
-  auto encoded = rs.encode(fi::erasure::split_into_shards(data, 29));
-  std::vector<std::optional<std::vector<std::uint8_t>>> survivors(
-      encoded.begin(), encoded.end());
-  for (int i = 0; i < 51; ++i) survivors[i * 80 / 51] = std::nullopt;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rs.reconstruct(survivors));
-  }
-}
-BENCHMARK(BM_ReedSolomonReconstruct);
 
 // ---------------------------------------------------------------------------
 // RandomSector (the Fenwick tree behind every placement decision)

@@ -9,14 +9,10 @@ The roots are the programs that reproduce the paper: the tools
 the script follows quoted `#include "dir/file.h"` lines (resolved
 against src/, the library's include root); a reached header also
 reaches the .cpp beside it, since that is where its definitions live.
-Every src/ file the walk never reaches is printed. Tests, examples and
-the other benches do not count as roots: a module that only they
-exercise is dead library code.
-
-PENDING names the unreached files still awaiting that decision (wire in
-or delete; ROADMAP item 3). The list may only shrink: the exit status is
-1 if an unreached file is not on it, or if an entry on it is reached or
-no longer exists.
+Every src/ file the walk never reaches is printed, and the exit status
+is then 1: wire the file into a tool or paper reproduction, or delete
+it. Tests, examples and the other benches do not count as roots: a
+module that only they exercise is dead library code.
 
 Standard library only, by design: the repo's tooling policy is no
 third-party dependencies outside the C++ toolchain.
@@ -34,19 +30,6 @@ ROOT_GLOBS = (
 )
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
 SOURCE_SUFFIXES = (".h", ".cpp")
-
-# What is left of the deleted off-chain agent stack: DRep capacity
-# replicas and the GF(256) Reed-Solomon codec. Nothing calls them now the
-# agents are gone; only their own tests and bench_micro's Reed-Solomon
-# cases reach them.
-PENDING = (
-    "src/core/drep.cpp",
-    "src/core/drep.h",
-    "src/erasure/gf256.cpp",
-    "src/erasure/gf256.h",
-    "src/erasure/reed_solomon.cpp",
-    "src/erasure/reed_solomon.h",
-)
 
 
 def reachable(repo: Path) -> set[Path]:
@@ -82,26 +65,18 @@ def main() -> int:
     )
     unreached = [p.relative_to(repo).as_posix() for p in library
                  if p not in reached]
-    new = [p for p in unreached if p not in PENDING]
-    stale = [p for p in PENDING if p not in unreached]
     for path in unreached:
-        print(path + ("  (pending)" if path in PENDING else ""))
-    for path in stale:
-        print(f"{path}  (on PENDING but reached or gone: drop the entry)")
-    if new:
+        print(path)
+    if unreached:
         print(
-            f"check_reachability: {len(new)} of {len(library)} src/ files "
-            f"are reached from no root ({', '.join(ROOT_GLOBS)}); "
+            f"check_reachability: {len(unreached)} of {len(library)} src/ "
+            f"files are reached from no root ({', '.join(ROOT_GLOBS)}); "
             "wire each into a tool or paper reproduction, or delete it",
             file=sys.stderr,
         )
-    if stale:
-        print(f"check_reachability: {len(stale)} stale PENDING entries",
-              file=sys.stderr)
-    if new or stale:
         return 1
-    print(f"check_reachability: {len(library) - len(unreached)} of "
-          f"{len(library)} src/ files reachable, {len(unreached)} pending")
+    print(f"check_reachability: {len(library)} of {len(library)} src/ "
+          "files reachable")
     return 0
 
 

@@ -82,8 +82,8 @@ struct ReplicaActivated {
 };
 
 /// `sector` no longer stores replica (file, index) — refresh moved it away,
-/// or the file was removed. The provider may reclaim the space (DRep
-/// regenerates a capacity replica).
+/// or the file was removed. Its bytes are already back in the sector's free
+/// capacity (`SectorTable::release`).
 struct ReplicaReleased {
   FileId file;
   ReplicaIndex index;

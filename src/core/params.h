@@ -82,8 +82,6 @@ struct Params {
   bool verify_proofs = true;
   crypto::SealParams seal{};
   std::uint32_t post_challenges = 2;
-  /// Capacity-replica size for DRep (must divide into sector free space).
-  ByteCount cr_size = 16 * 1024;
 
   /// Validates internal consistency; throws on misconfiguration.
   void validate() const {
@@ -111,8 +109,6 @@ struct Params {
                  "max_alloc_resample must be at least 1");
     // Zero openings would let any prover who knows comm_r pass WindowPoSt.
     FI_CHECK_MSG(post_challenges >= 1, "post_challenges must be at least 1");
-    FI_CHECK_MSG(cr_size > 0 && cr_size <= min_capacity,
-                 "cr_size must fit in the smallest sector");
   }
 
   /// Replica count for a file of the given value (`backupCnt` in Fig. 4):

@@ -1,5 +1,7 @@
 #include "core/sector.h"
 
+#include <limits>
+
 #include "util/checked.h"
 
 namespace fi::core {
@@ -212,6 +214,22 @@ void SectorTable::load(util::BinaryReader& reader) {
     const RentAcc rent_acc_snapshot = reader.u128();
     if (static_cast<std::size_t>(state) >= kSectorStateCount) reader.fail();
     if (!reader.ok()) return;  // caller checks ok(); table stays consistent
+    // save() writes only what register_sector admits (a positive multiple
+    // of min_capacity), free space within capacity, and totals that never
+    // wrapped. Reject any other row here, before it reaches the sums
+    // below or a run-time FI_CHECK.
+    ByteCount& state_total =
+        capacity_by_state_[static_cast<std::size_t>(state)];
+    const bool earns =
+        state == SectorState::normal || state == SectorState::disabled;
+    const std::uint64_t units = capacity / params_.min_capacity;
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    if (capacity == 0 || capacity % params_.min_capacity != 0 ||
+        free_cap > capacity || capacity > kMax - state_total ||
+        (earns && units > kMax - rentable_units_)) {
+      reader.fail();
+      return;
+    }
     owners_.push_back(owner);
     capacities_.push_back(capacity);
     free_caps_.push_back(free_cap);
@@ -221,12 +239,8 @@ void SectorTable::load(util::BinaryReader& reader) {
     rent_acc_snapshots_.push_back(rent_acc_snapshot);
     weights_.push_back(0);
     set_weight(id);
-    capacity_by_state_[static_cast<std::size_t>(state)] = util::checked_add(
-        capacity_by_state_[static_cast<std::size_t>(state)], capacity);
-    if (state == SectorState::normal || state == SectorState::disabled) {
-      rentable_units_ = util::checked_add(rentable_units_,
-                                          capacity / params_.min_capacity);
-    }
+    state_total += capacity;
+    if (earns) rentable_units_ += units;
   }
 }
 

@@ -138,7 +138,9 @@ class SectorTable {
   /// are byte-identical across the SoA refactor. `load` rebuilds the
   /// Fenwick weights and the per-state capacity totals from the serialized
   /// sectors, so the derived structures can never disagree with the
-  /// restored state.
+  /// restored state. It fails the reader on a row `save` cannot produce: a
+  /// capacity that is zero or not a multiple of `min_capacity`, free space
+  /// above capacity, or a total that would wrap.
   void save(util::BinaryWriter& writer) const;
   void load(util::BinaryReader& reader);
 
@@ -149,7 +151,6 @@ class SectorTable {
   /// (normal/disabled earn rent). The only writer of a sector's state
   /// after registration.
   void transition_capacity(SectorId id, SectorState to);
-  void push_back_sector(const Sector& s);
 
   // fi-lint: not-serialized(config reference wired at construction)
   const Params& params_;

@@ -190,14 +190,4 @@ bool verify_seal(const SealProof& proof, const SealParams& params) {
   return true;
 }
 
-std::vector<std::uint8_t> make_capacity_replica(AccountId provider,
-                                                std::uint64_t sector,
-                                                std::uint64_t cr_index,
-                                                std::size_t size,
-                                                const SealParams& params) {
-  const ReplicaId id{provider, sector, kCapacityNonceBit | cr_index};
-  const std::vector<std::uint8_t> zeros(size, 0);
-  return seal(zeros, id, params);
-}
-
 }  // namespace fi::crypto

@@ -20,15 +20,15 @@
 ///    block i-1, and a `work` factor iterates the pad hash to emulate the
 ///    paper's "calculation of R_D^ek ... can't be parallelized";
 ///  * unsealing is parallelizable (all pads derive from the known sealed
-///    bytes), which is what makes DRep replica moves cheap — the successor
-///    can recover a replica from raw data via `seal` without re-proving;
+///    bytes), which is what makes replica moves cheap — the successor can
+///    recover a replica from raw data via `seal` without re-proving;
 ///  * the "SNARK" is a transparent challenge proof: Merkle openings of
 ///    random (raw, sealed, previous-sealed) block triples that let the
 ///    verifier re-check the encoding relation at random positions.
 namespace fi::crypto {
 
 /// Identifies one replica slot. `nonce` distinguishes replicas within a
-/// sector (file id, or capacity-replica index with `kCapacityNonceBit` set).
+/// sector (`core::replica_nonce` of the file id and replica index).
 struct ReplicaId {
   AccountId provider = 0;
   std::uint64_t sector = 0;
@@ -36,9 +36,6 @@ struct ReplicaId {
 
   auto operator<=>(const ReplicaId&) const = default;
 };
-
-/// Nonce-space tag marking capacity replicas (sealed all-zero data).
-inline constexpr std::uint64_t kCapacityNonceBit = std::uint64_t{1} << 63;
 
 /// Sealing cost/soundness parameters.
 struct SealParams {
@@ -91,12 +88,5 @@ SealProof prove_seal(std::span<const std::uint8_t> raw,
 /// Verifies a seal proof: challenge derivation, Merkle openings, and the
 /// sealing relation at every challenged block.
 bool verify_seal(const SealProof& proof, const SealParams& params);
-
-/// Sealed capacity replica of `size` zero bytes (the paper's CR).
-std::vector<std::uint8_t> make_capacity_replica(AccountId provider,
-                                                std::uint64_t sector,
-                                                std::uint64_t cr_index,
-                                                std::size_t size,
-                                                const SealParams& params);
 
 }  // namespace fi::crypto

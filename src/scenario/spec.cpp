@@ -15,6 +15,7 @@ using util::format_shortest_double;
 /// `to_config_string`, so every saved spec and FISNAP01 header still loads.
 constexpr const char* kRetiredKeys[] = {
     "engine.workers",  // the intra-epoch sweep pool's thread count
+    "net.cr_size",     // DRep capacity-replica size; DRep is not modelled
 };
 
 std::string phase_key(std::size_t index, const char* field) {
@@ -131,7 +132,6 @@ util::Status parse_params(const util::Config& config, core::Params& params) {
   FI_NET_FIELD(get_bool_or, admission_rebalance);
   FI_NET_FIELD(get_bool_or, verify_proofs);
   FI_NET_FIELD_U32(post_challenges);
-  FI_NET_FIELD(get_u64_or, cr_size);
 #undef FI_NET_FIELD_U32
 #undef FI_NET_FIELD
   return util::Status::ok();
@@ -530,7 +530,6 @@ std::string ScenarioSpec::to_config_string() const {
   out << "net.verify_proofs = " << (params.verify_proofs ? "true" : "false")
       << "\n";
   out << "net.post_challenges = " << params.post_challenges << "\n";
-  out << "net.cr_size = " << params.cr_size << "\n";
 
   {
     std::string network_block;

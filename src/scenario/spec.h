@@ -279,8 +279,8 @@ struct ScenarioSpec {
   /// rejecting configs with unknown keys (typo defense). Phases are the
   /// dotted groups `phase.<i>.*` for i = 0, 1, ... with no gaps, and
   /// adversaries likewise the groups `adversary.<i>.*`. Retired keys
-  /// that older specs wrote (`engine.workers`) are accepted with any
-  /// value and ignored.
+  /// that older specs wrote (`engine.workers`, `net.cr_size`) are
+  /// accepted with any value and ignored.
   static util::Result<ScenarioSpec> from_config(const util::Config& config);
   /// `Config::load` + `from_config`.
   static util::Result<ScenarioSpec> from_file(const std::string& path);

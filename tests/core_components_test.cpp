@@ -5,7 +5,6 @@
 
 #include "core/alloc_table.h"
 #include "core/deposit.h"
-#include "core/drep.h"
 #include "core/params.h"
 #include "core/pending_list.h"
 #include "core/sector.h"
@@ -22,7 +21,6 @@ Params small_params() {
   p.k = 3;
   p.cap_para = 10.0;
   p.gamma_deposit = 0.05;
-  p.cr_size = 256;
   return p;
 }
 
@@ -84,9 +82,6 @@ TEST(ParamsTest, DepositOverflowThrowsInsteadOfWrapping) {
 TEST(ParamsTest, ValidateRejectsBadConfig) {
   Params p = small_params();
   p.proof_deadline = p.proof_due;  // must be strictly greater
-  EXPECT_THROW(p.validate(), util::InvariantViolation);
-  p = small_params();
-  p.cr_size = p.min_capacity + 1;
   EXPECT_THROW(p.validate(), util::InvariantViolation);
   // Zero would hang the rent clock, fail every File_Add, or accept a
   // WindowPoSt with no openings.
@@ -249,6 +244,82 @@ TEST(SectorTableTest, RentableUnitsTrackLifecycle) {
   EXPECT_EQ(table.total_capacity(SectorState::removed), 1024u);
   EXPECT_EQ(table.total_capacity(SectorState::corrupted), 3072u);
   EXPECT_EQ(table.live_capacity(), 0u);
+}
+
+struct SectorRow {
+  ByteCount capacity = 0;
+  ByteCount free_cap = 0;
+  SectorState state = SectorState::normal;
+};
+
+/// A SectorTable body in save()'s wire order, ids dense from 0.
+std::vector<std::uint8_t> sector_body(std::initializer_list<SectorRow> rows) {
+  util::BinaryWriter writer;
+  writer.u64(rows.size());
+  SectorId id = 0;
+  for (const SectorRow& row : rows) {
+    writer.u64(id++);
+    writer.u64(/*owner=*/1);
+    writer.u64(row.capacity);
+    writer.u64(row.free_cap);
+    writer.u8(static_cast<std::uint8_t>(row.state));
+    writer.u64(/*registered_at=*/0);
+    writer.u32(/*ref_count=*/0);
+    writer.u128(/*rent_acc_snapshot=*/0);
+  }
+  return writer.data();
+}
+
+TEST(SectorTableTest, LoadRejectsNonCanonicalBodies) {
+  const Params p = small_params();  // min_capacity = 1024
+  {
+    SectorTable table(p);
+    const SectorId a = table.register_sector(1, 2048, 3).value();
+    ASSERT_TRUE(table.register_sector(2, 1024, 4).is_ok());
+    ASSERT_TRUE(table.reserve(a, 1500).is_ok());
+    ASSERT_TRUE(table.disable(a).is_ok());
+    util::BinaryWriter saved;
+    table.save(saved);
+    SectorTable restored(p);
+    util::BinaryReader reader(saved.data());
+    restored.load(reader);
+    ASSERT_TRUE(reader.ok()) << "the canonical body must load";
+    EXPECT_TRUE(reader.exhausted());
+    EXPECT_EQ(restored.rentable_units(), 3u);
+    EXPECT_EQ(restored.total_capacity(SectorState::disabled), 2048u);
+    util::BinaryWriter again;
+    restored.save(again);
+    EXPECT_EQ(again.data(), saved.data());
+  }
+  constexpr ByteCount kMax = std::numeric_limits<ByteCount>::max();
+  // The largest capacity register_sector admits; two of them overflow the
+  // per-state total.
+  const ByteCount top = kMax - kMax % p.min_capacity;
+  const struct {
+    const char* what;
+    std::vector<std::uint8_t> body;
+  } cases[] = {
+      {"zero capacity", sector_body({{0, 0}})},
+      {"capacity not a multiple of min_capacity", sector_body({{1000, 1000}})},
+      {"free space above capacity", sector_body({{1024, 2048}})},
+      {"capacity total wraps", sector_body({{top, top}, {top, top}})},
+  };
+  for (const auto& c : cases) {
+    SectorTable table(p);
+    util::BinaryReader reader(c.body);
+    EXPECT_NO_THROW(table.load(reader)) << c.what;
+    EXPECT_FALSE(reader.ok()) << c.what;
+  }
+  // With min_capacity 1, a normal and a disabled sector each fit their
+  // state's total, but their rentable units wrap.
+  Params unit = p;
+  unit.min_capacity = 1;
+  const auto body =
+      sector_body({{kMax, kMax}, {kMax, kMax, SectorState::disabled}});
+  SectorTable table(unit);
+  util::BinaryReader reader(body);
+  EXPECT_NO_THROW(table.load(reader));
+  EXPECT_FALSE(reader.ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -463,73 +534,6 @@ TEST_F(DepositFixture, ShortfallBecomesLiabilitySettledLater) {
   EXPECT_EQ(ledger.balance(client), 250u);
   EXPECT_EQ(book.pool_balance(), 250u);
   EXPECT_EQ(book.total_compensated(), 250u);
-}
-
-// ---------------------------------------------------------------------------
-// DRep (Fig. 2)
-// ---------------------------------------------------------------------------
-
-TEST(DRepTest, InitialFillMatchesFigure2a) {
-  // capacity 6 CRs: sector starts with exactly six capacity replicas.
-  DRepManager drep(1, 1, 6 * 256, 256, {}, /*materialize=*/false);
-  EXPECT_EQ(drep.cr_count(), 6u);
-  EXPECT_EQ(drep.unsealed_space(), 0u);
-  EXPECT_TRUE(drep.invariant_holds());
-}
-
-TEST(DRepTest, FilesDisplaceCapacityReplicas) {
-  // Fig. 2b: after filling files, two CRs remain.
-  DRepManager drep(1, 1, 6 * 256, 256, {}, false);
-  drep.add_replica(1, 600);
-  drep.add_replica(2, 400);
-  // 1536 total; files use 1000 -> free 536 -> 2 CRs + 24 unsealed.
-  EXPECT_EQ(drep.cr_count(), 2u);
-  EXPECT_EQ(drep.unsealed_space(), 24u);
-  EXPECT_TRUE(drep.invariant_holds());
-}
-
-TEST(DRepTest, RemovalRegeneratesCRs) {
-  // Fig. 2c: when file size decreases, a CR is regenerated.
-  DRepManager drep(1, 1, 6 * 256, 256, {}, false);
-  drep.add_replica(1, 600);
-  drep.add_replica(2, 400);
-  const auto before = drep.present_cr_indices();
-  drep.remove_replica(2);
-  EXPECT_EQ(drep.cr_count(), 3u);
-  EXPECT_GT(drep.regeneration_count(), 0u);
-  // Regenerated CRs take the lowest absent indices.
-  const auto after = drep.present_cr_indices();
-  EXPECT_TRUE(std::includes(after.begin(), after.end(), before.begin(),
-                            before.end()));
-  EXPECT_TRUE(drep.invariant_holds());
-}
-
-TEST(DRepTest, CommitmentsStableAcrossRegeneration) {
-  DRepManager drep(1, 1, 4 * 256, 256, {}, false);
-  const crypto::Hash256 before = drep.cr_commitment(3);
-  drep.add_replica(1, 256);  // drops CR3
-  EXPECT_EQ(drep.cr_count(), 3u);
-  drep.remove_replica(1);  // regenerates it
-  EXPECT_EQ(drep.cr_commitment(3), before);
-}
-
-TEST(DRepTest, MaterializedModeExposesSealedBytes) {
-  DRepManager drep(1, 1, 2 * 256, 256, {.work = 1, .challenges = 2}, true);
-  const auto& bytes = drep.cr_bytes(0);
-  EXPECT_EQ(bytes.size(), 256u);
-  // Sealed zeros are not zeros.
-  EXPECT_NE(bytes, std::vector<std::uint8_t>(256, 0));
-  drep.add_replica(1, 256);
-  EXPECT_THROW((void)drep.cr_bytes(1), util::InvariantViolation);
-}
-
-TEST(DRepTest, DistinctReplicasOfSameFileCoexist) {
-  DRepManager drep(1, 1, 4 * 256, 256, {}, false);
-  drep.add_replica(replica_nonce(9, 0), 100);
-  drep.add_replica(replica_nonce(9, 1), 100);
-  EXPECT_EQ(drep.used_by_files(), 200u);
-  EXPECT_THROW(drep.add_replica(replica_nonce(9, 1), 100),
-               util::InvariantViolation);
 }
 
 }  // namespace

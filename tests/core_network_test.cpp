@@ -31,7 +31,6 @@ class NetworkFixture : public ::testing::Test {
     p.proof_deadline = 300;
     p.avg_refresh = 1000.0;  // effectively no refresh unless a test wants it
     p.verify_proofs = false;
-    p.cr_size = 256;
     return p;
   }
 

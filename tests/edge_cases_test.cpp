@@ -23,7 +23,6 @@ Params edge_params() {
   p.proof_deadline = 300;
   p.avg_refresh = 5.0;  // busy refreshes: several tests race them
   p.verify_proofs = false;
-  p.cr_size = 1024;
   return p;
 }
 

@@ -48,7 +48,6 @@ class IncrementalHashFixture : public ::testing::Test {
     p.proof_deadline = 300;
     p.avg_refresh = 1000.0;
     p.verify_proofs = false;
-    p.cr_size = 256;
     params = p;
     net = std::make_unique<Network>(p, ledger, /*seed=*/7);
     client = ledger.create_account(1'000'000);

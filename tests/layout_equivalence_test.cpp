@@ -720,7 +720,6 @@ TEST(NetworkLayoutEquivalence, RandomizedOpsRoundTripByteIdentical) {
   params.proof_deadline = 300;
   params.avg_refresh = 1000.0;
   params.verify_proofs = false;
-  params.cr_size = 256;
 
   ledger::Ledger ledger;
   constexpr std::uint64_t kEngineSeed = 11;

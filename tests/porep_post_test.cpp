@@ -137,28 +137,6 @@ TEST(PoRep, HigherWorkFactorChangesSeal) {
 }
 
 // ---------------------------------------------------------------------------
-// Capacity replicas
-// ---------------------------------------------------------------------------
-
-TEST(PoRep, CapacityReplicaRegeneratesIdentically) {
-  const auto cr1 = make_capacity_replica(9, 2, 0, 2048, kParams);
-  const auto cr2 = make_capacity_replica(9, 2, 0, 2048, kParams);
-  EXPECT_EQ(cr1, cr2);  // Fig. 2c: a dropped CR is recoverable bit-for-bit
-}
-
-TEST(PoRep, CapacityReplicasDistinctPerIndex) {
-  const auto cr0 = make_capacity_replica(9, 2, 0, 2048, kParams);
-  const auto cr1 = make_capacity_replica(9, 2, 1, 2048, kParams);
-  EXPECT_NE(cr0, cr1);
-}
-
-TEST(PoRep, CapacityReplicaUnsealsToZeros) {
-  const auto cr = make_capacity_replica(9, 2, 5, 1024, kParams);
-  const ReplicaId id{9, 2, kCapacityNonceBit | 5};
-  EXPECT_EQ(unseal(cr, id, kParams), std::vector<std::uint8_t>(1024, 0));
-}
-
-// ---------------------------------------------------------------------------
 // WindowPoSt
 // ---------------------------------------------------------------------------
 

@@ -7,7 +7,6 @@
 #include <variant>
 #include <vector>
 
-#include "core/drep.h"
 #include "core/network.h"
 #include "crypto/merkle.h"
 #include "crypto/porep.h"
@@ -109,42 +108,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 4u)));
 
 // ---------------------------------------------------------------------------
-// DRep invariant under random replica churn
-// ---------------------------------------------------------------------------
-
-class DRepProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(DRepProperty, InvariantHoldsUnderChurn) {
-  util::Xoshiro256 rng(GetParam());
-  const ByteCount cr = 128;
-  const ByteCount capacity = cr * (4 + rng.uniform_below(20));
-  core::DRepManager drep(1, 1, capacity, cr, {}, false);
-  std::map<std::uint64_t, ByteCount> live;
-  std::uint64_t next_key = 0;
-  for (int op = 0; op < 500; ++op) {
-    const bool add = live.empty() || rng.uniform_below(2) == 0;
-    if (add) {
-      const ByteCount size = 1 + rng.uniform_below(cr * 2);
-      if (drep.used_by_files() + size > capacity) continue;
-      drep.add_replica(next_key, size);
-      live[next_key++] = size;
-    } else {
-      auto it = live.begin();
-      std::advance(it, rng.uniform_below(live.size()));
-      drep.remove_replica(it->first);
-      live.erase(it);
-    }
-    // Paper invariant: unsealed space < one CR; CR count is maximal.
-    ASSERT_TRUE(drep.invariant_holds());
-    const ByteCount free_space = capacity - drep.used_by_files();
-    ASSERT_EQ(drep.cr_count(), free_space / cr);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DRepProperty,
-                         ::testing::Range<std::uint64_t>(1, 9));
-
-// ---------------------------------------------------------------------------
 // Protocol fuzz: random operation sequences preserve global invariants
 // ---------------------------------------------------------------------------
 
@@ -162,7 +125,6 @@ class ProtocolFuzz : public ::testing::TestWithParam<std::uint64_t> {
     p.proof_deadline = 150;
     p.avg_refresh = 3.0;  // busy refresh traffic
     p.verify_proofs = false;
-    p.cr_size = 256;
     return p;
   }
 };

@@ -40,7 +40,6 @@ Params rent_params() {
   p.rent_period_cycles = 10;  // distribution every 1000 ticks
   p.avg_refresh = 1000.0;     // keep the refresh path out of the ledger
   p.verify_proofs = false;
-  p.cr_size = 256;
   return p;
 }
 

@@ -107,6 +107,7 @@ ScenarioSpec mini_spec() {
 
 TEST(ScenarioSpecTest, ConfigRoundTripIsLossless) {
   ScenarioSpec spec = mini_spec();
+  spec.params.min_capacity = 4096;  // any positive size, even below 16 KiB
   spec.params.avg_refresh = 12.25;
   spec.phases.push_back(PhaseSpec::make_churn(3, 40, 0.125, true));
   spec.phases.push_back(PhaseSpec::make_corrupt_burst(0.0625, 2));
@@ -169,20 +170,24 @@ TEST(ScenarioSpecTest, RejectsMalformedConfigs) {
 
 TEST(ScenarioSpecTest, RetiredKeysAreAcceptedIgnoredAndNotReEmitted) {
   // Every spec written while the engine had a sweep thread pool carries
-  // `engine.workers`; any value, even one that was never valid, loads.
+  // `engine.workers`, and every one written while specs had a
+  // capacity-replica size carries `net.cr_size`; any value, even one that
+  // was never valid, loads.
   const std::string reference =
       ScenarioSpec::from_config(Config::parse("sectors = 10\n").value())
           .value()
           .to_config_string();
-  for (const char* value : {"8", "0", "100000", "-1", "four"}) {
-    const auto spec = ScenarioSpec::from_config(
-        Config::parse(std::string("sectors = 10\nengine.workers = ") + value +
-                      "\n")
-            .value());
-    ASSERT_TRUE(spec.is_ok()) << value << ": " << spec.status().to_string();
-    const std::string text = spec.value().to_config_string();
-    EXPECT_EQ(text.find("engine.workers"), std::string::npos) << value;
-    EXPECT_EQ(text, reference) << value;
+  for (const std::string key : {"engine.workers", "net.cr_size"}) {
+    for (const char* value : {"8", "0", "16384", "100000", "-1", "four"}) {
+      const auto spec = ScenarioSpec::from_config(
+          Config::parse("sectors = 10\n" + key + " = " + value + "\n")
+              .value());
+      ASSERT_TRUE(spec.is_ok())
+          << key << " = " << value << ": " << spec.status().to_string();
+      const std::string text = spec.value().to_config_string();
+      EXPECT_EQ(text.find(key), std::string::npos) << key << " = " << value;
+      EXPECT_EQ(text, reference) << key << " = " << value;
+    }
   }
 }
 

@@ -299,8 +299,10 @@ std::vector<std::uint8_t> snapshot_image(
 
 TEST(SnapshotCompat, RetiredEngineWorkersKeyStillResumes) {
   // Snapshots written while the engine had a sweep thread pool embed
-  // `engine.workers = <n>` right after `seed` in their spec text. Such an
-  // image must still parse and continue byte-identically.
+  // `engine.workers = <n>` right after `seed` in their spec text, and
+  // every one written while specs had a capacity-replica size embeds
+  // `net.cr_size = 16384` right after `net.post_challenges`. Such an image
+  // must still parse and continue byte-identically.
   const scenario::ScenarioSpec spec =
       shrunk_spec(fs::path(FI_CONFIG_DIR) / "smoke.cfg");
   const RunOutcome uninterrupted = run_to_completion(spec);
@@ -319,6 +321,13 @@ TEST(SnapshotCompat, RetiredEngineWorkersKeyStillResumes) {
   const std::size_t seed_at = spec_text.find(seed_line);
   ASSERT_NE(seed_at, std::string::npos);
   spec_text.insert(seed_at + seed_line.size(), "engine.workers = 8\n");
+  const std::string challenges_line =
+      "net.post_challenges = " + std::to_string(spec.params.post_challenges) +
+      "\n";
+  const std::size_t challenges_at = spec_text.find(challenges_line);
+  ASSERT_NE(challenges_at, std::string::npos);
+  spec_text.insert(challenges_at + challenges_line.size(),
+                   "net.cr_size = 16384\n");
 
   auto parsed = snapshot::parse(snapshot_image(spec_text, body), "old image");
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
@@ -355,9 +364,9 @@ TEST(SnapshotCompat, CheckpointFileBytesArePinned) {
                                        std::istreambuf_iterator<char>());
   in.close();
   fs::remove(path);
-  EXPECT_EQ(file.size(), 61712u);
+  EXPECT_EQ(file.size(), 61692u);
   EXPECT_EQ(util::to_hex(crypto::sha256(file)),
-            "d597786ef76be2f6337e8a4cb72d8b9ba8aa2a33e83afef2af0b31ba27b45b53");
+            "6685763e75cda2ba40c54d48220a084fe4ee446f359b24cdbaf87695ed058249");
 }
 
 // ---------------------------------------------------------------------------
