@@ -14,7 +14,6 @@ std::size_t AllocTable::slot_of(FileId file, ReplicaIndex idx) const {
 void AllocTable::create_file(FileId file, std::uint32_t cp) {
   FI_CHECK_MSG(!ranges_.contains(file), "file already allocated");
   FI_CHECK_MSG(cp >= 1, "file needs at least one replica");
-  ++version_;
   std::size_t offset = pool_.acquire(cp);
   if (offset == util::FixedBlockPool::kNoBlock) {
     offset = prev_.size();
@@ -44,7 +43,6 @@ void AllocTable::create_file(FileId file, std::uint32_t cp) {
 void AllocTable::remove_file(FileId file) {
   const auto it = ranges_.find(file);
   FI_CHECK_MSG(it != ranges_.end(), "removing unknown file");
-  ++version_;
   const Range range = it->second;
   for (ReplicaIndex idx = 0; idx < range.count; ++idx) {
     const std::size_t slot = range.offset + idx;
@@ -88,7 +86,6 @@ AllocTable::SweepView AllocTable::sweep_view_of(FileId file) {
   view.next_ = next_.data() + range.offset;
   view.last_ = last_.data() + range.offset;
   view.comm_r_ = comm_r_.data() + range.offset;
-  view.version_ = &version_;
   view.count_ = range.count;
   return view;
 }
@@ -96,7 +93,6 @@ AllocTable::SweepView AllocTable::sweep_view_of(FileId file) {
 void AllocTable::set_prev(FileId file, ReplicaIndex idx, SectorId sector) {
   const std::size_t slot = slot_of(file, idx);
   const EntryKey key{file, idx};
-  ++version_;
   if (prev_[slot] != kNoSector) {
     index_remove(by_prev_, pos_in_prev_, prev_[slot], key, slot);
   }
@@ -109,7 +105,6 @@ void AllocTable::set_prev(FileId file, ReplicaIndex idx, SectorId sector) {
 void AllocTable::set_next(FileId file, ReplicaIndex idx, SectorId sector) {
   const std::size_t slot = slot_of(file, idx);
   const EntryKey key{file, idx};
-  ++version_;
   if (next_[slot] != kNoSector) {
     index_remove(by_next_, pos_in_next_, next_[slot], key, slot);
   }
@@ -122,7 +117,6 @@ void AllocTable::set_next(FileId file, ReplicaIndex idx, SectorId sector) {
 void AllocTable::set_state(FileId file, ReplicaIndex idx, AllocState state) {
   const std::size_t slot = slot_of(file, idx);
   const EntryKey key{file, idx};
-  ++version_;
   if (state_[slot] == AllocState::normal && state != AllocState::normal) {
     sampler_remove(key, slot);
   } else if (state_[slot] != AllocState::normal &&
@@ -133,13 +127,11 @@ void AllocTable::set_state(FileId file, ReplicaIndex idx, AllocState state) {
 }
 
 void AllocTable::set_last(FileId file, ReplicaIndex idx, Time last) {
-  ++version_;
   last_[slot_of(file, idx)] = last;
 }
 
 void AllocTable::set_comm_r(FileId file, ReplicaIndex idx,
                             const crypto::Hash256& comm_r) {
-  ++version_;
   comm_r_[slot_of(file, idx)] = comm_r;
 }
 
@@ -277,7 +269,13 @@ void AllocTable::load(util::BinaryReader& reader,
   by_next_.clear();
   normal_entries_.clear();
   pool_.clear();
-  ++version_;
+
+  // Slots with a link or in `normal` state, counted as the slab is read:
+  // the setters keep each of them listed in its index or the sampler, so
+  // those sections must list exactly these slots.
+  std::uint64_t linked_prev = 0;
+  std::uint64_t linked_next = 0;
+  std::uint64_t normal_slots = 0;
 
   const std::uint64_t files = reader.count(12);
   ranges_.reserve(files);
@@ -300,6 +298,11 @@ void AllocTable::load(util::BinaryReader& reader,
       }
       crypto::Hash256 comm_r;
       reader.raw(comm_r.bytes);
+      if (prev != kNoSector) ++linked_prev;
+      if (next != kNoSector) ++linked_next;
+      if (state == static_cast<std::uint8_t>(AllocState::normal)) {
+        ++normal_slots;
+      }
       prev_.push_back(prev);
       next_.push_back(next);
       last_.push_back(last);
@@ -328,7 +331,10 @@ void AllocTable::load(util::BinaryReader& reader,
   };
 
   const auto load_index = [&](std::vector<std::vector<EntryKey>>& buckets,
-                              std::vector<std::size_t>& positions) {
+                              std::vector<std::size_t>& positions,
+                              const std::vector<SectorId>& links,
+                              std::uint64_t linked) {
+    std::uint64_t listed = 0;
     const std::uint64_t sectors = reader.count(16);
     SectorId prev_sector = kNoSector;
     for (std::uint64_t s = 0; s < sectors; ++s) {
@@ -353,18 +359,25 @@ void AllocTable::load(util::BinaryReader& reader,
         const ReplicaIndex idx = reader.u32();
         const std::size_t slot = key_slot(file, idx);
         // A duplicate key (slot already positioned) would corrupt later
-        // swap-erase removals — reject the body instead.
-        if (slot == kNoPos || positions[slot] != kNoPos) {
+        // swap-erase removals, and a key whose slab link names another
+        // sector would later be unlinked from the wrong bucket — reject
+        // the body instead.
+        if (slot == kNoPos || positions[slot] != kNoPos ||
+            links[slot] != sector) {
           reader.fail();
           return;
         }
         positions[slot] = items.size();
         items.emplace_back(file, idx);
       }
+      listed += keys;
     }
+    // Each listed slot is linked to its bucket's sector and listed once,
+    // so equal counts leave no linked slot unlisted.
+    if (listed != linked) reader.fail();
   };
-  load_index(by_prev_, pos_in_prev_);
-  load_index(by_next_, pos_in_next_);
+  load_index(by_prev_, pos_in_prev_, prev_, linked_prev);
+  load_index(by_next_, pos_in_next_, next_, linked_next);
   if (!reader.ok()) return;
 
   const std::uint64_t normals = reader.count(12);
@@ -373,13 +386,15 @@ void AllocTable::load(util::BinaryReader& reader,
     const FileId file = reader.u64();
     const ReplicaIndex idx = reader.u32();
     const std::size_t slot = key_slot(file, idx);
-    if (slot == kNoPos || pos_in_normal_[slot] != kNoPos) {
+    if (slot == kNoPos || pos_in_normal_[slot] != kNoPos ||
+        state_[slot] != AllocState::normal) {
       reader.fail();
       return;
     }
     pos_in_normal_[slot] = normal_entries_.size();
     normal_entries_.emplace_back(file, idx);
   }
+  if (normals != normal_slots) reader.fail();
 }
 
 }  // namespace fi::core

@@ -78,10 +78,7 @@ class AllocTable {
     [[nodiscard]] const crypto::Hash256& comm_r(ReplicaIndex i) const {
       return comm_r_[i];
     }
-    void set_last(ReplicaIndex i, Time t) {
-      ++*version_;
-      last_[i] = t;
-    }
+    void set_last(ReplicaIndex i, Time t) { last_[i] = t; }
 
    private:
     friend class AllocTable;
@@ -90,7 +87,6 @@ class AllocTable {
     const SectorId* next_ = nullptr;
     Time* last_ = nullptr;
     const crypto::Hash256* comm_r_ = nullptr;
-    std::uint64_t* version_ = nullptr;
     std::uint32_t count_ = 0;
   };
 
@@ -148,10 +144,6 @@ class AllocTable {
   }
   [[nodiscard]] std::size_t file_count() const { return ranges_.size(); }
 
-  /// Mutation counter for incremental state hashing: bumped by every
-  /// mutating member, `SweepView::set_last` included.
-  [[nodiscard]] std::uint64_t version() const { return version_; }
-
   /// Canonical snapshot encoding / full-state restore (`src/snapshot`).
   ///
   /// The file→range map is encoded sorted by file id (its hash order is
@@ -167,7 +159,9 @@ class AllocTable {
   /// sections (the caller loads the sector table first): buckets are
   /// dense per-sector vectors now, so an astronomically large id in a
   /// crafted body must be rejected up front instead of driving a huge
-  /// resize.
+  /// resize. `load` also fails the reader when the slab disagrees with
+  /// the indexes: a slot is linked to a sector exactly when that sector's
+  /// bucket lists it, and is `normal` exactly when the sampler lists it.
   void save(util::BinaryWriter& writer) const;
   void load(util::BinaryReader& reader, std::uint64_t sector_count);
 
@@ -213,8 +207,6 @@ class AllocTable {
   /// Recycled slot runs, keyed by run length (= cp).
   // fi-lint: not-serialized(allocator state; load() repacks the slab dense)
   util::FixedBlockPool pool_;
-  // fi-lint: not-serialized(in-process mutation counter for incremental hashing)
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace fi::core

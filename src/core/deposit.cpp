@@ -10,7 +10,6 @@ namespace fi::core {
 
 util::Status DepositBook::pledge(SectorId sector, ProviderId owner,
                                  TokenAmount amount) {
-  ++version_;
   FI_CHECK_MSG(!deposits_.contains(sector), "sector already has a deposit");
   if (auto status = ledger_.transfer(owner, escrow_, amount); !status.is_ok()) {
     return status;
@@ -25,7 +24,6 @@ TokenAmount DepositBook::remaining(SectorId sector) const {
 }
 
 TokenAmount DepositBook::punish(SectorId sector, std::uint32_t bp) {
-  ++version_;
   FI_CHECK_MSG(bp <= 10'000, "punishment above 100%");
   const auto it = deposits_.find(sector);
   if (it == deposits_.end() || it->second.remaining == 0) return 0;
@@ -39,7 +37,6 @@ TokenAmount DepositBook::punish(SectorId sector, std::uint32_t bp) {
 }
 
 TokenAmount DepositBook::confiscate(SectorId sector) {
-  ++version_;
   const auto it = deposits_.find(sector);
   if (it == deposits_.end()) return 0;
   const TokenAmount amount = it->second.remaining;
@@ -53,7 +50,6 @@ TokenAmount DepositBook::confiscate(SectorId sector) {
 }
 
 TokenAmount DepositBook::refund(SectorId sector) {
-  ++version_;
   const auto it = deposits_.find(sector);
   if (it == deposits_.end()) return 0;
   const TokenAmount amount = it->second.remaining;
@@ -65,7 +61,6 @@ TokenAmount DepositBook::refund(SectorId sector) {
 }
 
 TokenAmount DepositBook::compensate(ClientId client, TokenAmount amount) {
-  ++version_;
   const TokenAmount available = ledger_.balance(pool_);
   const TokenAmount now_paid = std::min(amount, available);
   if (now_paid > 0) {
@@ -118,7 +113,6 @@ void DepositBook::save(util::BinaryWriter& writer) const {
 }
 
 void DepositBook::load(util::BinaryReader& reader) {
-  ++version_;
   deposits_.clear();
   liabilities_.clear();
   const std::uint64_t n = reader.count(24);

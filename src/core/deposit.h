@@ -61,11 +61,6 @@ class DepositBook {
     return total_compensated_;
   }
 
-  /// Mutation counter for incremental state hashing: bumped by every
-  /// mutating member (conservatively, even when the mutation is a no-op).
-  /// Monotone within a process; not comparable across save/load.
-  [[nodiscard]] std::uint64_t version() const { return version_; }
-
   /// Canonical snapshot encoding (deposits sorted by sector, liabilities
   /// in FIFO order) / full-state restore — see `src/snapshot`. Balances
   /// themselves live in the ledger, restored separately.
@@ -97,8 +92,6 @@ class DepositBook {
   TokenAmount total_liabilities_ = 0;
   TokenAmount total_confiscated_ = 0;
   TokenAmount total_compensated_ = 0;
-  // fi-lint: not-serialized(in-process mutation counter for incremental hashing)
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace fi::core

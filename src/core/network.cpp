@@ -72,7 +72,6 @@ bool Network::charge_gas(AccountId payer, TokenAmount amount) {
 
 util::Result<SectorId> Network::sector_register(ProviderId provider,
                                                 ByteCount capacity) {
-  ++misc_version_;
   if (!ledger_.exists(provider)) {
     return util::err(util::ErrorCode::not_found, "unknown provider account");
   }
@@ -97,7 +96,6 @@ util::Result<SectorId> Network::sector_register(ProviderId provider,
 }
 
 util::Status Network::sector_disable(ProviderId provider, SectorId sector) {
-  ++misc_version_;
   if (!sector_table_.exists(sector)) {
     return util::err(util::ErrorCode::not_found, "unknown sector");
   }
@@ -128,7 +126,6 @@ util::Status Network::file_confirm(
     ProviderId provider, FileId file, ReplicaIndex index, SectorId sector,
     const crypto::Hash256& comm_r,
     const std::optional<crypto::SealProof>& seal_proof) {
-  ++misc_version_;
   const auto it = files_.find(file);
   if (it == files_.end()) {
     return util::err(util::ErrorCode::not_found, "unknown file");
@@ -169,7 +166,6 @@ util::Status Network::file_confirm(
     const TokenAmount fee = params_.traffic_fee(it->second.desc.size);
     FI_CHECK(ledger_.transfer(traffic_escrow_, provider, fee).is_ok());
     it->second.traffic_escrowed[index] = false;
-    ++files_version_;
   }
   return util::Status::ok();
 }
@@ -177,7 +173,6 @@ util::Status Network::file_confirm(
 util::Status Network::file_prove(ProviderId provider, FileId file,
                                  ReplicaIndex index, SectorId sector,
                                  const crypto::WindowProof& proof) {
-  ++misc_version_;
   const auto it = files_.find(file);
   if (it == files_.end()) {
     return util::err(util::ErrorCode::not_found, "unknown file");
@@ -235,7 +230,6 @@ util::Status Network::file_prove_trusted(ProviderId provider, FileId file,
 // ---------------------------------------------------------------------------
 
 util::Result<FileId> Network::file_add(ClientId client, const FileInfo& info) {
-  ++misc_version_;
   if (!ledger_.exists(client)) {
     return util::err(util::ErrorCode::not_found, "unknown client account");
   }
@@ -291,7 +285,6 @@ util::Result<FileId> Network::file_add(ClientId client, const FileInfo& info) {
   rec.added_at = now_;
   rec.traffic_escrowed.assign(cp, true);
   files_.emplace(id, std::move(rec));
-  ++files_version_;
   alloc_table_.create_file(id, cp);
 
   for (std::uint32_t i = 0; i < cp; ++i) {
@@ -305,7 +298,6 @@ util::Result<FileId> Network::file_add(ClientId client, const FileInfo& info) {
 }
 
 util::Status Network::file_discard(ClientId client, FileId file) {
-  ++misc_version_;
   const auto it = files_.find(file);
   if (it == files_.end()) {
     return util::err(util::ErrorCode::not_found, "unknown file");
@@ -319,13 +311,11 @@ util::Status Network::file_discard(ClientId client, FileId file) {
                      "cannot pay request gas");
   }
   it->second.desc.state = FileState::discard;
-  ++files_version_;
   return util::Status::ok();
 }
 
 util::Status Network::file_get(ClientId client, FileId file,
                                std::vector<SectorId>& holders) {
-  ++misc_version_;
   holders.clear();
   const auto it = files_.find(file);
   if (it == files_.end()) {
@@ -355,17 +345,9 @@ util::Status Network::file_get(ClientId client, FileId file,
 
 void Network::advance_to(Time t) {
   FI_CHECK_MSG(t >= now_, "cannot advance backwards");
-  ++misc_version_;
   while (pending_.next_time() != kNoTime && pending_.next_time() <= t) {
     const Time batch_time = pending_.next_time();
     now_ = batch_time;
-    // Task processing can touch nearly every misc field (rng draws, stats,
-    // stored-value totals) and the file records (countdowns, escrow flags,
-    // removal), so one conservative bump per batch invalidates both
-    // components for the incremental hasher; the tables keep their own
-    // precise counters.
-    ++misc_version_;
-    ++files_version_;
     due_buffer_.clear();
     pending_.pop_due_into(batch_time, due_buffer_);
     for (const auto& [time, task] : due_buffer_) run_task(task);
@@ -686,7 +668,6 @@ TokenAmount Network::settle_rent_internal(SectorId sector) {
   const Sector s = sector_table_.at(sector);
   const TokenAmount owed = owed_rent(s);
   if (owed == 0) return 0;
-  ++misc_version_;
   // Advance the snapshot by exactly the paid entitlement (rounded up, so
   // the pool can never be overdrawn); the sub-token fraction keeps
   // accruing instead of being shaved off at every settlement.
@@ -736,21 +717,17 @@ void Network::mark_phys_corrupted(SectorId sector) {
 
 void Network::corrupt_sector_physical(SectorId sector) {
   FI_CHECK(sector_table_.exists(sector));
-  ++misc_version_;
   mark_phys_corrupted(sector);
 }
 
 void Network::corrupt_sector_now(SectorId sector) {
   FI_CHECK(sector_table_.exists(sector));
-  ++misc_version_;
-  ++files_version_;
   mark_phys_corrupted(sector);
   corrupt_sector_internal(sector);
 }
 
 void Network::restore_sector_physical(SectorId sector) {
   FI_CHECK(sector_table_.exists(sector));
-  ++misc_version_;
   if (sector_table_.state(sector) == SectorState::corrupted) return;
   if (sector < physically_corrupted_.size()) physically_corrupted_[sector] = 0;
 }
@@ -760,7 +737,6 @@ void Network::corrupt_sector_internal(SectorId sector) {
   if (state == SectorState::corrupted || state == SectorState::removed) {
     return;  // already dead
   }
-  ++misc_version_;
   // Rent credited before the corruption was honestly earned; pay it out
   // before the accrual freezes.
   settle_rent_internal(sector);
@@ -1062,25 +1038,6 @@ void Network::save_state_component(StateComponent component,
   FI_CHECK_MSG(false, "unknown state component");
 }
 
-std::uint64_t Network::state_component_version(StateComponent component) const {
-  switch (component) {
-    case StateComponent::misc:
-      return misc_version_;
-    case StateComponent::sectors:
-      return sector_table_.version();
-    case StateComponent::allocations:
-      return alloc_table_.version();
-    case StateComponent::pending:
-      return pending_.version();
-    case StateComponent::deposits:
-      return deposit_book_.version();
-    case StateComponent::files:
-      return files_version_;
-  }
-  FI_CHECK_MSG(false, "unknown state component");
-  return 0;
-}
-
 const char* Network::state_component_name(StateComponent component) {
   switch (component) {
     case StateComponent::misc:
@@ -1102,16 +1059,14 @@ const char* Network::state_component_name(StateComponent component) {
 
 void Network::save(util::BinaryWriter& writer) const {
   // The flat snapshot encoding is the exact concatenation of the six state
-  // components in enum order — the incremental hasher re-encodes components
-  // individually and this identity keeps golden snapshots byte-identical.
+  // components in enum order, so a component encoded on its own is a slice
+  // of the golden-pinned body.
   for (std::size_t c = 0; c < kStateComponentCount; ++c) {
     save_state_component(static_cast<StateComponent>(c), writer);
   }
 }
 
 util::Status Network::load(util::BinaryReader& reader) {
-  ++misc_version_;
-  ++files_version_;
   const std::uint64_t ids[5] = {reader.u64(), reader.u64(), reader.u64(),
                                 reader.u64(), reader.u64()};
   if (ids[0] != escrow_ || ids[1] != pool_ || ids[2] != rent_pool_ ||

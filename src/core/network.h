@@ -197,10 +197,7 @@ class Network {
   /// When enabled, Auto_CheckProof treats every replica in a
   /// non-physically-corrupted sector as freshly proven — large-scale
   /// statistical runs without per-replica proof traffic.
-  void set_auto_prove(bool enabled) {
-    ++misc_version_;
-    auto_prove_ = enabled;
-  }
+  void set_auto_prove(bool enabled) { auto_prove_ = enabled; }
 
   [[nodiscard]] bool is_physically_corrupted(SectorId sector) const {
     return sector < physically_corrupted_.size() &&
@@ -296,13 +293,12 @@ class Network {
   /// snapshot digest first and treat failure as fatal for this instance.
   util::Status load(util::BinaryReader& reader);
 
-  // ---- Component-structured state (incremental hashing) -------------------
+  // ---- Component-structured state -----------------------------------------
   //
   // `save` is defined as the in-order concatenation of these components, so
-  // a per-component hasher (`snapshot::IncrementalNetworkHasher`) can
-  // re-encode only what changed since its last refresh while the flat
-  // encoding — and every golden state hash derived from it — stays
-  // byte-identical.
+  // one component's encoding is exactly its slice of the flat encoding that
+  // every golden state hash covers. perfbench's traced run times the
+  // encoding of each component through these.
 
   enum class StateComponent : std::uint8_t {
     misc = 0,     ///< accounts, rng, clock, rent accumulators, flags, stats
@@ -317,12 +313,7 @@ class Network {
   /// Encodes exactly one component's slice of the canonical encoding.
   void save_state_component(StateComponent component,
                             util::BinaryWriter& writer) const;
-  /// Mutation counter per component: unchanged counter implies an
-  /// unchanged encoding (the converse need not hold — counters may bump
-  /// conservatively on no-op mutations). Monotone within a process only.
-  [[nodiscard]] std::uint64_t state_component_version(
-      StateComponent component) const;
-  /// Stable lower-case component name (hash domain separation, logs).
+  /// Stable lower-case component name (per-component metric names, logs).
   [[nodiscard]] static const char* state_component_name(
       StateComponent component);
 
@@ -458,15 +449,6 @@ class Network {
   std::vector<std::pair<Time, Task>> due_buffer_;
 
   NetworkStats stats_;
-
-  /// Component mutation counters for incremental state hashing (the tables
-  /// carry their own). `misc_version_` bumps at every public entry point —
-  /// conservative but cheap, since the misc component is a few hundred
-  /// bytes. `files_version_` bumps at each site mutating `files_`.
-  // fi-lint: not-serialized(in-process mutation counter for incremental hashing)
-  std::uint64_t misc_version_ = 0;
-  // fi-lint: not-serialized(in-process mutation counter for incremental hashing)
-  std::uint64_t files_version_ = 0;
 };
 
 }  // namespace fi::core

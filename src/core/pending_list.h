@@ -60,7 +60,6 @@ class PendingList {
   void schedule(Time at, Task task) {
     heap_.push_back(Item{at, next_seq_++, task});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
-    ++version_;
   }
 
   /// Pops every task with timestamp <= `t`, ordered by (time, insertion),
@@ -71,7 +70,6 @@ class PendingList {
       out.emplace_back(heap_.front().at, heap_.front().task);
       std::pop_heap(heap_.begin(), heap_.end(), Later{});
       heap_.pop_back();
-      ++version_;
     }
   }
 
@@ -89,11 +87,6 @@ class PendingList {
 
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
   [[nodiscard]] bool empty() const { return heap_.empty(); }
-
-  /// Mutation counter for incremental state hashing: bumped on every
-  /// schedule and pop. Monotone within a process; not comparable across
-  /// save/load.
-  [[nodiscard]] std::uint64_t version() const { return version_; }
 
   /// Canonical snapshot encoding: tasks in execution order. The heap array
   /// itself is layout-dependent, so `save` sorts a copy by the (time, seq)
@@ -117,7 +110,6 @@ class PendingList {
   void load(util::BinaryReader& reader) {
     heap_.clear();
     next_seq_ = 0;
-    ++version_;
     const std::uint64_t n = reader.count(21);
     for (std::uint64_t i = 0; i < n; ++i) {
       const Time at = reader.u64();
@@ -158,8 +150,6 @@ class PendingList {
   /// sorted save), so the dense renumbering on load changes nothing.
   // fi-lint: not-serialized(tie-break counter; load() renumbers densely)
   std::uint64_t next_seq_ = 0;
-  // fi-lint: not-serialized(in-process mutation counter for incremental hashing)
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace fi::core

@@ -14,7 +14,6 @@ util::Result<SectorId> SectorTable::register_sector(ProviderId owner,
                      "sector capacity must be a positive multiple of "
                      "min_capacity");
   }
-  ++version_;
   const SectorId id = owners_.size();
   owners_.push_back(owner);
   capacities_.push_back(capacity);
@@ -66,7 +65,6 @@ util::Status SectorTable::reserve(SectorId id, ByteCount size) {
     return util::err(util::ErrorCode::insufficient_space,
                      "sector free capacity below file size");
   }
-  ++version_;
   free_caps_[id] -= size;
   return util::Status::ok();
 }
@@ -77,7 +75,6 @@ void SectorTable::release(SectorId id, ByteCount size) {
       states_[id] == SectorState::removed) {
     return;  // dead sectors own no reusable space
   }
-  ++version_;
   free_caps_[id] = util::checked_add(free_caps_[id], size);
   FI_CHECK_MSG(free_caps_[id] <= capacities_[id],
                "free capacity above capacity");
@@ -85,14 +82,12 @@ void SectorTable::release(SectorId id, ByteCount size) {
 
 void SectorTable::add_ref(SectorId id) {
   FI_CHECK_MSG(id < owners_.size(), "unknown sector id");
-  ++version_;
   ++ref_counts_[id];
 }
 
 void SectorTable::drop_ref(SectorId id) {
   FI_CHECK_MSG(id < owners_.size(), "unknown sector id");
   FI_CHECK_MSG(ref_counts_[id] > 0, "sector reference underflow");
-  ++version_;
   --ref_counts_[id];
 }
 
@@ -102,7 +97,6 @@ util::Status SectorTable::disable(SectorId id) {
     return util::err(util::ErrorCode::failed_precondition,
                      "only a normal sector can be disabled");
   }
-  ++version_;
   transition_capacity(id, SectorState::disabled);
   set_weight(id);
   return util::Status::ok();
@@ -114,7 +108,6 @@ bool SectorTable::mark_corrupted(SectorId id) {
       states_[id] == SectorState::removed) {
     return false;
   }
-  ++version_;
   transition_capacity(id, SectorState::corrupted);
   set_weight(id);
   return true;
@@ -125,14 +118,12 @@ void SectorTable::mark_removed(SectorId id) {
   FI_CHECK_MSG(states_[id] == SectorState::disabled,
                "only a drained disabled sector can be removed");
   FI_CHECK_MSG(ref_counts_[id] == 0, "sector still referenced");
-  ++version_;
   transition_capacity(id, SectorState::removed);
   set_weight(id);
 }
 
 void SectorTable::set_rent_acc_snapshot(SectorId id, RentAcc value) {
   FI_CHECK_MSG(id < rent_acc_snapshots_.size(), "unknown sector id");
-  ++version_;
   rent_acc_snapshots_[id] = value;
 }
 
@@ -187,7 +178,6 @@ void SectorTable::load(util::BinaryReader& reader) {
   weights_ = util::FenwickTree();
   capacity_by_state_.fill(0);
   rentable_units_ = 0;
-  ++version_;
   const std::uint64_t n = reader.count(53);
   owners_.reserve(n);
   capacities_.reserve(n);

@@ -127,11 +127,6 @@ class SectorTable {
   /// All sector ids in registration order.
   [[nodiscard]] std::vector<SectorId> all_ids() const;
 
-  /// Mutation counter for incremental state hashing: bumped by every
-  /// mutating member (conservatively, even when the mutation is a no-op).
-  /// Monotone within a process; not comparable across save/load.
-  [[nodiscard]] std::uint64_t version() const { return version_; }
-
   /// Canonical snapshot encoding / full-state restore (`src/snapshot`).
   /// The wire format is record-ordered (one full sector after another),
   /// unchanged from the AoS layout, so snapshots and golden state hashes
@@ -170,8 +165,6 @@ class SectorTable {
   std::array<ByteCount, kSectorStateCount> capacity_by_state_{};
   // fi-lint: not-serialized(derived: load() re-accumulates rentable units)
   std::uint64_t rentable_units_ = 0;
-  // fi-lint: not-serialized(in-process mutation counter for incremental hashing)
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace fi::core

@@ -1,6 +1,7 @@
 #include "crypto/merkle.h"
 
-#include "crypto/sha256_batch.h"
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace fi::crypto {
@@ -14,34 +15,19 @@ Hash256 merkle_leaf_hash(std::span<const std::uint8_t> block) {
   return hash_bytes(kLeafDomain, block);
 }
 
-void merkle_leaf_hashes(std::span<const std::span<const std::uint8_t>> blocks,
-                        std::span<Hash256> out) {
-  FI_CHECK_MSG(blocks.size() == out.size(),
-               "merkle_leaf_hashes: one output hash per block");
-  Sha256Batch batch;
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    batch.add_tagged(kLeafDomain, blocks[i], &out[i].bytes);
-  }
-  batch.flush();
-}
-
 MerkleTree::MerkleTree(std::vector<Hash256> leaves)
     : leaf_count_(leaves.size()) {
   FI_CHECK_MSG(!leaves.empty(), "Merkle tree requires at least one leaf");
   levels_.push_back(std::move(leaves));
-  // Interior nodes within one level are independent hashes over
-  // equal-length inputs — ideal lane-kernel batches.
-  Sha256Batch batch;
   while (levels_.back().size() > 1) {
     const auto& prev = levels_.back();
-    std::vector<Hash256> next((prev.size() + 1) / 2);
+    std::vector<Hash256> next;
+    next.reserve((prev.size() + 1) / 2);
     for (std::size_t i = 0; i < prev.size(); i += 2) {
       const Hash256& left = prev[i];
       const Hash256& right = (i + 1 < prev.size()) ? prev[i + 1] : prev[i];
-      batch.add_tagged_pair(kNodeDomain, left.bytes, right.bytes,
-                            &next[i / 2].bytes);
+      next.push_back(hash_pair(kNodeDomain, left, right));
     }
-    batch.flush();
     levels_.push_back(std::move(next));
   }
 }
@@ -51,16 +37,11 @@ MerkleTree MerkleTree::over_data(std::span<const std::uint8_t> data) {
   if (data.empty()) {
     leaves.push_back(merkle_leaf_hash({}));
   } else {
-    // All full-size blocks batch into lane groups; only the final partial
-    // block (if any) hashes alone.
-    leaves.resize((data.size() + kMerkleBlockSize - 1) / kMerkleBlockSize);
-    Sha256Batch batch;
+    leaves.reserve((data.size() + kMerkleBlockSize - 1) / kMerkleBlockSize);
     for (std::size_t off = 0; off < data.size(); off += kMerkleBlockSize) {
       const std::size_t len = std::min(kMerkleBlockSize, data.size() - off);
-      batch.add_tagged(kLeafDomain, data.subspan(off, len),
-                       &leaves[off / kMerkleBlockSize].bytes);
+      leaves.push_back(merkle_leaf_hash(data.subspan(off, len)));
     }
-    batch.flush();
   }
   return MerkleTree(std::move(leaves));
 }

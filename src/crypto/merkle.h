@@ -51,12 +51,6 @@ class MerkleTree {
 /// Hash a raw data block into a leaf hash.
 Hash256 merkle_leaf_hash(std::span<const std::uint8_t> block);
 
-/// Batched leaf hashing: `out[i] = merkle_leaf_hash(blocks[i])` for all i,
-/// computed through the multi-lane SHA-256 kernel (bitwise identical to
-/// the scalar loop). `out.size()` must equal `blocks.size()`.
-void merkle_leaf_hashes(std::span<const std::span<const std::uint8_t>> blocks,
-                        std::span<Hash256> out);
-
 /// Verifies an inclusion proof against a root and leaf hash.
 bool merkle_verify(const Hash256& root, const Hash256& leaf_hash,
                    const MerkleProof& proof);

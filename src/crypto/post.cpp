@@ -63,18 +63,12 @@ bool verify_window(const WindowProof& proof, const Hash256& expected_comm_r,
   const std::uint64_t leaves = proof.openings.front().proof.leaf_count;
   const auto expected = window_challenges(expected_beacon, expected_comm_r,
                                           challenge_count, leaves);
-  // The opened blocks are independent, so their leaf hashes batch through
-  // the multi-lane kernel; only the Merkle path walks stay sequential.
-  std::vector<std::span<const std::uint8_t>> blocks;
-  blocks.reserve(proof.openings.size());
-  for (const auto& op : proof.openings) blocks.push_back(op.block);
-  std::vector<Hash256> leaf_hashes(blocks.size());
-  merkle_leaf_hashes(blocks, leaf_hashes);
   for (std::size_t t = 0; t < expected.size(); ++t) {
     const auto& op = proof.openings[t];
     if (op.index != expected[t]) return false;
     if (op.proof.leaf_index != op.index) return false;
-    if (!merkle_verify(expected_comm_r, leaf_hashes[t], op.proof)) {
+    if (!merkle_verify(expected_comm_r, merkle_leaf_hash(op.block),
+                       op.proof)) {
       return false;
     }
   }

@@ -17,7 +17,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
+
+#include "api/session.h"
 
 namespace {
 
@@ -82,6 +86,13 @@ fs::path write_temp(const std::string& name, const std::string& text) {
   return path;
 }
 
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
 // ---------------------------------------------------------------------------
 // fi_sim
 // ---------------------------------------------------------------------------
@@ -107,7 +118,7 @@ TEST(FiSimCli, UsageErrorsExitTwo) {
   EXPECT_EQ(fi_sim("--scenario a.cfg --load b.fisnap").exit_code, 2);
   // Malformed --set (no '='), malformed numeric operand.
   EXPECT_EQ(fi_sim("--scenario a.cfg --set seed7").exit_code, 2);
-  EXPECT_EQ(fi_sim("--scenario a.cfg --hash-network-every lots").exit_code, 2);
+  EXPECT_EQ(fi_sim("--scenario a.cfg --hash-state-every lots").exit_code, 2);
   // Checkpoint flags that contradict each other or lack --save.
   EXPECT_EQ(fi_sim("--scenario a.cfg --save-at 3").exit_code, 2);
   EXPECT_EQ(
@@ -207,6 +218,48 @@ TEST(FiSimCli, GoodRunExitsZero) {
   ASSERT_EQ(result.out.size(), 65u) << result.out;
   EXPECT_EQ(result.out.find_first_not_of("0123456789abcdef"), 64u);
   EXPECT_NE(result.err.find("rent conserved"), std::string::npos);
+}
+
+TEST(FiSimCli, HashStateEveryMatchesCheckpointAndResume) {
+  const fs::path ck =
+      fs::path(::testing::TempDir()) /
+      ("fi_cli_hash_every_" + std::to_string(::getpid()) + ".fisnap");
+  const CommandResult full =
+      fi_sim("--scenario " + smoke_cfg() +
+             " --out /dev/null --hash-state-every 1 --save " + ck.string() +
+             " --save-at 3");
+  ASSERT_EQ(full.exit_code, 0) << full.err;
+
+  // One line per epoch, each the 64-hex state hash at that epoch.
+  const std::vector<std::string> lines = lines_of(full.out);
+  ASSERT_EQ(lines.size(), 15u) << full.out;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string prefix =
+        "state-hash epoch=" + std::to_string(i + 1) + " ";
+    ASSERT_EQ(lines[i].rfind(prefix, 0), 0u) << lines[i];
+    const std::string hex = lines[i].substr(prefix.size());
+    EXPECT_EQ(hex.size(), 64u) << lines[i];
+    EXPECT_EQ(hex.find_first_not_of("0123456789abcdef"), std::string::npos)
+        << lines[i];
+  }
+
+  // The epoch-3 line is the hash of the checkpoint saved at epoch 3.
+  auto resumed = fi::Session::from_snapshot_file(ck.string());
+  ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
+  EXPECT_EQ(lines[2], "state-hash epoch=3 " + resumed.value().state_hash());
+
+  // The resumed run prints exactly the full run's lines after the save.
+  const CommandResult cont =
+      fi_sim("--load " + ck.string() + " --out /dev/null --hash-state-every 1");
+  ASSERT_EQ(cont.exit_code, 0) << cont.err;
+  EXPECT_EQ(lines_of(cont.out),
+            std::vector<std::string>(lines.begin() + 3, lines.end()));
+  fs::remove(ck);
+
+  // Zero is not an interval.
+  EXPECT_EQ(fi_sim("--scenario " + smoke_cfg() + " --hash-state-every 0")
+                .exit_code,
+            2);
 }
 
 // ---------------------------------------------------------------------------

@@ -429,6 +429,101 @@ TEST(AllocTableTest, SwapEraseIndexSurvivesInterleavedRelinks) {
   EXPECT_EQ(table.entries_with_prev(9), (std::vector<EntryKey>{{2, 0}}));
 }
 
+struct AllocRow {
+  SectorId prev = kNoSector;
+  SectorId next = kNoSector;
+  AllocState state = AllocState::alloc;
+};
+using AllocBucket = std::pair<SectorId, std::vector<ReplicaIndex>>;
+
+/// `AllocTable::save`'s layout for one file (id 1) with the given replica
+/// rows; the by-prev, by-next and sampler sections list replica indexes of
+/// that file.
+std::vector<std::uint8_t> alloc_body(const std::vector<AllocRow>& rows,
+                                     const std::vector<AllocBucket>& by_prev,
+                                     const std::vector<AllocBucket>& by_next,
+                                     const std::vector<ReplicaIndex>& normals) {
+  constexpr FileId kFile = 1;
+  util::BinaryWriter writer;
+  writer.u64(/*files=*/1);
+  writer.u64(kFile);
+  writer.u32(static_cast<std::uint32_t>(rows.size()));
+  for (const AllocRow& row : rows) {
+    writer.u64(row.prev);
+    writer.u64(row.next);
+    writer.u64(/*last=*/kNoTime);
+    writer.u8(static_cast<std::uint8_t>(row.state));
+    writer.raw(crypto::Hash256{}.bytes);
+  }
+  for (const auto* index : {&by_prev, &by_next}) {
+    writer.u64(index->size());
+    for (const auto& [sector, replicas] : *index) {
+      writer.u64(sector);
+      writer.u64(replicas.size());
+      for (const ReplicaIndex idx : replicas) {
+        writer.u64(kFile);
+        writer.u32(idx);
+      }
+    }
+  }
+  writer.u64(normals.size());
+  for (const ReplicaIndex idx : normals) {
+    writer.u64(kFile);
+    writer.u32(idx);
+  }
+  return writer.data();
+}
+
+TEST(AllocTableTest, LoadRejectsNonCanonicalBodies) {
+  constexpr std::uint64_t kSectors = 4;
+  // Replica 0 stored on sector 1 and normal; replica 1 moving to sector 2.
+  const std::vector<AllocRow> rows = {{1, kNoSector, AllocState::normal},
+                                      {kNoSector, 2, AllocState::alloc}};
+  {
+    AllocTable table;
+    table.create_file(1, 2);
+    table.set_prev(1, 0, 1);
+    table.set_state(1, 0, AllocState::normal);
+    table.set_next(1, 1, 2);
+    util::BinaryWriter saved;
+    table.save(saved);
+    // The cases below differ from this canonical body only where they say.
+    ASSERT_EQ(alloc_body(rows, {{1, {0}}}, {{2, {1}}}, {0}), saved.data());
+    AllocTable restored;
+    util::BinaryReader reader(saved.data());
+    restored.load(reader, kSectors);
+    ASSERT_TRUE(reader.ok()) << "the canonical body must load";
+    EXPECT_TRUE(reader.exhausted());
+    EXPECT_EQ(restored.entries_with_prev(1), (std::vector<EntryKey>{{1, 0}}));
+    EXPECT_EQ(restored.entries_with_next(2), (std::vector<EntryKey>{{1, 1}}));
+    EXPECT_EQ(restored.normal_entry_count(), 1u);
+    util::BinaryWriter again;
+    restored.save(again);
+    EXPECT_EQ(again.data(), saved.data());
+  }
+  std::vector<AllocRow> moved = rows;
+  moved[0].prev = 2;
+  const struct {
+    const char* what;
+    std::vector<std::uint8_t> body;
+  } cases[] = {
+      {"prev moved off its bucket's sector",
+       alloc_body(moved, {{1, {0}}}, {{2, {1}}}, {0})},
+      {"prev missing from the by-prev index",
+       alloc_body(rows, {}, {{2, {1}}}, {0})},
+      {"normal entry missing from the sampler",
+       alloc_body(rows, {{1, {0}}}, {{2, {1}}}, {})},
+      {"sampler lists the non-normal entry instead",
+       alloc_body(rows, {{1, {0}}}, {{2, {1}}}, {1})},
+  };
+  for (const auto& c : cases) {
+    AllocTable table;
+    util::BinaryReader reader(c.body);
+    EXPECT_NO_THROW(table.load(reader, kSectors)) << c.what;
+    EXPECT_FALSE(reader.ok()) << c.what;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // PendingList
 // ---------------------------------------------------------------------------

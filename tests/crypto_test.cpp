@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/hash.h"
@@ -299,6 +302,49 @@ TEST(Merkle, OddLeafCountDuplicatesLast) {
   const Hash256 left = hash_pair("fi/merkle/node", leaves[0], leaves[1]);
   const Hash256 right = hash_pair("fi/merkle/node", leaves[2], leaves[2]);
   EXPECT_EQ(tree.root(), hash_pair("fi/merkle/node", left, right));
+}
+
+TEST(Merkle, RootMatchesLevelByLevelReference) {
+  // Roots over `blocks * 64 - 5` bytes must match a hand-rolled
+  // level-by-level reconstruction from `merkle_leaf_hash` and `hash_pair`.
+  util::Xoshiro256 rng(6);
+  for (std::size_t blocks : {1u, 2u, 3u, 8u, 9u, 64u, 100u}) {
+    std::vector<std::uint8_t> data(blocks * kMerkleBlockSize - 5);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+    const MerkleTree tree = MerkleTree::over_data(data);
+    std::vector<Hash256> level;
+    for (std::size_t off = 0; off < data.size(); off += kMerkleBlockSize) {
+      level.push_back(merkle_leaf_hash(std::span<const std::uint8_t>(data)
+          .subspan(off, std::min(kMerkleBlockSize, data.size() - off))));
+    }
+    while (level.size() > 1) {
+      std::vector<Hash256> next;
+      for (std::size_t i = 0; i < level.size(); i += 2) {
+        const Hash256& l = level[i];
+        const Hash256& r = (i + 1 < level.size()) ? level[i + 1] : level[i];
+        next.push_back(hash_pair("fi/merkle/node", l, r));
+      }
+      level = std::move(next);
+    }
+    EXPECT_EQ(tree.root(), level.front()) << blocks << " blocks";
+  }
+
+  // Known-answer roots (byte i = i*7+1), so the tree's digests stay pinned
+  // whatever hashing path builds it.
+  const std::pair<std::size_t, const char*> known[] = {
+      {1, "eeb482ca1c69f19277ff4192e106ec415c3f30e2263c1776381665d5b5366eaa"},
+      {3, "4ef88f810815305a03d6d997b5c1c7a26f30f5e0518ac35bb96d0f4ded00139e"},
+      {9, "475e5b9414722fa96db457d950989fac3c362b4e0f3b7fd914d0e9a9c37eb0a6"},
+      {100,
+       "5b8dcdb72538932e6c093d1a1c132de017b095a866634744c1c476816ba2d899"},
+  };
+  for (const auto& [blocks, root_hex] : known) {
+    std::vector<std::uint8_t> data(blocks * kMerkleBlockSize - 5);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    }
+    EXPECT_EQ(merkle_root_of_data(data).hex(), root_hex) << blocks << " blocks";
+  }
 }
 
 TEST(Merkle, LeafVsInteriorDomainSeparation) {

@@ -4,6 +4,7 @@
 //   fi_sim --scenario configs/smoke.cfg --set seed=7 --set sectors=500
 //   fi_sim --scenario configs/smoke.cfg --save ckpt.fisnap --save-at 5
 //   fi_sim --load ckpt.fisnap --out report.json --hash-state
+//   fi_sim --scenario configs/smoke.cfg --out r.json --hash-state-every 1
 //
 // The report (schema: docs/BENCHMARKS.md) goes to --out, or stdout when no
 // --out is given; a one-line human summary always goes to stderr. Without
@@ -12,7 +13,7 @@
 //
 // Since PR 10 this binary is a thin adapter over `fi::Session`
 // (src/api/session.h): it parses flags into `Session::OpenOptions`, steps
-// the session one epoch at a time applying the checkpoint/fingerprint
+// the session one epoch at a time applying the checkpoint/state-hash
 // policy, and prints the report — every simulation capability lives in
 // the library, shared with `fi_orchestrate` and embeddings. The stepping
 // loop is byte-identical to the old monolithic run (pinned by
@@ -25,7 +26,11 @@
 // --hash-state prints the SHA-256 fingerprint of
 // the canonical end-of-run state as the last stdout line (use --out for
 // the report when capturing it); the CI golden-hashes job pins these
-// per-config in tests/golden/state_hashes.txt.
+// per-config in tests/golden/state_hashes.txt. It is taken after
+// report(), whose finalization (adversary end hooks) can still change
+// state. --hash-state-every n prints the same hash during the run, as
+// 'state-hash epoch=<e> <hex>' every n epochs, so two runs (or a run and
+// its resumed continuation) can be diffed to their first divergent epoch.
 //
 // Exit codes (tests/cli_contract_test.cpp): 0 ok, 1 run/input failure
 // (bad file, rent leak, failed save), 2 usage.
@@ -37,7 +42,6 @@
 #include <vector>
 
 #include "api/session.h"
-#include "snapshot/incremental_hash.h"
 #include "snapshot/snapshot.h"
 #include "util/arg_parser.h"
 
@@ -48,7 +52,7 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::uint64_t save_at = 0;
   std::uint64_t save_every = 0;
-  std::uint64_t fingerprint_every = 0;
+  std::uint64_t hash_every = 0;
   bool timings = false;
   bool dump_spec = false;
   bool hash_state = false;
@@ -86,12 +90,13 @@ int main(int argc, char** argv) {
                  "a cycle count >= 1");
   parser.add_flag("--hash-state", &hash_state,
                   "print the end-of-run state hash (SHA-256 of\n"
-                  "the canonical state encoding) to stdout");
-  parser.add_u64("--hash-network-every", &fingerprint_every, "n",
-                 "every <n> epochs, print the incremental\n"
-                 "network fingerprint (Merkle-ized per-component\n"
-                 "hash; only changed components are re-hashed)\n"
-                 "as 'network-fingerprint epoch=<e> <hex>'",
+                  "the canonical state encoding) to stdout; it is\n"
+                  "taken after the report, which can still change\n"
+                  "state");
+  parser.add_u64("--hash-state-every", &hash_every, "n",
+                 "every <n> epochs, print the same state hash,\n"
+                 "taken before the report, as\n"
+                 "'state-hash epoch=<e> <hex>'",
                  1, "a cycle count >= 1");
 
   if (auto status = parser.parse(argc, argv); !status.is_ok()) {
@@ -162,22 +167,19 @@ int main(int argc, char** argv) {
   bool save_fired = false;
   const bool save_hook =
       !save_path.empty() && (save_at != 0 || save_every != 0);
-  // The incremental hasher lives across epochs: each fingerprint re-hashes
-  // only the components whose version counters moved since the previous
-  // checkpoint, so frequent fingerprints cost O(changed state).
-  fi::snapshot::IncrementalNetworkHasher net_hasher;
 
   // The stepping loop: one epoch per iteration, policy applied at the
   // checkpoint-safe pause point — exactly where the monolithic run loop
-  // fired its epoch callback, so snapshots and fingerprints are
-  // byte-identical to the pre-Session fi_sim's.
+  // fired its epoch callback, so snapshots are byte-identical to the
+  // pre-Session fi_sim's, and each state-hash line equals the hash that a
+  // checkpoint saved at the same epoch resumes to.
   while (!session.finished()) {
     if (session.run_epochs(1) == 0) break;  // trailing zero-cycle phases
     const std::uint64_t epoch = session.epoch();
-    if (fingerprint_every != 0 && epoch % fingerprint_every == 0) {
-      const fi::crypto::Hash256 fp = net_hasher.fingerprint(session.network());
-      std::fprintf(stdout, "network-fingerprint epoch=%llu %s\n",
-                   static_cast<unsigned long long>(epoch), fp.hex().c_str());
+    if (hash_every != 0 && epoch % hash_every == 0) {
+      std::fprintf(stdout, "state-hash epoch=%llu %s\n",
+                   static_cast<unsigned long long>(epoch),
+                   session.state_hash().c_str());
     }
     if (save_hook) {
       const bool due =
