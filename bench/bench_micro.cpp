@@ -1,7 +1,6 @@
 // Engineering micro-benchmarks (not in the paper): throughput of the
-// primitives every experiment rests on — hashing, Merkle trees, PoRep
-// sealing/verification, WindowPoSt, capacity-weighted sector sampling, and
-// the protocol engine's hot paths.
+// primitives every experiment rests on — hashing, Merkle trees,
+// capacity-weighted sector sampling, and the protocol engine's hot paths.
 
 #include <benchmark/benchmark.h>
 
@@ -9,8 +8,6 @@
 
 #include "core/network.h"
 #include "crypto/merkle.h"
-#include "crypto/porep.h"
-#include "crypto/post.h"
 #include "crypto/sha256.h"
 #include "ledger/account.h"
 #include "util/fenwick.h"
@@ -49,58 +46,6 @@ void BM_MerkleBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_MerkleBuild)->Arg(4096)->Arg(65536);
 
-void BM_PoRepSeal(benchmark::State& state) {
-  const auto raw = random_bytes(static_cast<std::size_t>(state.range(0)), 3);
-  const fi::crypto::ReplicaId id{1, 2, 3};
-  const fi::crypto::SealParams params{.work = 1, .challenges = 2};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fi::crypto::seal(raw, id, params));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_PoRepSeal)->Arg(4096)->Arg(65536);
-
-void BM_PoRepVerifySeal(benchmark::State& state) {
-  const auto raw = random_bytes(65536, 4);
-  const fi::crypto::ReplicaId id{1, 2, 3};
-  const fi::crypto::SealParams params{.work = 1, .challenges = 4};
-  const auto sealed = fi::crypto::seal(raw, id, params);
-  const auto proof = fi::crypto::prove_seal(raw, sealed, id, params);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fi::crypto::verify_seal(proof, params));
-  }
-}
-BENCHMARK(BM_PoRepVerifySeal);
-
-void BM_WindowPoStProve(benchmark::State& state) {
-  const auto raw = random_bytes(65536, 5);
-  const fi::crypto::ReplicaId id{1, 2, 3};
-  const fi::crypto::SealParams params{.work = 1, .challenges = 2};
-  const auto sealed = fi::crypto::seal(raw, id, params);
-  const auto beacon = fi::crypto::hash_u64s("bench", {1});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fi::crypto::prove_window(sealed, id, beacon, 1, 2));
-  }
-}
-BENCHMARK(BM_WindowPoStProve);
-
-void BM_WindowPoStVerify(benchmark::State& state) {
-  const auto raw = random_bytes(65536, 6);
-  const fi::crypto::ReplicaId id{1, 2, 3};
-  const fi::crypto::SealParams params{.work = 1, .challenges = 2};
-  const auto sealed = fi::crypto::seal(raw, id, params);
-  const auto beacon = fi::crypto::hash_u64s("bench", {1});
-  const auto comm_r = fi::crypto::replica_commitment(sealed);
-  const auto proof = fi::crypto::prove_window(sealed, id, beacon, 1, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fi::crypto::verify_window(proof, comm_r, beacon, 2));
-  }
-}
-BENCHMARK(BM_WindowPoStVerify);
-
 // ---------------------------------------------------------------------------
 // RandomSector (the Fenwick tree behind every placement decision)
 // ---------------------------------------------------------------------------
@@ -130,7 +75,7 @@ void BM_FenwickUpdate(benchmark::State& state) {
 BENCHMARK(BM_FenwickUpdate);
 
 // ---------------------------------------------------------------------------
-// Protocol engine hot paths (metadata mode)
+// Protocol engine hot paths
 // ---------------------------------------------------------------------------
 
 void BM_FileAddConfirmStore(benchmark::State& state) {
@@ -141,10 +86,8 @@ void BM_FileAddConfirmStore(benchmark::State& state) {
   params.k = 3;
   params.cap_para = 100.0;
   params.gamma_deposit = 0.01;
-  params.verify_proofs = false;
   ledger::Ledger ledger;
   core::Network net(params, ledger, 11);
-  net.set_auto_prove(true);
   const AccountId provider = ledger.create_account(1'000'000'000ull);
   for (int s = 0; s < 256; ++s) {
     (void)net.sector_register(provider, params.min_capacity);
@@ -167,7 +110,7 @@ void BM_FileAddConfirmStore(benchmark::State& state) {
          i < net.allocations().replica_count(f.value()); ++i) {
       const core::AllocEntry& e = net.allocations().entry(f.value(), i);
       (void)net.file_confirm(net.sectors().at(e.next).owner, f.value(), i,
-                             e.next, {}, std::nullopt);
+                             e.next);
     }
     files.push_back(f.value());
   }
@@ -183,10 +126,8 @@ void BM_ProofCycleAdvance(benchmark::State& state) {
   params.cap_para = 100.0;
   params.gamma_deposit = 0.01;
   params.avg_refresh = 1e9;  // isolate CheckProof cost from refresh cost
-  params.verify_proofs = false;
   ledger::Ledger ledger;
   core::Network net(params, ledger, 12);
-  net.set_auto_prove(true);
   const AccountId provider = ledger.create_account(1'000'000'000ull);
   for (int s = 0; s < 64; ++s) {
     (void)net.sector_register(provider, params.min_capacity);
@@ -199,7 +140,7 @@ void BM_ProofCycleAdvance(benchmark::State& state) {
          r < net.allocations().replica_count(f.value()); ++r) {
       const core::AllocEntry& e = net.allocations().entry(f.value(), r);
       (void)net.file_confirm(net.sectors().at(e.next).owner, f.value(), r,
-                             e.next, {}, std::nullopt);
+                             e.next);
     }
   }
   for (auto _ : state) {

@@ -69,7 +69,7 @@ void drain_transfers(Population& pop) {
   for (const fi::core::ReplicaTransferRequested& req : batch) {
     if (!pop.net->sectors().exists(req.to)) continue;
     (void)pop.net->file_confirm(pop.net->sectors().at(req.to).owner, req.file,
-                                req.index, req.to, {}, std::nullopt);
+                                req.index, req.to);
   }
 }
 
@@ -83,9 +83,6 @@ void build_population(Population& pop, std::uint64_t files,
   p.k = 3;
   p.cap_para = 200.0;
   p.gamma_deposit = 0.02;
-  // Auto-prove mode, like every scenario run: uploads confirm with a bare
-  // metadata receipt instead of a verified seal proof.
-  p.verify_proofs = false;
   const std::uint64_t sectors = sectors_for(files);
   constexpr std::uint64_t kUnits = 4;
   constexpr fi::ByteCount kFileSize = 2048;
@@ -115,7 +112,6 @@ void build_population(Population& pop, std::uint64_t files,
   pop.client = pop.ledger.create_account(client_funds);
 
   pop.net = std::make_unique<fi::core::Network>(p, pop.ledger, /*seed=*/42);
-  pop.net->set_auto_prove(true);
   pop.net->subscribe([&pop](const fi::core::Event& event) {
     if (const auto* transfer =
             std::get_if<fi::core::ReplicaTransferRequested>(&event)) {

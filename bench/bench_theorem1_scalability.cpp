@@ -25,7 +25,6 @@ int main() {
   params.k = 3;
   params.cap_para = 200.0;
   params.gamma_deposit = 0.01;
-  params.verify_proofs = false;
 
   std::printf("Theorem 1 reproduction — capacity scalability\n");
   std::printf("(k = %u, file sizes ~ U[1,2] KiB, value = minValue; networks "
@@ -38,7 +37,6 @@ int main() {
   for (const std::size_t ns : {16u, 32u, 64u, 128u}) {
     ledger::Ledger ledger;
     core::Network net(params, ledger, /*seed=*/ns);
-    net.set_auto_prove(true);
     const AccountId provider = ledger.create_account(1'000'000'000ull);
     for (std::size_t s = 0; s < ns; ++s) {
       auto r = net.sector_register(provider, params.min_capacity);
@@ -66,7 +64,7 @@ int main() {
            i < net.allocations().replica_count(f.value()); ++i) {
         const core::AllocEntry& e = net.allocations().entry(f.value(), i);
         (void)net.file_confirm(net.sectors().at(e.next).owner, f.value(), i,
-                               e.next, {}, std::nullopt);
+                               e.next);
       }
       stored_raw += size;
       sum_size += static_cast<double>(size);

@@ -32,11 +32,9 @@ Outcome run_protocol(double gamma_deposit, double lambda,
   params.k = 2;  // deliberately fragile so losses actually happen
   params.cap_para = 50.0;
   params.gamma_deposit = gamma_deposit;
-  params.verify_proofs = false;
 
   ledger::Ledger ledger;
   core::Network net(params, ledger, seed);
-  net.set_auto_prove(true);
 
   constexpr std::size_t kSectors = 100;
   const AccountId provider = ledger.create_account(1'000'000'000ull);
@@ -57,7 +55,7 @@ Outcome run_protocol(double gamma_deposit, double lambda,
          r < net.allocations().replica_count(f.value()); ++r) {
       const core::AllocEntry& e = net.allocations().entry(f.value(), r);
       (void)net.file_confirm(net.sectors().at(e.next).owner, f.value(), r,
-                             e.next, {}, std::nullopt);
+                             e.next);
     }
     stored_value += params.min_value;
   }

@@ -25,11 +25,9 @@ int main() {
   params.proof_due = 75;
   params.proof_deadline = 300;
   params.avg_refresh = 4.0;
-  params.verify_proofs = false;
 
   ledger::Ledger ledger;
   Network net(params, ledger, /*seed=*/404);
-  net.set_auto_prove(true);
 
   std::printf("== provider economics ==\n\n");
 
@@ -71,7 +69,7 @@ int main() {
          ++r) {
       const AllocEntry& e = net.allocations().entry(f.value(), r);
       (void)net.file_confirm(net.sectors().at(e.next).owner, f.value(), r,
-                             e.next, {}, std::nullopt);
+                             e.next);
     }
     ++accepted;
   }
@@ -83,7 +81,7 @@ int main() {
     if (const auto* req = std::get_if<ReplicaTransferRequested>(&event)) {
       if (req->from != kNoSector) {
         (void)net.file_confirm(net.sectors().at(req->to).owner, req->file,
-                               req->index, req->to, {}, std::nullopt);
+                               req->index, req->to);
       }
     }
   });

@@ -72,6 +72,8 @@ ComparisonRow row_from_report(std::string node,
   // Placement replicates each file cp = k·⌈value/minValue⌉ times.
   row.storage_overhead = static_cast<double>(
       spec.params.replica_count(spec.effective_file_value()));
+  // The paper's Table IV properties; the Sybil and provability ones rest
+  // on PoRep and WindowPoSt, which the engine assumes.
   row.capacity_scalable = true;
   row.prevents_sybil = true;
   row.provable_robustness = true;

@@ -1,8 +1,16 @@
 #include "core/alloc_table.h"
 
 #include <algorithm>
+#include <array>
 
 namespace fi::core {
+
+namespace {
+
+/// The former per-replica CommR field of an entry row: always zero.
+constexpr std::array<std::uint8_t, 32> kReservedRowBytes{};
+
+}  // namespace
 
 std::size_t AllocTable::slot_of(FileId file, ReplicaIndex idx) const {
   const auto it = ranges_.find(file);
@@ -21,7 +29,6 @@ void AllocTable::create_file(FileId file, std::uint32_t cp) {
     next_.resize(offset + cp, kNoSector);
     last_.resize(offset + cp, kNoTime);
     state_.resize(offset + cp, AllocState::alloc);
-    comm_r_.resize(offset + cp);
     pos_in_prev_.resize(offset + cp, kNoPos);
     pos_in_next_.resize(offset + cp, kNoPos);
     pos_in_normal_.resize(offset + cp, kNoPos);
@@ -31,7 +38,6 @@ void AllocTable::create_file(FileId file, std::uint32_t cp) {
       next_[s] = kNoSector;
       last_[s] = kNoTime;
       state_[s] = AllocState::alloc;
-      comm_r_[s] = crypto::Hash256{};
       pos_in_prev_[s] = kNoPos;
       pos_in_next_[s] = kNoPos;
       pos_in_normal_[s] = kNoPos;
@@ -72,7 +78,6 @@ AllocEntry AllocTable::entry(FileId file, ReplicaIndex idx) const {
   e.next = next_[slot];
   e.last = last_[slot];
   e.state = state_[slot];
-  e.comm_r = comm_r_[slot];
   return e;
 }
 
@@ -85,7 +90,6 @@ AllocTable::SweepView AllocTable::sweep_view_of(FileId file) {
   view.prev_ = prev_.data() + range.offset;
   view.next_ = next_.data() + range.offset;
   view.last_ = last_.data() + range.offset;
-  view.comm_r_ = comm_r_.data() + range.offset;
   view.count_ = range.count;
   return view;
 }
@@ -128,11 +132,6 @@ void AllocTable::set_state(FileId file, ReplicaIndex idx, AllocState state) {
 
 void AllocTable::set_last(FileId file, ReplicaIndex idx, Time last) {
   last_[slot_of(file, idx)] = last;
-}
-
-void AllocTable::set_comm_r(FileId file, ReplicaIndex idx,
-                            const crypto::Hash256& comm_r) {
-  comm_r_[slot_of(file, idx)] = comm_r;
 }
 
 std::vector<EntryKey> AllocTable::entries_with_prev(SectorId sector) const {
@@ -222,7 +221,7 @@ void AllocTable::save(util::BinaryWriter& writer) const {
       writer.u64(next_[slot]);
       writer.u64(last_[slot]);
       writer.u8(static_cast<std::uint8_t>(state_[slot]));
-      writer.raw(comm_r_[slot].bytes);
+      writer.raw(kReservedRowBytes);
     }
   }
   const auto save_index =
@@ -261,7 +260,6 @@ void AllocTable::load(util::BinaryReader& reader,
   next_.clear();
   last_.clear();
   state_.clear();
-  comm_r_.clear();
   pos_in_prev_.clear();
   pos_in_next_.clear();
   pos_in_normal_.clear();
@@ -296,8 +294,12 @@ void AllocTable::load(util::BinaryReader& reader,
         reader.fail();
         return;
       }
-      crypto::Hash256 comm_r;
-      reader.raw(comm_r.bytes);
+      std::array<std::uint8_t, kReservedRowBytes.size()> reserved{};
+      reader.raw(reserved);
+      if (reserved != kReservedRowBytes) {
+        reader.fail();  // save() writes only zeros there
+        return;
+      }
       if (prev != kNoSector) ++linked_prev;
       if (next != kNoSector) ++linked_next;
       if (state == static_cast<std::uint8_t>(AllocState::normal)) {
@@ -307,7 +309,6 @@ void AllocTable::load(util::BinaryReader& reader,
       next_.push_back(next);
       last_.push_back(last);
       state_.push_back(static_cast<AllocState>(state));
-      comm_r_.push_back(comm_r);
       pos_in_prev_.push_back(kNoPos);
       pos_in_next_.push_back(kNoPos);
       pos_in_normal_.push_back(kNoPos);

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/types.h"
-#include "crypto/hash.h"
 #include "util/arena.h"
 #include "util/binary_io.h"
 #include "util/check.h"
@@ -25,8 +24,7 @@
 /// Storage is a struct-of-arrays slab: every entry field lives in its own
 /// dense array, and a file's `cp` replicas occupy one contiguous run of
 /// slots. The proof sweep streams the state/prev/last arrays instead of
-/// striding 120-byte records (the 32-byte CommR never enters the sweep's
-/// cache footprint), and freed runs are recycled through a fixed-block
+/// striding records, and freed runs are recycled through a fixed-block
 /// pool (`util::FixedBlockPool`) keyed by `cp`, so steady-state churn
 /// reuses warm slots instead of growing the slab.
 ///
@@ -44,9 +42,6 @@ struct AllocEntry {
   /// Time of the last accepted proof of storage (kNoTime = never).
   Time last = kNoTime;
   AllocState state = AllocState::alloc;
-  /// Replica commitment (CommR) registered at File_Confirm; the expected
-  /// commitment for WindowPoSt verification.
-  crypto::Hash256 comm_r;
 };
 
 using EntryKey = std::pair<FileId, ReplicaIndex>;
@@ -64,7 +59,7 @@ class AllocTable {
   /// one hash lookup yields direct array access to all of a file's
   /// replicas (contiguous slots). Reads are live, so they see later
   /// setter writes to the same file. Only `last` is writable here;
-  /// prev/next/state/comm_r are coupled to the reverse indexes and the
+  /// prev/next/state are coupled to the reverse indexes and the
   /// normal-entry sampler and must go through the setters below.
   /// Invalidated by create_file (the slab may reallocate), remove_file
   /// and load.
@@ -75,9 +70,6 @@ class AllocTable {
     [[nodiscard]] SectorId prev(ReplicaIndex i) const { return prev_[i]; }
     [[nodiscard]] SectorId next(ReplicaIndex i) const { return next_[i]; }
     [[nodiscard]] Time last(ReplicaIndex i) const { return last_[i]; }
-    [[nodiscard]] const crypto::Hash256& comm_r(ReplicaIndex i) const {
-      return comm_r_[i];
-    }
     void set_last(ReplicaIndex i, Time t) { last_[i] = t; }
 
    private:
@@ -86,7 +78,6 @@ class AllocTable {
     const SectorId* prev_ = nullptr;
     const SectorId* next_ = nullptr;
     Time* last_ = nullptr;
-    const crypto::Hash256* comm_r_ = nullptr;
     std::uint32_t count_ = 0;
   };
 
@@ -115,7 +106,6 @@ class AllocTable {
   void set_next(FileId file, ReplicaIndex idx, SectorId sector);
   void set_state(FileId file, ReplicaIndex idx, AllocState state);
   void set_last(FileId file, ReplicaIndex idx, Time last);
-  void set_comm_r(FileId file, ReplicaIndex idx, const crypto::Hash256& comm_r);
 
   /// Entries with prev == sector / next == sector (copied snapshots, for
   /// callers that mutate while iterating).
@@ -155,6 +145,11 @@ class AllocTable {
   /// Slot placement inside the slab is NOT observable and not encoded;
   /// `load` repacks files dense in file-id order.
   ///
+  /// Each entry row still carries 32 reserved bytes where a per-replica
+  /// replica commitment (CommR) used to be, so the format and every golden
+  /// state hash are unchanged: `save` writes zeros there and `load` fails
+  /// the reader on any other value.
+  ///
   /// `sector_count` bounds the sector ids accepted in the reverse-index
   /// sections (the caller loads the sector table first): buckets are
   /// dense per-sector vectors now, so an astronomically large id in a
@@ -189,7 +184,6 @@ class AllocTable {
   std::vector<SectorId> next_;
   std::vector<Time> last_;
   std::vector<AllocState> state_;
-  std::vector<crypto::Hash256> comm_r_;
   /// Intrusive positions of each slot's key inside the by-prev/by-next
   /// buckets and the normal sampler (kNoPos when absent).
   // fi-lint: not-serialized(derived: load() rebuilds from the index sections)

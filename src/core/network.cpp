@@ -20,12 +20,10 @@ std::int64_t sample_refresh_countdown(util::Xoshiro256& rng,
 
 }  // namespace
 
-Network::Network(Params params, ledger::Ledger& ledger, std::uint64_t seed,
-                 BeaconSource beacon)
+Network::Network(Params params, ledger::Ledger& ledger, std::uint64_t seed)
     : params_(params),
       ledger_(ledger),
       rng_(seed),
-      beacon_(std::move(beacon)),
       escrow_(ledger.create_account()),
       pool_(ledger.create_account()),
       rent_pool_(ledger.create_account()),
@@ -34,11 +32,6 @@ Network::Network(Params params, ledger::Ledger& ledger, std::uint64_t seed,
       sector_table_(params_),
       deposit_book_(ledger, escrow_, pool_) {
   params_.validate();
-  if (!beacon_) {
-    beacon_ = [seed](Time t) {
-      return crypto::hash_u64s("fi/core/beacon", {seed, t});
-    };
-  }
   // Recurring rent distribution (§IV-A2).
   pending_.schedule(params_.rent_period(),
                     Task{TaskKind::rent_distribution, kNoFile, 0});
@@ -122,10 +115,8 @@ util::Status Network::sector_disable(ProviderId provider, SectorId sector) {
   return util::Status::ok();
 }
 
-util::Status Network::file_confirm(
-    ProviderId provider, FileId file, ReplicaIndex index, SectorId sector,
-    const crypto::Hash256& comm_r,
-    const std::optional<crypto::SealProof>& seal_proof) {
+util::Status Network::file_confirm(ProviderId provider, FileId file,
+                                   ReplicaIndex index, SectorId sector) {
   const auto it = files_.find(file);
   if (it == files_.end()) {
     return util::err(util::ErrorCode::not_found, "unknown file");
@@ -144,22 +135,6 @@ util::Status Network::file_confirm(
     return util::err(util::ErrorCode::failed_precondition,
                      "entry is not awaiting confirmation by this sector");
   }
-  if (params_.verify_proofs) {
-    if (!seal_proof.has_value()) {
-      return util::err(util::ErrorCode::proof_invalid,
-                       "seal proof required");
-    }
-    const crypto::ReplicaId expected_id{provider, sector,
-                                        replica_nonce(file, index)};
-    if (seal_proof->id != expected_id ||
-        seal_proof->comm_d != it->second.desc.merkle_root ||
-        seal_proof->comm_r != comm_r ||
-        !crypto::verify_seal(*seal_proof, params_.seal)) {
-      return util::err(util::ErrorCode::proof_invalid,
-                       "seal proof verification failed");
-    }
-  }
-  alloc_table_.set_comm_r(file, index, comm_r);
   alloc_table_.set_state(file, index, AllocState::confirm);
   // Initial upload: release the escrowed traffic fee to the provider.
   if (entry.prev == kNoSector && it->second.traffic_escrowed[index]) {
@@ -168,61 +143,6 @@ util::Status Network::file_confirm(
     it->second.traffic_escrowed[index] = false;
   }
   return util::Status::ok();
-}
-
-util::Status Network::file_prove(ProviderId provider, FileId file,
-                                 ReplicaIndex index, SectorId sector,
-                                 const crypto::WindowProof& proof) {
-  const auto it = files_.find(file);
-  if (it == files_.end()) {
-    return util::err(util::ErrorCode::not_found, "unknown file");
-  }
-  if (index >= it->second.desc.cp) {
-    return util::err(util::ErrorCode::invalid_argument,
-                     "replica index out of range");
-  }
-  if (!sector_table_.exists(sector) ||
-      sector_table_.at(sector).owner != provider) {
-    return util::err(util::ErrorCode::permission_denied,
-                     "caller does not own the sector");
-  }
-  const AllocEntry& entry = alloc_table_.entry(file, index);
-  if (entry.prev != sector || entry.state == AllocState::corrupted) {
-    return util::err(util::ErrorCode::failed_precondition,
-                     "sector does not store this replica");
-  }
-  if (proof.epoch > now_) {
-    return util::err(util::ErrorCode::proof_invalid,
-                     "proof dated in the future");
-  }
-  if (entry.last != kNoTime && proof.epoch <= entry.last) {
-    return util::err(util::ErrorCode::proof_invalid, "stale proof (replay)");
-  }
-  if (params_.verify_proofs) {
-    const crypto::ReplicaId expected_id{provider, sector,
-                                        replica_nonce(file, index)};
-    if (proof.id != expected_id ||
-        !crypto::verify_window(proof, entry.comm_r, beacon_(proof.epoch),
-                               params_.post_challenges)) {
-      return util::err(util::ErrorCode::proof_invalid,
-                       "window proof verification failed");
-    }
-  }
-  alloc_table_.set_last(file, index, proof.epoch);
-  return util::Status::ok();
-}
-
-util::Status Network::file_prove_trusted(ProviderId provider, FileId file,
-                                         ReplicaIndex index, SectorId sector,
-                                         Time proof_time) {
-  if (params_.verify_proofs) {
-    return util::err(util::ErrorCode::failed_precondition,
-                     "trusted proofs disabled when verify_proofs is set");
-  }
-  crypto::WindowProof bare;
-  bare.id = crypto::ReplicaId{provider, sector, replica_nonce(file, index)};
-  bare.epoch = proof_time;
-  return file_prove(provider, file, index, sector, bare);
 }
 
 // ---------------------------------------------------------------------------
@@ -434,8 +354,8 @@ void Network::auto_check_proof(FileId file) {
     const SectorId prev = entries.prev(i);
     if (prev == kNoSector) continue;
     if (sector_table_.state(prev) == SectorState::corrupted) continue;
-    if (auto_prove_ && !is_physically_corrupted(prev)) {
-      entries.set_last(i, now_);  // fresh: neither late nor breached
+    if (!is_physically_corrupted(prev)) {
+      entries.set_last(i, now_);  // auto-proven: neither late nor breached
       continue;
     }
     const Time last = entries.last(i);
@@ -974,7 +894,8 @@ void Network::save_misc(util::BinaryWriter& writer) const {
   writer.u128(rent_undistributed_scaled_);
   writer.u64(total_rent_charged_);
   writer.u64(total_rent_paid_);
-  writer.boolean(auto_prove_);
+  // The former manual-proving mode flag: the engine always auto-proves.
+  writer.boolean(true);
 
   // The dense flag vector encodes as (count, ascending set-ids) — the exact
   // encoding the former sorted id set produced.
@@ -1086,7 +1007,7 @@ util::Status Network::load(util::BinaryReader& reader) {
   rent_undistributed_scaled_ = reader.u128();
   total_rent_charged_ = reader.u64();
   total_rent_paid_ = reader.u64();
-  auto_prove_ = reader.boolean();
+  if (!reader.boolean()) reader.fail();  // save() writes only `true`
 
   // The corrupted-flag ids precede the sector table on the wire; buffer
   // them and size the dense flag vector from the *restored* sector count —

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -14,8 +13,6 @@
 #include "core/pending_list.h"
 #include "core/sector.h"
 #include "core/types.h"
-#include "crypto/porep.h"
-#include "crypto/post.h"
 #include "ledger/account.h"
 #include "util/binary_io.h"
 #include "util/prng.h"
@@ -25,8 +22,7 @@
 ///
 /// This class implements, exactly as in Figs. 4–9:
 ///   * client requests:   File_Add, File_Discard, File_Get
-///   * provider requests: Sector_Register, Sector_Disable, File_Confirm,
-///                        File_Prove
+///   * provider requests: Sector_Register, Sector_Disable, File_Confirm
 ///   * automatic tasks:   Auto_CheckAlloc, Auto_CheckProof, Auto_Refresh,
 ///                        Auto_CheckRefresh (executed via the pending list
 ///                        as simulated time advances)
@@ -34,9 +30,11 @@
 /// mechanism (§IV-A), §VI-B Poisson admission rebalancing, and simulation
 /// hooks for corruption injection.
 ///
-/// The engine tracks metadata only (sizes, commitments, balances); file
-/// bytes stay off-chain with the caller, which proves storage through
-/// `file_confirm`/`file_prove` or lets auto-prove stand in for it.
+/// The engine tracks metadata only (sizes, roots, balances); file bytes
+/// stay off-chain with the caller. Proofs of storage (PoRep, WindowPoSt)
+/// are assumed, as the paper takes them from Filecoin: Auto_CheckProof
+/// counts every replica as proven unless its sector is withheld
+/// (`corrupt_sector_physical`), which stands in for File_Prove.
 namespace fi::core {
 
 /// Client-declared description of a file to store (File_Add inputs).
@@ -74,29 +72,23 @@ NetworkStats load_network_stats(util::BinaryReader& reader);
 
 class Network {
  public:
-  /// Epoch beacon supplier for PoSt challenges (§III-F public randomness).
-  ///
-  /// Contract: must be a pure function of the epoch time `t` — the engine
-  /// may call it any number of times, in any order, and providers call the
-  /// same function through `beacon()` when building their WindowPoSt, so a
-  /// stateful or clock-dependent supplier would let prover and verifier
-  /// disagree. For reproducible experiments it must also be a fixed
-  /// function of the seed. The default is a domain-separated hash of
-  /// (seed, t).
-  using BeaconSource = std::function<crypto::Hash256(Time)>;
-
   /// Builds an empty network on `ledger` (which must outlive the engine;
   /// the five system accounts are created here). All protocol randomness
-  /// streams from `seed` — same params, seed, beacon and request sequence
-  /// means a bit-identical run.
-  Network(Params params, ledger::Ledger& ledger, std::uint64_t seed,
-          BeaconSource beacon = {});
+  /// streams from `seed` — same params, seed and request sequence means a
+  /// bit-identical run.
+  Network(Params params, ledger::Ledger& ledger, std::uint64_t seed);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
   /// Inert: only perfbench/src/mirror.cpp calls it; deleted with that file.
   void set_workers(std::uint64_t /*unused*/) {}
+
+  /// Inert: only perfbench/src/mirror.cpp calls it; deleted with that file.
+  /// The engine always auto-proves, so only `true` is accepted.
+  void set_auto_prove(bool enabled) {
+    FI_CHECK_MSG(enabled, "the engine always auto-proves");
+  }
 
   // ---- Provider requests (Fig. 5, Fig. 6) -------------------------------
 
@@ -111,23 +103,18 @@ class Network {
   util::Status sector_disable(ProviderId provider, SectorId sector);
 
   /// File_Confirm: the provider declares it received replica (file, index)
-  /// into `sector`, registering the replica commitment. When
-  /// `params.verify_proofs` is set, a valid seal proof binding the file's
-  /// Merkle root to `comm_r` is required.
+  /// into `sector`. Its PoRep seal is assumed valid (§II-B).
+  util::Status file_confirm(ProviderId provider, FileId file,
+                            ReplicaIndex index, SectorId sector);
+
+  /// Inert: only perfbench/src/mirror.cpp calls it; deleted with that file.
+  /// Forwards to the four-argument form.
   util::Status file_confirm(ProviderId provider, FileId file,
                             ReplicaIndex index, SectorId sector,
-                            const crypto::Hash256& comm_r,
-                            const std::optional<crypto::SealProof>& seal_proof);
-
-  /// File_Prove: WindowPoSt for replica (file, index) stored in `sector`.
-  util::Status file_prove(ProviderId provider, FileId file, ReplicaIndex index,
-                          SectorId sector, const crypto::WindowProof& proof);
-
-  /// Metadata-only variant used when `params.verify_proofs == false`:
-  /// accepts a bare proof timestamp.
-  util::Status file_prove_trusted(ProviderId provider, FileId file,
-                                  ReplicaIndex index, SectorId sector,
-                                  Time proof_time);
+                            const crypto::Hash256& /*unused*/,
+                            std::nullopt_t /*unused*/) {
+    return file_confirm(provider, file, index, sector);
+  }
 
   // ---- Client requests (Fig. 4) ------------------------------------------
 
@@ -169,17 +156,14 @@ class Network {
   /// granularity at which `advance_to` will do work.
   [[nodiscard]] Time next_task_time() const { return pending_.next_time(); }
 
-  /// The epoch beacon (for providers building PoSt proofs).
-  [[nodiscard]] crypto::Hash256 beacon(Time t) const { return beacon_(t); }
-
   // ---- Simulation hooks ---------------------------------------------------
 
-  /// Physically corrupts a sector: with auto-prove off, its provider is
-  /// expected to stop proving; with auto-prove on, the engine stops
-  /// auto-proving for it and Auto_CheckProof confiscates it at the
-  /// ProofDeadline — the full detection pipeline. Also doubles as "proof
-  /// withholding" for adversary studies (`adversary::WithholdProofs`): the
-  /// data may be intact, the chain only sees missing proofs.
+  /// Physically corrupts a sector: the engine stops auto-proving its
+  /// replicas, so Auto_CheckProof punishes them after ProofDue and
+  /// confiscates the sector at the ProofDeadline — the full detection
+  /// pipeline. Also doubles as "proof withholding" for adversary studies
+  /// (`adversary::WithholdProofs`): the data may be intact, the chain only
+  /// sees missing proofs.
   void corrupt_sector_physical(SectorId sector);
 
   /// Immediately runs the chain-side corruption path (confiscation +
@@ -193,11 +177,6 @@ class Network {
   /// withholder resuming proofs (`adversary::ResumeProofs`). A no-op if
   /// the sector was already chain-corrupted.
   void restore_sector_physical(SectorId sector);
-
-  /// When enabled, Auto_CheckProof treats every replica in a
-  /// non-physically-corrupted sector as freshly proven — large-scale
-  /// statistical runs without per-replica proof traffic.
-  void set_auto_prove(bool enabled) { auto_prove_ = enabled; }
 
   [[nodiscard]] bool is_physically_corrupted(SectorId sector) const {
     return sector < physically_corrupted_.size() &&
@@ -279,14 +258,14 @@ class Network {
   /// are emitted in sorted order; order-bearing dense arrays verbatim), so
   /// hashing this encoding is a state fingerprint.
   ///
-  /// Not included: params, seed/beacon and subscribers — those are
+  /// Not included: params, seed and subscribers — those are
   /// construction-time configuration the restoring caller must supply
   /// identically (the scenario layer rebuilds them from the spec embedded
   /// in the snapshot file).
   void save(util::BinaryWriter& writer) const;
 
-  /// Restores a freshly-constructed engine (same params, ledger layout,
-  /// seed and beacon as the saved one) to the serialized state; the ledger
+  /// Restores a freshly-constructed engine (same params, ledger layout and
+  /// seed as the saved one) to the serialized state; the ledger
   /// itself must have been restored first. Continuation is then
   /// byte-identical to the uninterrupted run. Fails without engine
   /// side-effect guarantees on malformed input — callers verify the
@@ -400,9 +379,6 @@ class Network {
   // snapshots itself through its own save_state/load_state pair)
   ledger::Ledger& ledger_;
   util::Xoshiro256 rng_;
-  // fi-lint: not-serialized(callback handle; re-bound by the host after
-  // resume, never part of canonical state)
-  BeaconSource beacon_;
 
   AccountId escrow_;
   AccountId pool_;
@@ -435,7 +411,6 @@ class Network {
   TokenAmount total_rent_charged_ = 0;
   TokenAmount total_rent_paid_ = 0;
 
-  bool auto_prove_ = false;
   /// Dense per-sector physical-corruption flags (sector ids are dense
   /// registration indices; grown on demand, trailing sectors implicitly
   /// clear). The proof sweep probes this per replica, so a flat byte

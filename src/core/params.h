@@ -4,7 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "crypto/porep.h"
 #include "util/check.h"
 #include "util/checked.h"
 #include "util/types.h"
@@ -76,13 +75,6 @@ struct Params {
   /// random backups into the new sector to keep placement i.i.d.
   bool admission_rebalance = false;
 
-  // ---- Proof system -----------------------------------------------------
-  /// Verify PoRep/PoSt cryptographically (integration mode) or accept
-  /// declared commitments (metadata-only mode for large-scale statistics).
-  bool verify_proofs = true;
-  crypto::SealParams seal{};
-  std::uint32_t post_challenges = 2;
-
   /// Validates internal consistency; throws on misconfiguration.
   void validate() const {
     FI_CHECK_MSG(min_capacity > 0, "min_capacity must be positive");
@@ -107,8 +99,6 @@ struct Params {
     // Zero draws no sector, so every File_Add fails.
     FI_CHECK_MSG(max_alloc_resample >= 1,
                  "max_alloc_resample must be at least 1");
-    // Zero openings would let any prover who knows comm_r pass WindowPoSt.
-    FI_CHECK_MSG(post_challenges >= 1, "post_challenges must be at least 1");
   }
 
   /// Replica count for a file of the given value (`backupCnt` in Fig. 4):

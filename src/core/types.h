@@ -48,11 +48,4 @@ const char* to_string(SectorState s);
 const char* to_string(FileState s);
 const char* to_string(AllocState s);
 
-/// PoRep nonce for replica (file, index): replicas of the same file in the
-/// same sector still seal to distinct byte strings, so a provider cannot
-/// collapse two replica slots onto one physical copy (Sybil resistance).
-inline std::uint64_t replica_nonce(FileId file, ReplicaIndex index) {
-  return (file << 16) | (index & 0xffffu);
-}
-
 }  // namespace fi::core

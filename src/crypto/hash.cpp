@@ -1,18 +1,10 @@
 #include "crypto/hash.h"
 
-#include <algorithm>
-
 #include "util/hex.h"
 
 namespace fi::crypto {
 
 namespace {
-
-void append_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  for (int i = 7; i >= 0; --i) {
-    buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
 
 Hash256 digest_to_hash(const Digest& d) {
   Hash256 h;
@@ -30,11 +22,6 @@ Sha256 tagged_hasher(std::string_view domain) {
 }
 
 }  // namespace
-
-bool Hash256::is_zero() const {
-  return std::all_of(bytes.begin(), bytes.end(),
-                     [](std::uint8_t b) { return b == 0; });
-}
 
 std::string Hash256::hex() const { return util::to_hex(bytes); }
 
@@ -58,25 +45,6 @@ Hash256 hash_pair(std::string_view domain, const Hash256& left,
   Sha256 hasher = tagged_hasher(domain);
   hasher.update(left.bytes);
   hasher.update(right.bytes);
-  return digest_to_hash(hasher.finalize());
-}
-
-Hash256 hash_u64s(std::string_view domain,
-                  std::initializer_list<std::uint64_t> values) {
-  std::vector<std::uint8_t> buf;
-  buf.reserve(values.size() * 8);
-  for (std::uint64_t v : values) append_u64(buf, v);
-  return hash_bytes(domain, buf);
-}
-
-Hash256 hash_with_u64s(std::string_view domain, const Hash256& h,
-                       std::initializer_list<std::uint64_t> values) {
-  Sha256 hasher = tagged_hasher(domain);
-  hasher.update(h.bytes);
-  std::vector<std::uint8_t> buf;
-  buf.reserve(values.size() * 8);
-  for (std::uint64_t v : values) append_u64(buf, v);
-  hasher.update(buf);
   return digest_to_hash(hasher.finalize());
 }
 

@@ -4,13 +4,12 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "crypto/sha256.h"
 
-/// `Hash256` — the 32-byte value type used for Merkle roots, replica
-/// commitments, CIDs, block hashes and beacon outputs, plus domain-separated
-/// combiners so distinct uses can never collide structurally.
+/// `Hash256` — the 32-byte value type used for file Merkle roots and CIDs,
+/// plus domain-separated hashes so distinct uses can never collide
+/// structurally.
 namespace fi::crypto {
 
 struct Hash256 {
@@ -18,7 +17,6 @@ struct Hash256 {
 
   auto operator<=>(const Hash256&) const = default;
 
-  [[nodiscard]] bool is_zero() const;
   [[nodiscard]] std::string hex() const;
   /// Short prefix for human-readable logs (first 8 hex chars).
   [[nodiscard]] std::string short_hex() const;
@@ -31,24 +29,8 @@ struct Hash256 {
 /// Hash arbitrary bytes with a domain-separation tag.
 Hash256 hash_bytes(std::string_view domain, std::span<const std::uint8_t> data);
 
-/// Hash the concatenation of two hashes (Merkle interior nodes etc.).
+/// Hash the concatenation of two hashes (Merkle interior nodes).
 Hash256 hash_pair(std::string_view domain, const Hash256& left,
                   const Hash256& right);
-
-/// Hash a sequence of 64-bit integers with a domain tag (challenge
-/// derivation, beacon evolution, id derivation).
-Hash256 hash_u64s(std::string_view domain,
-                  std::initializer_list<std::uint64_t> values);
-
-/// Hash a hash together with integers (e.g. H(beacon || index)).
-Hash256 hash_with_u64s(std::string_view domain, const Hash256& h,
-                       std::initializer_list<std::uint64_t> values);
-
-/// std::hash adaptor so Hash256 can key unordered containers.
-struct Hash256Hasher {
-  std::size_t operator()(const Hash256& h) const {
-    return static_cast<std::size_t>(h.prefix_u64());
-  }
-};
 
 }  // namespace fi::crypto

@@ -8,10 +8,10 @@
 
 /// Binary Merkle trees over fixed-size data blocks.
 ///
-/// File descriptors carry a `merkleRoot` (Fig. 1); PoRep commitments are
-/// Merkle roots over sealed blocks; PoSt challenges are answered with Merkle
-/// inclusion proofs. Odd levels duplicate the last node (Bitcoin style), so
-/// every tree over n >= 1 leaves is well formed.
+/// File descriptors carry a `merkleRoot` (Fig. 1), the root a client
+/// computes over its file's bytes before `File_Add` (`tools/fi_merkle_root`).
+/// Odd levels duplicate the last node (Bitcoin style), so every tree over
+/// n >= 1 leaves is well formed.
 namespace fi::crypto {
 
 /// The leaf block size, in bytes, used when hashing raw data into leaves.

@@ -6,8 +6,8 @@
 #include <span>
 
 /// SHA-256 (FIPS 180-4), with no external crypto dependency. Everything
-/// above (Merkle trees, PoRep seals, PoSt challenges, CIDs, state hashes and
-/// snapshot digests) keys off this one primitive.
+/// above (file Merkle roots, CIDs, state hashes and snapshot digests) keys
+/// off this one primitive.
 ///
 /// Two compression loops sit behind it: the portable FIPS 180-4 loop, and
 /// on x86-64 a loop on the SHA extensions (SHA-NI), chosen once per process

@@ -196,7 +196,6 @@ void ScenarioRunner::build_network() {
       1'000'000'000ull));
 
   net_ = std::make_unique<core::Network>(p, ledger_, spec_.seed);
-  net_->set_auto_prove(true);
   net_->subscribe([this](const core::Event& event) {
     if (const auto* transfer =
             std::get_if<core::ReplicaTransferRequested>(&event)) {

@@ -14,8 +14,9 @@ using util::format_shortest_double;
 /// accepted with any value, ignored, and never re-emitted by
 /// `to_config_string`, so every saved spec and FISNAP01 header still loads.
 constexpr const char* kRetiredKeys[] = {
-    "engine.workers",  // the intra-epoch sweep pool's thread count
-    "net.cr_size",     // DRep capacity-replica size; DRep is not modelled
+    "engine.workers",       // the intra-epoch sweep pool's thread count
+    "net.cr_size",          // DRep capacity-replica size; DRep is not modelled
+    "net.post_challenges",  // WindowPoSt openings; proofs are not simulated
 };
 
 std::string phase_key(std::size_t index, const char* field) {
@@ -130,10 +131,19 @@ util::Status parse_params(const util::Config& config, core::Params& params) {
   FI_NET_FIELD_U32(max_alloc_resample);
   FI_NET_FIELD(get_bool_or, distinct_sectors);
   FI_NET_FIELD(get_bool_or, admission_rebalance);
-  FI_NET_FIELD(get_bool_or, verify_proofs);
-  FI_NET_FIELD_U32(post_challenges);
 #undef FI_NET_FIELD_U32
 #undef FI_NET_FIELD
+
+  // Every spec written before proofs were assumed carries
+  // `net.verify_proofs = false`; it is read and dropped, never re-emitted.
+  auto verify = config.get_bool_or("net.verify_proofs", false);
+  if (!verify.is_ok()) return verify.status();
+  if (verify.value()) {
+    return util::err(util::ErrorCode::invalid_argument,
+                     "net.verify_proofs = true: PoRep and WindowPoSt are "
+                     "assumed, not simulated; every replica auto-proves "
+                     "unless its sector withholds proofs");
+  }
   return util::Status::ok();
 }
 
@@ -357,11 +367,6 @@ util::Status ScenarioSpec::validate() const {
     return util::err(util::ErrorCode::invalid_argument,
                      std::string("net.* parameters invalid: ") + e.what());
   }
-  if (params.verify_proofs) {
-    return util::err(util::ErrorCode::invalid_argument,
-                     "the scenario engine runs the network in metadata mode "
-                     "(auto-prove); net.verify_proofs must be false");
-  }
   if (sectors == 0) {
     return util::err(util::ErrorCode::invalid_argument,
                      "sectors must be positive (nothing can be stored in an "
@@ -527,9 +532,6 @@ std::string ScenarioSpec::to_config_string() const {
       << (params.distinct_sectors ? "true" : "false") << "\n";
   out << "net.admission_rebalance = "
       << (params.admission_rebalance ? "true" : "false") << "\n";
-  out << "net.verify_proofs = " << (params.verify_proofs ? "true" : "false")
-      << "\n";
-  out << "net.post_challenges = " << params.post_challenges << "\n";
 
   {
     std::string network_block;

@@ -214,31 +214,20 @@ struct NetworkSpec {
   void serialize(std::string& out) const;
 };
 
-/// Scenario-mode protocol parameters: identical to the engine defaults
-/// except `verify_proofs`, which is off — the scenario engine drives the
-/// network in metadata mode (replicas auto-prove) so million-file runs do
-/// not pay per-replica proof traffic. `ScenarioSpec::validate()` rejects
-/// `net.verify_proofs = true` until the runner grows a proving actor.
-[[nodiscard]] inline core::Params default_scenario_params() {
-  core::Params params;
-  params.verify_proofs = false;
-  return params;
-}
-
 /// A complete declarative scenario: `ScenarioRunner(spec).run()` is the
 /// whole experiment.
 struct ScenarioSpec {
   std::string name = "scenario";
-  /// Master seed: seeds the network engine (placement, refresh countdowns,
-  /// beacons) and, salted, the workload generator (file sizes, arrival
-  /// draws, corruption targets).
+  /// Master seed: seeds the network engine (placement, refresh countdowns)
+  /// and, salted, the workload generator (file sizes, arrival draws,
+  /// corruption targets).
   std::uint64_t seed = 1;
 
   /// Inert: only perfbench/src/main.cpp sets it; deleted with mirror.cpp.
   std::uint64_t engine_workers = 1;
 
   /// Protocol parameters, exposed as `net.*` config keys.
-  core::Params params = default_scenario_params();
+  core::Params params;
 
   // ---- Setup population ---------------------------------------------------
   /// Sectors registered before phase 0 (single well-funded provider).

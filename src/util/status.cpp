@@ -12,7 +12,6 @@ std::string_view error_code_name(ErrorCode code) {
     case ErrorCode::insufficient_funds: return "INSUFFICIENT_FUNDS";
     case ErrorCode::insufficient_space: return "INSUFFICIENT_SPACE";
     case ErrorCode::failed_precondition: return "FAILED_PRECONDITION";
-    case ErrorCode::proof_invalid: return "PROOF_INVALID";
     case ErrorCode::unavailable: return "UNAVAILABLE";
   }
   return "UNKNOWN";

@@ -24,7 +24,6 @@ enum class ErrorCode {
   insufficient_funds,  ///< balance/deposit cannot cover the operation
   insufficient_space,  ///< sector free capacity below requested size
   failed_precondition, ///< entity in the wrong state for this request
-  proof_invalid,       ///< PoRep/PoSt/Merkle verification failed
   unavailable,         ///< counterparty did not respond in time
 };
 

@@ -249,10 +249,8 @@ TEST(TheoremOracle, Lemma1SplitValueBoundsValuedLoss) {
   // {1, 2, 3}, k = 2, λ = 0.5 the valued loss is about 0.070 < 0.25.
   core::Params params;
   params.k = 2;
-  params.verify_proofs = false;
   ledger::Ledger ledger;
   core::Network net(params, ledger, 11);
-  net.set_auto_prove(true);
   const AccountId provider = ledger.create_account(1'000'000'000ull);
   std::vector<core::SectorId> sectors;
   for (int s = 0; s < 60; ++s) {
@@ -270,7 +268,7 @@ TEST(TheoremOracle, Lemma1SplitValueBoundsValuedLoss) {
          r < net.allocations().replica_count(file.value()); ++r) {
       const core::AllocEntry e = net.allocations().entry(file.value(), r);
       ASSERT_TRUE(net.file_confirm(net.sectors().at(e.next).owner,
-                                   file.value(), r, e.next, {}, std::nullopt)
+                                   file.value(), r, e.next)
                       .is_ok());
     }
     stored_value += value;

@@ -1,12 +1,12 @@
-// The exit-code contract of the two shipped binaries, pinned by driving
+// The exit-code contract of the three shipped binaries, pinned by driving
 // them as real subprocesses: 0 = success, 1 = run/input failure (bad
 // file, failed node, rent leak), 2 = usage error. Scripts and CI recipes
 // branch on these codes, so a change here is a breaking interface change
 // — the same bar as a report-schema change.
 //
 // The binaries come from the build tree via FI_SIM_BIN /
-// FI_ORCHESTRATE_BIN (CMake injects $<TARGET_FILE:...> and declares the
-// dependency).
+// FI_ORCHESTRATE_BIN / FI_MERKLE_ROOT_BIN (CMake injects
+// $<TARGET_FILE:...> and declares the dependency).
 
 #include <gtest/gtest.h>
 
@@ -28,9 +28,10 @@ namespace {
 namespace fs = std::filesystem;
 
 #if !defined(FI_SIM_BIN) || !defined(FI_ORCHESTRATE_BIN) || \
-    !defined(FI_CONFIG_DIR) || !defined(FI_PLAN_DIR)
-#error "FI_SIM_BIN / FI_ORCHESTRATE_BIN / FI_CONFIG_DIR / FI_PLAN_DIR " \
-       "must be defined by the build"
+    !defined(FI_MERKLE_ROOT_BIN) || !defined(FI_CONFIG_DIR) ||  \
+    !defined(FI_PLAN_DIR)
+#error "FI_SIM_BIN / FI_ORCHESTRATE_BIN / FI_MERKLE_ROOT_BIN / " \
+       "FI_CONFIG_DIR / FI_PLAN_DIR must be defined by the build"
 #endif
 
 struct CommandResult {
@@ -74,6 +75,9 @@ CommandResult fi_sim(const std::string& argv_tail) {
 }
 CommandResult fi_orchestrate(const std::string& argv_tail) {
   return run(FI_ORCHESTRATE_BIN, argv_tail);
+}
+CommandResult fi_merkle_root(const std::string& argv_tail) {
+  return run(FI_MERKLE_ROOT_BIN, argv_tail);
 }
 
 std::string smoke_cfg() {
@@ -182,15 +186,13 @@ TEST(FiSimCli, InputFailuresExitOne) {
     EXPECT_NE(overflow.err.find("overflow"), std::string::npos) << set;
   }
 
-  // Degenerate protocol parameters that would otherwise run to a clean
-  // exit 0 (no file stored; WindowPoSt with no openings).
-  for (const char* set :
-       {"net.max_alloc_resample=0", "net.post_challenges=0"}) {
-    const CommandResult invalid = fi_sim("--scenario " + smoke_cfg() +
-                                         " --out /dev/null --set " + set);
-    EXPECT_EQ(invalid.exit_code, 1) << set;
-    EXPECT_NE(invalid.err.find("at least 1"), std::string::npos) << set;
-  }
+  // A degenerate protocol parameter that would otherwise run to a clean
+  // exit 0 with no file stored.
+  const CommandResult invalid = fi_sim("--scenario " + smoke_cfg() +
+                                       " --out /dev/null --set "
+                                       "net.max_alloc_resample=0");
+  EXPECT_EQ(invalid.exit_code, 1);
+  EXPECT_NE(invalid.err.find("at least 1"), std::string::npos);
 }
 
 TEST(FiSimCli, WrappingRentPeriodExitsOne) {
@@ -357,6 +359,38 @@ TEST(FiOrchestrateCli, TinyPlanRunsAndEmitsTable) {
   fs::remove(broken);
   fs::remove_all(out_dir);
   fs::remove_all(out2);
+}
+
+// ---------------------------------------------------------------------------
+// fi_merkle_root
+// ---------------------------------------------------------------------------
+
+TEST(FiMerkleRootCli, PrintsTheFileRoot) {
+  // 3 * 64 - 5 bytes, byte i = i*7+1: the known-answer root pinned in
+  // Merkle.RootMatchesLevelByLevelReference.
+  std::string bytes(3 * 64 - 5, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>(i * 7 + 1);
+  }
+  const fs::path path = write_temp("fi_merkle_root_in.bin", bytes);
+  const CommandResult result = fi_merkle_root("--file " + path.string());
+  EXPECT_EQ(result.exit_code, 0) << result.err;
+  EXPECT_EQ(result.out,
+            "4ef88f810815305a03d6d997b5c1c7a26f30f5e0518ac35bb96d0f4ded00139e"
+            "\n");
+  fs::remove(path);
+}
+
+TEST(FiMerkleRootCli, ExitCodes) {
+  const CommandResult help = fi_merkle_root("--help");
+  EXPECT_EQ(help.exit_code, 0);
+  EXPECT_NE(help.out.find("--file"), std::string::npos);
+  EXPECT_EQ(fi_merkle_root("").exit_code, 2);  // --file is required
+  EXPECT_EQ(fi_merkle_root("--frobnicate").exit_code, 2);
+  const fs::path missing =
+      fs::path(::testing::TempDir()) / "fi_merkle_root_missing.bin";
+  EXPECT_EQ(fi_merkle_root("--file " + missing.string()).exit_code, 1);
+  EXPECT_EQ(fi_merkle_root("--file " + ::testing::TempDir()).exit_code, 1);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <limits>
 #include <stdexcept>
 
@@ -83,16 +84,12 @@ TEST(ParamsTest, ValidateRejectsBadConfig) {
   Params p = small_params();
   p.proof_deadline = p.proof_due;  // must be strictly greater
   EXPECT_THROW(p.validate(), util::InvariantViolation);
-  // Zero would hang the rent clock, fail every File_Add, or accept a
-  // WindowPoSt with no openings.
+  // Zero would hang the rent clock or fail every File_Add.
   p = small_params();
   p.rent_period_cycles = 0;
   EXPECT_THROW(p.validate(), util::InvariantViolation);
   p = small_params();
   p.max_alloc_resample = 0;
-  EXPECT_THROW(p.validate(), util::InvariantViolation);
-  p = small_params();
-  p.post_challenges = 0;
   EXPECT_THROW(p.validate(), util::InvariantViolation);
   // A rent period of 2^31 × 2^33 = 2^64 ticks would wrap to zero and
   // reschedule the rent task at `now` forever; one cycle fewer fits.
@@ -438,12 +435,16 @@ using AllocBucket = std::pair<SectorId, std::vector<ReplicaIndex>>;
 
 /// `AllocTable::save`'s layout for one file (id 1) with the given replica
 /// rows; the by-prev, by-next and sampler sections list replica indexes of
-/// that file.
+/// that file. Each row's 32 reserved bytes (the former CommR) are zero
+/// except the last, which is `reserved_last`.
 std::vector<std::uint8_t> alloc_body(const std::vector<AllocRow>& rows,
                                      const std::vector<AllocBucket>& by_prev,
                                      const std::vector<AllocBucket>& by_next,
-                                     const std::vector<ReplicaIndex>& normals) {
+                                     const std::vector<ReplicaIndex>& normals,
+                                     std::uint8_t reserved_last = 0) {
   constexpr FileId kFile = 1;
+  std::array<std::uint8_t, 32> reserved{};
+  reserved.back() = reserved_last;
   util::BinaryWriter writer;
   writer.u64(/*files=*/1);
   writer.u64(kFile);
@@ -453,7 +454,7 @@ std::vector<std::uint8_t> alloc_body(const std::vector<AllocRow>& rows,
     writer.u64(row.next);
     writer.u64(/*last=*/kNoTime);
     writer.u8(static_cast<std::uint8_t>(row.state));
-    writer.raw(crypto::Hash256{}.bytes);
+    writer.raw(reserved);
   }
   for (const auto* index : {&by_prev, &by_next}) {
     writer.u64(index->size());
@@ -515,6 +516,8 @@ TEST(AllocTableTest, LoadRejectsNonCanonicalBodies) {
        alloc_body(rows, {{1, {0}}}, {{2, {1}}}, {})},
       {"sampler lists the non-normal entry instead",
        alloc_body(rows, {{1, {0}}}, {{2, {1}}}, {1})},
+      {"non-zero byte in the reserved former CommR field",
+       alloc_body(rows, {{1, {0}}}, {{2, {1}}}, {0}, /*reserved_last=*/1)},
   };
   for (const auto& c : cases) {
     AllocTable table;

@@ -1,22 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
-#include <optional>
 #include <set>
-#include <tuple>
 #include <vector>
 
 #include "core/network.h"
-#include "crypto/merkle.h"
 #include "ledger/account.h"
 
 namespace fi::core {
 namespace {
 
-/// Metadata-mode fixture: proofs are trusted declarations, so protocol
-/// control flow can be tested without sealing bytes (the cryptographic path
-/// is covered by `VerifyFixture` below).
+/// Engine fixture: replicas auto-prove unless a test withholds their
+/// sector's proofs with `corrupt_sector_physical`.
 class NetworkFixture : public ::testing::Test {
  protected:
   static Params test_params() {
@@ -30,7 +25,6 @@ class NetworkFixture : public ::testing::Test {
     p.proof_due = 150;
     p.proof_deadline = 300;
     p.avg_refresh = 1000.0;  // effectively no refresh unless a test wants it
-    p.verify_proofs = false;
     return p;
   }
 
@@ -63,8 +57,7 @@ class NetworkFixture : public ::testing::Test {
       const AllocEntry& e = net->allocations().entry(file, i);
       if (e.state != AllocState::alloc || e.next == kNoSector) continue;
       const ProviderId owner = net->sectors().at(e.next).owner;
-      auto status =
-          net->file_confirm(owner, file, i, e.next, {}, std::nullopt);
+      auto status = net->file_confirm(owner, file, i, e.next);
       EXPECT_TRUE(status.is_ok()) << status.to_string();
     }
   }
@@ -222,23 +215,18 @@ TEST_F(NetworkFixture, ConfirmValidations) {
   const ProviderId wrong =
       providers[0] == owner ? providers[1] : providers[0];
   if (net->sectors().at(e.next).owner != wrong) {
-    EXPECT_EQ(net->file_confirm(wrong, id.value(), 0, e.next, {}, std::nullopt)
-                  .code(),
+    EXPECT_EQ(net->file_confirm(wrong, id.value(), 0, e.next).code(),
               util::ErrorCode::permission_denied);
   }
   // Unknown file / bad index.
-  EXPECT_EQ(
-      net->file_confirm(owner, 999, 0, e.next, {}, std::nullopt).code(),
-      util::ErrorCode::not_found);
-  EXPECT_EQ(
-      net->file_confirm(owner, id.value(), 9, e.next, {}, std::nullopt).code(),
-      util::ErrorCode::invalid_argument);
+  EXPECT_EQ(net->file_confirm(owner, 999, 0, e.next).code(),
+            util::ErrorCode::not_found);
+  EXPECT_EQ(net->file_confirm(owner, id.value(), 9, e.next).code(),
+            util::ErrorCode::invalid_argument);
   // Valid confirm, then double-confirm is rejected (state moved on).
-  ASSERT_TRUE(
-      net->file_confirm(owner, id.value(), 0, e.next, {}, std::nullopt).is_ok());
-  EXPECT_EQ(
-      net->file_confirm(owner, id.value(), 0, e.next, {}, std::nullopt).code(),
-      util::ErrorCode::failed_precondition);
+  ASSERT_TRUE(net->file_confirm(owner, id.value(), 0, e.next).is_ok());
+  EXPECT_EQ(net->file_confirm(owner, id.value(), 0, e.next).code(),
+            util::ErrorCode::failed_precondition);
 }
 
 TEST_F(NetworkFixture, UnconfirmedUploadFailsAndRefunds) {
@@ -249,8 +237,7 @@ TEST_F(NetworkFixture, UnconfirmedUploadFailsAndRefunds) {
   // Only confirm replica 0; the rest never arrive.
   const AllocEntry& e0 = net->allocations().entry(id.value(), 0);
   const ProviderId owner = net->sectors().at(e0.next).owner;
-  ASSERT_TRUE(
-      net->file_confirm(owner, id.value(), 0, e0.next, {}, std::nullopt).is_ok());
+  ASSERT_TRUE(net->file_confirm(owner, id.value(), 0, e0.next).is_ok());
   net->advance_to(params.transfer_window(1000));
 
   EXPECT_FALSE(net->file_exists(id.value()));
@@ -275,8 +262,7 @@ TEST_F(NetworkFixture, ConfirmedProviderEarnsTrafficFee) {
   const AllocEntry& e = net->allocations().entry(id.value(), 0);
   const ProviderId owner = net->sectors().at(e.next).owner;
   const TokenAmount before = ledger.balance(owner);
-  ASSERT_TRUE(
-      net->file_confirm(owner, id.value(), 0, e.next, {}, std::nullopt).is_ok());
+  ASSERT_TRUE(net->file_confirm(owner, id.value(), 0, e.next).is_ok());
   EXPECT_EQ(ledger.balance(owner), before + params.traffic_fee(1000));
 }
 
@@ -286,7 +272,6 @@ TEST_F(NetworkFixture, ConfirmedProviderEarnsTrafficFee) {
 
 TEST_F(NetworkFixture, AutoProveKeepsFileHealthy) {
   build(test_params());
-  net->set_auto_prove(true);
   const FileId id = add_and_store(1000, 20);
   net->advance_to(3000);
   EXPECT_TRUE(net->file_exists(id));
@@ -294,28 +279,12 @@ TEST_F(NetworkFixture, AutoProveKeepsFileHealthy) {
   EXPECT_EQ(net->stats().sectors_corrupted, 0u);
 }
 
-TEST_F(NetworkFixture, ManualTrustedProofsKeepFileHealthy) {
-  build(test_params());
-  const FileId id = add_and_store(1000, 20);
-  for (int cycle = 0; cycle < 5; ++cycle) {
-    const Time next_check = net->next_task_time();
-    net->advance_to(next_check - 1);
-    for (ReplicaIndex i = 0; i < 4; ++i) {
-      const AllocEntry& e = net->allocations().entry(id, i);
-      auto status = net->file_prove_trusted(net->sectors().at(e.prev).owner,
-                                            id, i, e.prev, net->now());
-      ASSERT_TRUE(status.is_ok()) << status.to_string();
-    }
-    net->advance_to(next_check);
-  }
-  EXPECT_TRUE(net->file_exists(id));
-  EXPECT_EQ(net->stats().punishments, 0u);
-}
-
 TEST_F(NetworkFixture, LateProofPunished) {
   build(test_params());
   const FileId id = add_and_store(1000, 20);
-  // Nobody proves: the second CheckProof sees last + proof_due < now.
+  // Every sector withholds its proofs: the second CheckProof sees
+  // last + proof_due < now.
+  for (const SectorId s : sectors_) net->corrupt_sector_physical(s);
   const TokenAmount deposit_before = net->deposits().remaining(
       net->allocations().entry(id, 0).prev);
   net->advance_to(251);  // checks at 1+100=101 (fresh), 201 (late)
@@ -329,7 +298,8 @@ TEST_F(NetworkFixture, LateProofPunished) {
 TEST_F(NetworkFixture, ProofDeadlineCorruptsSector) {
   build(test_params());
   const FileId id = add_and_store(1000, 20);
-  // No proofs at all: at t=301+, last(=1) + 300 < now -> confiscation.
+  // No sector proves: at t=301+, last(=1) + 300 < now -> confiscation.
+  for (const SectorId s : sectors_) net->corrupt_sector_physical(s);
   net->advance_to(402);
   EXPECT_GT(net->stats().sectors_corrupted, 0u);
   EXPECT_FALSE(events_of<SectorCorrupted>().empty());
@@ -341,28 +311,12 @@ TEST_F(NetworkFixture, ProofDeadlineCorruptsSector) {
   (void)id;
 }
 
-TEST_F(NetworkFixture, ReplayedProofRejected) {
-  build(test_params());
-  const FileId id = add_and_store(1000, 20);
-  net->advance_to(50);
-  const AllocEntry& e = net->allocations().entry(id, 0);
-  const ProviderId owner = net->sectors().at(e.prev).owner;
-  ASSERT_TRUE(net->file_prove_trusted(owner, id, 0, e.prev, 50).is_ok());
-  EXPECT_EQ(net->file_prove_trusted(owner, id, 0, e.prev, 50).code(),
-            util::ErrorCode::proof_invalid);
-  EXPECT_EQ(net->file_prove_trusted(owner, id, 0, e.prev, 40).code(),
-            util::ErrorCode::proof_invalid);
-  EXPECT_EQ(net->file_prove_trusted(owner, id, 0, e.prev, 99).code(),
-            util::ErrorCode::proof_invalid);  // future-dated
-}
-
 // ---------------------------------------------------------------------------
 // File loss and compensation
 // ---------------------------------------------------------------------------
 
 TEST_F(NetworkFixture, LosingAllReplicasCompensatesClient) {
   build(test_params());
-  net->set_auto_prove(true);
   const FileId id = add_and_store(1000, 20);
   const TokenAmount before = ledger.balance(client);
   // Corrupt every sector holding a replica.
@@ -389,7 +343,6 @@ TEST_F(NetworkFixture, LosingAllReplicasCompensatesClient) {
 
 TEST_F(NetworkFixture, PartialCorruptionKeepsFileAlive) {
   build(test_params());
-  net->set_auto_prove(true);
   const FileId id = add_and_store(1000, 20);
   net->corrupt_sector_now(net->allocations().entry(id, 0).prev);
   net->advance_to(net->now() + 5 * params.proof_cycle);
@@ -401,7 +354,6 @@ TEST_F(NetworkFixture, CompensationShortfallBecomesLiability) {
   Params p = test_params();
   p.gamma_deposit = 0.001;  // deliberately under-collateralized
   build(p, 4, 4 * 1024);
-  net->set_auto_prove(true);
   const FileId id = add_and_store(500, 100);  // cp = 20, value 100
   const TokenAmount client_before = ledger.balance(client);
   // Destroy the whole fleet: every replica is gone, but the confiscated
@@ -432,7 +384,6 @@ TEST_F(NetworkFixture, CompensationShortfallBecomesLiability) {
 
 TEST_F(NetworkFixture, DiscardRemovesAtNextCheckProof) {
   build(test_params());
-  net->set_auto_prove(true);
   const FileId id = add_and_store(1000, 20);
   ASSERT_TRUE(net->file_discard(client, id).is_ok());
   EXPECT_TRUE(net->file_exists(id));  // still there until the check
@@ -450,7 +401,6 @@ TEST_F(NetworkFixture, DiscardRemovesAtNextCheckProof) {
 
 TEST_F(NetworkFixture, DiscardRequiresOwnership) {
   build(test_params());
-  net->set_auto_prove(true);
   const FileId id = add_and_store(1000, 20);
   EXPECT_EQ(net->file_discard(providers[0], id).code(),
             util::ErrorCode::permission_denied);
@@ -458,7 +408,6 @@ TEST_F(NetworkFixture, DiscardRequiresOwnership) {
 
 TEST_F(NetworkFixture, RentChargedEachCycleAndDistributed) {
   build(test_params());
-  net->set_auto_prove(true);
   const TokenAmount client_before = ledger.balance(client);
   const FileId id = add_and_store(1000, 20);
   const TokenAmount after_add = ledger.balance(client);
@@ -479,7 +428,6 @@ TEST_F(NetworkFixture, RentChargedEachCycleAndDistributed) {
 
 TEST_F(NetworkFixture, UnpaidRentDiscardsFile) {
   build(test_params());
-  net->set_auto_prove(true);
   const FileId id = add_and_store(1000, 20);
   // Drain the client to a balance below one cycle's rent+gas.
   const TokenAmount balance = ledger.balance(client);
@@ -510,8 +458,7 @@ class RefreshFixture : public NetworkFixture {
       if (e.state == AllocState::alloc && e.next != kNoSector &&
           e.prev != kNoSector) {
         const ProviderId owner = net->sectors().at(e.next).owner;
-        ASSERT_TRUE(
-            net->file_confirm(owner, id, i, e.next, {}, std::nullopt).is_ok());
+        ASSERT_TRUE(net->file_confirm(owner, id, i, e.next).is_ok());
       }
     }
   }
@@ -519,7 +466,6 @@ class RefreshFixture : public NetworkFixture {
 
 TEST_F(RefreshFixture, RefreshMovesReplicaWhenConfirmed) {
   build(refresh_params());
-  net->set_auto_prove(true);
   const FileId id = add_and_store(1000, 20);
   // Drive cycles, confirming every requested handoff, until a refresh
   // completes.
@@ -551,7 +497,6 @@ TEST_F(RefreshFixture, RefreshMovesReplicaWhenConfirmed) {
 
 TEST_F(RefreshFixture, FailedHandoffPunishesAndRetries) {
   build(refresh_params());
-  net->set_auto_prove(true);
   const FileId id = add_and_store(1000, 20);
   // Never confirm refresh transfers: each CheckRefresh punishes the
   // successor and all holders, then retries.
@@ -568,7 +513,6 @@ TEST_F(RefreshFixture, FailedHandoffPunishesAndRetries) {
 TEST_F(RefreshFixture, RefreshSkipsWhenTargetFull) {
   Params p = refresh_params();
   build(p, 2, 1024);  // two tight sectors
-  net->set_auto_prove(true);
   const FileId id = add_and_store(800, 10);  // cp=2 fills both sectors
   for (int step = 0; step < 100 && net->stats().refresh_collisions == 0;
        ++step) {
@@ -585,7 +529,6 @@ TEST_F(RefreshFixture, RefreshSkipsWhenTargetFull) {
 
 TEST_F(RefreshFixture, DisabledSectorDrainsAndExits) {
   build(refresh_params(), 6, 4 * 1024);
-  net->set_auto_prove(true);
   const FileId id = add_and_store(1000, 20);
   // Disable the sector holding replica 0.
   const SectorId victim = net->allocations().entry(id, 0).prev;
@@ -609,7 +552,6 @@ TEST_F(RefreshFixture, DisabledSectorDrainsAndExits) {
 
 TEST_F(NetworkFixture, FileGetListsLiveHolders) {
   build(test_params());
-  net->set_auto_prove(true);
   const FileId id = add_and_store(1000, 20);
   std::vector<SectorId> holders;
   ASSERT_TRUE(net->file_get(client, id, holders).is_ok());
@@ -638,7 +580,6 @@ TEST_F(NetworkFixture, DistinctSectorsPlacesReplicasApart) {
   Params p = test_params();
   p.distinct_sectors = true;
   build(p, 4, 16 * 1024);
-  net->set_auto_prove(true);
   // Many 4-replica files over only 4 sectors: without the flag, duplicate
   // placements are near-certain; with it, each file must use all 4 sectors.
   for (int n = 0; n < 10; ++n) {
@@ -668,7 +609,6 @@ TEST_F(NetworkFixture, AdmissionRebalanceSwapsBackupsIn) {
   Params p = test_params();
   p.admission_rebalance = true;
   build(p, 4, 16 * 1024);
-  net->set_auto_prove(true);
   // Store enough backups that the Poisson mean for a new equal-size sector
   // (~ entries/5) is comfortably positive.
   std::vector<FileId> files;
@@ -696,7 +636,6 @@ TEST_F(NetworkFixture, AdmissionRebalanceSwapsBackupsIn) {
 
 TEST_F(NetworkFixture, TokensConservedThroughBusyScenario) {
   build(test_params(), 6, 4 * 1024);
-  net->set_auto_prove(true);
   const TokenAmount initial = system_total();
   std::vector<FileId> files;
   for (int i = 0; i < 5; ++i) files.push_back(add_and_store(700, 20));
@@ -709,258 +648,28 @@ TEST_F(NetworkFixture, TokensConservedThroughBusyScenario) {
   EXPECT_EQ(ledger.total_supply(), initial);
 }
 
-
 // ---------------------------------------------------------------------------
-// Proof of storage (§III): real PoRep seals and WindowPoSt proofs
+// Snapshot encoding
 // ---------------------------------------------------------------------------
 
-/// Verify-mode fixture: `verify_proofs` is on, so File_Confirm needs a seal
-/// proof binding the file's Merkle root to the replica commitment, and
-/// File_Prove needs a WindowPoSt answering the epoch beacon. The fixture
-/// plays every honest provider: it seals each requested replica (from the
-/// current holder's sealed copy on a refresh, from the client's bytes on an
-/// upload) and proves every held replica once per proof cycle.
-class VerifyFixture : public NetworkFixture {
- protected:
-  static Params verify_params() {
-    Params p = test_params();
-    p.min_capacity = 4096;
-    p.proof_cycle = 50;
-    p.proof_due = 75;
-    p.proof_deadline = 150;
-    p.delay_per_kib = 5;
-    p.min_transfer_window = 5;
-    p.verify_proofs = true;
-    p.seal = {.work = 1, .challenges = 2};
-    return p;
+TEST_F(NetworkFixture, LoadRejectsManualProvingFlag) {
+  build(test_params());
+  (void)add_and_store(1000, 20);
+  util::BinaryWriter writer;
+  net->save(writer);
+  // Byte 144 follows the five system-account ids, the PRNG state, the clock
+  // and the rent accumulators. It held the former manual-proving flag;
+  // `save` always writes `true` there.
+  constexpr std::size_t kFlagOffset = 144;
+  ASSERT_EQ(writer.data().at(kFlagOffset), 1u);
+  for (const std::uint8_t flag : {std::uint8_t{0}, std::uint8_t{1}}) {
+    std::vector<std::uint8_t> body = writer.data();
+    body[kFlagOffset] = flag;
+    ledger::Ledger fresh_ledger;
+    Network fresh(test_params(), fresh_ledger, /*seed=*/7);
+    util::BinaryReader reader(body);
+    EXPECT_EQ(fresh.load(reader).is_ok(), flag == 1) << int{flag};
   }
-
-  static std::vector<std::uint8_t> random_bytes(std::size_t n,
-                                                std::uint64_t seed) {
-    util::Xoshiro256 rng(seed);
-    std::vector<std::uint8_t> out(n);
-    for (auto& b : out) b = static_cast<std::uint8_t>(rng());
-    return out;
-  }
-
-  void build_verify(Params p, int sectors = 4) { build(p, sectors, 8 * 4096); }
-
-  /// File_Add committing to the data's Merkle root; no replica is sealed
-  /// until `run_until` plays the providers.
-  FileId add(const std::vector<std::uint8_t>& data, TokenAmount value) {
-    auto id = net->file_add(
-        client, {data.size(), value, crypto::merkle_root_of_data(data)});
-    EXPECT_TRUE(id.is_ok()) << id.status().to_string();
-    originals_[id.value()] = data;
-    return id.value();
-  }
-
-  [[nodiscard]] crypto::ReplicaId replica_id(FileId file, ReplicaIndex index,
-                                             SectorId sector) const {
-    return {net->sectors().at(sector).owner, sector,
-            replica_nonce(file, index)};
-  }
-
-  /// Seals and confirms every replica awaiting its transfer.
-  void confirm_transfers() {
-    for (const auto& [file, data] : originals_) {
-      if (!net->file_exists(file)) continue;
-      for (ReplicaIndex i = 0; i < net->allocations().replica_count(file);
-           ++i) {
-        const AllocEntry& e = net->allocations().entry(file, i);
-        if (e.state != AllocState::alloc || e.next == kNoSector) continue;
-        const auto held = sealed_.find({file, i, e.prev});
-        const std::vector<std::uint8_t> raw =
-            held == sealed_.end()
-                ? data
-                : crypto::unseal(held->second, replica_id(file, i, e.prev),
-                                 params.seal);
-        const SectorId to = e.next;
-        const crypto::ReplicaId rid = replica_id(file, i, to);
-        auto sealed = crypto::seal(raw, rid, params.seal);
-        const auto proof = crypto::prove_seal(raw, sealed, rid, params.seal);
-        const auto status =
-            net->file_confirm(rid.provider, file, i, to,
-                              crypto::replica_commitment(sealed), proof);
-        ASSERT_TRUE(status.is_ok()) << status.to_string();
-        sealed_[{file, i, to}] = std::move(sealed);
-      }
-    }
-  }
-
-  /// WindowPoSt for every stored replica not yet proved this epoch.
-  void prove_all() {
-    const Time epoch = net->now();
-    for (const auto& [file, data] : originals_) {
-      if (!net->file_exists(file)) continue;
-      for (ReplicaIndex i = 0; i < net->allocations().replica_count(file);
-           ++i) {
-        const AllocEntry& e = net->allocations().entry(file, i);
-        if (e.prev == kNoSector || e.state == AllocState::corrupted) continue;
-        if (e.last != kNoTime && e.last >= epoch) continue;
-        const crypto::ReplicaId rid = replica_id(file, i, e.prev);
-        const auto proof =
-            crypto::prove_window(sealed_.at({file, i, e.prev}), rid,
-                                 net->beacon(epoch), epoch,
-                                 params.post_challenges);
-        const auto status = net->file_prove(rid.provider, file, i, e.prev,
-                                            proof);
-        ASSERT_TRUE(status.is_ok()) << status.to_string();
-      }
-    }
-  }
-
-  /// Steps the chain batch by batch to `t`, confirming transfers between
-  /// batches and proving once per proof cycle.
-  void run_until(Time t) {
-    for (;;) {
-      confirm_transfers();
-      if (net->now() >= next_prove_) {
-        prove_all();
-        next_prove_ = net->now() + params.proof_cycle;
-      }
-      if (net->now() >= t) return;
-      Time next = std::min(t, next_prove_);
-      const Time task = net->next_task_time();
-      if (task != kNoTime && task < next) next = task;
-      net->advance_to(next);
-    }
-  }
-
-  /// Every replica entry's sealed copy unseals to the client's bytes.
-  void expect_replicas_intact(FileId file) {
-    const crypto::Hash256 root = net->file(file).merkle_root;
-    for (ReplicaIndex i = 0; i < net->allocations().replica_count(file); ++i) {
-      const AllocEntry& e = net->allocations().entry(file, i);
-      ASSERT_NE(e.prev, kNoSector);
-      const auto raw = crypto::unseal(sealed_.at({file, i, e.prev}),
-                                      replica_id(file, i, e.prev),
-                                      params.seal);
-      EXPECT_EQ(crypto::merkle_root_of_data(raw), root) << "replica " << i;
-      EXPECT_EQ(raw, originals_.at(file)) << "replica " << i;
-    }
-  }
-
-  std::map<FileId, std::vector<std::uint8_t>> originals_;
-  /// Sealed bytes by (file, replica index, sector holding them).
-  std::map<std::tuple<FileId, ReplicaIndex, SectorId>,
-           std::vector<std::uint8_t>>
-      sealed_;
-  Time next_prove_ = 0;
-};
-
-TEST_F(VerifyFixture, StoreFileEndToEnd) {
-  build_verify(verify_params());
-  const FileId id = add(random_bytes(1500, 1), 20);  // cp = 4
-  run_until(100);
-
-  EXPECT_EQ(events_of<FileStored>().size(), 1u);
-  EXPECT_TRUE(events_of<UploadFailed>().empty());
-  ASSERT_TRUE(net->file_exists(id));
-  // Every entry is active with a registered, *verified* replica commitment.
-  for (ReplicaIndex i = 0; i < 4; ++i) {
-    const AllocEntry& e = net->allocations().entry(id, i);
-    EXPECT_EQ(e.state, AllocState::normal);
-    EXPECT_FALSE(e.comm_r.is_zero());
-    EXPECT_EQ(e.comm_r, crypto::replica_commitment(sealed_.at({id, i, e.prev})));
-  }
-  expect_replicas_intact(id);
-}
-
-TEST_F(VerifyFixture, WindowPoStKeepsFileAliveThroughManyCycles) {
-  build_verify(verify_params());
-  const FileId id = add(random_bytes(800, 2), 10);
-  run_until(1000);  // ~20 proof cycles
-  EXPECT_TRUE(net->file_exists(id));
-  EXPECT_EQ(net->stats().punishments, 0u);
-  EXPECT_EQ(net->stats().sectors_corrupted, 0u);
-  for (ReplicaIndex i = 0; i < net->allocations().replica_count(id); ++i) {
-    EXPECT_EQ(net->allocations().entry(id, i).last, 1000u);
-  }
-}
-
-TEST_F(VerifyFixture, RefreshMovesSealedReplicas) {
-  Params p = verify_params();
-  p.avg_refresh = 1.0;  // refresh nearly every cycle
-  build_verify(p, 6);
-  const FileId id = add(random_bytes(900, 8), 10);
-  run_until(2000);
-  const auto& stats = net->stats();
-  EXPECT_GT(stats.refreshes_started, 0u);
-  EXPECT_GT(stats.refreshes_completed, 0u);
-  EXPECT_EQ(stats.refreshes_failed, 0u) << "honest handoffs must not fail";
-  ASSERT_TRUE(net->file_exists(id));
-  // Each handoff unsealed the holder's copy and re-sealed it for the new
-  // sector; after all that churn the content is still intact.
-  expect_replicas_intact(id);
-}
-
-TEST_F(VerifyFixture, ForgedConfirmRejected) {
-  build_verify(verify_params());
-  const FileId id = add(random_bytes(600, 10), 10);
-  // Try to confirm a pending entry with a bogus commitment and no proof.
-  const AllocEntry& e = net->allocations().entry(id, 0);
-  const ProviderId owner = net->sectors().at(e.next).owner;
-  crypto::Hash256 bogus;
-  bogus.bytes[0] = 1;
-  EXPECT_EQ(net->file_confirm(owner, id, 0, e.next, bogus, std::nullopt)
-                .code(),
-            util::ErrorCode::proof_invalid);
-  // A real seal proof for the *wrong data* also fails (comm_d mismatch).
-  const auto wrong = random_bytes(600, 11);
-  const crypto::ReplicaId rid = replica_id(id, 0, e.next);
-  const auto sealed = crypto::seal(wrong, rid, params.seal);
-  const auto proof = crypto::prove_seal(wrong, sealed, rid, params.seal);
-  EXPECT_EQ(net->file_confirm(owner, id, 0, e.next,
-                              crypto::replica_commitment(sealed), proof)
-                .code(),
-            util::ErrorCode::proof_invalid);
-}
-
-TEST_F(VerifyFixture, SybilReplicaReuseRejected) {
-  // One provider may hold two replica slots of the same file, but each slot
-  // demands its own seal: submitting slot-0's sealed bytes for slot 1 fails.
-  build_verify(verify_params(), 2);
-  const auto data = random_bytes(600, 12);
-  const FileId id = add(data, 10);  // cp=2 over 2 providers
-  const AllocEntry& e0 = net->allocations().entry(id, 0);
-  const AllocEntry& e1 = net->allocations().entry(id, 1);
-  const crypto::ReplicaId rid0 = replica_id(id, 0, e0.next);
-  // Build the legitimate seal for slot 0...
-  const auto sealed0 = crypto::seal(data, rid0, params.seal);
-  const auto proof0 = crypto::prove_seal(data, sealed0, rid0, params.seal);
-  // ...and try to pass it off for slot 1 (same provider pretending two
-  // replicas are one copy). The replica id embeds the slot, so this fails.
-  EXPECT_EQ(net->file_confirm(rid0.provider, id, 1, e1.next,
-                              crypto::replica_commitment(sealed0), proof0)
-                .code(),
-            net->sectors().at(e1.next).owner == rid0.provider
-                ? util::ErrorCode::proof_invalid
-                : util::ErrorCode::permission_denied);
-}
-
-TEST_F(VerifyFixture, ForgedWindowProofRejected) {
-  build_verify(verify_params());
-  const FileId id = add(random_bytes(600, 13), 10);
-  run_until(100);
-  net->advance(1);  // an epoch no replica has been proved for yet
-  const AllocEntry& e = net->allocations().entry(id, 0);
-  const crypto::ReplicaId rid = replica_id(id, 0, e.prev);
-  const Time epoch = net->now();
-  // A prover who discarded the data and kept only random bytes cannot
-  // answer the beacon's challenges.
-  auto forged = crypto::prove_window(random_bytes(600, 14), rid,
-                                     net->beacon(epoch), epoch,
-                                     params.post_challenges);
-  forged.comm_r = e.comm_r;  // claim the registered commitment
-  EXPECT_EQ(net->file_prove(rid.provider, id, 0, e.prev, forged).code(),
-            util::ErrorCode::proof_invalid);
-  // The honest proof for the same epoch still goes through: the forgery
-  // failed verification, not the replay check.
-  const auto honest =
-      crypto::prove_window(sealed_.at({id, 0, e.prev}), rid,
-                           net->beacon(epoch), epoch, params.post_challenges);
-  EXPECT_TRUE(net->file_prove(rid.provider, id, 0, e.prev, honest).is_ok());
 }
 
 }  // namespace

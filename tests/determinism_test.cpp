@@ -145,7 +145,6 @@ struct DriveResult {
 /// emitted event with its timestamp.
 DriveResult drive() {
   Params params;
-  params.verify_proofs = false;
   params.min_value = 10;
   params.k = 3;
   params.cap_para = 200.0;
@@ -154,7 +153,6 @@ DriveResult drive() {
 
   fi::ledger::Ledger ledger;
   Network net(params, ledger, /*seed=*/99);
-  net.set_auto_prove(true);
 
   std::ostringstream log;
   std::vector<ReplicaTransferRequested> transfers;
@@ -190,7 +188,7 @@ DriveResult drive() {
     for (const ReplicaTransferRequested& req : batch) {
       if (!net.sectors().exists(req.to)) continue;
       (void)net.file_confirm(net.sectors().at(req.to).owner, req.file,
-                             req.index, req.to, {}, std::nullopt);
+                             req.index, req.to);
     }
   };
   const auto advance_confirming = [&](Time horizon) {
@@ -292,7 +290,6 @@ TEST(DeterminismTest, ScenarioReportMatchesPinnedDigest) {
 /// batch — so a steady-state epoch makes no heap allocation at all.
 TEST(DeterminismTest, SteadyStateSweepIsAllocationFree) {
   Params params;
-  params.verify_proofs = false;
   params.min_value = 10;
   params.k = 3;
   params.cap_para = 200.0;
@@ -301,7 +298,6 @@ TEST(DeterminismTest, SteadyStateSweepIsAllocationFree) {
 
   fi::ledger::Ledger ledger;
   Network net(params, ledger, /*seed=*/77);
-  net.set_auto_prove(true);
 
   const AccountId provider = ledger.create_account(100'000'000);
   const AccountId client = ledger.create_account(100'000'000);
@@ -323,7 +319,7 @@ TEST(DeterminismTest, SteadyStateSweepIsAllocationFree) {
   for (const ReplicaTransferRequested& req : transfers) {
     ASSERT_TRUE(net
                     .file_confirm(net.sectors().at(req.to).owner, req.file,
-                                  req.index, req.to, {}, std::nullopt)
+                                  req.index, req.to)
                     .is_ok());
   }
 

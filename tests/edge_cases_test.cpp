@@ -22,14 +22,12 @@ Params edge_params() {
   p.proof_due = 150;
   p.proof_deadline = 300;
   p.avg_refresh = 5.0;  // busy refreshes: several tests race them
-  p.verify_proofs = false;
   return p;
 }
 
 struct EdgeFixture : ::testing::Test {
   void build(int sectors = 4, ByteCount capacity = 4 * 4096) {
     net = std::make_unique<Network>(edge_params(), ledger, /*seed=*/21);
-    net->set_auto_prove(true);
     net->subscribe([this](const Event& e) { events.push_back(e); });
     client = ledger.create_account(1'000'000);
     for (int i = 0; i < sectors; ++i) {
@@ -47,7 +45,7 @@ struct EdgeFixture : ::testing::Test {
       const AllocEntry& e = net->allocations().entry(id.value(), i);
       if (e.state != AllocState::alloc || e.next == kNoSector) continue;
       EXPECT_TRUE(net->file_confirm(net->sectors().at(e.next).owner,
-                                    id.value(), i, e.next, {}, std::nullopt)
+                                    id.value(), i, e.next)
                       .is_ok());
     }
     net->advance_to(net->now() +
@@ -154,7 +152,7 @@ TEST_F(EdgeFixture, RefreshSourceDiesAfterConfirmCompletesSwap) {
       const SectorId target = e.next;
       // The successor confirms, then the source dies before CheckRefresh.
       ASSERT_TRUE(net->file_confirm(net->sectors().at(target).owner, id, i,
-                                    target, {}, std::nullopt)
+                                    target)
                       .is_ok());
       net->corrupt_sector_now(source);
       const AllocEntry& after = net->allocations().entry(id, i);
@@ -185,7 +183,7 @@ TEST_F(EdgeFixture, UploadTargetDiesBeforeConfirmToleratedAsDeadSlot) {
       break;
     }
     ASSERT_TRUE(net->file_confirm(net->sectors().at(e.next).owner, id.value(),
-                                  i, e.next, {}, std::nullopt)
+                                  i, e.next)
                     .is_ok());
   }
   ASSERT_LT(unconfirmed, 4u);
@@ -213,9 +211,8 @@ TEST_F(EdgeFixture, RequestsAgainstUnknownEntitiesRejected) {
             util::ErrorCode::not_found);
   EXPECT_EQ(net->sector_disable(providers[0], 999).code(),
             util::ErrorCode::not_found);
-  EXPECT_EQ(
-      net->file_prove_trusted(providers[0], 999, 0, sectors_[0], 1).code(),
-      util::ErrorCode::not_found);
+  EXPECT_EQ(net->file_confirm(providers[0], 999, 0, sectors_[0]).code(),
+            util::ErrorCode::not_found);
 }
 
 TEST_F(EdgeFixture, ConfirmAfterUploadFailureIsStale) {
@@ -226,20 +223,9 @@ TEST_F(EdgeFixture, ConfirmAfterUploadFailureIsStale) {
   net->advance_to(net->params().transfer_window(1000));  // nobody confirmed
   ASSERT_FALSE(net->file_exists(id.value()));
   EXPECT_EQ(net->file_confirm(net->sectors().at(e0.next).owner, id.value(), 0,
-                              e0.next, {}, std::nullopt)
+                              e0.next)
                 .code(),
             util::ErrorCode::not_found);
-}
-
-TEST_F(EdgeFixture, TrustedProveRejectedWhenVerificationOn) {
-  Params p = edge_params();
-  p.verify_proofs = true;
-  net = std::make_unique<Network>(p, ledger, 3);
-  client = ledger.create_account(1'000'000);
-  const ProviderId provider = ledger.create_account(1'000'000);
-  const SectorId s = net->sector_register(provider, 4 * 4096).value();
-  EXPECT_EQ(net->file_prove_trusted(provider, 1, 0, s, 1).code(),
-            util::ErrorCode::failed_precondition);
 }
 
 TEST_F(EdgeFixture, AdvanceBackwardsThrows) {

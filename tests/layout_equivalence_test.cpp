@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -438,7 +439,6 @@ struct AllocOracle {
     SectorId next = core::kNoSector;
     Time last = kNoTime;
     AllocState state = AllocState::alloc;
-    crypto::Hash256 comm_r{};
   };
 
   std::map<FileId, std::vector<Entry>> files;
@@ -515,7 +515,7 @@ struct AllocOracle {
         writer.u64(e.next);
         writer.u64(e.last);
         writer.u8(static_cast<std::uint8_t>(e.state));
-        writer.raw(e.comm_r.bytes);
+        writer.raw(std::array<std::uint8_t, 32>{});  // reserved, always zero
       }
     }
     const auto save_index =
@@ -606,19 +606,10 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
             oracle.set_state(file, idx, state);
             break;
           }
-          case 3: {
+          default: {
             const Time last = rng.uniform_below(1 << 20);
             table.set_last(file, idx, last);
             oracle.files.at(file)[idx].last = last;
-            break;
-          }
-          default: {
-            crypto::Hash256 comm_r;
-            for (std::uint8_t& b : comm_r.bytes) {
-              b = static_cast<std::uint8_t>(rng.uniform_below(256));
-            }
-            table.set_comm_r(file, idx, comm_r);
-            oracle.files.at(file)[idx].comm_r = comm_r;
             break;
           }
         }
@@ -632,7 +623,6 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
           ASSERT_EQ(got.next, entries[i].next) << "step " << step;
           ASSERT_EQ(got.last, entries[i].last) << "step " << step;
           ASSERT_EQ(got.state, entries[i].state) << "step " << step;
-          ASSERT_EQ(got.comm_r, entries[i].comm_r) << "step " << step;
         }
       }
 
@@ -719,7 +709,6 @@ TEST(NetworkLayoutEquivalence, RandomizedOpsRoundTripByteIdentical) {
   params.proof_due = 150;
   params.proof_deadline = 300;
   params.avg_refresh = 1000.0;
-  params.verify_proofs = false;
 
   ledger::Ledger ledger;
   constexpr std::uint64_t kEngineSeed = 11;
@@ -733,8 +722,7 @@ TEST(NetworkLayoutEquivalence, RandomizedOpsRoundTripByteIdentical) {
       const core::AllocEntry e = net.allocations().entry(file, i);
       if (e.state != AllocState::alloc || e.next == core::kNoSector) continue;
       const core::ProviderId owner = net.sectors().at(e.next).owner;
-      ASSERT_TRUE(
-          net.file_confirm(owner, file, i, e.next, {}, std::nullopt).is_ok());
+      ASSERT_TRUE(net.file_confirm(owner, file, i, e.next).is_ok());
     }
   };
 

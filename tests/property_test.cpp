@@ -2,14 +2,12 @@
 
 #include <deque>
 #include <map>
-#include <optional>
 #include <utility>
 #include <variant>
 #include <vector>
 
 #include "core/network.h"
 #include "crypto/merkle.h"
-#include "crypto/porep.h"
 #include "ledger/account.h"
 #include "util/fenwick.h"
 #include "util/prng.h"
@@ -82,32 +80,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MerkleProperty,
                          ::testing::Range<std::uint64_t>(1, 11));
 
 // ---------------------------------------------------------------------------
-// PoRep round trip across (size, work) shapes
-// ---------------------------------------------------------------------------
-
-class PoRepProperty
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint32_t>> {
-};
-
-TEST_P(PoRepProperty, SealUnsealProveVerify) {
-  const auto [size, work] = GetParam();
-  const crypto::SealParams params{.work = work, .challenges = 3};
-  util::Xoshiro256 rng(size * 31 + work);
-  std::vector<std::uint8_t> raw(size);
-  for (auto& b : raw) b = static_cast<std::uint8_t>(rng());
-  const crypto::ReplicaId id{rng(), rng(), rng()};
-  const auto sealed = crypto::seal(raw, id, params);
-  ASSERT_EQ(crypto::unseal(sealed, id, params), raw);
-  const auto proof = crypto::prove_seal(raw, sealed, id, params);
-  ASSERT_TRUE(crypto::verify_seal(proof, params));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, PoRepProperty,
-    ::testing::Combine(::testing::Values(1, 64, 65, 777, 4096),
-                       ::testing::Values(1u, 4u)));
-
-// ---------------------------------------------------------------------------
 // Protocol fuzz: random operation sequences preserve global invariants
 // ---------------------------------------------------------------------------
 
@@ -124,7 +96,6 @@ class ProtocolFuzz : public ::testing::TestWithParam<std::uint64_t> {
     p.proof_due = 75;
     p.proof_deadline = 150;
     p.avg_refresh = 3.0;  // busy refresh traffic
-    p.verify_proofs = false;
     return p;
   }
 };
@@ -135,7 +106,6 @@ TEST_P(ProtocolFuzz, InvariantsHoldUnderRandomOperations) {
   ledger::Ledger ledger;
   const core::Params params = fuzz_params();
   core::Network net(params, ledger, seed);
-  net.set_auto_prove(true);
 
   std::vector<AccountId> clients, providers;
   std::vector<core::SectorId> sectors;
@@ -178,7 +148,7 @@ TEST_P(ProtocolFuzz, InvariantsHoldUnderRandomOperations) {
         if (e.state == core::AllocState::alloc && e.next != core::kNoSector &&
             rng.uniform_below(10) < 9) {
           const AccountId owner = net.sectors().at(e.next).owner;
-          (void)net.file_confirm(owner, f, i, e.next, {}, std::nullopt);
+          (void)net.file_confirm(owner, f, i, e.next);
         }
       }
     }

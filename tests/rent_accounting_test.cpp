@@ -39,7 +39,6 @@ Params rent_params() {
   p.proof_deadline = 300;
   p.rent_period_cycles = 10;  // distribution every 1000 ticks
   p.avg_refresh = 1000.0;     // keep the refresh path out of the ledger
-  p.verify_proofs = false;
   return p;
 }
 
@@ -51,7 +50,6 @@ TEST(RentAccounting, SettlementMatchesTwoSweepSharesExactly) {
   const Params params = rent_params();
   ledger::Ledger ledger;
   Network net(params, ledger, /*seed=*/3);
-  net.set_auto_prove(true);
 
   const AccountId pa = ledger.create_account(1'000'000);
   const AccountId pb = ledger.create_account(1'000'000);
@@ -65,7 +63,7 @@ TEST(RentAccounting, SettlementMatchesTwoSweepSharesExactly) {
        ++i) {
     const AllocEntry& e = net.allocations().entry(file.value(), i);
     ASSERT_TRUE(net.file_confirm(net.sectors().at(e.next).owner, file.value(),
-                                 i, e.next, {}, std::nullopt)
+                                 i, e.next)
                     .is_ok());
   }
 
@@ -101,7 +99,6 @@ TEST(RentAccounting, CorruptionSettlesPriorAccrualThenFreezes) {
   const Params params = rent_params();
   ledger::Ledger ledger;
   Network net(params, ledger, /*seed=*/5);
-  net.set_auto_prove(true);
 
   const AccountId pa = ledger.create_account(1'000'000);
   const AccountId pb = ledger.create_account(1'000'000);
@@ -115,7 +112,7 @@ TEST(RentAccounting, CorruptionSettlesPriorAccrualThenFreezes) {
        ++i) {
     const AllocEntry& e = net.allocations().entry(file.value(), i);
     ASSERT_TRUE(net.file_confirm(net.sectors().at(e.next).owner, file.value(),
-                                 i, e.next, {}, std::nullopt)
+                                 i, e.next)
                     .is_ok());
   }
 
@@ -143,7 +140,6 @@ TEST(RentAccounting, TinyPoolNonPowerOfTwoUnitsNeverOverdraws) {
   params.k = 1;  // cp = 1 => rent of exactly 1 token per cycle
   ledger::Ledger ledger;
   Network net(params, ledger, /*seed=*/9);
-  net.set_auto_prove(true);
 
   const AccountId provider = ledger.create_account(1'000'000);
   const SectorId s = net.sector_register(provider, 3 * 1024).value();
@@ -152,9 +148,7 @@ TEST(RentAccounting, TinyPoolNonPowerOfTwoUnitsNeverOverdraws) {
   auto file = net.file_add(client, {512, 10, {}});
   ASSERT_TRUE(file.is_ok());
   const AllocEntry& e = net.allocations().entry(file.value(), 0);
-  ASSERT_TRUE(net.file_confirm(provider, file.value(), 0, e.next, {},
-                               std::nullopt)
-                  .is_ok());
+  ASSERT_TRUE(net.file_confirm(provider, file.value(), 0, e.next).is_ok());
 
   // Let exactly one cycle's rent land, then bankrupt the client so the
   // file is discarded and no further rent flows.
@@ -191,7 +185,6 @@ TEST_P(RentEquivalenceTest, LazyAccumulatorMatchesTwoSweep) {
   const Params params = rent_params();
   ledger::Ledger ledger;
   Network net(params, ledger, seed);
-  net.set_auto_prove(true);
   util::Xoshiro256 rng(seed * 9176 + 11);
 
   constexpr int kProviders = 5;
@@ -235,8 +228,7 @@ TEST_P(RentEquivalenceTest, LazyAccumulatorMatchesTwoSweep) {
          ++i) {
       const AllocEntry& e = net.allocations().entry(id.value(), i);
       const ProviderId owner = net.sectors().at(e.next).owner;
-      if (net.file_confirm(owner, id.value(), i, e.next, {}, std::nullopt)
-              .is_ok()) {
+      if (net.file_confirm(owner, id.value(), i, e.next).is_ok()) {
         inflow[owner] += params.traffic_fee(size);
       }
     }

@@ -156,7 +156,11 @@ TEST(ScenarioSpecTest, RejectsMalformedConfigs) {
   (void)spec_error(base + "file_size_min = 4096\nfile_size_max = 1024\n");
   (void)spec_error(base + "file_size_max = 999999999\n");
   (void)spec_error(base + "file_value = 55\n");  // not a min_value multiple
-  (void)spec_error(base + "net.verify_proofs = true\n");
+  // Proofs are assumed, not simulated: there is no verifying mode to ask for.
+  EXPECT_NE(spec_error(base + "net.verify_proofs = true\n")
+                .message()
+                .find("not simulated"),
+            std::string::npos);
   (void)spec_error(base + "net.proof_due = 1\n");  // Params::validate
   // Type errors inside a known key.
   (void)spec_error("sectors = many\n");
@@ -170,14 +174,16 @@ TEST(ScenarioSpecTest, RejectsMalformedConfigs) {
 
 TEST(ScenarioSpecTest, RetiredKeysAreAcceptedIgnoredAndNotReEmitted) {
   // Every spec written while the engine had a sweep thread pool carries
-  // `engine.workers`, and every one written while specs had a
-  // capacity-replica size carries `net.cr_size`; any value, even one that
-  // was never valid, loads.
+  // `engine.workers`, every one written while specs had a capacity-replica
+  // size carries `net.cr_size`, and every one written while the engine
+  // simulated proofs carries `net.post_challenges`; any value, even one
+  // that was never valid, loads.
   const std::string reference =
       ScenarioSpec::from_config(Config::parse("sectors = 10\n").value())
           .value()
           .to_config_string();
-  for (const std::string key : {"engine.workers", "net.cr_size"}) {
+  for (const std::string key :
+       {"engine.workers", "net.cr_size", "net.post_challenges"}) {
     for (const char* value : {"8", "0", "16384", "100000", "-1", "four"}) {
       const auto spec = ScenarioSpec::from_config(
           Config::parse("sectors = 10\n" + key + " = " + value + "\n")
@@ -189,6 +195,14 @@ TEST(ScenarioSpecTest, RetiredKeysAreAcceptedIgnoredAndNotReEmitted) {
       EXPECT_EQ(text, reference) << key << " = " << value;
     }
   }
+  // Those specs also carry `net.verify_proofs = false`, which is read and
+  // dropped the same way (`true` is rejected: see RejectsMalformedConfigs).
+  const auto spec = ScenarioSpec::from_config(
+      Config::parse("sectors = 10\nnet.verify_proofs = false\n").value());
+  ASSERT_TRUE(spec.is_ok()) << spec.status().to_string();
+  EXPECT_EQ(spec.value().to_config_string(), reference);
+  EXPECT_EQ(reference.find("net.verify_proofs"), std::string::npos);
+  EXPECT_EQ(reference.find("net.post_challenges"), std::string::npos);
 }
 
 TEST(ScenarioSpecTest, ValidateRejectsWrongKindKnobsOnInCodeSpecs) {
@@ -311,7 +325,6 @@ TEST(ScenarioRunnerTest, MiniChurnMatchesDirectNetworkCalls) {
   const fi::AccountId provider = ledger.create_account(1'000'000'000ull);
   const fi::AccountId client = ledger.create_account(1'000'000'000ull);
   Network net(spec.params, ledger, spec.seed);
-  net.set_auto_prove(true);
   std::vector<fi::core::ReplicaTransferRequested> queue;
   net.subscribe([&queue](const fi::core::Event& event) {
     if (const auto* req =
@@ -324,7 +337,7 @@ TEST(ScenarioRunnerTest, MiniChurnMatchesDirectNetworkCalls) {
     batch.swap(queue);
     for (const auto& req : batch) {
       (void)net.file_confirm(net.sectors().at(req.to).owner, req.file,
-                             req.index, req.to, {}, std::nullopt);
+                             req.index, req.to);
     }
   };
   const auto advance_confirming = [&](fi::Time horizon) {

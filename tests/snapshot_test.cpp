@@ -299,10 +299,12 @@ std::vector<std::uint8_t> snapshot_image(
 
 TEST(SnapshotCompat, RetiredEngineWorkersKeyStillResumes) {
   // Snapshots written while the engine had a sweep thread pool embed
-  // `engine.workers = <n>` right after `seed` in their spec text, and
-  // every one written while specs had a capacity-replica size embeds
-  // `net.cr_size = 16384` right after `net.post_challenges`. Such an image
-  // must still parse and continue byte-identically.
+  // `engine.workers = <n>` right after `seed` in their spec text. Every
+  // one written while the engine simulated proofs embeds
+  // `net.verify_proofs = false` and `net.post_challenges = 2` right after
+  // `net.admission_rebalance`, and every one written while specs had a
+  // capacity-replica size embeds `net.cr_size = 16384` after those. Such
+  // an image must still parse and continue byte-identically.
   const scenario::ScenarioSpec spec =
       shrunk_spec(fs::path(FI_CONFIG_DIR) / "smoke.cfg");
   const RunOutcome uninterrupted = run_to_completion(spec);
@@ -321,12 +323,11 @@ TEST(SnapshotCompat, RetiredEngineWorkersKeyStillResumes) {
   const std::size_t seed_at = spec_text.find(seed_line);
   ASSERT_NE(seed_at, std::string::npos);
   spec_text.insert(seed_at + seed_line.size(), "engine.workers = 8\n");
-  const std::string challenges_line =
-      "net.post_challenges = " + std::to_string(spec.params.post_challenges) +
-      "\n";
-  const std::size_t challenges_at = spec_text.find(challenges_line);
-  ASSERT_NE(challenges_at, std::string::npos);
-  spec_text.insert(challenges_at + challenges_line.size(),
+  const std::size_t rebalance_at = spec_text.find("net.admission_rebalance = ");
+  ASSERT_NE(rebalance_at, std::string::npos);
+  spec_text.insert(spec_text.find('\n', rebalance_at) + 1,
+                   "net.verify_proofs = false\n"
+                   "net.post_challenges = 2\n"
                    "net.cr_size = 16384\n");
 
   auto parsed = snapshot::parse(snapshot_image(spec_text, body), "old image");
@@ -364,9 +365,9 @@ TEST(SnapshotCompat, CheckpointFileBytesArePinned) {
                                        std::istreambuf_iterator<char>());
   in.close();
   fs::remove(path);
-  EXPECT_EQ(file.size(), 61692u);
+  EXPECT_EQ(file.size(), 61642u);
   EXPECT_EQ(util::to_hex(crypto::sha256(file)),
-            "6685763e75cda2ba40c54d48220a084fe4ee446f359b24cdbaf87695ed058249");
+            "9f171cefe36f7f720e2aa016996bfed9784a0c1b9c98f8457a22b17a5e172b58");
 }
 
 // ---------------------------------------------------------------------------
