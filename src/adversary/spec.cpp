@@ -1,41 +1,52 @@
 #include "adversary/spec.h"
 
-#include <cctype>
-
 namespace fi::adversary {
 
 namespace {
 
-std::string block_key(std::size_t index, const char* field) {
-  return "adversary." + std::to_string(index) + "." + field;
-}
+using util::kind_bits;
 
-util::Status check_fraction(double value, const std::string& what) {
-  // Negated closed-range test so NaN is rejected (it fails every
-  // comparison) instead of slipping through `< 0 || > 1`.
-  if (!(value >= 0.0 && value <= 1.0)) {
-    return util::err(util::ErrorCode::invalid_argument,
-                     what + " must lie in [0, 1], got " +
-                         util::format_shortest_double(value));
-  }
-  return util::Status::ok();
-}
+/// Strategies whose members are a fraction of the fleet.
+constexpr std::uint32_t kFractionStrategies = kind_bits(
+    StrategyKind::colluding_pool, StrategyKind::informed_pool,
+    StrategyKind::proof_withholder, StrategyKind::refresh_saboteur,
+    StrategyKind::cartel_starver);
 
-/// Labels must survive the key=value serialization: no comment starters,
-/// newlines, or leading/trailing whitespace.
-util::Status check_serializable_label(const std::string& value,
-                                      const std::string& what) {
-  const auto is_space = [](char c) {
-    return std::isspace(static_cast<unsigned char>(c)) != 0;
-  };
-  if (value.find_first_of("#;\n\r") != std::string::npos ||
-      (!value.empty() && (is_space(value.front()) || is_space(value.back())))) {
-    return util::err(util::ErrorCode::invalid_argument,
-                     what + " must not contain '#', ';', newlines, or "
-                            "leading/trailing whitespace: '" +
-                         value + "'");
-  }
-  return util::Status::ok();
+/// `adversary.<i>.*` (`strategy` and `label` aside), with the strategies
+/// that take each.
+constexpr util::Key<AdversarySpec> kAdversaryKeys[] = {
+    {"start_epoch", &AdversarySpec::start_epoch},
+    {"sectors_per_epoch", &AdversarySpec::sectors_per_epoch,
+     kind_bits(StrategyKind::targeted_file)},
+    {"budget", &AdversarySpec::budget, kind_bits(StrategyKind::targeted_file)},
+    {"fraction", &AdversarySpec::fraction, kFractionStrategies},
+    {"window", &AdversarySpec::window,
+     kind_bits(StrategyKind::colluding_pool, StrategyKind::informed_pool)},
+    {"saved_per_cycle", &AdversarySpec::saved_per_cycle,
+     kind_bits(StrategyKind::proof_withholder)},
+    {"max_withhold_streak", &AdversarySpec::max_withhold_streak,
+     kind_bits(StrategyKind::proof_withholder)},
+    {"sectors", &AdversarySpec::sectors,
+     kind_bits(StrategyKind::churn_griefer)},
+    {"period", &AdversarySpec::period, kind_bits(StrategyKind::churn_griefer)},
+    {"rate", &AdversarySpec::rate, kind_bits(StrategyKind::adaptive_threshold)},
+    {"penalty_budget", &AdversarySpec::penalty_budget,
+     kind_bits(StrategyKind::adaptive_threshold)},
+    {"escalate_every", &AdversarySpec::escalate_every,
+     kind_bits(StrategyKind::adaptive_threshold)},
+    {"requests_per_epoch", &AdversarySpec::requests_per_epoch,
+     kind_bits(StrategyKind::retrieval_ddos)},
+    {"gang", &AdversarySpec::gang, kind_bits(StrategyKind::retrieval_ddos)},
+    {"duration", &AdversarySpec::duration,
+     kind_bits(StrategyKind::refresh_saboteur, StrategyKind::retrieval_ddos,
+               StrategyKind::cartel_starver)},
+};
+
+/// The header defaults every knob a strategy does not take must keep.
+const AdversarySpec kAdversaryDefaults{};
+
+std::string block_prefix(std::size_t index) {
+  return "adversary." + std::to_string(index) + ".";
 }
 
 }  // namespace
@@ -70,123 +81,45 @@ util::Result<StrategyKind> strategy_kind_from_name(std::string_view name) {
 
 util::Result<AdversarySpec> AdversarySpec::from_config(
     const util::Config& config, std::size_t index) {
+  const std::string prefix = block_prefix(index);
   AdversarySpec spec;
-  auto kind_name = config.get_string(block_key(index, "strategy"));
+  auto kind_name = config.get_string(prefix + "strategy");
   if (!kind_name.is_ok()) return kind_name.status();
   auto kind = strategy_kind_from_name(kind_name.value());
   if (!kind.is_ok()) {
     return util::err(util::ErrorCode::invalid_argument,
-                     block_key(index, "strategy") + ": " +
-                         kind.status().message());
+                     prefix + "strategy: " + kind.status().message());
   }
   spec.kind = kind.value();
 
-  auto label = config.get_string_or(block_key(index, "label"), "");
+  auto label = config.get_string_or(prefix + "label", "");
   if (!label.is_ok()) return label.status();
   spec.label = label.value();
 
-#define FI_ADV_FIELD(getter, field, fallback)                        \
-  do {                                                               \
-    auto parsed = config.getter(block_key(index, #field), fallback); \
-    if (!parsed.is_ok()) return parsed.status();                     \
-    spec.field = parsed.value();                                     \
-  } while (false)
-
-  FI_ADV_FIELD(get_u64_or, start_epoch, 0);
-  switch (spec.kind) {
-    case StrategyKind::targeted_file:
-      FI_ADV_FIELD(get_u64_or, sectors_per_epoch, 1);
-      FI_ADV_FIELD(get_u64_or, budget, 0);
-      break;
-    case StrategyKind::colluding_pool:
-    case StrategyKind::informed_pool:
-      FI_ADV_FIELD(get_double_or, fraction, 0.0);
-      FI_ADV_FIELD(get_u64_or, window, 1);
-      break;
-    case StrategyKind::proof_withholder:
-      FI_ADV_FIELD(get_double_or, fraction, 0.0);
-      FI_ADV_FIELD(get_u64_or, saved_per_cycle, 0);
-      FI_ADV_FIELD(get_u64_or, max_withhold_streak, 0);
-      break;
-    case StrategyKind::churn_griefer:
-      FI_ADV_FIELD(get_u64_or, sectors, 0);
-      FI_ADV_FIELD(get_u64_or, period, 1);
-      break;
-    case StrategyKind::adaptive_threshold:
-      FI_ADV_FIELD(get_u64_or, rate, 1);
-      FI_ADV_FIELD(get_u64_or, penalty_budget, 0);
-      FI_ADV_FIELD(get_u64_or, escalate_every, 4);
-      break;
-    case StrategyKind::refresh_saboteur:
-      FI_ADV_FIELD(get_double_or, fraction, 0.0);
-      FI_ADV_FIELD(get_u64_or, duration, 0);
-      break;
-    case StrategyKind::retrieval_ddos:
-      FI_ADV_FIELD(get_u64_or, requests_per_epoch, 0);
-      FI_ADV_FIELD(get_u64_or, gang, 1);
-      FI_ADV_FIELD(get_u64_or, duration, 0);
-      break;
-    case StrategyKind::cartel_starver:
-      FI_ADV_FIELD(get_double_or, fraction, 0.0);
-      FI_ADV_FIELD(get_u64_or, duration, 0);
-      break;
+  if (util::Status s = util::read_keys(config, prefix, kAdversaryKeys,
+                                       kind_bits(spec.kind), spec);
+      !s.is_ok()) {
+    return s;
   }
-#undef FI_ADV_FIELD
   return spec;
 }
 
 util::Status AdversarySpec::validate(const std::string& where) const {
-  if (util::Status s = check_serializable_label(label, where + ".label");
+  if (util::Status s = util::check_serializable(label, where + ".label");
       !s.is_ok()) {
     return s;
   }
   // Knobs of other strategies must stay at their defaults — file configs
   // get this from the unknown-key sweep; this covers in-code specs.
-  struct Knob {
-    bool relevant;
-    bool at_default;
-    const char* name;
-  };
-  const bool is_pool = kind == StrategyKind::colluding_pool ||
-                       kind == StrategyKind::informed_pool;
-  const bool takes_fraction = is_pool ||
-                              kind == StrategyKind::proof_withholder ||
-                              kind == StrategyKind::refresh_saboteur ||
-                              kind == StrategyKind::cartel_starver;
-  const bool takes_duration = kind == StrategyKind::refresh_saboteur ||
-                              kind == StrategyKind::retrieval_ddos ||
-                              kind == StrategyKind::cartel_starver;
-  const Knob knobs[] = {
-      {takes_fraction, fraction == 0.0, "fraction"},
-      {is_pool, window == 1, "window"},
-      {kind == StrategyKind::targeted_file, sectors_per_epoch == 1,
-       "sectors_per_epoch"},
-      {kind == StrategyKind::targeted_file, budget == 0, "budget"},
-      {kind == StrategyKind::proof_withholder, saved_per_cycle == 0,
-       "saved_per_cycle"},
-      {kind == StrategyKind::proof_withholder, max_withhold_streak == 0,
-       "max_withhold_streak"},
-      {kind == StrategyKind::churn_griefer, sectors == 0, "sectors"},
-      {kind == StrategyKind::churn_griefer, period == 1, "period"},
-      {kind == StrategyKind::adaptive_threshold, rate == 1, "rate"},
-      {kind == StrategyKind::adaptive_threshold, penalty_budget == 0,
-       "penalty_budget"},
-      {kind == StrategyKind::adaptive_threshold, escalate_every == 4,
-       "escalate_every"},
-      {takes_duration, duration == 0, "duration"},
-      {kind == StrategyKind::retrieval_ddos, requests_per_epoch == 0,
-       "requests_per_epoch"},
-      {kind == StrategyKind::retrieval_ddos, gang == 1, "gang"},
-  };
-  for (const Knob& knob : knobs) {
-    if (!knob.relevant && !knob.at_default) {
-      return util::err(util::ErrorCode::invalid_argument,
-                       where + "." + knob.name + " is not a knob of a " +
-                           strategy_kind_name(kind) + " adversary");
-    }
+  if (const char* knob =
+          util::foreign_knob(kAdversaryKeys, kind_bits(kind), *this,
+                             kAdversaryDefaults)) {
+    return util::err(util::ErrorCode::invalid_argument,
+                     where + "." + knob + " is not a knob of a " +
+                         strategy_kind_name(kind) + " adversary");
   }
-  if (takes_fraction) {
-    if (util::Status s = check_fraction(fraction, where + ".fraction");
+  if ((kind_bits(kind) & kFractionStrategies) != 0) {
+    if (util::Status s = util::check_fraction(fraction, where + ".fraction");
         !s.is_ok()) {
       return s;
     }
@@ -262,56 +195,10 @@ util::Status AdversarySpec::validate(const std::string& where) const {
 }
 
 void AdversarySpec::serialize(std::string& out, std::size_t index) const {
-  const auto emit = [&out, index](const char* field, const std::string& value) {
-    out += block_key(index, field);
-    out += " = ";
-    out += value;
-    out += "\n";
-  };
-  const auto emit_u64 = [&emit](const char* field, std::uint64_t value) {
-    emit(field, std::to_string(value));
-  };
-  emit("strategy", strategy_kind_name(kind));
-  if (!label.empty()) emit("label", label);
-  emit_u64("start_epoch", start_epoch);
-  switch (kind) {
-    case StrategyKind::targeted_file:
-      emit_u64("sectors_per_epoch", sectors_per_epoch);
-      emit_u64("budget", budget);
-      break;
-    case StrategyKind::colluding_pool:
-    case StrategyKind::informed_pool:
-      emit("fraction", util::format_shortest_double(fraction));
-      emit_u64("window", window);
-      break;
-    case StrategyKind::proof_withholder:
-      emit("fraction", util::format_shortest_double(fraction));
-      emit_u64("saved_per_cycle", saved_per_cycle);
-      emit_u64("max_withhold_streak", max_withhold_streak);
-      break;
-    case StrategyKind::churn_griefer:
-      emit_u64("sectors", sectors);
-      emit_u64("period", period);
-      break;
-    case StrategyKind::adaptive_threshold:
-      emit_u64("rate", rate);
-      emit_u64("penalty_budget", penalty_budget);
-      emit_u64("escalate_every", escalate_every);
-      break;
-    case StrategyKind::refresh_saboteur:
-      emit("fraction", util::format_shortest_double(fraction));
-      emit_u64("duration", duration);
-      break;
-    case StrategyKind::retrieval_ddos:
-      emit_u64("requests_per_epoch", requests_per_epoch);
-      emit_u64("gang", gang);
-      emit_u64("duration", duration);
-      break;
-    case StrategyKind::cartel_starver:
-      emit("fraction", util::format_shortest_double(fraction));
-      emit_u64("duration", duration);
-      break;
-  }
+  const std::string prefix = block_prefix(index);
+  out += prefix + "strategy = " + strategy_kind_name(kind) + "\n";
+  if (!label.empty()) out += prefix + "label = " + label + "\n";
+  util::write_keys(out, prefix, kAdversaryKeys, kind_bits(kind), *this);
 }
 
 }  // namespace fi::adversary

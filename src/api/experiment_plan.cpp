@@ -20,6 +20,25 @@ std::string resolve_path(const std::string& base_dir,
   return base_dir + "/" + path;
 }
 
+/// A baseline node's model knobs (`node.<i>.*`; `protocol` aside, and
+/// `epochs` is the node's segment length).
+constexpr util::Key<BaselineSpec> kBaselineKeys[] = {
+    {"seed", &BaselineSpec::seed},
+    {"sectors", &BaselineSpec::sectors},
+    {"files", &BaselineSpec::files},
+    {"file_size", &BaselineSpec::file_size},
+    {"file_value", &BaselineSpec::file_value},
+    {"lambda", &BaselineSpec::lambda},
+    {"sybil_fraction", &BaselineSpec::sybil_fraction},
+};
+
+bool is_state_hash(const std::string& text) {
+  return text.size() == 64 &&
+         std::all_of(text.begin(), text.end(), [](const char c) {
+           return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+         });
+}
+
 util::Status node_err(std::size_t index, const std::string& message) {
   return util::err(util::ErrorCode::invalid_argument,
                    "plan node." + std::to_string(index) + ": " + message);
@@ -99,38 +118,12 @@ util::Result<ExperimentPlan> ExperimentPlan::from_config(
       auto protocol = config.get_string_or(prefix + "protocol", "");
       if (!protocol.is_ok()) return protocol.status();
       node.baseline.protocol = protocol.value();
-      auto seed = config.get_u64_or(prefix + "seed", node.baseline.seed);
-      if (!seed.is_ok()) return seed.status();
-      node.baseline.seed = seed.value();
-      auto sectors =
-          config.get_u64_or(prefix + "sectors", node.baseline.sectors);
-      if (!sectors.is_ok()) return sectors.status();
-      if (sectors.value() > 0xffffffffULL) {
-        return node_err(i, "sectors must fit in 32 bits");
+      if (util::Status s = util::read_keys(config, prefix, kBaselineKeys,
+                                           util::kAllKinds, node.baseline);
+          !s.is_ok()) {
+        return s;
       }
-      node.baseline.sectors = static_cast<std::uint32_t>(sectors.value());
-      auto files = config.get_u64_or(prefix + "files", node.baseline.files);
-      if (!files.is_ok()) return files.status();
-      node.baseline.files = files.value();
-      auto file_size =
-          config.get_u64_or(prefix + "file_size", node.baseline.file_size);
-      if (!file_size.is_ok()) return file_size.status();
-      node.baseline.file_size = file_size.value();
-      auto file_value = config.get_u64_or(
-          prefix + "file_value",
-          static_cast<std::uint64_t>(node.baseline.file_value));
-      if (!file_value.is_ok()) return file_value.status();
-      node.baseline.file_value =
-          static_cast<TokenAmount>(file_value.value());
       if (node.epochs != 0) node.baseline.epochs = node.epochs;
-      auto lambda =
-          config.get_double_or(prefix + "lambda", node.baseline.lambda);
-      if (!lambda.is_ok()) return lambda.status();
-      node.baseline.lambda = lambda.value();
-      auto sybil = config.get_double_or(prefix + "sybil_fraction",
-                                        node.baseline.sybil_fraction);
-      if (!sybil.is_ok()) return sybil.status();
-      node.baseline.sybil_fraction = sybil.value();
     }
 
     plan.nodes.push_back(std::move(node));
@@ -214,6 +207,11 @@ util::Status ExperimentPlan::validate() const {
       return node_err(i, "parent_hash only applies to parent_snapshot "
                          "edges (node edges validate against the recorded "
                          "hash automatically)");
+    }
+    if (!node.parent_hash.empty() && !is_state_hash(node.parent_hash)) {
+      return node_err(i, "parent_hash must be a state hash (64 lowercase "
+                         "hex digits), got '" +
+                             node.parent_hash + "'");
     }
     if (!node.parent.empty()) {
       const std::size_t parent = index_of(node.parent);

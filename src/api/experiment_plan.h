@@ -11,9 +11,9 @@
 #include "util/status.h"
 
 /// `fi::ExperimentPlan` — a DAG of named experiment segments, parsed from
-/// the same flat key=value / flat-JSON format as scenario configs
-/// (docs/ORCHESTRATION.md documents the schema; `scripts/
-/// check_plan_files.py` lints shipped plans without a C++ build).
+/// the same key=value format as scenario configs (docs/ORCHESTRATION.md
+/// documents the schema; `fi_orchestrate --validate` also loads every
+/// scenario root with its overrides).
 ///
 /// Each node is one of:
 ///   - a **scenario root**: a scenario config + `--set`-style overrides,
@@ -45,8 +45,9 @@ struct PlanNode {
   /// against the invoking process's cwd — it is a runtime artifact, not
   /// part of the plan). Exclusive with `parent` and `scenario`.
   std::string parent_snapshot;
-  /// Expected `state_hash()` of `parent_snapshot` (optional; parent-node
-  /// edges are always validated against the recorded hash instead).
+  /// Expected `state_hash()` of `parent_snapshot`, 64 lowercase hex
+  /// (optional; parent-node edges are always validated against the
+  /// recorded hash instead).
   std::string parent_hash;
   /// Proof cycles to run; 0 = to completion (final report + table row).
   std::uint64_t epochs = 0;
@@ -71,7 +72,8 @@ struct ExperimentPlan {
   static util::Result<ExperimentPlan> from_file(const std::string& path);
 
   /// Structural validation: unique node names, resolvable acyclic parent
-  /// edges, roots have a scenario, children don't, baselines stand alone.
+  /// edges, roots have a scenario, children don't, baselines stand alone,
+  /// a `parent_hash` is a state hash.
   /// (`from_config` runs this; exposed for plan-building code.)
   [[nodiscard]] util::Status validate() const;
 

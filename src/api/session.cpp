@@ -1,5 +1,6 @@
 #include "api/session.h"
 
+#include <new>
 #include <stdexcept>
 #include <string>
 
@@ -36,14 +37,21 @@ util::Result<Session> Session::from_spec(scenario::ScenarioSpec spec) {
   // invariant for it, an expected failure for an API caller).
   if (auto status = spec.validate(); !status.is_ok()) return status;
   // A valid spec can still size its setup funding (deposits, rent and
-  // traffic budgets) past u64; the checked arithmetic throws, and that is
-  // bad input, not a crash.
+  // traffic budgets) past u64, or its tables (traffic streams, regions,
+  // gang streams) past memory; the checked arithmetic and the allocator
+  // throw, and that is bad input, not a crash.
   try {
     return Session(
         std::make_unique<scenario::ScenarioRunner>(std::move(spec)));
   } catch (const std::overflow_error& e) {
     return util::err(util::ErrorCode::invalid_argument,
                      std::string("scenario setup overflows: ") + e.what());
+  } catch (const std::length_error& e) {
+    return util::err(util::ErrorCode::invalid_argument,
+                     std::string("scenario setup too large: ") + e.what());
+  } catch (const std::bad_alloc& e) {
+    return util::err(util::ErrorCode::invalid_argument,
+                     std::string("scenario setup too large: ") + e.what());
   }
 }
 

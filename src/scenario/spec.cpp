@@ -1,14 +1,11 @@
 #include "scenario/spec.h"
 
-#include <cctype>
-#include <limits>
-#include <sstream>
-
 namespace fi::scenario {
 
 namespace {
 
 using util::format_shortest_double;
+using util::kind_bits;
 
 /// Keys an older spec wrote that this one no longer reads. Each is
 /// accepted with any value, ignored, and never re-emitted by
@@ -19,168 +16,109 @@ constexpr const char* kRetiredKeys[] = {
     "net.post_challenges",  // WindowPoSt openings; proofs are not simulated
 };
 
-std::string phase_key(std::size_t index, const char* field) {
-  return "phase." + std::to_string(index) + "." + field;
+/// Top-level population keys (`name` aside), in emit order.
+constexpr util::Key<ScenarioSpec> kSpecKeys[] = {
+    {"seed", &ScenarioSpec::seed},
+    {"sectors", &ScenarioSpec::sectors},
+    {"sector_units", &ScenarioSpec::sector_units},
+    {"initial_files", &ScenarioSpec::initial_files},
+    {"file_size_min", &ScenarioSpec::file_size_min},
+    {"file_size_max", &ScenarioSpec::file_size_max},
+    {"file_value", &ScenarioSpec::file_value},
+};
+
+/// `net.*`: the protocol parameters.
+constexpr util::Key<core::Params> kNetKeys[] = {
+    {"min_capacity", &core::Params::min_capacity},
+    {"min_value", &core::Params::min_value},
+    {"k", &core::Params::k},
+    {"cap_para", &core::Params::cap_para},
+    {"gamma_deposit", &core::Params::gamma_deposit},
+    {"proof_cycle", &core::Params::proof_cycle},
+    {"proof_due", &core::Params::proof_due},
+    {"proof_deadline", &core::Params::proof_deadline},
+    {"avg_refresh", &core::Params::avg_refresh},
+    {"delay_per_kib", &core::Params::delay_per_kib},
+    {"min_transfer_window", &core::Params::min_transfer_window},
+    {"unit_rent", &core::Params::unit_rent},
+    {"traffic_fee_per_kib", &core::Params::traffic_fee_per_kib},
+    {"gas_per_task", &core::Params::gas_per_task},
+    {"punish_bp", &core::Params::punish_bp},
+    {"rent_period_cycles", &core::Params::rent_period_cycles},
+    {"max_alloc_resample", &core::Params::max_alloc_resample},
+    {"distinct_sectors", &core::Params::distinct_sectors},
+    {"admission_rebalance", &core::Params::admission_rebalance},
+};
+
+/// `network.*`; `regions` is the block's enable key.
+constexpr util::Key<NetworkSpec> kNetworkKeys[] = {
+    {"regions", &NetworkSpec::regions},
+    {"base_latency", &NetworkSpec::base_latency},
+    {"region_latency", &NetworkSpec::region_latency},
+    {"ticks_per_kib", &NetworkSpec::ticks_per_kib},
+    {"jitter", &NetworkSpec::jitter},
+    {"drop_probability", &NetworkSpec::drop_probability},
+};
+
+/// Phase kinds that advance proof cycles, and those that hit a region.
+constexpr std::uint32_t kCyclePhases = ~kind_bits(PhaseKind::rent_audit);
+constexpr std::uint32_t kRegionPhases =
+    kind_bits(PhaseKind::partition, PhaseKind::outage);
+
+/// `phase.<i>.*` (`kind` and `label` aside), with the kinds that take each.
+constexpr util::Key<PhaseSpec> kPhaseKeys[] = {
+    {"cycles", &PhaseSpec::cycles, kCyclePhases},
+    {"periods", &PhaseSpec::periods, kind_bits(PhaseKind::rent_audit)},
+    {"adds_per_cycle", &PhaseSpec::adds_per_cycle,
+     kind_bits(PhaseKind::churn)},
+    {"poisson_arrivals", &PhaseSpec::poisson_arrivals,
+     kind_bits(PhaseKind::churn)},
+    {"discard_fraction", &PhaseSpec::discard_fraction,
+     kind_bits(PhaseKind::churn)},
+    {"corrupt_fraction", &PhaseSpec::corrupt_fraction,
+     kind_bits(PhaseKind::corrupt_burst)},
+    {"coalition_fraction", &PhaseSpec::coalition_fraction,
+     kind_bits(PhaseKind::selfish_refresh)},
+    {"add_sectors", &PhaseSpec::add_sectors, kind_bits(PhaseKind::admit)},
+    {"region", &PhaseSpec::region, kRegionPhases},
+    {"down_cycles", &PhaseSpec::down_cycles, kind_bits(PhaseKind::outage)},
+};
+
+/// The header defaults every knob a kind does not take (or a disabled
+/// block) must keep.
+const NetworkSpec kNetworkDefaults{};
+const PhaseSpec kPhaseDefaults{};
+
+std::string phase_prefix(std::size_t index) {
+  return "phase." + std::to_string(index) + ".";
 }
 
-/// Reads one phase group, consuming only the keys its kind understands;
+/// Reads one phase group, consuming only the keys its kind takes;
 /// anything else in the group is left unconsumed and rejected by the
 /// caller's unknown-key sweep.
 util::Result<PhaseSpec> parse_phase(const util::Config& config,
                                     std::size_t index) {
+  const std::string prefix = phase_prefix(index);
   PhaseSpec phase;
-  auto kind_name = config.get_string(phase_key(index, "kind"));
+  auto kind_name = config.get_string(prefix + "kind");
   if (!kind_name.is_ok()) return kind_name.status();
   auto kind = phase_kind_from_name(kind_name.value());
   if (!kind.is_ok()) {
     return util::err(util::ErrorCode::invalid_argument,
-                     phase_key(index, "kind") + ": " +
-                         kind.status().message());
+                     prefix + "kind: " + kind.status().message());
   }
   phase.kind = kind.value();
 
-  auto label = config.get_string_or(phase_key(index, "label"), "");
+  auto label = config.get_string_or(prefix + "label", "");
   if (!label.is_ok()) return label.status();
   phase.label = label.value();
 
-#define FI_PHASE_FIELD(getter, field, fallback)                      \
-  do {                                                               \
-    auto parsed = config.getter(phase_key(index, #field), fallback); \
-    if (!parsed.is_ok()) return parsed.status();                     \
-    phase.field = parsed.value();                                    \
-  } while (false)
-
-  switch (phase.kind) {
-    case PhaseKind::idle:
-      FI_PHASE_FIELD(get_u64_or, cycles, 1);
-      break;
-    case PhaseKind::churn:
-      FI_PHASE_FIELD(get_u64_or, cycles, 1);
-      FI_PHASE_FIELD(get_u64_or, adds_per_cycle, 0);
-      FI_PHASE_FIELD(get_bool_or, poisson_arrivals, false);
-      FI_PHASE_FIELD(get_double_or, discard_fraction, 0.0);
-      break;
-    case PhaseKind::corrupt_burst:
-      FI_PHASE_FIELD(get_u64_or, cycles, 1);
-      FI_PHASE_FIELD(get_double_or, corrupt_fraction, 0.0);
-      break;
-    case PhaseKind::selfish_refresh:
-      FI_PHASE_FIELD(get_u64_or, cycles, 1);
-      FI_PHASE_FIELD(get_double_or, coalition_fraction, 0.0);
-      break;
-    case PhaseKind::rent_audit:
-      FI_PHASE_FIELD(get_u64_or, periods, 0);
-      break;
-    case PhaseKind::admit:
-      FI_PHASE_FIELD(get_u64_or, cycles, 1);
-      FI_PHASE_FIELD(get_u64_or, add_sectors, 0);
-      break;
-    case PhaseKind::partition:
-      FI_PHASE_FIELD(get_u64_or, cycles, 1);
-      FI_PHASE_FIELD(get_u64_or, region, 0);
-      break;
-    case PhaseKind::outage:
-      FI_PHASE_FIELD(get_u64_or, cycles, 1);
-      FI_PHASE_FIELD(get_u64_or, region, 0);
-      FI_PHASE_FIELD(get_u64_or, down_cycles, 0);
-      break;
+  if (util::Status s = util::read_keys(config, prefix, kPhaseKeys,
+                                       kind_bits(phase.kind), phase);
+      !s.is_ok()) {
+    return s;
   }
-#undef FI_PHASE_FIELD
   return phase;
-}
-
-util::Status parse_params(const util::Config& config, core::Params& params) {
-#define FI_NET_FIELD(getter, field)                             \
-  do {                                                          \
-    auto parsed = config.getter("net." #field, params.field);   \
-    if (!parsed.is_ok()) return parsed.status();                \
-    params.field = parsed.value();                              \
-  } while (false)
-
-  // uint32 fields are range-checked, not narrowed: the parser's contract
-  // is that a config either applies exactly or errors.
-#define FI_NET_FIELD_U32(field)                                         \
-  do {                                                                  \
-    auto parsed = config.get_u64_or("net." #field, params.field);       \
-    if (!parsed.is_ok()) return parsed.status();                        \
-    if (parsed.value() > std::numeric_limits<std::uint32_t>::max()) {   \
-      return util::err(util::ErrorCode::invalid_argument,               \
-                       "config key 'net." #field "': value " +          \
-                           std::to_string(parsed.value()) +             \
-                           " exceeds the 32-bit range");                \
-    }                                                                   \
-    params.field = static_cast<std::uint32_t>(parsed.value());          \
-  } while (false)
-
-  FI_NET_FIELD(get_u64_or, min_capacity);
-  FI_NET_FIELD(get_u64_or, min_value);
-  FI_NET_FIELD_U32(k);
-  FI_NET_FIELD(get_double_or, cap_para);
-  FI_NET_FIELD(get_double_or, gamma_deposit);
-  FI_NET_FIELD(get_u64_or, proof_cycle);
-  FI_NET_FIELD(get_u64_or, proof_due);
-  FI_NET_FIELD(get_u64_or, proof_deadline);
-  FI_NET_FIELD(get_double_or, avg_refresh);
-  FI_NET_FIELD(get_u64_or, delay_per_kib);
-  FI_NET_FIELD(get_u64_or, min_transfer_window);
-  FI_NET_FIELD(get_u64_or, unit_rent);
-  FI_NET_FIELD(get_u64_or, traffic_fee_per_kib);
-  FI_NET_FIELD(get_u64_or, gas_per_task);
-  FI_NET_FIELD_U32(punish_bp);
-  FI_NET_FIELD_U32(rent_period_cycles);
-  FI_NET_FIELD_U32(max_alloc_resample);
-  FI_NET_FIELD(get_bool_or, distinct_sectors);
-  FI_NET_FIELD(get_bool_or, admission_rebalance);
-#undef FI_NET_FIELD_U32
-#undef FI_NET_FIELD
-
-  // Every spec written before proofs were assumed carries
-  // `net.verify_proofs = false`; it is read and dropped, never re-emitted.
-  auto verify = config.get_bool_or("net.verify_proofs", false);
-  if (!verify.is_ok()) return verify.status();
-  if (verify.value()) {
-    return util::err(util::ErrorCode::invalid_argument,
-                     "net.verify_proofs = true: PoRep and WindowPoSt are "
-                     "assumed, not simulated; every replica auto-proves "
-                     "unless its sector withholds proofs");
-  }
-  return util::Status::ok();
-}
-
-util::Status check_fraction(double value, const std::string& what) {
-  // Negated closed-range test so NaN (which fails every comparison) is
-  // rejected instead of slipping through `< 0 || > 1`.
-  if (!(value >= 0.0 && value <= 1.0)) {
-    return util::err(util::ErrorCode::invalid_argument,
-                     what + " must lie in [0, 1], got " +
-                         format_shortest_double(value));
-  }
-  return util::Status::ok();
-}
-
-std::string_view trimmed_view(const std::string& s) {
-  std::string_view v{s};
-  while (!v.empty() && std::isspace(static_cast<unsigned char>(v.front()))) {
-    v.remove_prefix(1);
-  }
-  while (!v.empty() && std::isspace(static_cast<unsigned char>(v.back()))) {
-    v.remove_suffix(1);
-  }
-  return v;
-}
-
-/// name/label values must survive the key=value serialization: no
-/// comment starters, newlines, or leading/trailing whitespace.
-util::Status check_serializable_string(const std::string& value,
-                                       const std::string& what) {
-  if (value.find_first_of("#;\n\r") != std::string::npos ||
-      value != std::string(trimmed_view(value))) {
-    return util::err(util::ErrorCode::invalid_argument,
-                     what + " must not contain '#', ';', newlines, or "
-                            "leading/trailing whitespace: '" +
-                         value + "'");
-  }
-  return util::Status::ok();
 }
 
 }  // namespace
@@ -215,21 +153,11 @@ util::Result<NetworkSpec> NetworkSpec::from_config(
   NetworkSpec spec;
   spec.enabled = config.contains("network.regions");
   if (!spec.enabled) return spec;
-
-#define FI_NETWORK_FIELD(getter, field)                           \
-  do {                                                            \
-    auto parsed = config.getter("network." #field, spec.field);   \
-    if (!parsed.is_ok()) return parsed.status();                  \
-    spec.field = parsed.value();                                  \
-  } while (false)
-
-  FI_NETWORK_FIELD(get_u64_or, regions);
-  FI_NETWORK_FIELD(get_u64_or, base_latency);
-  FI_NETWORK_FIELD(get_u64_or, region_latency);
-  FI_NETWORK_FIELD(get_u64_or, ticks_per_kib);
-  FI_NETWORK_FIELD(get_u64_or, jitter);
-  FI_NETWORK_FIELD(get_double_or, drop_probability);
-#undef FI_NETWORK_FIELD
+  if (util::Status s = util::read_keys(config, "network.", kNetworkKeys,
+                                       util::kAllKinds, spec);
+      !s.is_ok()) {
+    return s;
+  }
   return spec;
 }
 
@@ -238,14 +166,8 @@ util::Status NetworkSpec::validate() const {
     // Knobs of a disabled block must stay at their defaults — file
     // configs get this from the unknown-key sweep (the keys are only
     // consumed when the block is present); this covers in-code specs.
-    const NetworkSpec defaults;
-    const bool pristine = regions == defaults.regions &&
-                          base_latency == defaults.base_latency &&
-                          region_latency == defaults.region_latency &&
-                          ticks_per_kib == defaults.ticks_per_kib &&
-                          jitter == defaults.jitter &&
-                          drop_probability == defaults.drop_probability;
-    if (!pristine) {
+    if (util::foreign_knob(kNetworkKeys, 0, *this, kNetworkDefaults) !=
+        nullptr) {
       return util::err(util::ErrorCode::invalid_argument,
                        "network.* knobs set without network.regions (the "
                        "block's enable key)");
@@ -267,49 +189,43 @@ util::Status NetworkSpec::validate() const {
 }
 
 void NetworkSpec::serialize(std::string& out) const {
-  if (!enabled) return;
-  const auto emit = [&out](const char* key, const std::string& value) {
-    out += "network.";
-    out += key;
-    out += " = ";
-    out += value;
-    out += "\n";
-  };
-  emit("regions", std::to_string(regions));
-  emit("base_latency", std::to_string(base_latency));
-  emit("region_latency", std::to_string(region_latency));
-  emit("ticks_per_kib", std::to_string(ticks_per_kib));
-  emit("jitter", std::to_string(jitter));
-  emit("drop_probability", format_shortest_double(drop_probability));
+  if (enabled) {
+    util::write_keys(out, "network.", kNetworkKeys, util::kAllKinds, *this);
+  }
 }
 
 util::Result<ScenarioSpec> ScenarioSpec::from_config(
     const util::Config& config) {
   ScenarioSpec spec;
-
-#define FI_SPEC_FIELD(getter, field)                        \
-  do {                                                      \
-    auto parsed = config.getter(#field, spec.field);        \
-    if (!parsed.is_ok()) return parsed.status();            \
-    spec.field = parsed.value();                            \
-  } while (false)
-
-  FI_SPEC_FIELD(get_string_or, name);
-  FI_SPEC_FIELD(get_u64_or, seed);
-  FI_SPEC_FIELD(get_u64_or, sectors);
-  FI_SPEC_FIELD(get_u64_or, sector_units);
-  FI_SPEC_FIELD(get_u64_or, initial_files);
-  FI_SPEC_FIELD(get_u64_or, file_size_min);
-  FI_SPEC_FIELD(get_u64_or, file_size_max);
-  FI_SPEC_FIELD(get_u64_or, file_value);
-#undef FI_SPEC_FIELD
+  {
+    auto name = config.get_string_or("name", spec.name);
+    if (!name.is_ok()) return name.status();
+    spec.name = name.value();
+  }
+  if (util::Status s =
+          util::read_keys(config, "", kSpecKeys, util::kAllKinds, spec);
+      !s.is_ok()) {
+    return s;
+  }
 
   for (const char* key : kRetiredKeys) {
     if (config.contains(key)) (void)config.get_string(key);
   }
 
-  if (util::Status s = parse_params(config, spec.params); !s.is_ok()) {
+  if (util::Status s = util::read_keys(config, "net.", kNetKeys,
+                                       util::kAllKinds, spec.params);
+      !s.is_ok()) {
     return s;
+  }
+  // Every spec written before proofs were assumed carries
+  // `net.verify_proofs = false`; it is read and dropped, never re-emitted.
+  auto verify = config.get_bool_or("net.verify_proofs", false);
+  if (!verify.is_ok()) return verify.status();
+  if (verify.value()) {
+    return util::err(util::ErrorCode::invalid_argument,
+                     "net.verify_proofs = true: PoRep and WindowPoSt are "
+                     "assumed, not simulated; every replica auto-proves "
+                     "unless its sector withholds proofs");
   }
 
   {
@@ -324,7 +240,7 @@ util::Result<ScenarioSpec> ScenarioSpec::from_config(
     spec.traffic = std::move(traffic).value();
   }
 
-  for (std::size_t i = 0; config.contains(phase_key(i, "kind")); ++i) {
+  for (std::size_t i = 0; config.contains(phase_prefix(i) + "kind"); ++i) {
     auto phase = parse_phase(config, i);
     if (!phase.is_ok()) return phase.status();
     spec.phases.push_back(std::move(phase).value());
@@ -390,67 +306,42 @@ util::Status ScenarioSpec::validate() const {
                      "file_value must be 0 (default) or a positive multiple "
                      "of net.min_value");
   }
-  if (util::Status s = check_serializable_string(name, "name"); !s.is_ok()) {
+  if (util::Status s = util::check_serializable(name, "name"); !s.is_ok()) {
     return s;
   }
   for (std::size_t i = 0; i < phases.size(); ++i) {
     const PhaseSpec& phase = phases[i];
     const std::string where = "phase." + std::to_string(i);
-    if (util::Status s =
-            check_serializable_string(phase.label, where + ".label");
+    if (util::Status s = util::check_serializable(phase.label, where + ".label");
         !s.is_ok()) {
       return s;
     }
     // Knobs of other phase kinds must stay at their defaults — file
     // configs get this from the unknown-key sweep; this covers in-code
     // specs, so a stray field never silently runs a different experiment.
-    struct Knob {
-      bool relevant;
-      bool at_default;
-      const char* name;
-    };
-    const bool is_churn = phase.kind == PhaseKind::churn;
-    const bool is_net_condition = phase.kind == PhaseKind::partition ||
-                                  phase.kind == PhaseKind::outage;
-    const Knob knobs[] = {
-        {phase.kind != PhaseKind::rent_audit, phase.cycles == 1, "cycles"},
-        {phase.kind == PhaseKind::rent_audit, phase.periods == 0, "periods"},
-        {is_churn, phase.adds_per_cycle == 0, "adds_per_cycle"},
-        {is_churn, !phase.poisson_arrivals, "poisson_arrivals"},
-        {is_churn, phase.discard_fraction == 0.0, "discard_fraction"},
-        {phase.kind == PhaseKind::corrupt_burst,
-         phase.corrupt_fraction == 0.0, "corrupt_fraction"},
-        {phase.kind == PhaseKind::selfish_refresh,
-         phase.coalition_fraction == 0.0, "coalition_fraction"},
-        {phase.kind == PhaseKind::admit, phase.add_sectors == 0,
-         "add_sectors"},
-        {is_net_condition, phase.region == 0, "region"},
-        {phase.kind == PhaseKind::outage, phase.down_cycles == 0,
-         "down_cycles"},
-    };
-    for (const Knob& knob : knobs) {
-      if (!knob.relevant && !knob.at_default) {
-        return util::err(util::ErrorCode::invalid_argument,
-                         where + "." + knob.name + " is not a knob of a " +
-                             phase_kind_name(phase.kind) + " phase");
-      }
+    const std::uint32_t kind = kind_bits(phase.kind);
+    if (const char* knob =
+            util::foreign_knob(kPhaseKeys, kind, phase, kPhaseDefaults)) {
+      return util::err(util::ErrorCode::invalid_argument,
+                       where + "." + knob + " is not a knob of a " +
+                           phase_kind_name(phase.kind) + " phase");
     }
-    if (phase.kind != PhaseKind::rent_audit && phase.cycles == 0) {
+    if ((kind & kCyclePhases) != 0 && phase.cycles == 0) {
       return util::err(util::ErrorCode::invalid_argument,
                        where + ".cycles must be positive");
     }
-    if (util::Status s = check_fraction(phase.discard_fraction,
-                                        where + ".discard_fraction");
+    if (util::Status s = util::check_fraction(phase.discard_fraction,
+                                              where + ".discard_fraction");
         !s.is_ok()) {
       return s;
     }
-    if (util::Status s = check_fraction(phase.corrupt_fraction,
-                                        where + ".corrupt_fraction");
+    if (util::Status s = util::check_fraction(phase.corrupt_fraction,
+                                              where + ".corrupt_fraction");
         !s.is_ok()) {
       return s;
     }
-    if (util::Status s = check_fraction(phase.coalition_fraction,
-                                        where + ".coalition_fraction");
+    if (util::Status s = util::check_fraction(phase.coalition_fraction,
+                                              where + ".coalition_fraction");
         !s.is_ok()) {
       return s;
     }
@@ -458,7 +349,7 @@ util::Status ScenarioSpec::validate() const {
       return util::err(util::ErrorCode::invalid_argument,
                        where + ".add_sectors must be positive");
     }
-    if (is_net_condition) {
+    if ((kind & kRegionPhases) != 0) {
       if (!network.enabled) {
         return util::err(util::ErrorCode::invalid_argument,
                          where + ": a " +
@@ -501,106 +392,22 @@ util::Status ScenarioSpec::validate() const {
 }
 
 std::string ScenarioSpec::to_config_string() const {
-  std::ostringstream out;
-  out << "name = " << name << "\n";
-  out << "seed = " << seed << "\n";
-  out << "sectors = " << sectors << "\n";
-  out << "sector_units = " << sector_units << "\n";
-  out << "initial_files = " << initial_files << "\n";
-  out << "file_size_min = " << file_size_min << "\n";
-  out << "file_size_max = " << file_size_max << "\n";
-  out << "file_value = " << file_value << "\n";
-
-  out << "net.min_capacity = " << params.min_capacity << "\n";
-  out << "net.min_value = " << params.min_value << "\n";
-  out << "net.k = " << params.k << "\n";
-  out << "net.cap_para = " << format_shortest_double(params.cap_para) << "\n";
-  out << "net.gamma_deposit = " << format_shortest_double(params.gamma_deposit) << "\n";
-  out << "net.proof_cycle = " << params.proof_cycle << "\n";
-  out << "net.proof_due = " << params.proof_due << "\n";
-  out << "net.proof_deadline = " << params.proof_deadline << "\n";
-  out << "net.avg_refresh = " << format_shortest_double(params.avg_refresh) << "\n";
-  out << "net.delay_per_kib = " << params.delay_per_kib << "\n";
-  out << "net.min_transfer_window = " << params.min_transfer_window << "\n";
-  out << "net.unit_rent = " << params.unit_rent << "\n";
-  out << "net.traffic_fee_per_kib = " << params.traffic_fee_per_kib << "\n";
-  out << "net.gas_per_task = " << params.gas_per_task << "\n";
-  out << "net.punish_bp = " << params.punish_bp << "\n";
-  out << "net.rent_period_cycles = " << params.rent_period_cycles << "\n";
-  out << "net.max_alloc_resample = " << params.max_alloc_resample << "\n";
-  out << "net.distinct_sectors = "
-      << (params.distinct_sectors ? "true" : "false") << "\n";
-  out << "net.admission_rebalance = "
-      << (params.admission_rebalance ? "true" : "false") << "\n";
-
-  {
-    std::string network_block;
-    network.serialize(network_block);
-    out << network_block;
-  }
-
-  {
-    std::string traffic_block;
-    traffic.serialize(traffic_block);
-    out << traffic_block;
-  }
-
+  std::string out = "name = " + name + "\n";
+  util::write_keys(out, "", kSpecKeys, util::kAllKinds, *this);
+  util::write_keys(out, "net.", kNetKeys, util::kAllKinds, params);
+  network.serialize(out);
+  traffic.serialize(out);
   for (std::size_t i = 0; i < phases.size(); ++i) {
     const PhaseSpec& phase = phases[i];
-    out << phase_key(i, "kind") << " = " << phase_kind_name(phase.kind)
-        << "\n";
-    if (!phase.label.empty()) {
-      out << phase_key(i, "label") << " = " << phase.label << "\n";
-    }
-    switch (phase.kind) {
-      case PhaseKind::idle:
-        out << phase_key(i, "cycles") << " = " << phase.cycles << "\n";
-        break;
-      case PhaseKind::churn:
-        out << phase_key(i, "cycles") << " = " << phase.cycles << "\n";
-        out << phase_key(i, "adds_per_cycle") << " = " << phase.adds_per_cycle
-            << "\n";
-        out << phase_key(i, "poisson_arrivals") << " = "
-            << (phase.poisson_arrivals ? "true" : "false") << "\n";
-        out << phase_key(i, "discard_fraction") << " = "
-            << format_shortest_double(phase.discard_fraction) << "\n";
-        break;
-      case PhaseKind::corrupt_burst:
-        out << phase_key(i, "cycles") << " = " << phase.cycles << "\n";
-        out << phase_key(i, "corrupt_fraction") << " = "
-            << format_shortest_double(phase.corrupt_fraction) << "\n";
-        break;
-      case PhaseKind::selfish_refresh:
-        out << phase_key(i, "cycles") << " = " << phase.cycles << "\n";
-        out << phase_key(i, "coalition_fraction") << " = "
-            << format_shortest_double(phase.coalition_fraction) << "\n";
-        break;
-      case PhaseKind::rent_audit:
-        out << phase_key(i, "periods") << " = " << phase.periods << "\n";
-        break;
-      case PhaseKind::admit:
-        out << phase_key(i, "cycles") << " = " << phase.cycles << "\n";
-        out << phase_key(i, "add_sectors") << " = " << phase.add_sectors
-            << "\n";
-        break;
-      case PhaseKind::partition:
-        out << phase_key(i, "cycles") << " = " << phase.cycles << "\n";
-        out << phase_key(i, "region") << " = " << phase.region << "\n";
-        break;
-      case PhaseKind::outage:
-        out << phase_key(i, "cycles") << " = " << phase.cycles << "\n";
-        out << phase_key(i, "region") << " = " << phase.region << "\n";
-        out << phase_key(i, "down_cycles") << " = " << phase.down_cycles
-            << "\n";
-        break;
-    }
+    const std::string prefix = phase_prefix(i);
+    out += prefix + "kind = " + phase_kind_name(phase.kind) + "\n";
+    if (!phase.label.empty()) out += prefix + "label = " + phase.label + "\n";
+    util::write_keys(out, prefix, kPhaseKeys, kind_bits(phase.kind), phase);
   }
-  std::string adversary_blocks;
   for (std::size_t i = 0; i < adversaries.size(); ++i) {
-    adversaries[i].serialize(adversary_blocks, i);
+    adversaries[i].serialize(out, i);
   }
-  out << adversary_blocks;
-  return out.str();
+  return out;
 }
 
 }  // namespace fi::scenario

@@ -18,9 +18,12 @@
 /// A `ScenarioSpec` is everything needed to reproduce a run of the full
 /// protocol engine: network parameters, the provider/file populations built
 /// during setup, and an ordered list of epoch-driven workload phases. Specs
-/// parse from `util::Config` (key=value files or flat JSON) and serialize
-/// back losslessly, so any run can be archived as a small text file and
+/// parse from `util::Config` (key=value files) and serialize back
+/// losslessly, so any run can be archived as a small text file and
 /// replayed bit-for-bit (`ScenarioRunner` is deterministic in the spec).
+/// Each block's typed keys are one `util::Key` table in `spec.cpp` (or
+/// `adversary/spec.cpp`, `traffic/spec.cpp`): a row per key, in emit
+/// order, defaulting to the member initializers below.
 namespace fi::scenario {
 
 /// Workload phase archetypes. Each phase advances simulated time through

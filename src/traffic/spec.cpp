@@ -6,16 +6,33 @@ namespace {
 
 using util::format_shortest_double;
 
-util::Status check_fraction(double value, const std::string& what) {
-  // Negated closed-range test so NaN (which fails every comparison) is
-  // rejected instead of slipping through `< 0 || > 1`.
-  if (!(value >= 0.0 && value <= 1.0)) {
-    return util::err(util::ErrorCode::invalid_argument,
-                     what + " must lie in [0, 1], got " +
-                         format_shortest_double(value));
-  }
-  return util::Status::ok();
-}
+/// `traffic.*`; `requests_per_cycle` is the block's enable key,
+/// `defense.enabled` the defense sub-group's.
+constexpr util::Key<TrafficSpec> kTrafficKeys[] = {
+    {"requests_per_cycle", &TrafficSpec::requests_per_cycle},
+    {"streams", &TrafficSpec::streams},
+    {"zipf_s", &TrafficSpec::zipf_s},
+    {"diurnal_period", &TrafficSpec::diurnal_period},
+    {"diurnal_amplitude", &TrafficSpec::diurnal_amplitude},
+    {"flash_epoch", &TrafficSpec::flash_epoch},
+    {"flash_duration", &TrafficSpec::flash_duration},
+    {"flash_multiplier", &TrafficSpec::flash_multiplier},
+    {"flash_focus", &TrafficSpec::flash_focus},
+    {"provider_capacity", &TrafficSpec::provider_capacity},
+    {"queue_limit", &TrafficSpec::queue_limit},
+    {"cache_blocks", &TrafficSpec::cache_blocks},
+    {"price_per_kib", &TrafficSpec::price_per_kib},
+    {"defense.enabled", &TrafficSpec::defense_enabled},
+    {"defense.warmup", &TrafficSpec::defense_warmup},
+    {"defense.k", &TrafficSpec::defense_k},
+    {"defense.violations", &TrafficSpec::defense_violations},
+    {"defense.surge", &TrafficSpec::defense_surge},
+    {"defense.rate_limit", &TrafficSpec::defense_rate_limit},
+};
+
+/// The header defaults every knob of a disabled block or sub-group must
+/// keep.
+const TrafficSpec kTrafficDefaults{};
 
 }  // namespace
 
@@ -24,34 +41,11 @@ util::Result<TrafficSpec> TrafficSpec::from_config(
   TrafficSpec spec;
   spec.enabled = config.contains("traffic.requests_per_cycle");
   if (!spec.enabled) return spec;
-
-#define FI_TRAFFIC_FIELD(getter, field, key)              \
-  do {                                                    \
-    auto parsed = config.getter("traffic." key, spec.field); \
-    if (!parsed.is_ok()) return parsed.status();          \
-    spec.field = parsed.value();                          \
-  } while (false)
-
-  FI_TRAFFIC_FIELD(get_u64_or, requests_per_cycle, "requests_per_cycle");
-  FI_TRAFFIC_FIELD(get_u64_or, streams, "streams");
-  FI_TRAFFIC_FIELD(get_double_or, zipf_s, "zipf_s");
-  FI_TRAFFIC_FIELD(get_u64_or, diurnal_period, "diurnal_period");
-  FI_TRAFFIC_FIELD(get_double_or, diurnal_amplitude, "diurnal_amplitude");
-  FI_TRAFFIC_FIELD(get_u64_or, flash_epoch, "flash_epoch");
-  FI_TRAFFIC_FIELD(get_u64_or, flash_duration, "flash_duration");
-  FI_TRAFFIC_FIELD(get_u64_or, flash_multiplier, "flash_multiplier");
-  FI_TRAFFIC_FIELD(get_double_or, flash_focus, "flash_focus");
-  FI_TRAFFIC_FIELD(get_u64_or, provider_capacity, "provider_capacity");
-  FI_TRAFFIC_FIELD(get_u64_or, queue_limit, "queue_limit");
-  FI_TRAFFIC_FIELD(get_u64_or, cache_blocks, "cache_blocks");
-  FI_TRAFFIC_FIELD(get_u64_or, price_per_kib, "price_per_kib");
-  FI_TRAFFIC_FIELD(get_bool_or, defense_enabled, "defense.enabled");
-  FI_TRAFFIC_FIELD(get_u64_or, defense_warmup, "defense.warmup");
-  FI_TRAFFIC_FIELD(get_double_or, defense_k, "defense.k");
-  FI_TRAFFIC_FIELD(get_u64_or, defense_violations, "defense.violations");
-  FI_TRAFFIC_FIELD(get_u64_or, defense_surge, "defense.surge");
-  FI_TRAFFIC_FIELD(get_bool_or, defense_rate_limit, "defense.rate_limit");
-#undef FI_TRAFFIC_FIELD
+  if (util::Status s = util::read_keys(config, "traffic.", kTrafficKeys,
+                                       util::kAllKinds, spec);
+      !s.is_ok()) {
+    return s;
+  }
   return spec;
 }
 
@@ -60,27 +54,8 @@ util::Status TrafficSpec::validate() const {
     // Knobs of a disabled block must stay at their defaults — file
     // configs get this from the unknown-key sweep (the keys are only
     // consumed when the block is present); this covers in-code specs.
-    const TrafficSpec defaults;
-    const bool pristine =
-        requests_per_cycle == defaults.requests_per_cycle &&
-        streams == defaults.streams && zipf_s == defaults.zipf_s &&
-        diurnal_period == defaults.diurnal_period &&
-        diurnal_amplitude == defaults.diurnal_amplitude &&
-        flash_epoch == defaults.flash_epoch &&
-        flash_duration == defaults.flash_duration &&
-        flash_multiplier == defaults.flash_multiplier &&
-        flash_focus == defaults.flash_focus &&
-        provider_capacity == defaults.provider_capacity &&
-        queue_limit == defaults.queue_limit &&
-        cache_blocks == defaults.cache_blocks &&
-        price_per_kib == defaults.price_per_kib &&
-        defense_enabled == defaults.defense_enabled &&
-        defense_warmup == defaults.defense_warmup &&
-        defense_k == defaults.defense_k &&
-        defense_violations == defaults.defense_violations &&
-        defense_surge == defaults.defense_surge &&
-        defense_rate_limit == defaults.defense_rate_limit;
-    if (!pristine) {
+    if (util::foreign_knob(kTrafficKeys, 0, *this, kTrafficDefaults) !=
+        nullptr) {
       return util::err(util::ErrorCode::invalid_argument,
                        "traffic.* knobs set without "
                        "traffic.requests_per_cycle (the block's enable key)");
@@ -101,8 +76,8 @@ util::Status TrafficSpec::validate() const {
                      "traffic.zipf_s must be positive, got " +
                          format_shortest_double(zipf_s));
   }
-  if (util::Status s =
-          check_fraction(diurnal_amplitude, "traffic.diurnal_amplitude");
+  if (util::Status s = util::check_fraction(diurnal_amplitude,
+                                            "traffic.diurnal_amplitude");
       !s.is_ok()) {
     return s;
   }
@@ -119,10 +94,9 @@ util::Status TrafficSpec::validate() const {
   if (flash_duration == 0) {
     // No flash: its sub-knobs must stay at their defaults so a config
     // cannot silently carry a dead flash crowd.
-    const TrafficSpec defaults;
-    if (flash_epoch != defaults.flash_epoch ||
-        flash_multiplier != defaults.flash_multiplier ||
-        flash_focus != defaults.flash_focus) {
+    if (flash_epoch != kTrafficDefaults.flash_epoch ||
+        flash_multiplier != kTrafficDefaults.flash_multiplier ||
+        flash_focus != kTrafficDefaults.flash_focus) {
       return util::err(util::ErrorCode::invalid_argument,
                        "traffic.flash_* knobs set without a positive "
                        "traffic.flash_duration");
@@ -133,7 +107,8 @@ util::Status TrafficSpec::validate() const {
                        "traffic.flash_multiplier must be at least 2 (1 "
                        "would be no flash at all)");
     }
-    if (util::Status s = check_fraction(flash_focus, "traffic.flash_focus");
+    if (util::Status s =
+            util::check_fraction(flash_focus, "traffic.flash_focus");
         !s.is_ok()) {
       return s;
     }
@@ -147,12 +122,11 @@ util::Status TrafficSpec::validate() const {
                      "traffic.queue_limit must be positive");
   }
   if (!defense_enabled) {
-    const TrafficSpec defaults;
-    if (defense_warmup != defaults.defense_warmup ||
-        defense_k != defaults.defense_k ||
-        defense_violations != defaults.defense_violations ||
-        defense_surge != defaults.defense_surge ||
-        defense_rate_limit != defaults.defense_rate_limit) {
+    if (defense_warmup != kTrafficDefaults.defense_warmup ||
+        defense_k != kTrafficDefaults.defense_k ||
+        defense_violations != kTrafficDefaults.defense_violations ||
+        defense_surge != kTrafficDefaults.defense_surge ||
+        defense_rate_limit != kTrafficDefaults.defense_rate_limit) {
       return util::err(util::ErrorCode::invalid_argument,
                        "traffic.defense.* knobs set without "
                        "traffic.defense.enabled = true");
@@ -181,36 +155,9 @@ util::Status TrafficSpec::validate() const {
 }
 
 void TrafficSpec::serialize(std::string& out) const {
-  if (!enabled) return;
-  const auto emit = [&out](const char* key, const std::string& value) {
-    out += "traffic.";
-    out += key;
-    out += " = ";
-    out += value;
-    out += "\n";
-  };
-  const auto emit_u64 = [&emit](const char* key, std::uint64_t value) {
-    emit(key, std::to_string(value));
-  };
-  emit_u64("requests_per_cycle", requests_per_cycle);
-  emit_u64("streams", streams);
-  emit("zipf_s", format_shortest_double(zipf_s));
-  emit_u64("diurnal_period", diurnal_period);
-  emit("diurnal_amplitude", format_shortest_double(diurnal_amplitude));
-  emit_u64("flash_epoch", flash_epoch);
-  emit_u64("flash_duration", flash_duration);
-  emit_u64("flash_multiplier", flash_multiplier);
-  emit("flash_focus", format_shortest_double(flash_focus));
-  emit_u64("provider_capacity", provider_capacity);
-  emit_u64("queue_limit", queue_limit);
-  emit_u64("cache_blocks", cache_blocks);
-  emit_u64("price_per_kib", price_per_kib);
-  emit("defense.enabled", defense_enabled ? "true" : "false");
-  emit_u64("defense.warmup", defense_warmup);
-  emit("defense.k", format_shortest_double(defense_k));
-  emit_u64("defense.violations", defense_violations);
-  emit_u64("defense.surge", defense_surge);
-  emit("defense.rate_limit", defense_rate_limit ? "true" : "false");
+  if (enabled) {
+    util::write_keys(out, "traffic.", kTrafficKeys, util::kAllKinds, *this);
+  }
 }
 
 }  // namespace fi::traffic

@@ -82,109 +82,6 @@ Status parse_key_values(std::string_view text, Config& out) {
   return Status::ok();
 }
 
-/// Minimal parser for a flat JSON object of scalars. No nesting, no
-/// arrays, no escape sequences beyond \" \\ \/ \n \t.
-class FlatJsonParser {
- public:
-  explicit FlatJsonParser(std::string_view text) : text_(text) {}
-
-  Status parse_into(Config& out) {
-    skip_ws();
-    if (!eat('{')) return fail("expected '{'");
-    skip_ws();
-    if (eat('}')) return check_trailing();
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (Status s = parse_string(key); !s.is_ok()) return s;
-      if (!valid_key(key)) return fail("invalid key '" + key + "'");
-      if (out.contains(key)) return fail("duplicate key '" + key + "'");
-      skip_ws();
-      if (!eat(':')) return fail("expected ':' after key '" + key + "'");
-      skip_ws();
-      std::string value;
-      if (Status s = parse_scalar(value); !s.is_ok()) return s;
-      out.set(key, value);
-      skip_ws();
-      if (eat(',')) continue;
-      if (eat('}')) return check_trailing();
-      return fail("expected ',' or '}'");
-    }
-  }
-
- private:
-  Status fail(const std::string& what) const {
-    return err(ErrorCode::invalid_argument,
-               "json config, offset " + std::to_string(pos_) + ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool eat(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Status check_trailing() {
-    skip_ws();
-    if (pos_ != text_.size()) return fail("trailing content after '}'");
-    return Status::ok();
-  }
-
-  Status parse_string(std::string& out) {
-    if (!eat('"')) return fail("expected '\"'");
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return Status::ok();
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          default:
-            return fail(std::string("unsupported escape '\\") + esc + "'");
-        }
-        continue;
-      }
-      out.push_back(c);
-    }
-    return fail("unterminated string");
-  }
-
-  Status parse_scalar(std::string& out) {
-    if (pos_ < text_.size() && text_[pos_] == '"') {
-      return parse_string(out);
-    }
-    const std::size_t start = pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      const bool scalar_char = std::isalnum(static_cast<unsigned char>(c)) ||
-                               c == '+' || c == '-' || c == '.' || c == '_';
-      if (!scalar_char) break;
-      ++pos_;
-    }
-    if (pos_ == start) return fail("expected a value");
-    out.assign(text_.substr(start, pos_ - start));
-    return Status::ok();
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
 /// Strips underscore digit separators (1_000_000) for numeric parsing.
 std::string strip_separators(const std::string& value) {
   std::string digits;
@@ -199,11 +96,9 @@ std::string strip_separators(const std::string& value) {
 
 Result<Config> Config::parse(std::string_view text) {
   Config config;
-  const std::string_view body = trim(text);
-  Status status = !body.empty() && body.front() == '{'
-                      ? FlatJsonParser(body).parse_into(config)
-                      : parse_key_values(text, config);
-  if (!status.is_ok()) return status;
+  if (Status status = parse_key_values(text, config); !status.is_ok()) {
+    return status;
+  }
   return config;
 }
 
@@ -310,6 +205,28 @@ std::string format_shortest_double(double value) {
     if (std::strtod(buf, nullptr) == value) break;
   }
   return buf;
+}
+
+Status check_fraction(double value, const std::string& what) {
+  // Negated closed-range test so NaN (which fails every comparison) is
+  // rejected instead of slipping through `< 0 || > 1`.
+  if (!(value >= 0.0 && value <= 1.0)) {
+    return err(ErrorCode::invalid_argument,
+               what + " must lie in [0, 1], got " +
+                   format_shortest_double(value));
+  }
+  return Status::ok();
+}
+
+Status check_serializable(const std::string& value, const std::string& what) {
+  if (value.find_first_of("#;\n\r") != std::string::npos ||
+      value != trim(value)) {
+    return err(ErrorCode::invalid_argument,
+               what + " must not contain '#', ';', newlines, or "
+                      "leading/trailing whitespace: '" +
+                   value + "'");
+  }
+  return Status::ok();
 }
 
 std::vector<std::string> Config::unconsumed_keys() const {

@@ -1,28 +1,32 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "util/status.h"
 
 /// Tiny dependency-free scenario-config parser (`src/scenario` front door).
 ///
-/// A config is a flat string-to-string map parsed from either of two
-/// syntaxes, auto-detected from the first non-whitespace character:
-///
-///  * key=value lines — `#` and `;` start comments, blank lines are
-///    skipped, keys may be dotted (`phase.0.kind = churn`);
-///  * a flat JSON object of scalars — `{"seed": 42, "phase.0.kind":
-///    "churn"}` (strings, numbers, true/false; no nesting, no arrays).
+/// A config is a flat string-to-string map parsed from key=value lines:
+/// `#` and `;` start comments, blank lines are skipped, and keys may be
+/// dotted (`phase.0.kind = churn`).
 ///
 /// Typed getters parse values strictly (the whole token must consume, no
 /// trailing junk) and report failures as `util::Status`. The object tracks
 /// which keys were read so a consumer can reject configs containing
 /// unknown keys — the main defense against silently ignored typos.
+///
+/// Spec blocks declare their typed keys once, as a constexpr table of
+/// `Key<S>` rows; `read_keys`, `write_keys` and `foreign_knob` below are
+/// the parser, the emitter and the wrong-kind check over such a table.
 namespace fi::util {
 
 /// Strict unsigned decimal parse for CLI arguments: digits only (no sign,
@@ -34,7 +38,7 @@ namespace fi::util {
 
 class Config {
  public:
-  /// Parses config text (auto-detecting key=value vs flat JSON).
+  /// Parses key=value config text.
   static Result<Config> parse(std::string_view text);
   /// Reads and parses a config file.
   static Result<Config> load(const std::string& path);
@@ -92,5 +96,136 @@ class Config {
 /// double — shared by spec serialization and JSON reports so the two can
 /// never drift.
 [[nodiscard]] std::string format_shortest_double(double value);
+
+/// `what must lie in [0, 1]` unless `value` does (NaN included).
+[[nodiscard]] Status check_fraction(double value, const std::string& what);
+
+/// String values (names, labels) must survive the key=value syntax: no
+/// comment starters, newlines, or leading/trailing whitespace.
+[[nodiscard]] Status check_serializable(const std::string& value,
+                                        const std::string& what);
+
+// ---- Key tables ------------------------------------------------------------
+
+/// Every kind takes the key.
+inline constexpr std::uint32_t kAllKinds = ~std::uint32_t{0};
+
+/// The mask of `kinds` (enum values below 32): one bit per phase kind or
+/// adversary strategy.
+template <typename... E>
+[[nodiscard]] constexpr std::uint32_t kind_bits(E... kinds) {
+  return (std::uint32_t{0} | ... |
+          (std::uint32_t{1} << static_cast<unsigned>(kinds)));
+}
+
+/// One typed config key of a spec block `S`: its name below the block's
+/// prefix, the member it sets, and the kinds that take it. The member's
+/// initializer is the key's default.
+template <typename S>
+struct Key {
+  const char* name;
+  std::variant<std::uint64_t S::*, std::uint32_t S::*, double S::*,
+               bool S::*>
+      member;
+  std::uint32_t kinds = kAllKinds;
+};
+
+namespace detail {
+
+template <typename T>
+Status read_value(const Config& config, const std::string& key, T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    auto parsed = config.get_bool_or(key, value);
+    if (!parsed.is_ok()) return parsed.status();
+    value = parsed.value();
+  } else if constexpr (std::is_same_v<T, double>) {
+    auto parsed = config.get_double_or(key, value);
+    if (!parsed.is_ok()) return parsed.status();
+    value = parsed.value();
+  } else {
+    auto parsed = config.get_u64_or(key, value);
+    if (!parsed.is_ok()) return parsed.status();
+    // u32 members are range-checked, not narrowed: a config either
+    // applies exactly or errors.
+    if constexpr (std::is_same_v<T, std::uint32_t>) {
+      if (parsed.value() > std::numeric_limits<std::uint32_t>::max()) {
+        return err(ErrorCode::invalid_argument,
+                   "config key '" + key + "': value " +
+                       std::to_string(parsed.value()) +
+                       " exceeds the 32-bit range");
+      }
+    }
+    value = static_cast<T>(parsed.value());
+  }
+  return Status::ok();
+}
+
+template <typename T>
+std::string format_value(T value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return value ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, double>) {
+    return format_shortest_double(value);
+  } else {
+    return std::to_string(value);
+  }
+}
+
+}  // namespace detail
+
+/// Reads each row `kind` takes from `prefix + name`; an absent key keeps
+/// the member's value (the default, on a fresh `S`). Rows `kind` does not
+/// take stay unread, so the caller's unknown-key sweep rejects them.
+template <typename S, std::size_t N>
+[[nodiscard]] Status read_keys(const Config& config, const std::string& prefix,
+                               const Key<S> (&keys)[N], std::uint32_t kind,
+                               S& out) {
+  for (const Key<S>& key : keys) {
+    if ((key.kinds & kind) == 0) continue;
+    const Status status = std::visit(
+        [&](auto member) {
+          return detail::read_value(config, prefix + key.name, out.*member);
+        },
+        key.member);
+    if (!status.is_ok()) return status;
+  }
+  return Status::ok();
+}
+
+/// Appends a `prefix + name = value` line for each row `kind` takes, in
+/// table order: integers in decimal, doubles shortest round-trip
+/// (`format_shortest_double`), booleans as true/false.
+template <typename S, std::size_t N>
+void write_keys(std::string& out, const std::string& prefix,
+                const Key<S> (&keys)[N], std::uint32_t kind, const S& in) {
+  for (const Key<S>& key : keys) {
+    if ((key.kinds & kind) == 0) continue;
+    out += prefix;
+    out += key.name;
+    out += " = ";
+    std::visit([&](auto member) { out += detail::format_value(in.*member); },
+               key.member);
+    out += '\n';
+  }
+}
+
+/// The first row `kind` does not take whose member differs from
+/// `defaults` (the header defaults, `S{}`), or nullptr. In-code specs
+/// bypass the unknown-key sweep, so this is what keeps them from carrying
+/// another kind's knob (or, with `kind == 0`, any knob of a disabled
+/// block).
+template <typename S, std::size_t N>
+[[nodiscard]] const char* foreign_knob(const Key<S> (&keys)[N],
+                                       std::uint32_t kind, const S& in,
+                                       const S& defaults) {
+  for (const Key<S>& key : keys) {
+    if ((key.kinds & kind) != 0) continue;
+    const bool off_default = std::visit(
+        [&](auto member) { return !(in.*member == defaults.*member); },
+        key.member);
+    if (off_default) return key.name;
+  }
+  return nullptr;
+}
 
 }  // namespace fi::util

@@ -3,9 +3,11 @@
 // per-strategy outcome counters / attribution, and the informed pool's
 // span-greedy recruitment.
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -138,16 +140,111 @@ TEST(AdversarySpecTest, RejectsMalformedBlocks) {
 }
 
 TEST(AdversarySpecTest, ValidateRejectsWrongKindKnobsOnInCodeSpecs) {
-  ScenarioSpec spec = adversary_base_spec();
-  spec.adversaries.push_back(AdversarySpec::make_targeted_file(2));
-  spec.adversaries.back().fraction = 0.5;  // not a targeted_file knob
-  EXPECT_FALSE(spec.validate().is_ok());
+  // Every adversary key, set off its default, and the strategies that
+  // take it.
+  struct AdversaryKey {
+    const char* name;
+    void (*set_off_default)(AdversarySpec&);
+    std::vector<StrategyKind> takers;
+  };
+  const std::vector<StrategyKind> all = {
+      StrategyKind::targeted_file,      StrategyKind::colluding_pool,
+      StrategyKind::proof_withholder,   StrategyKind::churn_griefer,
+      StrategyKind::adaptive_threshold, StrategyKind::refresh_saboteur,
+      StrategyKind::retrieval_ddos,     StrategyKind::cartel_starver,
+      StrategyKind::informed_pool};
+  const AdversaryKey keys[] = {
+      {"start_epoch", [](AdversarySpec& a) { a.start_epoch = 2; }, all},
+      {"sectors_per_epoch", [](AdversarySpec& a) { a.sectors_per_epoch = 2; },
+       {StrategyKind::targeted_file}},
+      {"budget", [](AdversarySpec& a) { a.budget = 5; },
+       {StrategyKind::targeted_file}},
+      {"fraction", [](AdversarySpec& a) { a.fraction = 0.5; },
+       {StrategyKind::colluding_pool, StrategyKind::proof_withholder,
+        StrategyKind::refresh_saboteur, StrategyKind::cartel_starver,
+        StrategyKind::informed_pool}},
+      {"window", [](AdversarySpec& a) { a.window = 2; },
+       {StrategyKind::colluding_pool, StrategyKind::informed_pool}},
+      {"saved_per_cycle", [](AdversarySpec& a) { a.saved_per_cycle = 5; },
+       {StrategyKind::proof_withholder}},
+      {"max_withhold_streak",
+       [](AdversarySpec& a) { a.max_withhold_streak = 2; },
+       {StrategyKind::proof_withholder}},
+      {"sectors", [](AdversarySpec& a) { a.sectors = 3; },
+       {StrategyKind::churn_griefer}},
+      {"period", [](AdversarySpec& a) { a.period = 2; },
+       {StrategyKind::churn_griefer}},
+      {"rate", [](AdversarySpec& a) { a.rate = 2; },
+       {StrategyKind::adaptive_threshold}},
+      {"penalty_budget", [](AdversarySpec& a) { a.penalty_budget = 100; },
+       {StrategyKind::adaptive_threshold}},
+      {"escalate_every", [](AdversarySpec& a) { a.escalate_every = 2; },
+       {StrategyKind::adaptive_threshold}},
+      {"requests_per_epoch", [](AdversarySpec& a) { a.requests_per_epoch = 5; },
+       {StrategyKind::retrieval_ddos}},
+      {"gang", [](AdversarySpec& a) { a.gang = 2; },
+       {StrategyKind::retrieval_ddos}},
+      {"duration", [](AdversarySpec& a) { a.duration = 3; },
+       {StrategyKind::refresh_saboteur, StrategyKind::retrieval_ddos,
+        StrategyKind::cartel_starver}},
+  };
+  // One valid adversary of each strategy.
+  const AdversarySpec adversaries[] = {
+      AdversarySpec::make_targeted_file(2),
+      AdversarySpec::make_colluding_pool(0.2),
+      AdversarySpec::make_proof_withholder(0.2, 10),
+      AdversarySpec::make_churn_griefer(5),
+      AdversarySpec::make_adaptive_threshold(1000),
+      AdversarySpec::make_refresh_saboteur(0.2),
+      AdversarySpec::make_retrieval_ddos(10),
+      AdversarySpec::make_cartel_starver(0.2),
+      AdversarySpec::make_informed_pool(0.2),
+  };
+  ScenarioSpec base = adversary_base_spec();
+  ScenarioSpec griefer = base;
+  griefer.adversaries.push_back(AdversarySpec::make_churn_griefer(0));
+  EXPECT_FALSE(griefer.validate().is_ok());  // a griefer needs sectors
 
-  spec.adversaries.back() = AdversarySpec::make_churn_griefer(0);  // sectors=0
-  EXPECT_FALSE(spec.validate().is_ok());
+  base.traffic.enabled = true;  // retrieval_ddos and cartel_starver need it
+  base.traffic.requests_per_cycle = 10;
 
-  spec.adversaries.back() = AdversarySpec::make_churn_griefer(5);
-  EXPECT_TRUE(spec.validate().is_ok());
+  for (const AdversarySpec& adversary : adversaries) {
+    const std::string kind = strategy_kind_name(adversary.kind);
+    ScenarioSpec spec = base;
+    spec.adversaries = {adversary};
+    ASSERT_TRUE(spec.validate().is_ok())
+        << kind << ": " << spec.validate().to_string();
+    const std::string text = spec.to_config_string();
+    for (const AdversaryKey& key : keys) {
+      const std::string name = std::string("adversary.0.") + key.name;
+      const bool takes = std::find(key.takers.begin(), key.takers.end(),
+                                   adversary.kind) != key.takers.end();
+      // The strategy's text carries exactly the keys it takes.
+      EXPECT_EQ(text.find(name + " = ") != std::string::npos, takes)
+          << kind << " / " << key.name;
+      if (takes) continue;
+
+      // In code: another strategy's knob off its default fails validate().
+      ScenarioSpec in_code = spec;
+      key.set_off_default(in_code.adversaries[0]);
+      const fi::util::Status status = in_code.validate();
+      EXPECT_FALSE(status.is_ok()) << kind << " / " << key.name;
+      EXPECT_NE(status.message().find(name + " is not a knob of a " + kind),
+                std::string::npos)
+          << status.to_string();
+
+      // In config text: the same key is an unknown key.
+      const auto config = Config::parse(text + name + " = 1\n");
+      ASSERT_TRUE(config.is_ok()) << config.status().to_string();
+      const auto parsed = ScenarioSpec::from_config(config.value());
+      ASSERT_FALSE(parsed.is_ok()) << kind << " / " << key.name;
+      EXPECT_NE(parsed.status().message().find("unknown config keys"),
+                std::string::npos)
+          << parsed.status().to_string();
+      EXPECT_NE(parsed.status().message().find(name), std::string::npos)
+          << parsed.status().to_string();
+    }
+  }
 }
 
 // ---- Determinism -----------------------------------------------------------

@@ -193,6 +193,17 @@ TEST(FiSimCli, InputFailuresExitOne) {
                                        "net.max_alloc_resample=0");
   EXPECT_EQ(invalid.exit_code, 1);
   EXPECT_NE(invalid.err.find("at least 1"), std::string::npos);
+
+  // 2^62 traffic streams: the stream table's length is past what a vector
+  // can hold, so setup throws before allocating anything. Oversized knobs
+  // that do allocate (and fail with bad_alloc) take the same exit.
+  const CommandResult oversized =
+      fi_sim("--scenario " +
+             (fs::path(FI_CONFIG_DIR) / "retrieval_zipf.cfg").string() +
+             " --out /dev/null --set traffic.streams=4611686018427387904");
+  EXPECT_EQ(oversized.exit_code, 1);
+  EXPECT_NE(oversized.err.find("scenario setup too large"), std::string::npos)
+      << oversized.err;
 }
 
 TEST(FiSimCli, WrappingRentPeriodExitsOne) {
@@ -294,16 +305,52 @@ TEST(FiOrchestrateCli, ValidateChecksThePlanOnly) {
   EXPECT_NE(good.out.find("plan ok: long_horizon (2 nodes)"),
             std::string::npos);
 
-  const fs::path bad_plan = write_temp(
-      "fi_cli_bad.plan", "node.0.name = a\nnode.0.parent = ghost\n");
-  const CommandResult bad =
-      fi_orchestrate("--plan " + bad_plan.string() + " --validate");
-  EXPECT_EQ(bad.exit_code, 1);
-  EXPECT_NE(bad.err.find("ghost"), std::string::npos);
-  fs::remove(bad_plan);
+  // A bad edge, a scenario root that does not load (missing config,
+  // unknown override key), and a malformed parent hash.
+  const struct {
+    const char* name;
+    std::string text;
+    const char* error;
+  } bad_plans[] = {
+      {"fi_cli_bad.plan", "node.0.name = a\nnode.0.parent = ghost\n",
+       "ghost"},
+      {"fi_cli_missing_cfg.plan",
+       "node.0.name = a\nnode.0.scenario = /nonexistent/x.cfg\n",
+       "cannot open config file"},
+      {"fi_cli_unknown_set.plan",
+       "node.0.name = a\nnode.0.scenario = " + smoke_cfg() +
+           "\nnode.0.set.sectorz = 3\n",
+       "sectorz"},
+      {"fi_cli_bad_hash.plan",
+       "node.0.name = a\nnode.0.parent_snapshot = x.fisnap\n"
+       "node.0.parent_hash = XYZ\n",
+       "parent_hash must be a state hash"},
+  };
+  for (const auto& bad_plan : bad_plans) {
+    const fs::path plan = write_temp(bad_plan.name, bad_plan.text);
+    const CommandResult bad =
+        fi_orchestrate("--plan " + plan.string() + " --validate");
+    EXPECT_EQ(bad.exit_code, 1) << bad_plan.name << ": " << bad.out;
+    EXPECT_NE(bad.err.find(bad_plan.error), std::string::npos)
+        << bad_plan.name << ": " << bad.err;
+    fs::remove(plan);
+  }
 
   EXPECT_EQ(fi_orchestrate("--plan /nonexistent.plan --validate").exit_code,
             1);
+}
+
+TEST(FiOrchestrateCli, EveryShippedPlanValidates) {
+  std::size_t plans = 0;
+  for (const auto& entry : fs::directory_iterator(FI_PLAN_DIR)) {
+    if (entry.path().extension() != ".plan") continue;
+    ++plans;
+    const CommandResult result =
+        fi_orchestrate("--plan " + entry.path().string() + " --validate");
+    EXPECT_EQ(result.exit_code, 0) << entry.path() << ": " << result.err;
+    EXPECT_NE(result.out.find("plan ok"), std::string::npos) << result.out;
+  }
+  EXPECT_GT(plans, 0u);
 }
 
 TEST(FiOrchestrateCli, ValidateRejectsABaselineThatCannotRun) {

@@ -2,6 +2,7 @@
 // rejection, deterministic reports, and equivalence of a runner-driven
 // workload with the same requests issued directly against core::Network.
 
+#include <algorithm>
 #include <fstream>
 #include <string>
 #include <variant>
@@ -45,23 +46,11 @@ TEST(ConfigTest, ParsesKeyValueLines) {
   EXPECT_TRUE(config.value().unconsumed_keys().empty());
 }
 
-TEST(ConfigTest, ParsesFlatJson) {
-  const auto config = Config::parse(
-      R"({"name": "demo", "seed": 42, "net.cap_para": 12.5,
-          "net.distinct_sectors": true})");
-  ASSERT_TRUE(config.is_ok()) << config.status().to_string();
-  EXPECT_EQ(config.value().get_string("name").value(), "demo");
-  EXPECT_EQ(config.value().get_u64("seed").value(), 42u);
-  EXPECT_DOUBLE_EQ(config.value().get_double("net.cap_para").value(), 12.5);
-  EXPECT_TRUE(config.value().get_bool("net.distinct_sectors").value());
-}
-
 TEST(ConfigTest, RejectsMalformedInput) {
   EXPECT_FALSE(Config::parse("just words without equals\n").is_ok());
   EXPECT_FALSE(Config::parse("a = 1\na = 2\n").is_ok());      // duplicate
   EXPECT_FALSE(Config::parse("bad key! = 1\n").is_ok());      // key charset
-  EXPECT_FALSE(Config::parse("{\"a\": 1").is_ok());           // unterminated
-  EXPECT_FALSE(Config::parse("{\"a\": 1} trailing").is_ok());
+  EXPECT_FALSE(Config::parse("{\"a\": 1}").is_ok());  // key=value only
 }
 
 TEST(ConfigTest, TypedGettersValidateStrictly) {
@@ -213,17 +202,85 @@ TEST(ScenarioSpecTest, ValidateRejectsWrongKindKnobsOnInCodeSpecs) {
   bad_name.name = "run#3";
   EXPECT_FALSE(bad_name.validate().is_ok());
 
-  ScenarioSpec spec = mini_spec();
-  spec.phases.push_back(PhaseSpec::make_churn(3, 40));
-  spec.phases.back().corrupt_fraction = 0.5;  // not a churn knob
-  EXPECT_FALSE(spec.validate().is_ok());
+  // Every phase key, set off its default, and the kinds that take it.
+  struct PhaseKey {
+    const char* name;
+    void (*set_off_default)(PhaseSpec&);
+    std::vector<PhaseKind> takers;
+  };
+  const PhaseKey keys[] = {
+      {"cycles", [](PhaseSpec& p) { p.cycles = 2; },
+       {PhaseKind::idle, PhaseKind::churn, PhaseKind::corrupt_burst,
+        PhaseKind::selfish_refresh, PhaseKind::admit, PhaseKind::partition,
+        PhaseKind::outage}},
+      {"periods", [](PhaseSpec& p) { p.periods = 2; },
+       {PhaseKind::rent_audit}},
+      {"adds_per_cycle", [](PhaseSpec& p) { p.adds_per_cycle = 5; },
+       {PhaseKind::churn}},
+      {"poisson_arrivals", [](PhaseSpec& p) { p.poisson_arrivals = true; },
+       {PhaseKind::churn}},
+      {"discard_fraction", [](PhaseSpec& p) { p.discard_fraction = 0.5; },
+       {PhaseKind::churn}},
+      {"corrupt_fraction", [](PhaseSpec& p) { p.corrupt_fraction = 0.5; },
+       {PhaseKind::corrupt_burst}},
+      {"coalition_fraction", [](PhaseSpec& p) { p.coalition_fraction = 0.5; },
+       {PhaseKind::selfish_refresh}},
+      {"add_sectors", [](PhaseSpec& p) { p.add_sectors = 3; },
+       {PhaseKind::admit}},
+      {"region", [](PhaseSpec& p) { p.region = 1; },
+       {PhaseKind::partition, PhaseKind::outage}},
+      {"down_cycles", [](PhaseSpec& p) { p.down_cycles = 1; },
+       {PhaseKind::outage}},
+  };
+  // One valid phase of each kind.
+  const PhaseSpec phases[] = {
+      PhaseSpec::make_idle(2),
+      PhaseSpec::make_churn(2, 5, 0.1, true),
+      PhaseSpec::make_corrupt_burst(0.1, 2),
+      PhaseSpec::make_selfish_refresh(0.2, 2),
+      PhaseSpec::make_rent_audit(1),
+      PhaseSpec::make_admit(3, 2),
+      PhaseSpec::make_partition(1, 2),
+      PhaseSpec::make_outage(1, 1, 2),
+  };
+  ScenarioSpec base = mini_spec();
+  base.network.enabled = true;  // partition and outage need it
+  base.network.regions = 2;
 
-  spec.phases.back() = PhaseSpec::make_rent_audit(2);
-  spec.phases.back().cycles = 7;  // rent_audit advances periods, not cycles
-  EXPECT_FALSE(spec.validate().is_ok());
+  for (const PhaseSpec& phase : phases) {
+    const std::string kind = fi::scenario::phase_kind_name(phase.kind);
+    ScenarioSpec spec = base;
+    spec.phases = {phase};
+    ASSERT_TRUE(spec.validate().is_ok())
+        << kind << ": " << spec.validate().to_string();
+    const std::string text = spec.to_config_string();
+    for (const PhaseKey& key : keys) {
+      const std::string name = std::string("phase.0.") + key.name;
+      const bool takes = std::find(key.takers.begin(), key.takers.end(),
+                                   phase.kind) != key.takers.end();
+      // The kind's text carries exactly the keys it takes.
+      EXPECT_EQ(text.find(name + " = ") != std::string::npos, takes)
+          << kind << " / " << key.name;
+      if (takes) continue;
 
-  spec.phases.back() = PhaseSpec::make_rent_audit(2);
-  EXPECT_TRUE(spec.validate().is_ok());
+      // In code: another kind's knob off its default fails validate().
+      ScenarioSpec in_code = spec;
+      key.set_off_default(in_code.phases[0]);
+      const fi::util::Status status = in_code.validate();
+      EXPECT_FALSE(status.is_ok()) << kind << " / " << key.name;
+      EXPECT_NE(status.message().find(name + " is not a knob of a " + kind),
+                std::string::npos)
+          << status.to_string();
+
+      // In config text: the same key is an unknown key.
+      const fi::util::Status parsed = spec_error(text + name + " = 1\n");
+      EXPECT_NE(parsed.message().find("unknown config keys"),
+                std::string::npos)
+          << kind << " / " << key.name << ": " << parsed.to_string();
+      EXPECT_NE(parsed.message().find(name), std::string::npos)
+          << parsed.to_string();
+    }
+  }
 }
 
 TEST(ScenarioSpecTest, LoadsFromFileAndReportsMissingFiles) {

@@ -31,6 +31,7 @@
 #include "api/comparison.h"
 #include "api/experiment_plan.h"
 #include "api/orchestrator.h"
+#include "api/session.h"
 #include "util/arg_parser.h"
 
 namespace {
@@ -61,8 +62,8 @@ int main(int argc, char** argv) {
   fi::util::ArgParser parser("fi_orchestrate",
                              "--plan <file> --out-dir <dir> [options]");
   parser.add_string("--plan", &plan_path, "file",
-                    "experiment plan (key=value or flat JSON file;\n"
-                    "schema: docs/ORCHESTRATION.md)");
+                    "experiment plan (key=value file; schema:\n"
+                    "docs/ORCHESTRATION.md)");
   parser.add_string("--out-dir", &out_dir, "dir",
                     "checkpoints, per-node reports and the comparison\n"
                     "table land here (created if missing)");
@@ -70,7 +71,8 @@ int main(int argc, char** argv) {
                  "concurrent nodes (0 = hardware threads); tables are\n"
                  "byte-identical for every value");
   parser.add_flag("--validate", &validate_only,
-                  "parse and validate the plan, then exit (no run)");
+                  "parse and validate the plan and load every\n"
+                  "scenario root's spec, then exit (no run)");
   parser.add_flag("--print-table", &print_table,
                   "also print the markdown comparison table to stdout");
   parser.add_flag("--reuse-checkpoints", &reuse_checkpoints,
@@ -97,6 +99,20 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (validate_only) {
+    // Every scenario root's spec, overrides included, loads as it would
+    // at run time; children's specs only exist once their parent ran.
+    for (const fi::PlanNode& node : plan.value().nodes) {
+      if (node.scenario.empty()) continue;
+      fi::Session::OpenOptions open;
+      open.overrides = node.overrides;
+      auto spec = fi::Session::load_spec(node.scenario, open);
+      if (!spec.is_ok()) {
+        std::fprintf(stderr, "fi_orchestrate: %s: node %s: %s\n",
+                     plan_path.c_str(), node.name.c_str(),
+                     spec.status().to_string().c_str());
+        return 1;
+      }
+    }
     std::fprintf(stdout, "plan ok: %s (%zu nodes)\n",
                  plan.value().name.c_str(), plan.value().nodes.size());
     return 0;

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
       "fi_sim",
       "--scenario <config> | --load <snapshot>  [options]");
   parser.add_string("--scenario", &scenario_path, "config",
-                    "scenario spec (key=value or flat JSON file)");
+                    "scenario spec (key=value config file)");
   parser.add_string("--load", &load_path, "file",
                     "resume a saved run instead of --scenario; the\n"
                     "continuation is byte-identical to the\n"
