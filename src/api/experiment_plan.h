@@ -12,8 +12,8 @@
 
 /// `fi::ExperimentPlan` — a DAG of named experiment segments, parsed from
 /// the same key=value format as scenario configs (docs/ORCHESTRATION.md
-/// documents the schema; `fi_orchestrate --validate` also loads every
-/// scenario root with its overrides).
+/// documents the schema; `fi_orchestrate --validate` also builds the spec
+/// of every node under a scenario root, overrides included).
 ///
 /// Each node is one of:
 ///   - a **scenario root**: a scenario config + `--set`-style overrides,

@@ -9,27 +9,18 @@
 
 namespace fi {
 
-namespace {
-
-/// Layers `--set`-style overrides onto a spec's lossless config-text form
-/// and re-parses. Round-tripping through `to_config_string` keeps exactly
-/// one source of truth for key names and validation: an override is legal
-/// here iff it is legal in a config file.
-util::Result<scenario::ScenarioSpec> apply_overrides(
-    const scenario::ScenarioSpec& base, const Session::OpenOptions& options) {
+util::Result<scenario::ScenarioSpec> Session::spec_with_overrides(
+    const scenario::ScenarioSpec& base, const OpenOptions& options) {
+  // Layers the overrides onto the spec's lossless config-text form and
+  // re-parses. Round-tripping through `to_config_string` keeps exactly one
+  // source of truth for key names and validation: an override is legal
+  // here iff it is legal in a config file.
   auto config = util::Config::parse(base.to_config_string());
   if (!config.is_ok()) return config.status();
   for (const auto& [key, value] : options.overrides) {
     config.value().set(key, value);
   }
   return scenario::ScenarioSpec::from_config(config.value());
-}
-
-}  // namespace
-
-util::Result<scenario::ScenarioSpec> Session::spec_with_overrides(
-    const scenario::ScenarioSpec& base, const OpenOptions& options) {
-  return apply_overrides(base, options);
 }
 
 util::Result<Session> Session::from_spec(scenario::ScenarioSpec spec) {
@@ -76,7 +67,7 @@ util::Result<Session> Session::from_snapshot_file(const std::string& path,
                                                   const OpenOptions& options) {
   auto snapshot = snapshot::read_file(path);
   if (!snapshot.is_ok()) return snapshot.status();
-  auto spec = apply_overrides(snapshot.value().spec, options);
+  auto spec = spec_with_overrides(snapshot.value().spec, options);
   if (!spec.is_ok()) return spec.status();
   util::BinaryReader reader(snapshot.value().body);
   auto runner =
@@ -119,7 +110,7 @@ util::Status Session::checkpoint(const std::string& path) const {
 }
 
 util::Result<Session> Session::fork(const OpenOptions& options) const {
-  auto spec = apply_overrides(runner_->spec(), options);
+  auto spec = spec_with_overrides(runner_->spec(), options);
   if (!spec.is_ok()) return spec.status();
   // Same canonical encoding a snapshot file embeds, minus the file
   // framing: the fork IS a resume, just in memory.

@@ -66,6 +66,12 @@ class Session final : public SessionBase {
   static util::Result<scenario::ScenarioSpec> load_spec(
       const std::string& path, const OpenOptions& options = {});
 
+  /// `base` with `options`' overrides layered on top, the way
+  /// `from_snapshot_file` and `fork` rewrite the spec they resume under
+  /// (`fi_orchestrate --validate` composes a plan child's spec with it).
+  static util::Result<scenario::ScenarioSpec> spec_with_overrides(
+      const scenario::ScenarioSpec& base, const OpenOptions& options);
+
   Session(Session&&) noexcept = default;
   Session& operator=(Session&&) noexcept = default;
 
@@ -111,10 +117,6 @@ class Session final : public SessionBase {
  private:
   explicit Session(std::unique_ptr<scenario::ScenarioRunner> runner)
       : runner_(std::move(runner)) {}
-
-  /// Re-parses `base` as config text with `options` layered on top.
-  static util::Result<scenario::ScenarioSpec> spec_with_overrides(
-      const scenario::ScenarioSpec& base, const OpenOptions& options);
 
   std::unique_ptr<scenario::ScenarioRunner> runner_;
 };

@@ -25,14 +25,6 @@ Sha256 tagged_hasher(std::string_view domain) {
 
 std::string Hash256::hex() const { return util::to_hex(bytes); }
 
-std::string Hash256::short_hex() const { return hex().substr(0, 8); }
-
-std::uint64_t Hash256::prefix_u64() const {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | bytes[static_cast<std::size_t>(i)];
-  return v;
-}
-
 Hash256 hash_bytes(std::string_view domain,
                    std::span<const std::uint8_t> data) {
   Sha256 hasher = tagged_hasher(domain);

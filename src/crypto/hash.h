@@ -7,9 +7,8 @@
 
 #include "crypto/sha256.h"
 
-/// `Hash256` — the 32-byte value type used for file Merkle roots and CIDs,
-/// plus domain-separated hashes so distinct uses can never collide
-/// structurally.
+/// `Hash256` — the 32-byte value type used for file Merkle roots, plus
+/// domain-separated hashes so distinct uses can never collide structurally.
 namespace fi::crypto {
 
 struct Hash256 {
@@ -18,12 +17,6 @@ struct Hash256 {
   auto operator<=>(const Hash256&) const = default;
 
   [[nodiscard]] std::string hex() const;
-  /// Short prefix for human-readable logs (first 8 hex chars).
-  [[nodiscard]] std::string short_hex() const;
-
-  /// First 8 bytes as a big-endian integer; handy for deriving
-  /// pseudo-random indices from a hash.
-  [[nodiscard]] std::uint64_t prefix_u64() const;
 };
 
 /// Hash arbitrary bytes with a domain-separation tag.

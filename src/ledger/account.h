@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "util/binary_io.h"
 #include "util/status.h"
@@ -22,8 +22,13 @@ class Ledger {
   /// Creates a fresh account with the given starting balance.
   AccountId create_account(TokenAmount initial_balance = 0);
 
-  [[nodiscard]] bool exists(AccountId account) const;
-  [[nodiscard]] TokenAmount balance(AccountId account) const;
+  [[nodiscard]] bool exists(AccountId account) const {
+    // Ids run 1, 2, ... and are never removed; id 0 wraps past the end.
+    return account - 1 < balances_.size();
+  }
+  [[nodiscard]] TokenAmount balance(AccountId account) const {
+    return exists(account) ? balances_[account - 1] : 0;
+  }
 
   /// Moves `amount` from one account to another; fails (without side
   /// effects) on unknown accounts or insufficient balance.
@@ -45,7 +50,8 @@ class Ledger {
   void load(util::BinaryReader& reader);
 
  private:
-  std::unordered_map<AccountId, TokenAmount> balances_;
+  /// Balance of account `id` at index `id - 1`.
+  std::vector<TokenAmount> balances_;
   AccountId next_id_ = 1;
   TokenAmount total_supply_ = 0;
 };

@@ -833,7 +833,6 @@ std::uint64_t ScenarioRunner::run_cycles(std::uint64_t max_cycles) {
       ++progress_.cycles_done;
       // The checkpoint-safe point: every accumulator lives in progress_,
       // all transfers for the cycle are drained, no stack state in flight.
-      if (epoch_callback_) epoch_callback_(*this);
       if (++ran == max_cycles) {
         run_wall_seconds_ += seconds_since(run0);
         return ran;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -50,10 +49,10 @@
 /// machine (`RunProgress`), so between any two proof cycles the whole
 /// experiment — engine, ledger, workload RNG, adversary progress, and the
 /// partially-built report — has a canonical serialized form. `save_state`
-/// emits it, `resume` rebuilds a runner that continues byte-identically to
-/// the uninterrupted run, and the epoch callback is the hook the snapshot
-/// layer uses to checkpoint every N epochs (`src/snapshot`,
-/// `fi_sim --save/--load`).
+/// emits it and `resume` rebuilds a runner that continues byte-identically
+/// to the uninterrupted run; checkpoints are taken between `run_cycles`
+/// calls (`src/snapshot`, `fi::Session::checkpoint`,
+/// `fi_sim --save-at/--load`).
 namespace fi::scenario {
 
 /// Salt folded into `spec.seed` for the workload generator stream (kept
@@ -92,21 +91,20 @@ class ScenarioRunner {
   /// Advances at most `max_cycles` proof cycles and returns how many ran
   /// (fewer only when the run's phases are exhausted; zero immediately
   /// when `max_cycles == 0`). Pauses exactly at the checkpoint-safe point
-  /// — after a cycle's epoch callback, *before* the owning phase's
-  /// end-of-phase bookkeeping — so the paused state is byte-identical to
-  /// the state an epoch callback observes at the same epoch (`fi_sim
-  /// --save-at N` ≡ `run_cycles` to epoch N + `snapshot::save_to_file`).
-  /// The deferred `end_phase` runs lazily on the next call, exactly as a
-  /// resumed snapshot's would. This is the stepping primitive under
-  /// `fi::Session::run_epochs`.
+  /// — after a cycle, *before* the owning phase's end-of-phase
+  /// bookkeeping — where every accumulator lives in the run progress and
+  /// no transfer is left undrained (`fi_sim --save-at N` ≡ `run_cycles`
+  /// to epoch N + `snapshot::save_to_file`). The deferred `end_phase` runs
+  /// lazily on the next call, exactly as a resumed snapshot's would. This
+  /// is the stepping primitive under `fi::Session::run_epochs`.
   std::uint64_t run_cycles(std::uint64_t max_cycles);
 
   /// True once every phase's cycles have run AND the trailing phase
   /// bookkeeping has been applied — i.e. `run_cycles` has nothing left to
   /// do and `finalize()` may assemble the report. A runner paused after
   /// its last cycle is *not* finished until the next `run_cycles` call
-  /// flushes the pending `end_phase` (deliberately: the pause state must
-  /// match the epoch-callback state).
+  /// flushes the pending `end_phase` (deliberately: the pause state is
+  /// the checkpoint-safe state, whichever call reached it).
   [[nodiscard]] bool finished() const;
 
   /// Assembles the report after the last phase completed (`finished()`).
@@ -117,15 +115,6 @@ class ScenarioRunner {
   MetricsReport finalize();
 
   // ---- Snapshot / resume --------------------------------------------------
-
-  /// Invoked after every completed proof cycle at the run loop's
-  /// checkpoint-safe point (all state consistent, no mid-phase locals in
-  /// flight). The snapshot layer installs the actual save policy — every N
-  /// epochs, at one target epoch, or never.
-  using EpochCallback = std::function<void(const ScenarioRunner&)>;
-  void set_epoch_callback(EpochCallback callback) {
-    epoch_callback_ = std::move(callback);
-  }
 
   /// Canonical encoding of the full experiment state (ledger, engine,
   /// workload RNG, adversaries, run progress). Deterministic and free of
@@ -335,8 +324,6 @@ class ScenarioRunner {
   RunProgress progress_;
   /// Completed-phase entries accumulated so far (the report's `phases`).
   std::vector<PhaseMetrics> finished_phases_;
-  // fi-lint: not-serialized(host-side hook; the resume caller re-registers it)
-  EpochCallback epoch_callback_;
   /// Wall-clock anchor for the current phase's `wall_seconds` (host time;
   /// restarts at zero on resume — timings are not simulation state).
   // fi-lint: not-serialized(host wall timing; restarts at zero on resume)

@@ -4,23 +4,12 @@
 #include <array>
 #include <cmath>
 
-#include "ipfs/cid.h"
 #include "util/checked.h"
 #include "util/distributions.h"
 
 namespace fi::traffic {
 
 namespace {
-
-/// A file's cache block: its id, little-endian (the simulation tracks
-/// metadata only, so the block stands in for the file's bytes).
-std::array<std::uint8_t, 8> file_block(FileId file) {
-  std::array<std::uint8_t, 8> data{};
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::uint8_t>(file >> (8 * i));
-  }
-  return data;
-}
 
 /// Smallest histogram bucket at which the cumulative count reaches
 /// `numer/denom` of the total.
@@ -115,20 +104,10 @@ void TrafficEngine::service_tick() {
   }
 }
 
-void TrafficEngine::ensure_ask(SectorId sector) {
-  if (sector < ask_posted_.size() && ask_posted_[sector] != 0) return;
-  if (sector >= ask_posted_.size()) ask_posted_.resize(sector + 1, 0);
-  ask_posted_[sector] = 1;
-  // Two price tiers keyed off the id parity: enough spread that the
-  // market's cheapest-wins selection is exercised, still a pure function
-  // of the sector id (idempotent across resume).
-  market_.post_ask(sector, spec_.price_per_kib + (sector & 1));
-}
-
-void TrafficEngine::cache_admit(FileId file, const ipfs::Cid& cid) {
-  cache_fifo_.push_back(CachedBlock{file, cid});
-  while (store_.block_count() > spec_.cache_blocks) {
-    store_.remove(cache_fifo_[cache_head_].cid);
+void TrafficEngine::cache_admit(FileId file) {
+  cache_fifo_.push_back(file);
+  while (cached_.size() > spec_.cache_blocks) {
+    cached_.erase(cache_fifo_[cache_head_]);
     ++cache_head_;
   }
   if (cache_head_ > 0 && cache_head_ * 2 > cache_fifo_.size()) {
@@ -179,17 +158,15 @@ void TrafficEngine::issue(std::uint64_t stream, FileId file) {
     return;
   }
 
-  // Provider-side content cache: a hit serves from the hot store, a miss
-  // adds one fetch cycle and warms the cache. The put is the lookup, so
-  // the CID is hashed once per request.
+  // Provider-side content cache: a hit serves from the hot set, a miss
+  // adds one fetch cycle and warms the cache. The insert is the lookup.
   std::uint64_t extra_latency = 0;
-  const auto [cid, inserted] = store_.put(ipfs::Codec::raw, file_block(file));
-  if (!inserted) {
+  if (!cached_.insert(file).second) {
     ++cache_hits_;
   } else {
     ++cache_misses_;
     extra_latency = 1;
-    cache_admit(file, cid);
+    cache_admit(file);
   }
 
   // Market competition with QoS awareness: cheapest ask wins, ties break
@@ -198,7 +175,7 @@ void TrafficEngine::issue(std::uint64_t stream, FileId file) {
   TokenAmount best_price = 0;
   std::uint64_t best_queue = 0;
   for (const SectorId candidate : candidates_) {
-    ensure_ask(candidate);
+    market_.post_ask(candidate);
     const TokenAmount price = market_.ask_of(candidate);
     const std::uint64_t depth = queue_depth(candidate);
     if (best == kNoSector || price < best_price ||
@@ -343,10 +320,10 @@ void TrafficEngine::save_state(util::BinaryWriter& writer) const {
   for (const std::uint64_t word : rng_.state()) writer.u64(word);
   market_.save_state(writer);
   // The cache is encoded as its live FIFO window (insertion order), from
-  // which load_state rebuilds the block store.
+  // which load_state rebuilds the membership set.
   writer.u64(cache_fifo_.size() - cache_head_);
   for (std::size_t i = cache_head_; i < cache_fifo_.size(); ++i) {
-    writer.u64(cache_fifo_[i].file);
+    writer.u64(cache_fifo_[i]);
   }
   writer.u64(hot_file_);
   writer.u64(pending_.size());
@@ -385,13 +362,13 @@ void TrafficEngine::load_state(util::BinaryReader& reader) {
   std::array<std::uint64_t, 4> rng_state{};
   for (std::uint64_t& word : rng_state) word = reader.u64();
   rng_.set_state(rng_state);
-  market_.load_state(reader);
-  cache_fifo_.clear();
+  market_.load_state(reader, net_.sectors().count());
+  cache_fifo_ = util::load_u64_seq<FileId>(reader);
   cache_head_ = 0;
-  store_ = ipfs::ContentStore{};
-  for (const FileId file : util::load_u64_seq<FileId>(reader)) {
-    const ipfs::Cid cid = store_.put(ipfs::Codec::raw, file_block(file)).cid;
-    cache_fifo_.push_back(CachedBlock{file, cid});
+  cached_.clear();
+  for (const FileId file : cache_fifo_) {
+    // save_state writes each cached file once.
+    if (!cached_.insert(file).second) reader.fail();
   }
   hot_file_ = reader.u64();
   pending_.clear();
@@ -443,9 +420,6 @@ void TrafficEngine::load_state(util::BinaryReader& reader) {
   for (const std::uint64_t flag : serve_refused_) {
     if (flag > 1) reader.fail();
   }
-  // A refused-flag ask-memo mismatch cannot happen (asks are in the
-  // market book); clear the memo so ensure_ask re-posts idempotently.
-  std::fill(ask_posted_.begin(), ask_posted_.end(), 0);
 }
 
 }  // namespace fi::traffic

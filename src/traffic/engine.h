@@ -2,12 +2,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <unordered_set>
 #include <vector>
 
 #include "core/network.h"
 #include "core/retrieval_market.h"
 #include "core/types.h"
-#include "ipfs/content_store.h"
 #include "traffic/defense.h"
 #include "traffic/spec.h"
 #include "util/binary_io.h"
@@ -137,14 +137,14 @@ class TrafficEngine {
                                : defense_->first_flagged_epoch(stream);
   }
   [[nodiscard]] std::uint64_t streams() const { return streams_; }
-  [[nodiscard]] const core::RetrievalMarket& market() const { return market_; }
 
   /// Aggregates the current counters into a report block.
   [[nodiscard]] TrafficMetrics metrics() const;
 
   /// Canonical snapshot encoding / restore (`src/snapshot`). The spec,
   /// network wiring, client id and stream layout are rebuilt from the
-  /// scenario spec before `load_state`.
+  /// scenario spec before `load_state`, and the network is loaded first:
+  /// the market's books may name only sectors it holds.
   void save_state(util::BinaryWriter& writer) const;
   void load_state(util::BinaryReader& reader);
 
@@ -153,15 +153,6 @@ class TrafficEngine {
     std::uint64_t stream = 0;
     FileId file = kNoFile;
     std::uint64_t requests = 0;
-  };
-
-  /// One cache FIFO entry: the file and its block's CID, kept so eviction
-  /// removes the block without hashing it again.
-  struct CachedBlock {
-    FileId file = kNoFile;
-    // fi-lint: not-serialized(derived from the file id; load_state rehashes
-    // each cached block once)
-    ipfs::Cid cid;
   };
 
   /// Offered request rate for `epoch`: base, diurnal triangle wave,
@@ -173,15 +164,12 @@ class TrafficEngine {
   void issue(std::uint64_t stream, FileId file);
   /// Drains each sector's queue by its service capacity, in sector order.
   void service_tick();
-  /// Lazily posts this sector's ask to the market (a pure function of the
-  /// sector id, so re-posting after resume is idempotent).
-  void ensure_ask(SectorId sector);
   [[nodiscard]] std::uint64_t queue_depth(SectorId sector) const {
     return sector < queues_.size() ? queues_[sector] : 0;
   }
-  /// Queues a block `store_` just inserted, FIFO-evicting past the cache
+  /// Queues a file `cached_` just admitted, FIFO-evicting past the cache
   /// size.
-  void cache_admit(FileId file, const ipfs::Cid& cid);
+  void cache_admit(FileId file);
 
   // fi-lint: not-serialized(configuration, rebuilt from the scenario spec
   // when the engine is re-created on resume)
@@ -194,22 +182,19 @@ class TrafficEngine {
   std::uint64_t streams_;
   // fi-lint: not-serialized(derived from the spec)
   std::uint64_t honest_streams_;
-  // fi-lint: not-serialized(derived: load_state rebuilds the block store
-  // from the serialized FIFO window)
-  ipfs::ContentStore store_;
-  // fi-lint: not-serialized(memo of idempotent ask posts; the asks
-  // themselves live in the market's serialized book)
-  std::vector<std::uint8_t> ask_posted_;
+  // fi-lint: not-serialized(derived: the files in the FIFO window, rebuilt
+  // by load_state; lookups only, never iterated)
+  std::unordered_set<FileId> cached_;
   // fi-lint: not-serialized(scratch: one request's serving holders,
   // refilled by every issue(); reused so a cache hit allocates nothing)
   std::vector<SectorId> candidates_;
 
   util::Xoshiro256 rng_;
   core::RetrievalMarket market_;
-  /// Cached blocks in insertion order; `cache_head_` marks the FIFO
-  /// front (ring-style so eviction is O(1), compacted when stale). Only
-  /// the file ids are encoded.
-  std::vector<CachedBlock> cache_fifo_;
+  /// Provider-side content cache: cached files in insertion order;
+  /// `cache_head_` marks the FIFO front (ring-style so eviction is O(1),
+  /// compacted when stale).
+  std::vector<FileId> cache_fifo_;
   std::size_t cache_head_ = 0;
   /// The flash crowd's hot file (picked once at flash onset).
   FileId hot_file_ = kNoFile;

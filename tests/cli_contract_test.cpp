@@ -306,7 +306,8 @@ TEST(FiOrchestrateCli, ValidateChecksThePlanOnly) {
             std::string::npos);
 
   // A bad edge, a scenario root that does not load (missing config,
-  // unknown override key), and a malformed parent hash.
+  // unknown override key), a child whose own override does not apply to
+  // its parent's spec, and a malformed parent hash.
   const struct {
     const char* name;
     std::string text;
@@ -321,6 +322,11 @@ TEST(FiOrchestrateCli, ValidateChecksThePlanOnly) {
        "node.0.name = a\nnode.0.scenario = " + smoke_cfg() +
            "\nnode.0.set.sectorz = 3\n",
        "sectorz"},
+      {"fi_cli_child_set.plan",
+       "node.0.name = a\nnode.0.scenario = " + smoke_cfg() +
+           "\nnode.0.epochs = 2\nnode.1.name = b\nnode.1.parent = a\n"
+           "node.1.set.sectorz = 3\n",
+       "node b: INVALID_ARGUMENT: unknown config keys"},
       {"fi_cli_bad_hash.plan",
        "node.0.name = a\nnode.0.parent_snapshot = x.fisnap\n"
        "node.0.parent_hash = XYZ\n",

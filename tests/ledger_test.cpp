@@ -145,6 +145,14 @@ TEST(Accounts, LoadRejectsNonCanonicalBodies) {
       {"supply disagrees", ledger_body(3, 300, {{1, 100}, {2, 150}})},
       // Wrapping arithmetic would sum these rows to exactly the supply.
       {"sum wraps", ledger_body(3, 5, {{1, kMax}, {2, 6}})},
+      // Account ids run 1 .. next_id - 1 with none removed, so every one
+      // has a row.
+      {"gap before next_id", ledger_body(3, 100, {{1, 100}})},
+      {"gap inside", ledger_body(4, 300, {{1, 100}, {3, 200}})},
+      {"row past the ids", ledger_body(2, 300, {{1, 100}, {2, 200}})},
+      {"next_id zero", ledger_body(0, 0, {})},
+      // A huge next_id must fail on the row count, not size the balances.
+      {"next_id far past the rows", ledger_body(kMax, 100, {{1, 100}})},
   };
   for (const auto& c : cases) {
     Ledger ledger;

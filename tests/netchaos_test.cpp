@@ -306,12 +306,10 @@ TEST(NetSnapshot, MidPartitionRoundTripIsByteIdentical) {
   bool saved_in_flight = false;
   {
     scenario::ScenarioRunner saver(in_flight_spec());
-    saver.set_epoch_callback([&](const scenario::ScenarioRunner& at) {
-      if (at.epoch() != 3) return;  // inside the partition phase
-      saved_in_flight = at.netmodel().in_flight() > 0;
-      const auto status = snapshot::save_to_file(at, path.string());
-      ASSERT_TRUE(status.is_ok()) << status.to_string();
-    });
+    ASSERT_EQ(saver.run_cycles(3), 3u);  // inside the partition phase
+    saved_in_flight = saver.netmodel().in_flight() > 0;
+    const auto status = snapshot::save_to_file(saver, path.string());
+    ASSERT_TRUE(status.is_ok()) << status.to_string();
     EXPECT_EQ(saver.run().to_json(), uninterrupted.report_json);
   }
   ASSERT_TRUE(fs::exists(path));

@@ -162,39 +162,39 @@ TEST(SessionStepping, ReportIsSingleShot) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpointing == the monolithic epoch-callback save
+// Checkpointing does not depend on how the epochs were stepped
 // ---------------------------------------------------------------------------
 
 TEST(SessionCheckpoint, FileBytesMatchMonolithicSaveAt) {
+  // A session run to the save epoch in one call must write the same file
+  // as a runner stepped there one cycle at a time, which flushes each
+  // deferred end-of-phase on the way (smoke's epoch 5 is past its first
+  // phase).
   const scenario::ScenarioSpec spec = shrunk_spec("smoke.cfg");
   for (const std::uint64_t save_epoch : {2u, 5u}) {
-    const fs::path mono_path =
-        temp_path("mono_" + std::to_string(save_epoch));
+    const fs::path stepped_path =
+        temp_path("stepped_" + std::to_string(save_epoch));
     {
       scenario::ScenarioRunner saver(spec);
-      saver.set_epoch_callback(
-          [&](const scenario::ScenarioRunner& at_epoch) {
-            if (at_epoch.epoch() == save_epoch) {
-              ASSERT_TRUE(
-                  snapshot::save_to_file(at_epoch, mono_path.string())
-                      .is_ok());
-            }
-          });
-      (void)saver.run();
+      for (std::uint64_t e = 0; e < save_epoch; ++e) {
+        ASSERT_EQ(saver.run_cycles(1), 1u);
+      }
+      ASSERT_TRUE(
+          snapshot::save_to_file(saver, stepped_path.string()).is_ok());
     }
 
-    const fs::path session_path =
-        temp_path("stepped_" + std::to_string(save_epoch));
+    const fs::path mono_path =
+        temp_path("mono_" + std::to_string(save_epoch));
     Session session = open_session(spec);
     ASSERT_EQ(session.run_epochs(save_epoch), save_epoch);
-    ASSERT_TRUE(session.checkpoint(session_path.string()).is_ok());
+    ASSERT_TRUE(session.checkpoint(mono_path.string()).is_ok());
 
     // Byte identity of the *files*, not just the hashes: the spec text,
     // framing, and digest must agree too.
-    EXPECT_EQ(read_bytes(session_path), read_bytes(mono_path))
+    EXPECT_EQ(read_bytes(mono_path), read_bytes(stepped_path))
         << "save_epoch " << save_epoch;
     fs::remove(mono_path);
-    fs::remove(session_path);
+    fs::remove(stepped_path);
   }
 }
 

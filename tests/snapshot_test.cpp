@@ -203,18 +203,13 @@ void expect_save_load_identity(const scenario::ScenarioSpec& spec,
   const fs::path path = temp_snapshot_path(tag);
   {
     scenario::ScenarioRunner saver(spec);
-    saver.set_epoch_callback(
-        [&](const scenario::ScenarioRunner& at_epoch) {
-          if (at_epoch.epoch() == save_epoch) {
-            const auto status = snapshot::save_to_file(at_epoch, path.string());
-            ASSERT_TRUE(status.is_ok()) << status.to_string();
-          }
-        });
+    ASSERT_EQ(saver.run_cycles(save_epoch), save_epoch)
+        << tag << ": save_epoch never reached";
+    const auto status = snapshot::save_to_file(saver, path.string());
+    ASSERT_TRUE(status.is_ok()) << status.to_string();
     // Saving must not perturb the saving run itself.
     EXPECT_EQ(saver.run().to_json(), uninterrupted.report_json) << tag;
   }
-  ASSERT_TRUE(fs::exists(path)) << tag << ": save_epoch " << save_epoch
-                                << " never reached";
 
   auto resumed = snapshot::resume_from_file(path.string());
   ASSERT_TRUE(resumed.is_ok()) << tag << ": " << resumed.status().to_string();
@@ -254,15 +249,12 @@ TEST(SnapshotRoundTrip, PeriodicCheckpointsAllResume) {
   std::uint64_t saves = 0;
   {
     scenario::ScenarioRunner saver(spec);
-    saver.set_epoch_callback(
-        [&](const scenario::ScenarioRunner& at_epoch) {
-          if (at_epoch.epoch() % 2 == 0) {
-            ASSERT_TRUE(
-                snapshot::save_to_file(at_epoch, path.string()).is_ok());
-            ++saves;
-          }
-        });
-    (void)saver.run();
+    while (saver.run_cycles(1) == 1) {
+      if (saver.epoch() % 2 == 0) {
+        ASSERT_TRUE(snapshot::save_to_file(saver, path.string()).is_ok());
+        ++saves;
+      }
+    }
   }
   EXPECT_GE(saves, 2u);
   auto resumed = snapshot::resume_from_file(path.string());
@@ -312,10 +304,8 @@ TEST(SnapshotCompat, RetiredEngineWorkersKeyStillResumes) {
   std::vector<std::uint8_t> body;
   {
     scenario::ScenarioRunner saver(spec);
-    saver.set_epoch_callback([&](const scenario::ScenarioRunner& at_epoch) {
-      if (at_epoch.epoch() == 3) body = snapshot::encode_state(at_epoch);
-    });
-    (void)saver.run();
+    ASSERT_EQ(saver.run_cycles(3), 3u);
+    body = snapshot::encode_state(saver);
   }
   ASSERT_FALSE(body.empty());
   std::string spec_text = spec.to_config_string();
@@ -353,12 +343,8 @@ TEST(SnapshotCompat, CheckpointFileBytesArePinned) {
   {
     scenario::ScenarioRunner saver(
         shrunk_spec(fs::path(FI_CONFIG_DIR) / "smoke.cfg"));
-    saver.set_epoch_callback([&](const scenario::ScenarioRunner& at_epoch) {
-      if (at_epoch.epoch() == 3) {
-        ASSERT_TRUE(snapshot::save_to_file(at_epoch, path.string()).is_ok());
-      }
-    });
-    (void)saver.run();
+    ASSERT_EQ(saver.run_cycles(3), 3u);
+    ASSERT_TRUE(snapshot::save_to_file(saver, path.string()).is_ok());
   }
   std::ifstream in(path, std::ios::binary);
   const std::vector<std::uint8_t> file((std::istreambuf_iterator<char>(in)),
@@ -384,14 +370,8 @@ class SnapshotFileTest : public ::testing::Test {
         std::string("tamper_") +
         ::testing::UnitTest::GetInstance()->current_test_info()->name());
     scenario::ScenarioRunner saver(spec_);
-    saver.set_epoch_callback(
-        [this](const scenario::ScenarioRunner& at_epoch) {
-          if (at_epoch.epoch() == 2) {
-            ASSERT_TRUE(
-                snapshot::save_to_file(at_epoch, path_.string()).is_ok());
-          }
-        });
-    (void)saver.run();
+    ASSERT_EQ(saver.run_cycles(2), 2u);
+    ASSERT_TRUE(snapshot::save_to_file(saver, path_.string()).is_ok());
     ASSERT_TRUE(fs::exists(path_));
     std::ifstream in(path_, std::ios::binary);
     raw_.assign(std::istreambuf_iterator<char>(in),

@@ -2,21 +2,28 @@
 // the Poisson-envelope defense (honest streams never flagged across
 // seeds, a DDoS gang flagged within a bounded number of epochs, no
 // defense-off flags), worker-count byte-identity of traffic reports, QoS
-// behavior under flash crowds and serve-refusal cartels, and snapshot
-// round-trips of every piece of new traffic/defense/market state.
+// behavior under flash crowds and serve-refusal cartels, snapshot
+// round-trips of every piece of new traffic/defense/market state, and the
+// loaders' rejection of market and cache rows save_state cannot write.
 
 #include <algorithm>
+#include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "adversary/spec.h"
+#include "core/network.h"
+#include "ledger/account.h"
 #include "scenario/metrics.h"
 #include "scenario/runner.h"
 #include "scenario/spec.h"
 #include "snapshot/snapshot.h"
 #include "traffic/defense.h"
+#include "traffic/engine.h"
 #include "traffic/spec.h"
 #include "util/binary_io.h"
 #include "util/config.h"
@@ -30,6 +37,7 @@ using fi::scenario::ScenarioRunner;
 using fi::scenario::ScenarioSpec;
 using fi::traffic::kNeverFlagged;
 using fi::traffic::PoissonEnvelopeDefense;
+using fi::traffic::TrafficEngine;
 using fi::traffic::TrafficSpec;
 using fi::util::BinaryReader;
 using fi::util::BinaryWriter;
@@ -384,9 +392,8 @@ TEST(TrafficSnapshotTest, MidAttackSaveLoadContinuesByteIdentically) {
   BinaryWriter saved;
   {
     ScenarioRunner saver(make_spec());
-    saver.set_epoch_callback([&](const ScenarioRunner& at_epoch) {
-      if (at_epoch.epoch() == 7) saver.save_state(saved);
-    });
+    ASSERT_EQ(saver.run_cycles(7), 7u);
+    saver.save_state(saved);
     EXPECT_EQ(saver.run().to_json(false), reference);
   }
   ASSERT_GT(saved.size(), 0u);
@@ -408,10 +415,8 @@ TEST(TrafficSnapshotTest, TruncatedTrafficTailIsRejected) {
   BinaryWriter saved;
   {
     ScenarioRunner saver(make_spec());
-    saver.set_epoch_callback([&](const ScenarioRunner& at_epoch) {
-      if (at_epoch.epoch() == 5) saver.save_state(saved);
-    });
-    (void)saver.run();
+    ASSERT_EQ(saver.run_cycles(5), 5u);
+    saver.save_state(saved);
   }
   ASSERT_GT(saved.size(), 64u);
   // Chop into the traffic tail: the reader must fail cleanly, not crash
@@ -420,6 +425,105 @@ TEST(TrafficSnapshotTest, TruncatedTrafficTailIsRejected) {
   std::vector<std::uint8_t> truncated(bytes.begin(), bytes.end() - 48);
   BinaryReader reader(truncated);
   EXPECT_FALSE(ScenarioRunner::resume(make_spec(), reader).is_ok());
+}
+
+TEST(TrafficSnapshotTest, NonCanonicalMarketAndCacheRowsAreRejected) {
+  // The loaders accept only what save_state writes: market books in
+  // strictly ascending sector order naming sectors the network holds,
+  // every ask its sector's price tier, one key set for the served and
+  // revenue books, and each cached file once.
+  fi::core::Params params;
+  fi::ledger::Ledger ledger;
+  fi::core::Network net(params, ledger, /*seed=*/5);
+  const fi::AccountId provider = ledger.create_account(1'000'000'000);
+  const fi::AccountId client = ledger.create_account(0);
+  for (int s = 0; s < 4; ++s) {
+    ASSERT_TRUE(net.sector_register(provider, 4 * params.min_capacity).is_ok());
+  }
+  TrafficSpec spec;
+  spec.enabled = true;
+  spec.requests_per_cycle = 10;
+  spec.streams = 2;
+  spec.price_per_kib = 5;
+  const auto make_engine = [&] {
+    return std::make_unique<TrafficEngine>(spec, net, ledger, client,
+                                           /*seed=*/7, spec.streams);
+  };
+
+  // An idle engine's encoding: four rng words, the three market books
+  // (empty), three market totals, the cache window (empty), the rest.
+  BinaryWriter idle;
+  make_engine()->save_state(idle);
+  const std::vector<std::uint8_t>& base = idle.data();
+  constexpr std::size_t kBooksAt = 32;
+  constexpr std::size_t kTotalsAt = kBooksAt + 3 * 8;
+  constexpr std::size_t kWindowAt = kTotalsAt + 3 * 8;
+  constexpr std::size_t kRestAt = kWindowAt + 8;
+  ASSERT_GT(base.size(), kRestAt);
+  const auto slice = [&](std::size_t from, std::size_t to) {
+    return std::span<const std::uint8_t>(base.data() + from, to - from);
+  };
+  using Rows = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  const auto body = [&](const Rows& asks, const Rows& served,
+                        const Rows& revenue,
+                        const std::vector<fi::core::FileId>& window) {
+    BinaryWriter writer;
+    writer.raw(slice(0, kBooksAt));
+    for (const Rows* book : {&asks, &served, &revenue}) {
+      writer.u64(book->size());
+      for (const auto& [sector, value] : *book) {
+        writer.u64(sector);
+        writer.u64(value);
+      }
+    }
+    writer.raw(slice(kTotalsAt, kWindowAt));
+    fi::util::save_u64_seq(writer, window);
+    writer.raw(slice(kRestAt, base.size()));
+    return writer.data();
+  };
+
+  // Sectors 0, 1 and 3 have quoted (asks 5, 6, 6); 1 and 3 have sold.
+  const Rows asks = {{0, 5}, {1, 6}, {3, 6}};
+  const Rows served = {{1, 2048}, {3, 1024}};
+  const Rows revenue = {{1, 12}, {3, 6}};
+  {
+    const auto canonical = body(asks, served, revenue, {4, 2, 9});
+    auto engine = make_engine();
+    BinaryReader reader(canonical);
+    engine->load_state(reader);
+    ASSERT_TRUE(reader.ok() && reader.exhausted()) << "canonical body";
+    BinaryWriter again;
+    engine->save_state(again);
+    EXPECT_EQ(again.data(), canonical);
+  }
+  const struct {
+    const char* what;
+    std::vector<std::uint8_t> bytes;
+  } cases[] = {
+      {"asks descending", body({{1, 6}, {0, 5}}, served, revenue, {})},
+      {"ask repeated", body({{0, 5}, {0, 5}, {1, 6}}, served, revenue, {})},
+      {"ask sector at the sector count",
+       body({{0, 5}, {4, 5}}, served, revenue, {})},
+      // A crafted id must fail, not size the books.
+      {"ask sector far past the sector count",
+       body({{~std::uint64_t{0} - 1, 5}}, {}, {}, {})},
+      {"ask off its tier", body({{0, 5}, {1, 5}, {3, 6}}, served, revenue, {})},
+      {"served descending", body(asks, {{3, 1024}, {1, 2048}}, revenue, {})},
+      {"served sector at the sector count",
+       body(asks, {{1, 2048}, {4, 1}}, {{1, 12}, {4, 1}}, {})},
+      {"revenue without a served row",
+       body(asks, {{1, 2048}}, {{1, 12}, {3, 6}}, {})},
+      {"served without a revenue row", body(asks, served, {{1, 12}}, {})},
+      {"served and revenue on other sectors",
+       body(asks, served, {{1, 12}, {2, 6}}, {})},
+      {"cached file repeated", body(asks, served, revenue, {4, 2, 4})},
+  };
+  for (const auto& c : cases) {
+    auto engine = make_engine();
+    BinaryReader reader(c.bytes);
+    engine->load_state(reader);
+    EXPECT_FALSE(reader.ok()) << c.what;
+  }
 }
 
 TEST(TrafficSnapshotTest, TrafficFreeSnapshotsCarryNoTrafficBytes) {

@@ -45,11 +45,9 @@ from cpp_model import Model  # noqa: E402
 
 # Layers whose code feeds canonical state — the determinism checker's scope
 # (src/util and src/crypto host the sanctioned primitives; src/sim joined
-# when NetModel became the scenario delivery substrate, src/ipfs when its
-# ContentStore became the traffic tick's retrieval cache).
+# when NetModel became the scenario delivery substrate).
 DETERMINISM_DIRS = ("src/core", "src/scenario", "src/adversary",
-                    "src/snapshot", "src/ledger", "src/traffic", "src/sim",
-                    "src/ipfs")
+                    "src/snapshot", "src/ledger", "src/traffic", "src/sim")
 
 CHECKERS = ("serialization-coverage", "determinism", "snapshot-hygiene")
 

@@ -26,7 +26,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "api/comparison.h"
 #include "api/experiment_plan.h"
@@ -71,8 +73,9 @@ int main(int argc, char** argv) {
                  "concurrent nodes (0 = hardware threads); tables are\n"
                  "byte-identical for every value");
   parser.add_flag("--validate", &validate_only,
-                  "parse and validate the plan and load every\n"
-                  "scenario root's spec, then exit (no run)");
+                  "parse and validate the plan and build the spec\n"
+                  "of every node under a scenario root, then exit\n"
+                  "(no run)");
   parser.add_flag("--print-table", &print_table,
                   "also print the markdown comparison table to stdout");
   parser.add_flag("--reuse-checkpoints", &reuse_checkpoints,
@@ -99,22 +102,42 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (validate_only) {
-    // Every scenario root's spec, overrides included, loads as it would
-    // at run time; children's specs only exist once their parent ran.
-    for (const fi::PlanNode& node : plan.value().nodes) {
-      if (node.scenario.empty()) continue;
-      fi::Session::OpenOptions open;
-      open.overrides = node.overrides;
-      auto spec = fi::Session::load_spec(node.scenario, open);
-      if (!spec.is_ok()) {
-        std::fprintf(stderr, "fi_orchestrate: %s: node %s: %s\n",
-                     plan_path.c_str(), node.name.c_str(),
-                     spec.status().to_string().c_str());
-        return 1;
+    // Every node whose lineage reaches a scenario root gets the spec it
+    // would run with: the root config, then each ancestor's `set.*`
+    // overrides from the root down, then its own. A child resumes its
+    // parent's checkpoint, whose spec is the parent's, so the same
+    // composition happens at run time. Nodes under a `parent_snapshot`
+    // have no root to compose from until that file is read.
+    const std::vector<fi::PlanNode>& nodes = plan.value().nodes;
+    std::vector<std::optional<fi::scenario::ScenarioSpec>> specs(nodes.size());
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      std::vector<std::size_t> lineage{i};  // this node, then its ancestors
+      while (!nodes[lineage.back()].parent.empty()) {
+        lineage.push_back(plan.value().index_of(nodes[lineage.back()].parent));
+      }
+      if (nodes[lineage.back()].scenario.empty()) continue;
+      const fi::scenario::ScenarioSpec* parent = nullptr;
+      for (auto at = lineage.rbegin(); at != lineage.rend(); ++at) {
+        if (!specs[*at].has_value()) {
+          const fi::PlanNode& node = nodes[*at];
+          fi::Session::OpenOptions open;
+          open.overrides = node.overrides;
+          auto spec = parent == nullptr
+                          ? fi::Session::load_spec(node.scenario, open)
+                          : fi::Session::spec_with_overrides(*parent, open);
+          if (!spec.is_ok()) {
+            std::fprintf(stderr, "fi_orchestrate: %s: node %s: %s\n",
+                         plan_path.c_str(), node.name.c_str(),
+                         spec.status().to_string().c_str());
+            return 1;
+          }
+          specs[*at] = std::move(spec).value();
+        }
+        parent = &*specs[*at];
       }
     }
     std::fprintf(stdout, "plan ok: %s (%zu nodes)\n",
-                 plan.value().name.c_str(), plan.value().nodes.size());
+                 plan.value().name.c_str(), nodes.size());
     return 0;
   }
   if (out_dir.empty()) {

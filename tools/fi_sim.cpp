@@ -169,10 +169,9 @@ int main(int argc, char** argv) {
       !save_path.empty() && (save_at != 0 || save_every != 0);
 
   // The stepping loop: one epoch per iteration, policy applied at the
-  // checkpoint-safe pause point — exactly where the monolithic run loop
-  // fired its epoch callback, so snapshots are byte-identical to the
-  // pre-Session fi_sim's, and each state-hash line equals the hash that a
-  // checkpoint saved at the same epoch resumes to.
+  // checkpoint-safe pause point `run_epochs` stops at, so each state-hash
+  // line equals the hash that a checkpoint saved at the same epoch
+  // resumes to.
   while (!session.finished()) {
     if (session.run_epochs(1) == 0) break;  // trailing zero-cycle phases
     const std::uint64_t epoch = session.epoch();
