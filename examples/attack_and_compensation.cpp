@@ -13,7 +13,7 @@
 
 #include <cstdio>
 
-#include "baselines/filecoin_model.h"
+#include "baselines/model.h"
 #include "scenario/runner.h"
 #include "scenario/spec.h"
 
@@ -77,18 +77,15 @@ int main() {
               static_cast<unsigned long long>(report.compensation_pool));
 
   // ---- Filecoin baseline, same catastrophe ------------------------------
-  baselines::FilecoinConfig fc;
-  fc.replicas = spec.params.k;
-  baselines::FilecoinModel filecoin(fc);
-  std::vector<baselines::WorkloadFile> workload(
-      static_cast<std::size_t>(stored),
-      baselines::WorkloadFile{1024, spec.file_value});
-  filecoin.setup(static_cast<std::uint32_t>(spec.sectors), workload,
-                 /*seed=*/31337);
-  const auto outcome = filecoin.corrupt_random(0.5);
+  // Filecoin's Table IV row, with FileInsurer's replica count.
+  baselines::Protocol protocol = *baselines::find_protocol("filecoin");
+  protocol.holders = spec.params.k;
+  baselines::Model filecoin(protocol, static_cast<std::uint32_t>(spec.sectors),
+                            stored, /*seed=*/31337);
+  const baselines::Outcome outcome = filecoin.corrupt_random(0.5);
   std::printf("\nFilecoin baseline (same %llu files, %u replicas, same "
               "lambda=0.5):\n",
-              static_cast<unsigned long long>(stored), fc.replicas);
+              static_cast<unsigned long long>(stored), protocol.holders);
   std::printf("    value lost               : %.1f%% of stored value\n",
               100.0 * outcome.lost_value_fraction);
   std::printf("    compensated              : %.0f%% of the loss "

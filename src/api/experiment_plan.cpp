@@ -1,6 +1,9 @@
 #include "api/experiment_plan.h"
 
 #include <algorithm>
+#include <optional>
+
+#include "api/session.h"
 
 namespace fi {
 
@@ -236,6 +239,36 @@ util::Status ExperimentPlan::validate() const {
       if (++hops > nodes.size()) {
         return node_err(i, "parent chain contains a cycle");
       }
+    }
+  }
+  return util::Status::ok();
+}
+
+util::Status ExperimentPlan::validate_specs() const {
+  std::vector<std::optional<scenario::ScenarioSpec>> specs(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    std::vector<std::size_t> lineage{i};  // this node, then its ancestors
+    while (!nodes[lineage.back()].parent.empty()) {
+      lineage.push_back(index_of(nodes[lineage.back()].parent));
+    }
+    if (nodes[lineage.back()].scenario.empty()) continue;
+    const scenario::ScenarioSpec* parent = nullptr;
+    for (auto at = lineage.rbegin(); at != lineage.rend(); ++at) {
+      if (!specs[*at].has_value()) {
+        const PlanNode& node = nodes[*at];
+        Session::OpenOptions open;
+        open.overrides = node.overrides;
+        auto spec = parent == nullptr
+                        ? Session::load_spec(node.scenario, open)
+                        : Session::spec_with_overrides(*parent, open);
+        if (!spec.is_ok()) {
+          return util::err(spec.status().code(),
+                           "node " + node.name + ": " +
+                               spec.status().to_string());
+        }
+        specs[*at] = std::move(spec).value();
+      }
+      parent = &*specs[*at];
     }
   }
   return util::Status::ok();

@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "api/baseline_session.h"
+#include "api/baseline.h"
 #include "util/config.h"
 #include "util/status.h"
 
@@ -22,7 +22,7 @@
 ///     optionally with divergent overrides (counterfactual forks — same
 ///     state prefix, different knobs from there on); `parent_snapshot`
 ///     resumes an external `.fisnap` file instead (cached-genesis CI);
-///   - a **baseline**: a Table-IV protocol model (`fi::BaselineSession`).
+///   - a **baseline**: a Table-IV protocol model (`fi::run_baseline`).
 ///
 /// `epochs` is the segment length: run that many proof cycles then
 /// checkpoint (a segment), or 0 to run to completion and report (a leaf
@@ -76,6 +76,16 @@ struct ExperimentPlan {
   /// a `parent_hash` is a state hash.
   /// (`from_config` runs this; exposed for plan-building code.)
   [[nodiscard]] util::Status validate() const;
+
+  /// Builds the spec of every node under a scenario root: the root config,
+  /// then each ancestor's `set.*` overrides from the root down, then its
+  /// own. A child resumes its parent's checkpoint, whose spec is the
+  /// parent's, so a run composes the same specs. Nodes under a
+  /// `parent_snapshot` are skipped: their root is in that file. Fails with
+  /// "node <name>: <why>" at the first spec that does not build.
+  /// `run_plan` calls this before any node runs; `fi_orchestrate
+  /// --validate` calls it too.
+  [[nodiscard]] util::Status validate_specs() const;
 
   /// Index of `name` in `nodes`, or `nodes.size()` when absent.
   [[nodiscard]] std::size_t index_of(const std::string& node_name) const;

@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/baseline.h"
 #include "api/session.h"
 
 namespace fi {
@@ -125,17 +126,15 @@ void run_scenario_node(const PlanNode& node, const std::string& parent_hash,
 }
 
 void run_baseline_node(const PlanNode& node, NodeOutcome& outcome) {
-  auto opened = BaselineSession::open(node.baseline);
-  if (!opened.is_ok()) {
-    outcome.status = opened.status();
+  auto row = run_baseline(node.baseline, node.name);
+  if (!row.is_ok()) {
+    outcome.status = row.status();
     return;
   }
-  BaselineSession session = std::move(opened).value();
-  while (!session.finished()) session.run_epochs(1);
-  outcome.row = session.row(node.name);
+  outcome.row = std::move(row).value();
   outcome.has_row = true;
-  outcome.end_epoch = session.epoch();
-  outcome.state_hash = session.state_hash();
+  outcome.end_epoch = outcome.row.epochs;
+  outcome.state_hash = outcome.row.state_hash;
 }
 
 void run_node(const PlanNode& node, const std::string& parent_hash,
@@ -173,6 +172,9 @@ util::Result<PlanOutcome> run_plan(const ExperimentPlan& plan,
                      "orchestration needs an out_dir for checkpoints and "
                      "reports");
   }
+  // A node whose spec does not build would fail only after its ancestors
+  // ran and wrote their checkpoints; refuse the plan before any runs.
+  if (auto status = plan.validate_specs(); !status.is_ok()) return status;
 
   const std::size_t n = plan.nodes.size();
   PlanOutcome outcome;

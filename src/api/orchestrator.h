@@ -11,7 +11,7 @@
 
 /// Executes an `ExperimentPlan` DAG with a bounded thread pool: every
 /// node whose parent has completed is eligible, up to `jobs` run at once,
-/// and each runs in its own `fi::Session` / `fi::BaselineSession` (fully
+/// and each runs in its own `fi::Session` or `fi::run_baseline` call (fully
 /// independent state, so concurrency cannot perturb determinism — the
 /// emitted tables are byte-identical for every `jobs` value).
 ///
@@ -69,7 +69,9 @@ struct PlanOutcome {
 };
 
 /// Runs the plan; a `Result` error means the orchestration itself could
-/// not start (bad out_dir), while per-node failures land in the outcome.
+/// not start (bad out_dir, or a node spec that does not build:
+/// `ExperimentPlan::validate_specs`), while per-node failures land in the
+/// outcome.
 [[nodiscard]] util::Result<PlanOutcome> run_plan(
     const ExperimentPlan& plan, const OrchestrateOptions& options);
 

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "api/session_base.h"
 #include "core/network.h"
 #include "scenario/metrics.h"
 #include "scenario/runner.h"
@@ -35,7 +34,7 @@
 ///     state_hash()`, even when the fork overrides spec knobs.
 namespace fi {
 
-class Session final : public SessionBase {
+class Session final {
  public:
   /// Knobs applied when opening or forking a session. `overrides` are
   /// `--set`-style key=value pairs layered over the base spec (config
@@ -77,22 +76,22 @@ class Session final : public SessionBase {
 
   /// Advances at most `epochs` proof cycles; returns how many ran (fewer
   /// only when the run's phases are exhausted). Cheap to call in a loop.
-  std::uint64_t run_epochs(std::uint64_t epochs) override;
+  std::uint64_t run_epochs(std::uint64_t epochs);
 
   /// Runs until `epoch() == target`. Fails if the target is behind the
   /// current epoch or past the run's end.
   util::Status run_to_epoch(std::uint64_t target);
 
   /// True when no proof cycles remain (the next `report()` is final).
-  [[nodiscard]] bool finished() const override;
+  [[nodiscard]] bool finished() const;
 
   /// Proof cycles completed since genesis (counts across segments: a
   /// session resumed from an epoch-10 snapshot starts at 10).
-  [[nodiscard]] std::uint64_t epoch() const override;
+  [[nodiscard]] std::uint64_t epoch() const;
 
   /// SHA-256 of the canonical state body (`snapshot::state_hash`):
   /// replayable across machines and save/load history.
-  [[nodiscard]] std::string state_hash() const override;
+  [[nodiscard]] std::string state_hash() const;
 
   /// Writes a `FISNAP01` snapshot of the current state; any session (or
   /// `fi_sim --load`) can continue from it byte-identically.

@@ -234,8 +234,8 @@ util::Status Network::file_discard(ClientId client, FileId file) {
   return util::Status::ok();
 }
 
-util::Status Network::file_get(ClientId client, FileId file,
-                               std::vector<SectorId>& holders) {
+util::Result<ByteCount> Network::file_get(ClientId client, FileId file,
+                                          std::vector<SectorId>& holders) {
   holders.clear();
   const auto it = files_.find(file);
   if (it == files_.end()) {
@@ -256,7 +256,7 @@ util::Status Network::file_get(ClientId client, FileId file,
   Event event{RetrievalRequested{file, client, std::move(holders)}};
   bus_.emit(event);
   holders = std::move(std::get<RetrievalRequested>(event).holders);
-  return util::Status::ok();
+  return it->second.desc.size;
 }
 
 // ---------------------------------------------------------------------------
@@ -1065,10 +1065,23 @@ util::Status Network::load(util::BinaryReader& reader) {
       rec.traffic_escrowed.push_back(reader.boolean());
     }
     if (!reader.ok()) break;
+    // The record must describe the allocation group of the same id: the
+    // engine walks `cp` of its entries and `cp` escrow flags.
+    if (!alloc_table_.has_file(file) ||
+        alloc_table_.replica_count(file) != rec.desc.cp ||
+        rec.traffic_escrowed.size() != rec.desc.cp) {
+      reader.fail();
+      break;
+    }
     if (!files_.emplace(file, std::move(rec)).second) {
       reader.fail();  // duplicate file id: the record would be dropped
       break;
     }
+  }
+  // Every record names a distinct group, so equal counts mean the files
+  // component names exactly the files the allocation table holds.
+  if (reader.ok() && files_.size() != alloc_table_.file_count()) {
+    reader.fail();
   }
 
   if (!reader.ok()) {

@@ -128,11 +128,11 @@ class Network {
 
   /// File_Get: clears `holders` and fills it with the sectors currently
   /// able to serve the file, then emits a RetrievalRequested event
-  /// carrying that list to the bus's listeners. A caller that reuses one
-  /// buffer across requests makes a lookup allocation-free. On error
-  /// `holders` is left empty.
-  util::Status file_get(ClientId client, FileId file,
-                        std::vector<SectorId>& holders);
+  /// carrying that list to the bus's listeners, and returns the file's
+  /// size. A caller that reuses one buffer across requests makes a lookup
+  /// allocation-free. On error `holders` is left empty.
+  util::Result<ByteCount> file_get(ClientId client, FileId file,
+                                   std::vector<SectorId>& holders);
 
   // ---- Time ----------------------------------------------------------------
 

@@ -135,8 +135,9 @@ void TrafficEngine::issue(std::uint64_t stream, FileId file) {
   }
   ++admitted_epoch_[si];
 
-  if (!net_.file_get(client_, file, candidates_).is_ok() ||
-      candidates_.empty()) {
+  const util::Result<ByteCount> size =
+      net_.file_get(client_, file, candidates_);
+  if (!size.is_ok() || candidates_.empty()) {
     ++lookup_failures_;
     return;
   }
@@ -195,7 +196,7 @@ void TrafficEngine::issue(std::uint64_t stream, FileId file) {
     return;
   }
 
-  const ByteCount bytes = net_.file(file).size;
+  const ByteCount bytes = size.value();
   TokenAmount price = market_.quote(best, bytes);
   if (defense_ != nullptr && defense_->flagged(si)) {
     // Surge repricing: a flagged stream pays a multiple for every request

@@ -400,7 +400,7 @@ TEST(FiOrchestrateCli, TinyPlanRunsAndEmitsTable) {
   // A failing node is exit 1, not 2 (the invocation itself was fine).
   const fs::path broken = write_temp(
       "fi_cli_broken.plan",
-      "node.0.name = a\nnode.0.scenario = /nonexistent/x.cfg\n");
+      "node.0.name = a\nnode.0.parent_snapshot = /nonexistent/x.fisnap\n");
   const fs::path out2 = fs::path(::testing::TempDir()) / "fi_cli_broken_out";
   const CommandResult failed = fi_orchestrate(
       "--plan " + broken.string() + " --out-dir " + out2.string() +
@@ -412,6 +412,43 @@ TEST(FiOrchestrateCli, TinyPlanRunsAndEmitsTable) {
   fs::remove(broken);
   fs::remove_all(out_dir);
   fs::remove_all(out2);
+}
+
+TEST(FiOrchestrateCli, RunRefusesNodeSpecsThatDoNotBuild) {
+  // The plans `--validate` rejects for a spec that does not build are
+  // refused by a run too, before any node runs: node a's spec builds, but
+  // its checkpoint must not be written when node b's override cannot apply.
+  const struct {
+    const char* name;
+    std::string text;
+    const char* error;
+  } bad_plans[] = {
+      {"fi_cli_run_child_set.plan",
+       "node.0.name = a\nnode.0.scenario = " + smoke_cfg() +
+           "\nnode.0.epochs = 2\nnode.1.name = b\nnode.1.parent = a\n"
+           "node.1.set.sectorz = 3\n",
+       "node b: INVALID_ARGUMENT: unknown config keys"},
+      {"fi_cli_run_missing_cfg.plan",
+       "node.0.name = a\nnode.0.scenario = " + smoke_cfg() +
+           "\nnode.0.epochs = 2\nnode.1.name = c\n"
+           "node.1.scenario = /nonexistent/x.cfg\n",
+       "cannot open config file"},
+  };
+  for (const auto& bad_plan : bad_plans) {
+    const fs::path plan = write_temp(bad_plan.name, bad_plan.text);
+    const fs::path out_dir =
+        fs::path(::testing::TempDir()) / (std::string(bad_plan.name) + ".out");
+    fs::remove_all(out_dir);
+    const CommandResult result = fi_orchestrate(
+        "--plan " + plan.string() + " --out-dir " + out_dir.string() +
+        " --quiet");
+    EXPECT_EQ(result.exit_code, 1) << bad_plan.name;
+    EXPECT_NE(result.err.find(bad_plan.error), std::string::npos)
+        << bad_plan.name << ": " << result.err;
+    EXPECT_FALSE(fs::exists(out_dir / "a.fisnap")) << bad_plan.name;
+    fs::remove(plan);
+    fs::remove_all(out_dir);
+  }
 }
 
 // ---------------------------------------------------------------------------

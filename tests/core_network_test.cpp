@@ -554,7 +554,9 @@ TEST_F(NetworkFixture, FileGetListsLiveHolders) {
   build(test_params());
   const FileId id = add_and_store(1000, 20);
   std::vector<SectorId> holders;
-  ASSERT_TRUE(net->file_get(client, id, holders).is_ok());
+  const util::Result<ByteCount> size = net->file_get(client, id, holders);
+  ASSERT_TRUE(size.is_ok());
+  EXPECT_EQ(size.value(), 1000u);  // the lookup also answers the file size
   EXPECT_EQ(holders.size(), 4u);
   // The event carries the list the caller gets back.
   ASSERT_EQ(events_of<RetrievalRequested>().size(), 1u);
@@ -670,6 +672,59 @@ TEST_F(NetworkFixture, LoadRejectsManualProvingFlag) {
     util::BinaryReader reader(body);
     EXPECT_EQ(fresh.load(reader).is_ok(), flag == 1) << int{flag};
   }
+}
+
+TEST_F(NetworkFixture, LoadRejectsFileRecordsThatDisagreeWithAllocations) {
+  build(test_params());
+  const FileId id = add_and_store(1000, 20);
+  const std::uint32_t cp = net->allocations().replica_count(id);
+  util::BinaryWriter head;  // every component before `files`
+  for (std::size_t c = 0; c + 1 < Network::kStateComponentCount; ++c) {
+    net->save_state_component(static_cast<Network::StateComponent>(c), head);
+  }
+  util::BinaryWriter files;
+  net->save_state_component(Network::StateComponent::files, files);
+  // One record after the u64 count: id, size, value, 32-byte root, u32 cp,
+  // cntdown, state byte, owner, added_at, u64 flag count, one byte a flag.
+  constexpr std::size_t kId = 8;
+  constexpr std::size_t kCp = 64;
+  constexpr std::size_t kFlagCount = 93;
+  const std::vector<std::uint8_t>& canonical = files.data();
+  ASSERT_EQ(canonical.size(), kFlagCount + 8 + cp);
+  ASSERT_EQ(canonical[kCp], cp);
+  ASSERT_EQ(canonical[kFlagCount], cp);
+
+  const auto loads = [&](const std::vector<std::uint8_t>& tail) {
+    std::vector<std::uint8_t> body = head.data();
+    body.insert(body.end(), tail.begin(), tail.end());
+    ledger::Ledger fresh_ledger;
+    Network fresh(test_params(), fresh_ledger, /*seed=*/7);
+    util::BinaryReader reader(body);
+    return fresh.load(reader).is_ok();
+  };
+  EXPECT_TRUE(loads(canonical));
+
+  std::vector<std::uint8_t> more_replicas = canonical;  // cp and flags + 1
+  ++more_replicas[kCp];
+  ++more_replicas[kFlagCount];
+  more_replicas.push_back(1);
+  EXPECT_FALSE(loads(more_replicas));
+
+  std::vector<std::uint8_t> cp_only = canonical;  // cp + 1, flags as saved
+  ++cp_only[kCp];
+  EXPECT_FALSE(loads(cp_only));
+
+  std::vector<std::uint8_t> extra_flag = canonical;  // flags + 1, cp as saved
+  ++extra_flag[kFlagCount];
+  extra_flag.push_back(1);
+  EXPECT_FALSE(loads(extra_flag));
+
+  std::vector<std::uint8_t> no_group = canonical;  // an id with no entries
+  no_group[kId] = static_cast<std::uint8_t>(id + 100);
+  EXPECT_FALSE(loads(no_group));
+
+  // No record: the allocation table holds a file the component omits.
+  EXPECT_FALSE(loads(std::vector<std::uint8_t>(8, 0)));
 }
 
 }  // namespace

@@ -204,7 +204,7 @@ TEST_F(EdgeFixture, UploadTargetDiesBeforeConfirmToleratedAsDeadSlot) {
 TEST_F(EdgeFixture, RequestsAgainstUnknownEntitiesRejected) {
   build();
   std::vector<SectorId> holders{7};
-  EXPECT_EQ(net->file_get(client, 999, holders).code(),
+  EXPECT_EQ(net->file_get(client, 999, holders).status().code(),
             util::ErrorCode::not_found);
   EXPECT_TRUE(holders.empty());
   EXPECT_EQ(net->file_discard(client, 999).code(),

@@ -1,9 +1,9 @@
 // fi_orchestrate's library layer (src/api/experiment_plan.h,
-// src/api/orchestrator.h, src/api/baseline_session.h) tested in-process:
+// src/api/orchestrator.h, src/api/baseline.h) tested in-process:
 // plan parsing and validation rejections, DAG execution with parent-hash
 // validation, counterfactual fork divergence, failure poisoning of a
 // subtree, scheduler determinism across --jobs values, and the baseline
-// protocol sessions feeding the comparison table.
+// protocol runs feeding the comparison table.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "api/baseline_session.h"
+#include "api/baseline.h"
 #include "api/comparison.h"
 #include "api/experiment_plan.h"
 #include "api/orchestrator.h"
@@ -196,8 +196,11 @@ TEST(Orchestrator, TablesAreByteIdenticalAcrossJobCounts) {
 }
 
 TEST(Orchestrator, FailedParentPoisonsSubtreeButSiblingsComplete) {
+  // A missing snapshot fails only when its node runs (a missing scenario
+  // config would refuse the whole plan up front).
   auto plan = parse_plan(
-      "node.0.name = broken\nnode.0.scenario = no_such_config.cfg\n"
+      "node.0.name = broken\n"
+      "node.0.parent_snapshot = /nonexistent/no_such.fisnap\n"
       "node.0.epochs = 2\n"
       "node.1.name = child\nnode.1.parent = broken\n"
       "node.2.name = grandchild\nnode.2.parent = child\n"
@@ -253,41 +256,42 @@ TEST(Orchestrator, ExternalParentHashMismatchFailsTheNode) {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline sessions
+// Baseline runs
 // ---------------------------------------------------------------------------
 
-TEST(BaselineSession, DeterministicAcrossRuns) {
+TEST(RunBaseline, DeterministicAcrossRuns) {
   BaselineSpec spec;
   spec.protocol = "sia";
   spec.sectors = 300;
   spec.files = 1500;
   spec.epochs = 3;
 
-  std::vector<std::string> hashes;
+  std::vector<std::string> tables;
   for (int run = 0; run < 2; ++run) {
-    auto opened = BaselineSession::open(spec);
-    ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
-    BaselineSession session = std::move(opened).value();
-    while (!session.finished()) ASSERT_EQ(session.run_epochs(1), 1u);
-    hashes.push_back(session.state_hash());
-    const ComparisonRow row = session.row("sia_node");
-    EXPECT_EQ(row.protocol, "Sia");
-    EXPECT_TRUE(row.has_outcome);
-    EXPECT_GE(row.sybil_loss_fraction, 0.0);
+    auto row = run_baseline(spec, "sia_node");
+    ASSERT_TRUE(row.is_ok()) << row.status().to_string();
+    EXPECT_EQ(row.value().protocol, "Sia");
+    EXPECT_EQ(row.value().epochs, 3u);
+    EXPECT_TRUE(row.value().has_outcome);
+    EXPECT_GE(row.value().sybil_loss_fraction, 0.0);
+    EXPECT_EQ(row.value().state_hash.size(), 64u);
+    tables.push_back(comparison_table_json("t", {row.value()}));
   }
-  EXPECT_EQ(hashes[0], hashes[1]);
+  EXPECT_EQ(tables[0], tables[1]);
 }
 
-TEST(BaselineSession, RejectsUnknownProtocolAndBadKnobs) {
+TEST(RunBaseline, RejectsUnknownProtocolAndBadKnobs) {
   BaselineSpec spec;
   spec.protocol = "magnetotape";
   EXPECT_FALSE(BaselineSpec(spec).validate().is_ok());
+  EXPECT_FALSE(run_baseline(spec, "n").is_ok());
   spec.protocol = "storj";
   spec.lambda = 1.5;
   EXPECT_FALSE(BaselineSpec(spec).validate().is_ok());
+  EXPECT_FALSE(run_baseline(spec, "n").is_ok());
 }
 
-TEST(BaselineSession, RejectsSpecsItCannotRun) {
+TEST(RunBaseline, RejectsSpecsItCannotRun) {
   // Each used to pass validation and then abort or misreport: too few
   // units for a file's distinct holders or surviving shards, a workload
   // with nothing to lose or insure, and the retired FileInsurer model.
@@ -302,7 +306,7 @@ TEST(BaselineSession, RejectsSpecsItCannotRun) {
   for (const auto& [spec, needle] : cases) {
     EXPECT_NE(spec.validate().message().find(needle), std::string::npos)
         << spec.validate().to_string();
-    EXPECT_FALSE(BaselineSession::open(spec).is_ok()) << needle;
+    EXPECT_FALSE(run_baseline(spec, "n").is_ok()) << needle;
   }
   EXPECT_TRUE((BaselineSpec{.protocol = "sia", .sectors = 3}).validate().is_ok());
   expect_rejected(

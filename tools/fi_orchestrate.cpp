@@ -26,14 +26,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "api/comparison.h"
 #include "api/experiment_plan.h"
 #include "api/orchestrator.h"
-#include "api/session.h"
 #include "util/arg_parser.h"
 
 namespace {
@@ -102,42 +99,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (validate_only) {
-    // Every node whose lineage reaches a scenario root gets the spec it
-    // would run with: the root config, then each ancestor's `set.*`
-    // overrides from the root down, then its own. A child resumes its
-    // parent's checkpoint, whose spec is the parent's, so the same
-    // composition happens at run time. Nodes under a `parent_snapshot`
-    // have no root to compose from until that file is read.
-    const std::vector<fi::PlanNode>& nodes = plan.value().nodes;
-    std::vector<std::optional<fi::scenario::ScenarioSpec>> specs(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      std::vector<std::size_t> lineage{i};  // this node, then its ancestors
-      while (!nodes[lineage.back()].parent.empty()) {
-        lineage.push_back(plan.value().index_of(nodes[lineage.back()].parent));
-      }
-      if (nodes[lineage.back()].scenario.empty()) continue;
-      const fi::scenario::ScenarioSpec* parent = nullptr;
-      for (auto at = lineage.rbegin(); at != lineage.rend(); ++at) {
-        if (!specs[*at].has_value()) {
-          const fi::PlanNode& node = nodes[*at];
-          fi::Session::OpenOptions open;
-          open.overrides = node.overrides;
-          auto spec = parent == nullptr
-                          ? fi::Session::load_spec(node.scenario, open)
-                          : fi::Session::spec_with_overrides(*parent, open);
-          if (!spec.is_ok()) {
-            std::fprintf(stderr, "fi_orchestrate: %s: node %s: %s\n",
-                         plan_path.c_str(), node.name.c_str(),
-                         spec.status().to_string().c_str());
-            return 1;
-          }
-          specs[*at] = std::move(spec).value();
-        }
-        parent = &*specs[*at];
-      }
+    if (auto status = plan.value().validate_specs(); !status.is_ok()) {
+      std::fprintf(stderr, "fi_orchestrate: %s: %s\n", plan_path.c_str(),
+                   status.message().c_str());
+      return 1;
     }
     std::fprintf(stdout, "plan ok: %s (%zu nodes)\n",
-                 plan.value().name.c_str(), nodes.size());
+                 plan.value().name.c_str(), plan.value().nodes.size());
     return 0;
   }
   if (out_dir.empty()) {
@@ -160,8 +128,8 @@ int main(int argc, char** argv) {
 
   auto outcome = fi::run_plan(plan.value(), options);
   if (!outcome.is_ok()) {
-    std::fprintf(stderr, "fi_orchestrate: %s\n",
-                 outcome.status().to_string().c_str());
+    std::fprintf(stderr, "fi_orchestrate: %s: %s\n", plan_path.c_str(),
+                 outcome.status().message().c_str());
     return 1;
   }
 
