@@ -1,15 +1,18 @@
 // Engineering micro-benchmarks (not in the paper): throughput of the
 // primitives every experiment rests on — hashing, Merkle trees,
-// capacity-weighted sector sampling, and the protocol engine's hot paths.
+// capacity-weighted sector sampling, and the protocol engine's and the
+// delivery network's hot paths.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/network.h"
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
 #include "ledger/account.h"
+#include "sim/net_model.h"
 #include "util/fenwick.h"
 #include "util/prng.h"
 
@@ -117,6 +120,8 @@ void BM_FileAddConfirmStore(benchmark::State& state) {
 }
 BENCHMARK(BM_FileAddConfirmStore);
 
+/// One Auto_CheckProof per stored file per iteration. The argument is the
+/// file count; sectors scale with it to keep usage as at 500 files.
 void BM_ProofCycleAdvance(benchmark::State& state) {
   using namespace fi;
   core::Params params;
@@ -128,12 +133,14 @@ void BM_ProofCycleAdvance(benchmark::State& state) {
   params.avg_refresh = 1e9;  // isolate CheckProof cost from refresh cost
   ledger::Ledger ledger;
   core::Network net(params, ledger, 12);
+  const auto files = static_cast<int>(state.range(0));
   const AccountId provider = ledger.create_account(1'000'000'000ull);
-  for (int s = 0; s < 64; ++s) {
+  for (int s = 0; s < std::max(64, files * 64 / 500); ++s) {
     (void)net.sector_register(provider, params.min_capacity);
   }
   const AccountId client = ledger.create_account(1'000'000'000ull);
-  for (int i = 0; i < 500; ++i) {
+  int added = 0;
+  for (; added < files; ++added) {
     auto f = net.file_add(client, {1024, 10, {}});
     if (!f.is_ok()) break;
     for (core::ReplicaIndex r = 0;
@@ -146,8 +153,47 @@ void BM_ProofCycleAdvance(benchmark::State& state) {
   for (auto _ : state) {
     net.advance(params.proof_cycle);  // one CheckProof per stored file
   }
+  state.SetItemsProcessed(state.iterations() * added);
+  state.counters["files"] = added;
 }
-BENCHMARK(BM_ProofCycleAdvance);
+BENCHMARK(BM_ProofCycleAdvance)->Arg(500)->Arg(10'000);
+
+/// One delivery tick with regional_latency's latency profile: deliver what
+/// is due, then send the next `range(0)` messages of 1-2 KiB. In flight
+/// settles near that batch times the mean latency (about 10 ticks), so a
+/// batch of 3000 holds about 31k, near regional_latency_1e4's peak of 29k.
+void BM_NetModelSendPop(benchmark::State& state) {
+  using namespace fi;
+  const sim::NetConfig config{.regions = 4,
+                              .base_latency = 2,
+                              .region_latency = 6,
+                              .ticks_per_kib = 1,
+                              .jitter = 4,
+                              .drop_probability = 0.02};
+  sim::NetModel model(config, 4242);
+  util::Xoshiro256 rng(13);
+  const auto batch = static_cast<std::uint64_t>(state.range(0));
+  Time now = 0;
+  std::uint64_t file = 0;
+  sim::TransferMessage msg;
+  for (auto _ : state) {
+    while (model.pop_due(now, msg)) benchmark::DoNotOptimize(msg);
+    for (std::uint64_t i = 0; i < batch; ++i, ++file) {
+      const bool upload = rng.uniform_below(8) == 0;
+      model.send(now, 1024 + rng.uniform_below(1025),
+                 {.file = file,
+                  .from_sector =
+                      upload ? ~std::uint64_t{0} : rng.uniform_below(2000),
+                  .to_sector = rng.uniform_below(2000),
+                  .deadline = now + 80});
+    }
+    ++now;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    batch));
+  state.counters["in_flight"] = static_cast<double>(model.in_flight());
+}
+BENCHMARK(BM_NetModelSendPop)->Arg(100)->Arg(3000);
 
 }  // namespace
 

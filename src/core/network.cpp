@@ -1041,6 +1041,11 @@ util::Status Network::load(util::BinaryReader& reader) {
 
   alloc_table_.load(reader, sector_table_.count());
   pending_.load(reader);
+  // advance_to never leaves a task due before the clock; one that is would
+  // run with now() moving backwards.
+  if (pending_.next_time() != kNoTime && pending_.next_time() < now_) {
+    reader.fail();
+  }
   deposit_book_.load(reader);
 
   files_.clear();

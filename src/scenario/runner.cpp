@@ -317,8 +317,7 @@ void ScenarioRunner::deliver_messages() {
     // between request and delivery) and are visible in the punishment and
     // refresh-failure counters, so they are not tracked separately.
     (void)net_->file_confirm(net_->sectors().at(msg.to_sector).owner,
-                             msg.file, msg.index, msg.to_sector, {},
-                             std::nullopt);
+                             msg.file, msg.index, msg.to_sector);
   }
 }
 
@@ -344,7 +343,7 @@ void ScenarioRunner::drain_transfers() {
     const ByteCount size =
         net_->file_exists(req.file) ? net_->file(req.file).size : 0;
     netmodel_->send(now, size, msg);
-    // Delivering right after each send keeps the heap down to the
+    // Delivering right after each send keeps the queue down to the
     // messages really in flight (none under the zero profile). It cannot
     // reorder anything: a send reads no state that file_confirm writes.
     deliver_messages();
@@ -1187,6 +1186,8 @@ util::Status ScenarioRunner::load_state(util::BinaryReader& reader) {
   if (spec_.network.enabled) {
     net_suppressed_ = util::load_u64_seq<core::SectorId>(reader);
     netmodel_->load_state(reader);
+    // A checkpoint follows a drain, which delivers everything due by then.
+    if (netmodel_->next_delivery_time() < net_->now()) reader.fail();
   }
 
   if (!reader.ok() || !reader.exhausted()) {

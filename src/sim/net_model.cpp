@@ -1,6 +1,7 @@
 #include "sim/net_model.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.h"
 
@@ -66,24 +67,16 @@ void NetModel::send(Time now, ByteCount payload_bytes,
   latency += config_.ticks_per_kib * ((payload_bytes + 1023) / 1024);
   if (config_.jitter > 0) latency += rng_.uniform_below(config_.jitter + 1);
 
-  InFlight entry;
-  entry.deliver_at = now + latency;
-  entry.seq = next_seq_++;
-  entry.sent_at = now;
-  entry.msg = message;
-  heap_.push_back(entry);
-  std::push_heap(heap_.begin(), heap_.end(), LaterFirst{});
+  queue_.push(now + latency, InFlight{next_seq_++, now, message});
 }
 
-Time NetModel::next_delivery_time() const {
-  return heap_.empty() ? kNoTime : heap_.front().deliver_at;
-}
+Time NetModel::next_delivery_time() const { return queue_.next_time(); }
 
 bool NetModel::pop_due(Time now, TransferMessage& out) {
-  while (!heap_.empty() && heap_.front().deliver_at <= now) {
-    std::pop_heap(heap_.begin(), heap_.end(), LaterFirst{});
-    const InFlight entry = heap_.back();
-    heap_.pop_back();
+  while (!queue_.empty() && queue_.next_time() <= now) {
+    const Time deliver_at = queue_.next_time();
+    const InFlight entry = queue_.front();
+    queue_.pop();
     const std::uint64_t src = source_region(entry.msg);
     const std::uint64_t dst = region_of_sector(entry.msg.to_sector);
     if (path_down(src, dst)) {
@@ -95,8 +88,8 @@ bool NetModel::pop_due(Time now, TransferMessage& out) {
       continue;
     }
     ++delivered_;
-    if (entry.deliver_at >= entry.msg.deadline) ++delivered_late_;
-    const Time latency = entry.deliver_at - entry.sent_at;
+    if (deliver_at >= entry.msg.deadline) ++delivered_late_;
+    const Time latency = deliver_at - entry.sent_at;
     ++region_delivered_[dst];
     region_latency_sum_[dst] += latency;
     region_latency_max_[dst] = std::max(region_latency_max_[dst], latency);
@@ -111,19 +104,9 @@ void NetModel::save_state(util::BinaryWriter& writer) const {
   for (const std::uint8_t flag : partitioned_) writer.u8(flag);
   for (const std::uint8_t flag : down_) writer.u8(flag);
 
-  // The in-flight set, sorted by its total delivery order — canonical
-  // bytes regardless of the heap array's incidental layout.
-  std::vector<InFlight> sorted = heap_;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const InFlight& a, const InFlight& b) {
-              if (a.deliver_at != b.deliver_at) {
-                return a.deliver_at < b.deliver_at;
-              }
-              return a.seq < b.seq;
-            });
-  writer.u64(sorted.size());
-  for (const InFlight& entry : sorted) {
-    writer.u64(entry.deliver_at);
+  writer.u64(queue_.size());
+  queue_.for_each([&writer](Time deliver_at, const InFlight& entry) {
+    writer.u64(deliver_at);
     writer.u64(entry.seq);
     writer.u64(entry.sent_at);
     writer.u64(entry.msg.file);
@@ -132,7 +115,7 @@ void NetModel::save_state(util::BinaryWriter& writer) const {
     writer.u64(entry.msg.to_sector);
     writer.u64(entry.msg.client);
     writer.u64(entry.msg.deadline);
-  }
+  });
   writer.u64(next_seq_);
 
   writer.u64(sent_);
@@ -153,12 +136,13 @@ void NetModel::load_state(util::BinaryReader& reader) {
   for (std::uint8_t& flag : partitioned_) flag = reader.u8();
   for (std::uint8_t& flag : down_) flag = reader.u8();
 
-  heap_.clear();
+  queue_.clear();
   const std::uint64_t in_flight = reader.count(68);
-  heap_.reserve(in_flight);
+  std::pair<Time, std::uint64_t> last{0, 0};
+  std::uint64_t max_seq = 0;
   for (std::uint64_t i = 0; i < in_flight; ++i) {
+    const Time deliver_at = reader.u64();
     InFlight entry;
-    entry.deliver_at = reader.u64();
     entry.seq = reader.u64();
     entry.sent_at = reader.u64();
     entry.msg.file = reader.u64();
@@ -167,10 +151,21 @@ void NetModel::load_state(util::BinaryReader& reader) {
     entry.msg.to_sector = reader.u64();
     entry.msg.client = reader.u64();
     entry.msg.deadline = reader.u64();
-    heap_.push_back(entry);
+    // Wire order is delivery order, strictly increasing in
+    // (deliver_at, seq), and no message arrives before it was sent (the
+    // latency stats subtract the two).
+    const std::pair<Time, std::uint64_t> key{deliver_at, entry.seq};
+    if ((i > 0 && key <= last) || entry.sent_at > deliver_at) {
+      reader.fail();
+      break;
+    }
+    last = key;
+    max_seq = std::max(max_seq, entry.seq);
+    queue_.push(deliver_at, entry);
   }
-  std::make_heap(heap_.begin(), heap_.end(), LaterFirst{});
   next_seq_ = reader.u64();
+  // Every queued seq was issued before the counter's current value.
+  if (!queue_.empty() && max_seq >= next_seq_) reader.fail();
 
   sent_ = reader.u64();
   delivered_ = reader.u64();

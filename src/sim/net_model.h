@@ -5,14 +5,15 @@
 
 #include "util/binary_io.h"
 #include "util/prng.h"
+#include "util/time_queue.h"
 #include "util/types.h"
 
 /// Serializable deterministic delivery substrate for the scenario engine:
 /// the one path every replica transfer (upload or refresh handoff) takes
-/// from request to confirmation. Typed messages sit in a flat min-heap
-/// keyed `(deliver_at, seq)` — the same order-is-state tie-break
-/// discipline as the protocol pending list — beside a private seeded RNG
-/// for latency/loss draws and per-region partition and outage flags.
+/// from request to confirmation. Typed messages sit in a `util::TimeQueue`
+/// keyed by delivery time, FIFO within a tick — the same queue as the
+/// protocol pending list — beside a private seeded RNG for latency/loss
+/// draws and per-region partition and outage flags.
 /// Everything mutable has a canonical little-endian encoding
 /// (`save_state`/`load_state`), so a resumed run delivers byte-identically
 /// to an uninterrupted one, in-flight messages included.
@@ -96,7 +97,7 @@ class NetModel {
   /// partition that begins mid-flight loses the traffic crossing it.
   [[nodiscard]] bool pop_due(Time now, TransferMessage& out);
 
-  [[nodiscard]] std::size_t in_flight() const { return heap_.size(); }
+  [[nodiscard]] std::size_t in_flight() const { return queue_.size(); }
 
   // ---- Counters -----------------------------------------------------------
   [[nodiscard]] std::uint64_t sent() const { return sent_; }
@@ -123,27 +124,23 @@ class NetModel {
   }
 
   // ---- Snapshot -----------------------------------------------------------
-  /// Canonical encoding: RNG state, region flags, the in-flight set sorted
-  /// by `(deliver_at, seq)`, the seq counter, and every counter. The heap's
-  /// in-memory layout is not state — delivery order is fully determined by
-  /// the `(deliver_at, seq)` keys.
+  /// Canonical encoding: RNG state, region flags, the in-flight set in
+  /// delivery order (strictly increasing `(deliver_at, seq)`), the seq
+  /// counter, and every counter. `load_state` pushes the in-flight set in
+  /// wire order and rejects what `save_state` cannot produce: entries out of
+  /// that order, a `seq` at or above the counter, and a message delivered
+  /// before it was sent.
   void save_state(util::BinaryWriter& writer) const;
   void load_state(util::BinaryReader& reader);
 
  private:
+  /// A queued message; its delivery time is the queue key.
   struct InFlight {
-    Time deliver_at = 0;
-    std::uint64_t seq = 0;  ///< tie-breaker: FIFO within a timestamp
+    /// Send number. The queue's FIFO order within a tick is already send
+    /// order; `seq` stays because the wire format carries it.
+    std::uint64_t seq = 0;
     Time sent_at = 0;
     TransferMessage msg;
-  };
-  /// `std::push_heap`/`pop_heap` comparator: max-heap inverted into a
-  /// min-heap on `(deliver_at, seq)`.
-  struct LaterFirst {
-    bool operator()(const InFlight& a, const InFlight& b) const {
-      if (a.deliver_at != b.deliver_at) return a.deliver_at > b.deliver_at;
-      return a.seq > b.seq;
-    }
   };
 
   [[nodiscard]] std::uint64_t source_region(const TransferMessage& msg) const;
@@ -161,7 +158,7 @@ class NetModel {
   /// vector<bool> so the encoding loop reads naturally.
   std::vector<std::uint8_t> partitioned_;
   std::vector<std::uint8_t> down_;
-  std::vector<InFlight> heap_;  ///< binary min-heap via LaterFirst
+  util::TimeQueue<InFlight> queue_;
   std::uint64_t next_seq_ = 0;
 
   std::uint64_t sent_ = 0;

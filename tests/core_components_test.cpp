@@ -3,6 +3,7 @@
 #include <array>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "core/alloc_table.h"
 #include "core/deposit.h"
@@ -557,6 +558,40 @@ TEST(PendingListTest, EmptyListReportsNoTime) {
   EXPECT_TRUE(list.empty());
   EXPECT_EQ(list.next_time(), kNoTime);
   EXPECT_TRUE(list.pop_due(100).empty());
+}
+
+/// A pending-list body with one Auto_CheckProof task per entry of `times`,
+/// in that wire order.
+std::vector<std::uint8_t> pending_body(const std::vector<Time>& times) {
+  util::BinaryWriter writer;
+  writer.u64(times.size());
+  FileId file = 0;
+  for (const Time at : times) {
+    writer.u64(at);
+    writer.u8(static_cast<std::uint8_t>(TaskKind::check_proof));
+    writer.u64(file++);
+    writer.u32(0);
+  }
+  return writer.data();
+}
+
+TEST(PendingListTest, LoadRejectsTimesThatDecrease) {
+  const std::vector<std::uint8_t> canonical = pending_body({3, 3, 5});
+  {
+    PendingList list;
+    util::BinaryReader reader(canonical);
+    list.load(reader);
+    ASSERT_TRUE(reader.ok()) << "the canonical body must load";
+    EXPECT_TRUE(reader.exhausted());
+    util::BinaryWriter again;
+    list.save(again);
+    EXPECT_EQ(again.data(), canonical);
+  }
+  const std::vector<std::uint8_t> decreasing = pending_body({3, 5, 4});
+  PendingList list;
+  util::BinaryReader reader(decreasing);
+  EXPECT_NO_THROW(list.load(reader));
+  EXPECT_FALSE(reader.ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -674,6 +674,36 @@ TEST_F(NetworkFixture, LoadRejectsManualProvingFlag) {
   }
 }
 
+TEST_F(NetworkFixture, LoadRejectsTaskDueBeforeClock) {
+  build(test_params());
+  (void)add_and_store(1000, 20);
+  const Time next_task = net->next_task_time();
+  ASSERT_NE(next_task, kNoTime);
+  ASSERT_GT(next_task, net->now());
+  util::BinaryWriter writer;
+  net->save(writer);
+  // The clock follows the five system-account ids and the PRNG state.
+  constexpr std::size_t kClockOffset = 72;
+  const auto body_at = [&](Time clock) {
+    std::vector<std::uint8_t> body = writer.data();
+    for (std::size_t b = 0; b < 8; ++b) {
+      body[kClockOffset + b] = static_cast<std::uint8_t>(clock >> (8 * b));
+    }
+    return body;
+  };
+  ASSERT_EQ(body_at(net->now()), writer.data());
+  const auto loads_at = [&](Time clock) {
+    const std::vector<std::uint8_t> body = body_at(clock);
+    ledger::Ledger fresh_ledger;
+    Network fresh(test_params(), fresh_ledger, /*seed=*/7);
+    util::BinaryReader reader(body);
+    return fresh.load(reader).is_ok();
+  };
+  EXPECT_TRUE(loads_at(net->now()));
+  EXPECT_TRUE(loads_at(next_task));  // a task due at the clock still runs
+  EXPECT_FALSE(loads_at(next_task + 1));
+}
+
 TEST_F(NetworkFixture, LoadRejectsFileRecordsThatDisagreeWithAllocations) {
   build(test_params());
   const FileId id = add_and_store(1000, 20);

@@ -28,6 +28,7 @@
 #include "scenario/metrics.h"
 #include "scenario/runner.h"
 #include "scenario/spec.h"
+#include "sim/net_model.h"
 #include "util/hex.h"
 
 // ---- Counting allocator hook ----------------------------------------------
@@ -286,8 +287,9 @@ TEST(DeterminismTest, ScenarioReportMatchesPinnedDigest) {
 // ---- Allocation-free steady-state sweeps ----------------------------------
 
 /// The SoA/arena layout's contract: after warm-up, a proof-cycle sweep
-/// recycles every buffer it needs — the pending heap and the popped-task
-/// batch — so a steady-state epoch makes no heap allocation at all.
+/// recycles every buffer it needs — the pending list's time buckets and
+/// the popped-task batch — so a steady-state epoch makes no heap
+/// allocation at all.
 TEST(DeterminismTest, SteadyStateSweepIsAllocationFree) {
   Params params;
   params.min_value = 10;
@@ -341,6 +343,46 @@ TEST(DeterminismTest, SteadyStateSweepIsAllocationFree) {
   g_count_allocations.store(false, std::memory_order_relaxed);
   delete probe;
   EXPECT_GE(g_allocation_count.load(std::memory_order_relaxed), 1u);
+}
+
+/// The delivery queue's half of the contract: with regional_latency's
+/// latency profile, a warm tick that delivers what is due and sends the
+/// next batch reuses the storage of the tick it drained.
+TEST(DeterminismTest, SteadyStateDeliveryIsAllocationFree) {
+  const fi::sim::NetConfig config{.regions = 4,
+                                  .base_latency = 2,
+                                  .region_latency = 6,
+                                  .ticks_per_kib = 1,
+                                  .jitter = 4,
+                                  .drop_probability = 0.02};
+  fi::sim::NetModel model(config, /*seed=*/4242);
+  std::uint64_t file = 0;
+  const auto tick = [&](Time now) {
+    fi::sim::TransferMessage msg;
+    while (model.pop_due(now, msg)) {
+    }
+    for (int i = 0; i < 64; ++i, ++file) {
+      model.send(now, 1536,
+                 {.file = file,
+                  .from_sector = file % 7 == 0 ? ~std::uint64_t{0} : file % 37,
+                  .to_sector = file % 41,
+                  .deadline = now + 40});
+    }
+  };
+
+  // Warm-up: every in-flight tick and reused buffer reaches its size.
+  Time now = 0;
+  for (; now < 2000; ++now) tick(now);
+  ASSERT_GT(model.in_flight(), 0u);
+
+  // Measured window: 200 more ticks, zero allocations.
+  const std::uint64_t delivered = model.delivered();
+  g_allocation_count.store(0, std::memory_order_relaxed);
+  g_count_allocations.store(true, std::memory_order_relaxed);
+  for (; now < 2200; ++now) tick(now);
+  g_count_allocations.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(g_allocation_count.load(std::memory_order_relaxed), 0u);
+  EXPECT_GT(model.delivered(), delivered + 100 * 60);
 }
 
 }  // namespace

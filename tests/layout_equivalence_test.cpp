@@ -1,11 +1,13 @@
-// Layout-equivalence property tests for the SoA/arena hot-state tables.
+// Layout-equivalence property tests for the SoA/arena hot-state tables
+// and the two time-ordered queues.
 //
-// The PR 7 memory-layout refactor replaced node-based containers with
-// struct-of-arrays storage plus swap-erase reverse indexes:
+// Node-based containers gave way to contiguous layouts: struct-of-arrays
+// storage, swap-erase reverse indexes and time-bucketed queues:
 //
-//   * core::PendingList:  ordered multimap  -> flat binary heap
-//   * core::SectorTable:  record vector     -> per-field SoA + Fenwick
-//   * core::AllocTable:   nested hash maps  -> slab + dense bucket vectors
+//   * core::PendingList:  ordered multimap       -> util::TimeQueue buckets
+//   * sim::NetModel:      (deliver_at, seq) map  -> util::TimeQueue buckets
+//   * core::SectorTable:  record vector          -> per-field SoA + Fenwick
+//   * core::AllocTable:   nested hash maps       -> slab + dense bucket vectors
 //
 // Everything observable about the old containers must survive: query
 // results, iteration order (bucket order IS serialized), sampler draws,
@@ -31,6 +33,7 @@
 #include "core/pending_list.h"
 #include "core/sector.h"
 #include "ledger/account.h"
+#include "sim/net_model.h"
 #include "util/binary_io.h"
 #include "util/check.h"
 #include "util/prng.h"
@@ -67,7 +70,7 @@ std::vector<std::uint8_t> save_bytes(const T& table) {
 
 /// Reference oracle in the old idiom: a multimap keyed by time. Equal keys
 /// keep insertion order (guaranteed since C++11), which is exactly the
-/// (time, sequence) total order the heap must reproduce.
+/// (time, insertion) order the queue must reproduce.
 struct PendingOracle {
   std::multimap<Time, Task> items;
 
@@ -145,9 +148,9 @@ TEST(LayoutEquivalence, PendingListMatchesMultimapOracle) {
         const auto encoded = save_bytes(pending);
         ASSERT_EQ(encoded, oracle.save_encoding()) << "step " << step;
 
-        // Round trip, then CONTINUE on the loaded instance: load renumbers
-        // the tie-break sequence densely, and the rest of the op sequence
-        // proves that renumbering is unobservable.
+        // Round trip, then CONTINUE on the loaded instance: load schedules
+        // in wire order, and the rest of the op sequence proves that the
+        // rebuilt buckets pop exactly as the originals would.
         PendingList loaded;
         util::BinaryReader reader(encoded);
         loaded.load(reader);
@@ -155,6 +158,239 @@ TEST(LayoutEquivalence, PendingListMatchesMultimapOracle) {
         ASSERT_EQ(save_bytes(loaded), encoded) << "step " << step;
         pending = std::move(loaded);
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// NetModel vs a (deliver_at, seq) map
+// ---------------------------------------------------------------------------
+
+/// Reference oracle in the old idiom: the in-flight set as a map keyed by
+/// (deliver_at, seq), beside a copy of the model's send-time draws (same
+/// seed, same draw order), region flags and counters. The map's iteration
+/// order is the delivery order the model must reproduce, and its encoding.
+struct NetOracle {
+  struct Sent {
+    Time sent_at = 0;
+    sim::TransferMessage msg;
+  };
+
+  NetOracle(const sim::NetConfig& c, std::uint64_t seed)
+      : config(c),
+        rng(seed),
+        partitioned(c.regions, 0),
+        down(c.regions, 0),
+        region_delivered(c.regions, 0),
+        region_latency_sum(c.regions, 0),
+        region_latency_max(c.regions, 0) {}
+
+  sim::NetConfig config;
+  Xoshiro256 rng;
+  std::vector<std::uint8_t> partitioned;
+  std::vector<std::uint8_t> down;
+  std::map<std::pair<Time, std::uint64_t>, Sent> in_flight;
+  std::uint64_t next_seq = 0;
+  std::uint64_t sent = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t delivered_late = 0;
+  std::uint64_t dropped_loss = 0;
+  std::uint64_t dropped_partition = 0;
+  std::uint64_t dropped_down = 0;
+  std::vector<std::uint64_t> region_delivered;
+  std::vector<std::uint64_t> region_latency_sum;
+  std::vector<std::uint64_t> region_latency_max;
+
+  [[nodiscard]] std::uint64_t region_of(std::uint64_t sector) const {
+    return sector == ~std::uint64_t{0} ? sim::kBackboneRegion
+                                       : sector % config.regions;
+  }
+
+  /// The counter a message between `src` and `dst` is dropped into now, or
+  /// null when the path is open.
+  std::uint64_t* blocked(std::uint64_t src, std::uint64_t dst) {
+    const auto flagged = [](const std::vector<std::uint8_t>& flags,
+                            std::uint64_t region) {
+      return region != sim::kBackboneRegion && flags[region] != 0;
+    };
+    if (flagged(down, src) || flagged(down, dst)) return &dropped_down;
+    if (src != dst && (flagged(partitioned, src) || flagged(partitioned, dst))) {
+      return &dropped_partition;
+    }
+    return nullptr;
+  }
+
+  void send(Time now, ByteCount bytes, const sim::TransferMessage& msg) {
+    ++sent;
+    const std::uint64_t src = region_of(msg.from_sector);
+    const std::uint64_t dst = region_of(msg.to_sector);
+    if (std::uint64_t* counter = blocked(src, dst)) {
+      ++*counter;
+      return;
+    }
+    if (config.drop_probability > 0.0 &&
+        rng.uniform_double() < config.drop_probability) {
+      ++dropped_loss;
+      return;
+    }
+    Time latency = config.base_latency;
+    if (src != dst) latency += config.region_latency;
+    latency += config.ticks_per_kib * ((bytes + 1023) / 1024);
+    if (config.jitter > 0) latency += rng.uniform_below(config.jitter + 1);
+    in_flight.emplace(std::make_pair(now + latency, next_seq++),
+                      Sent{now, msg});
+  }
+
+  bool pop_due(Time now, sim::TransferMessage& out) {
+    while (!in_flight.empty() && in_flight.begin()->first.first <= now) {
+      const Time at = in_flight.begin()->first.first;
+      const Sent entry = in_flight.begin()->second;
+      in_flight.erase(in_flight.begin());
+      const std::uint64_t dst = region_of(entry.msg.to_sector);
+      if (std::uint64_t* counter =
+              blocked(region_of(entry.msg.from_sector), dst)) {
+        ++*counter;
+        continue;
+      }
+      ++delivered;
+      if (at >= entry.msg.deadline) ++delivered_late;
+      ++region_delivered[dst];
+      region_latency_sum[dst] += at - entry.sent_at;
+      region_latency_max[dst] =
+          std::max(region_latency_max[dst], at - entry.sent_at);
+      out = entry.msg;
+      return true;
+    }
+    return false;
+  }
+
+  [[nodiscard]] Time next_delivery_time() const {
+    return in_flight.empty() ? kNoTime : in_flight.begin()->first.first;
+  }
+
+  [[nodiscard]] std::vector<std::uint8_t> save_encoding() const {
+    util::BinaryWriter writer;
+    for (const std::uint64_t word : rng.state()) writer.u64(word);
+    for (const std::uint8_t flag : partitioned) writer.u8(flag);
+    for (const std::uint8_t flag : down) writer.u8(flag);
+    writer.u64(in_flight.size());
+    for (const auto& [key, entry] : in_flight) {
+      writer.u64(key.first);
+      writer.u64(key.second);
+      writer.u64(entry.sent_at);
+      writer.u64(entry.msg.file);
+      writer.u32(entry.msg.index);
+      writer.u64(entry.msg.from_sector);
+      writer.u64(entry.msg.to_sector);
+      writer.u64(entry.msg.client);
+      writer.u64(entry.msg.deadline);
+    }
+    writer.u64(next_seq);
+    for (const std::uint64_t v : {sent, delivered, delivered_late, dropped_loss,
+                                  dropped_partition, dropped_down}) {
+      writer.u64(v);
+    }
+    for (const std::uint64_t v : region_delivered) writer.u64(v);
+    for (const std::uint64_t v : region_latency_sum) writer.u64(v);
+    for (const std::uint64_t v : region_latency_max) writer.u64(v);
+    return writer.data();
+  }
+};
+
+void expect_message_eq(const sim::TransferMessage& a,
+                       const sim::TransferMessage& b, std::size_t step) {
+  EXPECT_EQ(a.file, b.file) << "step " << step;
+  EXPECT_EQ(a.index, b.index) << "step " << step;
+  EXPECT_EQ(a.from_sector, b.from_sector) << "step " << step;
+  EXPECT_EQ(a.to_sector, b.to_sector) << "step " << step;
+  EXPECT_EQ(a.client, b.client) << "step " << step;
+  EXPECT_EQ(a.deadline, b.deadline) << "step " << step;
+}
+
+TEST(LayoutEquivalence, NetModelMatchesMultimapOracle) {
+  // regional_latency's profile, and one with no base latency, where sends
+  // land on the tick that is draining.
+  const sim::NetConfig configs[] = {
+      {.regions = 4,
+       .base_latency = 2,
+       .region_latency = 6,
+       .ticks_per_kib = 1,
+       .jitter = 4,
+       .drop_probability = 0.02},
+      {.regions = 3, .region_latency = 1, .jitter = 3},
+  };
+  for (const sim::NetConfig& config : configs) {
+    for (const std::uint64_t seed : kSeeds) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " base latency "
+                                      << config.base_latency);
+      Xoshiro256 rng(seed);
+      sim::NetModel model(config, seed + 1);
+      NetOracle oracle(config, seed + 1);
+      Time now = 0;
+      std::uint64_t file = 0;
+
+      for (std::size_t step = 0; step < kOpsPerSeed; ++step) {
+        const std::uint64_t op = rng.uniform_below(16);
+        if (op < 9) {
+          sim::TransferMessage msg;
+          msg.file = file++;
+          msg.index = static_cast<std::uint32_t>(rng.uniform_below(8));
+          msg.from_sector = rng.uniform_below(4) == 0 ? ~std::uint64_t{0}
+                                                      : rng.uniform_below(32);
+          msg.to_sector = rng.uniform_below(32);
+          msg.client = rng.uniform_below(4);
+          msg.deadline = now + rng.uniform_below(24);
+          const ByteCount bytes = rng.uniform_below(4096);
+          model.send(now, bytes, msg);
+          oracle.send(now, bytes, msg);
+        } else if (op < 15) {
+          // Pop a few, not always all, so later sends meet a part-drained
+          // tick.
+          now += rng.uniform_below(4);
+          const std::uint64_t pops = 1 + rng.uniform_below(8);
+          for (std::uint64_t i = 0; i < pops; ++i) {
+            sim::TransferMessage got;
+            sim::TransferMessage want;
+            const bool popped = model.pop_due(now, got);
+            ASSERT_EQ(popped, oracle.pop_due(now, want)) << "step " << step;
+            if (!popped) break;
+            expect_message_eq(got, want, step);
+          }
+        } else {
+          const std::uint64_t region = rng.uniform_below(config.regions);
+          const bool on = rng.uniform_below(4) == 0;
+          if (rng.uniform_below(2) == 0) {
+            model.set_region_partitioned(region, on);
+            oracle.partitioned[region] = on ? 1 : 0;
+          } else {
+            model.set_region_down(region, on);
+            oracle.down[region] = on ? 1 : 0;
+          }
+        }
+        ASSERT_EQ(model.in_flight(), oracle.in_flight.size()) << "step " << step;
+        ASSERT_EQ(model.next_delivery_time(), oracle.next_delivery_time())
+            << "step " << step;
+
+        if (step % 512 == 511) {
+          util::BinaryWriter writer;
+          model.save_state(writer);
+          const std::vector<std::uint8_t> encoded = writer.data();
+          ASSERT_EQ(encoded, oracle.save_encoding()) << "step " << step;
+
+          // Round trip, then continue on the loaded instance: it pushed the
+          // in-flight set in wire order.
+          sim::NetModel loaded(config, 0);
+          util::BinaryReader reader(encoded);
+          loaded.load_state(reader);
+          ASSERT_TRUE(reader.ok() && reader.exhausted()) << "step " << step;
+          util::BinaryWriter again;
+          loaded.save_state(again);
+          ASSERT_EQ(again.data(), encoded) << "step " << step;
+          model = std::move(loaded);
+        }
+      }
+      EXPECT_GT(oracle.delivered, kOpsPerSeed / 8);
+      EXPECT_GT(oracle.dropped_partition + oracle.dropped_down, 0u);
     }
   }
 }

@@ -323,6 +323,43 @@ TEST(NetSnapshot, MidPartitionRoundTripIsByteIdentical) {
   fs::remove(path);
 }
 
+TEST(NetSnapshot, ResumeRejectsMessageDueBeforeClock) {
+  scenario::ScenarioRunner saver(in_flight_spec());
+  ASSERT_EQ(saver.run_cycles(3), 3u);
+  const std::size_t in_flight = saver.netmodel().in_flight();
+  ASSERT_GT(in_flight, 0u);
+  const Time now = saver.network().now();
+  ASSERT_GT(saver.netmodel().next_delivery_time(), now);
+  const std::vector<std::uint8_t> canonical = snapshot::encode_state(saver);
+
+  // The NetModel encoding closes the body: RNG words, two flags per
+  // region, the entry count, 68 bytes per entry (deliver_at, seq, sent_at,
+  // message), the seq counter, six counters and three per-region arrays.
+  const std::size_t regions = saver.netmodel().regions();
+  const std::size_t tail = 32 + 2 * regions + 8 + 68 * in_flight + 8 + 6 * 8 +
+                           3 * 8 * regions;
+  const std::size_t deliver_at = canonical.size() - tail + 32 + 2 * regions + 8;
+  const std::size_t sent_at = deliver_at + 16;
+  const auto with = [&](std::size_t at, Time value,
+                        std::vector<std::uint8_t> body) {
+    for (std::size_t b = 0; b < 8; ++b) {
+      body[at + b] = static_cast<std::uint8_t>(value >> (8 * b));
+    }
+    return body;
+  };
+  ASSERT_EQ(with(deliver_at, saver.netmodel().next_delivery_time(), canonical),
+            canonical);
+  const auto resumes = [](const std::vector<std::uint8_t>& body) {
+    util::BinaryReader reader(body);
+    return scenario::ScenarioRunner::resume(in_flight_spec(), reader).is_ok();
+  };
+  EXPECT_TRUE(resumes(canonical));
+  // The earliest message may arrive at the restored clock, not before it.
+  EXPECT_TRUE(resumes(with(deliver_at, now, canonical)));
+  EXPECT_FALSE(resumes(
+      with(sent_at, now - 1, with(deliver_at, now - 1, canonical))));
+}
+
 TEST(NetSnapshot, TruncatedNetTailIsRejected) {
   // The net tail is the last thing in the body; chopping bytes off the
   // end must fail resume with a malformed-body error, never a silent

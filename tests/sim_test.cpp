@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -179,6 +181,67 @@ TEST(NetModel, SaveLoadRoundTripsInFlightMessages) {
   original.save_state(end_a);
   restored.save_state(end_b);
   EXPECT_EQ(end_a.data(), end_b.data());
+}
+
+TEST(NetModel, LoadRejectsBodiesSaveCannotProduce) {
+  // One region and no latency: each message is due at its send tick, so
+  // the three entries are (10, seq 0), (20, seq 1) and (20, seq 2).
+  NetModel original(NetConfig{}, 5);
+  original.send(10, 0, {.file = 1, .to_sector = 0, .deadline = 50});
+  original.send(20, 0, {.file = 2, .to_sector = 0, .deadline = 50});
+  original.send(20, 0, {.file = 3, .to_sector = 0, .deadline = 50});
+  util::BinaryWriter saved;
+  original.save_state(saved);
+  const std::vector<std::uint8_t>& canonical = saved.data();
+
+  // The RNG words and the two region flags, then the entry count; each
+  // entry is deliver_at, seq, sent_at and the 44-byte message.
+  constexpr std::size_t kFirst = 32 + 2 + 8;
+  constexpr std::size_t kEntry = 68;
+  constexpr std::size_t kSeq = 8;
+  constexpr std::size_t kSentAt = 16;
+  constexpr std::size_t kNextSeq = kFirst + 3 * kEntry;
+  const auto swapped = [&](std::size_t a, std::size_t b) {
+    std::vector<std::uint8_t> body = canonical;
+    std::swap_ranges(body.begin() + kFirst + a * kEntry,
+                     body.begin() + kFirst + (a + 1) * kEntry,
+                     body.begin() + kFirst + b * kEntry);
+    return body;
+  };
+  const auto edited = [&](std::size_t at, std::uint64_t value) {
+    std::vector<std::uint8_t> body = canonical;
+    for (std::size_t b = 0; b < 8; ++b) {
+      body[at + b] = static_cast<std::uint8_t>(value >> (8 * b));
+    }
+    return body;
+  };
+  const auto loads = [](const std::vector<std::uint8_t>& body) {
+    NetModel model(NetConfig{}, 5);
+    util::BinaryReader reader(body);
+    model.load_state(reader);
+    return reader.ok() && reader.exhausted();
+  };
+
+  ASSERT_EQ(edited(kFirst + 2 * kEntry + kSeq, 2), canonical);
+  ASSERT_EQ(edited(kNextSeq, 3), canonical);
+  EXPECT_TRUE(loads(canonical));
+  // A zero-latency message arrives at its send tick: sent_at == deliver_at.
+  ASSERT_EQ(edited(kFirst + kSentAt, 10), canonical);
+
+  const struct {
+    const char* what;
+    std::vector<std::uint8_t> body;
+  } cases[] = {
+      {"deliver_at decreases", swapped(0, 1)},
+      {"seq decreases within a tick", swapped(1, 2)},
+      {"duplicate (deliver_at, seq)", edited(kFirst + 2 * kEntry + kSeq, 1)},
+      {"seq equal to next_seq", edited(kFirst + 2 * kEntry + kSeq, 3)},
+      {"next_seq at a queued seq", edited(kNextSeq, 2)},
+      {"sent after delivery", edited(kFirst + kSentAt, 11)},
+  };
+  for (const auto& c : cases) {
+    EXPECT_FALSE(loads(c.body)) << c.what;
+  }
 }
 
 }  // namespace

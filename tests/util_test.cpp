@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -11,6 +12,7 @@
 #include "util/hex.h"
 #include "util/prng.h"
 #include "util/status.h"
+#include "util/time_queue.h"
 
 #include "stats_support.h"
 
@@ -291,6 +293,101 @@ TEST(Fenwick, SampleFromEmptyThrows) {
   Xoshiro256 rng(24);
   FenwickTree tree(3);
   EXPECT_THROW((void)tree.sample(rng), InvariantViolation);
+}
+
+// ---------------------------------------------------------------------------
+// TimeQueue
+// ---------------------------------------------------------------------------
+
+using Timed = std::vector<std::pair<Time, int>>;
+
+/// Every queued item in `for_each` order.
+Timed listed(const TimeQueue<int>& queue) {
+  Timed out;
+  queue.for_each([&out](Time at, int item) { out.emplace_back(at, item); });
+  return out;
+}
+
+/// Pops every item, in pop order.
+Timed drain(TimeQueue<int>& queue) {
+  Timed out;
+  while (!queue.empty()) {
+    out.emplace_back(queue.next_time(), queue.front());
+    queue.pop();
+  }
+  return out;
+}
+
+TEST(TimeQueue, PopsByTimeThenPushOrder) {
+  TimeQueue<int> queue;
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.next_time(), kNoTime);
+  queue.push(20, 1);
+  queue.push(20, 2);  // equal to the newest time: behind 1
+  queue.push(30, 3);  // later than every time
+  queue.push(10, 4);  // earlier than every time
+  queue.push(25, 5);  // between two times
+  queue.push(20, 6);  // equal to a middle time
+  queue.push(10, 7);  // equal to the front time
+  EXPECT_EQ(queue.size(), 7u);
+  EXPECT_EQ(queue.next_time(), 10u);
+  EXPECT_EQ(queue.front(), 4);
+  const Timed want = {{10, 4}, {10, 7}, {20, 1}, {20, 2},
+                      {20, 6}, {25, 5}, {30, 3}};
+  EXPECT_EQ(listed(queue), want);
+  EXPECT_EQ(drain(queue), want);
+  EXPECT_EQ(queue.next_time(), kNoTime);
+}
+
+TEST(TimeQueue, PushAtTheDrainingFrontTimeQueuesBehindIt) {
+  TimeQueue<int> queue;
+  for (int i = 0; i < 3; ++i) queue.push(5, i);
+  queue.push(9, 100);
+  queue.pop();  // the bucket at 5 is part drained
+  queue.push(5, 3);
+  queue.pop();
+  queue.push(5, 4);
+  EXPECT_EQ(queue.size(), 4u);
+  const Timed want = {{5, 2}, {5, 3}, {5, 4}, {9, 100}};
+  EXPECT_EQ(listed(queue), want);
+  EXPECT_EQ(drain(queue), want);
+}
+
+TEST(TimeQueue, EarlierPushesAfterDrainedTimesStayOrdered) {
+  // Draining the times 10 and 20 leaves retired slots before the live
+  // ones; times earlier than every live one fill them, then the front.
+  TimeQueue<int> queue;
+  for (int t = 1; t <= 6; ++t) queue.push(10 * t, t);
+  queue.pop();
+  queue.pop();
+  queue.push(15, 7);
+  queue.push(5, 8);
+  queue.push(3, 9);
+  queue.push(40, 10);
+  EXPECT_EQ(listed(queue), (Timed{{3, 9}, {5, 8}, {15, 7}, {30, 3},
+                                  {40, 4}, {40, 10}, {50, 5}, {60, 6}}));
+  // Draining past half the slots compacts them; order must not move.
+  for (int i = 0; i < 4; ++i) queue.pop();
+  queue.push(45, 11);
+  queue.push(35, 12);
+  EXPECT_EQ(drain(queue), (Timed{{35, 12}, {40, 4}, {40, 10}, {45, 11},
+                                 {50, 5}, {60, 6}}));
+}
+
+TEST(TimeQueue, ClearEmptiesAndStaysUsable) {
+  TimeQueue<int> queue;
+  for (int i = 0; i < 5; ++i) queue.push(i % 2 == 0 ? 3 : 8, i);
+  queue.pop();
+  queue.clear();
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.size(), 0u);
+  EXPECT_EQ(queue.next_time(), kNoTime);
+  EXPECT_TRUE(listed(queue).empty());
+  EXPECT_THROW((void)queue.front(), InvariantViolation);
+  EXPECT_THROW(queue.pop(), InvariantViolation);
+  queue.push(1, 9);
+  queue.push(0, 10);
+  EXPECT_EQ(drain(queue), (Timed{{0, 10}, {1, 9}}));
 }
 
 // ---------------------------------------------------------------------------
