@@ -4,7 +4,8 @@
 // Closed form first (the paper's 0.0046 example), then an end-to-end run of
 // the real protocol: register sectors at a given γ_deposit, store files,
 // corrupt half the capacity, run Auto_CheckProof to confiscation and
-// compensation, and report whether the pool covered every loss.
+// compensation, and report whether the pool covered every loss. Exits 1 if
+// a row at or above the theorem's gamma leaves liabilities.
 
 #include <cmath>
 #include <cstdio>
@@ -117,6 +118,7 @@ int main() {
               "covered", "liabilities", "full?");
   // The k=2 bound is deliberately conservative (its λ^{k/2-1} term pins
   // γ >= 1), so coverage only fails far below it.
+  bool all_hold = true;
   for (const double factor : {0.005, 0.02, 0.1, 1.0}) {
     const double gamma = bound * factor;
     double lost = 0.0, covered = 0.0;
@@ -130,6 +132,7 @@ int main() {
     }
     lost /= kTrials;
     covered /= kTrials;
+    if (factor >= 1.0 && liabilities != 0) all_hold = false;
     std::printf("%10.4f (%3.2fx) %11.4f %12.3f %12llu %10s\n", gamma, factor,
                 lost, covered, static_cast<unsigned long long>(liabilities),
                 (covered >= 0.999 && liabilities == 0) ? "yes" : "no");
@@ -137,5 +140,5 @@ int main() {
   std::printf(
       "\nShape check: at and above the theorem's gamma the pool covers every\n"
       "loss with zero outstanding liability; far below it, coverage fails.\n");
-  return 0;
+  return all_hold ? 0 : 1;
 }

@@ -1071,10 +1071,11 @@ util::Status Network::load(util::BinaryReader& reader) {
     }
     if (!reader.ok()) break;
     // The record must describe the allocation group of the same id: the
-    // engine walks `cp` of its entries and `cp` escrow flags.
+    // engine walks `cp` of its entries and `cp` escrow flags. File_Add
+    // admits no empty file.
     if (!alloc_table_.has_file(file) ||
         alloc_table_.replica_count(file) != rec.desc.cp ||
-        rec.traffic_escrowed.size() != rec.desc.cp) {
+        rec.traffic_escrowed.size() != rec.desc.cp || rec.desc.size == 0) {
       reader.fail();
       break;
     }
@@ -1087,6 +1088,33 @@ util::Status Network::load(util::BinaryReader& reader) {
   // component names exactly the files the allocation table holds.
   if (reader.ok() && files_.size() != alloc_table_.file_count()) {
     reader.fail();
+  }
+
+  // Cross-component checks: each disagreement would otherwise load and
+  // abort the run later (reference underflow, rent accumulator overflow,
+  // replica index out of range).
+  for (SectorId id = 0; reader.ok() && id < sector_table_.count(); ++id) {
+    const SectorState state = sector_table_.state(id);
+    const bool earns =
+        state == SectorState::normal || state == SectorState::disabled;
+    const std::uint64_t units =
+        sector_table_.capacity(id) / params_.min_capacity;
+    const RentAcc snapshot = sector_table_.rent_acc_snapshot(id);
+    if (sector_table_.ref_count(id) != alloc_table_.count_with_prev(id) +
+                                           alloc_table_.count_with_next(id) ||
+        snapshot > rent_acc_ ||
+        (earns && rent_acc_ - snapshot > ~RentAcc{0} / units)) {
+      reader.fail();
+    }
+  }
+  if (reader.ok()) {
+    pending_.for_each([&](Time, const Task& task) {
+      if (task.kind != TaskKind::check_refresh) return;
+      const auto it = files_.find(task.file);
+      if (it != files_.end() && task.index >= it->second.desc.cp) {
+        reader.fail();
+      }
+    });
   }
 
   if (!reader.ok()) {

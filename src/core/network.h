@@ -270,6 +270,11 @@ class Network {
   /// byte-identical to the uninterrupted run. Fails without engine
   /// side-effect guarantees on malformed input — callers verify the
   /// snapshot digest first and treat failure as fatal for this instance.
+  /// Besides each component's own checks, it fails a body whose
+  /// components disagree where a run would abort: a sector reference
+  /// count other than the entries that name the sector, a rent snapshot
+  /// above the accumulator or owing rent past 128 bits, a check_refresh
+  /// task past its live file's replicas, or a file of zero bytes.
   util::Status load(util::BinaryReader& reader);
 
   // ---- Component-structured state -----------------------------------------

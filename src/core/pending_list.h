@@ -73,13 +73,19 @@ class PendingList {
   [[nodiscard]] std::size_t size() const { return queue_.size(); }
   [[nodiscard]] bool empty() const { return queue_.empty(); }
 
+  /// Visits every task as `visit(time, task)`, in execution order.
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    queue_.for_each(visit);
+  }
+
   /// Canonical snapshot encoding: tasks in execution order, which is the
   /// queue's own order. `load` schedules in wire order, so relative order
   /// and hence pop order survive; it rejects times that decrease, which
   /// `save` cannot produce.
   void save(util::BinaryWriter& writer) const {
     writer.u64(queue_.size());
-    queue_.for_each([&writer](Time at, const Task& task) {
+    for_each([&writer](Time at, const Task& task) {
       writer.u64(at);
       writer.u8(static_cast<std::uint8_t>(task.kind));
       writer.u64(task.file);

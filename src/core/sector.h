@@ -83,6 +83,10 @@ class SectorTable {
     FI_CHECK_MSG(id < rent_acc_snapshots_.size(), "unknown sector id");
     return rent_acc_snapshots_[id];
   }
+  [[nodiscard]] std::uint32_t ref_count(SectorId id) const {
+    FI_CHECK_MSG(id < ref_counts_.size(), "unknown sector id");
+    return ref_counts_[id];
+  }
 
   /// `RandomSector()`: capacity-weighted draw over normal sectors.
   /// Fails when no normal sector exists.

@@ -163,14 +163,14 @@ void ScenarioRunner::build_network() {
 
   // Retrieval budget: the worst-case request volume per cycle (diurnal
   // peak, flash multiplier, every hammer gang at full rate) times the
-  // worst-case per-request cost (lookup gas plus the dearer ask tier,
-  // surge-repriced when the defense can flag).
+  // worst-case per-request cost (lookup gas plus the dearer, odd-sector
+  // ask tier, surge-repriced when the defense can flag).
   TokenAmount traffic_budget = 0;
   if (spec_.traffic.enabled) {
     const traffic::TrafficSpec& t = spec_.traffic;
     const TokenAmount kib = (spec_.file_size_max + 1023) / 1024;
     TokenAmount per_request = util::checked_add(
-        p.gas_per_task, util::checked_mul(t.price_per_kib + 1, kib));
+        p.gas_per_task, util::checked_mul(t.ask_of(1), kib));
     if (t.defense_enabled) {
       per_request = util::checked_mul(per_request, t.defense_surge);
     }
@@ -872,37 +872,21 @@ MetricsReport ScenarioRunner::finalize() {
     if (traffic_ != nullptr &&
         adv.spec.kind == adversary::StrategyKind::retrieval_ddos) {
       // The gang's demand-side outcome, summed over its stream block.
-      std::uint64_t attempted = 0;
-      std::uint64_t limited = 0;
-      std::uint64_t dropped = 0;
-      std::uint64_t enqueued = 0;
-      std::uint64_t flagged = 0;
-      std::uint64_t first_flag = traffic::kNeverFlagged;
-      for (std::uint64_t g = 0; g < adv.spec.gang; ++g) {
-        const std::uint64_t stream = gang_base_[i] + g;
-        attempted += traffic_->attempted(stream);
-        limited += traffic_->rate_limited(stream);
-        dropped += traffic_->dropped(stream);
-        enqueued += traffic_->enqueued(stream);
-        if (traffic_->flagged(stream)) {
-          ++flagged;
-          first_flag =
-              std::min(first_flag, traffic_->first_flagged_epoch(stream));
-        }
-      }
+      const traffic::StreamTotals gang =
+          traffic_->stream_totals(gang_base_[i], adv.spec.gang);
       adv.counters.set_extra("requests_attempted",
-                             static_cast<double>(attempted));
+                             static_cast<double>(gang.attempted));
       adv.counters.set_extra("requests_rate_limited",
-                             static_cast<double>(limited));
+                             static_cast<double>(gang.rate_limited));
       adv.counters.set_extra("requests_dropped",
-                             static_cast<double>(dropped));
+                             static_cast<double>(gang.dropped));
       adv.counters.set_extra("requests_enqueued",
-                             static_cast<double>(enqueued));
+                             static_cast<double>(gang.enqueued));
       adv.counters.set_extra("streams_flagged",
-                             static_cast<double>(flagged));
-      if (first_flag != traffic::kNeverFlagged) {
+                             static_cast<double>(gang.flagged));
+      if (gang.first_flagged_epoch != traffic::kNeverFlagged) {
         adv.counters.set_extra("first_flagged_epoch",
-                               static_cast<double>(first_flag));
+                               static_cast<double>(gang.first_flagged_epoch));
       }
     } else if (traffic_ != nullptr &&
                adv.spec.kind == adversary::StrategyKind::cartel_starver) {

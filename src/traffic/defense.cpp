@@ -44,12 +44,6 @@ void PoissonEnvelopeDefense::end_epoch(std::uint64_t epoch) {
   std::fill(epoch_counts_.begin(), epoch_counts_.end(), 0);
 }
 
-std::uint64_t PoissonEnvelopeDefense::flagged_count() const {
-  std::uint64_t n = 0;
-  for (const std::uint64_t f : flagged_) n += f;
-  return n;
-}
-
 std::uint64_t PoissonEnvelopeDefense::allowance() const {
   const std::uint64_t cap = static_cast<std::uint64_t>(envelope_);
   return cap < 1 ? 1 : cap;

@@ -59,12 +59,10 @@ class PoissonEnvelopeDefense {
   [[nodiscard]] std::uint64_t first_flagged_epoch(std::size_t stream) const {
     return first_flag_epoch_[stream];
   }
-  [[nodiscard]] std::uint64_t flagged_count() const;
   /// Per-epoch request allowance for a flagged stream under rate
   /// limiting: the envelope floor, never below one (a flagged client may
   /// still make sporadic valid requests).
   [[nodiscard]] std::uint64_t allowance() const;
-  [[nodiscard]] std::size_t streams() const { return flagged_.size(); }
 
   /// Canonical snapshot encoding / restore (`src/snapshot`). The
   /// configuration (warmup, k, violations) is rebuilt from the spec.

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <numeric>
 
+#include "util/check.h"
 #include "util/checked.h"
 #include "util/distributions.h"
 
@@ -29,6 +31,48 @@ void grow_to(std::vector<std::uint64_t>& v, std::size_t index) {
   if (index >= v.size()) v.resize(index + 1, 0);
 }
 
+std::uint64_t sum(const std::vector<std::uint64_t>& v) {
+  return std::accumulate(v.begin(), v.end(), std::uint64_t{0});
+}
+
+/// Writes one market book: the rows (sector, `value(sector)`) of the
+/// sectors `in_book` selects, in ascending sector order.
+template <typename InBook, typename Value>
+void save_book(util::BinaryWriter& writer, SectorId sectors, InBook in_book,
+               Value value) {
+  std::uint64_t rows = 0;
+  for (SectorId sector = 0; sector < sectors; ++sector) {
+    rows += in_book(sector) ? 1 : 0;
+  }
+  writer.u64(rows);
+  for (SectorId sector = 0; sector < sectors; ++sector) {
+    if (!in_book(sector)) continue;
+    writer.u64(sector);
+    writer.u64(value(sector));
+  }
+}
+
+/// Reads one book `save_book` wrote, handing each row to `take`, and
+/// returns its row count. Sectors must ascend strictly and stay below
+/// `sector_count`, so no loaded key sizes more than the network holds.
+template <typename Take>
+std::uint64_t load_book(util::BinaryReader& reader, SectorId sector_count,
+                        Take take) {
+  const std::uint64_t rows = reader.count(16);
+  SectorId next_min = 0;
+  for (std::uint64_t i = 0; i < rows && reader.ok(); ++i) {
+    const SectorId sector = reader.u64();
+    const std::uint64_t value = reader.u64();
+    if (sector < next_min || sector >= sector_count) {
+      reader.fail();
+      break;
+    }
+    next_min = sector + 1;
+    take(sector, value);
+  }
+  return rows;
+}
+
 }  // namespace
 
 TrafficEngine::TrafficEngine(const TrafficSpec& spec, core::Network& net,
@@ -36,11 +80,11 @@ TrafficEngine::TrafficEngine(const TrafficSpec& spec, core::Network& net,
                              std::uint64_t seed, std::uint64_t total_streams)
     : spec_(spec),
       net_(net),
+      ledger_(ledger),
       client_(client),
       streams_(total_streams),
       honest_streams_(spec.streams),
       rng_(seed),
-      market_(ledger, spec.price_per_kib),
       attempted_(total_streams, 0),
       rate_limited_(total_streams, 0),
       dropped_(total_streams, 0),
@@ -100,7 +144,6 @@ void TrafficEngine::service_tick() {
     queues_[sector] -= take;
     grow_to(sector_served_, sector);
     sector_served_[sector] += take;
-    served_total_ += take;
   }
 }
 
@@ -121,7 +164,6 @@ void TrafficEngine::cache_admit(FileId file) {
 void TrafficEngine::issue(std::uint64_t stream, FileId file) {
   const std::size_t si = static_cast<std::size_t>(stream);
   ++attempted_[si];
-  ++attempted_total_;
   if (defense_ != nullptr) {
     // Offered load is observed before the limiter: a flagged stream
     // cannot launder its counts back under the envelope by being limited.
@@ -129,7 +171,6 @@ void TrafficEngine::issue(std::uint64_t stream, FileId file) {
     if (defense_->flagged(si) && spec_.defense_rate_limit &&
         admitted_epoch_[si] >= defense_->allowance()) {
       ++rate_limited_[si];
-      ++rate_limited_total_;
       return;
     }
   }
@@ -155,7 +196,6 @@ void TrafficEngine::issue(std::uint64_t stream, FileId file) {
   candidates_.resize(kept);
   if (candidates_.empty()) {
     ++starved_[si];
-    ++starved_total_;
     return;
   }
 
@@ -176,8 +216,9 @@ void TrafficEngine::issue(std::uint64_t stream, FileId file) {
   TokenAmount best_price = 0;
   std::uint64_t best_queue = 0;
   for (const SectorId candidate : candidates_) {
-    market_.post_ask(candidate);
-    const TokenAmount price = market_.ask_of(candidate);
+    if (candidate >= books_.size()) books_.resize(candidate + 1);
+    books_[candidate].asked = true;
+    const TokenAmount price = spec_.ask_of(candidate);
     const std::uint64_t depth = queue_depth(candidate);
     if (best == kNoSector || price < best_price ||
         (price == best_price &&
@@ -190,24 +231,30 @@ void TrafficEngine::issue(std::uint64_t stream, FileId file) {
 
   if (best_queue >= spec_.queue_limit) {
     ++dropped_[si];
-    ++dropped_total_;
     grow_to(sector_dropped_, best);
     ++sector_dropped_[best];
     return;
   }
 
   const ByteCount bytes = size.value();
-  TokenAmount price = market_.quote(best, bytes);
+  TokenAmount price = util::checked_mul(best_price, (bytes + 1023) / 1024);
   if (defense_ != nullptr && defense_->flagged(si)) {
     // Surge repricing: a flagged stream pays a multiple for every request
     // it is still allowed — abuse gets expensive before it gets blocked.
     price = util::checked_mul(price, spec_.defense_surge);
   }
-  const AccountId payee = net_.sectors().owner(best);
-  if (!market_.settle_to(client_, best, payee, bytes, price).is_ok()) {
+  // Settlement: the client pays the seller sector's owner; a client that
+  // cannot pay records nothing.
+  if (!ledger_.transfer(client_, net_.sectors().owner(best), price)
+           .is_ok()) {
     ++payment_failures_;
     return;
   }
+  SectorBook& book = books_[best];
+  book.served = util::checked_add(book.served, bytes);
+  book.revenue = util::checked_add(book.revenue, price);
+  bytes_served_ = util::checked_add(bytes_served_, bytes);
+  revenue_ = util::checked_add(revenue_, price);
 
   const std::uint64_t latency =
       best_queue / spec_.provider_capacity + extra_latency;
@@ -215,7 +262,6 @@ void TrafficEngine::issue(std::uint64_t stream, FileId file) {
   grow_to(queues_, best);
   ++queues_[best];
   ++enqueued_[si];
-  ++enqueued_total_;
 }
 
 void TrafficEngine::on_epoch(std::uint64_t epoch,
@@ -263,37 +309,57 @@ void TrafficEngine::on_epoch(std::uint64_t epoch,
   ++epochs_run_;
 }
 
+StreamTotals TrafficEngine::stream_totals(std::uint64_t first,
+                                          std::uint64_t count) const {
+  FI_CHECK_MSG(first <= streams_ && count <= streams_ - first,
+               "stream block out of range");
+  StreamTotals t;
+  for (std::uint64_t stream = first; stream < first + count; ++stream) {
+    t.attempted += attempted_[stream];
+    t.rate_limited += rate_limited_[stream];
+    t.starved += starved_[stream];
+    t.dropped += dropped_[stream];
+    t.enqueued += enqueued_[stream];
+    if (defense_ != nullptr && defense_->flagged(stream)) {
+      ++t.flagged;
+      t.first_flagged_epoch = std::min(
+          t.first_flagged_epoch, defense_->first_flagged_epoch(stream));
+    }
+  }
+  return t;
+}
+
 TrafficMetrics TrafficEngine::metrics() const {
+  const StreamTotals all = stream_totals(0, streams_);
   TrafficMetrics m;
   m.enabled = true;
   m.epochs = epochs_run_;
   m.streams = streams_;
   m.honest_streams = honest_streams_;
-  m.requests_attempted = attempted_total_;
-  m.rate_limited = rate_limited_total_;
+  m.requests_attempted = all.attempted;
+  m.rate_limited = all.rate_limited;
   m.lookup_failures = lookup_failures_;
-  m.starved = starved_total_;
-  m.dropped = dropped_total_;
-  m.enqueued = enqueued_total_;
-  m.served = served_total_;
-  for (const std::uint64_t depth : queues_) m.backlog += depth;
+  m.starved = all.starved;
+  m.dropped = all.dropped;
+  m.enqueued = all.enqueued;
+  m.served = sum(sector_served_);
+  m.backlog = sum(queues_);
   m.cache_hits = cache_hits_;
   m.cache_misses = cache_misses_;
   m.payment_failures = payment_failures_;
-  m.retrievals_settled = market_.retrievals_settled();
-  m.bytes_served = market_.total_bytes_served();
-  m.revenue = market_.total_revenue();
-  m.p50_latency = percentile(hist_, enqueued_total_, 1, 2);
-  m.p99_latency = percentile(hist_, enqueued_total_, 99, 100);
+  // Every settled request is enqueued right after it pays.
+  m.retrievals_settled = all.enqueued;
+  m.bytes_served = bytes_served_;
+  m.revenue = revenue_;
+  m.p50_latency = percentile(hist_, all.enqueued, 1, 2);
+  m.p99_latency = percentile(hist_, all.enqueued, 99, 100);
+  m.flagged_streams = all.flagged;
+  m.first_flagged_epoch = all.first_flagged_epoch;
   if (defense_ != nullptr) {
     m.defense_armed = defense_->armed();
     m.defense_envelope = defense_->envelope();
-    m.flagged_streams = defense_->flagged_count();
     for (std::uint64_t stream = 0; stream < streams_; ++stream) {
-      if (!defense_->flagged(stream)) continue;
-      m.flagged_stream_ids.push_back(stream);
-      m.first_flagged_epoch = std::min(
-          m.first_flagged_epoch, defense_->first_flagged_epoch(stream));
+      if (defense_->flagged(stream)) m.flagged_stream_ids.push_back(stream);
     }
   }
   std::vector<ProviderQoS> qos;
@@ -318,8 +384,21 @@ TrafficMetrics TrafficEngine::metrics() const {
 }
 
 void TrafficEngine::save_state(util::BinaryWriter& writer) const {
+  const StreamTotals all = stream_totals(0, streams_);
   for (const std::uint64_t word : rng_.state()) writer.u64(word);
-  market_.save_state(writer);
+  const SectorId sectors = books_.size();
+  save_book(
+      writer, sectors, [&](SectorId s) { return books_[s].asked; },
+      [&](SectorId s) { return spec_.ask_of(s); });
+  save_book(
+      writer, sectors, [&](SectorId s) { return books_[s].served > 0; },
+      [&](SectorId s) { return books_[s].served; });
+  save_book(
+      writer, sectors, [&](SectorId s) { return books_[s].served > 0; },
+      [&](SectorId s) { return books_[s].revenue; });
+  writer.u64(all.enqueued);  // the settled count
+  writer.u64(bytes_served_);
+  writer.u64(revenue_);
   // The cache is encoded as its live FIFO window (insertion order), from
   // which load_state rebuilds the membership set.
   writer.u64(cache_fifo_.size() - cache_head_);
@@ -344,13 +423,13 @@ void TrafficEngine::save_state(util::BinaryWriter& writer) const {
   util::save_u64_seq(writer, starved_);
   util::save_u64_seq(writer, enqueued_);
   util::save_u64_seq(writer, admitted_epoch_);
-  writer.u64(attempted_total_);
-  writer.u64(rate_limited_total_);
+  writer.u64(all.attempted);
+  writer.u64(all.rate_limited);
   writer.u64(lookup_failures_);
-  writer.u64(starved_total_);
-  writer.u64(dropped_total_);
-  writer.u64(enqueued_total_);
-  writer.u64(served_total_);
+  writer.u64(all.starved);
+  writer.u64(all.dropped);
+  writer.u64(all.enqueued);
+  writer.u64(sum(sector_served_));
   writer.u64(cache_hits_);
   writer.u64(cache_misses_);
   writer.u64(payment_failures_);
@@ -363,7 +442,33 @@ void TrafficEngine::load_state(util::BinaryReader& reader) {
   std::array<std::uint64_t, 4> rng_state{};
   for (std::uint64_t& word : rng_state) word = reader.u64();
   rng_.set_state(rng_state);
-  market_.load_state(reader, net_.sectors().count());
+  books_.clear();
+  const SectorId sector_count = net_.sectors().count();
+  const auto book_of = [&](SectorId sector) -> SectorBook& {
+    if (sector >= books_.size()) books_.resize(sector + 1);
+    return books_[sector];
+  };
+  load_book(reader, sector_count, [&](SectorId sector, std::uint64_t ask) {
+    if (ask != spec_.ask_of(sector)) reader.fail();
+    book_of(sector).asked = true;
+  });
+  const std::uint64_t sold = load_book(
+      reader, sector_count, [&](SectorId sector, std::uint64_t served) {
+        if (served == 0) reader.fail();
+        book_of(sector).served = served;
+      });
+  // Both books ascend strictly, so equal row counts plus every revenue
+  // sector having a served row make their key sets equal.
+  const std::uint64_t paid = load_book(
+      reader, sector_count, [&](SectorId sector, std::uint64_t revenue) {
+        SectorBook& book = book_of(sector);
+        if (book.served == 0) reader.fail();
+        book.revenue = revenue;
+      });
+  if (paid != sold) reader.fail();
+  const std::uint64_t settled = reader.u64();
+  bytes_served_ = reader.u64();
+  revenue_ = reader.u64();
   cache_fifo_ = util::load_u64_seq<FileId>(reader);
   cache_head_ = 0;
   cached_.clear();
@@ -393,13 +498,14 @@ void TrafficEngine::load_state(util::BinaryReader& reader) {
   starved_ = util::load_u64_seq<std::uint64_t>(reader);
   enqueued_ = util::load_u64_seq<std::uint64_t>(reader);
   admitted_epoch_ = util::load_u64_seq<std::uint64_t>(reader);
-  attempted_total_ = reader.u64();
-  rate_limited_total_ = reader.u64();
+  StreamTotals stored;
+  stored.attempted = reader.u64();
+  stored.rate_limited = reader.u64();
   lookup_failures_ = reader.u64();
-  starved_total_ = reader.u64();
-  dropped_total_ = reader.u64();
-  enqueued_total_ = reader.u64();
-  served_total_ = reader.u64();
+  stored.starved = reader.u64();
+  stored.dropped = reader.u64();
+  stored.enqueued = reader.u64();
+  const std::uint64_t served = reader.u64();
   cache_hits_ = reader.u64();
   cache_misses_ = reader.u64();
   payment_failures_ = reader.u64();
@@ -420,6 +526,18 @@ void TrafficEngine::load_state(util::BinaryReader& reader) {
   }
   for (const std::uint64_t flag : serve_refused_) {
     if (flag > 1) reader.fail();
+  }
+  // Each total is a sum of the counters above, and the settled count is
+  // the enqueued total.
+  if (reader.ok()) {
+    const StreamTotals sums = stream_totals(0, streams_);
+    if (stored.attempted != sums.attempted ||
+        stored.rate_limited != sums.rate_limited ||
+        stored.starved != sums.starved || stored.dropped != sums.dropped ||
+        stored.enqueued != sums.enqueued || settled != sums.enqueued ||
+        served != sum(sector_served_)) {
+      reader.fail();
+    }
   }
 }
 

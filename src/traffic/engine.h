@@ -6,14 +6,14 @@
 #include <vector>
 
 #include "core/network.h"
-#include "core/retrieval_market.h"
 #include "core/types.h"
+#include "ledger/account.h"
 #include "traffic/defense.h"
 #include "traffic/spec.h"
 #include "util/binary_io.h"
 #include "util/prng.h"
 
-/// Retrieval-traffic engine: the demand side of the retrieval market.
+/// Retrieval-traffic engine and the retrieval market it trades on.
 ///
 /// The DSN stores files; this layer asks for them back. Each epoch it
 /// generates a stream-structured request load over the live file set —
@@ -21,12 +21,17 @@
 /// flash crowd concentrating on one hot file — plus whatever the
 /// adversary layer injected (`retrieval_ddos` hammers), and pushes every
 /// request through the paper's File_Get / retrieval-market pipeline
-/// (§III-A2): holder lookup on chain, cheapest-cooperative-holder
-/// selection, off-chain settlement on the shared ledger. Per-sector
-/// queues with bounded depth and fixed service capacity turn request
-/// volume into QoS: queueing latency (in simulated cycles), drops under
-/// overload, starvation when every holder refuses to serve
-/// (`cartel_starver`).
+/// (§III-A2, §III-E): "the providers who store this file compete to
+/// respond to the request for the corresponding payment ... the clients
+/// and providers exchange the file without the witness of DSN." Holder
+/// lookup is on chain; the cheapest cooperative holder serves, at the
+/// ask `TrafficSpec::ask_of` quotes, and the client pays its owner
+/// directly — off-chain from the DSN's point of view, on the shared
+/// ledger for accounting. The market's ask, served and revenue books are
+/// kept per sector. Per-sector queues with bounded depth and fixed service
+/// capacity turn request volume into QoS: queueing latency (in simulated
+/// cycles), drops under overload, starvation when every holder refuses to
+/// serve (`cartel_starver`).
 ///
 /// When the defense is enabled, a `PoissonEnvelopeDefense` watches every
 /// stream's offered load and flags abusive ones; flagged streams are
@@ -51,6 +56,21 @@ struct ProviderQoS {
   std::uint64_t served = 0;
   std::uint64_t dropped = 0;
   std::uint64_t backlog = 0;
+};
+
+/// Request outcomes summed over a block of streams.
+struct StreamTotals {
+  std::uint64_t attempted = 0;
+  std::uint64_t rate_limited = 0;
+  std::uint64_t starved = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t enqueued = 0;
+  /// Streams the defense has flagged, and the earliest epoch any of them
+  /// was (`kNeverFlagged` if none).
+  // fi-lint: not-serialized(read from the defense, which encodes its flags)
+  std::uint64_t flagged = 0;
+  // fi-lint: not-serialized(read from the defense, which encodes its flags)
+  std::uint64_t first_flagged_epoch = kNeverFlagged;
 };
 
 /// Aggregated traffic metrics for `scenario::MetricsReport`.
@@ -116,35 +136,25 @@ class TrafficEngine {
   /// live-file list (popularity rank = list order).
   void on_epoch(std::uint64_t epoch, const std::vector<FileId>& live_files);
 
-  // ---- Per-stream accounting (adversary run-end extras) -------------------
-  [[nodiscard]] std::uint64_t attempted(std::uint64_t stream) const {
-    return attempted_[stream];
-  }
-  [[nodiscard]] std::uint64_t rate_limited(std::uint64_t stream) const {
-    return rate_limited_[stream];
-  }
-  [[nodiscard]] std::uint64_t dropped(std::uint64_t stream) const {
-    return dropped_[stream];
-  }
-  [[nodiscard]] std::uint64_t enqueued(std::uint64_t stream) const {
-    return enqueued_[stream];
-  }
-  [[nodiscard]] bool flagged(std::uint64_t stream) const {
-    return defense_ != nullptr && defense_->flagged(stream);
-  }
-  [[nodiscard]] std::uint64_t first_flagged_epoch(std::uint64_t stream) const {
-    return defense_ == nullptr ? kNeverFlagged
-                               : defense_->first_flagged_epoch(stream);
-  }
-  [[nodiscard]] std::uint64_t streams() const { return streams_; }
+  /// Sums streams [first, first + count): every stream for the report,
+  /// one gang's block for its adversary extras.
+  [[nodiscard]] StreamTotals stream_totals(std::uint64_t first,
+                                           std::uint64_t count) const;
 
   /// Aggregates the current counters into a report block.
   [[nodiscard]] TrafficMetrics metrics() const;
 
   /// Canonical snapshot encoding / restore (`src/snapshot`). The spec,
-  /// network wiring, client id and stream layout are rebuilt from the
-  /// scenario spec before `load_state`, and the network is loaded first:
-  /// the market's books may name only sectors it holds.
+  /// network and ledger wiring, client id and stream layout are rebuilt
+  /// from the scenario spec before `load_state`, and the network is loaded
+  /// first: the market's books may name only sectors it holds. The body
+  /// keeps the request totals (and the market's settled count, which is
+  /// the enqueued total) beside the per-stream and per-sector counters
+  /// they sum; `save_state` writes the sums there, and `load_state`
+  /// rejects a body whose stored total is not its sum. The books are
+  /// (sector, value) rows in ascending sector order: every ask `ask_of`
+  /// its sector, every served row positive, and one key set for the
+  /// served and revenue books.
   void save_state(util::BinaryWriter& writer) const;
   void load_state(util::BinaryReader& reader);
 
@@ -159,6 +169,16 @@ class TrafficEngine {
   /// flash-crowd multiplier.
   [[nodiscard]] std::uint64_t rate_for(std::uint64_t epoch) const;
   [[nodiscard]] bool flash_active(std::uint64_t epoch) const;
+  /// One sector's rows in the market's three books.
+  struct SectorBook {
+    /// In the ask book (has competed for a request).
+    bool asked = false;
+    /// The served and revenue books: a sector has sold iff `served > 0`
+    /// (every file is at least one byte).
+    ByteCount served = 0;
+    TokenAmount revenue = 0;
+  };
+
   /// Runs one request through the full pipeline (defense, lookup,
   /// refusal filter, cache, selection, queueing, settlement).
   void issue(std::uint64_t stream, FileId file);
@@ -176,6 +196,8 @@ class TrafficEngine {
   TrafficSpec spec_;
   // fi-lint: not-serialized(runtime wiring, re-supplied on construction)
   core::Network& net_;
+  // fi-lint: not-serialized(runtime wiring, re-supplied on construction)
+  ledger::Ledger& ledger_;
   // fi-lint: not-serialized(construction input, rebuilt by the runner)
   ClientId client_;
   // fi-lint: not-serialized(derived from the spec and the adversary list)
@@ -190,7 +212,10 @@ class TrafficEngine {
   std::vector<SectorId> candidates_;
 
   util::Xoshiro256 rng_;
-  core::RetrievalMarket market_;
+  /// The market's books, indexed by sector id, grown on demand.
+  std::vector<SectorBook> books_;
+  ByteCount bytes_served_ = 0;
+  TokenAmount revenue_ = 0;
   /// Provider-side content cache: cached files in insertion order;
   /// `cache_head_` marks the FIFO front (ring-style so eviction is O(1),
   /// compacted when stale).
@@ -219,13 +244,7 @@ class TrafficEngine {
   /// each epoch close.
   std::vector<std::uint64_t> admitted_epoch_;
 
-  std::uint64_t attempted_total_ = 0;
-  std::uint64_t rate_limited_total_ = 0;
   std::uint64_t lookup_failures_ = 0;
-  std::uint64_t starved_total_ = 0;
-  std::uint64_t dropped_total_ = 0;
-  std::uint64_t enqueued_total_ = 0;
-  std::uint64_t served_total_ = 0;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
   std::uint64_t payment_failures_ = 0;

@@ -1,5 +1,7 @@
 #include "traffic/spec.h"
 
+#include <limits>
+
 namespace fi::traffic {
 
 namespace {
@@ -120,6 +122,11 @@ util::Status TrafficSpec::validate() const {
   if (queue_limit == 0) {
     return util::err(util::ErrorCode::invalid_argument,
                      "traffic.queue_limit must be positive");
+  }
+  if (price_per_kib == std::numeric_limits<TokenAmount>::max()) {
+    return util::err(util::ErrorCode::invalid_argument,
+                     "traffic.price_per_kib must be below 2^64 - 1 (odd "
+                     "sectors ask one more)");
   }
   if (!defense_enabled) {
     if (defense_warmup != kTrafficDefaults.defense_warmup ||

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/types.h"
 #include "util/config.h"
 #include "util/status.h"
 
@@ -57,7 +58,8 @@ struct TrafficSpec {
   /// Provider-side hot content cache (FIFO, in blocks): a miss costs one
   /// extra latency cycle. 0 disables the cache model.
   std::uint64_t cache_blocks = 4096;
-  /// Default retrieval-market ask, tokens per KiB served.
+  /// Retrieval-market ask of the even sectors, tokens per KiB served
+  /// (`ask_of`).
   std::uint64_t price_per_kib = 1;
 
   /// Poisson-envelope defense: after `defense.warmup` epochs of
@@ -80,6 +82,15 @@ struct TrafficSpec {
   /// Reads the `traffic.*` block (absent block => `enabled == false` and
   /// every knob at its default).
   static util::Result<TrafficSpec> from_config(const util::Config& config);
+
+  /// A sector's ask per KiB: two price tiers keyed off the id parity
+  /// (odd sectors ask one more), enough spread that cheapest-wins
+  /// selection is exercised, and a pure function of the sector id, so a
+  /// resumed run quotes identically. `validate` keeps the odd tier in
+  /// range.
+  [[nodiscard]] TokenAmount ask_of(core::SectorId sector) const {
+    return price_per_kib + (sector & 1);
+  }
 
   /// Cross-field validation; `where` prefixes error messages ("traffic").
   [[nodiscard]] util::Status validate() const;

@@ -204,6 +204,17 @@ TEST(FiSimCli, InputFailuresExitOne) {
   EXPECT_EQ(oversized.exit_code, 1);
   EXPECT_NE(oversized.err.find("scenario setup too large"), std::string::npos)
       << oversized.err;
+
+  // The odd-sector ask tier, one above the price, would wrap: validation
+  // names the key before the run starts.
+  const CommandResult price =
+      fi_sim("--scenario " +
+             (fs::path(FI_CONFIG_DIR) / "retrieval_zipf.cfg").string() +
+             " --out /dev/null --set "
+             "traffic.price_per_kib=18446744073709551615");
+  EXPECT_EQ(price.exit_code, 1);
+  EXPECT_NE(price.err.find("traffic.price_per_kib"), std::string::npos)
+      << price.err;
 }
 
 TEST(FiSimCli, WrappingRentPeriodExitsOne) {

@@ -753,8 +753,118 @@ TEST_F(NetworkFixture, LoadRejectsFileRecordsThatDisagreeWithAllocations) {
   no_group[kId] = static_cast<std::uint8_t>(id + 100);
   EXPECT_FALSE(loads(no_group));
 
+  std::vector<std::uint8_t> empty = canonical;  // size 0: File_Add rejects it
+  std::fill_n(empty.begin() + kId + 8, 8, std::uint8_t{0});
+  EXPECT_FALSE(loads(empty));
+
   // No record: the allocation table holds a file the component omits.
   EXPECT_FALSE(loads(std::vector<std::uint8_t>(8, 0)));
+}
+
+/// The fixture engine's snapshot body with `component` encoded as `bytes`,
+/// and whether a fresh engine loads it.
+bool loads_with(const Network& net, Network::StateComponent component,
+                const std::vector<std::uint8_t>& bytes) {
+  util::BinaryWriter body;
+  for (std::size_t c = 0; c < Network::kStateComponentCount; ++c) {
+    const auto at = static_cast<Network::StateComponent>(c);
+    if (at == component) {
+      body.raw(bytes);
+    } else {
+      net.save_state_component(at, body);
+    }
+  }
+  ledger::Ledger fresh_ledger;
+  Network fresh(net.params(), fresh_ledger, /*seed=*/7);
+  util::BinaryReader reader(body.data());
+  return fresh.load(reader).is_ok();
+}
+
+std::vector<std::uint8_t> component_of(const Network& net,
+                                       Network::StateComponent component) {
+  util::BinaryWriter writer;
+  net.save_state_component(component, writer);
+  return writer.data();
+}
+
+/// Overwrites `width` little-endian bytes at `at` with `value`.
+void put_le(std::vector<std::uint8_t>& bytes, std::size_t at,
+            unsigned __int128 value, std::size_t width) {
+  for (std::size_t b = 0; b < width; ++b) {
+    bytes[at + b] = static_cast<std::uint8_t>(value >> (8 * b));
+  }
+}
+
+// A sector row after the u64 count: id, owner, capacity, free, state byte,
+// registered_at, u32 reference count, u128 rent snapshot.
+constexpr std::size_t kSectorRow = 61;
+constexpr std::size_t kRefCountAt = 41;
+constexpr std::size_t kRentSnapshotAt = 45;
+
+TEST_F(NetworkFixture, LoadRejectsReferenceCountsThatDisagreeWithEntries) {
+  build(test_params());
+  const FileId id = add_and_store(1000, 20);
+  const SectorId holder = net->allocations().entry(id, 0).prev;
+  const std::uint32_t refs = net->sectors().at(holder).ref_count;
+  ASSERT_GT(refs, 0u);
+  const auto sectors = component_of(*net, Network::StateComponent::sectors);
+  const std::size_t ref_at = 8 + holder * kSectorRow + kRefCountAt;
+  ASSERT_EQ(sectors[ref_at], refs);
+  EXPECT_TRUE(loads_with(*net, Network::StateComponent::sectors, sectors));
+  for (const std::uint32_t count : {0u, refs - 1, refs + 1}) {
+    std::vector<std::uint8_t> off = sectors;
+    put_le(off, ref_at, count, 4);
+    EXPECT_FALSE(loads_with(*net, Network::StateComponent::sectors, off))
+        << count;
+  }
+}
+
+TEST_F(NetworkFixture, LoadRejectsRentSnapshotsPastTheAccumulator) {
+  build(test_params());
+  (void)add_and_store(1000, 20);
+  // Every sector earns; each is 4 units, and every snapshot is zero.
+  ASSERT_EQ(net->sectors().at(0).rent_acc_snapshot, 0u);
+  const auto sectors = component_of(*net, Network::StateComponent::sectors);
+  std::vector<std::uint8_t> ahead = sectors;
+  put_le(ahead, 8 + kRentSnapshotAt, ~RentAcc{0}, 16);
+  EXPECT_FALSE(loads_with(*net, Network::StateComponent::sectors, ahead));
+
+  // The accumulator follows the five system-account ids, the PRNG state,
+  // the clock, the next file id and the stored value.
+  constexpr std::size_t kRentAccAt = 96;
+  const auto misc = component_of(*net, Network::StateComponent::misc);
+  const auto loads_at = [&](RentAcc acc) {
+    std::vector<std::uint8_t> bytes = misc;
+    put_le(bytes, kRentAccAt, acc, 16);
+    return loads_with(*net, Network::StateComponent::misc, bytes);
+  };
+  EXPECT_TRUE(loads_at(RentAcc{1} << 100));
+  EXPECT_TRUE(loads_at(~RentAcc{0} / 4));  // 4 units of owed rent still fit
+  EXPECT_FALSE(loads_at(~RentAcc{0} / 4 + 1));
+}
+
+TEST_F(NetworkFixture, LoadRejectsRefreshTasksPastTheReplicas) {
+  build(test_params());
+  const FileId id = add_and_store(1000, 20);
+  const std::uint32_t cp = net->allocations().replica_count(id);
+  const auto pending = component_of(*net, Network::StateComponent::pending);
+  // Appends a check_refresh task for (file, index) after every queued task:
+  // u64 time, kind byte, u64 file, u32 index.
+  const auto with_refresh = [&](FileId file, ReplicaIndex index) {
+    std::vector<std::uint8_t> bytes = pending;
+    put_le(bytes, 0, net->pending_tasks() + 1, 8);
+    bytes.resize(bytes.size() + 21);
+    const std::size_t row = pending.size();
+    put_le(bytes, row, net->now() + 1'000'000, 8);
+    bytes[row + 8] = static_cast<std::uint8_t>(TaskKind::check_refresh);
+    put_le(bytes, row + 9, file, 8);
+    put_le(bytes, row + 17, index, 4);
+    return loads_with(*net, Network::StateComponent::pending, bytes);
+  };
+  EXPECT_TRUE(with_refresh(id, cp - 1));
+  EXPECT_FALSE(with_refresh(id, cp));
+  // A task whose file is gone is stale: the engine skips it unread.
+  EXPECT_TRUE(with_refresh(id + 100, cp));
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Retrieval-traffic engine: traffic.* spec parsing/rejection/round-trips,
 // the Poisson-envelope defense (honest streams never flagged across
 // seeds, a DDoS gang flagged within a bounded number of epochs, no
-// defense-off flags), worker-count byte-identity of traffic reports, QoS
-// behavior under flash crowds and serve-refusal cartels, snapshot
+// defense-off flags), the retrieval market's asks and settlement (§III-E),
+// QoS behavior under flash crowds and serve-refusal cartels, snapshot
 // round-trips of every piece of new traffic/defense/market state, and the
-// loaders' rejection of market and cache rows save_state cannot write.
+// loaders' rejection of market rows, cache rows and totals save_state
+// cannot write.
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -139,6 +141,11 @@ TEST(TrafficSpecTest, ValidateRejectsInconsistentBlocks) {
     expect_invalid(spec);
   }
   {
+    TrafficSpec spec;  // the odd-sector ask tier would pass u64
+    spec.price_per_kib = std::numeric_limits<std::uint64_t>::max();
+    expect_invalid(spec);
+  }
+  {
     TrafficSpec spec;
     spec.defense_enabled = true;
     spec.defense_warmup = 0;
@@ -194,7 +201,6 @@ TEST(PoissonEnvelopeDefenseTest, FlagsOnlyPersistentEnvelopeBreakers) {
   EXPECT_TRUE(defense.flagged(4));
   // Violations at epochs 3 and 4 -> flagged when epoch 4 closes.
   EXPECT_EQ(defense.first_flagged_epoch(4), 4u);
-  EXPECT_EQ(defense.flagged_count(), 1u);
   EXPECT_EQ(defense.allowance(), 25u);
 }
 
@@ -212,6 +218,164 @@ TEST(PoissonEnvelopeDefenseTest, FlagIsStickyAfterBackoff) {
   }
   EXPECT_TRUE(defense.flagged(2));
   EXPECT_EQ(defense.first_flagged_epoch(2), 3u);
+}
+
+// ---- Retrieval market ------------------------------------------------------
+
+using Rows = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+/// The market's ask, served and revenue books as `save_state` encodes
+/// them: (sector, value) rows after the four PRNG words.
+struct Books {
+  Rows asks;
+  Rows served;
+  Rows revenue;
+};
+
+Books books_of(const TrafficEngine& engine) {
+  BinaryWriter writer;
+  engine.save_state(writer);
+  BinaryReader reader(writer.data());
+  for (int word = 0; word < 4; ++word) (void)reader.u64();
+  Books books;
+  for (Rows* book : {&books.asks, &books.served, &books.revenue}) {
+    const std::uint64_t rows = reader.u64();
+    for (std::uint64_t r = 0; r < rows; ++r) {
+      const std::uint64_t sector = reader.u64();
+      const std::uint64_t value = reader.u64();
+      book->emplace_back(sector, value);
+    }
+  }
+  EXPECT_TRUE(reader.ok());
+  return books;
+}
+
+/// Four sectors, one owner each, holding one confirmed 3000-byte file; a
+/// traffic engine at 3 tokens per KiB retrieves it for `client`. The
+/// engine gets no live files, so only injected requests run.
+struct TrafficMarketTest : ::testing::Test {
+  void SetUp() override {
+    for (int s = 0; s < 4; ++s) {
+      owners.push_back(ledger.create_account(1'000'000'000));
+      ASSERT_TRUE(
+          net.sector_register(owners.back(), 4 * params.min_capacity).is_ok());
+    }
+    const fi::AccountId uploader = ledger.create_account(1'000'000'000);
+    const auto added = net.file_add(uploader, {3000, params.min_value, {}});
+    ASSERT_TRUE(added.is_ok()) << added.status().to_string();
+    file = added.value();
+    for (fi::core::ReplicaIndex i = 0;
+         i < net.allocations().replica_count(file); ++i) {
+      const fi::core::SectorId target = net.allocations().entry(file, i).next;
+      ASSERT_TRUE(
+          net.file_confirm(net.sectors().owner(target), file, i, target)
+              .is_ok());
+    }
+    net.advance_to(net.now() + params.transfer_window(3000));
+    ASSERT_TRUE(net.file_exists(file));
+    spec.enabled = true;
+    spec.requests_per_cycle = 10;
+    spec.streams = 1;
+    spec.price_per_kib = 3;
+  }
+
+  /// Injects one request for the file and runs the epoch.
+  TrafficEngine& retrieve(fi::AccountId client) {
+    engine = std::make_unique<TrafficEngine>(spec, net, ledger, client,
+                                             /*seed=*/7, spec.streams);
+    engine->inject(0, file, 1);
+    engine->on_epoch(0, {});
+    return *engine;
+  }
+
+  /// The holders, each once, in ascending sector order.
+  [[nodiscard]] std::vector<fi::core::SectorId> holders() const {
+    std::vector<fi::core::SectorId> out;
+    for (fi::core::ReplicaIndex i = 0;
+         i < net.allocations().replica_count(file); ++i) {
+      out.push_back(net.allocations().entry(file, i).prev);
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  }
+
+  fi::core::Params params;
+  fi::ledger::Ledger ledger;
+  fi::core::Network net{params, ledger, /*seed=*/5};
+  std::vector<fi::AccountId> owners;
+  fi::core::FileId file = fi::core::kNoFile;
+  TrafficSpec spec;
+  std::unique_ptr<TrafficEngine> engine;
+};
+
+TEST_F(TrafficMarketTest, AsksArePriceForEvenSectorsAndOneMoreForOdd) {
+  EXPECT_EQ(spec.ask_of(2), 3u);
+  EXPECT_EQ(spec.ask_of(3), 4u);
+  // Every holder that competed for the request enters the ask book at its
+  // tier's ask.
+  const Books books =
+      books_of(retrieve(ledger.create_account(1'000'000)));
+  Rows expected;
+  for (const fi::core::SectorId holder : holders()) {
+    expected.emplace_back(holder, spec.ask_of(holder));
+  }
+  EXPECT_EQ(books.asks, expected);
+}
+
+TEST_F(TrafficMarketTest, SettledRequestPaysTheQuoteToTheSellersOwner) {
+  // The cheapest ask wins; every queue is empty, so ties go to the lowest
+  // sector id.
+  fi::core::SectorId seller = fi::core::kNoSector;
+  for (const fi::core::SectorId holder : holders()) {
+    if (seller == fi::core::kNoSector ||
+        spec.ask_of(holder) < spec.ask_of(seller)) {
+      seller = holder;
+    }
+  }
+  const fi::TokenAmount quote = spec.ask_of(seller) * 3;  // 3000 B = 3 KiB
+  const fi::AccountId client = ledger.create_account(1'000'000);
+  const fi::AccountId owner = net.sectors().owner(seller);
+  const fi::TokenAmount owner_before = ledger.balance(owner);
+
+  const TrafficEngine& market = retrieve(client);
+  // The client pays the lookup gas on chain and the quote to the owner.
+  EXPECT_EQ(ledger.balance(client), 1'000'000 - params.gas_per_task - quote);
+  EXPECT_EQ(ledger.balance(owner), owner_before + quote);
+  const Books books = books_of(market);
+  EXPECT_EQ(books.served, (Rows{{seller, 3000}}));
+  EXPECT_EQ(books.revenue, (Rows{{seller, quote}}));
+  const fi::traffic::TrafficMetrics m = market.metrics();
+  EXPECT_EQ(m.retrievals_settled, 1u);
+  EXPECT_EQ(m.enqueued, 1u);
+  EXPECT_EQ(m.bytes_served, 3000u);
+  EXPECT_EQ(m.revenue, quote);
+  EXPECT_EQ(m.payment_failures, 0u);
+}
+
+TEST_F(TrafficMarketTest, UnaffordableRequestRecordsOnlyAPaymentFailure) {
+  // Enough for the lookup gas, not for any quote.
+  const fi::AccountId client = ledger.create_account(params.gas_per_task);
+  std::vector<fi::TokenAmount> owners_before;
+  for (const fi::AccountId owner : owners) {
+    owners_before.push_back(ledger.balance(owner));
+  }
+
+  const TrafficEngine& market = retrieve(client);
+  EXPECT_EQ(ledger.balance(client), 0u);  // the gas, and nothing else
+  for (std::size_t i = 0; i < owners.size(); ++i) {
+    EXPECT_EQ(ledger.balance(owners[i]), owners_before[i]) << i;
+  }
+  const Books books = books_of(market);
+  EXPECT_TRUE(books.served.empty());
+  EXPECT_TRUE(books.revenue.empty());
+  const fi::traffic::TrafficMetrics m = market.metrics();
+  EXPECT_EQ(m.payment_failures, 1u);
+  EXPECT_EQ(m.retrievals_settled, 0u);
+  EXPECT_EQ(m.enqueued, 0u);
+  EXPECT_EQ(m.bytes_served, 0u);
+  EXPECT_EQ(m.revenue, 0u);
+  EXPECT_EQ(m.backlog, 0u);
 }
 
 // ---- Scenario fixtures -----------------------------------------------------
@@ -430,8 +594,9 @@ TEST(TrafficSnapshotTest, TruncatedTrafficTailIsRejected) {
 TEST(TrafficSnapshotTest, NonCanonicalMarketAndCacheRowsAreRejected) {
   // The loaders accept only what save_state writes: market books in
   // strictly ascending sector order naming sectors the network holds,
-  // every ask its sector's price tier, one key set for the served and
-  // revenue books, and each cached file once.
+  // every ask its sector's price tier, every served row positive, one key
+  // set for the served and revenue books, each cached file once, and each
+  // stored total the sum of the counters it totals.
   fi::core::Params params;
   fi::ledger::Ledger ledger;
   fi::core::Network net(params, ledger, /*seed=*/5);
@@ -459,11 +624,28 @@ TEST(TrafficSnapshotTest, NonCanonicalMarketAndCacheRowsAreRejected) {
   constexpr std::size_t kTotalsAt = kBooksAt + 3 * 8;
   constexpr std::size_t kWindowAt = kTotalsAt + 3 * 8;
   constexpr std::size_t kRestAt = kWindowAt + 8;
-  ASSERT_GT(base.size(), kRestAt);
+  // After the window: the hot file, no pending hammers, five empty
+  // per-sector vectors and six per-stream vectors of two streams; then the
+  // totals attempted, rate-limited, lookup failures, starved, dropped,
+  // enqueued and served.
+  constexpr std::size_t kFirstAttemptedAt = kRestAt + 8 + 8 + 5 * 8 + 8;
+  constexpr std::size_t kStreamTotalsAt = kRestAt + 8 + 8 + 5 * 8 + 6 * 24;
+  constexpr std::size_t kServedTotalAt = kStreamTotalsAt + 6 * 8;
+  ASSERT_GT(base.size(), kServedTotalAt + 8);
   const auto slice = [&](std::size_t from, std::size_t to) {
     return std::span<const std::uint8_t>(base.data() + from, to - from);
   };
-  using Rows = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  // The idle body with the u64 at each offset set to its value.
+  using Words = std::vector<std::pair<std::size_t, std::uint64_t>>;
+  const auto patched = [&](const Words& words) {
+    std::vector<std::uint8_t> bytes = base;
+    for (const auto& [at, value] : words) {
+      for (std::size_t b = 0; b < 8; ++b) {
+        bytes[at + b] = static_cast<std::uint8_t>(value >> (8 * b));
+      }
+    }
+    return bytes;
+  };
   const auto body = [&](const Rows& asks, const Rows& served,
                         const Rows& revenue,
                         const std::vector<fi::core::FileId>& window) {
@@ -496,6 +678,16 @@ TEST(TrafficSnapshotTest, NonCanonicalMarketAndCacheRowsAreRejected) {
     engine->save_state(again);
     EXPECT_EQ(again.data(), canonical);
   }
+  {
+    // Stream 0's attempted counter with its total stays canonical.
+    const auto counted =
+        patched({{kFirstAttemptedAt, 1}, {kStreamTotalsAt, 1}});
+    auto engine = make_engine();
+    BinaryReader reader(counted);
+    engine->load_state(reader);
+    ASSERT_TRUE(reader.ok() && reader.exhausted()) << "counted body";
+    EXPECT_EQ(engine->metrics().requests_attempted, 1u);
+  }
   const struct {
     const char* what;
     std::vector<std::uint8_t> bytes;
@@ -509,6 +701,8 @@ TEST(TrafficSnapshotTest, NonCanonicalMarketAndCacheRowsAreRejected) {
        body({{~std::uint64_t{0} - 1, 5}}, {}, {}, {})},
       {"ask off its tier", body({{0, 5}, {1, 5}, {3, 6}}, served, revenue, {})},
       {"served descending", body(asks, {{3, 1024}, {1, 2048}}, revenue, {})},
+      {"served row of zero bytes",
+       body(asks, {{1, 0}, {3, 1024}}, revenue, {})},
       {"served sector at the sector count",
        body(asks, {{1, 2048}, {4, 1}}, {{1, 12}, {4, 1}}, {})},
       {"revenue without a served row",
@@ -517,6 +711,14 @@ TEST(TrafficSnapshotTest, NonCanonicalMarketAndCacheRowsAreRejected) {
       {"served and revenue on other sectors",
        body(asks, served, {{1, 12}, {2, 6}}, {})},
       {"cached file repeated", body(asks, served, revenue, {4, 2, 4})},
+      {"settled count off the enqueued total", patched({{kTotalsAt, 1}})},
+      {"attempted total off its per-stream sum",
+       patched({{kStreamTotalsAt, 1}})},
+      {"attempted counter without its total",
+       patched({{kFirstAttemptedAt, 1}})},
+      {"enqueued total off its per-stream sum",
+       patched({{kStreamTotalsAt + 5 * 8, 1}})},
+      {"served total off its per-sector sum", patched({{kServedTotalAt, 1}})},
   };
   for (const auto& c : cases) {
     auto engine = make_engine();
