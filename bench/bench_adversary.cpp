@@ -2,7 +2,9 @@
 // sweeps every adversary strategy across an intensity grid on a
 // 10^5-10^6-file population and reports the blast radius (files lost,
 // compensation paid) against the attacker's bill (deposits confiscated,
-// penalties paid). Rent must conserve in every cell (exit status).
+// penalties paid). Every cell must conserve rent and keep the insurance
+// identity, value lost == compensated + outstanding liabilities (§IV-B);
+// the exit status is 1 when a cell breaks either.
 //
 // Intensity means: the controlled fleet fraction for colluding_pool /
 // informed_pool / proof_withholder / refresh_saboteur / churn_griefer,
@@ -193,11 +195,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(sectors_for(files)));
   // "actions" is the strategy's non-corruption activity: withheld proofs,
   // refused transfers, and exit/join churn.
-  std::printf("%-18s %9s %10s %12s %12s %12s %10s %8s %5s\n", "strategy",
-              "intensity", "files_lost", "compensated", "confiscated",
-              "penalties", "actions", "wall(s)", "rent");
+  std::printf("%-18s %9s %10s %12s %12s %12s %10s %8s %5s %7s\n",
+              "strategy", "intensity", "files_lost", "compensated",
+              "confiscated", "penalties", "actions", "wall(s)", "rent",
+              "insured");
 
-  bool all_conserved = true;
+  bool all_hold = true;
   for (const StrategyKind kind : strategies) {
     for (const double intensity : intensities) {
       ScenarioSpec spec = matrix_spec(files);
@@ -208,9 +211,12 @@ int main(int argc, char** argv) {
       ScenarioRunner runner(std::move(spec));
       const MetricsReport report = runner.run();
       const auto& c = report.adversaries.front().counters;
-      all_conserved = all_conserved && report.rent_conserved;
+      const bool insured = report.totals.value_lost ==
+                           report.totals.value_compensated +
+                               report.outstanding_liabilities;
+      all_hold = all_hold && report.rent_conserved && insured;
       std::printf(
-          "%-18s %9.3f %10llu %12llu %12llu %12llu %10llu %8.1f %5s\n",
+          "%-18s %9.3f %10llu %12llu %12llu %12llu %10llu %8.1f %5s %7s\n",
           fi::adversary::strategy_kind_name(kind), intensity,
           static_cast<unsigned long long>(report.totals.files_lost),
           static_cast<unsigned long long>(report.totals.value_compensated),
@@ -221,8 +227,8 @@ int main(int argc, char** argv) {
                                           c.sectors_exited +
                                           c.sectors_joined),
           report.wall_seconds + report.setup_seconds,
-          report.rent_conserved ? "ok" : "LEAK");
+          report.rent_conserved ? "ok" : "LEAK", insured ? "ok" : "BROKEN");
     }
   }
-  return all_conserved ? 0 : 1;
+  return all_hold ? 0 : 1;
 }

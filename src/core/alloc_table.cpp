@@ -10,17 +10,31 @@ namespace {
 /// The former per-replica CommR field of an entry row: always zero.
 constexpr std::array<std::uint8_t, 32> kReservedRowBytes{};
 
+/// A map's entries in ascending key order (the encoding order; the hash
+/// order is never observable).
+template <typename Map>
+auto sorted_by_id(const Map& map) {
+  std::vector<std::pair<typename Map::key_type, const typename Map::mapped_type*>>
+      sorted;
+  sorted.reserve(map.size());
+  // fi-lint: allow(unordered-iter, pairs collected then sorted by key)
+  for (const auto& [key, value] : map) sorted.emplace_back(key, &value);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return sorted;
+}
+
 }  // namespace
 
 std::size_t AllocTable::slot_of(FileId file, ReplicaIndex idx) const {
-  const auto it = ranges_.find(file);
-  FI_CHECK_MSG(it != ranges_.end(), "unknown file");
-  FI_CHECK_MSG(idx < it->second.count, "replica index out of range");
+  const auto it = files_.find(file);
+  FI_CHECK_MSG(it != files_.end(), "unknown file");
+  FI_CHECK_MSG(idx < it->second.row.desc.cp, "replica index out of range");
   return it->second.offset + idx;
 }
 
-void AllocTable::create_file(FileId file, std::uint32_t cp) {
-  FI_CHECK_MSG(!ranges_.contains(file), "file already allocated");
+FileRow& AllocTable::create_file(FileId file, std::uint32_t cp) {
+  FI_CHECK_MSG(!files_.contains(file), "file already allocated");
   FI_CHECK_MSG(cp >= 1, "file needs at least one replica");
   std::size_t offset = pool_.acquire(cp);
   if (offset == util::FixedBlockPool::kNoBlock) {
@@ -29,6 +43,7 @@ void AllocTable::create_file(FileId file, std::uint32_t cp) {
     next_.resize(offset + cp, kNoSector);
     last_.resize(offset + cp, kNoTime);
     state_.resize(offset + cp, AllocState::alloc);
+    escrowed_.resize(offset + cp, 1);
     pos_in_prev_.resize(offset + cp, kNoPos);
     pos_in_next_.resize(offset + cp, kNoPos);
     pos_in_normal_.resize(offset + cp, kNoPos);
@@ -38,20 +53,25 @@ void AllocTable::create_file(FileId file, std::uint32_t cp) {
       next_[s] = kNoSector;
       last_[s] = kNoTime;
       state_[s] = AllocState::alloc;
+      escrowed_[s] = 1;
       pos_in_prev_[s] = kNoPos;
       pos_in_next_[s] = kNoPos;
       pos_in_normal_[s] = kNoPos;
     }
   }
-  ranges_.emplace(file, Range{offset, cp});
+  File& created = files_[file];
+  created.row.desc.cp = cp;
+  created.offset = offset;
+  return created.row;
 }
 
 void AllocTable::remove_file(FileId file) {
-  const auto it = ranges_.find(file);
-  FI_CHECK_MSG(it != ranges_.end(), "removing unknown file");
-  const Range range = it->second;
-  for (ReplicaIndex idx = 0; idx < range.count; ++idx) {
-    const std::size_t slot = range.offset + idx;
+  const auto it = files_.find(file);
+  FI_CHECK_MSG(it != files_.end(), "removing unknown file");
+  const std::uint32_t cp = it->second.row.desc.cp;
+  const std::size_t offset = it->second.offset;
+  for (ReplicaIndex idx = 0; idx < cp; ++idx) {
+    const std::size_t slot = offset + idx;
     const EntryKey key{file, idx};
     if (prev_[slot] != kNoSector) {
       index_remove(by_prev_, pos_in_prev_, prev_[slot], key, slot);
@@ -61,14 +81,39 @@ void AllocTable::remove_file(FileId file) {
     }
     if (state_[slot] == AllocState::normal) sampler_remove(key, slot);
   }
-  ranges_.erase(it);
-  pool_.release(range.count, range.offset);
+  files_.erase(it);
+  pool_.release(cp, offset);
 }
 
-std::uint32_t AllocTable::replica_count(FileId file) const {
-  const auto it = ranges_.find(file);
-  FI_CHECK_MSG(it != ranges_.end(), "unknown file");
-  return it->second.count;
+AllocTable::FileView AllocTable::find(FileId file) {
+  const auto it = files_.find(file);
+  if (it == files_.end()) return {};
+  const std::size_t offset = it->second.offset;
+  FileView view;
+  view.id_ = file;
+  view.row_ = &it->second.row;
+  view.state_ = state_.data() + offset;
+  view.prev_ = prev_.data() + offset;
+  view.next_ = next_.data() + offset;
+  view.last_ = last_.data() + offset;
+  view.escrowed_ = escrowed_.data() + offset;
+  return view;
+}
+
+const FileRow& AllocTable::row(FileId file) const {
+  const auto it = files_.find(file);
+  FI_CHECK_MSG(it != files_.end(), "unknown file");
+  return it->second.row;
+}
+
+AllocEntry AllocTable::FileView::entry(ReplicaIndex i) const {
+  FI_CHECK_MSG(i < size(), "replica index out of range");
+  AllocEntry e;
+  e.prev = prev_[i];
+  e.next = next_[i];
+  e.last = last_[i];
+  e.state = state_[i];
+  return e;
 }
 
 AllocEntry AllocTable::entry(FileId file, ReplicaIndex idx) const {
@@ -79,19 +124,6 @@ AllocEntry AllocTable::entry(FileId file, ReplicaIndex idx) const {
   e.last = last_[slot];
   e.state = state_[slot];
   return e;
-}
-
-AllocTable::SweepView AllocTable::sweep_view_of(FileId file) {
-  const auto it = ranges_.find(file);
-  FI_CHECK_MSG(it != ranges_.end(), "unknown file");
-  const Range range = it->second;
-  SweepView view;
-  view.state_ = state_.data() + range.offset;
-  view.prev_ = prev_.data() + range.offset;
-  view.next_ = next_.data() + range.offset;
-  view.last_ = last_.data() + range.offset;
-  view.count_ = range.count;
-  return view;
 }
 
 void AllocTable::set_prev(FileId file, ReplicaIndex idx, SectorId sector) {
@@ -205,18 +237,13 @@ void AllocTable::sampler_remove(EntryKey key, std::size_t slot) {
 }
 
 void AllocTable::save(util::BinaryWriter& writer) const {
-  std::vector<FileId> files;
-  files.reserve(ranges_.size());
-  // fi-lint: allow(unordered-iter, keys collected then sorted before encoding)
-  for (const auto& [file, _] : ranges_) files.push_back(file);
-  std::sort(files.begin(), files.end());
+  const auto files = sorted_by_id(files_);
   writer.u64(files.size());
-  for (const FileId file : files) {
-    const Range range = ranges_.at(file);
-    writer.u64(file);
-    writer.u32(range.count);
-    for (ReplicaIndex idx = 0; idx < range.count; ++idx) {
-      const std::size_t slot = range.offset + idx;
+  for (const auto& [id, file] : files) {
+    writer.u64(id);
+    writer.u32(file->row.desc.cp);
+    for (ReplicaIndex idx = 0; idx < file->row.desc.cp; ++idx) {
+      const std::size_t slot = file->offset + idx;
       writer.u64(prev_[slot]);
       writer.u64(next_[slot]);
       writer.u64(last_[slot]);
@@ -253,13 +280,14 @@ void AllocTable::save(util::BinaryWriter& writer) const {
   }
 }
 
-void AllocTable::load(util::BinaryReader& reader,
-                      std::uint64_t sector_count) {
-  ranges_.clear();
+void AllocTable::load(util::BinaryReader& reader, std::uint64_t sector_count,
+                      FileId next_file_id) {
+  files_.clear();
   prev_.clear();
   next_.clear();
   last_.clear();
   state_.clear();
+  escrowed_.clear();
   pos_in_prev_.clear();
   pos_in_next_.clear();
   pos_in_normal_.clear();
@@ -276,11 +304,13 @@ void AllocTable::load(util::BinaryReader& reader,
   std::uint64_t normal_slots = 0;
 
   const std::uint64_t files = reader.count(12);
-  ranges_.reserve(files);
+  files_.reserve(files);
   for (std::uint64_t f = 0; f < files; ++f) {
     const FileId file = reader.u64();
     const std::uint32_t cp = reader.u32();
-    if (cp > reader.remaining() / 57) {
+    // File_Add issues ids below the counter and at least one replica.
+    if (file == 0 || file >= next_file_id || cp == 0 ||
+        cp > reader.remaining() / 57) {
       reader.fail();
       return;
     }
@@ -309,12 +339,16 @@ void AllocTable::load(util::BinaryReader& reader,
       next_.push_back(next);
       last_.push_back(last);
       state_.push_back(static_cast<AllocState>(state));
+      escrowed_.push_back(0);  // load_files reads the flags
       pos_in_prev_.push_back(kNoPos);
       pos_in_next_.push_back(kNoPos);
       pos_in_normal_.push_back(kNoPos);
     }
     if (!reader.ok()) return;
-    if (!ranges_.emplace(file, Range{offset, cp}).second) {
+    File loaded;
+    loaded.row.desc.cp = cp;  // size 0 marks a row load_files has not filled
+    loaded.offset = offset;
+    if (!files_.emplace(file, loaded).second) {
       reader.fail();  // duplicate file group: rows silently dropped otherwise
       return;
     }
@@ -326,8 +360,8 @@ void AllocTable::load(util::BinaryReader& reader,
   // doubles as the intrusive-position anchor.
   const auto key_slot = [this](FileId file,
                                ReplicaIndex idx) -> std::size_t {
-    const auto it = ranges_.find(file);
-    if (it == ranges_.end() || idx >= it->second.count) return kNoPos;
+    const auto it = files_.find(file);
+    if (it == files_.end() || idx >= it->second.row.desc.cp) return kNoPos;
     return it->second.offset + idx;
   };
 
@@ -396,6 +430,63 @@ void AllocTable::load(util::BinaryReader& reader,
     normal_entries_.emplace_back(file, idx);
   }
   if (normals != normal_slots) reader.fail();
+}
+
+void AllocTable::save_files(util::BinaryWriter& writer) const {
+  const auto files = sorted_by_id(files_);
+  writer.u64(files.size());
+  for (const auto& [id, file] : files) {
+    const FileRow& row = file->row;
+    writer.u64(id);
+    writer.u64(row.desc.size);
+    writer.u64(row.desc.value);
+    writer.raw(row.desc.merkle_root.bytes);
+    writer.u32(row.desc.cp);
+    writer.i64(row.desc.cntdown);
+    writer.u8(static_cast<std::uint8_t>(row.desc.state));
+    writer.u64(row.owner);
+    writer.u64(row.added_at);
+    writer.u64(row.desc.cp);  // one escrow flag per replica
+    for (ReplicaIndex idx = 0; idx < row.desc.cp; ++idx) {
+      writer.boolean(escrowed_[file->offset + idx] != 0);
+    }
+  }
+}
+
+void AllocTable::load_files(util::BinaryReader& reader) {
+  const std::uint64_t rows = reader.count(74);
+  for (std::uint64_t r = 0; r < rows; ++r) {
+    const FileId id = reader.u64();
+    FileRow row;
+    row.desc.size = reader.u64();
+    row.desc.value = reader.u64();
+    reader.raw(row.desc.merkle_root.bytes);
+    row.desc.cp = reader.u32();
+    row.desc.cntdown = reader.i64();
+    const std::uint8_t state = reader.u8();
+    if (state > static_cast<std::uint8_t>(FileState::removed)) reader.fail();
+    row.desc.state = static_cast<FileState>(state);
+    row.owner = reader.u64();
+    row.added_at = reader.u64();
+    const std::uint64_t flags = reader.count(1);
+    if (!reader.ok()) return;
+    // The row fills the allocation group of the same id, once: the engine
+    // walks `cp` of its entries and `cp` escrow flags, and a filled row has
+    // a positive size.
+    const auto it = files_.find(id);
+    if (it == files_.end() || it->second.row.desc.size != 0 ||
+        row.desc.cp != it->second.row.desc.cp || flags != row.desc.cp ||
+        row.desc.size == 0) {
+      reader.fail();
+      return;
+    }
+    it->second.row = row;
+    for (ReplicaIndex idx = 0; idx < row.desc.cp; ++idx) {
+      escrowed_[it->second.offset + idx] = reader.boolean() ? 1 : 0;
+    }
+  }
+  // Each row filled a distinct group, so equal counts leave none unfilled.
+  if (reader.ok() && rows != files_.size()) reader.fail();
 }
 
 }  // namespace fi::core

@@ -7,26 +7,34 @@
 #include <utility>
 #include <vector>
 
+#include "core/file.h"
 #include "core/types.h"
 #include "util/arena.h"
 #include "util/binary_io.h"
 #include "util/check.h"
 #include "util/prng.h"
 
-/// Allocation table (Fig. 1): maps (file, replica index) to its storage
-/// entry and maintains the reverse indexes the protocol needs:
+/// Allocation table (Fig. 1): each live file's row (descriptor, owner,
+/// upload time) beside its (file, replica index) storage entries, plus the
+/// reverse indexes the protocol needs:
 ///
 ///  * by-prev / by-next sector indexes, so corrupting or draining a sector
-///    touches exactly the affected entries (no global scans);
+///    touches exactly the affected entries (no global scans); a sector's
+///    references are the entries they list;
 ///  * a dense sampler over entries in `normal` state, used by §VI-B's
 ///    Poisson admission rebalancing to pick uniform random backups.
 ///
-/// Storage is a struct-of-arrays slab: every entry field lives in its own
-/// dense array, and a file's `cp` replicas occupy one contiguous run of
+/// One `FileId`-keyed map holds every per-file fact: the row and the offset
+/// of the file's entries. The replica count is the row's `desc.cp`.
+///
+/// Entry storage is a struct-of-arrays slab: every entry field lives in its
+/// own dense array, and a file's `cp` replicas occupy one contiguous run of
 /// slots. The proof sweep streams the state/prev/last arrays instead of
 /// striding records, and freed runs are recycled through a fixed-block
 /// pool (`util::FixedBlockPool`) keyed by `cp`, so steady-state churn
-/// reuses warm slots instead of growing the slab.
+/// reuses warm slots instead of growing the slab. Beside the Fig. 1 entry
+/// fields the slab keeps one engine column: whether the replica's upload
+/// traffic fee is still escrowed (refunded if the upload fails).
 ///
 /// Index positions are *intrusive*: each slot stores its own position in
 /// the by-prev / by-next buckets and in the normal-entry sampler, which
@@ -46,59 +54,71 @@ struct AllocEntry {
 
 using EntryKey = std::pair<FileId, ReplicaIndex>;
 
-struct EntryKeyHash {
-  std::size_t operator()(const EntryKey& key) const noexcept {
-    return std::hash<std::uint64_t>{}(
-        (key.first * 0x9e3779b97f4a7c15ull) ^ key.second);
-  }
-};
-
 class AllocTable {
  public:
-  /// Mutable per-file window over the slab for the engine's proof sweep:
-  /// one hash lookup yields direct array access to all of a file's
-  /// replicas (contiguous slots). Reads are live, so they see later
-  /// setter writes to the same file. Only `last` is writable here;
-  /// prev/next/state are coupled to the reverse indexes and the
-  /// normal-entry sampler and must go through the setters below.
-  /// Invalidated by create_file (the slab may reallocate), remove_file
-  /// and load.
-  class SweepView {
+  /// One lookup's worth of a live file: its row plus a window over its
+  /// replicas' contiguous slots. Reads are live, so they see later setter
+  /// writes to the same file. Like a span, the view is shallow: the row,
+  /// `last` and the escrow flag are writable through it; prev/next/state
+  /// are coupled to the reverse indexes and the normal-entry sampler and
+  /// must go through the setters below. A default view names no file
+  /// (`find` of an unknown id). Invalidated by create_file (the slab may
+  /// reallocate), remove_file of the same file and load.
+  class FileView {
    public:
-    [[nodiscard]] std::uint32_t size() const { return count_; }
+    explicit operator bool() const { return row_ != nullptr; }
+    [[nodiscard]] FileId id() const { return id_; }
+    [[nodiscard]] FileRow& row() const { return *row_; }
+    [[nodiscard]] std::uint32_t size() const { return row_->desc.cp; }
+    /// Materialized copy of one entry (does not track later mutations).
+    [[nodiscard]] AllocEntry entry(ReplicaIndex i) const;
     [[nodiscard]] AllocState state(ReplicaIndex i) const { return state_[i]; }
     [[nodiscard]] SectorId prev(ReplicaIndex i) const { return prev_[i]; }
     [[nodiscard]] SectorId next(ReplicaIndex i) const { return next_[i]; }
     [[nodiscard]] Time last(ReplicaIndex i) const { return last_[i]; }
-    void set_last(ReplicaIndex i, Time t) { last_[i] = t; }
+    void set_last(ReplicaIndex i, Time t) const { last_[i] = t; }
+    [[nodiscard]] bool escrowed(ReplicaIndex i) const {
+      return escrowed_[i] != 0;
+    }
+    void clear_escrow(ReplicaIndex i) const { escrowed_[i] = 0; }
 
    private:
     friend class AllocTable;
+    FileId id_ = kNoFile;
+    FileRow* row_ = nullptr;
     const AllocState* state_ = nullptr;
     const SectorId* prev_ = nullptr;
     const SectorId* next_ = nullptr;
     Time* last_ = nullptr;
-    std::uint32_t count_ = 0;
+    std::uint8_t* escrowed_ = nullptr;
   };
 
-  /// Creates `cp` empty entries for a new file (recycling a pooled slot
-  /// run when one of that size is free).
-  void create_file(FileId file, std::uint32_t cp);
+  /// Creates a file's row and its `cp` empty entries (recycling a pooled
+  /// slot run when one of that size is free), each with its traffic fee
+  /// escrowed. The row has `desc.cp == cp` and defaults elsewhere; the
+  /// caller fills in the rest.
+  FileRow& create_file(FileId file, std::uint32_t cp);
 
-  /// Drops all entries of a file (the file leaves the network) and returns
-  /// its slot run to the pool. Sector reference bookkeeping is the
+  /// Drops the file's row and entries (the file leaves the network) and
+  /// returns its slot run to the pool. Releasing sector space is the
   /// caller's job (Network owns the flows).
   void remove_file(FileId file);
 
   [[nodiscard]] bool has_file(FileId file) const {
-    return ranges_.contains(file);
+    return files_.contains(file);
   }
-  [[nodiscard]] std::uint32_t replica_count(FileId file) const;
+  /// The row and entries of `file` in one lookup; false when the file is
+  /// not in the table.
+  [[nodiscard]] FileView find(FileId file);
+  /// Row / replica count of a live file; unknown ids are an invariant
+  /// violation.
+  [[nodiscard]] const FileRow& row(FileId file) const;
+  [[nodiscard]] std::uint32_t replica_count(FileId file) const {
+    return row(file).desc.cp;
+  }
 
   /// Materialized copy of one entry (does not track later mutations).
   [[nodiscard]] AllocEntry entry(FileId file, ReplicaIndex idx) const;
-
-  [[nodiscard]] SweepView sweep_view_of(FileId file);
 
   /// Entry mutation: `set_prev` / `set_next` keep the reverse indexes
   /// consistent; `set_state` keeps the normal-entry sampler consistent.
@@ -123,6 +143,11 @@ class AllocTable {
   [[nodiscard]] std::size_t count_with_next(SectorId sector) const {
     return with_next(sector).size();
   }
+  /// Entries that name `sector` as prev or next: the sector's references.
+  /// A disabled sector is removed once they drain to zero.
+  [[nodiscard]] std::size_t references(SectorId sector) const {
+    return count_with_prev(sector) + count_with_next(sector);
+  }
 
   /// Uniform random entry currently in `normal` state (nullopt if none) —
   /// the §VI-B swap-in selector.
@@ -132,14 +157,17 @@ class AllocTable {
   [[nodiscard]] std::size_t normal_entry_count() const {
     return normal_entries_.size();
   }
-  [[nodiscard]] std::size_t file_count() const { return ranges_.size(); }
+  [[nodiscard]] std::size_t file_count() const { return files_.size(); }
 
   /// Canonical snapshot encoding / full-state restore (`src/snapshot`).
+  /// The table fills two components of the engine's body: `save`/`load`
+  /// are the allocations component, `save_files`/`load_files` the files
+  /// component, which the body places after the pending list and deposits.
   ///
-  /// The file→range map is encoded sorted by file id (its hash order is
-  /// never observable), but the reverse indexes and the normal-entry
-  /// sampler are encoded in their exact dense-array order: their positions
-  /// feed iteration (`with_prev` spans) and uniform sampling
+  /// Files are encoded sorted by id (the map's hash order is never
+  /// observable), but the reverse indexes and the normal-entry sampler are
+  /// encoded in their exact dense-array order: their positions feed
+  /// iteration (`with_prev` spans) and uniform sampling
   /// (`random_normal_entry`), so a swap-erase history reshuffle would
   /// change later draws and break save→load→continue byte-identity.
   /// Slot placement inside the slab is NOT observable and not encoded;
@@ -154,17 +182,26 @@ class AllocTable {
   /// sections (the caller loads the sector table first): buckets are
   /// dense per-sector vectors now, so an astronomically large id in a
   /// crafted body must be rejected up front instead of driving a huge
-  /// resize. `load` also fails the reader when the slab disagrees with
-  /// the indexes: a slot is linked to a sector exactly when that sector's
+  /// resize. File ids must lie in [1, `next_file_id`): File_Add issues no
+  /// other, and its next id would collide with one at or past the counter.
+  /// `load` also fails the reader when the slab disagrees with the
+  /// indexes: a slot is linked to a sector exactly when that sector's
   /// bucket lists it, and is `normal` exactly when the sampler lists it.
+  ///
+  /// `load` creates each file's row with only `desc.cp` set; `load_files`
+  /// must then fill every row exactly once, with the same `cp`, one escrow
+  /// flag per replica and a positive size (File_Add admits no empty file).
   void save(util::BinaryWriter& writer) const;
-  void load(util::BinaryReader& reader, std::uint64_t sector_count);
+  void load(util::BinaryReader& reader, std::uint64_t sector_count,
+            FileId next_file_id);
+  void save_files(util::BinaryWriter& writer) const;
+  void load_files(util::BinaryReader& reader);
 
  private:
-  /// A file's contiguous slot run in the slab.
-  struct Range {
+  /// A live file: its row and the offset of its `row.desc.cp` slots.
+  struct File {
+    FileRow row;
     std::size_t offset = 0;
-    std::uint32_t count = 0;
   };
   static constexpr std::size_t kNoPos = ~std::size_t{0};
 
@@ -178,12 +215,14 @@ class AllocTable {
   void sampler_add(EntryKey key, std::size_t slot);
   void sampler_remove(EntryKey key, std::size_t slot);
 
-  std::unordered_map<FileId, Range> ranges_;
-  /// Struct-of-arrays slab, indexed by slot = range.offset + replica.
+  std::unordered_map<FileId, File> files_;
+  /// Struct-of-arrays slab, indexed by slot = file offset + replica.
   std::vector<SectorId> prev_;
   std::vector<SectorId> next_;
   std::vector<Time> last_;
   std::vector<AllocState> state_;
+  /// Per replica: its upload traffic fee is still escrowed.
+  std::vector<std::uint8_t> escrowed_;
   /// Intrusive positions of each slot's key inside the by-prev/by-next
   /// buckets and the normal sampler (kNoPos when absent).
   // fi-lint: not-serialized(derived: load() rebuilds from the index sections)

@@ -20,4 +20,14 @@ struct FileDescriptor {
   FileState state = FileState::normal;
 };
 
+/// A live file's row of the allocation table: its descriptor, the client
+/// that owns it (and pays its rent) and the time File_Add created it.
+/// `desc.cp` is also the length of the file's run of entries, so it never
+/// changes after the row is created.
+struct FileRow {
+  FileDescriptor desc;
+  ClientId owner = kNoAccount;
+  Time added_at = 0;
+};
+
 }  // namespace fi::core

@@ -37,24 +37,6 @@ Network::Network(Params params, ledger::Ledger& ledger, std::uint64_t seed)
                     Task{TaskKind::rent_distribution, kNoFile, 0});
 }
 
-const FileDescriptor& Network::file(FileId file) const {
-  const auto it = files_.find(file);
-  FI_CHECK_MSG(it != files_.end(), "unknown file");
-  return it->second.desc;
-}
-
-ClientId Network::file_owner(FileId file) const {
-  const auto it = files_.find(file);
-  FI_CHECK_MSG(it != files_.end(), "unknown file");
-  return it->second.owner;
-}
-
-Network::FileRecord& Network::record(FileId file) {
-  const auto it = files_.find(file);
-  FI_CHECK_MSG(it != files_.end(), "unknown file");
-  return it->second;
-}
-
 bool Network::charge_gas(AccountId payer, TokenAmount amount) {
   return ledger_.transfer(payer, gas_sink_, amount).is_ok();
 }
@@ -106,41 +88,35 @@ util::Status Network::sector_disable(ProviderId provider, SectorId sector) {
   if (auto status = sector_table_.disable(sector); !status.is_ok()) {
     return status;
   }
-  // Already drained: exits immediately.
-  if (sector_table_.at(sector).ref_count == 0) {
-    const TokenAmount refunded = deposit_book_.refund(sector);
-    sector_table_.mark_removed(sector);
-    bus_.emit(SectorRemoved{sector, refunded});
-  }
+  remove_if_drained(sector);  // already drained: exits immediately
   return util::Status::ok();
 }
 
 util::Status Network::file_confirm(ProviderId provider, FileId file,
                                    ReplicaIndex index, SectorId sector) {
-  const auto it = files_.find(file);
-  if (it == files_.end()) {
+  const FileView f = alloc_table_.find(file);
+  if (!f) {
     return util::err(util::ErrorCode::not_found, "unknown file");
   }
-  if (index >= it->second.desc.cp) {
+  if (index >= f.size()) {
     return util::err(util::ErrorCode::invalid_argument,
                      "replica index out of range");
   }
   if (!sector_table_.exists(sector) ||
-      sector_table_.at(sector).owner != provider) {
+      sector_table_.owner(sector) != provider) {
     return util::err(util::ErrorCode::permission_denied,
                      "caller does not own the sector");
   }
-  const AllocEntry& entry = alloc_table_.entry(file, index);
-  if (entry.next != sector || entry.state != AllocState::alloc) {
+  if (f.next(index) != sector || f.state(index) != AllocState::alloc) {
     return util::err(util::ErrorCode::failed_precondition,
                      "entry is not awaiting confirmation by this sector");
   }
   alloc_table_.set_state(file, index, AllocState::confirm);
   // Initial upload: release the escrowed traffic fee to the provider.
-  if (entry.prev == kNoSector && it->second.traffic_escrowed[index]) {
-    const TokenAmount fee = params_.traffic_fee(it->second.desc.size);
+  if (f.prev(index) == kNoSector && f.escrowed(index)) {
+    const TokenAmount fee = params_.traffic_fee(f.row().desc.size);
     FI_CHECK(ledger_.transfer(traffic_escrow_, provider, fee).is_ok());
-    it->second.traffic_escrowed[index] = false;
+    f.clear_escrow(index);
   }
   return util::Status::ok();
 }
@@ -194,18 +170,12 @@ util::Result<FileId> Network::file_add(ClientId client, const FileInfo& info) {
   FI_CHECK(ledger_.transfer(client, traffic_escrow_, traffic_total).is_ok());
   FI_CHECK(charge_gas(client, params_.gas_per_task));
 
-  FileRecord rec;
-  rec.desc.size = info.size;
-  rec.desc.value = info.value;
-  rec.desc.merkle_root = info.merkle_root;
-  rec.desc.cp = cp;
-  rec.desc.cntdown = -1;
-  rec.desc.state = FileState::normal;
-  rec.owner = client;
-  rec.added_at = now_;
-  rec.traffic_escrowed.assign(cp, true);
-  files_.emplace(id, std::move(rec));
-  alloc_table_.create_file(id, cp);
+  FileRow& row = alloc_table_.create_file(id, cp);  // fees escrowed
+  row.desc.size = info.size;
+  row.desc.value = info.value;
+  row.desc.merkle_root = info.merkle_root;
+  row.owner = client;
+  row.added_at = now_;
 
   for (std::uint32_t i = 0; i < cp; ++i) {
     link_next(id, i, chosen[i]);
@@ -218,11 +188,11 @@ util::Result<FileId> Network::file_add(ClientId client, const FileInfo& info) {
 }
 
 util::Status Network::file_discard(ClientId client, FileId file) {
-  const auto it = files_.find(file);
-  if (it == files_.end()) {
+  const FileView f = alloc_table_.find(file);
+  if (!f) {
     return util::err(util::ErrorCode::not_found, "unknown file");
   }
-  if (it->second.owner != client) {
+  if (f.row().owner != client) {
     return util::err(util::ErrorCode::permission_denied,
                      "caller does not own the file");
   }
@@ -230,33 +200,34 @@ util::Status Network::file_discard(ClientId client, FileId file) {
     return util::err(util::ErrorCode::insufficient_funds,
                      "cannot pay request gas");
   }
-  it->second.desc.state = FileState::discard;
+  f.row().desc.state = FileState::discard;
   return util::Status::ok();
 }
 
 util::Result<ByteCount> Network::file_get(ClientId client, FileId file,
                                           std::vector<SectorId>& holders) {
   holders.clear();
-  const auto it = files_.find(file);
-  if (it == files_.end()) {
+  const FileView f = alloc_table_.find(file);
+  if (!f) {
     return util::err(util::ErrorCode::not_found, "unknown file");
   }
   if (!charge_gas(client, params_.gas_per_task)) {
     return util::err(util::ErrorCode::insufficient_funds,
                      "cannot pay request gas");
   }
-  for (ReplicaIndex i = 0; i < it->second.desc.cp; ++i) {
-    const AllocEntry& e = alloc_table_.entry(file, i);
-    if (e.state == AllocState::corrupted || e.prev == kNoSector) continue;
-    if (sector_table_.state(e.prev) == SectorState::corrupted) continue;
-    holders.push_back(e.prev);
+  for (ReplicaIndex i = 0; i < f.size(); ++i) {
+    const SectorId prev = f.prev(i);
+    if (f.state(i) == AllocState::corrupted || prev == kNoSector) continue;
+    if (sector_table_.state(prev) == SectorState::corrupted) continue;
+    holders.push_back(prev);
   }
+  const ByteCount size = f.row().desc.size;
   // The event owns its list, so no listener can hold a view past emit;
   // lend it the caller's buffer and take it back rather than copy it.
   Event event{RetrievalRequested{file, client, std::move(holders)}};
   bus_.emit(event);
   holders = std::move(std::get<RetrievalRequested>(event).holders);
-  return it->second.desc.size;
+  return size;
 }
 
 // ---------------------------------------------------------------------------
@@ -297,17 +268,16 @@ void Network::run_task(const Task& task) {
 // ---------------------------------------------------------------------------
 
 void Network::auto_check_alloc(FileId file) {
-  const auto it = files_.find(file);
-  if (it == files_.end()) return;
-  FileRecord& rec = it->second;
+  const FileView f = alloc_table_.find(file);
+  if (!f) return;
 
   // Fig. 7, first loop: any entry neither confirmed nor corrupted fails
   // the upload.
-  for (ReplicaIndex i = 0; i < rec.desc.cp; ++i) {
-    const AllocEntry& e = alloc_table_.entry(file, i);
-    if (e.state != AllocState::confirm && e.state != AllocState::corrupted) {
+  for (ReplicaIndex i = 0; i < f.size(); ++i) {
+    if (f.state(i) != AllocState::confirm &&
+        f.state(i) != AllocState::corrupted) {
       ++stats_.upload_failures;
-      refund_unconfirmed_traffic(file);
+      refund_unconfirmed_traffic(f);
       bus_.emit(UploadFailed{file, "replica " + std::to_string(i) +
                                        " was not confirmed in time"});
       remove_file_internal(file);
@@ -316,49 +286,48 @@ void Network::auto_check_alloc(FileId file) {
   }
 
   // Second loop: activate confirmed entries.
-  for (ReplicaIndex i = 0; i < rec.desc.cp; ++i) {
-    const AllocEntry& e = alloc_table_.entry(file, i);
-    if (e.state == AllocState::confirm) {
-      const SectorId sector = e.next;
+  for (ReplicaIndex i = 0; i < f.size(); ++i) {
+    if (f.state(i) == AllocState::confirm) {
+      const SectorId sector = f.next(i);
       link_prev(file, i, sector);
       link_next(file, i, kNoSector);
-      alloc_table_.set_last(file, i, now_);
+      f.set_last(i, now_);
       alloc_table_.set_state(file, i, AllocState::normal);
       bus_.emit(ReplicaActivated{file, i, sector});
     }
     // Corrupted entries stay as dead slots (Fig. 7 else-branch).
   }
 
-  rec.desc.cntdown = sample_refresh_countdown(rng_, params_.avg_refresh);
+  FileDescriptor& desc = f.row().desc;
+  desc.cntdown = sample_refresh_countdown(rng_, params_.avg_refresh);
   pending_.schedule(now_ + params_.proof_cycle,
                     Task{TaskKind::check_proof, file, 0});
-  total_stored_value_ = util::checked_add(total_stored_value_, rec.desc.value);
+  total_stored_value_ = util::checked_add(total_stored_value_, desc.value);
   ++stats_.files_stored;
   bus_.emit(FileStored{file});
 }
 
 void Network::auto_check_proof(FileId file) {
-  const auto it = files_.find(file);
-  if (it == files_.end()) return;
-  FileRecord& rec = it->second;
-  const bool discarded_for_rent = charge_rent_or_discard(rec);
-
-  // Proof timeliness per replica, in replica order. The view reads entries
-  // live: confiscating one replica's sector can re-link or corrupt this
-  // file's other entries. It stays valid throughout, because
+  // One lookup serves the whole visit. The view reads entries live:
+  // confiscating one replica's sector can re-link or corrupt this file's
+  // other entries. It stays valid throughout, because
   // corrupt_sector_internal never creates or removes a file, so the slab
   // never reallocates during the pass.
-  AllocTable::SweepView entries = alloc_table_.sweep_view_of(file);
-  for (ReplicaIndex i = 0; i < entries.size(); ++i) {
-    if (entries.state(i) == AllocState::corrupted) continue;  // dead slot
-    const SectorId prev = entries.prev(i);
+  const FileView f = alloc_table_.find(file);
+  if (!f) return;
+  const bool discarded_for_rent = charge_rent_or_discard(f.row());
+
+  // Proof timeliness per replica, in replica order.
+  for (ReplicaIndex i = 0; i < f.size(); ++i) {
+    if (f.state(i) == AllocState::corrupted) continue;  // dead slot
+    const SectorId prev = f.prev(i);
     if (prev == kNoSector) continue;
     if (sector_table_.state(prev) == SectorState::corrupted) continue;
     if (!is_physically_corrupted(prev)) {
-      entries.set_last(i, now_);  // auto-proven: neither late nor breached
+      f.set_last(i, now_);  // auto-proven: neither late nor breached
       continue;
     }
-    const Time last = entries.last(i);
+    const Time last = f.last(i);
     if (last == kNoTime || last + params_.proof_deadline < now_) {
       // ProofDeadline breached: confiscate and corrupt the sector.
       corrupt_sector_internal(prev);
@@ -370,37 +339,38 @@ void Network::auto_check_proof(FileId file) {
   }
 
   bool all_corrupted = true;
-  for (ReplicaIndex i = 0; i < entries.size(); ++i) {
-    if (entries.state(i) != AllocState::corrupted) {
+  for (ReplicaIndex i = 0; i < f.size(); ++i) {
+    if (f.state(i) != AllocState::corrupted) {
       all_corrupted = false;
       break;
     }
   }
-  finish_check_proof(file, rec, discarded_for_rent, all_corrupted);
+  finish_check_proof(f, discarded_for_rent, all_corrupted);
 }
 
-bool Network::charge_rent_or_discard(FileRecord& rec) {
+bool Network::charge_rent_or_discard(FileRow& row) {
   // Fig. 8: charge the next cycle's rent + prepaid gas, or discard.
-  if (rec.desc.state != FileState::normal) return false;
-  const TokenAmount rent = params_.rent_per_cycle(rec.desc.size, rec.desc.cp);
+  if (row.desc.state != FileState::normal) return false;
+  const TokenAmount rent = params_.rent_per_cycle(row.desc.size, row.desc.cp);
   const TokenAmount gas = util::checked_mul(params_.gas_per_task, 2);
-  if (ledger_.balance(rec.owner) < util::checked_add(rent, gas)) {
-    rec.desc.state = FileState::discard;
+  if (ledger_.balance(row.owner) < util::checked_add(rent, gas)) {
+    row.desc.state = FileState::discard;
     return true;
   }
-  FI_CHECK(ledger_.transfer(rec.owner, rent_pool_, rent).is_ok());
+  FI_CHECK(ledger_.transfer(row.owner, rent_pool_, rent).is_ok());
   rent_undistributed_scaled_ += static_cast<RentAcc>(rent) << kRentAccFracBits;
   total_rent_charged_ = util::checked_add(total_rent_charged_, rent);
-  FI_CHECK(charge_gas(rec.owner, gas));
+  FI_CHECK(charge_gas(row.owner, gas));
   return false;
 }
 
-void Network::finish_check_proof(FileId file, FileRecord& rec,
-                                 bool discarded_for_rent, bool all_corrupted) {
+void Network::finish_check_proof(const FileView& f, bool discarded_for_rent,
+                                 bool all_corrupted) {
   // Fig. 8 tail: removal / loss / continuation.
-  if (rec.desc.state == FileState::discard) {
-    total_stored_value_ =
-        util::checked_sub(total_stored_value_, rec.desc.value);
+  const FileId file = f.id();
+  FileDescriptor& desc = f.row().desc;
+  if (desc.state == FileState::discard) {
+    total_stored_value_ = util::checked_sub(total_stored_value_, desc.value);
     ++stats_.files_discarded;
     bus_.emit(FileDiscarded{file, discarded_for_rent});
     remove_file_internal(file);
@@ -408,43 +378,40 @@ void Network::finish_check_proof(FileId file, FileRecord& rec,
   }
 
   if (all_corrupted) {
+    const TokenAmount value = desc.value;
     ++stats_.files_lost;
-    stats_.value_lost = util::checked_add(stats_.value_lost, rec.desc.value);
-    const TokenAmount paid =
-        deposit_book_.compensate(rec.owner, rec.desc.value);
+    stats_.value_lost = util::checked_add(stats_.value_lost, value);
+    const TokenAmount paid = deposit_book_.compensate(f.row().owner, value);
     stats_.value_compensated =
         util::checked_add(stats_.value_compensated, paid);
-    total_stored_value_ =
-        util::checked_sub(total_stored_value_, rec.desc.value);
-    bus_.emit(FileLost{file, rec.desc.value, paid});
+    total_stored_value_ = util::checked_sub(total_stored_value_, value);
+    bus_.emit(FileLost{file, value, paid});
     remove_file_internal(file);
     return;
   }
 
   pending_.schedule(now_ + params_.proof_cycle,
                     Task{TaskKind::check_proof, file, 0});
-  if (rec.desc.cntdown > 0) {
-    --rec.desc.cntdown;
-    if (rec.desc.cntdown == 0) {
-      const auto index =
-          static_cast<ReplicaIndex>(rng_.uniform_below(rec.desc.cp));
-      auto_refresh(file, index);
+  if (desc.cntdown > 0) {
+    --desc.cntdown;
+    if (desc.cntdown == 0) {
+      const auto index = static_cast<ReplicaIndex>(rng_.uniform_below(desc.cp));
+      auto_refresh(f, index);
     }
   }
 }
 
-void Network::auto_refresh(FileId file, ReplicaIndex index) {
-  const auto it = files_.find(file);
-  if (it == files_.end()) return;
-  const AllocEntry& e = alloc_table_.entry(file, index);
+void Network::auto_refresh(const FileView& f, ReplicaIndex index) {
+  FileDescriptor& desc = f.row().desc;
+  const AllocEntry e = f.entry(index);
   if (e.state != AllocState::normal) {
     // Replica busy (mid-refresh or dead): try again after a fresh countdown.
-    resample_cntdown(file);
+    resample_cntdown(desc);
     return;
   }
   auto sector = sector_table_.random_sector(rng_);
   if (!sector.is_ok()) {
-    resample_cntdown(file);
+    resample_cntdown(desc);
     return;
   }
   const SectorId target = sector.value();
@@ -452,71 +419,75 @@ void Network::auto_refresh(FileId file, ReplicaIndex index) {
     // The fresh i.i.d. draw picked the current location: the refresh is a
     // no-op move; the replica stays and the countdown restarts.
     ++stats_.refreshes_self;
-    resample_cntdown(file);
+    resample_cntdown(desc);
     return;
   }
   if (params_.distinct_sectors) {
-    for (ReplicaIndex j = 0; j < it->second.desc.cp; ++j) {
-      if (j != index && (alloc_table_.entry(file, j).prev == target ||
-                         alloc_table_.entry(file, j).next == target)) {
+    for (ReplicaIndex j = 0; j < f.size(); ++j) {
+      if (j != index && (f.prev(j) == target || f.next(j) == target)) {
         ++stats_.refresh_collisions;
-        bus_.emit(RefreshSkipped{file, index, target});
-        resample_cntdown(file);
+        bus_.emit(RefreshSkipped{f.id(), index, target});
+        resample_cntdown(desc);
         return;
       }
     }
   }
-  if (!start_refresh_to(file, index, target)) {
+  if (!start_refresh_to(f, index, target)) {
     // Fig. 9 else-branch ("almost never happens"): skip, re-sample countdown.
     ++stats_.refresh_collisions;
-    bus_.emit(RefreshSkipped{file, index, target});
-    resample_cntdown(file);
+    bus_.emit(RefreshSkipped{f.id(), index, target});
+    resample_cntdown(desc);
   }
 }
 
-bool Network::start_refresh_to(FileId file, ReplicaIndex index,
+bool Network::start_refresh_to(const FileView& f, ReplicaIndex index,
                                SectorId target) {
-  const auto it = files_.find(file);
-  FI_CHECK(it != files_.end());
-  const AllocEntry& e = alloc_table_.entry(file, index);
-  FI_CHECK(e.state == AllocState::normal);
+  FI_CHECK(f.state(index) == AllocState::normal);
+  const FileId file = f.id();
+  const SectorId source = f.prev(index);
+  const ByteCount size = f.row().desc.size;
   const Time deadline =
-      util::checked_add(now_, params_.transfer_window(it->second.desc.size));
-  if (!reserve_sector(target, it->second.desc.size).is_ok()) {
+      util::checked_add(now_, params_.transfer_window(size));
+  if (!reserve_sector(target, size).is_ok()) {
     return false;
   }
   link_next(file, index, target);
   alloc_table_.set_state(file, index, AllocState::alloc);
   pending_.schedule(deadline, Task{TaskKind::check_refresh, file, index});
-  bus_.emit(ReplicaTransferRequested{file, index, e.prev, target,
-                                     it->second.owner, deadline});
+  bus_.emit(ReplicaTransferRequested{file, index, source, target,
+                                     f.row().owner, deadline});
   ++stats_.refreshes_started;
   return true;
 }
 
 void Network::auto_check_refresh(FileId file, ReplicaIndex index) {
-  const auto it = files_.find(file);
-  if (it == files_.end()) return;
-  const FileRecord& rec = it->second;
-  const AllocEntry e = alloc_table_.entry(file, index);
+  const FileView f = alloc_table_.find(file);
+  if (!f) return;
+  const ByteCount size = f.row().desc.size;
+  const AllocEntry e = f.entry(index);
   if (e.next == kNoSector) return;  // stale: cancelled or already completed
 
   if (e.state == AllocState::confirm) {
     // Handoff succeeded: swap prev <- next (Fig. 9).
     const SectorId old = e.prev;
     const SectorId fresh = e.next;
-    release_sector(old, rec.desc.size);
+    release_sector(old, size);
     bus_.emit(ReplicaReleased{file, index, old});
     link_prev(file, index, fresh);
     link_next(file, index, kNoSector);
-    alloc_table_.set_last(file, index, now_);
+    f.set_last(index, now_);
     alloc_table_.set_state(file, index, AllocState::normal);
     bus_.emit(ReplicaActivated{file, index, fresh});
-    resample_cntdown(file);
+    resample_cntdown(f.row().desc);
     ++stats_.refreshes_completed;
     return;
   }
-  // state == corrupted: the storing sector died mid-refresh; nothing to do.
+  if (e.state == AllocState::corrupted) {
+    // The storing sector died mid-refresh: the refresh is over, so restart
+    // the countdown it left at 0.
+    resample_cntdown(f.row().desc);
+    return;
+  }
   if (e.state != AllocState::alloc) return;
 
   // Handoff failed: punish the successor and every current holder
@@ -527,24 +498,24 @@ void Network::auto_check_refresh(FileId file, ReplicaIndex index) {
   ++stats_.punishments;
   bus_.emit(
       ProviderPunished{e.next, slashed_next, "failed refresh handoff"});
-  for (ReplicaIndex j = 0; j < rec.desc.cp; ++j) {
-    const AllocEntry& other = alloc_table_.entry(file, j);
-    if (other.prev == kNoSector || other.state == AllocState::corrupted) {
+  for (ReplicaIndex j = 0; j < f.size(); ++j) {
+    const SectorId holder = f.prev(j);
+    if (holder == kNoSector || f.state(j) == AllocState::corrupted) {
       continue;
     }
-    if (sector_table_.state(other.prev) == SectorState::corrupted) {
+    if (sector_table_.state(holder) == SectorState::corrupted) {
       continue;
     }
     const TokenAmount slashed =
-        deposit_book_.punish(other.prev, params_.punish_bp);
+        deposit_book_.punish(holder, params_.punish_bp);
     ++stats_.punishments;
-    bus_.emit(ProviderPunished{other.prev, slashed,
+    bus_.emit(ProviderPunished{holder, slashed,
                                "failed refresh handoff (holder)"});
   }
-  release_sector(e.next, rec.desc.size);
+  release_sector(e.next, size);
   link_next(file, index, kNoSector);
   alloc_table_.set_state(file, index, AllocState::normal);
-  auto_refresh(file, index);  // Fig. 9: call Refresh(f, i) again
+  auto_refresh(f, index);  // Fig. 9: call Refresh(f, i) again
 }
 
 void Network::distribute_rent() {
@@ -669,7 +640,8 @@ void Network::corrupt_sector_internal(SectorId sector) {
   // Entries stored here (prev == sector).
   for (const EntryKey& key : alloc_table_.entries_with_prev(sector)) {
     const auto [file, index] = key;
-    const AllocEntry& e = alloc_table_.entry(file, index);
+    const FileView f = alloc_table_.find(file);
+    const AllocEntry e = f.entry(index);
     if (e.state == AllocState::corrupted) continue;
     if (e.state == AllocState::confirm && e.next != kNoSector &&
         sector_table_.state(e.next) == SectorState::normal) {
@@ -678,16 +650,19 @@ void Network::corrupt_sector_internal(SectorId sector) {
       const SectorId fresh = e.next;
       link_prev(file, index, fresh);
       link_next(file, index, kNoSector);
-      alloc_table_.set_last(file, index, now_);
+      f.set_last(index, now_);
       alloc_table_.set_state(file, index, AllocState::normal);
       bus_.emit(ReplicaActivated{file, index, fresh});
-      resample_cntdown(file);
+      resample_cntdown(f.row().desc);
       continue;
     }
     if (e.state == AllocState::alloc && e.next != kNoSector) {
-      // Outbound refresh whose source just died: cancel the transfer.
-      release_sector(e.next, files_.at(file).desc.size);
+      // Outbound refresh whose source just died: cancel the transfer and
+      // restart the countdown the refresh left at 0, or the file's other
+      // replicas would never refresh again.
+      release_sector(e.next, f.row().desc.size);
       link_next(file, index, kNoSector);
+      resample_cntdown(f.row().desc);
     }
     alloc_table_.set_state(file, index, AllocState::corrupted);
   }
@@ -695,26 +670,26 @@ void Network::corrupt_sector_internal(SectorId sector) {
   // Entries flowing into this sector (next == sector).
   for (const EntryKey& key : alloc_table_.entries_with_next(sector)) {
     const auto [file, index] = key;
-    const AllocEntry& e = alloc_table_.entry(file, index);
+    const FileView f = alloc_table_.find(file);
+    const AllocEntry e = f.entry(index);
     if (e.prev == kNoSector) {
       // Initial upload target died: dead replica slot, tolerated by
       // Auto_CheckAlloc (Fig. 7 treats corrupted entries as acceptable).
       link_next(file, index, kNoSector);
       alloc_table_.set_state(file, index, AllocState::corrupted);
       // The traffic fee for this replica is refunded (never delivered).
-      auto& rec = files_.at(file);
-      if (rec.traffic_escrowed[index]) {
-        const TokenAmount fee = params_.traffic_fee(rec.desc.size);
+      if (f.escrowed(index)) {
+        const TokenAmount fee = params_.traffic_fee(f.row().desc.size);
         FI_CHECK(
-            ledger_.transfer(traffic_escrow_, rec.owner, fee).is_ok());
-        rec.traffic_escrowed[index] = false;
+            ledger_.transfer(traffic_escrow_, f.row().owner, fee).is_ok());
+        f.clear_escrow(index);
       }
     } else {
       // Refresh target died: cancel; the old holder keeps the replica.
       link_next(file, index, kNoSector);
       if (e.state != AllocState::corrupted) {
         alloc_table_.set_state(file, index, AllocState::normal);
-        resample_cntdown(file);
+        resample_cntdown(f.row().desc);
       }
     }
   }
@@ -728,27 +703,25 @@ void Network::link_prev(FileId file, ReplicaIndex idx, SectorId sector) {
   const SectorId old = alloc_table_.entry(file, idx).prev;
   if (old == sector) return;
   alloc_table_.set_prev(file, idx, sector);
-  if (sector != kNoSector) sector_table_.add_ref(sector);
-  if (old != kNoSector) unref_and_maybe_remove(old);
+  if (old != kNoSector) remove_if_drained(old);
 }
 
 void Network::link_next(FileId file, ReplicaIndex idx, SectorId sector) {
   const SectorId old = alloc_table_.entry(file, idx).next;
   if (old == sector) return;
   alloc_table_.set_next(file, idx, sector);
-  if (sector != kNoSector) sector_table_.add_ref(sector);
-  if (old != kNoSector) unref_and_maybe_remove(old);
+  if (old != kNoSector) remove_if_drained(old);
 }
 
-void Network::unref_and_maybe_remove(SectorId sector) {
-  sector_table_.drop_ref(sector);
-  const Sector& s = sector_table_.at(sector);
-  if (s.state == SectorState::disabled && s.ref_count == 0) {
-    settle_rent_internal(sector);
-    const TokenAmount refunded = deposit_book_.refund(sector);
-    sector_table_.mark_removed(sector);
-    bus_.emit(SectorRemoved{sector, refunded});
+void Network::remove_if_drained(SectorId sector) {
+  if (sector_table_.state(sector) != SectorState::disabled ||
+      alloc_table_.references(sector) != 0) {
+    return;
   }
+  settle_rent_internal(sector);
+  const TokenAmount refunded = deposit_book_.refund(sector);
+  sector_table_.mark_removed(sector);
+  bus_.emit(SectorRemoved{sector, refunded});
 }
 
 util::Result<SectorId> Network::sample_sector_with_space(
@@ -772,11 +745,11 @@ util::Result<SectorId> Network::sample_sector_with_space(
 }
 
 void Network::remove_file_internal(FileId file) {
-  const auto it = files_.find(file);
-  FI_CHECK(it != files_.end());
-  const ByteCount size = it->second.desc.size;
-  for (ReplicaIndex i = 0; i < it->second.desc.cp; ++i) {
-    const AllocEntry e = alloc_table_.entry(file, i);
+  const FileView f = alloc_table_.find(file);
+  FI_CHECK_MSG(f, "removing unknown file");
+  const ByteCount size = f.row().desc.size;
+  for (ReplicaIndex i = 0; i < f.size(); ++i) {
+    const AllocEntry e = f.entry(i);
     if (e.next != kNoSector) {
       release_sector(e.next, size);
       if (e.state == AllocState::confirm) {
@@ -793,24 +766,20 @@ void Network::remove_file_internal(FileId file) {
     }
   }
   alloc_table_.remove_file(file);
-  files_.erase(it);
 }
 
-void Network::refund_unconfirmed_traffic(FileId file) {
-  auto& rec = record(file);
-  const TokenAmount fee = params_.traffic_fee(rec.desc.size);
-  for (ReplicaIndex i = 0; i < rec.desc.cp; ++i) {
-    if (!rec.traffic_escrowed[i]) continue;
-    FI_CHECK(ledger_.transfer(traffic_escrow_, rec.owner, fee).is_ok());
-    rec.traffic_escrowed[i] = false;
+void Network::refund_unconfirmed_traffic(const FileView& f) {
+  const FileRow& row = f.row();
+  const TokenAmount fee = params_.traffic_fee(row.desc.size);
+  for (ReplicaIndex i = 0; i < f.size(); ++i) {
+    if (!f.escrowed(i)) continue;
+    FI_CHECK(ledger_.transfer(traffic_escrow_, row.owner, fee).is_ok());
+    f.clear_escrow(i);
   }
 }
 
-void Network::resample_cntdown(FileId file) {
-  const auto it = files_.find(file);
-  if (it == files_.end()) return;
-  it->second.desc.cntdown =
-      sample_refresh_countdown(rng_, params_.avg_refresh);
+void Network::resample_cntdown(FileDescriptor& desc) {
+  desc.cntdown = sample_refresh_countdown(rng_, params_.avg_refresh);
 }
 
 void Network::admission_rebalance(SectorId sector) {
@@ -828,9 +797,9 @@ void Network::admission_rebalance(SectorId sector) {
     const auto key = alloc_table_.random_normal_entry(rng_);
     if (!key.has_value()) return;
     const auto [file, index] = *key;
-    const AllocEntry& e = alloc_table_.entry(file, index);
-    if (e.prev == sector) continue;  // already here
-    if (!start_refresh_to(file, index, sector)) return;  // sector full
+    const FileView f = alloc_table_.find(file);
+    if (f.prev(index) == sector) continue;  // already here
+    if (!start_refresh_to(f, index, sector)) return;  // sector full
   }
 }
 
@@ -909,31 +878,6 @@ void Network::save_misc(util::BinaryWriter& writer) const {
   save_network_stats(stats_, writer);
 }
 
-void Network::save_files(util::BinaryWriter& writer) const {
-  std::vector<FileId> files;
-  files.reserve(files_.size());
-  // fi-lint: allow(unordered-iter, keys collected then sorted before encoding)
-  for (const auto& [file, _] : files_) files.push_back(file);
-  std::sort(files.begin(), files.end());
-  writer.u64(files.size());
-  for (const FileId file : files) {
-    const FileRecord& rec = files_.at(file);
-    writer.u64(file);
-    writer.u64(rec.desc.size);
-    writer.u64(rec.desc.value);
-    writer.raw(rec.desc.merkle_root.bytes);
-    writer.u32(rec.desc.cp);
-    writer.i64(rec.desc.cntdown);
-    writer.u8(static_cast<std::uint8_t>(rec.desc.state));
-    writer.u64(rec.owner);
-    writer.u64(rec.added_at);
-    writer.u64(rec.traffic_escrowed.size());
-    for (const bool escrowed : rec.traffic_escrowed) {
-      writer.boolean(escrowed);
-    }
-  }
-}
-
 void Network::save_state_component(StateComponent component,
                                    util::BinaryWriter& writer) const {
   switch (component) {
@@ -941,7 +885,9 @@ void Network::save_state_component(StateComponent component,
       save_misc(writer);
       return;
     case StateComponent::sectors:
-      sector_table_.save(writer);
+      sector_table_.save(writer, [this](SectorId sector) {
+        return static_cast<std::uint32_t>(alloc_table_.references(sector));
+      });
       return;
     case StateComponent::allocations:
       alloc_table_.save(writer);
@@ -953,7 +899,7 @@ void Network::save_state_component(StateComponent component,
       deposit_book_.save(writer);
       return;
     case StateComponent::files:
-      save_files(writer);
+      alloc_table_.save_files(writer);
       return;
   }
   FI_CHECK_MSG(false, "unknown state component");
@@ -1025,7 +971,8 @@ util::Status Network::load(util::BinaryReader& reader) {
   }
 
   stats_ = load_network_stats(reader);
-  sector_table_.load(reader);
+  std::vector<std::uint32_t> stored_references;
+  sector_table_.load(reader, stored_references);
 
   physically_corrupted_.clear();
   if (reader.ok()) {
@@ -1039,7 +986,7 @@ util::Status Network::load(util::BinaryReader& reader) {
     }
   }
 
-  alloc_table_.load(reader, sector_table_.count());
+  alloc_table_.load(reader, sector_table_.count(), next_file_id_);
   pending_.load(reader);
   // advance_to never leaves a task due before the clock; one that is would
   // run with now() moving backwards.
@@ -1048,51 +995,12 @@ util::Status Network::load(util::BinaryReader& reader) {
   }
   deposit_book_.load(reader);
 
-  files_.clear();
-  const std::uint64_t files = reader.count(74);
-  files_.reserve(files);
-  for (std::uint64_t i = 0; i < files; ++i) {
-    const FileId file = reader.u64();
-    FileRecord rec;
-    rec.desc.size = reader.u64();
-    rec.desc.value = reader.u64();
-    reader.raw(rec.desc.merkle_root.bytes);
-    rec.desc.cp = reader.u32();
-    rec.desc.cntdown = reader.i64();
-    const std::uint8_t state = reader.u8();
-    if (state > static_cast<std::uint8_t>(FileState::removed)) reader.fail();
-    rec.desc.state = static_cast<FileState>(state);
-    rec.owner = reader.u64();
-    rec.added_at = reader.u64();
-    const std::uint64_t escrow_flags = reader.count(1);
-    rec.traffic_escrowed.reserve(escrow_flags);
-    for (std::uint64_t f = 0; f < escrow_flags; ++f) {
-      rec.traffic_escrowed.push_back(reader.boolean());
-    }
-    if (!reader.ok()) break;
-    // The record must describe the allocation group of the same id: the
-    // engine walks `cp` of its entries and `cp` escrow flags. File_Add
-    // admits no empty file.
-    if (!alloc_table_.has_file(file) ||
-        alloc_table_.replica_count(file) != rec.desc.cp ||
-        rec.traffic_escrowed.size() != rec.desc.cp || rec.desc.size == 0) {
-      reader.fail();
-      break;
-    }
-    if (!files_.emplace(file, std::move(rec)).second) {
-      reader.fail();  // duplicate file id: the record would be dropped
-      break;
-    }
-  }
-  // Every record names a distinct group, so equal counts mean the files
-  // component names exactly the files the allocation table holds.
-  if (reader.ok() && files_.size() != alloc_table_.file_count()) {
-    reader.fail();
-  }
+  alloc_table_.load_files(reader);
 
-  // Cross-component checks: each disagreement would otherwise load and
-  // abort the run later (reference underflow, rent accumulator overflow,
-  // replica index out of range).
+  // Cross-component checks: a stored reference count must be the entries
+  // that name the sector, and the other two disagreements would load and
+  // abort the run later (rent accumulator overflow, replica index out of
+  // range).
   for (SectorId id = 0; reader.ok() && id < sector_table_.count(); ++id) {
     const SectorState state = sector_table_.state(id);
     const bool earns =
@@ -1100,8 +1008,7 @@ util::Status Network::load(util::BinaryReader& reader) {
     const std::uint64_t units =
         sector_table_.capacity(id) / params_.min_capacity;
     const RentAcc snapshot = sector_table_.rent_acc_snapshot(id);
-    if (sector_table_.ref_count(id) != alloc_table_.count_with_prev(id) +
-                                           alloc_table_.count_with_next(id) ||
+    if (stored_references[id] != alloc_table_.references(id) ||
         snapshot > rent_acc_ ||
         (earns && rent_acc_ - snapshot > ~RentAcc{0} / units)) {
       reader.fail();
@@ -1110,8 +1017,8 @@ util::Status Network::load(util::BinaryReader& reader) {
   if (reader.ok()) {
     pending_.for_each([&](Time, const Task& task) {
       if (task.kind != TaskKind::check_refresh) return;
-      const auto it = files_.find(task.file);
-      if (it != files_.end() && task.index >= it->second.desc.cp) {
+      if (alloc_table_.has_file(task.file) &&
+          task.index >= alloc_table_.replica_count(task.file)) {
         reader.fail();
       }
     });

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/alloc_table.h"
@@ -191,15 +190,21 @@ class Network {
   [[nodiscard]] const DepositBook& deposits() const { return deposit_book_; }
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
   [[nodiscard]] bool file_exists(FileId file) const {
-    return files_.contains(file);
+    return alloc_table_.has_file(file);
   }
   /// Descriptor / owning client of a live file. Unknown ids are an
   /// invariant violation — guard with `file_exists` (files vanish
   /// asynchronously at Auto_CheckProof after discard or loss).
-  [[nodiscard]] const FileDescriptor& file(FileId file) const;
-  [[nodiscard]] ClientId file_owner(FileId file) const;
+  [[nodiscard]] const FileDescriptor& file(FileId file) const {
+    return alloc_table_.row(file).desc;
+  }
+  [[nodiscard]] ClientId file_owner(FileId file) const {
+    return alloc_table_.row(file).owner;
+  }
   /// Files currently tracked (stored or mid-upload).
-  [[nodiscard]] std::size_t file_count() const { return files_.size(); }
+  [[nodiscard]] std::size_t file_count() const {
+    return alloc_table_.file_count();
+  }
   /// Scheduled-but-unexecuted automatic tasks.
   [[nodiscard]] std::size_t pending_tasks() const { return pending_.size(); }
 
@@ -231,13 +236,6 @@ class Network {
   /// Total rent ever settled to providers (outflow from the rent pool).
   [[nodiscard]] TokenAmount total_rent_paid() const {
     return total_rent_paid_;
-  }
-  /// Rent pool inflow not yet credited to the accumulator (distribution
-  /// dust carried to the next cycle plus the current period's charges),
-  /// in whole tokens.
-  [[nodiscard]] TokenAmount rent_undistributed() const {
-    return static_cast<TokenAmount>(rent_undistributed_scaled_ >>
-                                    kRentAccFracBits);
   }
 
   /// System account ids (for money-conservation assertions in tests).
@@ -271,10 +269,10 @@ class Network {
   /// side-effect guarantees on malformed input — callers verify the
   /// snapshot digest first and treat failure as fatal for this instance.
   /// Besides each component's own checks, it fails a body whose
-  /// components disagree where a run would abort: a sector reference
-  /// count other than the entries that name the sector, a rent snapshot
-  /// above the accumulator or owing rent past 128 bits, a check_refresh
-  /// task past its live file's replicas, or a file of zero bytes.
+  /// components disagree: a sector reference count other than the entries
+  /// that name the sector, a rent snapshot above the accumulator or owing
+  /// rent past 128 bits, a check_refresh task past its live file's
+  /// replicas, or a file id at or past the next one File_Add would issue.
   util::Status load(util::BinaryReader& reader);
 
   // ---- Component-structured state -----------------------------------------
@@ -290,7 +288,7 @@ class Network {
     allocations,  ///< AllocTable
     pending,      ///< PendingList
     deposits,     ///< DepositBook
-    files,        ///< file records
+    files,        ///< AllocTable's file rows
   };
   static constexpr std::size_t kStateComponentCount = 6;
 
@@ -312,31 +310,24 @@ class Network {
   }
 
  private:
-  struct FileRecord {
-    FileDescriptor desc;
-    ClientId owner = kNoAccount;
-    Time added_at = 0;
-    /// Per-replica traffic fee still escrowed (refund on upload failure).
-    std::vector<bool> traffic_escrowed;
-  };
+  using FileView = AllocTable::FileView;
 
   // ---- Auto tasks (Fig. 7, 8, 9) -----------------------------------------
   void run_task(const Task& task);
   void auto_check_alloc(FileId file);
   void auto_check_proof(FileId file);
-  void auto_refresh(FileId file, ReplicaIndex index);
+  void auto_refresh(const FileView& file, ReplicaIndex index);
   void auto_check_refresh(FileId file, ReplicaIndex index);
   void distribute_rent();
 
   /// Fig. 8 helpers: the rent-charge-or-discard head (returns
   /// discarded_for_rent) and the removal/loss/re-arm/countdown tail.
-  bool charge_rent_or_discard(FileRecord& rec);
-  void finish_check_proof(FileId file, FileRecord& rec,
-                          bool discarded_for_rent, bool all_corrupted);
+  bool charge_rent_or_discard(FileRow& row);
+  void finish_check_proof(const FileView& file, bool discarded_for_rent,
+                          bool all_corrupted);
 
   // ---- Internal helpers ----------------------------------------------------
-  FileRecord& record(FileId file);
-  /// Sets entry.prev / entry.next maintaining sector ref-counts.
+  /// Sets entry.prev / entry.next; the sector a link leaves may drain.
   void link_prev(FileId file, ReplicaIndex idx, SectorId sector);
   void link_next(FileId file, ReplicaIndex idx, SectorId sector);
   /// Samples a sector with room for `size` bytes (File_Add semantics:
@@ -356,26 +347,25 @@ class Network {
   /// capacity touch doubles as a settlement point.
   util::Status reserve_sector(SectorId sector, ByteCount size);
   void release_sector(SectorId sector, ByteCount size);
-  /// Removes a file's entries, releasing space and refs.
+  /// Removes a file's row and entries, releasing space and links.
   void remove_file_internal(FileId file);
   /// Refunds escrowed traffic fees for unconfirmed replicas.
-  void refund_unconfirmed_traffic(FileId file);
-  /// Drops a reference and removes the sector if drained while disabled.
-  void unref_and_maybe_remove(SectorId sector);
+  void refund_unconfirmed_traffic(const FileView& file);
+  /// Refunds and removes a disabled sector once no entry names it.
+  void remove_if_drained(SectorId sector);
   /// Charges prepaid gas to `payer` (burn); false if unaffordable.
   bool charge_gas(AccountId payer, TokenAmount amount);
   /// Resamples a file's refresh countdown from Exp(AvgRefresh).
-  void resample_cntdown(FileId file);
+  void resample_cntdown(FileDescriptor& desc);
   /// Sets / clears a sector's physical-corruption flag (dense bitmap).
   void mark_phys_corrupted(SectorId sector);
-  /// Component savers backing `save_state_component`; `save` is their
-  /// in-order concatenation.
+  /// The misc component's saver (the other five belong to the tables).
   void save_misc(util::BinaryWriter& writer) const;
-  void save_files(util::BinaryWriter& writer) const;
   /// §VI-B: swap a Poisson number of random backups into a new sector.
   void admission_rebalance(SectorId sector);
   /// Starts a refresh of (file, index) targeted at a specific sector.
-  bool start_refresh_to(FileId file, ReplicaIndex index, SectorId target);
+  bool start_refresh_to(const FileView& file, ReplicaIndex index,
+                        SectorId target);
 
   // fi-lint: not-serialized(construction-time config; the runner rebuilds
   // the Network from the same spec before load_state)
@@ -399,7 +389,6 @@ class Network {
   // resume and replayed history is not part of canonical state)
   EventBus bus_;
 
-  std::unordered_map<FileId, FileRecord> files_;
   FileId next_file_id_ = 1;
   Time now_ = 0;
   TokenAmount total_stored_value_ = 0;

@@ -20,7 +20,6 @@ util::Result<SectorId> SectorTable::register_sector(ProviderId owner,
   free_caps_.push_back(capacity);
   states_.push_back(SectorState::normal);
   registered_ats_.push_back(now);
-  ref_counts_.push_back(0);
   rent_acc_snapshots_.push_back(0);
   weights_.push_back(capacity / params_.min_capacity);
   capacity_by_state_[static_cast<std::size_t>(SectorState::normal)] =
@@ -41,7 +40,6 @@ Sector SectorTable::at(SectorId id) const {
   s.free_cap = free_caps_[id];
   s.state = states_[id];
   s.registered_at = registered_ats_[id];
-  s.ref_count = ref_counts_[id];
   s.rent_acc_snapshot = rent_acc_snapshots_[id];
   return s;
 }
@@ -80,17 +78,6 @@ void SectorTable::release(SectorId id, ByteCount size) {
                "free capacity above capacity");
 }
 
-void SectorTable::add_ref(SectorId id) {
-  FI_CHECK_MSG(id < owners_.size(), "unknown sector id");
-  ++ref_counts_[id];
-}
-
-void SectorTable::drop_ref(SectorId id) {
-  FI_CHECK_MSG(id < owners_.size(), "unknown sector id");
-  FI_CHECK_MSG(ref_counts_[id] > 0, "sector reference underflow");
-  --ref_counts_[id];
-}
-
 util::Status SectorTable::disable(SectorId id) {
   FI_CHECK_MSG(id < owners_.size(), "unknown sector id");
   if (states_[id] != SectorState::normal) {
@@ -116,8 +103,7 @@ bool SectorTable::mark_corrupted(SectorId id) {
 void SectorTable::mark_removed(SectorId id) {
   FI_CHECK_MSG(id < owners_.size(), "unknown sector id");
   FI_CHECK_MSG(states_[id] == SectorState::disabled,
-               "only a drained disabled sector can be removed");
-  FI_CHECK_MSG(ref_counts_[id] == 0, "sector still referenced");
+               "only a disabled sector can be removed");
   transition_capacity(id, SectorState::removed);
   set_weight(id);
 }
@@ -147,13 +133,9 @@ void SectorTable::transition_capacity(SectorId id, SectorState to) {
   states_[id] = to;
 }
 
-std::vector<SectorId> SectorTable::all_ids() const {
-  std::vector<SectorId> ids(owners_.size());
-  for (std::size_t i = 0; i < owners_.size(); ++i) ids[i] = i;
-  return ids;
-}
-
-void SectorTable::save(util::BinaryWriter& writer) const {
+void SectorTable::save(
+    util::BinaryWriter& writer,
+    const std::function<std::uint32_t(SectorId)>& references) const {
   writer.u64(owners_.size());
   for (std::size_t i = 0; i < owners_.size(); ++i) {
     writer.u64(i);  // dense id, kept on the wire for format stability
@@ -162,18 +144,19 @@ void SectorTable::save(util::BinaryWriter& writer) const {
     writer.u64(free_caps_[i]);
     writer.u8(static_cast<std::uint8_t>(states_[i]));
     writer.u64(registered_ats_[i]);
-    writer.u32(ref_counts_[i]);
+    writer.u32(references(i));
     writer.u128(rent_acc_snapshots_[i]);
   }
 }
 
-void SectorTable::load(util::BinaryReader& reader) {
+void SectorTable::load(util::BinaryReader& reader,
+                       std::vector<std::uint32_t>& references) {
   owners_.clear();
   capacities_.clear();
   free_caps_.clear();
   states_.clear();
   registered_ats_.clear();
-  ref_counts_.clear();
+  references.clear();
   rent_acc_snapshots_.clear();
   weights_ = util::FenwickTree();
   capacity_by_state_.fill(0);
@@ -184,7 +167,7 @@ void SectorTable::load(util::BinaryReader& reader) {
   free_caps_.reserve(n);
   states_.reserve(n);
   registered_ats_.reserve(n);
-  ref_counts_.reserve(n);
+  references.reserve(n);
   rent_acc_snapshots_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     const SectorId id = reader.u64();
@@ -225,7 +208,7 @@ void SectorTable::load(util::BinaryReader& reader) {
     free_caps_.push_back(free_cap);
     states_.push_back(state);
     registered_ats_.push_back(registered_at);
-    ref_counts_.push_back(ref_count);
+    references.push_back(ref_count);
     rent_acc_snapshots_.push_back(rent_acc_snapshot);
     weights_.push_back(0);
     set_weight(id);

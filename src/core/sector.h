@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/params.h"
@@ -42,9 +43,6 @@ struct Sector {
   ByteCount free_cap = 0;
   SectorState state = SectorState::normal;
   Time registered_at = 0;
-  /// Live allocation references (entries with prev or next == this sector);
-  /// a disabled sector is removed when this drains to zero.
-  std::uint32_t ref_count = 0;
   /// Global rent accumulator value at this sector's last settlement
   /// (maintained by Network; rent owed is (acc - snapshot) * capacity units).
   RentAcc rent_acc_snapshot = 0;
@@ -83,10 +81,6 @@ class SectorTable {
     FI_CHECK_MSG(id < rent_acc_snapshots_.size(), "unknown sector id");
     return rent_acc_snapshots_[id];
   }
-  [[nodiscard]] std::uint32_t ref_count(SectorId id) const {
-    FI_CHECK_MSG(id < ref_counts_.size(), "unknown sector id");
-    return ref_counts_[id];
-  }
 
   /// `RandomSector()`: capacity-weighted draw over normal sectors.
   /// Fails when no normal sector exists.
@@ -98,15 +92,13 @@ class SectorTable {
   /// Return `size` bytes of reserved/used capacity.
   void release(SectorId id, ByteCount size);
 
-  void add_ref(SectorId id);
-  void drop_ref(SectorId id);
-
   /// Sector_Disable: stop accepting new files (weight -> 0).
   util::Status disable(SectorId id);
   /// Marks a sector corrupted (weight -> 0); returns false if it already
   /// was corrupted or removed.
   bool mark_corrupted(SectorId id);
-  /// Removes a drained disabled sector.
+  /// Removes a disabled sector (Network calls it once no allocation entry
+  /// names the sector).
   void mark_removed(SectorId id);
 
   /// Rent settlement bookkeeping (Network is the only caller).
@@ -128,9 +120,6 @@ class SectorTable {
     return rentable_units_;
   }
 
-  /// All sector ids in registration order.
-  [[nodiscard]] std::vector<SectorId> all_ids() const;
-
   /// Canonical snapshot encoding / full-state restore (`src/snapshot`).
   /// The wire format is record-ordered (one full sector after another),
   /// unchanged from the AoS layout, so snapshots and golden state hashes
@@ -140,8 +129,15 @@ class SectorTable {
   /// restored state. It fails the reader on a row `save` cannot produce: a
   /// capacity that is zero or not a multiple of `min_capacity`, free space
   /// above capacity, or a total that would wrap.
-  void save(util::BinaryWriter& writer) const;
-  void load(util::BinaryReader& reader);
+  ///
+  /// Each row also carries the sector's reference count, which the table
+  /// does not hold (the allocation entries that name a sector are its
+  /// references): `save` writes `references(id)` there, and `load` returns
+  /// the stored counts in `references` for the caller to check against
+  /// the entries once it has loaded them.
+  void save(util::BinaryWriter& writer,
+            const std::function<std::uint32_t(SectorId)>& references) const;
+  void load(util::BinaryReader& reader, std::vector<std::uint32_t>& references);
 
  private:
   void set_weight(SectorId id);
@@ -161,7 +157,6 @@ class SectorTable {
   std::vector<ByteCount> free_caps_;
   std::vector<SectorState> states_;
   std::vector<Time> registered_ats_;
-  std::vector<std::uint32_t> ref_counts_;
   std::vector<RentAcc> rent_acc_snapshots_;
   // fi-lint: not-serialized(derived: load() rebuilds the Fenwick tree)
   util::FenwickTree weights_;

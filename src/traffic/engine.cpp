@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <numeric>
+#include <tuple>
 
 #include "util/check.h"
 #include "util/checked.h"
@@ -253,8 +254,6 @@ void TrafficEngine::issue(std::uint64_t stream, FileId file) {
   SectorBook& book = books_[best];
   book.served = util::checked_add(book.served, bytes);
   book.revenue = util::checked_add(book.revenue, price);
-  bytes_served_ = util::checked_add(bytes_served_, bytes);
-  revenue_ = util::checked_add(revenue_, price);
 
   const std::uint64_t latency =
       best_queue / spec_.provider_capacity + extra_latency;
@@ -309,6 +308,15 @@ void TrafficEngine::on_epoch(std::uint64_t epoch,
   ++epochs_run_;
 }
 
+std::pair<ByteCount, TokenAmount> TrafficEngine::book_totals() const {
+  std::pair<ByteCount, TokenAmount> totals{0, 0};
+  for (const SectorBook& book : books_) {
+    totals.first += book.served;
+    totals.second += book.revenue;
+  }
+  return totals;
+}
+
 StreamTotals TrafficEngine::stream_totals(std::uint64_t first,
                                           std::uint64_t count) const {
   FI_CHECK_MSG(first <= streams_ && count <= streams_ - first,
@@ -349,8 +357,7 @@ TrafficMetrics TrafficEngine::metrics() const {
   m.payment_failures = payment_failures_;
   // Every settled request is enqueued right after it pays.
   m.retrievals_settled = all.enqueued;
-  m.bytes_served = bytes_served_;
-  m.revenue = revenue_;
+  std::tie(m.bytes_served, m.revenue) = book_totals();
   m.p50_latency = percentile(hist_, all.enqueued, 1, 2);
   m.p99_latency = percentile(hist_, all.enqueued, 99, 100);
   m.flagged_streams = all.flagged;
@@ -396,9 +403,10 @@ void TrafficEngine::save_state(util::BinaryWriter& writer) const {
   save_book(
       writer, sectors, [&](SectorId s) { return books_[s].served > 0; },
       [&](SectorId s) { return books_[s].revenue; });
+  const auto [bytes_served, revenue] = book_totals();
   writer.u64(all.enqueued);  // the settled count
-  writer.u64(bytes_served_);
-  writer.u64(revenue_);
+  writer.u64(bytes_served);
+  writer.u64(revenue);
   // The cache is encoded as its live FIFO window (insertion order), from
   // which load_state rebuilds the membership set.
   writer.u64(cache_fifo_.size() - cache_head_);
@@ -467,8 +475,8 @@ void TrafficEngine::load_state(util::BinaryReader& reader) {
       });
   if (paid != sold) reader.fail();
   const std::uint64_t settled = reader.u64();
-  bytes_served_ = reader.u64();
-  revenue_ = reader.u64();
+  const ByteCount bytes_served = reader.u64();
+  const TokenAmount revenue = reader.u64();
   cache_fifo_ = util::load_u64_seq<FileId>(reader);
   cache_head_ = 0;
   cached_.clear();
@@ -527,15 +535,16 @@ void TrafficEngine::load_state(util::BinaryReader& reader) {
   for (const std::uint64_t flag : serve_refused_) {
     if (flag > 1) reader.fail();
   }
-  // Each total is a sum of the counters above, and the settled count is
-  // the enqueued total.
+  // Each total is a sum of the counters or books above, and the settled
+  // count is the enqueued total.
   if (reader.ok()) {
     const StreamTotals sums = stream_totals(0, streams_);
     if (stored.attempted != sums.attempted ||
         stored.rate_limited != sums.rate_limited ||
         stored.starved != sums.starved || stored.dropped != sums.dropped ||
         stored.enqueued != sums.enqueued || settled != sums.enqueued ||
-        served != sum(sector_served_)) {
+        served != sum(sector_served_) ||
+        book_totals() != std::pair{bytes_served, revenue}) {
       reader.fail();
     }
   }

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/network.h"
@@ -179,6 +180,8 @@ class TrafficEngine {
     TokenAmount revenue = 0;
   };
 
+  /// The served-bytes and revenue books summed over sectors.
+  [[nodiscard]] std::pair<ByteCount, TokenAmount> book_totals() const;
   /// Runs one request through the full pipeline (defense, lookup,
   /// refusal filter, cache, selection, queueing, settlement).
   void issue(std::uint64_t stream, FileId file);
@@ -214,8 +217,6 @@ class TrafficEngine {
   util::Xoshiro256 rng_;
   /// The market's books, indexed by sector id, grown on demand.
   std::vector<SectorBook> books_;
-  ByteCount bytes_served_ = 0;
-  TokenAmount revenue_ = 0;
   /// Provider-side content cache: cached files in insertion order;
   /// `cache_head_` marks the FIFO front (ring-style so eviction is O(1),
   /// compacted when stale).

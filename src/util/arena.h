@@ -39,7 +39,6 @@ class FixedBlockPool {
     if (it == free_.end() || it->second.empty()) return kNoBlock;
     const std::size_t offset = it->second.back();
     it->second.pop_back();
-    --total_free_;
     return offset;
   }
 
@@ -49,25 +48,17 @@ class FixedBlockPool {
   void release(std::uint32_t block_size, std::size_t offset) {
     FI_CHECK_MSG(block_size > 0, "pool blocks must have positive size");
     free_[block_size].push_back(offset);
-    ++total_free_;
   }
 
   /// Drops every free list (used when the owning slab is rebuilt, e.g. on
   /// snapshot restore — restored slabs are packed dense, so stale offsets
   /// must not survive).
-  void clear() {
-    free_.clear();
-    total_free_ = 0;
-  }
-
-  /// Total recycled blocks across all size classes (introspection/tests).
-  [[nodiscard]] std::size_t free_blocks() const { return total_free_; }
+  void clear() { free_.clear(); }
 
  private:
   /// Per-size LIFO free lists. Lookup-only access — iteration order of the
   /// map is never observed, so the hash layout cannot leak into behavior.
   std::unordered_map<std::uint32_t, std::vector<std::size_t>> free_;
-  std::size_t total_free_ = 0;
 };
 
 }  // namespace fi::util

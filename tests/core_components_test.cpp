@@ -201,12 +201,11 @@ TEST(SectorTableTest, DisableLifecycle) {
   const Params p = small_params();
   SectorTable table(p);
   const SectorId s = table.register_sector(1, 1024, 0).value();
-  table.add_ref(s);
+  EXPECT_THROW(table.mark_removed(s), util::InvariantViolation);
   ASSERT_TRUE(table.disable(s).is_ok());
   EXPECT_EQ(table.at(s).state, SectorState::disabled);
   EXPECT_FALSE(table.disable(s).is_ok());  // idempotence rejected
   EXPECT_FALSE(table.reserve(s, 10).is_ok());  // no new data
-  table.drop_ref(s);
   table.mark_removed(s);
   EXPECT_EQ(table.at(s).state, SectorState::removed);
 }
@@ -262,10 +261,16 @@ std::vector<std::uint8_t> sector_body(std::initializer_list<SectorRow> rows) {
     writer.u64(row.free_cap);
     writer.u8(static_cast<std::uint8_t>(row.state));
     writer.u64(/*registered_at=*/0);
-    writer.u32(/*ref_count=*/0);
+    writer.u32(/*references=*/0);
     writer.u128(/*rent_acc_snapshot=*/0);
   }
   return writer.data();
+}
+
+/// Reference counts for `SectorTable::save`: the table holds none, so the
+/// tests make one up that differs per sector.
+std::uint32_t made_up_references(SectorId id) {
+  return static_cast<std::uint32_t>(3 * id + 1);
 }
 
 TEST(SectorTableTest, LoadRejectsNonCanonicalBodies) {
@@ -277,16 +282,18 @@ TEST(SectorTableTest, LoadRejectsNonCanonicalBodies) {
     ASSERT_TRUE(table.reserve(a, 1500).is_ok());
     ASSERT_TRUE(table.disable(a).is_ok());
     util::BinaryWriter saved;
-    table.save(saved);
+    table.save(saved, made_up_references);
     SectorTable restored(p);
     util::BinaryReader reader(saved.data());
-    restored.load(reader);
+    std::vector<std::uint32_t> references;
+    restored.load(reader, references);
     ASSERT_TRUE(reader.ok()) << "the canonical body must load";
     EXPECT_TRUE(reader.exhausted());
+    EXPECT_EQ(references, (std::vector<std::uint32_t>{1, 4}));
     EXPECT_EQ(restored.rentable_units(), 3u);
     EXPECT_EQ(restored.total_capacity(SectorState::disabled), 2048u);
     util::BinaryWriter again;
-    restored.save(again);
+    restored.save(again, made_up_references);
     EXPECT_EQ(again.data(), saved.data());
   }
   constexpr ByteCount kMax = std::numeric_limits<ByteCount>::max();
@@ -305,7 +312,8 @@ TEST(SectorTableTest, LoadRejectsNonCanonicalBodies) {
   for (const auto& c : cases) {
     SectorTable table(p);
     util::BinaryReader reader(c.body);
-    EXPECT_NO_THROW(table.load(reader)) << c.what;
+    std::vector<std::uint32_t> references;
+    EXPECT_NO_THROW(table.load(reader, references)) << c.what;
     EXPECT_FALSE(reader.ok()) << c.what;
   }
   // With min_capacity 1, a normal and a disabled sector each fit their
@@ -316,7 +324,8 @@ TEST(SectorTableTest, LoadRejectsNonCanonicalBodies) {
       sector_body({{kMax, kMax}, {kMax, kMax, SectorState::disabled}});
   SectorTable table(unit);
   util::BinaryReader reader(body);
-  EXPECT_NO_THROW(table.load(reader));
+  std::vector<std::uint32_t> references;
+  EXPECT_NO_THROW(table.load(reader, references));
   EXPECT_FALSE(reader.ok());
 }
 
@@ -478,6 +487,7 @@ std::vector<std::uint8_t> alloc_body(const std::vector<AllocRow>& rows,
 
 TEST(AllocTableTest, LoadRejectsNonCanonicalBodies) {
   constexpr std::uint64_t kSectors = 4;
+  constexpr FileId kNextFileId = 2;  // the body's one file has id 1
   // Replica 0 stored on sector 1 and normal; replica 1 moving to sector 2.
   const std::vector<AllocRow> rows = {{1, kNoSector, AllocState::normal},
                                       {kNoSector, 2, AllocState::alloc}};
@@ -493,7 +503,7 @@ TEST(AllocTableTest, LoadRejectsNonCanonicalBodies) {
     ASSERT_EQ(alloc_body(rows, {{1, {0}}}, {{2, {1}}}, {0}), saved.data());
     AllocTable restored;
     util::BinaryReader reader(saved.data());
-    restored.load(reader, kSectors);
+    restored.load(reader, kSectors, kNextFileId);
     ASSERT_TRUE(reader.ok()) << "the canonical body must load";
     EXPECT_TRUE(reader.exhausted());
     EXPECT_EQ(restored.entries_with_prev(1), (std::vector<EntryKey>{{1, 0}}));
@@ -508,7 +518,11 @@ TEST(AllocTableTest, LoadRejectsNonCanonicalBodies) {
   const struct {
     const char* what;
     std::vector<std::uint8_t> body;
+    FileId next_file_id = kNextFileId;
   } cases[] = {
+      {"file id at the next id File_Add would issue",
+       alloc_body(rows, {{1, {0}}}, {{2, {1}}}, {0}), /*next_file_id=*/1},
+      {"file of zero replicas", alloc_body({}, {}, {}, {})},
       {"prev moved off its bucket's sector",
        alloc_body(moved, {{1, {0}}}, {{2, {1}}}, {0})},
       {"prev missing from the by-prev index",
@@ -523,7 +537,7 @@ TEST(AllocTableTest, LoadRejectsNonCanonicalBodies) {
   for (const auto& c : cases) {
     AllocTable table;
     util::BinaryReader reader(c.body);
-    EXPECT_NO_THROW(table.load(reader, kSectors)) << c.what;
+    EXPECT_NO_THROW(table.load(reader, kSectors, c.next_file_id)) << c.what;
     EXPECT_FALSE(reader.ok()) << c.what;
   }
 }

@@ -523,6 +523,68 @@ TEST_F(RefreshFixture, RefreshSkipsWhenTargetFull) {
   EXPECT_TRUE(net->file_exists(id));
 }
 
+/// Steps task batch by task batch, confirming nothing, until a refresh of
+/// `file` is requested (`from` set) and returns that request.
+ReplicaTransferRequested await_refresh(Network& net,
+                                       const std::vector<Event>& events,
+                                       FileId file) {
+  for (int batch = 0; batch < 200; ++batch) {
+    const std::size_t seen = events.size();
+    net.advance_to(net.next_task_time());
+    for (std::size_t e = seen; e < events.size(); ++e) {
+      const auto* req = std::get_if<ReplicaTransferRequested>(&events[e]);
+      if (req != nullptr && req->file == file && req->from != kNoSector) {
+        return *req;
+      }
+    }
+  }
+  ADD_FAILURE() << "no refresh of file " << file << " started";
+  return {};
+}
+
+// A refresh cancelled because its source sector died leaves the file's
+// countdown at 0, where Auto_CheckProof no longer counts it down: both
+// branches must re-sample it, or the surviving replicas never move again.
+TEST_F(RefreshFixture, RefreshCancelledBySourceCorruptionRestartsCountdown) {
+  for (const bool target_confirmed : {false, true}) {
+    SCOPED_TRACE(target_confirmed ? "target confirmed, then disabled"
+                                  : "transfer in flight");
+    events.clear();
+    providers.clear();
+    sectors_.clear();
+    build(refresh_params(), 6, 4 * 1024);
+    const FileId id = add_and_store(1000, 10);  // k = 2: two replicas
+    const ReplicaTransferRequested req = await_refresh(*net, events, id);
+    ASSERT_EQ(req.file, id);
+    ASSERT_EQ(net->file(id).cntdown, 0);
+    if (target_confirmed) {
+      // The landed copy cannot take over from a target that stopped
+      // accepting data: the replica dies with its source, and its
+      // check_refresh finds it corrupted.
+      const ProviderId target_owner = net->sectors().at(req.to).owner;
+      ASSERT_TRUE(
+          net->file_confirm(target_owner, id, req.index, req.to).is_ok());
+      ASSERT_TRUE(net->sector_disable(target_owner, req.to).is_ok());
+    }
+    net->corrupt_sector_now(req.from);
+    ASSERT_EQ(net->allocations().entry(id, req.index).state,
+              AllocState::corrupted);
+    const AllocEntry other = net->allocations().entry(id, 1 - req.index);
+    ASSERT_NE(other.state, AllocState::corrupted) << "the file must survive";
+
+    const std::uint64_t started = net->stats().refreshes_started;
+    for (int step = 0; step < 2000; ++step) {
+      if (net->now() > req.deadline + 200 * params.proof_cycle) break;
+      net->advance_to(net->next_task_time());
+      if (!net->file_exists(id)) break;
+      confirm_refreshes(id);
+    }
+    ASSERT_TRUE(net->file_exists(id));
+    EXPECT_GT(net->file(id).cntdown, 0);
+    EXPECT_GT(net->stats().refreshes_started, started);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Sector disable drains via refresh
 // ---------------------------------------------------------------------------
@@ -805,7 +867,8 @@ TEST_F(NetworkFixture, LoadRejectsReferenceCountsThatDisagreeWithEntries) {
   build(test_params());
   const FileId id = add_and_store(1000, 20);
   const SectorId holder = net->allocations().entry(id, 0).prev;
-  const std::uint32_t refs = net->sectors().at(holder).ref_count;
+  const auto refs =
+      static_cast<std::uint32_t>(net->allocations().references(holder));
   ASSERT_GT(refs, 0u);
   const auto sectors = component_of(*net, Network::StateComponent::sectors);
   const std::size_t ref_at = 8 + holder * kSectorRow + kRefCountAt;
@@ -817,6 +880,26 @@ TEST_F(NetworkFixture, LoadRejectsReferenceCountsThatDisagreeWithEntries) {
     EXPECT_FALSE(loads_with(*net, Network::StateComponent::sectors, off))
         << count;
   }
+}
+
+TEST_F(NetworkFixture, LoadRejectsFileIdsAtOrPastTheNextId) {
+  build(test_params());
+  const FileId id = add_and_store(1000, 20);
+  ASSERT_EQ(id, 1u);
+  // The next file id follows the five system-account ids, the PRNG state
+  // and the clock. File_Add would hand out an id at or below a stored
+  // file's, and then abort on the collision.
+  constexpr std::size_t kNextFileIdAt = 80;
+  const auto misc = component_of(*net, Network::StateComponent::misc);
+  const auto loads_at = [&](FileId next_file_id) {
+    std::vector<std::uint8_t> bytes = misc;
+    put_le(bytes, kNextFileIdAt, next_file_id, 8);
+    return loads_with(*net, Network::StateComponent::misc, bytes);
+  };
+  EXPECT_TRUE(loads_at(id + 1));
+  EXPECT_TRUE(loads_at(id + 100));  // ids of removed files are never reused
+  EXPECT_FALSE(loads_at(id));
+  EXPECT_FALSE(loads_at(0));
 }
 
 TEST_F(NetworkFixture, LoadRejectsRentSnapshotsPastTheAccumulator) {

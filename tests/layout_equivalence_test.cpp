@@ -399,6 +399,19 @@ TEST(LayoutEquivalence, NetModelMatchesMultimapOracle) {
 // SectorTable vs a record-vector oracle with linear-scan sampling
 // ---------------------------------------------------------------------------
 
+/// SectorTable holds no reference counts (the allocation entries that name
+/// a sector are its references), but each encoded row carries the count
+/// its caller supplies. A made-up count per sector pins where it goes.
+std::uint32_t made_up_references(SectorId id) {
+  return static_cast<std::uint32_t>(7 * id + 3);
+}
+
+std::vector<std::uint8_t> sector_bytes(const SectorTable& table) {
+  util::BinaryWriter writer;
+  table.save(writer, made_up_references);
+  return writer.data();
+}
+
 /// Reference oracle in the old idiom: one vector of full Sector records,
 /// totals recomputed by scanning, and capacity-weighted sampling done by a
 /// linear cumulative-weight walk. The Fenwick `find_by_prefix` returns the
@@ -460,7 +473,7 @@ struct SectorOracle {
       writer.u64(s.free_cap);
       writer.u8(static_cast<std::uint8_t>(s.state));
       writer.u64(s.registered_at);
-      writer.u32(s.ref_count);
+      writer.u32(made_up_references(i));
       writer.u128(s.rent_acc_snapshot);
     }
     return writer.data();
@@ -475,7 +488,6 @@ void expect_sector_eq(const core::Sector& got, const core::Sector& want,
   EXPECT_EQ(got.free_cap, want.free_cap) << "step " << step;
   EXPECT_EQ(got.state, want.state) << "step " << step;
   EXPECT_EQ(got.registered_at, want.registered_at) << "step " << step;
-  EXPECT_EQ(got.ref_count, want.ref_count) << "step " << step;
   EXPECT_EQ(static_cast<std::uint64_t>(got.rent_acc_snapshot),
             static_cast<std::uint64_t>(want.rent_acc_snapshot))
       << "step " << step;
@@ -498,7 +510,7 @@ TEST(LayoutEquivalence, SectorTableMatchesRecordVectorOracle) {
     Time now = 0;
 
     for (std::size_t step = 0; step < kOpsPerSeed; ++step) {
-      const std::uint64_t op = rng.uniform_below(12);
+      const std::uint64_t op = rng.uniform_below(10);
       const std::size_t count = oracle.recs.size();
       const SectorId id = count == 0 ? 0 : rng.uniform_below(count);
       switch (op) {
@@ -558,25 +570,13 @@ TEST(LayoutEquivalence, SectorTableMatchesRecordVectorOracle) {
         }
         case 5: {
           if (count == 0) break;
-          table.add_ref(id);
-          ++oracle.recs[id].ref_count;
-          break;
-        }
-        case 6: {
-          if (count == 0 || oracle.recs[id].ref_count == 0) break;
-          table.drop_ref(id);
-          --oracle.recs[id].ref_count;
-          break;
-        }
-        case 7: {
-          if (count == 0) break;
           core::Sector& rec = oracle.recs[id];
           const bool want_ok = rec.state == SectorState::normal;
           ASSERT_EQ(table.disable(id).is_ok(), want_ok) << "step " << step;
           if (want_ok) rec.state = SectorState::disabled;
           break;
         }
-        case 8: {
+        case 6: {
           if (count == 0) break;
           core::Sector& rec = oracle.recs[id];
           const bool want = rec.state != SectorState::corrupted &&
@@ -585,15 +585,15 @@ TEST(LayoutEquivalence, SectorTableMatchesRecordVectorOracle) {
           if (want) rec.state = SectorState::corrupted;
           break;
         }
-        case 9: {
+        case 7: {
           if (count == 0) break;
           core::Sector& rec = oracle.recs[id];
-          if (rec.state != SectorState::disabled || rec.ref_count != 0) break;
+          if (rec.state != SectorState::disabled) break;
           table.mark_removed(id);
           rec.state = SectorState::removed;
           break;
         }
-        case 10: {
+        case 8: {
           if (count == 0) break;
           const core::RentAcc value =
               (static_cast<core::RentAcc>(rng()) << 64) | rng();
@@ -633,16 +633,22 @@ TEST(LayoutEquivalence, SectorTableMatchesRecordVectorOracle) {
         for (std::size_t i = 0; i < oracle.recs.size(); ++i) {
           expect_sector_eq(table.at(i), oracle.recs[i], step);
         }
-        const auto encoded = save_bytes(table);
+        const auto encoded = sector_bytes(table);
         ASSERT_EQ(encoded, oracle.save_encoding()) << "step " << step;
 
-        // load() rebuilds the Fenwick weights and totals from the records;
-        // the clone must re-encode identically and sample identically.
+        // load() rebuilds the Fenwick weights and totals from the records
+        // and hands back each row's reference count; the clone must
+        // re-encode identically and sample identically.
         SectorTable loaded(params);
         util::BinaryReader reader(encoded);
-        loaded.load(reader);
+        std::vector<std::uint32_t> references;
+        loaded.load(reader, references);
         ASSERT_TRUE(reader.ok() && reader.exhausted()) << "step " << step;
-        ASSERT_EQ(save_bytes(loaded), encoded) << "step " << step;
+        ASSERT_EQ(references.size(), oracle.recs.size()) << "step " << step;
+        for (SectorId i = 0; i < references.size(); ++i) {
+          ASSERT_EQ(references[i], made_up_references(i)) << "step " << step;
+        }
+        ASSERT_EQ(sector_bytes(loaded), encoded) << "step " << step;
         if (oracle.total_weight() > 0) {
           Xoshiro256 clone_a(seed + step), clone_b(seed + step);
           for (int d = 0; d < 8; ++d) {
@@ -663,20 +669,23 @@ TEST(LayoutEquivalence, SectorTableMatchesRecordVectorOracle) {
 constexpr FileId kFileUniverse = 48;
 constexpr SectorId kSectorUniverse = 32;
 
-/// Reference oracle in the old idiom: an ordered map of per-file entry
-/// vectors plus explicit reverse-index buckets and a normal-entry sampler
-/// array. Bucket and sampler order are OBSERVABLE (both are serialized,
-/// and the sampler indexes draws by position), so the oracle reproduces
-/// the production discipline — append on add, swap-erase on remove — with
-/// the position found by linear search, which is unique per bucket.
+/// Reference oracle in the old idiom: ordered maps of per-file rows and
+/// entry vectors plus explicit reverse-index buckets and a normal-entry
+/// sampler array. Bucket and sampler order are OBSERVABLE (both are
+/// serialized, and the sampler indexes draws by position), so the oracle
+/// reproduces the production discipline — append on add, swap-erase on
+/// remove — with the position found by linear search, which is unique per
+/// bucket.
 struct AllocOracle {
   struct Entry {
     SectorId prev = core::kNoSector;
     SectorId next = core::kNoSector;
     Time last = kNoTime;
     AllocState state = AllocState::alloc;
+    bool escrowed = true;
   };
 
+  std::map<FileId, core::FileRow> rows;
   std::map<FileId, std::vector<Entry>> files;
   std::vector<std::vector<EntryKey>> by_prev;
   std::vector<std::vector<EntryKey>> by_next;
@@ -694,8 +703,9 @@ struct AllocOracle {
     items.pop_back();
   }
 
-  void create_file(FileId file, std::uint32_t cp) {
-    files.emplace(file, std::vector<Entry>(cp));
+  void create_file(FileId file, const core::FileRow& row) {
+    rows.emplace(file, row);
+    files.emplace(file, std::vector<Entry>(row.desc.cp));
   }
   void remove_file(FileId file) {
     const std::vector<Entry>& entries = files.at(file);
@@ -712,6 +722,7 @@ struct AllocOracle {
       }
     }
     files.erase(file);
+    rows.erase(file);
   }
   void set_link(FileId file, ReplicaIndex idx, SectorId sector, bool is_prev) {
     Entry& e = files.at(file)[idx];
@@ -780,7 +791,63 @@ struct AllocOracle {
     }
     return writer.data();
   }
+
+  /// The files component: each row, then one escrow flag per replica.
+  [[nodiscard]] std::vector<std::uint8_t> save_files_encoding() const {
+    util::BinaryWriter writer;
+    writer.u64(rows.size());
+    for (const auto& [file, row] : rows) {
+      writer.u64(file);
+      writer.u64(row.desc.size);
+      writer.u64(row.desc.value);
+      writer.raw(row.desc.merkle_root.bytes);
+      writer.u32(row.desc.cp);
+      writer.i64(row.desc.cntdown);
+      writer.u8(static_cast<std::uint8_t>(row.desc.state));
+      writer.u64(row.owner);
+      writer.u64(row.added_at);
+      const std::vector<Entry>& entries = files.at(file);
+      writer.u64(entries.size());
+      for (const Entry& e : entries) writer.boolean(e.escrowed);
+    }
+    return writer.data();
+  }
 };
+
+/// A row with every field drawn from `rng` (size positive, as File_Add
+/// requires) and `cp` replicas.
+core::FileRow random_row(Xoshiro256& rng, std::uint32_t cp) {
+  core::FileRow row;
+  row.desc.size = 1 + rng.uniform_below(1 << 20);
+  row.desc.value = rng.uniform_below(1 << 16);
+  for (std::uint8_t& byte : row.desc.merkle_root.bytes) {
+    byte = static_cast<std::uint8_t>(rng.uniform_below(256));
+  }
+  row.desc.cp = cp;
+  row.desc.cntdown = static_cast<std::int64_t>(rng.uniform_below(64)) - 1;
+  row.desc.state = static_cast<core::FileState>(rng.uniform_below(3));
+  row.owner = rng.uniform_below(16);
+  row.added_at = rng.uniform_below(1 << 20);
+  return row;
+}
+
+void expect_row_eq(const core::FileRow& got, const core::FileRow& want,
+                   std::size_t step) {
+  ASSERT_EQ(got.desc.size, want.desc.size) << "step " << step;
+  ASSERT_EQ(got.desc.value, want.desc.value) << "step " << step;
+  ASSERT_EQ(got.desc.merkle_root, want.desc.merkle_root) << "step " << step;
+  ASSERT_EQ(got.desc.cp, want.desc.cp) << "step " << step;
+  ASSERT_EQ(got.desc.cntdown, want.desc.cntdown) << "step " << step;
+  ASSERT_EQ(got.desc.state, want.desc.state) << "step " << step;
+  ASSERT_EQ(got.owner, want.owner) << "step " << step;
+  ASSERT_EQ(got.added_at, want.added_at) << "step " << step;
+}
+
+std::vector<std::uint8_t> files_bytes(const AllocTable& table) {
+  util::BinaryWriter writer;
+  table.save_files(writer);
+  return writer.data();
+}
 
 TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
   for (const std::uint64_t seed : kSeeds) {
@@ -808,12 +875,16 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
       const std::uint64_t op = rng.uniform_below(16);
       if (op < 3) {
         // Create/remove churn through a small id universe exercises the
-        // slab pool's block reuse under the same observable order.
-        const FileId file = rng.uniform_below(kFileUniverse);
+        // slab pool's block reuse under the same observable order. Ids
+        // start at 1, as File_Add's do.
+        const FileId file = 1 + rng.uniform_below(kFileUniverse - 1);
         if (!oracle.files.contains(file)) {
           const auto cp = static_cast<std::uint32_t>(1 + rng.uniform_below(4));
-          table.create_file(file, cp);
-          oracle.create_file(file, cp);
+          const core::FileRow row = random_row(rng, cp);
+          core::FileRow& created = table.create_file(file, cp);
+          ASSERT_EQ(created.desc.cp, cp) << "step " << step;
+          created = row;
+          oracle.create_file(file, row);
         } else {
           table.remove_file(file);
           oracle.remove_file(file);
@@ -842,23 +913,59 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
             oracle.set_state(file, idx, state);
             break;
           }
-          default: {
+          case 3: {
             const Time last = rng.uniform_below(1 << 20);
             table.set_last(file, idx, last);
             oracle.files.at(file)[idx].last = last;
             break;
           }
+          default: {
+            // Through the one-lookup view: the row's mutable fields and
+            // the escrow column.
+            const AllocTable::FileView view = table.find(file);
+            ASSERT_TRUE(view) << "step " << step;
+            ASSERT_EQ(view.id(), file) << "step " << step;
+            core::FileRow& want = oracle.rows.at(file);
+            switch (rng.uniform_below(3)) {
+              case 0:
+                view.clear_escrow(idx);
+                oracle.files.at(file)[idx].escrowed = false;
+                break;
+              case 1:
+                want.desc.cntdown =
+                    static_cast<std::int64_t>(rng.uniform_below(64)) - 1;
+                view.row().desc.cntdown = want.desc.cntdown;
+                break;
+              default: {
+                const Time last = rng.uniform_below(1 << 20);
+                view.set_last(idx, last);
+                oracle.files.at(file)[idx].last = last;
+                break;
+              }
+            }
+            break;
+          }
         }
-        // Light check: the touched file's entries, field for field.
+        // Light check: the touched file's row and entries, field for
+        // field, through both the per-entry accessors and the view.
         const auto& entries = oracle.files.at(file);
         ASSERT_EQ(table.replica_count(file), entries.size())
             << "step " << step;
+        expect_row_eq(table.row(file), oracle.rows.at(file), step);
+        const AllocTable::FileView view = table.find(file);
+        ASSERT_EQ(view.size(), entries.size()) << "step " << step;
         for (ReplicaIndex i = 0; i < entries.size(); ++i) {
           const core::AllocEntry got = table.entry(file, i);
           ASSERT_EQ(got.prev, entries[i].prev) << "step " << step;
           ASSERT_EQ(got.next, entries[i].next) << "step " << step;
           ASSERT_EQ(got.last, entries[i].last) << "step " << step;
           ASSERT_EQ(got.state, entries[i].state) << "step " << step;
+          const core::AllocEntry seen = view.entry(i);
+          ASSERT_EQ(seen.prev, got.prev) << "step " << step;
+          ASSERT_EQ(seen.next, got.next) << "step " << step;
+          ASSERT_EQ(seen.last, got.last) << "step " << step;
+          ASSERT_EQ(seen.state, got.state) << "step " << step;
+          ASSERT_EQ(view.escrowed(i), entries[i].escrowed) << "step " << step;
         }
       }
 
@@ -885,6 +992,9 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
         for (FileId file = 0; file < kFileUniverse; ++file) {
           ASSERT_EQ(table.has_file(file), oracle.files.contains(file))
               << "step " << step;
+          ASSERT_EQ(static_cast<bool>(table.find(file)),
+                    oracle.files.contains(file))
+              << "step " << step;
         }
         // Reverse-index iteration order, bucket by bucket.
         for (SectorId sector = 0; sector < kSectorUniverse; ++sector) {
@@ -904,15 +1014,23 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
 
         const auto encoded = save_bytes(table);
         ASSERT_EQ(encoded, oracle.save_encoding()) << "step " << step;
+        const auto encoded_files = files_bytes(table);
+        ASSERT_EQ(encoded_files, oracle.save_files_encoding())
+            << "step " << step;
 
         // The loaded clone repacks the slab dense in file-id order — a
         // different physical layout that must re-encode and sample
         // identically.
         AllocTable loaded;
         util::BinaryReader reader(encoded);
-        loaded.load(reader, kSectorUniverse);
+        loaded.load(reader, kSectorUniverse, /*next_file_id=*/kFileUniverse);
         ASSERT_TRUE(reader.ok() && reader.exhausted()) << "step " << step;
+        util::BinaryReader files_reader(encoded_files);
+        loaded.load_files(files_reader);
+        ASSERT_TRUE(files_reader.ok() && files_reader.exhausted())
+            << "step " << step;
         ASSERT_EQ(save_bytes(loaded), encoded) << "step " << step;
+        ASSERT_EQ(files_bytes(loaded), encoded_files) << "step " << step;
         if (!oracle.normal_entries.empty()) {
           Xoshiro256 clone_a(seed + step), clone_b(seed + step);
           for (int d = 0; d < 8; ++d) {

@@ -127,4 +127,18 @@ class AlignedScanDrift {
   Scan scan_;
 };
 
+// A component pair (`save_rows`/`load_rows` beside `save`/`load`) counts
+// toward the class's coverage, but `load_rows` forgets `rows_`.
+class ComponentDropsField {
+ public:
+  void save(util::BinaryWriter& writer) const { writer.u64(count_); }
+  void load(util::BinaryReader& reader) { count_ = reader.u64(); }
+  void save_rows(util::BinaryWriter& writer) const { writer.u64(rows_); }
+  void load_rows(util::BinaryReader& reader) { (void)reader.u64(); }
+
+ private:
+  std::uint64_t count_ = 0;
+  std::uint64_t rows_ = 0;  // MARKER component-missing-in-load
+};
+
 }  // namespace fixture

@@ -52,4 +52,18 @@ class FullyCovered {
   std::uint64_t cache_ = 0;
 };
 
+// A member encoded only by the class's component pair is covered: the
+// component `save_rows`/`load_rows` sits elsewhere in the snapshot body.
+class CoveredByComponent {
+ public:
+  void save(util::BinaryWriter& writer) const { writer.u64(count_); }
+  void load(util::BinaryReader& reader) { count_ = reader.u64(); }
+  void save_rows(util::BinaryWriter& writer) const { writer.u64(rows_); }
+  void load_rows(util::BinaryReader& reader) { rows_ = reader.u64(); }
+
+ private:
+  std::uint64_t count_ = 0;
+  std::uint64_t rows_ = 0;
+};
+
 }  // namespace fixture

@@ -56,4 +56,23 @@ class SwappedOrder {
   std::uint64_t payload_ = 0;
 };
 
+// The same break inside a component pair, which must mirror on its own.
+class ComponentSwappedOrder {
+ public:
+  void save(util::BinaryWriter& writer) const { writer.u64(payload_); }
+  void load(util::BinaryReader& reader) { payload_ = reader.u64(); }
+  void save_tags(util::BinaryWriter& writer) const {
+    writer.u32(tag_);  // rw-mismatch vs load_tags order
+    writer.u64(payload_);
+  }
+  void load_tags(util::BinaryReader& reader) {
+    payload_ = reader.u64();
+    tag_ = reader.u32();
+  }
+
+ private:
+  std::uint32_t tag_ = 0;
+  std::uint64_t payload_ = 0;
+};
+
 }  // namespace fixture

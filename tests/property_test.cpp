@@ -253,7 +253,7 @@ TEST_P(ProtocolFuzz, InvariantsHoldUnderRandomOperations) {
       }
     }
     for (core::SectorId s : sectors) {
-      ASSERT_EQ(net.sectors().at(s).ref_count, expected_refs[s])
+      ASSERT_EQ(net.allocations().references(s), expected_refs[s])
           << "sector " << s << " step " << step << " seed " << seed;
     }
 

@@ -596,7 +596,7 @@ TEST(TrafficSnapshotTest, NonCanonicalMarketAndCacheRowsAreRejected) {
   // strictly ascending sector order naming sectors the network holds,
   // every ask its sector's price tier, every served row positive, one key
   // set for the served and revenue books, each cached file once, and each
-  // stored total the sum of the counters it totals.
+  // stored total the sum of the counters or book it totals.
   fi::core::Params params;
   fi::ledger::Ledger ledger;
   fi::core::Network net(params, ledger, /*seed=*/5);
@@ -646,9 +646,18 @@ TEST(TrafficSnapshotTest, NonCanonicalMarketAndCacheRowsAreRejected) {
     }
     return bytes;
   };
+  const auto sum_of = [](const Rows& rows) {
+    std::uint64_t total = 0;
+    for (const auto& [sector, value] : rows) total += value;
+    return total;
+  };
+  // The bytes-served and revenue totals are the served and revenue books'
+  // sums, each plus its `_off`.
   const auto body = [&](const Rows& asks, const Rows& served,
                         const Rows& revenue,
-                        const std::vector<fi::core::FileId>& window) {
+                        const std::vector<fi::core::FileId>& window,
+                        std::uint64_t served_off = 0,
+                        std::uint64_t revenue_off = 0) {
     BinaryWriter writer;
     writer.raw(slice(0, kBooksAt));
     for (const Rows* book : {&asks, &served, &revenue}) {
@@ -658,7 +667,9 @@ TEST(TrafficSnapshotTest, NonCanonicalMarketAndCacheRowsAreRejected) {
         writer.u64(value);
       }
     }
-    writer.raw(slice(kTotalsAt, kWindowAt));
+    writer.raw(slice(kTotalsAt, kTotalsAt + 8));  // the settled count
+    writer.u64(sum_of(served) + served_off);
+    writer.u64(sum_of(revenue) + revenue_off);
     fi::util::save_u64_seq(writer, window);
     writer.raw(slice(kRestAt, base.size()));
     return writer.data();
@@ -674,6 +685,8 @@ TEST(TrafficSnapshotTest, NonCanonicalMarketAndCacheRowsAreRejected) {
     BinaryReader reader(canonical);
     engine->load_state(reader);
     ASSERT_TRUE(reader.ok() && reader.exhausted()) << "canonical body";
+    EXPECT_EQ(engine->metrics().bytes_served, 3072u);
+    EXPECT_EQ(engine->metrics().revenue, 18u);
     BinaryWriter again;
     engine->save_state(again);
     EXPECT_EQ(again.data(), canonical);
@@ -719,6 +732,10 @@ TEST(TrafficSnapshotTest, NonCanonicalMarketAndCacheRowsAreRejected) {
       {"enqueued total off its per-stream sum",
        patched({{kStreamTotalsAt + 5 * 8, 1}})},
       {"served total off its per-sector sum", patched({{kServedTotalAt, 1}})},
+      {"bytes-served total off its book's sum",
+       body(asks, served, revenue, {}, /*served_off=*/1)},
+      {"revenue total off its book's sum",
+       body(asks, served, revenue, {}, 0, /*revenue_off=*/1)},
   };
   for (const auto& c : cases) {
     auto engine = make_engine();

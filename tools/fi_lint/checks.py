@@ -111,6 +111,11 @@ class SerializerPair:
     subject: str | None  # class simple name, or None for free-function pairs
     save: FunctionDef
     load: FunctionDef
+    # A class's `save_X`/`load_X` methods: a component of the snapshot body
+    # that the class encodes apart from its `save`/`load` slot. Its members
+    # count toward the class pair's coverage; its own bodies get the
+    # element-wise and mirror checks.
+    component: bool = False
 
 
 def serializer_pairs(model: Model) -> list[SerializerPair]:
@@ -123,6 +128,14 @@ def serializer_pairs(model: Model) -> list[SerializerPair]:
             if load is not None and key not in seen:
                 seen.add(key)
                 pairs.append(SerializerPair(fn.class_name, fn, load))
+        elif fn.class_name and fn.name.startswith("save_"):
+            load = model.body_of(fn.class_name,
+                                 "load_" + fn.name[len("save_"):])
+            key = (fn.class_name, fn.name)
+            if load is not None and key not in seen:
+                seen.add(key)
+                pairs.append(SerializerPair(fn.class_name, fn, load,
+                                            component=True))
         elif fn.class_name is None and fn.name.startswith("save_"):
             load = model.body_of(None, "load_" + fn.name[len("save_"):])
             key = (None, fn.name)
@@ -174,20 +187,32 @@ def check_serialization_coverage(model: Model) -> list[Finding]:
     serializer encodes a known struct element-wise (`rec.desc.size`, ...),
     every field of that struct must be touched through the same base — the
     drift class PR 5 hit with AdversaryCounters.compensation_paid.
+    A class's component pairs (`save_files`/`load_files` beside
+    `save`/`load`) add their closures to the member check of its main pair.
     """
     findings: list[Finding] = []
-    for pair in serializer_pairs(model):
+    pairs = serializer_pairs(model)
+    for pair in pairs:
         save_fns = _with_helpers(model, pair.save, pair.subject, "save")
         load_fns = _with_helpers(model, pair.load, pair.subject, "load")
+        member_save_fns = list(save_fns)
+        member_load_fns = list(load_fns)
+        if not pair.component:
+            for other in pairs:
+                if other.component and other.subject == pair.subject:
+                    member_save_fns += _with_helpers(
+                        model, other.save, other.subject, "save")
+                    member_load_fns += _with_helpers(
+                        model, other.load, other.subject, "load")
         save_ids: set[str] = set()
-        for fn in save_fns:
+        for fn in member_save_fns:
             save_ids |= identifiers(fn.body)
         load_ids: set[str] = set()
-        for fn in load_fns:
+        for fn in member_load_fns:
             load_ids |= identifiers(fn.body)
 
         subject_cls = model.class_def(pair.subject, pair.save.path) \
-            if pair.subject is not None else None
+            if pair.subject is not None and not pair.component else None
         if subject_cls is not None:
             fields = model.struct_fields(pair.subject, pair.save.path) or {}
             for member in fields.values():
