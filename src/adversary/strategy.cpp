@@ -420,15 +420,17 @@ class AdaptiveThreshold final : public AdversaryStrategy {
   bool dormant_ = false;
 };
 
-// ---- refresh_saboteur ------------------------------------------------------
+// ---- refresh_saboteur, cartel_starver -------------------------------------
 
-/// A fraction of the fleet refuses inbound replica transfers for
-/// `duration` epochs: refresh handoffs (and uploads) targeting members
-/// miss their deadlines, exercising the Fig. 9 failure path — punish,
-/// re-draw, retry — and delaying placement refresh network-wide.
-class RefreshSaboteur final : public AdversaryStrategy {
+/// A coalition holding a fraction of the fleet refuses, for `duration`
+/// epochs, the service its kind names. A refresh_saboteur refuses inbound
+/// replica transfers: handoffs (and uploads) to members miss their
+/// deadlines, exercising the Fig. 9 failure path. A cartel_starver keeps
+/// storing and proving (no deposit is at risk) but refuses to serve
+/// retrievals: requests whose every holder is a member starve.
+class RefusingCoalition final : public AdversaryStrategy {
  public:
-  explicit RefreshSaboteur(AdversarySpec spec) : spec_(std::move(spec)) {}
+  explicit RefusingCoalition(AdversarySpec spec) : spec_(std::move(spec)) {}
 
   void on_epoch(AdversaryView& view) override {
     if (view.epoch() < spec_.start_epoch) return;
@@ -438,13 +440,13 @@ class RefreshSaboteur final : public AdversaryStrategy {
       const std::size_t quota = fraction_of(pool.size(), spec_.fraction);
       members_ = sample_sectors(std::move(pool), quota, view.rng());
       view.set_extra("members", static_cast<double>(members_.size()));
-      for (const SectorId s : members_) view.refuse_transfers(s, true);
+      refuse(view, true);
       return;
     }
     if (!stopped_ && spec_.duration != 0 &&
         view.epoch() >= spec_.start_epoch + spec_.duration) {
       stopped_ = true;
-      for (const SectorId s : members_) view.refuse_transfers(s, false);
+      refuse(view, false);
     }
   }
 
@@ -460,6 +462,17 @@ class RefreshSaboteur final : public AdversaryStrategy {
   }
 
  private:
+  /// Toggles every member's refusal of the service the kind names.
+  void refuse(AdversaryView& view, bool on) const {
+    for (const SectorId s : members_) {
+      if (spec_.kind == StrategyKind::refresh_saboteur) {
+        view.refuse_transfers(s, on);
+      } else {
+        view.refuse_serve(s, on);
+      }
+    }
+  }
+
   // fi-lint: not-serialized(rebuilt from the scenario spec when the
   // strategy is re-created on resume)
   AdversarySpec spec_;
@@ -514,55 +527,6 @@ class RetrievalDdos final : public AdversaryStrategy {
   std::uint64_t retargets_ = 0;
 };
 
-// ---- cartel_starver --------------------------------------------------------
-
-/// Supply-side starvation: a cartel holding a fraction of the fleet keeps
-/// storing (and proving — no deposit is at risk) but refuses to serve
-/// retrievals for `duration` epochs. Requests whose every holder is a
-/// cartel member starve outright; the rest concentrate on the holders
-/// still serving.
-class CartelStarver final : public AdversaryStrategy {
- public:
-  explicit CartelStarver(AdversarySpec spec) : spec_(std::move(spec)) {}
-
-  void on_epoch(AdversaryView& view) override {
-    if (view.epoch() < spec_.start_epoch) return;
-    if (!recruited_) {
-      recruited_ = true;
-      std::vector<SectorId> pool = normal_sector_ids(view.net());
-      const std::size_t quota = fraction_of(pool.size(), spec_.fraction);
-      members_ = sample_sectors(std::move(pool), quota, view.rng());
-      view.set_extra("members", static_cast<double>(members_.size()));
-      for (const SectorId s : members_) view.refuse_serve(s, true);
-      return;
-    }
-    if (!stopped_ && spec_.duration != 0 &&
-        view.epoch() >= spec_.start_epoch + spec_.duration) {
-      stopped_ = true;
-      for (const SectorId s : members_) view.refuse_serve(s, false);
-    }
-  }
-
-  void save_state(util::BinaryWriter& writer) const override {
-    writer.boolean(recruited_);
-    writer.boolean(stopped_);
-    util::save_u64_seq(writer, members_);
-  }
-  void load_state(util::BinaryReader& reader) override {
-    recruited_ = reader.boolean();
-    stopped_ = reader.boolean();
-    members_ = util::load_u64_seq<SectorId>(reader);
-  }
-
- private:
-  // fi-lint: not-serialized(rebuilt from the scenario spec when the
-  // strategy is re-created on resume)
-  AdversarySpec spec_;
-  bool recruited_ = false;
-  bool stopped_ = false;
-  std::vector<SectorId> members_;
-};
-
 }  // namespace
 
 std::unique_ptr<AdversaryStrategy> make_strategy(const AdversarySpec& spec) {
@@ -579,11 +543,10 @@ std::unique_ptr<AdversaryStrategy> make_strategy(const AdversarySpec& spec) {
     case StrategyKind::adaptive_threshold:
       return std::make_unique<AdaptiveThreshold>(spec);
     case StrategyKind::refresh_saboteur:
-      return std::make_unique<RefreshSaboteur>(spec);
+    case StrategyKind::cartel_starver:
+      return std::make_unique<RefusingCoalition>(spec);
     case StrategyKind::retrieval_ddos:
       return std::make_unique<RetrievalDdos>(spec);
-    case StrategyKind::cartel_starver:
-      return std::make_unique<CartelStarver>(spec);
   }
   FI_CHECK_MSG(false, "unhandled adversary strategy kind");
   return nullptr;

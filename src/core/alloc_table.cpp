@@ -24,26 +24,31 @@ auto sorted_by_id(const Map& map) {
   return sorted;
 }
 
-}  // namespace
-
-std::size_t AllocTable::slot_of(FileId file, ReplicaIndex idx) const {
-  const auto it = files_.find(file);
-  FI_CHECK_MSG(it != files_.end(), "unknown file");
-  FI_CHECK_MSG(idx < it->second.row.desc.cp, "replica index out of range");
-  return it->second.offset + idx;
+/// The keys a sector's bucket lists, in bucket order.
+std::vector<EntryKey> keys_of(const auto& buckets, SectorId sector) {
+  if (sector >= buckets.size()) return {};
+  std::vector<EntryKey> keys;
+  keys.reserve(buckets[sector].size());
+  for (const auto& item : buckets[sector]) {
+    keys.emplace_back(item.file, item.index);
+  }
+  return keys;
 }
 
-FileRow& AllocTable::create_file(FileId file, std::uint32_t cp) {
+}  // namespace
+
+AllocTable::FileView AllocTable::create_file(FileId file, std::uint32_t cp) {
   FI_CHECK_MSG(!files_.contains(file), "file already allocated");
   FI_CHECK_MSG(cp >= 1, "file needs at least one replica");
   std::size_t offset = pool_.acquire(cp);
   if (offset == util::FixedBlockPool::kNoBlock) {
     offset = prev_.size();
+    // Index items carry their slot as a u32.
+    FI_CHECK_MSG(offset + cp <= kMaxSlots, "slab past 2^32 slots");
     prev_.resize(offset + cp, kNoSector);
     next_.resize(offset + cp, kNoSector);
     last_.resize(offset + cp, kNoTime);
     state_.resize(offset + cp, AllocState::alloc);
-    escrowed_.resize(offset + cp, 1);
     pos_in_prev_.resize(offset + cp, kNoPos);
     pos_in_next_.resize(offset + cp, kNoPos);
     pos_in_normal_.resize(offset + cp, kNoPos);
@@ -53,7 +58,6 @@ FileRow& AllocTable::create_file(FileId file, std::uint32_t cp) {
       next_[s] = kNoSector;
       last_[s] = kNoTime;
       state_[s] = AllocState::alloc;
-      escrowed_[s] = 1;
       pos_in_prev_[s] = kNoPos;
       pos_in_next_[s] = kNoPos;
       pos_in_normal_[s] = kNoPos;
@@ -62,7 +66,7 @@ FileRow& AllocTable::create_file(FileId file, std::uint32_t cp) {
   File& created = files_[file];
   created.row.desc.cp = cp;
   created.offset = offset;
-  return created.row;
+  return view_of(file, created);
 }
 
 void AllocTable::remove_file(FileId file) {
@@ -71,15 +75,12 @@ void AllocTable::remove_file(FileId file) {
   const std::uint32_t cp = it->second.row.desc.cp;
   const std::size_t offset = it->second.offset;
   for (ReplicaIndex idx = 0; idx < cp; ++idx) {
-    const std::size_t slot = offset + idx;
-    const EntryKey key{file, idx};
-    if (prev_[slot] != kNoSector) {
-      index_remove(by_prev_, pos_in_prev_, prev_[slot], key, slot);
+    const Item item{file, idx, static_cast<std::uint32_t>(offset + idx)};
+    relink(prev_, by_prev_, pos_in_prev_, item, kNoSector);
+    relink(next_, by_next_, pos_in_next_, item, kNoSector);
+    if (state_[item.slot] == AllocState::normal) {
+      list_remove(normal_entries_, pos_in_normal_, item.slot);
     }
-    if (next_[slot] != kNoSector) {
-      index_remove(by_next_, pos_in_next_, next_[slot], key, slot);
-    }
-    if (state_[slot] == AllocState::normal) sampler_remove(key, slot);
   }
   files_.erase(it);
   pool_.release(cp, offset);
@@ -87,153 +88,116 @@ void AllocTable::remove_file(FileId file) {
 
 AllocTable::FileView AllocTable::find(FileId file) {
   const auto it = files_.find(file);
-  if (it == files_.end()) return {};
-  const std::size_t offset = it->second.offset;
+  return it == files_.end() ? FileView{} : view_of(file, it->second);
+}
+
+AllocTable::FileView AllocTable::view_of(FileId id, File& file) {
   FileView view;
-  view.id_ = file;
-  view.row_ = &it->second.row;
-  view.state_ = state_.data() + offset;
-  view.prev_ = prev_.data() + offset;
-  view.next_ = next_.data() + offset;
-  view.last_ = last_.data() + offset;
-  view.escrowed_ = escrowed_.data() + offset;
+  view.table_ = this;
+  view.id_ = id;
+  view.row_ = &file.row;
+  view.offset_ = file.offset;
+  view.state_ = state_.data() + file.offset;
+  view.prev_ = prev_.data() + file.offset;
+  view.next_ = next_.data() + file.offset;
+  view.last_ = last_.data() + file.offset;
   return view;
 }
 
-const FileRow& AllocTable::row(FileId file) const {
+const AllocTable::File& AllocTable::file_at(FileId file) const {
   const auto it = files_.find(file);
   FI_CHECK_MSG(it != files_.end(), "unknown file");
-  return it->second.row;
+  return it->second;
 }
 
 AllocEntry AllocTable::FileView::entry(ReplicaIndex i) const {
+  return table_->entry_at(slot(i));
+}
+
+std::uint32_t AllocTable::FileView::slot(ReplicaIndex i) const {
   FI_CHECK_MSG(i < size(), "replica index out of range");
-  AllocEntry e;
-  e.prev = prev_[i];
-  e.next = next_[i];
-  e.last = last_[i];
-  e.state = state_[i];
-  return e;
+  return static_cast<std::uint32_t>(offset_ + i);
+}
+
+void AllocTable::FileView::set_prev(ReplicaIndex i, SectorId sector) const {
+  relink(table_->prev_, table_->by_prev_, table_->pos_in_prev_,
+         {id_, i, slot(i)}, sector);
+}
+
+void AllocTable::FileView::set_next(ReplicaIndex i, SectorId sector) const {
+  relink(table_->next_, table_->by_next_, table_->pos_in_next_,
+         {id_, i, slot(i)}, sector);
+}
+
+void AllocTable::FileView::set_state(ReplicaIndex i, AllocState state) const {
+  AllocState& current = table_->state_[slot(i)];
+  const bool was_normal = current == AllocState::normal;
+  if (was_normal && state != AllocState::normal) {
+    list_remove(table_->normal_entries_, table_->pos_in_normal_, slot(i));
+  } else if (!was_normal && state == AllocState::normal) {
+    list_add(table_->normal_entries_, table_->pos_in_normal_,
+             {id_, i, slot(i)});
+  }
+  current = state;
 }
 
 AllocEntry AllocTable::entry(FileId file, ReplicaIndex idx) const {
-  const std::size_t slot = slot_of(file, idx);
-  AllocEntry e;
-  e.prev = prev_[slot];
-  e.next = next_[slot];
-  e.last = last_[slot];
-  e.state = state_[slot];
-  return e;
+  const File& f = file_at(file);
+  FI_CHECK_MSG(idx < f.row.desc.cp, "replica index out of range");
+  return entry_at(f.offset + idx);
 }
 
-void AllocTable::set_prev(FileId file, ReplicaIndex idx, SectorId sector) {
-  const std::size_t slot = slot_of(file, idx);
-  const EntryKey key{file, idx};
-  if (prev_[slot] != kNoSector) {
-    index_remove(by_prev_, pos_in_prev_, prev_[slot], key, slot);
-  }
-  prev_[slot] = sector;
-  if (sector != kNoSector) {
-    index_add(by_prev_, pos_in_prev_, sector, key, slot);
-  }
+AllocEntry AllocTable::entry_at(std::size_t slot) const {
+  return {prev_[slot], next_[slot], last_[slot], state_[slot]};
 }
 
-void AllocTable::set_next(FileId file, ReplicaIndex idx, SectorId sector) {
-  const std::size_t slot = slot_of(file, idx);
-  const EntryKey key{file, idx};
-  if (next_[slot] != kNoSector) {
-    index_remove(by_next_, pos_in_next_, next_[slot], key, slot);
+void AllocTable::relink(std::vector<SectorId>& links, Buckets& buckets,
+                        std::vector<std::size_t>& positions, Item item,
+                        SectorId sector) {
+  SectorId& link = links[item.slot];
+  if (link != kNoSector) {
+    FI_CHECK_MSG(link < buckets.size(), "reverse index missing sector");
+    list_remove(buckets[link], positions, item.slot);
   }
-  next_[slot] = sector;
-  if (sector != kNoSector) {
-    index_add(by_next_, pos_in_next_, sector, key, slot);
-  }
+  link = sector;
+  if (sector == kNoSector) return;
+  if (sector >= buckets.size()) buckets.resize(sector + 1);
+  list_add(buckets[sector], positions, item);
 }
 
-void AllocTable::set_state(FileId file, ReplicaIndex idx, AllocState state) {
-  const std::size_t slot = slot_of(file, idx);
-  const EntryKey key{file, idx};
-  if (state_[slot] == AllocState::normal && state != AllocState::normal) {
-    sampler_remove(key, slot);
-  } else if (state_[slot] != AllocState::normal &&
-             state == AllocState::normal) {
-    sampler_add(key, slot);
-  }
-  state_[slot] = state;
+void AllocTable::list_add(std::vector<Item>& items,
+                          std::vector<std::size_t>& positions, Item item) {
+  FI_CHECK_MSG(positions[item.slot] == kNoPos, "entry listed twice");
+  positions[item.slot] = items.size();
+  items.push_back(item);
 }
 
-void AllocTable::set_last(FileId file, ReplicaIndex idx, Time last) {
-  last_[slot_of(file, idx)] = last;
+void AllocTable::list_remove(std::vector<Item>& items,
+                             std::vector<std::size_t>& positions,
+                             std::size_t slot) {
+  const std::size_t pos = positions[slot];
+  FI_CHECK_MSG(pos < items.size() && items[pos].slot == slot,
+               "entry not listed");
+  // Swap-erase: the last item takes the freed position.
+  items[pos] = items.back();
+  positions[items[pos].slot] = pos;
+  items.pop_back();
+  positions[slot] = kNoPos;
 }
 
 std::vector<EntryKey> AllocTable::entries_with_prev(SectorId sector) const {
-  const auto view = with_prev(sector);
-  return {view.begin(), view.end()};
+  return keys_of(by_prev_, sector);
 }
 
 std::vector<EntryKey> AllocTable::entries_with_next(SectorId sector) const {
-  const auto view = with_next(sector);
-  return {view.begin(), view.end()};
-}
-
-std::span<const EntryKey> AllocTable::with_prev(SectorId sector) const {
-  if (sector >= by_prev_.size()) return {};
-  return by_prev_[sector];
-}
-
-std::span<const EntryKey> AllocTable::with_next(SectorId sector) const {
-  if (sector >= by_next_.size()) return {};
-  return by_next_[sector];
+  return keys_of(by_next_, sector);
 }
 
 std::optional<EntryKey> AllocTable::random_normal_entry(
     util::Xoshiro256& rng) const {
   if (normal_entries_.empty()) return std::nullopt;
-  return normal_entries_[rng.uniform_below(normal_entries_.size())];
-}
-
-void AllocTable::index_add(std::vector<std::vector<EntryKey>>& buckets,
-                           std::vector<std::size_t>& positions,
-                           SectorId sector, EntryKey key, std::size_t slot) {
-  FI_CHECK_MSG(positions[slot] == kNoPos, "duplicate reverse-index entry");
-  if (sector >= buckets.size()) buckets.resize(sector + 1);
-  std::vector<EntryKey>& items = buckets[sector];
-  positions[slot] = items.size();
-  items.push_back(key);
-}
-
-void AllocTable::index_remove(std::vector<std::vector<EntryKey>>& buckets,
-                              std::vector<std::size_t>& positions,
-                              SectorId sector, EntryKey key,
-                              std::size_t slot) {
-  FI_CHECK_MSG(sector < buckets.size(), "reverse index missing sector");
-  std::vector<EntryKey>& items = buckets[sector];
-  const std::size_t pos = positions[slot];
-  FI_CHECK_MSG(pos < items.size() && items[pos] == key,
-               "reverse index missing entry");
-  const EntryKey moved = items.back();
-  items[pos] = moved;
-  items.pop_back();
-  positions[slot] = kNoPos;
-  if (moved != key) positions[slot_of(moved.first, moved.second)] = pos;
-}
-
-void AllocTable::sampler_add(EntryKey key, std::size_t slot) {
-  FI_CHECK_MSG(pos_in_normal_[slot] == kNoPos,
-               "entry already in normal sampler");
-  pos_in_normal_[slot] = normal_entries_.size();
-  normal_entries_.push_back(key);
-}
-
-void AllocTable::sampler_remove(EntryKey key, std::size_t slot) {
-  const std::size_t pos = pos_in_normal_[slot];
-  FI_CHECK_MSG(pos < normal_entries_.size() && normal_entries_[pos] == key,
-               "entry not in normal sampler");
-  const EntryKey moved = normal_entries_.back();
-  normal_entries_[pos] = moved;
-  normal_entries_.pop_back();
-  pos_in_normal_[slot] = kNoPos;
-  if (moved != key) pos_in_normal_[slot_of(moved.first, moved.second)] = pos;
+  const Item& item = normal_entries_[rng.uniform_below(normal_entries_.size())];
+  return EntryKey{item.file, item.index};
 }
 
 void AllocTable::save(util::BinaryWriter& writer) const {
@@ -252,7 +216,7 @@ void AllocTable::save(util::BinaryWriter& writer) const {
     }
   }
   const auto save_index =
-      [&writer](const std::vector<std::vector<EntryKey>>& buckets) {
+      [&writer](const Buckets& buckets) {
         std::uint64_t non_empty = 0;
         for (const auto& items : buckets) {
           if (!items.empty()) ++non_empty;
@@ -265,18 +229,18 @@ void AllocTable::save(util::BinaryWriter& writer) const {
           if (items.empty()) continue;
           writer.u64(sector);
           writer.u64(items.size());
-          for (const EntryKey& key : items) {
-            writer.u64(key.first);
-            writer.u32(key.second);
+          for (const Item& item : items) {
+            writer.u64(item.file);
+            writer.u32(item.index);
           }
         }
       };
   save_index(by_prev_);
   save_index(by_next_);
   writer.u64(normal_entries_.size());
-  for (const EntryKey& key : normal_entries_) {
-    writer.u64(key.first);
-    writer.u32(key.second);
+  for (const Item& item : normal_entries_) {
+    writer.u64(item.file);
+    writer.u32(item.index);
   }
 }
 
@@ -287,7 +251,6 @@ void AllocTable::load(util::BinaryReader& reader, std::uint64_t sector_count,
   next_.clear();
   last_.clear();
   state_.clear();
-  escrowed_.clear();
   pos_in_prev_.clear();
   pos_in_next_.clear();
   pos_in_normal_.clear();
@@ -310,7 +273,7 @@ void AllocTable::load(util::BinaryReader& reader, std::uint64_t sector_count,
     const std::uint32_t cp = reader.u32();
     // File_Add issues ids below the counter and at least one replica.
     if (file == 0 || file >= next_file_id || cp == 0 ||
-        cp > reader.remaining() / 57) {
+        cp > reader.remaining() / 57 || prev_.size() + cp > kMaxSlots) {
       reader.fail();
       return;
     }
@@ -339,7 +302,6 @@ void AllocTable::load(util::BinaryReader& reader, std::uint64_t sector_count,
       next_.push_back(next);
       last_.push_back(last);
       state_.push_back(static_cast<AllocState>(state));
-      escrowed_.push_back(0);  // load_files reads the flags
       pos_in_prev_.push_back(kNoPos);
       pos_in_next_.push_back(kNoPos);
       pos_in_normal_.push_back(kNoPos);
@@ -357,7 +319,7 @@ void AllocTable::load(util::BinaryReader& reader, std::uint64_t sector_count,
   // Index and sampler keys must reference loaded entries — an unknown file
   // or out-of-range replica would otherwise surface later as an FI_CHECK
   // abort in whatever protocol path walks the bucket. The returned slot
-  // doubles as the intrusive-position anchor.
+  // doubles as the intrusive-position anchor and the item's slot.
   const auto key_slot = [this](FileId file,
                                ReplicaIndex idx) -> std::size_t {
     const auto it = files_.find(file);
@@ -365,7 +327,7 @@ void AllocTable::load(util::BinaryReader& reader, std::uint64_t sector_count,
     return it->second.offset + idx;
   };
 
-  const auto load_index = [&](std::vector<std::vector<EntryKey>>& buckets,
+  const auto load_index = [&](Buckets& buckets,
                               std::vector<std::size_t>& positions,
                               const std::vector<SectorId>& links,
                               std::uint64_t linked) {
@@ -387,7 +349,7 @@ void AllocTable::load(util::BinaryReader& reader, std::uint64_t sector_count,
       }
       prev_sector = sector;
       if (sector >= buckets.size()) buckets.resize(sector + 1);
-      std::vector<EntryKey>& items = buckets[sector];
+      std::vector<Item>& items = buckets[sector];
       items.reserve(keys);
       for (std::uint64_t k = 0; k < keys; ++k) {
         const FileId file = reader.u64();
@@ -403,7 +365,7 @@ void AllocTable::load(util::BinaryReader& reader, std::uint64_t sector_count,
           return;
         }
         positions[slot] = items.size();
-        items.emplace_back(file, idx);
+        items.push_back({file, idx, static_cast<std::uint32_t>(slot)});
       }
       listed += keys;
     }
@@ -427,7 +389,7 @@ void AllocTable::load(util::BinaryReader& reader, std::uint64_t sector_count,
       return;
     }
     pos_in_normal_[slot] = normal_entries_.size();
-    normal_entries_.emplace_back(file, idx);
+    normal_entries_.push_back({file, idx, static_cast<std::uint32_t>(slot)});
   }
   if (normals != normal_slots) reader.fail();
 }
@@ -447,8 +409,9 @@ void AllocTable::save_files(util::BinaryWriter& writer) const {
     writer.u64(row.owner);
     writer.u64(row.added_at);
     writer.u64(row.desc.cp);  // one escrow flag per replica
-    for (ReplicaIndex idx = 0; idx < row.desc.cp; ++idx) {
-      writer.boolean(escrowed_[file->offset + idx] != 0);
+    for (std::size_t slot = file->offset; slot < file->offset + row.desc.cp;
+         ++slot) {
+      writer.boolean(escrowed(prev_[slot], state_[slot]));
     }
   }
 }
@@ -471,8 +434,8 @@ void AllocTable::load_files(util::BinaryReader& reader) {
     const std::uint64_t flags = reader.count(1);
     if (!reader.ok()) return;
     // The row fills the allocation group of the same id, once: the engine
-    // walks `cp` of its entries and `cp` escrow flags, and a filled row has
-    // a positive size.
+    // walks `cp` of its entries, each with the escrow flag its entry
+    // implies, and a filled row has a positive size.
     const auto it = files_.find(id);
     if (it == files_.end() || it->second.row.desc.size != 0 ||
         row.desc.cp != it->second.row.desc.cp || flags != row.desc.cp ||
@@ -481,8 +444,11 @@ void AllocTable::load_files(util::BinaryReader& reader) {
       return;
     }
     it->second.row = row;
-    for (ReplicaIndex idx = 0; idx < row.desc.cp; ++idx) {
-      escrowed_[it->second.offset + idx] = reader.boolean() ? 1 : 0;
+    const std::size_t offset = it->second.offset;
+    for (std::size_t slot = offset; slot < offset + row.desc.cp; ++slot) {
+      if (reader.boolean() != escrowed(prev_[slot], state_[slot])) {
+        reader.fail();
+      }
     }
   }
   // Each row filled a distinct group, so equal counts leave none unfilled.

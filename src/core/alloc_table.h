@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -32,14 +31,12 @@
 /// slots. The proof sweep streams the state/prev/last arrays instead of
 /// striding records, and freed runs are recycled through a fixed-block
 /// pool (`util::FixedBlockPool`) keyed by `cp`, so steady-state churn
-/// reuses warm slots instead of growing the slab. Beside the Fig. 1 entry
-/// fields the slab keeps one engine column: whether the replica's upload
-/// traffic fee is still escrowed (refunded if the upload fails).
+/// reuses warm slots instead of growing the slab.
 ///
 /// Index positions are *intrusive*: each slot stores its own position in
-/// the by-prev / by-next buckets and in the normal-entry sampler, which
-/// removes the per-bucket positional hash maps entirely — swap-erase is
-/// two array writes plus one position fix-up.
+/// the by-prev / by-next buckets and in the normal-entry sampler, and each
+/// bucket or sampler item carries its slot, so swap-erase is two array
+/// writes plus one position fix-up, with no lookup.
 namespace fi::core {
 
 struct AllocEntry {
@@ -57,13 +54,13 @@ using EntryKey = std::pair<FileId, ReplicaIndex>;
 class AllocTable {
  public:
   /// One lookup's worth of a live file: its row plus a window over its
-  /// replicas' contiguous slots. Reads are live, so they see later setter
-  /// writes to the same file. Like a span, the view is shallow: the row,
-  /// `last` and the escrow flag are writable through it; prev/next/state
-  /// are coupled to the reverse indexes and the normal-entry sampler and
-  /// must go through the setters below. A default view names no file
-  /// (`find` of an unknown id). Invalidated by create_file (the slab may
-  /// reallocate), remove_file of the same file and load.
+  /// replicas' contiguous slots, and the only way to write an entry. Reads
+  /// are live, so they see the view's own writes and any later write to
+  /// the same file. Like a span, the view is shallow: its writes go to the
+  /// table, and `set_prev` / `set_next` / `set_state` keep the reverse
+  /// indexes and the normal-entry sampler consistent. A default view names
+  /// no file (`find` of an unknown id). Invalidated by create_file (the
+  /// slab may reallocate), remove_file of the same file and load.
   class FileView {
    public:
     explicit operator bool() const { return row_ != nullptr; }
@@ -76,28 +73,37 @@ class AllocTable {
     [[nodiscard]] SectorId prev(ReplicaIndex i) const { return prev_[i]; }
     [[nodiscard]] SectorId next(ReplicaIndex i) const { return next_[i]; }
     [[nodiscard]] Time last(ReplicaIndex i) const { return last_[i]; }
-    void set_last(ReplicaIndex i, Time t) const { last_[i] = t; }
+    /// The replica's upload traffic fee is still escrowed (refunded if the
+    /// upload fails): exactly while its initial upload awaits confirmation.
     [[nodiscard]] bool escrowed(ReplicaIndex i) const {
-      return escrowed_[i] != 0;
+      return AllocTable::escrowed(prev_[i], state_[i]);
     }
-    void clear_escrow(ReplicaIndex i) const { escrowed_[i] = 0; }
+
+    void set_prev(ReplicaIndex i, SectorId sector) const;
+    void set_next(ReplicaIndex i, SectorId sector) const;
+    void set_state(ReplicaIndex i, AllocState state) const;
+    void set_last(ReplicaIndex i, Time t) const { last_[i] = t; }
 
    private:
     friend class AllocTable;
+    /// Slab slot of replica `i`, range-checked.
+    [[nodiscard]] std::uint32_t slot(ReplicaIndex i) const;
+
+    AllocTable* table_ = nullptr;
     FileId id_ = kNoFile;
     FileRow* row_ = nullptr;
+    std::size_t offset_ = 0;
     const AllocState* state_ = nullptr;
     const SectorId* prev_ = nullptr;
     const SectorId* next_ = nullptr;
     Time* last_ = nullptr;
-    std::uint8_t* escrowed_ = nullptr;
   };
 
   /// Creates a file's row and its `cp` empty entries (recycling a pooled
-  /// slot run when one of that size is free), each with its traffic fee
-  /// escrowed. The row has `desc.cp == cp` and defaults elsewhere; the
-  /// caller fills in the rest.
-  FileRow& create_file(FileId file, std::uint32_t cp);
+  /// slot run when one of that size is free) and returns its view. The row
+  /// has `desc.cp == cp` and defaults elsewhere; the caller fills in the
+  /// rest.
+  FileView create_file(FileId file, std::uint32_t cp);
 
   /// Drops the file's row and entries (the file leaves the network) and
   /// returns its slot run to the pool. Releasing sector space is the
@@ -112,7 +118,9 @@ class AllocTable {
   [[nodiscard]] FileView find(FileId file);
   /// Row / replica count of a live file; unknown ids are an invariant
   /// violation.
-  [[nodiscard]] const FileRow& row(FileId file) const;
+  [[nodiscard]] const FileRow& row(FileId file) const {
+    return file_at(file).row;
+  }
   [[nodiscard]] std::uint32_t replica_count(FileId file) const {
     return row(file).desc.cp;
   }
@@ -120,28 +128,16 @@ class AllocTable {
   /// Materialized copy of one entry (does not track later mutations).
   [[nodiscard]] AllocEntry entry(FileId file, ReplicaIndex idx) const;
 
-  /// Entry mutation: `set_prev` / `set_next` keep the reverse indexes
-  /// consistent; `set_state` keeps the normal-entry sampler consistent.
-  void set_prev(FileId file, ReplicaIndex idx, SectorId sector);
-  void set_next(FileId file, ReplicaIndex idx, SectorId sector);
-  void set_state(FileId file, ReplicaIndex idx, AllocState state);
-  void set_last(FileId file, ReplicaIndex idx, Time last);
-
   /// Entries with prev == sector / next == sector (copied snapshots, for
   /// callers that mutate while iterating).
   [[nodiscard]] std::vector<EntryKey> entries_with_prev(SectorId sector) const;
   [[nodiscard]] std::vector<EntryKey> entries_with_next(SectorId sector) const;
 
-  /// Allocation-free views of the same index slices. Invalidated by any
-  /// set_prev / set_next / remove_file — read-only consumers only.
-  [[nodiscard]] std::span<const EntryKey> with_prev(SectorId sector) const;
-  [[nodiscard]] std::span<const EntryKey> with_next(SectorId sector) const;
-
   [[nodiscard]] std::size_t count_with_prev(SectorId sector) const {
-    return with_prev(sector).size();
+    return sector < by_prev_.size() ? by_prev_[sector].size() : 0;
   }
   [[nodiscard]] std::size_t count_with_next(SectorId sector) const {
-    return with_next(sector).size();
+    return sector < by_next_.size() ? by_next_[sector].size() : 0;
   }
   /// Entries that name `sector` as prev or next: the sector's references.
   /// A disabled sector is removed once they drain to zero.
@@ -167,7 +163,7 @@ class AllocTable {
   /// Files are encoded sorted by id (the map's hash order is never
   /// observable), but the reverse indexes and the normal-entry sampler are
   /// encoded in their exact dense-array order: their positions feed
-  /// iteration (`with_prev` spans) and uniform sampling
+  /// iteration (`entries_with_prev`) and uniform sampling
   /// (`random_normal_entry`), so a swap-erase history reshuffle would
   /// change later draws and break save→load→continue byte-identity.
   /// Slot placement inside the slab is NOT observable and not encoded;
@@ -189,8 +185,9 @@ class AllocTable {
   /// bucket lists it, and is `normal` exactly when the sampler lists it.
   ///
   /// `load` creates each file's row with only `desc.cp` set; `load_files`
-  /// must then fill every row exactly once, with the same `cp`, one escrow
-  /// flag per replica and a positive size (File_Add admits no empty file).
+  /// must then fill every row exactly once, with the same `cp`, a positive
+  /// size (File_Add admits no empty file) and one escrow flag per replica,
+  /// each equal to the one its entry implies (`FileView::escrowed`).
   void save(util::BinaryWriter& writer) const;
   void load(util::BinaryReader& reader, std::uint64_t sector_count,
             FileId next_file_id);
@@ -203,17 +200,40 @@ class AllocTable {
     FileRow row;
     std::size_t offset = 0;
   };
+  /// A reverse-index or sampler item: the entry's key plus its slab slot,
+  /// so a swap-erase fixes the moved item's position without a lookup.
+  struct Item {
+    FileId file = kNoFile;
+    ReplicaIndex index = 0;
+    // fi-lint: not-serialized(derived: load() refills it from the key)
+    std::uint32_t slot = 0;
+  };
+  static_assert(sizeof(Item) == 16, "the slot fills a key pair's padding");
+  using Buckets = std::vector<std::vector<Item>>;
   static constexpr std::size_t kNoPos = ~std::size_t{0};
+  /// Slab size limit: an item's slot is a u32.
+  static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << 32;
 
-  [[nodiscard]] std::size_t slot_of(FileId file, ReplicaIndex idx) const;
-  void index_add(std::vector<std::vector<EntryKey>>& buckets,
-                 std::vector<std::size_t>& positions, SectorId sector,
-                 EntryKey key, std::size_t slot);
-  void index_remove(std::vector<std::vector<EntryKey>>& buckets,
-                    std::vector<std::size_t>& positions, SectorId sector,
-                    EntryKey key, std::size_t slot);
-  void sampler_add(EntryKey key, std::size_t slot);
-  void sampler_remove(EntryKey key, std::size_t slot);
+  /// `FileView::escrowed` from an entry's prev and state.
+  [[nodiscard]] static bool escrowed(SectorId prev, AllocState state) {
+    return prev == kNoSector && state == AllocState::alloc;
+  }
+
+  [[nodiscard]] FileView view_of(FileId id, File& file);
+  [[nodiscard]] const File& file_at(FileId file) const;
+  [[nodiscard]] AllocEntry entry_at(std::size_t slot) const;
+  /// Points slot `item.slot`'s link in `links` at `sector`, moving the
+  /// item between the sectors' buckets.
+  static void relink(std::vector<SectorId>& links, Buckets& buckets,
+                     std::vector<std::size_t>& positions, Item item,
+                     SectorId sector);
+  /// Appends `item` to a bucket or the sampler / swap-erases slot `slot`'s
+  /// item from it, keeping `positions` current.
+  static void list_add(std::vector<Item>& items,
+                       std::vector<std::size_t>& positions, Item item);
+  static void list_remove(std::vector<Item>& items,
+                          std::vector<std::size_t>& positions,
+                          std::size_t slot);
 
   std::unordered_map<FileId, File> files_;
   /// Struct-of-arrays slab, indexed by slot = file offset + replica.
@@ -221,9 +241,7 @@ class AllocTable {
   std::vector<SectorId> next_;
   std::vector<Time> last_;
   std::vector<AllocState> state_;
-  /// Per replica: its upload traffic fee is still escrowed.
-  std::vector<std::uint8_t> escrowed_;
-  /// Intrusive positions of each slot's key inside the by-prev/by-next
+  /// Intrusive positions of each slot's item inside the by-prev/by-next
   /// buckets and the normal sampler (kNoPos when absent).
   // fi-lint: not-serialized(derived: load() rebuilds from the index sections)
   std::vector<std::size_t> pos_in_prev_;
@@ -233,10 +251,10 @@ class AllocTable {
   std::vector<std::size_t> pos_in_normal_;
   /// Reverse indexes as dense per-sector buckets (sector ids are dense
   /// registration indices, so a flat vector replaces the sector hash map).
-  std::vector<std::vector<EntryKey>> by_prev_;
-  std::vector<std::vector<EntryKey>> by_next_;
+  Buckets by_prev_;
+  Buckets by_next_;
   /// Dense array for O(1) uniform sampling of normal entries.
-  std::vector<EntryKey> normal_entries_;
+  std::vector<Item> normal_entries_;
   /// Recycled slot runs, keyed by run length (= cp).
   // fi-lint: not-serialized(allocator state; load() repacks the slab dense)
   util::FixedBlockPool pool_;

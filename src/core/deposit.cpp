@@ -8,30 +8,29 @@
 
 namespace fi::core {
 
-util::Status DepositBook::pledge(SectorId sector, ProviderId owner,
-                                 TokenAmount amount) {
+util::Status DepositBook::pledge(SectorId sector, TokenAmount amount) {
   FI_CHECK_MSG(!deposits_.contains(sector), "sector already has a deposit");
+  const ProviderId owner = sectors_.owner(sector);
   if (auto status = ledger_.transfer(owner, escrow_, amount); !status.is_ok()) {
     return status;
   }
-  deposits_.emplace(sector, Deposit{owner, amount});
+  deposits_.emplace(sector, amount);
   return util::Status::ok();
 }
 
 TokenAmount DepositBook::remaining(SectorId sector) const {
   const auto it = deposits_.find(sector);
-  return it == deposits_.end() ? 0 : it->second.remaining;
+  return it == deposits_.end() ? 0 : it->second;
 }
 
 TokenAmount DepositBook::punish(SectorId sector, std::uint32_t bp) {
   FI_CHECK_MSG(bp <= 10'000, "punishment above 100%");
   const auto it = deposits_.find(sector);
-  if (it == deposits_.end() || it->second.remaining == 0) return 0;
-  const TokenAmount slashed =
-      util::checked_mul_div(it->second.remaining, bp, 10'000);
+  if (it == deposits_.end() || it->second == 0) return 0;
+  const TokenAmount slashed = util::checked_mul_div(it->second, bp, 10'000);
   if (slashed == 0) return 0;
   FI_CHECK(ledger_.transfer(escrow_, pool_, slashed).is_ok());
-  it->second.remaining -= slashed;
+  it->second -= slashed;
   settle();
   return slashed;
 }
@@ -39,10 +38,10 @@ TokenAmount DepositBook::punish(SectorId sector, std::uint32_t bp) {
 TokenAmount DepositBook::confiscate(SectorId sector) {
   const auto it = deposits_.find(sector);
   if (it == deposits_.end()) return 0;
-  const TokenAmount amount = it->second.remaining;
+  const TokenAmount amount = it->second;
   if (amount > 0) {
     FI_CHECK(ledger_.transfer(escrow_, pool_, amount).is_ok());
-    it->second.remaining = 0;
+    it->second = 0;
   }
   total_confiscated_ = util::checked_add(total_confiscated_, amount);
   settle();
@@ -52,9 +51,10 @@ TokenAmount DepositBook::confiscate(SectorId sector) {
 TokenAmount DepositBook::refund(SectorId sector) {
   const auto it = deposits_.find(sector);
   if (it == deposits_.end()) return 0;
-  const TokenAmount amount = it->second.remaining;
+  const TokenAmount amount = it->second;
   if (amount > 0) {
-    FI_CHECK(ledger_.transfer(escrow_, it->second.owner, amount).is_ok());
+    FI_CHECK(
+        ledger_.transfer(escrow_, sectors_.owner(sector), amount).is_ok());
   }
   deposits_.erase(it);
   return amount;
@@ -68,11 +68,17 @@ TokenAmount DepositBook::compensate(ClientId client, TokenAmount amount) {
   }
   total_compensated_ = util::checked_add(total_compensated_, now_paid);
   if (now_paid < amount) {
-    const TokenAmount shortfall = amount - now_paid;
-    liabilities_.push_back(Liability{client, shortfall});
-    total_liabilities_ = util::checked_add(total_liabilities_, shortfall);
+    liabilities_.push_back(Liability{client, amount - now_paid});
   }
   return now_paid;
+}
+
+TokenAmount DepositBook::outstanding_liabilities() const {
+  TokenAmount total = 0;
+  for (const Liability& l : liabilities_) {
+    total = util::checked_add(total, l.amount);
+  }
+  return total;
 }
 
 void DepositBook::settle() {
@@ -83,7 +89,6 @@ void DepositBook::settle() {
     const TokenAmount pay = std::min(front.amount, available);
     FI_CHECK(ledger_.transfer(pool_, front.client, pay).is_ok());
     front.amount -= pay;
-    total_liabilities_ -= pay;
     total_compensated_ = util::checked_add(total_compensated_, pay);
     if (front.amount == 0) liabilities_.pop_front();
   }
@@ -97,17 +102,16 @@ void DepositBook::save(util::BinaryWriter& writer) const {
   std::sort(sectors.begin(), sectors.end());
   writer.u64(sectors.size());
   for (const SectorId sector : sectors) {
-    const Deposit& d = deposits_.at(sector);
     writer.u64(sector);
-    writer.u64(d.owner);
-    writer.u64(d.remaining);
+    writer.u64(sectors_.owner(sector));
+    writer.u64(deposits_.at(sector));
   }
   writer.u64(liabilities_.size());
   for (const Liability& l : liabilities_) {
     writer.u64(l.client);
     writer.u64(l.amount);
   }
-  writer.u64(total_liabilities_);
+  writer.u64(outstanding_liabilities());
   writer.u64(total_confiscated_);
   writer.u64(total_compensated_);
 }
@@ -117,21 +121,45 @@ void DepositBook::load(util::BinaryReader& reader) {
   liabilities_.clear();
   const std::uint64_t n = reader.count(24);
   deposits_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
+  SectorId last = 0;
+  for (std::uint64_t i = 0; i < n && reader.ok(); ++i) {
     const SectorId sector = reader.u64();
-    Deposit d;
-    d.owner = reader.u64();
-    d.remaining = reader.u64();
-    deposits_.emplace(sector, d);
+    const ProviderId owner = reader.u64();
+    const TokenAmount remaining = reader.u64();
+    // Rows ascend by sector, and each names a registered, unremoved sector
+    // and that sector's owner.
+    if ((i > 0 && sector <= last) || !sectors_.exists(sector) ||
+        sectors_.state(sector) == SectorState::removed ||
+        owner != sectors_.owner(sector)) {
+      reader.fail();
+      break;
+    }
+    deposits_.emplace(sector, remaining);
+    last = sector;
   }
+  // Each row names a distinct live sector, so equal counts leave no live
+  // sector without its deposit.
+  std::uint64_t live = 0;
+  for (SectorId id = 0; id < sectors_.count(); ++id) {
+    if (sectors_.state(id) != SectorState::removed) ++live;
+  }
+  if (n != live) reader.fail();
+
   const std::uint64_t liabilities = reader.count(16);
-  for (std::uint64_t i = 0; i < liabilities; ++i) {
+  TokenAmount total = 0;
+  for (std::uint64_t i = 0; i < liabilities && reader.ok(); ++i) {
     Liability l;
     l.client = reader.u64();
     l.amount = reader.u64();
+    // `settle` pops a liability the moment it reaches zero.
+    if (l.amount == 0 || l.amount > ~TokenAmount{0} - total) {
+      reader.fail();
+      break;
+    }
+    total += l.amount;
     liabilities_.push_back(l);
   }
-  total_liabilities_ = reader.u64();
+  if (reader.u64() != total) reader.fail();
   total_confiscated_ = reader.u64();
   total_compensated_ = reader.u64();
 }

@@ -4,6 +4,7 @@
 #include <deque>
 #include <unordered_map>
 
+#include "core/sector.h"
 #include "core/types.h"
 #include "ledger/account.h"
 #include "util/binary_io.h"
@@ -16,17 +17,22 @@
 /// corruption confiscates the remainder; a safe exit refunds it. File-loss
 /// compensation is paid from the pool — if momentarily short (Theorem 4
 /// bounds the probability), the shortfall is recorded as a FIFO liability
-/// and settled from later confiscations.
+/// and settled from later confiscations. Every sector not yet removed has a
+/// deposit, owned by the sector's owner, which the book reads, not stores.
 namespace fi::core {
 
 class DepositBook {
  public:
+  /// `sectors` must outlive the book.
   DepositBook(ledger::Ledger& ledger, AccountId escrow_account,
-              AccountId pool_account)
-      : ledger_(ledger), escrow_(escrow_account), pool_(pool_account) {}
+              AccountId pool_account, const SectorTable& sectors)
+      : ledger_(ledger),
+        escrow_(escrow_account),
+        pool_(pool_account),
+        sectors_(sectors) {}
 
-  /// Locks `amount` from `owner` into escrow for the sector.
-  util::Status pledge(SectorId sector, ProviderId owner, TokenAmount amount);
+  /// Locks `amount` from the sector's owner into escrow for the sector.
+  util::Status pledge(SectorId sector, TokenAmount amount);
 
   /// Remaining (un-slashed) deposit of a sector.
   [[nodiscard]] TokenAmount remaining(SectorId sector) const;
@@ -51,9 +57,7 @@ class DepositBook {
   [[nodiscard]] TokenAmount escrow_balance() const {
     return ledger_.balance(escrow_);
   }
-  [[nodiscard]] TokenAmount outstanding_liabilities() const {
-    return total_liabilities_;
-  }
+  [[nodiscard]] TokenAmount outstanding_liabilities() const;
   [[nodiscard]] TokenAmount total_confiscated() const {
     return total_confiscated_;
   }
@@ -61,9 +65,12 @@ class DepositBook {
     return total_compensated_;
   }
 
-  /// Canonical snapshot encoding (deposits sorted by sector, liabilities
-  /// in FIFO order) / full-state restore — see `src/snapshot`. Balances
-  /// themselves live in the ledger, restored separately.
+  /// Canonical snapshot encoding (deposits sorted by sector, with owners;
+  /// liabilities in FIFO order, then their sum) / full-state restore — see
+  /// `src/snapshot`. Balances live in the ledger, restored separately.
+  /// `load` follows the sector table's and fails the reader on what `save`
+  /// cannot produce: rows out of sector order, not one per sector not
+  /// removed, or with another owner; a zero liability; a wrong sum.
   void save(util::BinaryWriter& writer) const;
   void load(util::BinaryReader& reader);
 
@@ -71,10 +78,6 @@ class DepositBook {
   /// Pays queued liabilities from the pool, FIFO.
   void settle();
 
-  struct Deposit {
-    ProviderId owner = kNoAccount;
-    TokenAmount remaining = 0;
-  };
   struct Liability {
     ClientId client = kNoAccount;
     TokenAmount amount = 0;
@@ -87,9 +90,12 @@ class DepositBook {
   AccountId escrow_;
   // fi-lint: not-serialized(fixed at construction, like escrow_)
   AccountId pool_;
-  std::unordered_map<SectorId, Deposit> deposits_;
+  // fi-lint: not-serialized(reference to the engine's sector table, which
+  // snapshots itself)
+  const SectorTable& sectors_;
+  /// Remaining (un-slashed) deposit per sector.
+  std::unordered_map<SectorId, TokenAmount> deposits_;
   std::deque<Liability> liabilities_;
-  TokenAmount total_liabilities_ = 0;
   TokenAmount total_confiscated_ = 0;
   TokenAmount total_compensated_ = 0;
 };

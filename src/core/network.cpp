@@ -30,7 +30,7 @@ Network::Network(Params params, ledger::Ledger& ledger, std::uint64_t seed)
       gas_sink_(ledger.create_account()),
       traffic_escrow_(ledger.create_account()),
       sector_table_(params_),
-      deposit_book_(ledger, escrow_, pool_) {
+      deposit_book_(ledger, escrow_, pool_, sector_table_) {
   params_.validate();
   // Recurring rent distribution (§IV-A2).
   pending_.schedule(params_.rent_period(),
@@ -63,7 +63,7 @@ util::Result<SectorId> Network::sector_register(ProviderId provider,
   if (!id.is_ok()) return id.status();
   // Rent accrues only from this point on.
   sector_table_.set_rent_acc_snapshot(id.value(), rent_acc_);
-  FI_CHECK(deposit_book_.pledge(id.value(), provider, deposit).is_ok());
+  FI_CHECK(deposit_book_.pledge(id.value(), deposit).is_ok());
   if (params_.admission_rebalance) {
     admission_rebalance(id.value());
   }
@@ -111,12 +111,13 @@ util::Status Network::file_confirm(ProviderId provider, FileId file,
     return util::err(util::ErrorCode::failed_precondition,
                      "entry is not awaiting confirmation by this sector");
   }
-  alloc_table_.set_state(file, index, AllocState::confirm);
-  // Initial upload: release the escrowed traffic fee to the provider.
-  if (f.prev(index) == kNoSector && f.escrowed(index)) {
+  // Initial upload: release the escrowed traffic fee to the provider. The
+  // confirmation ends the escrow, so read the flag first.
+  const bool escrowed = f.escrowed(index);
+  f.set_state(index, AllocState::confirm);
+  if (escrowed) {
     const TokenAmount fee = params_.traffic_fee(f.row().desc.size);
     FI_CHECK(ledger_.transfer(traffic_escrow_, provider, fee).is_ok());
-    f.clear_escrow(index);
   }
   return util::Status::ok();
 }
@@ -170,7 +171,8 @@ util::Result<FileId> Network::file_add(ClientId client, const FileInfo& info) {
   FI_CHECK(ledger_.transfer(client, traffic_escrow_, traffic_total).is_ok());
   FI_CHECK(charge_gas(client, params_.gas_per_task));
 
-  FileRow& row = alloc_table_.create_file(id, cp);  // fees escrowed
+  const FileView f = alloc_table_.create_file(id, cp);  // fees escrowed
+  FileRow& row = f.row();
   row.desc.size = info.size;
   row.desc.value = info.value;
   row.desc.merkle_root = info.merkle_root;
@@ -178,7 +180,7 @@ util::Result<FileId> Network::file_add(ClientId client, const FileInfo& info) {
   row.added_at = now_;
 
   for (std::uint32_t i = 0; i < cp; ++i) {
-    link_next(id, i, chosen[i]);
+    link_next(f, i, chosen[i]);
     bus_.emit(ReplicaTransferRequested{id, i, kNoSector, chosen[i], client,
                                        deadline});
   }
@@ -287,14 +289,7 @@ void Network::auto_check_alloc(FileId file) {
 
   // Second loop: activate confirmed entries.
   for (ReplicaIndex i = 0; i < f.size(); ++i) {
-    if (f.state(i) == AllocState::confirm) {
-      const SectorId sector = f.next(i);
-      link_prev(file, i, sector);
-      link_next(file, i, kNoSector);
-      f.set_last(i, now_);
-      alloc_table_.set_state(file, i, AllocState::normal);
-      bus_.emit(ReplicaActivated{file, i, sector});
-    }
+    if (f.state(i) == AllocState::confirm) activate(f, i);
     // Corrupted entries stay as dead slots (Fig. 7 else-branch).
   }
 
@@ -451,8 +446,8 @@ bool Network::start_refresh_to(const FileView& f, ReplicaIndex index,
   if (!reserve_sector(target, size).is_ok()) {
     return false;
   }
-  link_next(file, index, target);
-  alloc_table_.set_state(file, index, AllocState::alloc);
+  link_next(f, index, target);
+  f.set_state(index, AllocState::alloc);
   pending_.schedule(deadline, Task{TaskKind::check_refresh, file, index});
   bus_.emit(ReplicaTransferRequested{file, index, source, target,
                                      f.row().owner, deadline});
@@ -463,21 +458,14 @@ bool Network::start_refresh_to(const FileView& f, ReplicaIndex index,
 void Network::auto_check_refresh(FileId file, ReplicaIndex index) {
   const FileView f = alloc_table_.find(file);
   if (!f) return;
-  const ByteCount size = f.row().desc.size;
   const AllocEntry e = f.entry(index);
   if (e.next == kNoSector) return;  // stale: cancelled or already completed
 
   if (e.state == AllocState::confirm) {
     // Handoff succeeded: swap prev <- next (Fig. 9).
-    const SectorId old = e.prev;
-    const SectorId fresh = e.next;
-    release_sector(old, size);
-    bus_.emit(ReplicaReleased{file, index, old});
-    link_prev(file, index, fresh);
-    link_next(file, index, kNoSector);
-    f.set_last(index, now_);
-    alloc_table_.set_state(file, index, AllocState::normal);
-    bus_.emit(ReplicaActivated{file, index, fresh});
+    release_sector(e.prev, f.row().desc.size);
+    bus_.emit(ReplicaReleased{file, index, e.prev});
+    activate(f, index);
     resample_cntdown(f.row().desc);
     ++stats_.refreshes_completed;
     return;
@@ -512,9 +500,8 @@ void Network::auto_check_refresh(FileId file, ReplicaIndex index) {
     bus_.emit(ProviderPunished{holder, slashed,
                                "failed refresh handoff (holder)"});
   }
-  release_sector(e.next, size);
-  link_next(file, index, kNoSector);
-  alloc_table_.set_state(file, index, AllocState::normal);
+  cancel_refresh(f, index);
+  f.set_state(index, AllocState::normal);
   auto_refresh(f, index);  // Fig. 9: call Refresh(f, i) again
 }
 
@@ -643,16 +630,14 @@ void Network::corrupt_sector_internal(SectorId sector) {
     const FileView f = alloc_table_.find(file);
     const AllocEntry e = f.entry(index);
     if (e.state == AllocState::corrupted) continue;
-    if (e.state == AllocState::confirm && e.next != kNoSector &&
-        sector_table_.state(e.next) == SectorState::normal) {
+    if (e.state == AllocState::confirm && e.next != kNoSector) {
       // The replica already landed in the refresh target: complete the
-      // swap instead of losing a healthy copy.
-      const SectorId fresh = e.next;
-      link_prev(file, index, fresh);
-      link_next(file, index, kNoSector);
-      f.set_last(index, now_);
-      alloc_table_.set_state(file, index, AllocState::normal);
-      bus_.emit(ReplicaActivated{file, index, fresh});
+      // swap instead of losing a healthy copy. The target is live, normal
+      // or draining: a dead target cancels the refresh when it dies.
+      const SectorState target = sector_table_.state(e.next);
+      FI_CHECK(target == SectorState::normal ||
+               target == SectorState::disabled);
+      activate(f, index);
       resample_cntdown(f.row().desc);
       continue;
     }
@@ -660,35 +645,34 @@ void Network::corrupt_sector_internal(SectorId sector) {
       // Outbound refresh whose source just died: cancel the transfer and
       // restart the countdown the refresh left at 0, or the file's other
       // replicas would never refresh again.
-      release_sector(e.next, f.row().desc.size);
-      link_next(file, index, kNoSector);
+      cancel_refresh(f, index);
       resample_cntdown(f.row().desc);
     }
-    alloc_table_.set_state(file, index, AllocState::corrupted);
+    f.set_state(index, AllocState::corrupted);
   }
 
   // Entries flowing into this sector (next == sector).
   for (const EntryKey& key : alloc_table_.entries_with_next(sector)) {
     const auto [file, index] = key;
     const FileView f = alloc_table_.find(file);
-    const AllocEntry e = f.entry(index);
-    if (e.prev == kNoSector) {
+    if (f.prev(index) == kNoSector) {
       // Initial upload target died: dead replica slot, tolerated by
       // Auto_CheckAlloc (Fig. 7 treats corrupted entries as acceptable).
-      link_next(file, index, kNoSector);
-      alloc_table_.set_state(file, index, AllocState::corrupted);
-      // The traffic fee for this replica is refunded (never delivered).
-      if (f.escrowed(index)) {
+      // The traffic fee for this replica is refunded (never delivered);
+      // the corruption ends the escrow, so read the flag first.
+      const bool escrowed = f.escrowed(index);
+      link_next(f, index, kNoSector);
+      f.set_state(index, AllocState::corrupted);
+      if (escrowed) {
         const TokenAmount fee = params_.traffic_fee(f.row().desc.size);
         FI_CHECK(
             ledger_.transfer(traffic_escrow_, f.row().owner, fee).is_ok());
-        f.clear_escrow(index);
       }
     } else {
       // Refresh target died: cancel; the old holder keeps the replica.
-      link_next(file, index, kNoSector);
-      if (e.state != AllocState::corrupted) {
-        alloc_table_.set_state(file, index, AllocState::normal);
+      cancel_refresh(f, index);
+      if (f.state(index) != AllocState::corrupted) {
+        f.set_state(index, AllocState::normal);
         resample_cntdown(f.row().desc);
       }
     }
@@ -699,18 +683,32 @@ void Network::corrupt_sector_internal(SectorId sector) {
 // Internal helpers
 // ---------------------------------------------------------------------------
 
-void Network::link_prev(FileId file, ReplicaIndex idx, SectorId sector) {
-  const SectorId old = alloc_table_.entry(file, idx).prev;
+void Network::link_prev(const FileView& f, ReplicaIndex i, SectorId sector) {
+  const SectorId old = f.prev(i);
   if (old == sector) return;
-  alloc_table_.set_prev(file, idx, sector);
+  f.set_prev(i, sector);
   if (old != kNoSector) remove_if_drained(old);
 }
 
-void Network::link_next(FileId file, ReplicaIndex idx, SectorId sector) {
-  const SectorId old = alloc_table_.entry(file, idx).next;
+void Network::link_next(const FileView& f, ReplicaIndex i, SectorId sector) {
+  const SectorId old = f.next(i);
   if (old == sector) return;
-  alloc_table_.set_next(file, idx, sector);
+  f.set_next(i, sector);
   if (old != kNoSector) remove_if_drained(old);
+}
+
+void Network::activate(const FileView& f, ReplicaIndex i) {
+  const SectorId sector = f.next(i);
+  link_prev(f, i, sector);
+  link_next(f, i, kNoSector);
+  f.set_last(i, now_);
+  f.set_state(i, AllocState::normal);
+  bus_.emit(ReplicaActivated{f.id(), i, sector});
+}
+
+void Network::cancel_refresh(const FileView& f, ReplicaIndex i) {
+  release_sector(f.next(i), f.row().desc.size);
+  link_next(f, i, kNoSector);
 }
 
 void Network::remove_if_drained(SectorId sector) {
@@ -755,14 +753,14 @@ void Network::remove_file_internal(FileId file) {
       if (e.state == AllocState::confirm) {
         bus_.emit(ReplicaReleased{file, i, e.next});
       }
-      link_next(file, i, kNoSector);
+      link_next(f, i, kNoSector);
     }
     if (e.prev != kNoSector) {
       if (e.state != AllocState::corrupted) {
         release_sector(e.prev, size);
         bus_.emit(ReplicaReleased{file, i, e.prev});
       }
-      link_prev(file, i, kNoSector);
+      link_prev(f, i, kNoSector);
     }
   }
   alloc_table_.remove_file(file);
@@ -774,7 +772,6 @@ void Network::refund_unconfirmed_traffic(const FileView& f) {
   for (ReplicaIndex i = 0; i < f.size(); ++i) {
     if (!f.escrowed(i)) continue;
     FI_CHECK(ledger_.transfer(traffic_escrow_, row.owner, fee).is_ok());
-    f.clear_escrow(i);
   }
 }
 

@@ -328,8 +328,14 @@ class Network {
 
   // ---- Internal helpers ----------------------------------------------------
   /// Sets entry.prev / entry.next; the sector a link leaves may drain.
-  void link_prev(FileId file, ReplicaIndex idx, SectorId sector);
-  void link_next(FileId file, ReplicaIndex idx, SectorId sector);
+  void link_prev(const FileView& file, ReplicaIndex index, SectorId sector);
+  void link_next(const FileView& file, ReplicaIndex index, SectorId sector);
+  /// Fig. 7 / Fig. 9 activation: the replica moves into its `next` sector,
+  /// is stamped proven now and becomes `normal`.
+  void activate(const FileView& file, ReplicaIndex index);
+  /// Cancels an outbound transfer: releases the target's reserved bytes and
+  /// clears `next` (a dead target's release is a no-op).
+  void cancel_refresh(const FileView& file, ReplicaIndex index);
   /// Samples a sector with room for `size` bytes (File_Add semantics:
   /// resample on collision, bounded). Under `distinct_sectors`, sectors in
   /// `already_chosen` (the file's other replicas) are rejected too.
@@ -349,7 +355,7 @@ class Network {
   void release_sector(SectorId sector, ByteCount size);
   /// Removes a file's row and entries, releasing space and links.
   void remove_file_internal(FileId file);
-  /// Refunds escrowed traffic fees for unconfirmed replicas.
+  /// Refunds unconfirmed replicas' escrowed traffic fees; the file goes next.
   void refund_unconfirmed_traffic(const FileView& file);
   /// Refunds and removes a disabled sector once no entry names it.
   void remove_if_drained(SectorId sector);

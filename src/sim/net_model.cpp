@@ -46,7 +46,6 @@ bool NetModel::path_partitioned(std::uint64_t src, std::uint64_t dst) const {
 
 void NetModel::send(Time now, ByteCount payload_bytes,
                     const TransferMessage& message) {
-  ++sent_;
   const std::uint64_t src = source_region(message);
   const std::uint64_t dst = region_of_sector(message.to_sector);
   if (path_down(src, dst)) {
@@ -87,7 +86,6 @@ bool NetModel::pop_due(Time now, TransferMessage& out) {
       ++dropped_partition_;
       continue;
     }
-    ++delivered_;
     if (deliver_at >= entry.msg.deadline) ++delivered_late_;
     const Time latency = deliver_at - entry.sent_at;
     ++region_delivered_[dst];
@@ -97,6 +95,17 @@ bool NetModel::pop_due(Time now, TransferMessage& out) {
     return true;
   }
   return false;
+}
+
+std::uint64_t NetModel::sent() const {
+  return delivered() + dropped_loss_ + dropped_partition_ + dropped_down_ +
+         queue_.size();
+}
+
+std::uint64_t NetModel::delivered() const {
+  std::uint64_t total = 0;
+  for (const std::uint64_t v : region_delivered_) total += v;
+  return total;
 }
 
 void NetModel::save_state(util::BinaryWriter& writer) const {
@@ -118,8 +127,8 @@ void NetModel::save_state(util::BinaryWriter& writer) const {
   });
   writer.u64(next_seq_);
 
-  writer.u64(sent_);
-  writer.u64(delivered_);
+  writer.u64(sent());
+  writer.u64(delivered());
   writer.u64(delivered_late_);
   writer.u64(dropped_loss_);
   writer.u64(dropped_partition_);
@@ -167,8 +176,8 @@ void NetModel::load_state(util::BinaryReader& reader) {
   // Every queued seq was issued before the counter's current value.
   if (!queue_.empty() && max_seq >= next_seq_) reader.fail();
 
-  sent_ = reader.u64();
-  delivered_ = reader.u64();
+  const std::uint64_t stored_sent = reader.u64();
+  const std::uint64_t stored_delivered = reader.u64();
   delivered_late_ = reader.u64();
   dropped_loss_ = reader.u64();
   dropped_partition_ = reader.u64();
@@ -176,6 +185,8 @@ void NetModel::load_state(util::BinaryReader& reader) {
   for (std::uint64_t& v : region_delivered_) v = reader.u64();
   for (std::uint64_t& v : region_latency_sum_) v = reader.u64();
   for (std::uint64_t& v : region_latency_max_) v = reader.u64();
+  // Both totals are sums of the counters that follow them.
+  if (stored_sent != sent() || stored_delivered != delivered()) reader.fail();
 }
 
 }  // namespace fi::sim

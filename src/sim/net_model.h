@@ -100,8 +100,10 @@ class NetModel {
   [[nodiscard]] std::size_t in_flight() const { return queue_.size(); }
 
   // ---- Counters -----------------------------------------------------------
-  [[nodiscard]] std::uint64_t sent() const { return sent_; }
-  [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
+  /// Every message sent is delivered, dropped or still in flight.
+  [[nodiscard]] std::uint64_t sent() const;
+  /// Sum of the per-region delivery counts.
+  [[nodiscard]] std::uint64_t delivered() const;
   /// Delivered on or after the message's protocol deadline tick (the
   /// network, not an adversary, made the transfer miss its window). The
   /// deadline check runs before deliveries of the same tick, so an
@@ -126,10 +128,11 @@ class NetModel {
   // ---- Snapshot -----------------------------------------------------------
   /// Canonical encoding: RNG state, region flags, the in-flight set in
   /// delivery order (strictly increasing `(deliver_at, seq)`), the seq
-  /// counter, and every counter. `load_state` pushes the in-flight set in
-  /// wire order and rejects what `save_state` cannot produce: entries out of
-  /// that order, a `seq` at or above the counter, and a message delivered
-  /// before it was sent.
+  /// counter, and every counter (`sent` and `delivered` as the sums they
+  /// are). `load_state` pushes the in-flight set in wire order and rejects
+  /// what `save_state` cannot produce: entries out of that order, a `seq`
+  /// at or above the counter, a message delivered before it was sent, and
+  /// a `sent` or `delivered` other than its sum.
   void save_state(util::BinaryWriter& writer) const;
   void load_state(util::BinaryReader& reader);
 
@@ -161,8 +164,6 @@ class NetModel {
   util::TimeQueue<InFlight> queue_;
   std::uint64_t next_seq_ = 0;
 
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
   std::uint64_t delivered_late_ = 0;
   std::uint64_t dropped_loss_ = 0;
   std::uint64_t dropped_partition_ = 0;

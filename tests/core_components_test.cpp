@@ -349,12 +349,13 @@ TEST(AllocTableTest, ReverseIndexesTrackLinks) {
   AllocTable table;
   table.create_file(1, 2);
   table.create_file(2, 1);
-  table.set_next(1, 0, 7);
-  table.set_next(1, 1, 7);
-  table.set_next(2, 0, 7);
+  const AllocTable::FileView one = table.find(1);
+  one.set_next(0, 7);
+  one.set_next(1, 7);
+  table.find(2).set_next(0, 7);
   EXPECT_EQ(table.entries_with_next(7).size(), 3u);
-  table.set_prev(1, 0, 7);
-  table.set_next(1, 0, kNoSector);
+  one.set_prev(0, 7);
+  one.set_next(0, kNoSector);
   EXPECT_EQ(table.entries_with_next(7).size(), 2u);
   EXPECT_EQ(table.entries_with_prev(7).size(), 1u);
   table.remove_file(1);
@@ -368,10 +369,11 @@ TEST(AllocTableTest, NormalSamplerTracksStateTransitions) {
   table.create_file(1, 2);
   EXPECT_EQ(table.normal_entry_count(), 0u);
   EXPECT_FALSE(table.random_normal_entry(rng).has_value());
-  table.set_state(1, 0, AllocState::normal);
-  table.set_state(1, 1, AllocState::normal);
+  const AllocTable::FileView file = table.find(1);
+  file.set_state(0, AllocState::normal);
+  file.set_state(1, AllocState::normal);
   EXPECT_EQ(table.normal_entry_count(), 2u);
-  table.set_state(1, 0, AllocState::alloc);
+  file.set_state(0, AllocState::alloc);
   EXPECT_EQ(table.normal_entry_count(), 1u);
   const auto key = table.random_normal_entry(rng);
   ASSERT_TRUE(key.has_value());
@@ -382,8 +384,8 @@ TEST(AllocTableTest, NormalSamplerTracksStateTransitions) {
 
 TEST(AllocTableTest, SamplerUniformOverNormalEntries) {
   AllocTable table;
-  table.create_file(1, 4);
-  for (ReplicaIndex i = 0; i < 4; ++i) table.set_state(1, i, AllocState::normal);
+  const AllocTable::FileView file = table.create_file(1, 4);
+  for (ReplicaIndex i = 0; i < 4; ++i) file.set_state(i, AllocState::normal);
   util::Xoshiro256 rng(5);
   std::vector<std::uint64_t> counts(4, 0);
   constexpr int kSamples = 40'000;
@@ -402,33 +404,31 @@ TEST(AllocTableTest, DuplicateCreateRejected) {
 
 TEST(AllocTableTest, IndexViewsMatchCopiesWithoutAllocation) {
   AllocTable table;
-  table.create_file(1, 3);
-  table.set_next(1, 0, 5);
-  table.set_next(1, 1, 5);
-  table.set_prev(1, 2, 5);
+  const AllocTable::FileView file = table.create_file(1, 3);
+  file.set_next(0, 5);
+  file.set_next(1, 5);
+  file.set_prev(2, 5);
   EXPECT_EQ(table.count_with_next(5), 2u);
   EXPECT_EQ(table.count_with_prev(5), 1u);
   EXPECT_EQ(table.count_with_prev(6), 0u);
-  EXPECT_TRUE(table.with_prev(6).empty());
-  // The span and the copying accessor expose the same slice.
-  const auto view = table.with_next(5);
-  const auto copy = table.entries_with_next(5);
-  ASSERT_EQ(view.size(), copy.size());
-  for (std::size_t i = 0; i < view.size(); ++i) EXPECT_EQ(view[i], copy[i]);
+  EXPECT_TRUE(table.entries_with_prev(6).empty());
+  EXPECT_EQ(table.entries_with_next(5),
+            (std::vector<EntryKey>{{1, 0}, {1, 1}}));
 }
 
 TEST(AllocTableTest, SwapEraseIndexSurvivesInterleavedRelinks) {
   AllocTable table;
   table.create_file(1, 4);
   table.create_file(2, 2);
-  for (ReplicaIndex i = 0; i < 4; ++i) table.set_prev(1, i, 9);
-  table.set_prev(2, 0, 9);
+  const AllocTable::FileView one = table.find(1);
+  for (ReplicaIndex i = 0; i < 4; ++i) one.set_prev(i, 9);
+  table.find(2).set_prev(0, 9);
   // Remove from the middle (swap-erase moves the tail key) and relink.
-  table.set_prev(1, 1, 3);
-  table.set_prev(1, 2, kNoSector);
+  one.set_prev(1, 3);
+  one.set_prev(2, kNoSector);
   EXPECT_EQ(table.count_with_prev(9), 3u);
   EXPECT_EQ(table.count_with_prev(3), 1u);
-  table.set_prev(1, 1, 9);  // back again
+  one.set_prev(1, 9);  // back again
   EXPECT_EQ(table.count_with_prev(9), 4u);
   EXPECT_EQ(table.count_with_prev(3), 0u);
   table.remove_file(1);
@@ -493,10 +493,10 @@ TEST(AllocTableTest, LoadRejectsNonCanonicalBodies) {
                                       {kNoSector, 2, AllocState::alloc}};
   {
     AllocTable table;
-    table.create_file(1, 2);
-    table.set_prev(1, 0, 1);
-    table.set_state(1, 0, AllocState::normal);
-    table.set_next(1, 1, 2);
+    const AllocTable::FileView file = table.create_file(1, 2);
+    file.set_prev(0, 1);
+    file.set_state(0, AllocState::normal);
+    file.set_next(1, 2);
     util::BinaryWriter saved;
     table.save(saved);
     // The cases below differ from this canonical body only where they say.
@@ -613,28 +613,37 @@ TEST(PendingListTest, LoadRejectsTimesThatDecrease) {
 // ---------------------------------------------------------------------------
 
 struct DepositFixture : ::testing::Test {
+  DepositFixture() {
+    // Sectors 0-2, all owned by `owner`: a deposit's owner is its sector's.
+    for (int s = 0; s < 3; ++s) {
+      EXPECT_TRUE(sectors.register_sector(owner, 1024, 0).is_ok());
+    }
+  }
+
   ledger::Ledger ledger;
   AccountId escrow = ledger.create_account();
   AccountId pool = ledger.create_account();
   AccountId owner = ledger.create_account(1000);
   AccountId client = ledger.create_account(0);
-  DepositBook book{ledger, escrow, pool};
+  Params params = small_params();
+  SectorTable sectors{params};
+  DepositBook book{ledger, escrow, pool, sectors};
 };
 
 TEST_F(DepositFixture, PledgeLocksDeposit) {
-  ASSERT_TRUE(book.pledge(1, owner, 400).is_ok());
+  ASSERT_TRUE(book.pledge(1, 400).is_ok());
   EXPECT_EQ(ledger.balance(owner), 600u);
   EXPECT_EQ(book.escrow_balance(), 400u);
   EXPECT_EQ(book.remaining(1), 400u);
 }
 
 TEST_F(DepositFixture, PledgeFailsOnInsufficientFunds) {
-  EXPECT_FALSE(book.pledge(1, owner, 2000).is_ok());
+  EXPECT_FALSE(book.pledge(1, 2000).is_ok());
   EXPECT_EQ(ledger.balance(owner), 1000u);
 }
 
 TEST_F(DepositFixture, PunishMovesBasisPoints) {
-  ASSERT_TRUE(book.pledge(1, owner, 1000).is_ok());
+  ASSERT_TRUE(book.pledge(1, 1000).is_ok());
   EXPECT_EQ(book.punish(1, 100), 10u);  // 1%
   EXPECT_EQ(book.remaining(1), 990u);
   EXPECT_EQ(book.pool_balance(), 10u);
@@ -644,7 +653,7 @@ TEST_F(DepositFixture, PunishMovesBasisPoints) {
 }
 
 TEST_F(DepositFixture, ConfiscateTakesEverything) {
-  ASSERT_TRUE(book.pledge(1, owner, 700).is_ok());
+  ASSERT_TRUE(book.pledge(1, 700).is_ok());
   EXPECT_EQ(book.confiscate(1), 700u);
   EXPECT_EQ(book.remaining(1), 0u);
   EXPECT_EQ(book.pool_balance(), 700u);
@@ -653,7 +662,7 @@ TEST_F(DepositFixture, ConfiscateTakesEverything) {
 }
 
 TEST_F(DepositFixture, RefundReturnsRemainder) {
-  ASSERT_TRUE(book.pledge(1, owner, 500).is_ok());
+  ASSERT_TRUE(book.pledge(1, 500).is_ok());
   book.punish(1, 1000);  // 10% -> 50 slashed
   EXPECT_EQ(book.refund(1), 450u);
   EXPECT_EQ(ledger.balance(owner), 950u);
@@ -661,7 +670,7 @@ TEST_F(DepositFixture, RefundReturnsRemainder) {
 }
 
 TEST_F(DepositFixture, CompensationPaysFromPool) {
-  ASSERT_TRUE(book.pledge(1, owner, 500).is_ok());
+  ASSERT_TRUE(book.pledge(1, 500).is_ok());
   book.confiscate(1);
   EXPECT_EQ(book.compensate(client, 300), 300u);
   EXPECT_EQ(ledger.balance(client), 300u);
@@ -670,8 +679,8 @@ TEST_F(DepositFixture, CompensationPaysFromPool) {
 }
 
 TEST_F(DepositFixture, ShortfallBecomesLiabilitySettledLater) {
-  ASSERT_TRUE(book.pledge(1, owner, 100).is_ok());
-  ASSERT_TRUE(book.pledge(2, owner, 400).is_ok());
+  ASSERT_TRUE(book.pledge(1, 100).is_ok());
+  ASSERT_TRUE(book.pledge(2, 400).is_ok());
   book.confiscate(1);  // pool = 100
   EXPECT_EQ(book.compensate(client, 250), 100u);
   EXPECT_EQ(book.outstanding_liabilities(), 150u);

@@ -545,6 +545,10 @@ ReplicaTransferRequested await_refresh(Network& net,
 // A refresh cancelled because its source sector died leaves the file's
 // countdown at 0, where Auto_CheckProof no longer counts it down: both
 // branches must re-sample it, or the surviving replicas never move again.
+// A copy that already landed in a target which then stopped accepting data
+// takes over from the dead source on that draining target; the next
+// refresh moves it out, so the target still drains, exits and gets its
+// deposit back.
 TEST_F(RefreshFixture, RefreshCancelledBySourceCorruptionRestartsCountdown) {
   for (const bool target_confirmed : {false, true}) {
     SCOPED_TRACE(target_confirmed ? "target confirmed, then disabled"
@@ -558,30 +562,52 @@ TEST_F(RefreshFixture, RefreshCancelledBySourceCorruptionRestartsCountdown) {
     ASSERT_EQ(req.file, id);
     ASSERT_EQ(net->file(id).cntdown, 0);
     if (target_confirmed) {
-      // The landed copy cannot take over from a target that stopped
-      // accepting data: the replica dies with its source, and its
-      // check_refresh finds it corrupted.
       const ProviderId target_owner = net->sectors().at(req.to).owner;
       ASSERT_TRUE(
           net->file_confirm(target_owner, id, req.index, req.to).is_ok());
       ASSERT_TRUE(net->sector_disable(target_owner, req.to).is_ok());
     }
     net->corrupt_sector_now(req.from);
-    ASSERT_EQ(net->allocations().entry(id, req.index).state,
-              AllocState::corrupted);
+    const AllocEntry moved = net->allocations().entry(id, req.index);
+    if (target_confirmed) {
+      EXPECT_EQ(moved.state, AllocState::normal);
+      EXPECT_EQ(moved.prev, req.to);
+      EXPECT_EQ(moved.next, kNoSector);
+    } else {
+      ASSERT_EQ(moved.state, AllocState::corrupted);
+    }
     const AllocEntry other = net->allocations().entry(id, 1 - req.index);
     ASSERT_NE(other.state, AllocState::corrupted) << "the file must survive";
 
+    // Stop between refreshes: one in flight holds the countdown at 0.
+    const auto refreshing = [&] {
+      for (ReplicaIndex i = 0; i < net->allocations().replica_count(id); ++i) {
+        if (net->allocations().entry(id, i).next != kNoSector) return true;
+      }
+      return false;
+    };
     const std::uint64_t started = net->stats().refreshes_started;
     for (int step = 0; step < 2000; ++step) {
-      if (net->now() > req.deadline + 200 * params.proof_cycle) break;
+      if (net->now() > req.deadline + 200 * params.proof_cycle &&
+          !refreshing()) {
+        break;
+      }
       net->advance_to(net->next_task_time());
       if (!net->file_exists(id)) break;
       confirm_refreshes(id);
     }
     ASSERT_TRUE(net->file_exists(id));
+    ASSERT_FALSE(refreshing());
     EXPECT_GT(net->file(id).cntdown, 0);
     EXPECT_GT(net->stats().refreshes_started, started);
+    if (target_confirmed) {
+      EXPECT_EQ(net->sectors().at(req.to).state, SectorState::removed);
+      EXPECT_EQ(net->allocations().references(req.to), 0u);
+      const auto removed = events_of<SectorRemoved>();
+      ASSERT_EQ(removed.size(), 1u);
+      EXPECT_EQ(removed[0].sector, req.to);
+      EXPECT_GT(removed[0].refunded, 0u);
+    }
   }
 }
 
@@ -815,6 +841,13 @@ TEST_F(NetworkFixture, LoadRejectsFileRecordsThatDisagreeWithAllocations) {
   no_group[kId] = static_cast<std::uint8_t>(id + 100);
   EXPECT_FALSE(loads(no_group));
 
+  // The replicas are stored, so their upload fees were paid out: a flag
+  // must say what the entry implies.
+  std::vector<std::uint8_t> escrowed = canonical;
+  ASSERT_EQ(escrowed[kFlagCount + 8], 0);
+  escrowed[kFlagCount + 8] = 1;
+  EXPECT_FALSE(loads(escrowed));
+
   std::vector<std::uint8_t> empty = canonical;  // size 0: File_Add rejects it
   std::fill_n(empty.begin() + kId + 8, 8, std::uint8_t{0});
   EXPECT_FALSE(loads(empty));
@@ -924,6 +957,93 @@ TEST_F(NetworkFixture, LoadRejectsRentSnapshotsPastTheAccumulator) {
   EXPECT_TRUE(loads_at(RentAcc{1} << 100));
   EXPECT_TRUE(loads_at(~RentAcc{0} / 4));  // 4 units of owed rent still fit
   EXPECT_FALSE(loads_at(~RentAcc{0} / 4 + 1));
+}
+
+struct DepositRow {
+  SectorId sector;
+  ProviderId owner;
+  TokenAmount remaining;
+};
+
+/// A deposits component: the rows, the (client, amount) liability queue,
+/// the stored liability total, then the confiscated and compensated totals.
+std::vector<std::uint8_t> deposit_body(
+    const std::vector<DepositRow>& rows,
+    const std::vector<std::pair<ClientId, TokenAmount>>& liabilities,
+    TokenAmount total, TokenAmount confiscated, TokenAmount compensated) {
+  util::BinaryWriter writer;
+  writer.u64(rows.size());
+  for (const DepositRow& row : rows) {
+    writer.u64(row.sector);
+    writer.u64(row.owner);
+    writer.u64(row.remaining);
+  }
+  writer.u64(liabilities.size());
+  for (const auto& [client, amount] : liabilities) {
+    writer.u64(client);
+    writer.u64(amount);
+  }
+  writer.u64(total);
+  writer.u64(confiscated);
+  writer.u64(compensated);
+  return writer.data();
+}
+
+TEST_F(NetworkFixture, LoadRejectsDepositRowsSaveCannotProduce) {
+  build(test_params());
+  // Sector 0 holds nothing, so disabling it removes it and refunds it.
+  ASSERT_TRUE(net->sector_disable(providers[0], sectors_[0]).is_ok());
+  ASSERT_EQ(net->sectors().at(sectors_[0]).state, SectorState::removed);
+  (void)add_and_store(1000, 20);
+  std::vector<DepositRow> rows;
+  for (std::size_t s = 1; s < sectors_.size(); ++s) {
+    rows.push_back({sectors_[s], providers[s],
+                    net->deposits().remaining(sectors_[s])});
+  }
+  const DepositBook& book = net->deposits();
+  const auto body = [&](const std::vector<DepositRow>& with_rows,
+                        const std::vector<std::pair<ClientId, TokenAmount>>&
+                            liabilities = {},
+                        TokenAmount total = 0) {
+    return deposit_body(with_rows, liabilities, total,
+                        book.total_confiscated(), book.total_compensated());
+  };
+  const auto loads = [&](const std::vector<std::uint8_t>& bytes) {
+    return loads_with(*net, Network::StateComponent::deposits, bytes);
+  };
+  ASSERT_EQ(body(rows), component_of(*net, Network::StateComponent::deposits));
+  EXPECT_TRUE(loads(body(rows)));
+  EXPECT_TRUE(loads(body(rows, {{client, 5}, {client, 7}}, 12)));
+
+  std::vector<DepositRow> swapped = rows;
+  std::swap(swapped[0], swapped[1]);
+  std::vector<DepositRow> duplicate = rows;
+  duplicate.insert(duplicate.begin() + 1, rows[0]);
+  std::vector<DepositRow> unknown = rows;
+  unknown.push_back({999'999, providers[0], 1});
+  std::vector<DepositRow> removed = rows;
+  removed.insert(removed.begin(), {sectors_[0], providers[0], 1});
+  std::vector<DepositRow> missing = rows;
+  missing.pop_back();
+  std::vector<DepositRow> stranger = rows;
+  stranger[0].owner = client;
+  const struct {
+    const char* what;
+    std::vector<std::uint8_t> bytes;
+  } cases[] = {
+      {"rows out of sector order", body(swapped)},
+      {"duplicate sector row", body(duplicate)},
+      {"row for an unregistered sector", body(unknown)},
+      {"row for a removed sector", body(removed)},
+      {"live sector without a row", body(missing)},
+      {"owner other than the sector's", body(stranger)},
+      {"zero liability", body(rows, {{client, 0}}, 0)},
+      {"total over an empty queue", body(rows, {}, 55)},
+      {"total other than the queue's sum", body(rows, {{client, 5}}, 6)},
+  };
+  for (const auto& c : cases) {
+    EXPECT_FALSE(loads(c.bytes)) << c.what;
+  }
 }
 
 TEST_F(NetworkFixture, LoadRejectsRefreshTasksPastTheReplicas) {

@@ -682,7 +682,10 @@ struct AllocOracle {
     SectorId next = core::kNoSector;
     Time last = kNoTime;
     AllocState state = AllocState::alloc;
-    bool escrowed = true;
+    /// The upload fee is escrowed until the upload is confirmed or fails.
+    [[nodiscard]] bool escrowed() const {
+      return prev == core::kNoSector && state == AllocState::alloc;
+    }
   };
 
   std::map<FileId, core::FileRow> rows;
@@ -792,7 +795,8 @@ struct AllocOracle {
     return writer.data();
   }
 
-  /// The files component: each row, then one escrow flag per replica.
+  /// The files component: each row, then one escrow flag per replica, as
+  /// the entry implies it.
   [[nodiscard]] std::vector<std::uint8_t> save_files_encoding() const {
     util::BinaryWriter writer;
     writer.u64(rows.size());
@@ -808,7 +812,7 @@ struct AllocOracle {
       writer.u64(row.added_at);
       const std::vector<Entry>& entries = files.at(file);
       writer.u64(entries.size());
-      for (const Entry& e : entries) writer.boolean(e.escrowed);
+      for (const Entry& e : entries) writer.boolean(e.escrowed());
     }
     return writer.data();
   }
@@ -881,9 +885,10 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
         if (!oracle.files.contains(file)) {
           const auto cp = static_cast<std::uint32_t>(1 + rng.uniform_below(4));
           const core::FileRow row = random_row(rng, cp);
-          core::FileRow& created = table.create_file(file, cp);
-          ASSERT_EQ(created.desc.cp, cp) << "step " << step;
-          created = row;
+          const AllocTable::FileView created = table.create_file(file, cp);
+          ASSERT_EQ(created.id(), file) << "step " << step;
+          ASSERT_EQ(created.size(), cp) << "step " << step;
+          created.row() = row;
           oracle.create_file(file, row);
         } else {
           table.remove_file(file);
@@ -892,7 +897,12 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
       } else if (!oracle.files.empty()) {
         const FileId file = pick_file(rng);
         const ReplicaIndex idx = pick_replica(file, rng);
-        switch (op % 5) {
+        // Every write goes through the one-lookup view, the table's only
+        // write path.
+        const AllocTable::FileView view = table.find(file);
+        ASSERT_TRUE(view) << "step " << step;
+        ASSERT_EQ(view.id(), file) << "step " << step;
+        switch (op % 4) {
           case 0:
           case 1: {
             const bool is_prev = op % 2 == 0;
@@ -900,48 +910,30 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
                                         ? core::kNoSector
                                         : rng.uniform_below(kSectorUniverse);
             if (is_prev) {
-              table.set_prev(file, idx, sector);
+              view.set_prev(idx, sector);
             } else {
-              table.set_next(file, idx, sector);
+              view.set_next(idx, sector);
             }
             oracle.set_link(file, idx, sector, is_prev);
             break;
           }
           case 2: {
             const auto state = static_cast<AllocState>(rng.uniform_below(4));
-            table.set_state(file, idx, state);
+            view.set_state(idx, state);
             oracle.set_state(file, idx, state);
             break;
           }
-          case 3: {
-            const Time last = rng.uniform_below(1 << 20);
-            table.set_last(file, idx, last);
-            oracle.files.at(file)[idx].last = last;
-            break;
-          }
           default: {
-            // Through the one-lookup view: the row's mutable fields and
-            // the escrow column.
-            const AllocTable::FileView view = table.find(file);
-            ASSERT_TRUE(view) << "step " << step;
-            ASSERT_EQ(view.id(), file) << "step " << step;
-            core::FileRow& want = oracle.rows.at(file);
-            switch (rng.uniform_below(3)) {
-              case 0:
-                view.clear_escrow(idx);
-                oracle.files.at(file)[idx].escrowed = false;
-                break;
-              case 1:
-                want.desc.cntdown =
-                    static_cast<std::int64_t>(rng.uniform_below(64)) - 1;
-                view.row().desc.cntdown = want.desc.cntdown;
-                break;
-              default: {
-                const Time last = rng.uniform_below(1 << 20);
-                view.set_last(idx, last);
-                oracle.files.at(file)[idx].last = last;
-                break;
-              }
+            // The row's mutable fields and `last`.
+            if (rng.uniform_below(2) == 0) {
+              core::FileRow& want = oracle.rows.at(file);
+              want.desc.cntdown =
+                  static_cast<std::int64_t>(rng.uniform_below(64)) - 1;
+              view.row().desc.cntdown = want.desc.cntdown;
+            } else {
+              const Time last = rng.uniform_below(1 << 20);
+              view.set_last(idx, last);
+              oracle.files.at(file)[idx].last = last;
             }
             break;
           }
@@ -952,7 +944,6 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
         ASSERT_EQ(table.replica_count(file), entries.size())
             << "step " << step;
         expect_row_eq(table.row(file), oracle.rows.at(file), step);
-        const AllocTable::FileView view = table.find(file);
         ASSERT_EQ(view.size(), entries.size()) << "step " << step;
         for (ReplicaIndex i = 0; i < entries.size(); ++i) {
           const core::AllocEntry got = table.entry(file, i);
@@ -965,7 +956,8 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
           ASSERT_EQ(seen.next, got.next) << "step " << step;
           ASSERT_EQ(seen.last, got.last) << "step " << step;
           ASSERT_EQ(seen.state, got.state) << "step " << step;
-          ASSERT_EQ(view.escrowed(i), entries[i].escrowed) << "step " << step;
+          ASSERT_EQ(view.escrowed(i), entries[i].escrowed())
+              << "step " << step;
         }
       }
 
@@ -1020,7 +1012,8 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
 
         // The loaded clone repacks the slab dense in file-id order — a
         // different physical layout that must re-encode and sample
-        // identically.
+        // identically, and that the later ops then run on, so a slot that
+        // load failed to refill in an index item breaks a swap-erase.
         AllocTable loaded;
         util::BinaryReader reader(encoded);
         loaded.load(reader, kSectorUniverse, /*next_file_id=*/kFileUniverse);
@@ -1039,6 +1032,7 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
                 << "step " << step;
           }
         }
+        table = std::move(loaded);
       }
     }
   }

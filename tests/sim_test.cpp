@@ -224,6 +224,11 @@ TEST(NetModel, LoadRejectsBodiesSaveCannotProduce) {
 
   ASSERT_EQ(edited(kFirst + 2 * kEntry + kSeq, 2), canonical);
   ASSERT_EQ(edited(kNextSeq, 3), canonical);
+  // The counters follow the seq counter: sent (the three in flight), then
+  // delivered (none yet).
+  constexpr std::size_t kSent = kNextSeq + 8;
+  ASSERT_EQ(edited(kSent, 3), canonical);
+  ASSERT_EQ(edited(kSent + 8, 0), canonical);
   EXPECT_TRUE(loads(canonical));
   // A zero-latency message arrives at its send tick: sent_at == deliver_at.
   ASSERT_EQ(edited(kFirst + kSentAt, 10), canonical);
@@ -238,6 +243,9 @@ TEST(NetModel, LoadRejectsBodiesSaveCannotProduce) {
       {"seq equal to next_seq", edited(kFirst + 2 * kEntry + kSeq, 3)},
       {"next_seq at a queued seq", edited(kNextSeq, 2)},
       {"sent after delivery", edited(kFirst + kSentAt, 11)},
+      {"sent other than delivered + dropped + in flight",
+       edited(kSent, 4)},
+      {"delivered other than the regions' sum", edited(kSent + 8, 1)},
   };
   for (const auto& c : cases) {
     EXPECT_FALSE(loads(c.body)) << c.what;
