@@ -10,20 +10,6 @@ namespace {
 /// The former per-replica CommR field of an entry row: always zero.
 constexpr std::array<std::uint8_t, 32> kReservedRowBytes{};
 
-/// A map's entries in ascending key order (the encoding order; the hash
-/// order is never observable).
-template <typename Map>
-auto sorted_by_id(const Map& map) {
-  std::vector<std::pair<typename Map::key_type, const typename Map::mapped_type*>>
-      sorted;
-  sorted.reserve(map.size());
-  // fi-lint: allow(unordered-iter, pairs collected then sorted by key)
-  for (const auto& [key, value] : map) sorted.emplace_back(key, &value);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return sorted;
-}
-
 /// The keys a sector's bucket lists, in bucket order.
 std::vector<EntryKey> keys_of(const auto& buckets, SectorId sector) {
   if (sector >= buckets.size()) return {};
@@ -38,7 +24,7 @@ std::vector<EntryKey> keys_of(const auto& buckets, SectorId sector) {
 }  // namespace
 
 AllocTable::FileView AllocTable::create_file(FileId file, std::uint32_t cp) {
-  FI_CHECK_MSG(!files_.contains(file), "file already allocated");
+  FI_CHECK_MSG(!has_file(file), "file already allocated");
   FI_CHECK_MSG(cp >= 1, "file needs at least one replica");
   std::size_t offset = pool_.acquire(cp);
   if (offset == util::FixedBlockPool::kNoBlock) {
@@ -63,17 +49,40 @@ AllocTable::FileView AllocTable::create_file(FileId file, std::uint32_t cp) {
       pos_in_normal_[s] = kNoPos;
     }
   }
-  File& created = files_[file];
+  std::uint32_t row = kNoRow;
+  if (free_rows_.empty()) {
+    FI_CHECK_MSG(rows_.size() < kNoRow, "rows past 2^32 - 1");
+    row = static_cast<std::uint32_t>(rows_.size());
+    rows_.emplace_back();
+  } else {
+    row = free_rows_.back();
+    free_rows_.pop_back();
+    rows_[row] = File{};
+  }
+  if (index_.empty()) {
+    base_ = file;
+  } else if (file < base_) {
+    // Only hand-picked ids land below the window; File_Add's extend it.
+    index_.insert(index_.begin(), base_ - file, kNoRow);
+    head_ += base_ - file;
+    base_ = file;
+  }
+  const std::size_t at = file - base_;
+  if (at >= index_.size()) index_.resize(at + 1, kNoRow);
+  index_[at] = row;
+  head_ = std::min(head_, at);
+  ++file_count_;
+  File& created = rows_[row];
   created.row.desc.cp = cp;
   created.offset = offset;
   return view_of(file, created);
 }
 
 void AllocTable::remove_file(FileId file) {
-  const auto it = files_.find(file);
-  FI_CHECK_MSG(it != files_.end(), "removing unknown file");
-  const std::uint32_t cp = it->second.row.desc.cp;
-  const std::size_t offset = it->second.offset;
+  const std::uint32_t row = row_of(file);
+  FI_CHECK_MSG(row != kNoRow, "removing unknown file");
+  const std::uint32_t cp = rows_[row].row.desc.cp;
+  const std::size_t offset = rows_[row].offset;
   for (ReplicaIndex idx = 0; idx < cp; ++idx) {
     const Item item{file, idx, static_cast<std::uint32_t>(offset + idx)};
     relink(prev_, by_prev_, pos_in_prev_, item, kNoSector);
@@ -82,13 +91,33 @@ void AllocTable::remove_file(FileId file) {
       list_remove(normal_entries_, pos_in_normal_, item.slot);
     }
   }
-  files_.erase(it);
+  free_rows_.push_back(row);
   pool_.release(cp, offset);
+
+  const std::size_t at = file - base_;
+  index_[at] = kNoRow;
+  if (--file_count_ == 0) {
+    index_.clear();
+    base_ = 0;
+    head_ = 0;
+    return;
+  }
+  if (at != head_) return;
+  while (index_[head_] == kNoRow) ++head_;  // a live id follows: count > 0
+  // Drop the dead prefix once it is half the window. Each dropped slot was
+  // passed once by the cursor, and the erase moves fewer slots than it
+  // drops, so the trim is amortized O(1).
+  if (2 * head_ >= index_.size()) {
+    index_.erase(index_.begin(),
+                 index_.begin() + static_cast<std::ptrdiff_t>(head_));
+    base_ += head_;
+    head_ = 0;
+  }
 }
 
 AllocTable::FileView AllocTable::find(FileId file) {
-  const auto it = files_.find(file);
-  return it == files_.end() ? FileView{} : view_of(file, it->second);
+  const std::uint32_t row = row_of(file);
+  return row == kNoRow ? FileView{} : view_of(file, rows_[row]);
 }
 
 AllocTable::FileView AllocTable::view_of(FileId id, File& file) {
@@ -105,9 +134,9 @@ AllocTable::FileView AllocTable::view_of(FileId id, File& file) {
 }
 
 const AllocTable::File& AllocTable::file_at(FileId file) const {
-  const auto it = files_.find(file);
-  FI_CHECK_MSG(it != files_.end(), "unknown file");
-  return it->second;
+  const std::uint32_t row = row_of(file);
+  FI_CHECK_MSG(row != kNoRow, "unknown file");
+  return rows_[row];
 }
 
 AllocEntry AllocTable::FileView::entry(ReplicaIndex i) const {
@@ -201,13 +230,14 @@ std::optional<EntryKey> AllocTable::random_normal_entry(
 }
 
 void AllocTable::save(util::BinaryWriter& writer) const {
-  const auto files = sorted_by_id(files_);
-  writer.u64(files.size());
-  for (const auto& [id, file] : files) {
-    writer.u64(id);
-    writer.u32(file->row.desc.cp);
-    for (ReplicaIndex idx = 0; idx < file->row.desc.cp; ++idx) {
-      const std::size_t slot = file->offset + idx;
+  writer.u64(file_count_);
+  for (std::size_t at = head_; at < index_.size(); ++at) {
+    if (index_[at] == kNoRow) continue;
+    const File& file = rows_[index_[at]];
+    writer.u64(base_ + at);
+    writer.u32(file.row.desc.cp);
+    for (ReplicaIndex idx = 0; idx < file.row.desc.cp; ++idx) {
+      const std::size_t slot = file.offset + idx;
       writer.u64(prev_[slot]);
       writer.u64(next_[slot]);
       writer.u64(last_[slot]);
@@ -245,8 +275,13 @@ void AllocTable::save(util::BinaryWriter& writer) const {
 }
 
 void AllocTable::load(util::BinaryReader& reader, std::uint64_t sector_count,
-                      FileId next_file_id) {
-  files_.clear();
+                      FileId next_file_id, std::uint64_t body_bytes) {
+  rows_.clear();
+  free_rows_.clear();
+  index_.clear();
+  base_ = 0;
+  head_ = 0;
+  file_count_ = 0;
   prev_.clear();
   next_.clear();
   last_.clear();
@@ -266,16 +301,32 @@ void AllocTable::load(util::BinaryReader& reader, std::uint64_t sector_count,
   std::uint64_t linked_next = 0;
   std::uint64_t normal_slots = 0;
 
-  const std::uint64_t files = reader.count(12);
-  files_.reserve(files);
+  // A group is at least its id, its count and one 57-byte entry row.
+  const std::uint64_t files = reader.count(69);
+  rows_.reserve(files);
+  FileId last_file = 0;
   for (std::uint64_t f = 0; f < files; ++f) {
     const FileId file = reader.u64();
     const std::uint32_t cp = reader.u32();
-    // File_Add issues ids below the counter and at least one replica.
-    if (file == 0 || file >= next_file_id || cp == 0 ||
-        cp > reader.remaining() / 57 || prev_.size() + cp > kMaxSlots) {
+    // File_Add issues ids below the counter and at least one replica, and
+    // save() writes the groups in ascending id order, so the first group's
+    // id starts the window and no id repeats.
+    if (file <= last_file || file >= next_file_id || cp == 0 ||
+        cp > reader.remaining() / 57 || prev_.size() + cp > kMaxSlots ||
+        f >= kNoRow) {
       reader.fail();
       return;
+    }
+    last_file = file;
+    if (f == 0) {
+      // The window runs from this id to the counter, where File_Add extends
+      // it next; one longer than the body is a crafted size.
+      if (next_file_id - file > body_bytes) {
+        reader.fail();
+        return;
+      }
+      base_ = file;
+      index_.assign(next_file_id - file, kNoRow);
     }
     const std::size_t offset = prev_.size();
     for (std::uint32_t r = 0; r < cp; ++r) {
@@ -307,14 +358,12 @@ void AllocTable::load(util::BinaryReader& reader, std::uint64_t sector_count,
       pos_in_normal_.push_back(kNoPos);
     }
     if (!reader.ok()) return;
-    File loaded;
+    File& loaded = rows_.emplace_back();
     loaded.row.desc.cp = cp;  // size 0 marks a row load_files has not filled
     loaded.offset = offset;
-    if (!files_.emplace(file, loaded).second) {
-      reader.fail();  // duplicate file group: rows silently dropped otherwise
-      return;
-    }
+    index_[file - base_] = static_cast<std::uint32_t>(f);
   }
+  file_count_ = files;
 
   // Index and sampler keys must reference loaded entries — an unknown file
   // or out-of-range replica would otherwise surface later as an FI_CHECK
@@ -322,9 +371,9 @@ void AllocTable::load(util::BinaryReader& reader, std::uint64_t sector_count,
   // doubles as the intrusive-position anchor and the item's slot.
   const auto key_slot = [this](FileId file,
                                ReplicaIndex idx) -> std::size_t {
-    const auto it = files_.find(file);
-    if (it == files_.end() || idx >= it->second.row.desc.cp) return kNoPos;
-    return it->second.offset + idx;
+    const std::uint32_t row = row_of(file);
+    if (row == kNoRow || idx >= rows_[row].row.desc.cp) return kNoPos;
+    return rows_[row].offset + idx;
   };
 
   const auto load_index = [&](Buckets& buckets,
@@ -395,11 +444,12 @@ void AllocTable::load(util::BinaryReader& reader, std::uint64_t sector_count,
 }
 
 void AllocTable::save_files(util::BinaryWriter& writer) const {
-  const auto files = sorted_by_id(files_);
-  writer.u64(files.size());
-  for (const auto& [id, file] : files) {
-    const FileRow& row = file->row;
-    writer.u64(id);
+  writer.u64(file_count_);
+  for (std::size_t at = head_; at < index_.size(); ++at) {
+    if (index_[at] == kNoRow) continue;
+    const File& file = rows_[index_[at]];
+    const FileRow& row = file.row;
+    writer.u64(base_ + at);
     writer.u64(row.desc.size);
     writer.u64(row.desc.value);
     writer.raw(row.desc.merkle_root.bytes);
@@ -409,7 +459,7 @@ void AllocTable::save_files(util::BinaryWriter& writer) const {
     writer.u64(row.owner);
     writer.u64(row.added_at);
     writer.u64(row.desc.cp);  // one escrow flag per replica
-    for (std::size_t slot = file->offset; slot < file->offset + row.desc.cp;
+    for (std::size_t slot = file.offset; slot < file.offset + row.desc.cp;
          ++slot) {
       writer.boolean(escrowed(prev_[slot], state_[slot]));
     }
@@ -436,15 +486,15 @@ void AllocTable::load_files(util::BinaryReader& reader) {
     // The row fills the allocation group of the same id, once: the engine
     // walks `cp` of its entries, each with the escrow flag its entry
     // implies, and a filled row has a positive size.
-    const auto it = files_.find(id);
-    if (it == files_.end() || it->second.row.desc.size != 0 ||
-        row.desc.cp != it->second.row.desc.cp || flags != row.desc.cp ||
+    const std::uint32_t group = row_of(id);
+    if (group == kNoRow || rows_[group].row.desc.size != 0 ||
+        row.desc.cp != rows_[group].row.desc.cp || flags != row.desc.cp ||
         row.desc.size == 0) {
       reader.fail();
       return;
     }
-    it->second.row = row;
-    const std::size_t offset = it->second.offset;
+    rows_[group].row = row;
+    const std::size_t offset = rows_[group].offset;
     for (std::size_t slot = offset; slot < offset + row.desc.cp; ++slot) {
       if (reader.boolean() != escrowed(prev_[slot], state_[slot])) {
         reader.fail();
@@ -452,7 +502,7 @@ void AllocTable::load_files(util::BinaryReader& reader) {
     }
   }
   // Each row filled a distinct group, so equal counts leave none unfilled.
-  if (reader.ok() && rows != files_.size()) reader.fail();
+  if (reader.ok() && rows != file_count_) reader.fail();
 }
 
 }  // namespace fi::core

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -23,8 +22,13 @@
 ///  * a dense sampler over entries in `normal` state, used by §VI-B's
 ///    Poisson admission rebalancing to pick uniform random backups.
 ///
-/// One `FileId`-keyed map holds every per-file fact: the row and the offset
-/// of the file's entries. The replica count is the row's `desc.cp`.
+/// One row per live file holds every per-file fact: the file's row and the
+/// offset of its entries. The replica count is the row's `desc.cp`. File
+/// ids are found through a dense window of row numbers, one per id from
+/// the oldest file in the table to the newest id, so a lookup is a range
+/// check and two array reads. File_Add issues ids in sequence, so the
+/// engine only ever extends the window's back by one; the dead prefix that
+/// removals leave at the front is dropped once it is half the window.
 ///
 /// Entry storage is a struct-of-arrays slab: every entry field lives in its
 /// own dense array, and a file's `cp` replicas occupy one contiguous run of
@@ -60,7 +64,8 @@ class AllocTable {
   /// table, and `set_prev` / `set_next` / `set_state` keep the reverse
   /// indexes and the normal-entry sampler consistent. A default view names
   /// no file (`find` of an unknown id). Invalidated by create_file (the
-  /// slab may reallocate), remove_file of the same file and load.
+  /// slab and the rows may reallocate), remove_file of the same file and
+  /// load.
   class FileView {
    public:
     explicit operator bool() const { return row_ != nullptr; }
@@ -111,7 +116,7 @@ class AllocTable {
   void remove_file(FileId file);
 
   [[nodiscard]] bool has_file(FileId file) const {
-    return files_.contains(file);
+    return row_of(file) != kNoRow;
   }
   /// The row and entries of `file` in one lookup; false when the file is
   /// not in the table.
@@ -153,14 +158,26 @@ class AllocTable {
   [[nodiscard]] std::size_t normal_entry_count() const {
     return normal_entries_.size();
   }
-  [[nodiscard]] std::size_t file_count() const { return files_.size(); }
+  [[nodiscard]] std::size_t file_count() const { return file_count_; }
+  /// The id window: its first id and its length, zero exactly when the
+  /// table is empty.
+  [[nodiscard]] FileId window_first() const { return base_; }
+  [[nodiscard]] std::size_t window_size() const { return index_.size(); }
+
+  /// Calls `fn(view)` for every file in the table, in ascending id order.
+  template <typename Fn>
+  void for_each_file(Fn&& fn) {
+    for (std::size_t at = head_; at < index_.size(); ++at) {
+      if (index_[at] != kNoRow) fn(view_of(base_ + at, rows_[index_[at]]));
+    }
+  }
 
   /// Canonical snapshot encoding / full-state restore (`src/snapshot`).
   /// The table fills two components of the engine's body: `save`/`load`
   /// are the allocations component, `save_files`/`load_files` the files
   /// component, which the body places after the pending list and deposits.
   ///
-  /// Files are encoded sorted by id (the map's hash order is never
+  /// Files are encoded in ascending id order (row order is never
   /// observable), but the reverse indexes and the normal-entry sampler are
   /// encoded in their exact dense-array order: their positions feed
   /// iteration (`entries_with_prev`) and uniform sampling
@@ -168,6 +185,15 @@ class AllocTable {
   /// change later draws and break save→load→continue byte-identity.
   /// Slot placement inside the slab is NOT observable and not encoded;
   /// `load` repacks files dense in file-id order.
+  ///
+  /// Allocation groups must come in strictly ascending id order, as `save`
+  /// writes them. The loaded window runs from the first group's id to
+  /// `next_file_id`, and `load` fails the reader when it holds more ids
+  /// than `body_bytes`, the size of the engine body the table is read
+  /// from. A crafted id or counter then sizes at most four bytes of index
+  /// per body byte, while each file in the table costs the body at least
+  /// 163 bytes (a one-replica group and its files row), so a saved body
+  /// fails only if fewer than one id in 163 of its window is still live.
   ///
   /// Each entry row still carries 32 reserved bytes where a per-replica
   /// replica commitment (CommR) used to be, so the format and every golden
@@ -190,7 +216,7 @@ class AllocTable {
   /// each equal to the one its entry implies (`FileView::escrowed`).
   void save(util::BinaryWriter& writer) const;
   void load(util::BinaryReader& reader, std::uint64_t sector_count,
-            FileId next_file_id);
+            FileId next_file_id, std::uint64_t body_bytes);
   void save_files(util::BinaryWriter& writer) const;
   void load_files(util::BinaryReader& reader);
 
@@ -211,6 +237,8 @@ class AllocTable {
   static_assert(sizeof(Item) == 16, "the slot fills a key pair's padding");
   using Buckets = std::vector<std::vector<Item>>;
   static constexpr std::size_t kNoPos = ~std::size_t{0};
+  /// An id of the window with no file.
+  static constexpr std::uint32_t kNoRow = ~std::uint32_t{0};
   /// Slab size limit: an item's slot is a u32.
   static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << 32;
 
@@ -219,6 +247,12 @@ class AllocTable {
     return prev == kNoSector && state == AllocState::alloc;
   }
 
+  /// Row number of `file`, or kNoRow when the table does not hold it. An
+  /// id below the window wraps past its end.
+  [[nodiscard]] std::uint32_t row_of(FileId file) const {
+    const FileId at = file - base_;
+    return at < index_.size() ? index_[at] : kNoRow;
+  }
   [[nodiscard]] FileView view_of(FileId id, File& file);
   [[nodiscard]] const File& file_at(FileId file) const;
   [[nodiscard]] AllocEntry entry_at(std::size_t slot) const;
@@ -235,7 +269,21 @@ class AllocTable {
                           std::vector<std::size_t>& positions,
                           std::size_t slot);
 
-  std::unordered_map<FileId, File> files_;
+  /// One row per live file, in no observable order; `remove_file` puts a
+  /// freed row on `free_rows_` and `create_file` reuses it, so a removal
+  /// moves no other row.
+  std::vector<File> rows_;
+  // fi-lint: not-serialized(allocator state; load() packs the rows dense)
+  std::vector<std::uint32_t> free_rows_;
+  /// Row number (kNoRow for none) of each id in [base_, base_ +
+  /// index_.size()); empty exactly when the table is.
+  std::vector<std::uint32_t> index_;
+  FileId base_ = 0;
+  /// Position of the first live id in the window (every slot before it is
+  /// kNoRow).
+  // fi-lint: not-serialized(derived: load() starts the window at a live id)
+  std::size_t head_ = 0;
+  std::size_t file_count_ = 0;
   /// Struct-of-arrays slab, indexed by slot = file offset + replica.
   std::vector<SectorId> prev_;
   std::vector<SectorId> next_;

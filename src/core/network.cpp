@@ -18,6 +18,25 @@ std::int64_t sample_refresh_countdown(util::Xoshiro256& rng,
   return cycles < 1.0 ? 1 : static_cast<std::int64_t>(cycles);
 }
 
+/// Whether an entry's links are ones the engine leaves beside `state`:
+/// `activate` leaves a normal entry stored with no target, a confirmed
+/// replica still names the target it landed in, and `start_refresh_to`
+/// gives a stored replica its target as it turns it back to alloc.
+/// `cancel_refresh` and `corrupt_sector_internal` keep all three.
+bool links_fit_state(AllocState state, SectorId prev, SectorId next) {
+  switch (state) {
+    case AllocState::normal:
+      return prev != kNoSector && next == kNoSector;
+    case AllocState::confirm:
+      return next != kNoSector;
+    case AllocState::alloc:
+      return prev == kNoSector || next != kNoSector;
+    case AllocState::corrupted:
+      return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 Network::Network(Params params, ledger::Ledger& ledger, std::uint64_t seed)
@@ -931,6 +950,7 @@ void Network::save(util::BinaryWriter& writer) const {
 }
 
 util::Status Network::load(util::BinaryReader& reader) {
+  const std::uint64_t body_bytes = reader.remaining();
   const std::uint64_t ids[5] = {reader.u64(), reader.u64(), reader.u64(),
                                 reader.u64(), reader.u64()};
   if (ids[0] != escrow_ || ids[1] != pool_ || ids[2] != rent_pool_ ||
@@ -983,7 +1003,17 @@ util::Status Network::load(util::BinaryReader& reader) {
     }
   }
 
-  alloc_table_.load(reader, sector_table_.count(), next_file_id_);
+  alloc_table_.load(reader, sector_table_.count(), next_file_id_, body_bytes);
+  // An entry whose links disagree with its state loads and then aborts the
+  // run when its replica next moves (a normal entry with no prev reads as
+  // an upload in `file_confirm`).
+  if (reader.ok()) {
+    alloc_table_.for_each_file([&reader](const FileView& f) {
+      for (ReplicaIndex i = 0; i < f.size(); ++i) {
+        if (!links_fit_state(f.state(i), f.prev(i), f.next(i))) reader.fail();
+      }
+    });
+  }
   pending_.load(reader);
   // advance_to never leaves a task due before the clock; one that is would
   // run with now() moving backwards.

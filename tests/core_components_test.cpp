@@ -503,7 +503,7 @@ TEST(AllocTableTest, LoadRejectsNonCanonicalBodies) {
     ASSERT_EQ(alloc_body(rows, {{1, {0}}}, {{2, {1}}}, {0}), saved.data());
     AllocTable restored;
     util::BinaryReader reader(saved.data());
-    restored.load(reader, kSectors, kNextFileId);
+    restored.load(reader, kSectors, kNextFileId, saved.data().size());
     ASSERT_TRUE(reader.ok()) << "the canonical body must load";
     EXPECT_TRUE(reader.exhausted());
     EXPECT_EQ(restored.entries_with_prev(1), (std::vector<EntryKey>{{1, 0}}));
@@ -537,7 +537,9 @@ TEST(AllocTableTest, LoadRejectsNonCanonicalBodies) {
   for (const auto& c : cases) {
     AllocTable table;
     util::BinaryReader reader(c.body);
-    EXPECT_NO_THROW(table.load(reader, kSectors, c.next_file_id)) << c.what;
+    EXPECT_NO_THROW(
+        table.load(reader, kSectors, c.next_file_id, c.body.size()))
+        << c.what;
     EXPECT_FALSE(reader.ok()) << c.what;
   }
 }

@@ -915,14 +915,16 @@ TEST_F(NetworkFixture, LoadRejectsReferenceCountsThatDisagreeWithEntries) {
   }
 }
 
+// The misc component's next file id follows the five system-account ids,
+// the PRNG state and the clock.
+constexpr std::size_t kNextFileIdAt = 80;
+
 TEST_F(NetworkFixture, LoadRejectsFileIdsAtOrPastTheNextId) {
   build(test_params());
   const FileId id = add_and_store(1000, 20);
   ASSERT_EQ(id, 1u);
-  // The next file id follows the five system-account ids, the PRNG state
-  // and the clock. File_Add would hand out an id at or below a stored
-  // file's, and then abort on the collision.
-  constexpr std::size_t kNextFileIdAt = 80;
+  // File_Add would hand out an id at or below a stored file's, and then
+  // abort on the collision.
   const auto misc = component_of(*net, Network::StateComponent::misc);
   const auto loads_at = [&](FileId next_file_id) {
     std::vector<std::uint8_t> bytes = misc;
@@ -957,6 +959,123 @@ TEST_F(NetworkFixture, LoadRejectsRentSnapshotsPastTheAccumulator) {
   EXPECT_TRUE(loads_at(RentAcc{1} << 100));
   EXPECT_TRUE(loads_at(~RentAcc{0} / 4));  // 4 units of owed rent still fit
   EXPECT_FALSE(loads_at(~RentAcc{0} / 4 + 1));
+}
+
+// An allocation group after the u64 count: u64 id, u32 replica count, then
+// one row per replica: prev, next, last, state byte, 32 reserved bytes. The
+// sampler section closes the component: a u64 count, then u64 file and u32
+// index per normal entry.
+constexpr std::size_t kGroupHead = 12;
+constexpr std::size_t kEntryRow = 57;
+constexpr std::size_t kEntryStateAt = 24;
+constexpr std::size_t kSamplerItem = 12;
+
+TEST_F(NetworkFixture, LoadRejectsEntriesWhoseStateDisagreesWithTheirLinks) {
+  build(test_params());
+  const FileId stored = add_and_store(1000, 20);  // normal: a prev, no next
+  const std::uint32_t cp = net->allocations().replica_count(stored);
+  auto added = net->file_add(client, {1000, 20, {}});
+  ASSERT_TRUE(added.is_ok()) << added.status().to_string();
+  const FileId uploading = added.value();
+  ASSERT_EQ(uploading, stored + 1);
+  // The upload's replica 0 lands: confirm, no prev, its target as next.
+  const SectorId target = net->allocations().entry(uploading, 0).next;
+  ASSERT_TRUE(net->file_confirm(net->sectors().at(target).owner, uploading, 0,
+                                target)
+                  .is_ok());
+  const auto allocations =
+      component_of(*net, Network::StateComponent::allocations);
+  const std::size_t normals = net->allocations().normal_entry_count();
+  ASSERT_EQ(normals, cp);  // the stored file's replicas
+  const std::size_t sampler_at = allocations.size() - kSamplerItem * normals;
+  ASSERT_EQ(allocations[sampler_at - 8], normals);
+  EXPECT_TRUE(
+      loads_with(*net, Network::StateComponent::allocations, allocations));
+
+  // Entry (file, index) in `state`, the sampler edited to match, so every
+  // link, index, reference count and escrow flag is as saved.
+  const auto with_state = [&](FileId file, ReplicaIndex index,
+                              AllocState state) {
+    std::vector<std::uint8_t> bytes = allocations;
+    const std::size_t group =
+        8 + (file == stored ? 0 : kGroupHead + cp * kEntryRow);
+    bytes[group + kGroupHead + index * kEntryRow + kEntryStateAt] =
+        static_cast<std::uint8_t>(state);
+    std::vector<std::uint8_t> item(kSamplerItem);
+    put_le(item, 0, file, 8);
+    put_le(item, 8, index, 4);
+    const bool was_normal =
+        net->allocations().entry(file, index).state == AllocState::normal;
+    EXPECT_NE(was_normal, state == AllocState::normal);
+    put_le(bytes, sampler_at - 8, was_normal ? normals - 1 : normals + 1, 8);
+    if (was_normal) {
+      const auto at = std::search(bytes.begin() + sampler_at, bytes.end(),
+                                  item.begin(), item.end());
+      EXPECT_NE(at, bytes.end());
+      if (at == bytes.end()) return true;  // fails the caller's expectation
+      EXPECT_EQ((at - bytes.begin() - sampler_at) % kSamplerItem, 0u);
+      bytes.erase(at, at + kSamplerItem);
+    } else {
+      bytes.insert(bytes.end(), item.begin(), item.end());
+    }
+    return loads_with(*net, Network::StateComponent::allocations, bytes);
+  };
+  // activate leaves a normal entry stored and with no target.
+  EXPECT_FALSE(with_state(uploading, 0, AllocState::normal))
+      << "normal entry with no prev and a next";
+  // A confirmed replica names the target it landed in.
+  EXPECT_FALSE(with_state(stored, 0, AllocState::confirm))
+      << "confirm entry with no next";
+  // A stored replica goes back to alloc only as a refresh, with a target.
+  EXPECT_FALSE(with_state(stored, 0, AllocState::alloc))
+      << "alloc entry with a prev and no next";
+  // A corrupted entry keeps whatever links it had.
+  EXPECT_TRUE(with_state(stored, 0, AllocState::corrupted));
+}
+
+TEST_F(NetworkFixture, LoadRejectsAllocationGroupsOutOfIdOrder) {
+  build(test_params());
+  const FileId first = add_and_store(1000, 20);
+  const FileId second = add_and_store(1000, 20);
+  ASSERT_EQ(second, first + 1);
+  const std::uint32_t cp = net->allocations().replica_count(first);
+  ASSERT_EQ(net->allocations().replica_count(second), cp);
+  const auto allocations =
+      component_of(*net, Network::StateComponent::allocations);
+  // Both groups swapped; the files rows stay in id order and match them.
+  const std::size_t group = kGroupHead + cp * kEntryRow;
+  std::vector<std::uint8_t> swapped = allocations;
+  std::copy_n(allocations.begin() + 8, group,
+              swapped.begin() + 8 + static_cast<std::ptrdiff_t>(group));
+  std::copy_n(allocations.begin() + 8 + static_cast<std::ptrdiff_t>(group),
+              group, swapped.begin() + 8);
+  ASSERT_EQ(swapped[8], second);
+  EXPECT_TRUE(
+      loads_with(*net, Network::StateComponent::allocations, allocations));
+  EXPECT_FALSE(loads_with(*net, Network::StateComponent::allocations, swapped));
+}
+
+TEST_F(NetworkFixture, LoadBoundsTheIdWindowByTheBodySize) {
+  build(test_params());
+  const FileId id = add_and_store(1000, 20);
+  std::uint64_t body_bytes = 0;
+  for (std::size_t c = 0; c < Network::kStateComponentCount; ++c) {
+    body_bytes +=
+        component_of(*net, static_cast<Network::StateComponent>(c)).size();
+  }
+  // The window runs from the oldest file to the next id; one id per body
+  // byte is the most a body can ask for.
+  const auto misc = component_of(*net, Network::StateComponent::misc);
+  const auto loads_at = [&](FileId next_file_id) {
+    std::vector<std::uint8_t> bytes = misc;
+    put_le(bytes, kNextFileIdAt, next_file_id, 8);
+    return loads_with(*net, Network::StateComponent::misc, bytes);
+  };
+  EXPECT_TRUE(loads_at(id + body_bytes));
+  EXPECT_FALSE(loads_at(id + body_bytes + 1));
+  // Rejected before the window is sized: 2^40 ids would be 4 TiB of index.
+  EXPECT_FALSE(loads_at(FileId{1} << 40));
+  EXPECT_FALSE(loads_at(kNoFile));
 }
 
 struct DepositRow {

@@ -666,7 +666,10 @@ TEST(LayoutEquivalence, SectorTableMatchesRecordVectorOracle) {
 // AllocTable vs a map-of-vectors oracle with linear-search swap-erase
 // ---------------------------------------------------------------------------
 
+/// Width of the band the oracle draws file ids from; the band's first id
+/// moves up by one every `kIdDrift` steps.
 constexpr FileId kFileUniverse = 48;
+constexpr std::size_t kIdDrift = 8;
 constexpr SectorId kSectorUniverse = 32;
 
 /// Reference oracle in the old idiom: ordered maps of per-file rows and
@@ -875,13 +878,41 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
           r.uniform_below(oracle.files.at(file).size()));
     };
 
+    // The id window grows at the front when an id below it arrives, and
+    // drops its dead prefix once that is half its length. `observe` counts
+    // both after each create or remove; a window that starts on an empty
+    // table or empties is neither.
+    std::size_t front_extensions = 0;
+    std::size_t trims = 0;
+    FileId window_first = 0;
+    bool was_empty = true;
+    const auto observe = [&] {
+      const bool empty = table.window_size() == 0;
+      if (!was_empty && !empty) {
+        if (table.window_first() < window_first) ++front_extensions;
+        if (table.window_first() > window_first) ++trims;
+      }
+      window_first = table.window_first();
+      was_empty = empty;
+    };
+
     for (std::size_t step = 0; step < kOpsPerSeed; ++step) {
+      // The band drifts up as File_Add's ids do, and a file that falls
+      // below it leaves, so the window's front empties behind it.
+      const FileId band = 1 + step / kIdDrift;
+      while (!oracle.files.empty() && oracle.files.begin()->first < band) {
+        const FileId old = oracle.files.begin()->first;
+        table.remove_file(old);
+        oracle.remove_file(old);
+        observe();
+      }
       const std::uint64_t op = rng.uniform_below(16);
       if (op < 3) {
-        // Create/remove churn through a small id universe exercises the
-        // slab pool's block reuse under the same observable order. Ids
-        // start at 1, as File_Add's do.
-        const FileId file = 1 + rng.uniform_below(kFileUniverse - 1);
+        // Create/remove churn through a small id band exercises the slab
+        // pool's block reuse under the same observable order. Ids start at
+        // 1, as File_Add's do, and land anywhere in the band, so some fall
+        // below the window.
+        const FileId file = band + rng.uniform_below(kFileUniverse - 1);
         if (!oracle.files.contains(file)) {
           const auto cp = static_cast<std::uint32_t>(1 + rng.uniform_below(4));
           const core::FileRow row = random_row(rng, cp);
@@ -894,6 +925,7 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
           table.remove_file(file);
           oracle.remove_file(file);
         }
+        observe();
       } else if (!oracle.files.empty()) {
         const FileId file = pick_file(rng);
         const ReplicaIndex idx = pick_replica(file, rng);
@@ -964,6 +996,19 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
       ASSERT_EQ(table.file_count(), oracle.files.size()) << "step " << step;
       ASSERT_EQ(table.normal_entry_count(), oracle.normal_entries.size())
           << "step " << step;
+      if (oracle.files.empty()) {
+        ASSERT_EQ(table.window_size(), 0u) << "step " << step;
+      } else {
+        // The window holds every live id, and less than half of it is the
+        // dead prefix before the oldest.
+        const FileId first = table.window_first();
+        const FileId oldest = oracle.files.begin()->first;
+        ASSERT_LE(first, oldest) << "step " << step;
+        ASSERT_LT(oracle.files.rbegin()->first - first, table.window_size())
+            << "step " << step;
+        ASSERT_LT(2 * (oldest - first), table.window_size())
+            << "step " << step;
+      }
 
       // Sampler draw: `uniform_below(size)` indexes the dense array, so
       // the draw pins the sampler's exact element order, not just its
@@ -981,7 +1026,8 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
       }
 
       if (step % 512 == 511) {
-        for (FileId file = 0; file < kFileUniverse; ++file) {
+        for (FileId file = band > kFileUniverse ? band - kFileUniverse : 0;
+             file < band + kFileUniverse; ++file) {
           ASSERT_EQ(table.has_file(file), oracle.files.contains(file))
               << "step " << step;
           ASSERT_EQ(static_cast<bool>(table.find(file)),
@@ -1016,7 +1062,9 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
         // load failed to refill in an index item breaks a swap-erase.
         AllocTable loaded;
         util::BinaryReader reader(encoded);
-        loaded.load(reader, kSectorUniverse, /*next_file_id=*/kFileUniverse);
+        loaded.load(reader, kSectorUniverse,
+                    /*next_file_id=*/band + kFileUniverse,
+                    /*body_bytes=*/encoded.size());
         ASSERT_TRUE(reader.ok() && reader.exhausted()) << "step " << step;
         util::BinaryReader files_reader(encoded_files);
         loaded.load_files(files_reader);
@@ -1033,8 +1081,11 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
           }
         }
         table = std::move(loaded);
+        window_first = table.window_first();  // load starts at the oldest
       }
     }
+    EXPECT_GT(front_extensions, 0u);
+    EXPECT_GT(trims, 0u);
   }
 }
 

@@ -263,6 +263,30 @@ TEST(SnapshotRoundTrip, PeriodicCheckpointsAllResume) {
   fs::remove(path);
 }
 
+TEST(SnapshotRoundTrip, HighChurnCheckpointsResume) {
+  // Near-total discards every cycle: the ids issued far outnumber the files
+  // left, so each checkpoint's allocation window starts far past id 1 and
+  // has trimmed the ids of the files that left.
+  scenario::ScenarioSpec spec =
+      shrunk_spec(fs::path(FI_CONFIG_DIR) / "smoke.cfg");
+  ASSERT_EQ(spec.phases[0].kind, scenario::PhaseKind::churn);
+  constexpr std::uint64_t kChurnCycles = 40;
+  spec.phases[0].discard_fraction = 0.9;
+  spec.phases[0].cycles = kChurnCycles;
+  {
+    scenario::ScenarioRunner runner(spec);
+    ASSERT_EQ(runner.run_cycles(kChurnCycles), kChurnCycles);
+    const core::Network& net = runner.network();
+    // Every issued id went to one file_add, so next_file_id - 1 of them.
+    EXPECT_GE(net.stats().files_added, 20 * net.file_count());
+    EXPECT_LT(20 * net.allocations().window_size(), net.stats().files_added);
+  }
+  for (const std::uint64_t save_epoch : {8u, 20u, 32u, 40u}) {
+    expect_save_load_identity(spec, save_epoch,
+                              "high_churn_e" + std::to_string(save_epoch));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Snapshots written by older builds
 // ---------------------------------------------------------------------------
