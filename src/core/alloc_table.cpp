@@ -468,8 +468,16 @@ void AllocTable::save_files(util::BinaryWriter& writer) const {
 
 void AllocTable::load_files(util::BinaryReader& reader) {
   const std::uint64_t rows = reader.count(74);
+  FileId last_id = 0;
   for (std::uint64_t r = 0; r < rows; ++r) {
     const FileId id = reader.u64();
+    // save_files() writes the rows in ascending id order, as save() does
+    // the groups.
+    if (id <= last_id) {
+      reader.fail();
+      return;
+    }
+    last_id = id;
     FileRow row;
     row.desc.size = reader.u64();
     row.desc.value = reader.u64();

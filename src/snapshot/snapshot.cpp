@@ -31,7 +31,7 @@ crypto::Digest payload_digest(std::span<const std::uint8_t> spec,
 std::vector<std::uint8_t> encode_state(const scenario::ScenarioRunner& runner) {
   util::BinaryWriter writer;
   runner.save_state(writer);
-  return writer.data();
+  return std::move(writer).release();
 }
 
 std::string state_hash(const scenario::ScenarioRunner& runner) {
@@ -55,19 +55,32 @@ util::Status save_to_file(const scenario::ScenarioRunner& runner,
   header.u64(body.size());
   header.raw(digest);
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  // The file is written beside `path` and renamed over it, so a run killed
+  // mid-write still leaves the previous checkpoint at `path` whole.
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out) {
     return util::err(util::ErrorCode::unavailable,
-                     "cannot open snapshot file for writing: " + path);
+                     "cannot open snapshot file for writing: " + tmp);
   }
   out.write(reinterpret_cast<const char*>(header.data().data()),
             static_cast<std::streamsize>(header.data().size()));
   out.write(reinterpret_cast<const char*>(body.data()),
             static_cast<std::streamsize>(body.size()));
   out.close();
+  std::error_code ec;
   if (!out.good()) {
+    std::filesystem::remove(tmp, ec);
     return util::err(util::ErrorCode::unavailable,
-                     "failed to write snapshot file: " + path);
+                     "failed to write snapshot file: " + tmp);
+  }
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    const std::string reason = ec.message();
+    std::filesystem::remove(tmp, ec);
+    return util::err(util::ErrorCode::unavailable,
+                     "cannot move snapshot file into place: " + path + ": " +
+                         reason);
   }
   return util::Status::ok();
 }

@@ -50,9 +50,14 @@ inline constexpr char kMagic[8] = {'F', 'I', 'S', 'N', 'A', 'P', '0', '1'};
 [[nodiscard]] std::string state_hash(const scenario::ScenarioRunner& runner);
 
 /// Writes a snapshot file for the runner's current state. The runner must
-/// be at a checkpoint-safe point — between proof cycles (the epoch
-/// callback) or after `run()` returned. The body is encoded into a
-/// buffered writer, which hashes nothing, and digested once with the spec.
+/// be at a checkpoint-safe point — between proof cycles (after
+/// `run_cycles` returned) or after `run()` returned. The body is encoded
+/// into a buffered writer, which hashes nothing, and digested once with
+/// the spec. The file is written to `<path>.tmp` in the same directory and
+/// renamed over `path` once the stream is good, so overwriting a
+/// checkpoint (`fi_sim --save-every`) never leaves a torn file at `path`.
+/// On failure `path` keeps its old contents, a temporary file this call
+/// wrote is removed, and an error status is returned.
 util::Status save_to_file(const scenario::ScenarioRunner& runner,
                           const std::string& path);
 

@@ -1,60 +1,12 @@
 #include "util/binary_io.h"
 
-#include <bit>
 #include <cstring>
 
 namespace fi::util {
 
-void BinaryWriter::u8(std::uint8_t v) {
-  raw(std::span<const std::uint8_t>(&v, 1));
-}
-
-// Scalars assemble their little-endian bytes on the stack and go through
-// raw() so the buffer or the hasher sees one bulk update per value — the
-// encoding is u64-dominated, and per-byte SHA-256 updates would make
-// hashing a 10^6-file state pay hundreds of millions of update calls.
-
-void BinaryWriter::u16(std::uint16_t v) {
-  const std::uint8_t bytes[2] = {static_cast<std::uint8_t>(v),
-                                 static_cast<std::uint8_t>(v >> 8)};
-  raw(bytes);
-}
-
-void BinaryWriter::u32(std::uint32_t v) {
-  std::uint8_t bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  raw(bytes);
-}
-
-void BinaryWriter::u64(std::uint64_t v) {
-  std::uint8_t bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  raw(bytes);
-}
-
-void BinaryWriter::u128(unsigned __int128 v) {
-  u64(static_cast<std::uint64_t>(v));
-  u64(static_cast<std::uint64_t>(v >> 64));
-}
-
-void BinaryWriter::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-
-void BinaryWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void BinaryWriter::boolean(bool v) { u8(v ? 1 : 0); }
-
 void BinaryWriter::bytes(std::span<const std::uint8_t> data) {
   u64(data.size());
   raw(data);
-}
-
-void BinaryWriter::raw(std::span<const std::uint8_t> data) {
-  if (keep_bytes_) {
-    buf_.insert(buf_.end(), data.begin(), data.end());
-  } else {
-    hasher_.update(data);
-  }
-  size_ += data.size();
 }
 
 void BinaryWriter::str(std::string_view s) {
@@ -62,66 +14,50 @@ void BinaryWriter::str(std::string_view s) {
       reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
 }
 
+void BinaryWriter::spill(std::span<const std::uint8_t> data) {
+  if (data.size() >= kStageBytes) {
+    flush();
+    emit(data);
+    return;
+  }
+  // Top the stage up to a whole block, flush it, and stage the rest.
+  const std::size_t head = kStageBytes - staged_;
+  std::memcpy(stage_.data() + staged_, data.data(), head);
+  staged_ = kStageBytes;
+  flush();
+  std::memcpy(stage_.data(), data.data() + head, data.size() - head);
+  staged_ = data.size() - head;
+}
+
+void BinaryWriter::flush() const {
+  emit(std::span<const std::uint8_t>(stage_.data(), staged_));
+  staged_ = 0;
+}
+
+void BinaryWriter::emit(std::span<const std::uint8_t> data) const {
+  if (keep_bytes_) {
+    buf_.insert(buf_.end(), data.begin(), data.end());
+  } else {
+    hasher_.update(data);
+  }
+  flushed_ += data.size();
+}
+
+const std::vector<std::uint8_t>& BinaryWriter::data() const {
+  if (keep_bytes_) flush();
+  return buf_;
+}
+
 crypto::Digest BinaryWriter::digest() const {
-  if (keep_bytes_) return crypto::sha256(buf_);
+  if (keep_bytes_) return crypto::sha256(data());
   crypto::Sha256 copy = hasher_;  // finalize() consumes; hash a copy
+  copy.update(std::span<const std::uint8_t>(stage_.data(), staged_));
   return copy.finalize();
 }
 
-bool BinaryReader::take(std::size_t n) {
-  if (!ok_ || n > data_.size() - pos_) {
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-std::uint8_t BinaryReader::u8() {
-  if (!take(1)) return 0;
-  return data_[pos_++];
-}
-
-std::uint16_t BinaryReader::u16() {
-  if (!take(2)) return 0;
-  std::uint16_t v = 0;
-  for (int i = 0; i < 2; ++i) {
-    v = static_cast<std::uint16_t>(v | (static_cast<std::uint16_t>(data_[pos_++]) << (8 * i)));
-  }
-  return v;
-}
-
-std::uint32_t BinaryReader::u32() {
-  if (!take(4)) return 0;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t BinaryReader::u64() {
-  if (!take(8)) return 0;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
-  }
-  return v;
-}
-
-unsigned __int128 BinaryReader::u128() {
-  const std::uint64_t lo = u64();
-  const std::uint64_t hi = u64();
-  return (static_cast<unsigned __int128>(hi) << 64) | lo;
-}
-
-std::int64_t BinaryReader::i64() { return static_cast<std::int64_t>(u64()); }
-
-double BinaryReader::f64() { return std::bit_cast<double>(u64()); }
-
-bool BinaryReader::boolean() {
-  const std::uint8_t v = u8();
-  if (v > 1) ok_ = false;
-  return v == 1;
+std::vector<std::uint8_t> BinaryWriter::release() && {
+  flush();
+  return std::move(buf_);
 }
 
 std::vector<std::uint8_t> BinaryReader::bytes() {

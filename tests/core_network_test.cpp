@@ -1055,6 +1055,28 @@ TEST_F(NetworkFixture, LoadRejectsAllocationGroupsOutOfIdOrder) {
   EXPECT_FALSE(loads_with(*net, Network::StateComponent::allocations, swapped));
 }
 
+TEST_F(NetworkFixture, LoadRejectsFilesRowsOutOfIdOrder) {
+  build(test_params());
+  const FileId first = add_and_store(1000, 20);
+  const FileId second = add_and_store(1000, 20);
+  ASSERT_EQ(second, first + 1);
+  const std::uint32_t cp = net->allocations().replica_count(first);
+  ASSERT_EQ(net->allocations().replica_count(second), cp);
+  const auto files = component_of(*net, Network::StateComponent::files);
+  // A files row: 93 bytes up to its flag count, then one byte a flag. Both
+  // rows swapped; the allocation groups stay in id order.
+  const std::size_t row = 93 + cp;
+  ASSERT_EQ(files.size(), 8 + 2 * row);
+  std::vector<std::uint8_t> swapped = files;
+  std::copy_n(files.begin() + 8, row,
+              swapped.begin() + 8 + static_cast<std::ptrdiff_t>(row));
+  std::copy_n(files.begin() + 8 + static_cast<std::ptrdiff_t>(row), row,
+              swapped.begin() + 8);
+  ASSERT_EQ(swapped[8], second);
+  EXPECT_TRUE(loads_with(*net, Network::StateComponent::files, files));
+  EXPECT_FALSE(loads_with(*net, Network::StateComponent::files, swapped));
+}
+
 TEST_F(NetworkFixture, LoadBoundsTheIdWindowByTheBodySize) {
   build(test_params());
   const FileId id = add_and_store(1000, 20);

@@ -11,7 +11,10 @@
 
 #include "api/session.h"
 #include "crypto/sha256.h"
+#include "scenario/runner.h"
 #include "scenario/spec.h"
+#include "snapshot/snapshot.h"
+#include "util/binary_io.h"
 #include "util/hex.h"
 
 /// The tier-1 half of the golden-hash contract: every shipped config's
@@ -86,15 +89,47 @@ TEST_P(GoldenHash, EndStateMatchesGoldenFile) {
       << name;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ShippedConfigs, GoldenHash, ::testing::ValuesIn(tier1_config_names()),
-    [](const ::testing::TestParamInfo<std::string>& param) {
-      std::string label = param.param;
-      for (char& c : label) {
-        if (std::isalnum(static_cast<unsigned char>(c)) == 0) c = '_';
-      }
-      return label;
-    });
+std::string config_label(const ::testing::TestParamInfo<std::string>& param) {
+  std::string label = param.param;
+  for (char& c : label) {
+    if (std::isalnum(static_cast<unsigned char>(c)) == 0) c = '_';
+  }
+  return label;
+}
+
+INSTANTIATE_TEST_SUITE_P(ShippedConfigs, GoldenHash,
+                         ::testing::ValuesIn(tier1_config_names()),
+                         config_label);
+
+// ---- State hash = digest of the encoded body --------------------------------
+
+/// `state_hash` streams the canonical body through a hash-only writer;
+/// `encode_state` buffers it. Mid-run, with tasks pending and a phase half
+/// done, the two must still be one encoding: the hash is the SHA-256 of
+/// the body a checkpoint embeds.
+class StateHashEncoding : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(StateHashEncoding, MidRunHashIsTheDigestOfTheEncodedBody) {
+  auto spec = Session::load_spec(
+      (fs::path(FI_CONFIG_DIR) / (GetParam() + ".cfg")).string());
+  ASSERT_TRUE(spec.is_ok()) << spec.status().to_string();
+  std::uint64_t epochs = 0;
+  for (const scenario::PhaseSpec& phase : spec.value().phases) {
+    epochs += phase.kind == scenario::PhaseKind::rent_audit
+                  ? phase.periods * spec.value().params.rent_period_cycles
+                  : phase.cycles;
+  }
+  scenario::ScenarioRunner runner(std::move(spec).value());
+  ASSERT_EQ(runner.run_cycles(epochs / 2), epochs / 2);
+  const std::vector<std::uint8_t> body = snapshot::encode_state(runner);
+  EXPECT_GT(body.size(), util::BinaryWriter::kStageBytes);
+  EXPECT_EQ(snapshot::state_hash(runner), util::to_hex(crypto::sha256(body)))
+      << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(ShippedConfigs, StateHashEncoding,
+                         ::testing::ValuesIn(tier1_config_names()),
+                         config_label);
 
 // ---- Spec text --------------------------------------------------------------
 

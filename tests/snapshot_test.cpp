@@ -113,6 +113,51 @@ TEST(BinaryIo, HashOnlyWriterMatchesBufferedDigest) {
   EXPECT_EQ(hashing.digest(), buffered.digest());
 }
 
+TEST(BinaryIo, StagedWritesMatchAcrossBlockBoundaries) {
+  // Raw spans shorter than, equal to and longer than one 4 KiB stage, at
+  // odd stage offsets, each followed by a run of scalars long enough to
+  // straddle a flush. data() and digest() are called mid-stream, and the
+  // writes after them must carry on as if they had not been.
+  util::BinaryWriter buffered;
+  util::BinaryWriter hashing(/*keep_bytes=*/false);
+  std::vector<std::uint8_t> expected;
+  const auto expect_le = [&](std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      expected.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  std::uint8_t fill = 0;
+  for (const std::size_t length :
+       {std::size_t{1}, std::size_t{31}, std::size_t{4095}, std::size_t{4096},
+        std::size_t{4097}, std::size_t{3 * 4096 + 5}}) {
+    std::vector<std::uint8_t> span(length);
+    for (std::uint8_t& b : span) b = fill++;
+    for (util::BinaryWriter* w : {&buffered, &hashing}) {
+      w->u8(0xa5);
+      w->u32(static_cast<std::uint32_t>(length));
+      w->raw(span);
+      for (std::uint64_t i = 0; i < 700; ++i) {
+        w->u64(i * 0x0101010101010101ULL + length);
+        w->u16(static_cast<std::uint16_t>(i));
+      }
+    }
+    expect_le(0xa5, 1);
+    expect_le(length, 4);
+    expected.insert(expected.end(), span.begin(), span.end());
+    for (std::uint64_t i = 0; i < 700; ++i) {
+      expect_le(i * 0x0101010101010101ULL + length, 8);
+      expect_le(i, 2);
+    }
+    ASSERT_EQ(buffered.data(), expected) << "after the " << length
+                                         << "-byte span";
+    EXPECT_EQ(buffered.size(), expected.size());
+    EXPECT_EQ(hashing.size(), buffered.size());
+    EXPECT_EQ(buffered.digest(), crypto::sha256(expected));
+    EXPECT_EQ(hashing.digest(), crypto::sha256(buffered.data()));
+  }
+  EXPECT_TRUE(hashing.data().empty());
+}
+
 // ---------------------------------------------------------------------------
 // Scenario fixtures
 // ---------------------------------------------------------------------------
@@ -416,6 +461,34 @@ class SnapshotFileTest : public ::testing::Test {
 
 TEST_F(SnapshotFileTest, IntactFileResumes) {
   EXPECT_TRUE(snapshot::resume_from_file(path_.string()).is_ok());
+}
+
+TEST_F(SnapshotFileTest, FailedOverwriteKeepsThePreviousCheckpoint) {
+  // save_to_file writes `<path>.tmp` and renames it over the path, so a
+  // save that cannot finish leaves the last good checkpoint whole.
+  const fs::path tmp = path_.string() + ".tmp";
+  EXPECT_FALSE(fs::exists(tmp)) << "a successful save left its temporary file";
+  scenario::ScenarioRunner saver(spec_);
+  ASSERT_EQ(saver.run_cycles(3), 3u);
+  ASSERT_TRUE(fs::create_directory(tmp));  // the temporary file cannot open
+  const util::Status blocked = snapshot::save_to_file(saver, path_.string());
+  fs::remove(tmp);
+  EXPECT_FALSE(blocked.is_ok());
+  std::ifstream in(path_, std::ios::binary);
+  const std::vector<char> kept((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+  in.close();
+  EXPECT_EQ(kept, raw_);
+  auto resumed = snapshot::resume_from_file(path_.string());
+  ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
+  EXPECT_EQ(resumed.value()->epoch(), 2u);
+
+  // With the way clear, the overwrite lands and cleans up after itself.
+  ASSERT_TRUE(snapshot::save_to_file(saver, path_.string()).is_ok());
+  EXPECT_FALSE(fs::exists(tmp));
+  auto overwritten = snapshot::resume_from_file(path_.string());
+  ASSERT_TRUE(overwritten.is_ok()) << overwritten.status().to_string();
+  EXPECT_EQ(overwritten.value()->epoch(), 3u);
 }
 
 TEST_F(SnapshotFileTest, MissingFileIsRejected) {
