@@ -66,6 +66,12 @@ std::size_t fraction_of(std::size_t n, double fraction) {
   return static_cast<std::size_t>(std::llround(fraction * static_cast<double>(n)));
 }
 
+/// Every id in `members` names one of the network's `sectors`.
+bool all_below(const std::vector<SectorId>& members, SectorId sectors) {
+  return std::all_of(members.begin(), members.end(),
+                     [sectors](SectorId s) { return s < sectors; });
+}
+
 /// Distinct healthy holders of `file`, ascending sector id (none once the
 /// network dropped the file). The alloc table keeps `prev` through
 /// corruption, so filter by entry and sector state.
@@ -142,7 +148,8 @@ class TargetedFile final : public AdversaryStrategy {
     writer.boolean(lost_);
     writer.u64(spent_);
   }
-  void load_state(util::BinaryReader& reader) override {
+  void load_state(util::BinaryReader& reader,
+                  SectorId /*sectors*/) override {
     target_ = reader.u64();
     lost_ = reader.boolean();
     spent_ = reader.u64();
@@ -238,9 +245,10 @@ class ColludingPool final : public AdversaryStrategy {
     writer.u64(per_epoch_);
     writer.u64(next_);
   }
-  void load_state(util::BinaryReader& reader) override {
+  void load_state(util::BinaryReader& reader, SectorId sectors) override {
     recruited_ = reader.boolean();
     members_ = util::load_u64_seq<SectorId>(reader);
+    if (!all_below(members_, sectors)) reader.fail();
     per_epoch_ = static_cast<std::size_t>(reader.u64());
     next_ = static_cast<std::size_t>(reader.u64());
   }
@@ -309,13 +317,15 @@ class ProofWithholder final : public AdversaryStrategy {
     util::save_u64_seq(writer, streaks_);
     writer.u64(max_streak_);
   }
-  void load_state(util::BinaryReader& reader) override {
+  void load_state(util::BinaryReader& reader, SectorId sectors) override {
     recruited_ = reader.boolean();
     members_ = util::load_u64_seq<SectorId>(reader);
     streaks_ = util::load_u64_seq<std::uint64_t>(reader);
     // on_epoch indexes streaks_ by member position — a crafted body with
     // mismatched lengths must be rejected, not discovered out of bounds.
-    if (streaks_.size() != members_.size()) reader.fail();
+    if (streaks_.size() != members_.size() || !all_below(members_, sectors)) {
+      reader.fail();
+    }
     max_streak_ = reader.u64();
   }
 
@@ -405,7 +415,8 @@ class AdaptiveThreshold final : public AdversaryStrategy {
     writer.u64(active_epochs_);
     writer.boolean(dormant_);
   }
-  void load_state(util::BinaryReader& reader) override {
+  void load_state(util::BinaryReader& reader,
+                  SectorId /*sectors*/) override {
     rate_ = reader.u64();
     active_epochs_ = reader.u64();
     dormant_ = reader.boolean();
@@ -455,10 +466,11 @@ class RefusingCoalition final : public AdversaryStrategy {
     writer.boolean(stopped_);
     util::save_u64_seq(writer, members_);
   }
-  void load_state(util::BinaryReader& reader) override {
+  void load_state(util::BinaryReader& reader, SectorId sectors) override {
     recruited_ = reader.boolean();
     stopped_ = reader.boolean();
     members_ = util::load_u64_seq<SectorId>(reader);
+    if (!all_below(members_, sectors)) reader.fail();
   }
 
  private:
@@ -514,7 +526,8 @@ class RetrievalDdos final : public AdversaryStrategy {
     writer.u64(target_);
     writer.u64(retargets_);
   }
-  void load_state(util::BinaryReader& reader) override {
+  void load_state(util::BinaryReader& reader,
+                  SectorId /*sectors*/) override {
     target_ = reader.u64();
     retargets_ = reader.u64();
   }

@@ -235,9 +235,14 @@ class AdversaryStrategy {
   /// continues the attack mid-flight exactly where the saved one stood
   /// (`src/snapshot`). The spec and RNG stream are restored by the runner;
   /// strategies (de)serialize only what they accumulated since
-  /// construction. Stateless strategies keep the no-op default.
+  /// construction. Stateless strategies keep the no-op default. `sectors`
+  /// is the restored network's sector count (the network loads first): a
+  /// member list naming a sector at or past it fails the reader.
   virtual void save_state(util::BinaryWriter& writer) const { (void)writer; }
-  virtual void load_state(util::BinaryReader& reader) { (void)reader; }
+  virtual void load_state(util::BinaryReader& reader, core::SectorId sectors) {
+    (void)reader;
+    (void)sectors;
+  }
 };
 
 /// Instantiates the strategy a validated spec declares.

@@ -106,18 +106,10 @@ struct RentDistributed {
   TokenAmount total;
 };
 
-/// A client asked to retrieve a file; `holders` compete to supply it.
-struct RetrievalRequested {
-  FileId file;
-  ClientId client;
-  std::vector<SectorId> holders;
-};
-
 using Event = std::variant<FileStored, UploadFailed, FileDiscarded, FileLost,
                            SectorCorrupted, SectorRemoved, ProviderPunished,
                            ReplicaTransferRequested, ReplicaActivated,
-                           ReplicaReleased, RefreshSkipped, RentDistributed,
-                           RetrievalRequested>;
+                           ReplicaReleased, RefreshSkipped, RentDistributed>;
 
 /// Synchronous observer bus: listeners run in subscription order inside the
 /// emitting transaction/task.

@@ -242,13 +242,7 @@ util::Result<ByteCount> Network::file_get(ClientId client, FileId file,
     if (sector_table_.state(prev) == SectorState::corrupted) continue;
     holders.push_back(prev);
   }
-  const ByteCount size = f.row().desc.size;
-  // The event owns its list, so no listener can hold a view past emit;
-  // lend it the caller's buffer and take it back rather than copy it.
-  Event event{RetrievalRequested{file, client, std::move(holders)}};
-  bus_.emit(event);
-  holders = std::move(std::get<RetrievalRequested>(event).holders);
-  return size;
+  return f.row().desc.size;
 }
 
 // ---------------------------------------------------------------------------

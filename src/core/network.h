@@ -125,11 +125,11 @@ class Network {
   /// Auto_CheckProof (Fig. 4/8).
   util::Status file_discard(ClientId client, FileId file);
 
-  /// File_Get: clears `holders` and fills it with the sectors currently
-  /// able to serve the file, then emits a RetrievalRequested event
-  /// carrying that list to the bus's listeners, and returns the file's
-  /// size. A caller that reuses one buffer across requests makes a lookup
-  /// allocation-free. On error `holders` is left empty.
+  /// File_Get: clears `holders`, fills it with the sectors currently able
+  /// to serve the file and returns the file's size. It publishes no event:
+  /// the holders compete off chain to serve the request (Fig. 4). A caller
+  /// that reuses one buffer across requests makes a lookup allocation-free.
+  /// On error `holders` is left empty.
   util::Result<ByteCount> file_get(ClientId client, FileId file,
                                    std::vector<SectorId>& holders);
 
@@ -419,7 +419,10 @@ class Network {
   std::vector<std::uint8_t> physically_corrupted_;
 
   /// Popped-batch buffer reused across `advance_to` iterations so the
-  /// steady-state epoch loop pops without allocating.
+  /// steady-state epoch loop pops without allocating. Popping the whole
+  /// batch first also releases the queue's drained bucket before the batch
+  /// fills the next one; running each task as it pops kept both alive and
+  /// raised `churn_1m`'s peak RSS from 561 to 643 MB.
   // fi-lint: not-serialized(scratch buffer valid only within one batch)
   std::vector<std::pair<Time, Task>> due_buffer_;
 

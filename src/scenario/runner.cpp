@@ -81,6 +81,16 @@ void save_id_set(const std::unordered_set<Id>& set,
   util::save_u64_seq(writer, ids);
 }
 
+/// The form of an encoded id set and of `net_suppressed_`: strictly
+/// ascending ids, each below `count`.
+bool ascending_below(const std::vector<core::SectorId>& ids,
+                     core::SectorId count) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] >= count || (i > 0 && ids[i] <= ids[i - 1])) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 ScenarioRunner::ScenarioRunner(ScenarioSpec spec)
@@ -324,7 +334,9 @@ void ScenarioRunner::deliver_messages() {
 void ScenarioRunner::drain_transfers() {
   // Confirming can trigger follow-on work but never emits new transfer
   // requests synchronously; iterate over a swapped-out batch anyway so the
-  // queue stays valid if that ever changes.
+  // queue stays valid if that ever changes. The batch also takes the
+  // setup burst's capacity (one request per replica of every initial
+  // file) with it when it goes, instead of the queue holding it all run.
   std::vector<core::ReplicaTransferRequested> batch;
   batch.swap(transfer_queue_);
   deliver_messages();
@@ -965,15 +977,13 @@ void ScenarioRunner::save_state(util::BinaryWriter& writer) const {
   ledger_.save(writer);
   net_->save(writer);
 
-  writer.u64(transfer_queue_.size());
-  for (const core::ReplicaTransferRequested& req : transfer_queue_) {
-    writer.u64(req.file);
-    writer.u32(req.index);
-    writer.u64(req.from);
-    writer.u64(req.to);
-    writer.u64(req.client);
-    writer.u64(req.deadline);
-  }
+  // Every call that can request a transfer (file_add, sector_register, a
+  // task batch) is drained before control leaves the runner, so the queue
+  // is empty at every save point; the body keeps its count, 0.
+  FI_CHECK_MSG(transfer_queue_.empty(),
+               "checkpoint with " << transfer_queue_.size()
+                                  << " undrained transfer requests");
+  writer.u64(0);
 
   // Exact order: swap-erase position determines future uniform draws.
   util::save_u64_seq(writer, live_files_);
@@ -1066,18 +1076,7 @@ util::Status ScenarioRunner::load_state(util::BinaryReader& reader) {
   if (auto status = net_->load(reader); !status.is_ok()) return status;
 
   transfer_queue_.clear();
-  const std::uint64_t transfers = reader.count(44);
-  transfer_queue_.reserve(transfers);
-  for (std::uint64_t i = 0; i < transfers; ++i) {
-    core::ReplicaTransferRequested req;
-    req.file = reader.u64();
-    req.index = reader.u32();
-    req.from = reader.u64();
-    req.to = reader.u64();
-    req.client = reader.u64();
-    req.deadline = reader.u64();
-    transfer_queue_.push_back(req);
-  }
+  if (reader.u64() != 0) reader.fail();
 
   live_files_ = util::load_u64_seq<core::FileId>(reader);
   live_positions_.clear();
@@ -1091,32 +1090,49 @@ util::Status ScenarioRunner::load_state(util::BinaryReader& reader) {
     return util::err(util::ErrorCode::failed_precondition,
                      "snapshot adversary count does not match the spec");
   }
+  // The network loaded first, so every sector id below must name one of
+  // its sectors.
+  const core::SectorId sectors = net_->sectors().count();
   for (ActiveAdversary& adv : adversaries_) {
     std::array<std::uint64_t, 4> adv_rng;
     for (std::uint64_t& word : adv_rng) word = reader.u64();
     adv.rng.set_state(adv_rng);
     adv.counters.load(reader);
     adv.claimed = util::load_u64_seq<core::SectorId>(reader);
-    adv.strategy->load_state(reader);
+    adv.strategy->load_state(reader, sectors);
   }
 
+  // claim_sector puts each sector in one claimed list, once, so the claims
+  // section holds exactly the (sector, adversary) pairs those lists imply:
+  // the map is rebuilt from the lists and the section only checked.
   sector_claims_.clear();
+  for (std::size_t index = 0; index < adversaries_.size(); ++index) {
+    for (const core::SectorId sector : adversaries_[index].claimed) {
+      if (sector >= sectors || !sector_claims_.emplace(sector, index).second) {
+        reader.fail();
+      }
+    }
+  }
+  // Equal sizes plus strictly ascending rows that each match a pair make
+  // the section equal to the map.
   const std::uint64_t claims = reader.count(16);
-  sector_claims_.reserve(claims);
-  for (std::uint64_t i = 0; i < claims; ++i) {
+  if (claims != sector_claims_.size()) reader.fail();
+  core::SectorId previous = 0;
+  for (std::uint64_t i = 0; i < claims && reader.ok(); ++i) {
     const core::SectorId sector = reader.u64();
     const std::uint64_t index = reader.u64();
-    if (index >= adversaries_.size()) {
-      return util::err(util::ErrorCode::invalid_argument,
-                       "snapshot sector claim references unknown adversary");
+    const auto claim = sector_claims_.find(sector);
+    if ((i > 0 && sector <= previous) || claim == sector_claims_.end() ||
+        claim->second != index) {
+      reader.fail();
     }
-    sector_claims_[sector] = static_cast<std::size_t>(index);
+    previous = sector;
   }
+  const std::vector<core::SectorId> refused =
+      util::load_u64_seq<core::SectorId>(reader);
+  if (!ascending_below(refused, sectors)) reader.fail();
   refused_sectors_.clear();
-  for (const core::SectorId sector :
-       util::load_u64_seq<core::SectorId>(reader)) {
-    refused_sectors_.insert(sector);
-  }
+  refused_sectors_.insert(refused.begin(), refused.end());
 
   progress_ = RunProgress{};
   progress_.phase_index = static_cast<std::size_t>(reader.u64());
@@ -1169,6 +1185,7 @@ util::Status ScenarioRunner::load_state(util::BinaryReader& reader) {
 
   if (spec_.network.enabled) {
     net_suppressed_ = util::load_u64_seq<core::SectorId>(reader);
+    if (!ascending_below(net_suppressed_, sectors)) reader.fail();
     netmodel_->load_state(reader);
     // A checkpoint follows a drain, which delivers everything due by then.
     if (netmodel_->next_delivery_time() < net_->now()) reader.fail();

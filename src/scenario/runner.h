@@ -122,7 +122,11 @@ class ScenarioRunner {
   void save_state(util::BinaryWriter& writer) const;
 
   /// Rebuilds a runner mid-run from `save_state` output. `spec` must be
-  /// the spec of the saved run (the snapshot file embeds it).
+  /// the spec of the saved run (the snapshot file embeds it). A body
+  /// `save_state` cannot produce is rejected: a transfer count other than
+  /// 0, an adversary sector id the restored network does not hold, a
+  /// sector in two claimed lists, claims other than those lists imply, or
+  /// refusal and suppressed lists that do not ascend strictly.
   static util::Result<std::unique_ptr<ScenarioRunner>> resume(
       ScenarioSpec spec, util::BinaryReader& reader);
 
@@ -274,7 +278,9 @@ class ScenarioRunner {
   AccountId provider_ = kNoAccount;
   AccountId client_ = kNoAccount;
 
-  /// Outstanding transfer requests (the honest provider's inbox).
+  /// Transfer requests the engine emitted since the last drain. Every
+  /// call that can emit one is drained before control leaves the runner,
+  /// so it is empty at every save point.
   std::vector<core::ReplicaTransferRequested> transfer_queue_;
 
   /// Dense live-file set (swap-erase + position map) kept in sync through
@@ -286,7 +292,8 @@ class ScenarioRunner {
   /// Configured adversaries, in spec order.
   std::vector<ActiveAdversary> adversaries_;
   /// sector -> index of the strategy that touched it first (attribution;
-  /// lookups only, never iterated — determinism).
+  /// lookups only, never iterated — determinism). The claimed lists imply
+  /// it: `load_state` rebuilds it from them.
   std::unordered_map<core::SectorId, std::size_t> sector_claims_;
   /// Sectors currently refusing inbound transfers (lookups only).
   std::unordered_set<core::SectorId> refused_sectors_;

@@ -173,18 +173,4 @@ util::Result<Snapshot> read_file(const std::string& path) {
   return parse(raw, path);
 }
 
-util::Result<std::unique_ptr<scenario::ScenarioRunner>> resume_from_file(
-    const std::string& path) {
-  auto snapshot = read_file(path);
-  if (!snapshot.is_ok()) return snapshot.status();
-  Snapshot snap = std::move(snapshot).value();
-  util::BinaryReader reader(snap.body);
-  auto runner = scenario::ScenarioRunner::resume(std::move(snap.spec), reader);
-  if (!runner.is_ok()) {
-    return util::err(runner.status().code(),
-                     path + ": " + runner.status().message());
-  }
-  return std::move(runner).value();
-}
-
 }  // namespace fi::snapshot

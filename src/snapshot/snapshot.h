@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -81,9 +80,5 @@ struct Snapshot {
 /// regular file (a directory, say). The file is read with one call into a
 /// buffer sized by the file system.
 [[nodiscard]] util::Result<Snapshot> read_file(const std::string& path);
-
-/// `read_file` + `ScenarioRunner::resume`.
-[[nodiscard]] util::Result<std::unique_ptr<scenario::ScenarioRunner>>
-resume_from_file(const std::string& path);
 
 }  // namespace fi::snapshot

@@ -414,12 +414,16 @@ void TrafficEngine::save_state(util::BinaryWriter& writer) const {
     writer.u64(cache_fifo_[i]);
   }
   writer.u64(hot_file_);
-  writer.u64(pending_.size());
-  for (const Injected& hammer : pending_) {
-    writer.u64(hammer.stream);
-    writer.u64(hammer.file);
-    writer.u64(hammer.requests);
-  }
+  // inject() queues hammers in the adversaries' turn and the same cycle's
+  // on_epoch issues them, and every epoch close zeroes the admission
+  // budget: at a save point the body keeps the hammer count, 0, and a zero
+  // budget per stream.
+  FI_CHECK_MSG(pending_.empty(), "checkpoint with " << pending_.size()
+                                                    << " hammers queued");
+  FI_CHECK_MSG(std::ranges::all_of(admitted_epoch_,
+                                   [](std::uint64_t n) { return n == 0; }),
+               "checkpoint with an open admission budget");
+  writer.u64(0);
   util::save_u64_seq(writer, queues_);
   util::save_u64_seq(writer, sector_served_);
   util::save_u64_seq(writer, sector_dropped_);
@@ -486,15 +490,7 @@ void TrafficEngine::load_state(util::BinaryReader& reader) {
   }
   hot_file_ = reader.u64();
   pending_.clear();
-  const std::uint64_t n_pending = reader.count(24);
-  pending_.reserve(n_pending);
-  for (std::uint64_t i = 0; i < n_pending; ++i) {
-    Injected hammer;
-    hammer.stream = reader.u64();
-    hammer.file = reader.u64();
-    hammer.requests = reader.u64();
-    pending_.push_back(hammer);
-  }
+  if (reader.u64() != 0) reader.fail();
   queues_ = util::load_u64_seq<std::uint64_t>(reader);
   sector_served_ = util::load_u64_seq<std::uint64_t>(reader);
   sector_dropped_ = util::load_u64_seq<std::uint64_t>(reader);
@@ -521,16 +517,15 @@ void TrafficEngine::load_state(util::BinaryReader& reader) {
   epochs_run_ = reader.u64();
   if (defense_ != nullptr) defense_->load_state(reader);
   // Per-stream vectors must match the spec-derived stream layout; a
-  // crafted body with other lengths is rejected, not indexed OOB. The
-  // pending streams themselves are range-checked too.
+  // crafted body with other lengths is rejected, not indexed OOB.
   if (attempted_.size() != streams_ || rate_limited_.size() != streams_ ||
       dropped_.size() != streams_ || starved_.size() != streams_ ||
       enqueued_.size() != streams_ || admitted_epoch_.size() != streams_ ||
       hist_.size() != 64) {
     reader.fail();
   }
-  for (const Injected& hammer : pending_) {
-    if (hammer.stream >= streams_) reader.fail();
+  for (const std::uint64_t admitted : admitted_epoch_) {
+    if (admitted != 0) reader.fail();
   }
   for (const std::uint64_t flag : serve_refused_) {
     if (flag > 1) reader.fail();

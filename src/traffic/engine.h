@@ -155,7 +155,10 @@ class TrafficEngine {
   /// rejects a body whose stored total is not its sum. The books are
   /// (sector, value) rows in ascending sector order: every ask `ask_of`
   /// its sector, every served row positive, and one key set for the
-  /// served and revenue books.
+  /// served and revenue books. The hammer queue and the admission budget
+  /// are per-cycle scratch, empty at every save point: the body keeps a
+  /// hammer count of 0 and a zero budget per stream, and `load_state`
+  /// rejects any other value.
   void save_state(util::BinaryWriter& writer) const;
   void load_state(util::BinaryReader& reader);
 
@@ -224,7 +227,8 @@ class TrafficEngine {
   std::size_t cache_head_ = 0;
   /// The flash crowd's hot file (picked once at flash onset).
   FileId hot_file_ = kNoFile;
-  /// Adversary hammers queued for the next tick.
+  /// Adversary hammers queued in the adversaries' turn for the same
+  /// cycle's tick, which issues and clears them: empty at a save point.
   std::vector<Injected> pending_;
 
   /// Dense per-sector state, grown on demand (sector ids are dense).
@@ -242,7 +246,7 @@ class TrafficEngine {
   std::vector<std::uint64_t> starved_;
   std::vector<std::uint64_t> enqueued_;
   /// Requests admitted this epoch (the rate limiter's budget), zeroed at
-  /// each epoch close.
+  /// each epoch close: all zero at a save point.
   std::vector<std::uint64_t> admitted_epoch_;
 
   std::uint64_t lookup_failures_ = 0;

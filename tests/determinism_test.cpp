@@ -123,9 +123,6 @@ struct EventPrinter {
   void operator()(const fi::core::RentDistributed& e) {
     out << "rent_distributed " << e.total;
   }
-  void operator()(const fi::core::RetrievalRequested& e) {
-    out << "retrieval f" << e.file;
-  }
 };
 
 // ---- A miniature honest-provider harness over core::Network ---------------

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "adversary/spec.h"
+#include "api/session.h"
 #include "scenario/metrics.h"
 #include "scenario/runner.h"
 #include "scenario/spec.h"
@@ -316,10 +317,10 @@ TEST(NetSnapshot, MidPartitionRoundTripIsByteIdentical) {
   // The checkpoint really did carry live messages across the boundary.
   EXPECT_TRUE(saved_in_flight);
 
-  auto resumed = snapshot::resume_from_file(path.string());
+  auto resumed = Session::from_snapshot_file(path.string());
   ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
-  EXPECT_EQ((*resumed.value()).run().to_json(), uninterrupted.report_json);
-  EXPECT_EQ(snapshot::state_hash(*resumed.value()), uninterrupted.state_hash);
+  EXPECT_EQ(resumed.value().report().to_json(), uninterrupted.report_json);
+  EXPECT_EQ(resumed.value().state_hash(), uninterrupted.state_hash);
   fs::remove(path);
 }
 

@@ -10,10 +10,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "adversary/strategy.h"
+#include "api/session.h"
 #include "crypto/sha256.h"
 #include "scenario/runner.h"
 #include "scenario/spec.h"
@@ -176,17 +179,22 @@ std::vector<fs::path> shipped_configs() {
   return configs;
 }
 
+/// A shipped config as written.
+scenario::ScenarioSpec shipped_spec(const fs::path& config) {
+  auto loaded = util::Config::load(config.string());
+  EXPECT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  auto parsed = scenario::ScenarioSpec::from_config(loaded.value());
+  EXPECT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  return std::move(parsed).value();
+}
+
 /// Scales a shipped config down to unit-test size while keeping its shape:
 /// every phase kind, adversary strategy and knob combination survives, so
 /// the round-trip suite exercises exactly the structures each config
 /// stresses (mid-attack member lists, captivity streaks, audit periods)
 /// without CI-scale populations.
 scenario::ScenarioSpec shrunk_spec(const fs::path& config) {
-  auto loaded = util::Config::load(config.string());
-  EXPECT_TRUE(loaded.is_ok()) << loaded.status().to_string();
-  auto parsed = scenario::ScenarioSpec::from_config(loaded.value());
-  EXPECT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-  scenario::ScenarioSpec spec = std::move(parsed).value();
+  scenario::ScenarioSpec spec = shipped_spec(config);
   spec.sectors = std::min<std::uint64_t>(spec.sectors, 80);
   spec.initial_files = std::min<std::uint64_t>(spec.initial_files, 120);
   for (scenario::PhaseSpec& phase : spec.phases) {
@@ -256,12 +264,12 @@ void expect_save_load_identity(const scenario::ScenarioSpec& spec,
     EXPECT_EQ(saver.run().to_json(), uninterrupted.report_json) << tag;
   }
 
-  auto resumed = snapshot::resume_from_file(path.string());
+  auto resumed = Session::from_snapshot_file(path.string());
   ASSERT_TRUE(resumed.is_ok()) << tag << ": " << resumed.status().to_string();
-  scenario::ScenarioRunner& runner = *resumed.value();
-  EXPECT_EQ(runner.epoch(), save_epoch) << tag;
-  EXPECT_EQ(runner.run().to_json(), uninterrupted.report_json) << tag;
-  EXPECT_EQ(snapshot::state_hash(runner), uninterrupted.state_hash) << tag;
+  Session& session = resumed.value();
+  EXPECT_EQ(session.epoch(), save_epoch) << tag;
+  EXPECT_EQ(session.report().to_json(), uninterrupted.report_json) << tag;
+  EXPECT_EQ(session.state_hash(), uninterrupted.state_hash) << tag;
   fs::remove(path);
 }
 
@@ -302,9 +310,9 @@ TEST(SnapshotRoundTrip, PeriodicCheckpointsAllResume) {
     }
   }
   EXPECT_GE(saves, 2u);
-  auto resumed = snapshot::resume_from_file(path.string());
+  auto resumed = Session::from_snapshot_file(path.string());
   ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
-  EXPECT_EQ(resumed.value()->run().to_json(), uninterrupted.report_json);
+  EXPECT_EQ(resumed.value().report().to_json(), uninterrupted.report_json);
   fs::remove(path);
 }
 
@@ -460,7 +468,7 @@ class SnapshotFileTest : public ::testing::Test {
 };
 
 TEST_F(SnapshotFileTest, IntactFileResumes) {
-  EXPECT_TRUE(snapshot::resume_from_file(path_.string()).is_ok());
+  EXPECT_TRUE(Session::from_snapshot_file(path_.string()).is_ok());
 }
 
 TEST_F(SnapshotFileTest, FailedOverwriteKeepsThePreviousCheckpoint) {
@@ -479,20 +487,20 @@ TEST_F(SnapshotFileTest, FailedOverwriteKeepsThePreviousCheckpoint) {
                                std::istreambuf_iterator<char>());
   in.close();
   EXPECT_EQ(kept, raw_);
-  auto resumed = snapshot::resume_from_file(path_.string());
+  auto resumed = Session::from_snapshot_file(path_.string());
   ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
-  EXPECT_EQ(resumed.value()->epoch(), 2u);
+  EXPECT_EQ(resumed.value().epoch(), 2u);
 
   // With the way clear, the overwrite lands and cleans up after itself.
   ASSERT_TRUE(snapshot::save_to_file(saver, path_.string()).is_ok());
   EXPECT_FALSE(fs::exists(tmp));
-  auto overwritten = snapshot::resume_from_file(path_.string());
+  auto overwritten = Session::from_snapshot_file(path_.string());
   ASSERT_TRUE(overwritten.is_ok()) << overwritten.status().to_string();
-  EXPECT_EQ(overwritten.value()->epoch(), 3u);
+  EXPECT_EQ(overwritten.value().epoch(), 3u);
 }
 
 TEST_F(SnapshotFileTest, MissingFileIsRejected) {
-  const auto result = snapshot::resume_from_file(path_.string() + ".nope");
+  const auto result = Session::from_snapshot_file(path_.string() + ".nope");
   ASSERT_FALSE(result.is_ok());
   EXPECT_EQ(result.status().code(), util::ErrorCode::not_found);
 }
@@ -503,7 +511,7 @@ TEST_F(SnapshotFileTest, DirectoryIsRejected) {
   const fs::path dir = path_.string() + ".d";
   fs::create_directory(dir);
   const auto read = snapshot::read_file(dir.string());
-  const auto resumed = snapshot::resume_from_file(dir.string());
+  const auto resumed = Session::from_snapshot_file(dir.string());
   fs::remove(dir);
   ASSERT_FALSE(read.is_ok());
   EXPECT_EQ(read.status().code(), util::ErrorCode::invalid_argument);
@@ -515,7 +523,7 @@ TEST_F(SnapshotFileTest, DirectoryIsRejected) {
 TEST_F(SnapshotFileTest, BadMagicIsRejected) {
   raw_[0] ^= 0x5a;
   write_raw(raw_);
-  const auto result = snapshot::resume_from_file(path_.string());
+  const auto result = Session::from_snapshot_file(path_.string());
   ASSERT_FALSE(result.is_ok());
   EXPECT_NE(result.status().message().find("magic"), std::string::npos);
 }
@@ -523,7 +531,7 @@ TEST_F(SnapshotFileTest, BadMagicIsRejected) {
 TEST_F(SnapshotFileTest, WrongVersionIsRejected) {
   raw_[8] = 99;  // version u32 follows the 8-byte magic
   write_raw(raw_);
-  const auto result = snapshot::resume_from_file(path_.string());
+  const auto result = Session::from_snapshot_file(path_.string());
   ASSERT_FALSE(result.is_ok());
   EXPECT_NE(result.status().message().find("version"), std::string::npos);
 }
@@ -534,7 +542,7 @@ TEST_F(SnapshotFileTest, TruncationIsRejected) {
     std::vector<char> cut(raw_.begin(),
                           raw_.begin() + static_cast<std::ptrdiff_t>(keep));
     write_raw(cut);
-    EXPECT_FALSE(snapshot::resume_from_file(path_.string()).is_ok())
+    EXPECT_FALSE(Session::from_snapshot_file(path_.string()).is_ok())
         << "accepted a file truncated to " << keep << " bytes";
   }
 }
@@ -548,7 +556,7 @@ TEST_F(SnapshotFileTest, BodyCorruptionIsRejectedByDigest) {
     std::vector<char> mutated = raw_;
     mutated[at] = static_cast<char>(mutated[at] ^ 0x01);
     write_raw(mutated);
-    const auto result = snapshot::resume_from_file(path_.string());
+    const auto result = Session::from_snapshot_file(path_.string());
     EXPECT_FALSE(result.is_ok()) << "bit flip at " << at << " accepted";
   }
 }
@@ -561,7 +569,217 @@ TEST_F(SnapshotFileTest, SpecTamperingIsRejectedByDigest) {
   ASSERT_NE(it, raw_.end());
   *it = 'q';
   write_raw(raw_);
-  EXPECT_FALSE(snapshot::resume_from_file(path_.string()).is_ok());
+  EXPECT_FALSE(Session::from_snapshot_file(path_.string()).is_ok());
+}
+
+// ---------------------------------------------------------------------------
+// Runner bodies that save_state cannot produce
+// ---------------------------------------------------------------------------
+
+/// A sector id no shipped config's fleet reaches.
+constexpr std::uint64_t kFarSector = std::uint64_t{1} << 40;
+
+/// The body of a shipped config's run saved at `epoch`, with the offsets
+/// of the sections the crafted bodies below rewrite.
+struct SavedBody {
+  std::unique_ptr<scenario::ScenarioRunner> runner;
+  std::vector<std::uint8_t> bytes;
+  /// The transfer count: after the runner's nine leading words, the
+  /// ledger and the network.
+  std::size_t transfers = 0;
+  /// Adversary 0's claimed list and its strategy's section: after the
+  /// transfer count, the live files, the adversary count and the
+  /// adversary's RNG words and counters. Zero without adversaries.
+  std::size_t claimed = 0;
+  std::size_t strategy = 0;
+};
+
+SavedBody saved_body(const std::string& config, std::uint64_t epoch) {
+  SavedBody saved;
+  saved.runner = std::make_unique<scenario::ScenarioRunner>(
+      shipped_spec(fs::path(FI_CONFIG_DIR) / (config + ".cfg")));
+  EXPECT_EQ(saved.runner->run_cycles(epoch), epoch) << config;
+  saved.bytes = snapshot::encode_state(*saved.runner);
+  util::BinaryWriter engine;
+  saved.runner->ledger().save(engine);
+  saved.runner->network().save(engine);
+  saved.transfers = 9 * 8 + engine.size();
+  if (!saved.runner->spec().adversaries.empty()) {
+    util::BinaryReader reader(
+        std::span(saved.bytes).subspan(saved.transfers + 8));
+    (void)util::load_u64_seq<core::FileId>(reader);
+    (void)reader.u64();  // the adversary count
+    for (int word = 0; word < 4; ++word) (void)reader.u64();
+    adversary::AdversaryCounters counters;
+    counters.load(reader);
+    saved.claimed = saved.bytes.size() - reader.remaining();
+    (void)util::load_u64_seq<core::SectorId>(reader);
+    saved.strategy = saved.bytes.size() - reader.remaining();
+  }
+  return saved;
+}
+
+std::uint64_t u64_at(std::span<const std::uint8_t> body, std::size_t at) {
+  util::BinaryReader reader(body.subspan(at, 8));
+  return reader.u64();
+}
+
+/// `body` with the u64 at `at` set to `value`.
+std::vector<std::uint8_t> with_u64(std::vector<std::uint8_t> body,
+                                   std::size_t at, std::uint64_t value) {
+  for (std::size_t b = 0; b < 8; ++b) {
+    body[at + b] = static_cast<std::uint8_t>(value >> (8 * b));
+  }
+  return body;
+}
+
+/// `body` with the u64s at `a` and `b` swapped.
+std::vector<std::uint8_t> swapped(const std::vector<std::uint8_t>& body,
+                                  std::size_t a, std::size_t b) {
+  return with_u64(with_u64(body, a, u64_at(body, b)), b, u64_at(body, a));
+}
+
+bool resumes(const SavedBody& saved, std::span<const std::uint8_t> body) {
+  util::BinaryReader reader(body);
+  return scenario::ScenarioRunner::resume(saved.runner->spec(), reader)
+      .is_ok();
+}
+
+TEST(RunnerSnapshot, QueuedTransferIsRejected) {
+  // Every transfer request is drained before a save point, so the body's
+  // transfer count is 0 and no row follows it.
+  const SavedBody saved = saved_body("smoke", 2);
+  ASSERT_EQ(u64_at(saved.bytes, saved.transfers), 0u);
+  ASSERT_TRUE(resumes(saved, saved.bytes));
+  // One 44-byte row in the shape the queue had while it was encoded:
+  // file, replica index (u32), source and target sectors, client and
+  // deadline.
+  const std::span<const std::uint8_t> bytes(saved.bytes);
+  util::BinaryWriter crafted;
+  crafted.raw(bytes.first(saved.transfers));
+  crafted.u64(1);
+  crafted.u64(1);
+  crafted.u32(0);
+  crafted.u64(0);
+  crafted.u64(1);
+  crafted.u64(saved.runner->client_account());
+  crafted.u64(saved.runner->network().now() + 10);
+  crafted.raw(bytes.subspan(saved.transfers + 8));
+  EXPECT_FALSE(resumes(saved, crafted.data()));
+}
+
+TEST(RunnerSnapshot, AdversarySectorPastTheFleetIsRejected) {
+  // A claimed or recruited sector id must name a sector of the restored
+  // network; one past it used to load, and the resumed run aborted at its
+  // first lookup of the id.
+  {
+    // churn_griefer registers a 25-sector private fleet at epoch 1: ids
+    // 150 to 174, after the 150 honest sectors.
+    const SavedBody saved = saved_body("churn_griefer", 2);
+    ASSERT_EQ(u64_at(saved.bytes, saved.claimed), 25u);
+    ASSERT_EQ(u64_at(saved.bytes, saved.claimed + 8), 150u);
+    EXPECT_TRUE(resumes(saved, saved.bytes));
+    EXPECT_FALSE(
+        resumes(saved, with_u64(saved.bytes, saved.claimed + 8, kFarSector)));
+  }
+  // Each strategy's member list follows its `recruited` flag (and the
+  // refusing coalition's `stopped` flag).
+  const struct {
+    const char* config;
+    std::uint64_t epoch;
+    std::size_t members;
+  } pools[] = {
+      {"colluding_pool", 3, 1},
+      {"proof_withholder", 3, 1},
+      {"refresh_saboteur", 2, 2},
+  };
+  for (const auto& pool : pools) {
+    const SavedBody saved = saved_body(pool.config, pool.epoch);
+    const std::size_t list = saved.strategy + pool.members;
+    ASSERT_GT(u64_at(saved.bytes, list), 0u) << pool.config;
+    ASSERT_LT(u64_at(saved.bytes, list + 8), saved.runner->spec().sectors)
+        << pool.config;
+    EXPECT_TRUE(resumes(saved, saved.bytes)) << pool.config;
+    EXPECT_FALSE(resumes(saved, with_u64(saved.bytes, list + 8, kFarSector)))
+        << pool.config;
+  }
+}
+
+TEST(RunnerSnapshot, ClaimsOtherThanTheClaimedListsImplyAreRejected) {
+  // churn_griefer's strategy keeps no state, so its claims section follows
+  // the claimed list directly: one (sector, 0) row per claimed sector, in
+  // ascending sector order.
+  const SavedBody saved = saved_body("churn_griefer", 2);
+  const std::size_t claims = saved.strategy;
+  ASSERT_EQ(u64_at(saved.bytes, claims), 25u);
+  const std::size_t first = claims + 8;
+  const std::size_t second = first + 16;
+  ASSERT_EQ(u64_at(saved.bytes, first), 150u);
+  ASSERT_EQ(u64_at(saved.bytes, second), 151u);
+  ASSERT_TRUE(resumes(saved, saved.bytes));
+  // The last claims row left out.
+  const std::span<const std::uint8_t> bytes(saved.bytes);
+  util::BinaryWriter dropped;
+  dropped.raw(bytes.first(claims));
+  dropped.u64(24);
+  dropped.raw(bytes.subspan(first, 24 * 16));
+  dropped.raw(bytes.subspan(first + 25 * 16));
+
+  const struct {
+    const char* what;
+    std::vector<std::uint8_t> bytes;
+  } cases[] = {
+      {"a sector claimed twice",
+       with_u64(saved.bytes, saved.claimed + 16, 150)},
+      {"claims rows out of order", swapped(saved.bytes, first, second)},
+      {"a claim the claimed lists do not imply",
+       with_u64(saved.bytes, first, 3)},
+      {"a claims row missing", dropped.data()},
+  };
+  for (const auto& c : cases) {
+    EXPECT_FALSE(resumes(saved, c.bytes)) << c.what;
+  }
+}
+
+TEST(RunnerSnapshot, RefusalAndSuppressedListsMustAscendWithinTheFleet) {
+  {
+    // refresh_saboteur's refusal list follows the claims section: its
+    // members, ascending, while the refusal lasts.
+    const SavedBody saved = saved_body("refresh_saboteur", 2);
+    const std::size_t members = u64_at(saved.bytes, saved.strategy + 2);
+    const std::size_t claims = saved.strategy + 2 + 8 + 8 * members;
+    const std::size_t refused = claims + 8 + 16 * u64_at(saved.bytes, claims);
+    const std::uint64_t count = u64_at(saved.bytes, refused);
+    ASSERT_EQ(count, members);
+    ASSERT_TRUE(resumes(saved, saved.bytes));
+    EXPECT_FALSE(
+        resumes(saved, swapped(saved.bytes, refused + 8, refused + 16)));
+    EXPECT_FALSE(
+        resumes(saved, with_u64(saved.bytes, refused + 8 * count, kFarSector)));
+  }
+  {
+    // partition_refresh's region-1 outage (its second phase) suppresses
+    // that region's proofs. The list precedes the NetModel encoding that
+    // closes the body, and without adversaries it names every physically
+    // corrupted sector.
+    const SavedBody saved = saved_body("partition_refresh", 4);
+    util::BinaryWriter model;
+    saved.runner->netmodel().save_state(model);
+    const core::Network& net = saved.runner->network();
+    std::uint64_t count = 0;
+    for (core::SectorId s = 0; s < net.sectors().count(); ++s) {
+      if (net.is_physically_corrupted(s)) ++count;
+    }
+    ASSERT_GE(count, 2u);
+    const std::size_t suppressed =
+        saved.bytes.size() - model.size() - 8 * (count + 1);
+    ASSERT_EQ(u64_at(saved.bytes, suppressed), count);
+    ASSERT_TRUE(resumes(saved, saved.bytes));
+    EXPECT_FALSE(
+        resumes(saved, swapped(saved.bytes, suppressed + 8, suppressed + 16)));
+    EXPECT_FALSE(resumes(
+        saved, with_u64(saved.bytes, suppressed + 8 * count, kFarSector)));
+  }
 }
 
 }  // namespace

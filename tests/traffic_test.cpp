@@ -535,8 +535,9 @@ std::string state_hash_of(ScenarioSpec spec) {
 TEST(TrafficSnapshotTest, MidAttackSaveLoadContinuesByteIdentically) {
   // Save mid-flash, mid-attack, with the defense armed and flags set —
   // every piece of new state (market book/tallies, cache FIFO, queues,
-  // per-stream counters, defense streaks/flags, pending hammers) is
-  // non-trivial at the checkpoint.
+  // per-stream counters, defense streaks/flags) is non-trivial at the
+  // checkpoint. The gang's hammers are queued and issued within each
+  // cycle, so saving mid-attack also checks that none is left queued.
   const auto make_spec = [] {
     ScenarioSpec spec = traffic_base_spec(92);
     enable_defense(spec);
@@ -595,8 +596,9 @@ TEST(TrafficSnapshotTest, NonCanonicalMarketAndCacheRowsAreRejected) {
   // The loaders accept only what save_state writes: market books in
   // strictly ascending sector order naming sectors the network holds,
   // every ask its sector's price tier, every served row positive, one key
-  // set for the served and revenue books, each cached file once, and each
-  // stored total the sum of the counters or book it totals.
+  // set for the served and revenue books, each cached file once, each
+  // stored total the sum of the counters or book it totals, no queued
+  // hammer and a zero admission budget.
   fi::core::Params params;
   fi::ledger::Ledger ledger;
   fi::core::Network net(params, ledger, /*seed=*/5);
@@ -628,7 +630,10 @@ TEST(TrafficSnapshotTest, NonCanonicalMarketAndCacheRowsAreRejected) {
   // per-sector vectors and six per-stream vectors of two streams; then the
   // totals attempted, rate-limited, lookup failures, starved, dropped,
   // enqueued and served.
+  constexpr std::size_t kHammersAt = kRestAt + 8;
   constexpr std::size_t kFirstAttemptedAt = kRestAt + 8 + 8 + 5 * 8 + 8;
+  // The admission budget is the sixth per-stream vector.
+  constexpr std::size_t kFirstAdmittedAt = kFirstAttemptedAt + 5 * 24;
   constexpr std::size_t kStreamTotalsAt = kRestAt + 8 + 8 + 5 * 8 + 6 * 24;
   constexpr std::size_t kServedTotalAt = kStreamTotalsAt + 6 * 8;
   ASSERT_GT(base.size(), kServedTotalAt + 8);
@@ -701,6 +706,15 @@ TEST(TrafficSnapshotTest, NonCanonicalMarketAndCacheRowsAreRejected) {
     ASSERT_TRUE(reader.ok() && reader.exhausted()) << "counted body";
     EXPECT_EQ(engine->metrics().requests_attempted, 1u);
   }
+  // One 24-byte hammer row (stream 0 hammers file 4 three times) after
+  // the hot file, in the shape the queue had while it was encoded.
+  const auto hammered = [&] {
+    BinaryWriter writer;
+    writer.raw(slice(0, kHammersAt));
+    for (const std::uint64_t word : {1, 0, 4, 3}) writer.u64(word);
+    writer.raw(slice(kHammersAt + 8, base.size()));
+    return writer.data();
+  };
   const struct {
     const char* what;
     std::vector<std::uint8_t> bytes;
@@ -736,6 +750,8 @@ TEST(TrafficSnapshotTest, NonCanonicalMarketAndCacheRowsAreRejected) {
        body(asks, served, revenue, {}, /*served_off=*/1)},
       {"revenue total off its book's sum",
        body(asks, served, revenue, {}, 0, /*revenue_off=*/1)},
+      {"a hammer queued", hammered()},
+      {"an admission budget open", patched({{kFirstAdmittedAt, 1}})},
   };
   for (const auto& c : cases) {
     auto engine = make_engine();
