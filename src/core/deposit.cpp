@@ -1,7 +1,6 @@
 #include "core/deposit.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "util/check.h"
 #include "util/checked.h"
@@ -9,39 +8,38 @@
 namespace fi::core {
 
 util::Status DepositBook::pledge(SectorId sector, TokenAmount amount) {
-  FI_CHECK_MSG(!deposits_.contains(sector), "sector already has a deposit");
+  FI_CHECK_MSG(sector >= deposits_.size(),
+               "sectors pledge once, in id order");
   const ProviderId owner = sectors_.owner(sector);
   if (auto status = ledger_.transfer(owner, escrow_, amount); !status.is_ok()) {
     return status;
   }
-  deposits_.emplace(sector, amount);
+  deposits_.resize(sector + 1, 0);
+  deposits_[sector] = amount;
   return util::Status::ok();
-}
-
-TokenAmount DepositBook::remaining(SectorId sector) const {
-  const auto it = deposits_.find(sector);
-  return it == deposits_.end() ? 0 : it->second;
 }
 
 TokenAmount DepositBook::punish(SectorId sector, std::uint32_t bp) {
   FI_CHECK_MSG(bp <= 10'000, "punishment above 100%");
-  const auto it = deposits_.find(sector);
-  if (it == deposits_.end() || it->second == 0) return 0;
-  const TokenAmount slashed = util::checked_mul_div(it->second, bp, 10'000);
+  if (remaining(sector) == 0) return 0;
+  TokenAmount& deposit = deposits_[sector];
+  const TokenAmount slashed = util::checked_mul_div(deposit, bp, 10'000);
   if (slashed == 0) return 0;
   FI_CHECK(ledger_.transfer(escrow_, pool_, slashed).is_ok());
-  it->second -= slashed;
+  deposit -= slashed;
   settle();
   return slashed;
 }
 
 TokenAmount DepositBook::confiscate(SectorId sector) {
-  const auto it = deposits_.find(sector);
-  if (it == deposits_.end()) return 0;
-  const TokenAmount amount = it->second;
+  if (sector >= deposits_.size() ||
+      sectors_.state(sector) == SectorState::removed) {
+    return 0;
+  }
+  const TokenAmount amount = deposits_[sector];
   if (amount > 0) {
     FI_CHECK(ledger_.transfer(escrow_, pool_, amount).is_ok());
-    it->second = 0;
+    deposits_[sector] = 0;
   }
   total_confiscated_ = util::checked_add(total_confiscated_, amount);
   settle();
@@ -49,14 +47,12 @@ TokenAmount DepositBook::confiscate(SectorId sector) {
 }
 
 TokenAmount DepositBook::refund(SectorId sector) {
-  const auto it = deposits_.find(sector);
-  if (it == deposits_.end()) return 0;
-  const TokenAmount amount = it->second;
+  const TokenAmount amount = remaining(sector);
   if (amount > 0) {
     FI_CHECK(
         ledger_.transfer(escrow_, sectors_.owner(sector), amount).is_ok());
+    deposits_[sector] = 0;
   }
-  deposits_.erase(it);
   return amount;
 }
 
@@ -94,17 +90,23 @@ void DepositBook::settle() {
   }
 }
 
+std::uint64_t DepositBook::live_sectors() const {
+  std::uint64_t live = 0;
+  for (SectorId id = 0; id < sectors_.count(); ++id) {
+    live += sectors_.state(id) != SectorState::removed;
+  }
+  return live;
+}
+
 void DepositBook::save(util::BinaryWriter& writer) const {
-  std::vector<SectorId> sectors;
-  sectors.reserve(deposits_.size());
-  // fi-lint: allow(unordered-iter, keys collected then sorted before encoding)
-  for (const auto& [sector, _] : deposits_) sectors.push_back(sector);
-  std::sort(sectors.begin(), sectors.end());
-  writer.u64(sectors.size());
-  for (const SectorId sector : sectors) {
-    writer.u64(sector);
-    writer.u64(sectors_.owner(sector));
-    writer.u64(deposits_.at(sector));
+  // Every registered sector pledged, so each one not removed has a row.
+  FI_CHECK_MSG(deposits_.size() == sectors_.count(), "unpledged sector");
+  writer.u64(live_sectors());
+  for (SectorId id = 0; id < deposits_.size(); ++id) {
+    if (sectors_.state(id) == SectorState::removed) continue;
+    writer.u64(id);
+    writer.u64(sectors_.owner(id));
+    writer.u64(deposits_[id]);
   }
   writer.u64(liabilities_.size());
   for (const Liability& l : liabilities_) {
@@ -117,10 +119,9 @@ void DepositBook::save(util::BinaryWriter& writer) const {
 }
 
 void DepositBook::load(util::BinaryReader& reader) {
-  deposits_.clear();
+  deposits_.assign(sectors_.count(), 0);
   liabilities_.clear();
   const std::uint64_t n = reader.count(24);
-  deposits_.reserve(n);
   SectorId last = 0;
   for (std::uint64_t i = 0; i < n && reader.ok(); ++i) {
     const SectorId sector = reader.u64();
@@ -134,16 +135,12 @@ void DepositBook::load(util::BinaryReader& reader) {
       reader.fail();
       break;
     }
-    deposits_.emplace(sector, remaining);
+    deposits_[sector] = remaining;
     last = sector;
   }
   // Each row names a distinct live sector, so equal counts leave no live
   // sector without its deposit.
-  std::uint64_t live = 0;
-  for (SectorId id = 0; id < sectors_.count(); ++id) {
-    if (sectors_.state(id) != SectorState::removed) ++live;
-  }
-  if (n != live) reader.fail();
+  if (n != live_sectors()) reader.fail();
 
   const std::uint64_t liabilities = reader.count(16);
   TokenAmount total = 0;

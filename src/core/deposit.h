@@ -2,7 +2,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
+#include <vector>
 
 #include "core/sector.h"
 #include "core/types.h"
@@ -19,6 +19,9 @@
 /// bounds the probability), the shortfall is recorded as a FIFO liability
 /// and settled from later confiscations. Every sector not yet removed has a
 /// deposit, owned by the sector's owner, which the book reads, not stores.
+/// The book is the one record of what the insurance paid:
+/// `total_compensated` counts both payouts at loss time and later
+/// settlements, and `Network::stats()` reports it.
 namespace fi::core {
 
 class DepositBook {
@@ -32,16 +35,21 @@ class DepositBook {
         sectors_(sectors) {}
 
   /// Locks `amount` from the sector's owner into escrow for the sector.
+  /// Sectors pledge in id order, each once.
   util::Status pledge(SectorId sector, TokenAmount amount);
 
-  /// Remaining (un-slashed) deposit of a sector.
-  [[nodiscard]] TokenAmount remaining(SectorId sector) const;
+  /// Remaining (un-slashed) deposit of a sector; 0 once it is removed or
+  /// when it never pledged.
+  [[nodiscard]] TokenAmount remaining(SectorId sector) const {
+    return sector < deposits_.size() ? deposits_[sector] : 0;
+  }
 
   /// Moves `bp` basis points of the remaining deposit into the pool;
   /// returns the amount slashed. Settles liabilities afterwards.
   TokenAmount punish(SectorId sector, std::uint32_t bp);
 
   /// Moves the whole remaining deposit into the pool; returns the amount.
+  /// For a removed sector it does nothing and returns 0.
   TokenAmount confiscate(SectorId sector);
 
   /// Refunds the remaining deposit to the sector's owner (safe exit).
@@ -61,13 +69,15 @@ class DepositBook {
   [[nodiscard]] TokenAmount total_confiscated() const {
     return total_confiscated_;
   }
+  /// Everything paid to clients: at loss time and by later settlements.
   [[nodiscard]] TokenAmount total_compensated() const {
     return total_compensated_;
   }
 
-  /// Canonical snapshot encoding (deposits sorted by sector, with owners;
-  /// liabilities in FIFO order, then their sum) / full-state restore — see
-  /// `src/snapshot`. Balances live in the ledger, restored separately.
+  /// Canonical snapshot encoding (one row per sector not removed, in id
+  /// order, with its owner; liabilities in FIFO order, then their sum) /
+  /// full-state restore — see `src/snapshot`. Balances live in the ledger,
+  /// restored separately.
   /// `load` follows the sector table's and fails the reader on what `save`
   /// cannot produce: rows out of sector order, not one per sector not
   /// removed, or with another owner; a zero liability; a wrong sum.
@@ -77,6 +87,8 @@ class DepositBook {
  private:
   /// Pays queued liabilities from the pool, FIFO.
   void settle();
+  /// Sectors the table has not removed: the rows `save` writes.
+  [[nodiscard]] std::uint64_t live_sectors() const;
 
   struct Liability {
     ClientId client = kNoAccount;
@@ -93,8 +105,9 @@ class DepositBook {
   // fi-lint: not-serialized(reference to the engine's sector table, which
   // snapshots itself)
   const SectorTable& sectors_;
-  /// Remaining (un-slashed) deposit per sector.
-  std::unordered_map<SectorId, TokenAmount> deposits_;
+  /// Remaining (un-slashed) deposit, indexed by sector id; a removed
+  /// sector's entry is 0.
+  std::vector<TokenAmount> deposits_;
   std::deque<Liability> liabilities_;
   TokenAmount total_confiscated_ = 0;
   TokenAmount total_compensated_ = 0;

@@ -390,8 +390,6 @@ void Network::finish_check_proof(const FileView& f, bool discarded_for_rent,
     ++stats_.files_lost;
     stats_.value_lost = util::checked_add(stats_.value_lost, value);
     const TokenAmount paid = deposit_book_.compensate(f.row().owner, value);
-    stats_.value_compensated =
-        util::checked_add(stats_.value_compensated, paid);
     total_stored_value_ = util::checked_sub(total_stored_value_, value);
     bus_.emit(FileLost{file, value, paid});
     remove_file_internal(file);
@@ -885,7 +883,11 @@ void Network::save_misc(util::BinaryWriter& writer) const {
     if (physically_corrupted_[s] != 0) writer.u64(s);
   }
 
-  save_network_stats(stats_, writer);
+  // The compensation slot holds the deposit book's total, as `stats()`
+  // reports it.
+  NetworkStats stats = stats_;
+  stats.value_compensated = deposit_book_.total_compensated();
+  save_network_stats(stats, writer);
 }
 
 void Network::save_state_component(StateComponent component,
@@ -1015,6 +1017,12 @@ util::Status Network::load(util::BinaryReader& reader) {
     reader.fail();
   }
   deposit_book_.load(reader);
+  // The stats block's compensation slot restates the book's total, which
+  // the engine does not keep a copy of.
+  if (stats_.value_compensated != deposit_book_.total_compensated()) {
+    reader.fail();
+  }
+  stats_.value_compensated = 0;
 
   alloc_table_.load_files(reader);
 

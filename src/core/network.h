@@ -51,6 +51,8 @@ struct NetworkStats {
   std::uint64_t files_discarded = 0;
   std::uint64_t files_lost = 0;
   TokenAmount value_lost = 0;
+  /// Paid to clients for lost files, at loss time and by later
+  /// settlements (`DepositBook::total_compensated`).
   TokenAmount value_compensated = 0;
   std::uint64_t sectors_corrupted = 0;
   std::uint64_t refreshes_started = 0;
@@ -188,7 +190,13 @@ class Network {
   [[nodiscard]] const SectorTable& sectors() const { return sector_table_; }
   [[nodiscard]] const AllocTable& allocations() const { return alloc_table_; }
   [[nodiscard]] const DepositBook& deposits() const { return deposit_book_; }
-  [[nodiscard]] const NetworkStats& stats() const { return stats_; }
+  /// The engine's counters. `value_compensated` is the deposit book's
+  /// total, so it includes liabilities settled after the loss.
+  [[nodiscard]] NetworkStats stats() const {
+    NetworkStats stats = stats_;
+    stats.value_compensated = deposit_book_.total_compensated();
+    return stats;
+  }
   [[nodiscard]] bool file_exists(FileId file) const {
     return alloc_table_.has_file(file);
   }
@@ -272,7 +280,9 @@ class Network {
   /// components disagree: a sector reference count other than the entries
   /// that name the sector, a rent snapshot above the accumulator or owing
   /// rent past 128 bits, a check_refresh task past its live file's
-  /// replicas, or a file id at or past the next one File_Add would issue.
+  /// replicas, a file id at or past the next one File_Add would issue, or
+  /// a stats block whose `value_compensated` is not the deposits'
+  /// `total_compensated`.
   util::Status load(util::BinaryReader& reader);
 
   // ---- Component-structured state -----------------------------------------
@@ -426,6 +436,7 @@ class Network {
   // fi-lint: not-serialized(scratch buffer valid only within one batch)
   std::vector<std::pair<Time, Task>> due_buffer_;
 
+  /// `value_compensated` stays 0 here: `stats()` reads the deposit book.
   NetworkStats stats_;
 };
 

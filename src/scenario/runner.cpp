@@ -1146,6 +1146,8 @@ util::Status ScenarioRunner::load_state(util::BinaryReader& reader) {
   progress_.sectors_hit = reader.u64();
   progress_.selfish_cutoff = reader.u64();
   progress_.admitted = util::load_u64_seq<core::SectorId>(reader);
+  // begin_phase registers the admitted sectors in id order.
+  if (!ascending_below(progress_.admitted, sectors)) reader.fail();
   {
     const std::uint64_t streaks = reader.count(16);
     progress_.streak.reserve(streaks);

@@ -126,7 +126,8 @@ class ScenarioRunner {
   /// `save_state` cannot produce is rejected: a transfer count other than
   /// 0, an adversary sector id the restored network does not hold, a
   /// sector in two claimed lists, claims other than those lists imply, or
-  /// refusal and suppressed lists that do not ascend strictly.
+  /// refusal, suppressed and admitted lists that do not ascend strictly
+  /// below the restored sector count.
   static util::Result<std::unique_ptr<ScenarioRunner>> resume(
       ScenarioSpec spec, util::BinaryReader& reader);
 
@@ -140,7 +141,6 @@ class ScenarioRunner {
   [[nodiscard]] const core::Network& network() const { return *net_; }
   [[nodiscard]] const ledger::Ledger& ledger() const { return ledger_; }
   [[nodiscard]] AccountId client_account() const { return client_; }
-  [[nodiscard]] AccountId provider_account() const { return provider_; }
   /// Files added during setup (`spec.initial_files` unless the fleet
   /// filled up first).
   [[nodiscard]] std::uint64_t initial_files_stored() const {

@@ -75,10 +75,6 @@ class NetModel {
   [[nodiscard]] bool region_down(std::uint64_t region) const {
     return down_[region] != 0;
   }
-  /// Either condition: the region can neither prove nor receive.
-  [[nodiscard]] bool region_blocked(std::uint64_t region) const {
-    return region_partitioned(region) || region_down(region);
-  }
 
   // ---- Sending and delivery ----------------------------------------------
   /// Samples loss and latency for `message` and queues it. A message whose

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/check.h"
+
 namespace fi::traffic {
 
 void PoissonEnvelopeDefense::end_epoch(std::uint64_t epoch) {
@@ -32,8 +34,7 @@ void PoissonEnvelopeDefense::end_epoch(std::uint64_t epoch) {
   } else {
     for (std::size_t i = 0; i < epoch_counts_.size(); ++i) {
       if (static_cast<double>(epoch_counts_[i]) > envelope_) {
-        if (++streaks_[i] >= violations_ && flagged_[i] == 0) {
-          flagged_[i] = 1;
+        if (++streaks_[i] >= violations_ && !flagged(i)) {
           first_flag_epoch_[i] = epoch;
         }
       } else {
@@ -50,35 +51,46 @@ std::uint64_t PoissonEnvelopeDefense::allowance() const {
 }
 
 void PoissonEnvelopeDefense::save_state(util::BinaryWriter& writer) const {
+  // Only `observe`, inside the traffic tick, raises a count, and the same
+  // tick's `end_epoch` zeroes them all.
+  FI_CHECK_MSG(std::ranges::all_of(epoch_counts_,
+                                   [](std::uint64_t n) { return n == 0; }),
+               "checkpoint inside an open defense epoch");
   util::save_u64_seq(writer, epoch_counts_);
   util::save_u64_seq(writer, warmup_totals_);
   writer.u64(epochs_seen_);
   writer.boolean(armed_);
   writer.f64(envelope_);
   util::save_u64_seq(writer, streaks_);
-  util::save_u64_seq(writer, flagged_);
+  writer.u64(first_flag_epoch_.size());
+  for (std::size_t i = 0; i < first_flag_epoch_.size(); ++i) {
+    writer.u64(flagged(i) ? 1 : 0);
+  }
   util::save_u64_seq(writer, first_flag_epoch_);
 }
 
 void PoissonEnvelopeDefense::load_state(util::BinaryReader& reader) {
-  const std::size_t streams = flagged_.size();
+  const std::size_t streams = first_flag_epoch_.size();
   epoch_counts_ = util::load_u64_seq<std::uint64_t>(reader);
   warmup_totals_ = util::load_u64_seq<std::uint64_t>(reader);
   epochs_seen_ = reader.u64();
   armed_ = reader.boolean();
   envelope_ = reader.f64();
   streaks_ = util::load_u64_seq<std::uint64_t>(reader);
-  flagged_ = util::load_u64_seq<std::uint64_t>(reader);
+  const auto flags = util::load_u64_seq<std::uint64_t>(reader);
   first_flag_epoch_ = util::load_u64_seq<std::uint64_t>(reader);
   // Every per-stream vector must match the spec-constructed stream count;
   // a crafted body with mismatched lengths is rejected, not indexed OOB.
   if (epoch_counts_.size() != streams || warmup_totals_.size() != streams ||
-      streaks_.size() != streams || flagged_.size() != streams ||
+      streaks_.size() != streams || flags.size() != streams ||
       first_flag_epoch_.size() != streams) {
     reader.fail();
+    return;
   }
-  for (const std::uint64_t f : flagged_) {
-    if (f > 1) reader.fail();
+  for (std::size_t i = 0; i < streams; ++i) {
+    if (epoch_counts_[i] != 0 || flags[i] != (flagged(i) ? 1 : 0)) {
+      reader.fail();
+    }
   }
 }
 

@@ -36,7 +36,6 @@ class PoissonEnvelopeDefense {
         epoch_counts_(streams, 0),
         warmup_totals_(streams, 0),
         streaks_(streams, 0),
-        flagged_(streams, 0),
         first_flag_epoch_(streams, kNeverFlagged) {}
 
   /// Counts one offered request on `stream` this epoch (before any
@@ -53,7 +52,7 @@ class PoissonEnvelopeDefense {
   [[nodiscard]] bool armed() const { return armed_; }
   [[nodiscard]] double envelope() const { return envelope_; }
   [[nodiscard]] bool flagged(std::size_t stream) const {
-    return flagged_[stream] != 0;
+    return first_flag_epoch_[stream] != kNeverFlagged;
   }
   /// Epoch the stream was first flagged, `kNeverFlagged` if never.
   [[nodiscard]] std::uint64_t first_flagged_epoch(std::size_t stream) const {
@@ -65,7 +64,11 @@ class PoissonEnvelopeDefense {
   [[nodiscard]] std::uint64_t allowance() const;
 
   /// Canonical snapshot encoding / restore (`src/snapshot`). The
-  /// configuration (warmup, k, violations) is rebuilt from the spec.
+  /// configuration (warmup, k, violations) is rebuilt from the spec. A
+  /// checkpoint falls between epochs, so the per-epoch counts are zero;
+  /// the encoding still carries them, and a 0/1 flag per stream that
+  /// restates its first-flag epoch. `load_state` rejects a nonzero count
+  /// and a flag that disagrees with its epoch.
   void save_state(util::BinaryWriter& writer) const;
   void load_state(util::BinaryReader& reader);
 
@@ -78,14 +81,14 @@ class PoissonEnvelopeDefense {
   // fi-lint: not-serialized(configuration, rebuilt from the traffic spec)
   std::uint64_t violations_;
 
+  /// Offered requests per stream in the open epoch; `end_epoch` zeroes it.
   std::vector<std::uint64_t> epoch_counts_;
   std::vector<std::uint64_t> warmup_totals_;
   std::uint64_t epochs_seen_ = 0;
   bool armed_ = false;
   double envelope_ = 0.0;
   std::vector<std::uint64_t> streaks_;
-  /// 0/1 flags (u64 so the encoding reuses the shared u64-seq framing).
-  std::vector<std::uint64_t> flagged_;
+  /// A stream is flagged iff its entry is not `kNeverFlagged`.
   std::vector<std::uint64_t> first_flag_epoch_;
 };
 

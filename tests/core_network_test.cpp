@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "core/network.h"
@@ -376,6 +377,39 @@ TEST_F(NetworkFixture, CompensationShortfallBecomesLiability) {
   const TokenAmount cycle_cost =
       params.rent_per_cycle(500, 20) + 2 * params.gas_per_task;
   EXPECT_EQ(ledger.balance(client), client_before + 100u - cycle_cost);
+}
+
+TEST_F(NetworkFixture, LateSettlementCountsAsCompensation) {
+  Params p = test_params();
+  p.gamma_deposit = 0.001;  // the pool falls short of the loss
+  build(p, 4, 4 * 1024);
+  (void)add_and_store(500, 100);
+  for (SectorId s : sectors_) net->corrupt_sector_now(s);
+  net->advance_to(net->now() + params.proof_cycle + 1);
+  const auto lost = events_of<FileLost>();
+  ASSERT_EQ(lost.size(), 1u);
+  ASSERT_LT(lost[0].compensated_now, 100u);
+  // The insurance identity (§IV-B): every lost token was paid or is owed,
+  // and the engine reports what the deposit book paid.
+  const auto insured = [this] {
+    const NetworkStats stats = net->stats();
+    EXPECT_EQ(stats.value_compensated, net->deposits().total_compensated());
+    EXPECT_EQ(stats.value_lost,
+              stats.value_compensated +
+                  net->deposits().outstanding_liabilities());
+  };
+  insured();
+  EXPECT_EQ(net->stats().value_compensated, lost[0].compensated_now);
+
+  // A later confiscation settles the liability, and the settlement is
+  // compensation too.
+  auto fresh =
+      net->sector_register(ledger.create_account(1'000'000), 1024 * 1024);
+  ASSERT_TRUE(fresh.is_ok());
+  net->corrupt_sector_now(fresh.value());
+  EXPECT_EQ(net->deposits().outstanding_liabilities(), 0u);
+  EXPECT_EQ(net->stats().value_compensated, 100u);
+  insured();
 }
 
 // ---------------------------------------------------------------------------
@@ -929,6 +963,32 @@ TEST_F(NetworkFixture, LoadRejectsFileIdsAtOrPastTheNextId) {
   EXPECT_TRUE(loads_at(id + 1));
   EXPECT_TRUE(loads_at(id + 100));  // ids of removed files are never reused
   EXPECT_FALSE(loads_at(id));
+  EXPECT_FALSE(loads_at(0));
+}
+
+TEST_F(NetworkFixture, LoadRejectsACompensationSlotOtherThanTheBooksTotal) {
+  build(test_params());
+  const FileId id = add_and_store(1000, 20);
+  for (SectorId s : sectors_) net->corrupt_sector_now(s);
+  net->advance_to(net->now() + params.proof_cycle + 1);
+  ASSERT_FALSE(net->file_exists(id));
+  const TokenAmount total = net->deposits().total_compensated();
+  ASSERT_EQ(total, 20u);
+  // The misc component ends with the 15-counter stats block, whose 7th
+  // counter is value_compensated.
+  const auto misc = component_of(*net, Network::StateComponent::misc);
+  const std::size_t slot = misc.size() - 15 * 8 + 6 * 8;
+  const auto loads_at = [&](TokenAmount compensated) {
+    std::vector<std::uint8_t> bytes = misc;
+    put_le(bytes, slot, compensated, 8);
+    return loads_with(*net, Network::StateComponent::misc, bytes);
+  };
+  const std::span<const std::uint8_t> slot_bytes(misc.data() + slot, 8);
+  util::BinaryReader stored(slot_bytes);
+  ASSERT_EQ(stored.u64(), total);
+  EXPECT_TRUE(loads_at(total));
+  EXPECT_FALSE(loads_at(total - 1));
+  EXPECT_FALSE(loads_at(total + 1));
   EXPECT_FALSE(loads_at(0));
 }
 

@@ -19,10 +19,11 @@
 
 /// The tier-1 half of the golden-hash contract: every shipped config's
 /// end-of-run state hash — what `fi_sim --scenario <cfg> --hash-state`
-/// prints — must equal its line in tests/golden/state_hashes.txt, and its
-/// report must satisfy rent conservation and the insurance identity. The
-/// million-file `churn_1m` run is left to the CI golden-hashes job, which
-/// regenerates the whole file with scripts/update_golden_hashes.sh.
+/// prints — must equal its line in tests/golden/state_hashes.txt, and rent
+/// conservation and the insurance identity must hold after every epoch
+/// and in its report. The million-file `churn_1m` run is left to the CI
+/// golden-hashes job, which regenerates the whole file with
+/// scripts/update_golden_hashes.sh.
 ///
 /// The spec text itself is pinned too (`SpecText.*`): checkpoints embed
 /// it, and every key's parser and emitter walk one table, so a byte moved
@@ -72,17 +73,29 @@ TEST_P(GoldenHash, EndStateMatchesGoldenFile) {
   const auto expected = golden.find(name);
   ASSERT_NE(expected, golden.end()) << name << " has no golden hash";
 
-  auto session = Session::from_config_file(
-      (fs::path(FI_CONFIG_DIR) / (name + ".cfg")).string());
-  ASSERT_TRUE(session.is_ok()) << session.status().to_string();
-  const scenario::MetricsReport report = session.value().report();
-  EXPECT_EQ(session.value().state_hash(), expected->second)
+  auto spec =
+      Session::load_spec((fs::path(FI_CONFIG_DIR) / (name + ".cfg")).string());
+  ASSERT_TRUE(spec.is_ok()) << spec.status().to_string();
+  scenario::ScenarioRunner runner(std::move(spec).value());
+
+  // The protocol's two invariants hold after every epoch: rent
+  // conservation (§IV-A2) and the insurance identity (§IV-B) — every lost
+  // token was either compensated or is still owed.
+  while (runner.run_cycles(1) == 1) {
+    const core::Network& net = runner.network();
+    const core::NetworkStats stats = net.stats();
+    EXPECT_EQ(net.total_rent_charged(),
+              net.total_rent_paid() +
+                  runner.ledger().balance(net.rent_pool_account()))
+        << name << " epoch " << runner.epoch();
+    EXPECT_EQ(stats.value_lost, stats.value_compensated +
+                                    net.deposits().outstanding_liabilities())
+        << name << " epoch " << runner.epoch();
+  }
+  const scenario::MetricsReport report = runner.finalize();
+  EXPECT_EQ(snapshot::state_hash(runner), expected->second)
       << name << ": if the behavior change is intended, run "
       << "scripts/update_golden_hashes.sh and commit the result";
-
-  // The protocol's two end-of-run invariants: rent conservation (§IV-A2)
-  // and the insurance identity (§IV-B) — every lost token was either
-  // compensated or is still owed.
   EXPECT_TRUE(report.rent_conserved) << name;
   EXPECT_EQ(report.totals.value_lost,
             report.totals.value_compensated + report.outstanding_liabilities)

@@ -124,6 +124,48 @@ TEST(SessionStepping, OneEpochAtATimeEqualsMonolithicRun) {
   }
 }
 
+/// The pool falls short at the first burst, and the second burst's
+/// confiscations settle part of that debt (§IV-B, Theorem 4): 120 sectors
+/// hold 900 one-KiB files of value 100 at k = 2, under a deposit ratio of
+/// 0.0005.
+scenario::ScenarioSpec late_settlement_spec() {
+  scenario::ScenarioSpec spec;
+  spec.name = "late_settlement";
+  spec.seed = 31337;
+  spec.sectors = 120;
+  spec.sector_units = 1;
+  spec.initial_files = 900;
+  spec.file_size_min = 1024;
+  spec.file_size_max = 1024;
+  spec.file_value = 100;
+  spec.params.k = 2;
+  spec.params.cap_para = 30.0;
+  spec.params.gamma_deposit = 0.0005;
+  spec.phases.push_back(scenario::PhaseSpec::make_corrupt_burst(0.5, 3));
+  spec.phases.push_back(scenario::PhaseSpec::make_corrupt_burst(0.3, 3));
+  return spec;
+}
+
+TEST(SessionStepping, InsuranceIdentityHoldsAtEveryEpoch) {
+  Session session = open_session(late_settlement_spec());
+  while (session.run_epochs(1) == 1) {
+    const core::Network& net = session.network();
+    const core::NetworkStats stats = net.stats();
+    EXPECT_EQ(stats.value_lost, stats.value_compensated +
+                                    net.deposits().outstanding_liabilities())
+        << "epoch " << session.epoch();
+  }
+  EXPECT_EQ(session.epoch(), 6u);
+  const scenario::MetricsReport report = session.report();
+  ASSERT_EQ(report.phases.size(), 2u);
+  EXPECT_GT(report.outstanding_liabilities, 0u);
+  // What the second burst's confiscations settled is that phase's
+  // compensation.
+  EXPECT_GT(report.phases[1].delta.value_compensated, 0u);
+  EXPECT_EQ(report.totals.value_lost,
+            report.totals.value_compensated + report.outstanding_liabilities);
+}
+
 TEST(SessionStepping, ArbitraryBatchSizesEqualMonolithicRun) {
   const scenario::ScenarioSpec spec = shrunk_spec("smoke.cfg");
   const RunOutcome mono = monolithic_run(spec);

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
 #include <vector>
@@ -780,6 +781,51 @@ TEST(RunnerSnapshot, RefusalAndSuppressedListsMustAscendWithinTheFleet) {
     EXPECT_FALSE(resumes(
         saved, with_u64(saved.bytes, suppressed + 8 * count, kFarSector)));
   }
+}
+
+TEST(RunnerSnapshot, AdmittedSectorsMustAscendWithinTheFleet) {
+  // A 40-sector fleet admits 40 more sectors, ids 40 to 79, at the start
+  // of a 3-cycle admit phase, and reports their share of the backups when
+  // the phase ends. A resumed run with an admitted id past the fleet would
+  // read a count of 0 for it and report a wrong share.
+  scenario::ScenarioSpec spec;
+  spec.name = "admit";
+  spec.seed = 7;
+  spec.sectors = 40;
+  spec.sector_units = 1;
+  spec.initial_files = 300;
+  spec.file_size_min = 1024;
+  spec.file_size_max = 1024;
+  spec.file_value = 10;
+  spec.params.min_capacity = 32 * 1024;
+  spec.params.min_value = 10;
+  spec.params.k = 2;
+  spec.params.cap_para = 30.0;
+  spec.params.gamma_deposit = 0.2;
+  spec.params.admission_rebalance = true;
+  spec.phases.push_back(scenario::PhaseSpec::make_admit(40, 3));
+  SavedBody saved;
+  saved.runner = std::make_unique<scenario::ScenarioRunner>(spec);
+  ASSERT_EQ(saved.runner->run_cycles(1), 1u);
+  saved.bytes = snapshot::encode_state(*saved.runner);
+  ASSERT_TRUE(resumes(saved, saved.bytes));
+
+  // The list as save_state writes it: its count, then the ids.
+  std::vector<core::SectorId> admitted(40);
+  std::iota(admitted.begin(), admitted.end(), core::SectorId{40});
+  util::BinaryWriter list;
+  util::save_u64_seq(list, admitted);
+  const auto found = std::search(saved.bytes.begin(), saved.bytes.end(),
+                                 list.data().begin(), list.data().end());
+  ASSERT_NE(found, saved.bytes.end());
+  ASSERT_EQ(std::search(found + 1, saved.bytes.end(), list.data().begin(),
+                        list.data().end()),
+            saved.bytes.end());
+  const auto first = static_cast<std::size_t>(found - saved.bytes.begin()) + 8;
+  EXPECT_FALSE(resumes(saved, with_u64(saved.bytes, first, kFarSector)));
+  // The last id at the sector count, and the first two swapped.
+  EXPECT_FALSE(resumes(saved, with_u64(saved.bytes, first + 39 * 8, 80)));
+  EXPECT_FALSE(resumes(saved, swapped(saved.bytes, first, first + 8)));
 }
 
 }  // namespace

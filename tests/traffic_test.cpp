@@ -220,6 +220,66 @@ TEST(PoissonEnvelopeDefenseTest, FlagIsStickyAfterBackoff) {
   EXPECT_EQ(defense.first_flagged_epoch(2), 3u);
 }
 
+TEST(PoissonEnvelopeDefenseTest, LoadRejectsTailsSaveCannotProduce) {
+  // Three streams at 1/epoch arm an envelope of 1 + 4 + 3 = 8 after one
+  // warmup epoch; stream 2 sends 20 in epochs 1 and 2 and is flagged when
+  // epoch 2 closes.
+  const auto make_defense = [] {
+    return PoissonEnvelopeDefense(/*streams=*/3, /*warmup=*/1, /*k=*/4.0,
+                                  /*violations=*/2);
+  };
+  PoissonEnvelopeDefense defense = make_defense();
+  for (std::uint64_t epoch = 0; epoch < 3; ++epoch) {
+    defense.observe(0);
+    defense.observe(1);
+    for (int r = 0; r < (epoch == 0 ? 1 : 20); ++r) defense.observe(2);
+    defense.end_epoch(epoch);
+  }
+  ASSERT_TRUE(defense.flagged(2));
+  ASSERT_EQ(defense.first_flagged_epoch(2), 2u);
+  ASSERT_FALSE(defense.flagged(0));
+  BinaryWriter saved;
+  defense.save_state(saved);
+  const std::vector<std::uint8_t>& base = saved.data();
+  // Each per-stream vector is a count and three u64s (32 bytes): the
+  // epoch counts, the warmup totals, then epochs seen, the armed byte and
+  // the envelope (17 bytes), the streaks, the flags and the first-flag
+  // epochs.
+  constexpr std::size_t kCountsAt = 8;
+  constexpr std::size_t kFlagsAt = 32 + 32 + 17 + 32 + 8;
+  constexpr std::size_t kEpochsAt = kFlagsAt + 24 + 8;
+  ASSERT_EQ(base.size(), kEpochsAt + 24);
+  const auto loads = [&](const std::vector<std::uint8_t>& bytes) {
+    PoissonEnvelopeDefense fresh = make_defense();
+    BinaryReader reader(bytes);
+    fresh.load_state(reader);
+    return reader.ok() && reader.exhausted();
+  };
+  const auto with = [&](std::size_t at, std::uint64_t value) {
+    std::vector<std::uint8_t> bytes = base;
+    for (std::size_t b = 0; b < 8; ++b) {
+      bytes[at + b] = static_cast<std::uint8_t>(value >> (8 * b));
+    }
+    return bytes;
+  };
+  ASSERT_EQ(with(kFlagsAt + 16, 1), base);
+  ASSERT_EQ(with(kEpochsAt + 16, 2), base);
+  EXPECT_TRUE(loads(base));
+  const struct {
+    const char* what;
+    std::vector<std::uint8_t> bytes;
+  } cases[] = {
+      {"an open epoch's count", with(kCountsAt, 1)},
+      {"a flag without a first-flag epoch", with(kFlagsAt, 1)},
+      {"a first-flag epoch without its flag", with(kEpochsAt, 1)},
+      {"a flagged stream's flag cleared", with(kFlagsAt + 16, 0)},
+      {"a flag above 1", with(kFlagsAt + 16, 2)},
+  };
+  for (const auto& c : cases) {
+    EXPECT_FALSE(loads(c.bytes)) << c.what;
+  }
+}
+
 // ---- Retrieval market ------------------------------------------------------
 
 using Rows = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
