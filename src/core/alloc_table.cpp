@@ -26,19 +26,12 @@ std::vector<EntryKey> keys_of(const auto& buckets, SectorId sector) {
 AllocTable::FileView AllocTable::create_file(FileId file, std::uint32_t cp) {
   FI_CHECK_MSG(!has_file(file), "file already allocated");
   FI_CHECK_MSG(cp >= 1, "file needs at least one replica");
-  std::size_t offset = pool_.acquire(cp);
-  if (offset == util::FixedBlockPool::kNoBlock) {
-    offset = prev_.size();
-    // Index items carry their slot as a u32.
-    FI_CHECK_MSG(offset + cp <= kMaxSlots, "slab past 2^32 slots");
-    prev_.resize(offset + cp, kNoSector);
-    next_.resize(offset + cp, kNoSector);
-    last_.resize(offset + cp, kNoTime);
-    state_.resize(offset + cp, AllocState::alloc);
-    pos_in_prev_.resize(offset + cp, kNoPos);
-    pos_in_next_.resize(offset + cp, kNoPos);
-    pos_in_normal_.resize(offset + cp, kNoPos);
-  } else {
+  std::uint32_t row = kNoRow;
+  const auto freed = free_rows_.find(cp);
+  if (freed != free_rows_.end() && !freed->second.empty()) {
+    row = freed->second.back();
+    freed->second.pop_back();
+    const std::size_t offset = rows_[row].offset;
     for (std::size_t s = offset; s < offset + cp; ++s) {
       prev_[s] = kNoSector;
       next_[s] = kNoSector;
@@ -48,16 +41,21 @@ AllocTable::FileView AllocTable::create_file(FileId file, std::uint32_t cp) {
       pos_in_next_[s] = kNoPos;
       pos_in_normal_[s] = kNoPos;
     }
-  }
-  std::uint32_t row = kNoRow;
-  if (free_rows_.empty()) {
-    FI_CHECK_MSG(rows_.size() < kNoRow, "rows past 2^32 - 1");
-    row = static_cast<std::uint32_t>(rows_.size());
-    rows_.emplace_back();
+    rows_[row].row = FileRow{};
   } else {
-    row = free_rows_.back();
-    free_rows_.pop_back();
-    rows_[row] = File{};
+    const std::size_t offset = prev_.size();
+    // Index items carry their slot as a u32.
+    FI_CHECK_MSG(offset + cp <= kMaxSlots, "slab past 2^32 slots");
+    FI_CHECK_MSG(rows_.size() < kNoRow, "rows past 2^32 - 1");
+    prev_.resize(offset + cp, kNoSector);
+    next_.resize(offset + cp, kNoSector);
+    last_.resize(offset + cp, kNoTime);
+    state_.resize(offset + cp, AllocState::alloc);
+    pos_in_prev_.resize(offset + cp, kNoPos);
+    pos_in_next_.resize(offset + cp, kNoPos);
+    pos_in_normal_.resize(offset + cp, kNoPos);
+    row = static_cast<std::uint32_t>(rows_.size());
+    rows_.push_back({FileRow{}, offset});
   }
   if (index_.empty()) {
     base_ = file;
@@ -74,7 +72,6 @@ AllocTable::FileView AllocTable::create_file(FileId file, std::uint32_t cp) {
   ++file_count_;
   File& created = rows_[row];
   created.row.desc.cp = cp;
-  created.offset = offset;
   return view_of(file, created);
 }
 
@@ -91,8 +88,7 @@ void AllocTable::remove_file(FileId file) {
       list_remove(normal_entries_, pos_in_normal_, item.slot);
     }
   }
-  free_rows_.push_back(row);
-  pool_.release(cp, offset);
+  free_rows_[cp].push_back(row);
 
   const std::size_t at = file - base_;
   index_[at] = kNoRow;
@@ -292,7 +288,6 @@ void AllocTable::load(util::BinaryReader& reader, std::uint64_t sector_count,
   by_prev_.clear();
   by_next_.clear();
   normal_entries_.clear();
-  pool_.clear();
 
   // Slots with a link or in `normal` state, counted as the slab is read:
   // the setters keep each of them listed in its index or the sampler, so
@@ -485,7 +480,7 @@ void AllocTable::load_files(util::BinaryReader& reader) {
     row.desc.cp = reader.u32();
     row.desc.cntdown = reader.i64();
     const std::uint8_t state = reader.u8();
-    if (state > static_cast<std::uint8_t>(FileState::removed)) reader.fail();
+    if (state > static_cast<std::uint8_t>(FileState::discard)) reader.fail();
     row.desc.state = static_cast<FileState>(state);
     row.owner = reader.u64();
     row.added_at = reader.u64();

@@ -1,13 +1,13 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "core/file.h"
 #include "core/types.h"
-#include "util/arena.h"
 #include "util/binary_io.h"
 #include "util/check.h"
 #include "util/prng.h"
@@ -33,9 +33,10 @@
 /// Entry storage is a struct-of-arrays slab: every entry field lives in its
 /// own dense array, and a file's `cp` replicas occupy one contiguous run of
 /// slots. The proof sweep streams the state/prev/last arrays instead of
-/// striding records, and freed runs are recycled through a fixed-block
-/// pool (`util::FixedBlockPool`) keyed by `cp`, so steady-state churn
-/// reuses warm slots instead of growing the slab.
+/// striding records. A row keeps its slot run for life: a removed file's
+/// row waits on a free list for its replica count, and the next file of
+/// that count takes over the row and its warm slots, so steady-state churn
+/// grows neither the rows nor the slab.
 ///
 /// Index positions are *intrusive*: each slot stores its own position in
 /// the by-prev / by-next buckets and in the normal-entry sampler, and each
@@ -104,15 +105,15 @@ class AllocTable {
     Time* last_ = nullptr;
   };
 
-  /// Creates a file's row and its `cp` empty entries (recycling a pooled
-  /// slot run when one of that size is free) and returns its view. The row
-  /// has `desc.cp == cp` and defaults elsewhere; the caller fills in the
-  /// rest.
+  /// Creates a file's row and its `cp` empty entries (taking over a free
+  /// row of `cp` replicas and its slot run when there is one) and returns
+  /// its view. The row has `desc.cp == cp` and defaults elsewhere; the
+  /// caller fills in the rest.
   FileView create_file(FileId file, std::uint32_t cp);
 
-  /// Drops the file's row and entries (the file leaves the network) and
-  /// returns its slot run to the pool. Releasing sector space is the
-  /// caller's job (Network owns the flows).
+  /// Drops the file's entries (the file leaves the network) and puts its
+  /// row, with its slot run, on the free list for its replica count.
+  /// Releasing sector space is the caller's job (Network owns the flows).
   void remove_file(FileId file);
 
   [[nodiscard]] bool has_file(FileId file) const {
@@ -221,7 +222,8 @@ class AllocTable {
   void load_files(util::BinaryReader& reader);
 
  private:
-  /// A live file: its row and the offset of its `row.desc.cp` slots.
+  /// A file's row, live or free, and the offset of its `row.desc.cp`
+  /// slots.
   struct File {
     FileRow row;
     std::size_t offset = 0;
@@ -269,12 +271,14 @@ class AllocTable {
                           std::vector<std::size_t>& positions,
                           std::size_t slot);
 
-  /// One row per live file, in no observable order; `remove_file` puts a
-  /// freed row on `free_rows_` and `create_file` reuses it, so a removal
-  /// moves no other row.
+  /// One row per live file, plus the free rows, in no observable order. A
+  /// row keeps its `offset` for life, so a removal moves no other row or
+  /// slot.
   std::vector<File> rows_;
+  /// Free rows by replica count, each list popped last in first out.
+  /// Keyed, never indexed, by the count: a file value can make it 2^32 - 1.
   // fi-lint: not-serialized(allocator state; load() packs the rows dense)
-  std::vector<std::uint32_t> free_rows_;
+  std::map<std::uint32_t, std::vector<std::uint32_t>> free_rows_;
   /// Row number (kNoRow for none) of each id in [base_, base_ +
   /// index_.size()); empty exactly when the table is.
   std::vector<std::uint32_t> index_;
@@ -303,9 +307,6 @@ class AllocTable {
   Buckets by_next_;
   /// Dense array for O(1) uniform sampling of normal entries.
   std::vector<Item> normal_entries_;
-  /// Recycled slot runs, keyed by run length (= cp).
-  // fi-lint: not-serialized(allocator state; load() repacks the slab dense)
-  util::FixedBlockPool pool_;
 };
 
 }  // namespace fi::core

@@ -816,40 +816,16 @@ void Network::admission_rebalance(SectorId sector) {
 // ---------------------------------------------------------------------------
 
 void save_network_stats(const NetworkStats& stats, util::BinaryWriter& writer) {
-  writer.u64(stats.files_added);
-  writer.u64(stats.files_stored);
-  writer.u64(stats.upload_failures);
-  writer.u64(stats.files_discarded);
-  writer.u64(stats.files_lost);
-  writer.u64(stats.value_lost);
-  writer.u64(stats.value_compensated);
-  writer.u64(stats.sectors_corrupted);
-  writer.u64(stats.refreshes_started);
-  writer.u64(stats.refreshes_completed);
-  writer.u64(stats.refreshes_failed);
-  writer.u64(stats.refreshes_self);
-  writer.u64(stats.refresh_collisions);
-  writer.u64(stats.add_resamples);
-  writer.u64(stats.punishments);
+  for (const NetworkCounter& counter : kNetworkCounters) {
+    writer.u64(stats.*counter.member);
+  }
 }
 
 NetworkStats load_network_stats(util::BinaryReader& reader) {
   NetworkStats stats;
-  stats.files_added = reader.u64();
-  stats.files_stored = reader.u64();
-  stats.upload_failures = reader.u64();
-  stats.files_discarded = reader.u64();
-  stats.files_lost = reader.u64();
-  stats.value_lost = reader.u64();
-  stats.value_compensated = reader.u64();
-  stats.sectors_corrupted = reader.u64();
-  stats.refreshes_started = reader.u64();
-  stats.refreshes_completed = reader.u64();
-  stats.refreshes_failed = reader.u64();
-  stats.refreshes_self = reader.u64();
-  stats.refresh_collisions = reader.u64();
-  stats.add_resamples = reader.u64();
-  stats.punishments = reader.u64();
+  for (const NetworkCounter& counter : kNetworkCounters) {
+    stats.*counter.member = reader.u64();
+  }
   return stats;
 }
 

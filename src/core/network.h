@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -65,6 +66,45 @@ struct NetworkStats {
   std::uint64_t add_resamples = 0;  ///< RandomSector collisions at File_Add
   std::uint64_t punishments = 0;
 };
+
+/// One engine counter: its report name and its member.
+struct NetworkCounter {
+  const char* name;
+  std::uint64_t NetworkStats::*member;
+};
+
+/// Every `NetworkStats` counter, in encoding and report order. The
+/// snapshot codec, the per-phase deltas and the report walk this table.
+inline constexpr std::array<NetworkCounter, 15> kNetworkCounters{{
+    {"files_added", &NetworkStats::files_added},
+    {"files_stored", &NetworkStats::files_stored},
+    {"upload_failures", &NetworkStats::upload_failures},
+    {"files_discarded", &NetworkStats::files_discarded},
+    {"files_lost", &NetworkStats::files_lost},
+    {"value_lost", &NetworkStats::value_lost},
+    {"value_compensated", &NetworkStats::value_compensated},
+    {"sectors_corrupted", &NetworkStats::sectors_corrupted},
+    {"refreshes_started", &NetworkStats::refreshes_started},
+    {"refreshes_completed", &NetworkStats::refreshes_completed},
+    {"refreshes_failed", &NetworkStats::refreshes_failed},
+    {"refreshes_self", &NetworkStats::refreshes_self},
+    {"refresh_collisions", &NetworkStats::refresh_collisions},
+    {"add_resamples", &NetworkStats::add_resamples},
+    {"punishments", &NetworkStats::punishments},
+}};
+static_assert(
+    sizeof(NetworkStats) == sizeof(std::uint64_t) * kNetworkCounters.size() &&
+        [] {
+          for (std::size_t i = 0; i < kNetworkCounters.size(); ++i) {
+            for (std::size_t j = 0; j < i; ++j) {
+              if (kNetworkCounters[i].member == kNetworkCounters[j].member) {
+                return false;
+              }
+            }
+          }
+          return true;
+        }(),
+    "NetworkStats is exactly the u64 counters kNetworkCounters lists");
 
 /// Canonical snapshot encoding of the counter block (field order fixed —
 /// see `src/snapshot`).

@@ -16,7 +16,6 @@ const char* to_string(FileState s) {
   switch (s) {
     case FileState::normal: return "normal";
     case FileState::discard: return "discard";
-    case FileState::removed: return "removed";
   }
   return "?";
 }

@@ -29,11 +29,11 @@ enum class SectorState : std::uint8_t {
 inline constexpr std::size_t kSectorStateCount =
     static_cast<std::size_t>(SectorState::removed) + 1;
 
-/// File lifecycle (Fig. 1).
+/// File lifecycle (Fig. 1). A removed file leaves the allocation table
+/// (`AllocTable::remove_file`), so there is no terminal state.
 enum class FileState : std::uint8_t {
   normal,   ///< stored and maintained
   discard,  ///< marked for removal at the next Auto_CheckProof
-  removed,  ///< terminal (kept for audit)
 };
 
 /// Allocation-entry state machine (Fig. 1).

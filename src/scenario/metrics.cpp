@@ -127,21 +127,9 @@ class JsonWriter {
 
 void write_counters(JsonWriter& json, const core::NetworkStats& stats,
                     TokenAmount rent_charged, TokenAmount rent_paid) {
-  json.field("files_added", stats.files_added);
-  json.field("files_stored", stats.files_stored);
-  json.field("upload_failures", stats.upload_failures);
-  json.field("files_discarded", stats.files_discarded);
-  json.field("files_lost", stats.files_lost);
-  json.field("value_lost", stats.value_lost);
-  json.field("value_compensated", stats.value_compensated);
-  json.field("sectors_corrupted", stats.sectors_corrupted);
-  json.field("refreshes_started", stats.refreshes_started);
-  json.field("refreshes_completed", stats.refreshes_completed);
-  json.field("refreshes_failed", stats.refreshes_failed);
-  json.field("refreshes_self", stats.refreshes_self);
-  json.field("refresh_collisions", stats.refresh_collisions);
-  json.field("add_resamples", stats.add_resamples);
-  json.field("punishments", stats.punishments);
+  for (const core::NetworkCounter& counter : core::kNetworkCounters) {
+    json.field(counter.name, stats.*counter.member);
+  }
   json.field("rent_charged", rent_charged);
   json.field("rent_paid", rent_paid);
 }

@@ -26,22 +26,9 @@ double seconds_since(Clock::time_point start) {
 core::NetworkStats stats_delta(const core::NetworkStats& after,
                                const core::NetworkStats& before) {
   core::NetworkStats d;
-  d.files_added = after.files_added - before.files_added;
-  d.files_stored = after.files_stored - before.files_stored;
-  d.upload_failures = after.upload_failures - before.upload_failures;
-  d.files_discarded = after.files_discarded - before.files_discarded;
-  d.files_lost = after.files_lost - before.files_lost;
-  d.value_lost = after.value_lost - before.value_lost;
-  d.value_compensated = after.value_compensated - before.value_compensated;
-  d.sectors_corrupted = after.sectors_corrupted - before.sectors_corrupted;
-  d.refreshes_started = after.refreshes_started - before.refreshes_started;
-  d.refreshes_completed =
-      after.refreshes_completed - before.refreshes_completed;
-  d.refreshes_failed = after.refreshes_failed - before.refreshes_failed;
-  d.refreshes_self = after.refreshes_self - before.refreshes_self;
-  d.refresh_collisions = after.refresh_collisions - before.refresh_collisions;
-  d.add_resamples = after.add_resamples - before.add_resamples;
-  d.punishments = after.punishments - before.punishments;
+  for (const core::NetworkCounter& counter : core::kNetworkCounters) {
+    d.*counter.member = after.*counter.member - before.*counter.member;
+  }
   return d;
 }
 

@@ -1,35 +1,43 @@
 #include "traffic/defense.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/check.h"
 
 namespace fi::traffic {
 
+namespace {
+
+/// The envelope `end_epoch` arms: the median of the per-stream warmup
+/// means plus `k` standard deviations plus 3. Even stream counts average
+/// the two middle means — still a minority-robust statistic.
+double armed_envelope(const std::vector<std::uint64_t>& warmup_totals,
+                      std::uint64_t warmup, double k) {
+  std::vector<double> means;
+  means.reserve(warmup_totals.size());
+  for (const std::uint64_t total : warmup_totals) {
+    means.push_back(static_cast<double>(total) / static_cast<double>(warmup));
+  }
+  std::sort(means.begin(), means.end());
+  const std::size_t n = means.size();
+  const double median = (n % 2 == 1) ? means[n / 2]
+                                     : (means[n / 2 - 1] + means[n / 2]) / 2.0;
+  // +3 keeps near-idle baselines (median ~0) from flagging the first
+  // legitimate burst.
+  return median + k * std::sqrt(median) + 3.0;
+}
+
+}  // namespace
+
 void PoissonEnvelopeDefense::end_epoch(std::uint64_t epoch) {
-  if (!armed_) {
+  if (!armed()) {
     for (std::size_t i = 0; i < epoch_counts_.size(); ++i) {
       warmup_totals_[i] += epoch_counts_[i];
     }
     if (++epochs_seen_ >= warmup_) {
-      // Median of the per-stream warmup means. Even stream counts average
-      // the two middle means — still a minority-robust statistic.
-      std::vector<double> means;
-      means.reserve(warmup_totals_.size());
-      for (const std::uint64_t total : warmup_totals_) {
-        means.push_back(static_cast<double>(total) /
-                        static_cast<double>(warmup_));
-      }
-      std::sort(means.begin(), means.end());
-      const std::size_t n = means.size();
-      const double median = (n % 2 == 1)
-                                ? means[n / 2]
-                                : (means[n / 2 - 1] + means[n / 2]) / 2.0;
-      // +3 keeps near-idle baselines (median ~0) from flagging the first
-      // legitimate burst.
-      envelope_ = median + k_ * std::sqrt(median) + 3.0;
-      armed_ = true;
+      envelope_ = armed_envelope(warmup_totals_, warmup_, k_);
     }
   } else {
     for (std::size_t i = 0; i < epoch_counts_.size(); ++i) {
@@ -59,7 +67,7 @@ void PoissonEnvelopeDefense::save_state(util::BinaryWriter& writer) const {
   util::save_u64_seq(writer, epoch_counts_);
   util::save_u64_seq(writer, warmup_totals_);
   writer.u64(epochs_seen_);
-  writer.boolean(armed_);
+  writer.boolean(armed());
   writer.f64(envelope_);
   util::save_u64_seq(writer, streaks_);
   writer.u64(first_flag_epoch_.size());
@@ -74,8 +82,8 @@ void PoissonEnvelopeDefense::load_state(util::BinaryReader& reader) {
   epoch_counts_ = util::load_u64_seq<std::uint64_t>(reader);
   warmup_totals_ = util::load_u64_seq<std::uint64_t>(reader);
   epochs_seen_ = reader.u64();
-  armed_ = reader.boolean();
-  envelope_ = reader.f64();
+  const bool armed_flag = reader.boolean();
+  const double envelope = reader.f64();
   streaks_ = util::load_u64_seq<std::uint64_t>(reader);
   const auto flags = util::load_u64_seq<std::uint64_t>(reader);
   first_flag_epoch_ = util::load_u64_seq<std::uint64_t>(reader);
@@ -87,8 +95,23 @@ void PoissonEnvelopeDefense::load_state(util::BinaryReader& reader) {
     reader.fail();
     return;
   }
+  // The warmup counter stops at arming, and the armed byte and the
+  // envelope restate it and the warmup totals, bit for bit: +, *, / and
+  // sqrt are correctly rounded.
+  envelope_ = armed() ? armed_envelope(warmup_totals_, warmup_, k_) : 0.0;
+  if (epochs_seen_ > warmup_ || armed_flag != armed() ||
+      std::bit_cast<std::uint64_t>(envelope) !=
+          std::bit_cast<std::uint64_t>(envelope_)) {
+    reader.fail();
+    return;
+  }
   for (std::size_t i = 0; i < streams; ++i) {
-    if (epoch_counts_[i] != 0 || flags[i] != (flagged(i) ? 1 : 0)) {
+    // Streaks and flags start once the envelope is armed, and a stream is
+    // flagged as its streak reaches `violations`.
+    const bool tail_ok = armed() ? flagged(i) || streaks_[i] < violations_
+                                 : streaks_[i] == 0 && !flagged(i);
+    if (epoch_counts_[i] != 0 || flags[i] != (flagged(i) ? 1 : 0) ||
+        !tail_ok) {
       reader.fail();
     }
   }

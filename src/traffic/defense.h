@@ -48,8 +48,9 @@ class PoissonEnvelopeDefense {
   /// flags. `epoch` stamps `first_flagged_epoch`.
   void end_epoch(std::uint64_t epoch);
 
-  /// The envelope has been fixed (warmup complete).
-  [[nodiscard]] bool armed() const { return armed_; }
+  /// The envelope has been fixed (warmup complete). The warmup counter
+  /// stops here.
+  [[nodiscard]] bool armed() const { return epochs_seen_ >= warmup_; }
   [[nodiscard]] double envelope() const { return envelope_; }
   [[nodiscard]] bool flagged(std::size_t stream) const {
     return first_flag_epoch_[stream] != kNeverFlagged;
@@ -66,9 +67,13 @@ class PoissonEnvelopeDefense {
   /// Canonical snapshot encoding / restore (`src/snapshot`). The
   /// configuration (warmup, k, violations) is rebuilt from the spec. A
   /// checkpoint falls between epochs, so the per-epoch counts are zero;
-  /// the encoding still carries them, and a 0/1 flag per stream that
-  /// restates its first-flag epoch. `load_state` rejects a nonzero count
-  /// and a flag that disagrees with its epoch.
+  /// the encoding still carries them, an armed byte and the envelope,
+  /// which restate the warmup counter and totals, and a 0/1 flag per
+  /// stream that restates its first-flag epoch. `load_state` rejects a
+  /// nonzero count, an armed byte or envelope other than the one the
+  /// warmup state gives, a warmup counter past `warmup`, a streak or flag
+  /// before arming, and an unflagged stream whose streak has reached
+  /// `violations`.
   void save_state(util::BinaryWriter& writer) const;
   void load_state(util::BinaryReader& reader);
 
@@ -84,8 +89,9 @@ class PoissonEnvelopeDefense {
   /// Offered requests per stream in the open epoch; `end_epoch` zeroes it.
   std::vector<std::uint64_t> epoch_counts_;
   std::vector<std::uint64_t> warmup_totals_;
+  /// Warmup epochs closed, at most `warmup_`.
   std::uint64_t epochs_seen_ = 0;
-  bool armed_ = false;
+  /// Fixed from the warmup totals on arming; 0 before.
   double envelope_ = 0.0;
   std::vector<std::uint64_t> streaks_;
   /// A stream is flagged iff its entry is not `kNeverFlagged`.

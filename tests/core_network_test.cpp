@@ -1132,6 +1132,25 @@ TEST_F(NetworkFixture, LoadRejectsFilesRowsOutOfIdOrder) {
   EXPECT_FALSE(loads_with(*net, Network::StateComponent::files, swapped));
 }
 
+TEST_F(NetworkFixture, LoadRejectsARemovedFileState) {
+  build(test_params());
+  add_and_store(1000, 20);
+  const auto files = component_of(*net, Network::StateComponent::files);
+  // The state byte sits 68 bytes into the row, after the id, size, value,
+  // Merkle root, cp and countdown. A removed file leaves the table, so no
+  // row holds a third state.
+  const std::size_t state_at = 8 + 68;
+  ASSERT_EQ(files[state_at], 0);  // normal
+  const auto loads_with_state = [&](std::uint8_t state) {
+    std::vector<std::uint8_t> bytes = files;
+    bytes[state_at] = state;
+    return loads_with(*net, Network::StateComponent::files, bytes);
+  };
+  EXPECT_TRUE(loads_with_state(0));
+  EXPECT_TRUE(loads_with_state(1));  // discard
+  EXPECT_FALSE(loads_with_state(2));
+}
+
 TEST_F(NetworkFixture, LoadBoundsTheIdWindowByTheBodySize) {
   build(test_params());
   const FileId id = add_and_store(1000, 20);

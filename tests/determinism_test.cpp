@@ -7,8 +7,9 @@
 // late, breach, refresh and discard paths byte for byte as before.
 //
 // This suite also pins the SoA layout's allocation contract: once
-// capacities are warm, a steady-state proof sweep performs ZERO heap
-// allocations (counting global operator new hook below).
+// capacities are warm, a steady-state proof sweep, file churn and message
+// delivery perform ZERO heap allocations (counting global operator new
+// hook below).
 
 #include <atomic>
 #include <cstdint>
@@ -62,11 +63,14 @@ namespace {
 using fi::AccountId;
 using fi::Time;
 using fi::TokenAmount;
+using fi::core::AllocState;
+using fi::core::AllocTable;
 using fi::core::Event;
 using fi::core::FileId;
 using fi::core::Network;
 using fi::core::NetworkStats;
 using fi::core::Params;
+using fi::core::ReplicaIndex;
 using fi::core::ReplicaTransferRequested;
 using fi::core::SectorId;
 using fi::scenario::PhaseSpec;
@@ -340,6 +344,41 @@ TEST(DeterminismTest, SteadyStateSweepIsAllocationFree) {
   g_count_allocations.store(false, std::memory_order_relaxed);
   delete probe;
   EXPECT_GE(g_allocation_count.load(std::memory_order_relaxed), 1u);
+}
+
+/// The allocation table's half of the contract: a removed file's row keeps
+/// its slot run, and the next file of the same replica count takes both
+/// over, so warm churn grows neither the rows, the slab, the id window, the
+/// reverse-index buckets nor the normal-entry sampler.
+TEST(DeterminismTest, SteadyStateChurnIsAllocationFree) {
+  constexpr std::uint32_t kReplicas = 3;
+  constexpr std::size_t kLive = 64;
+  constexpr SectorId kSectors = 16;
+  AllocTable table;
+  FileId next = 1;
+  const auto create_next = [&] {
+    const AllocTable::FileView view = table.create_file(next, kReplicas);
+    for (ReplicaIndex i = 0; i < kReplicas; ++i) {
+      view.set_prev(i, (next + i) % kSectors);
+      view.set_state(i, AllocState::normal);
+    }
+    ++next;
+  };
+  // One round removes the oldest file and creates the next id.
+  const auto round = [&] {
+    table.remove_file(next - kLive);
+    create_next();
+  };
+  for (std::size_t f = 0; f < kLive; ++f) create_next();
+  for (int r = 0; r < 256; ++r) round();
+
+  g_allocation_count.store(0, std::memory_order_relaxed);
+  g_count_allocations.store(true, std::memory_order_relaxed);
+  for (int r = 0; r < 1024; ++r) round();
+  g_count_allocations.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(g_allocation_count.load(std::memory_order_relaxed), 0u);
+  EXPECT_EQ(table.file_count(), kLive);
+  EXPECT_EQ(table.normal_entry_count(), kLive * kReplicas);
 }
 
 /// The delivery queue's half of the contract: with regional_latency's

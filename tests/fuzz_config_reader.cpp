@@ -1,8 +1,15 @@
 // Fuzz target for the config and plan readers — the text handed to
-// `fi_sim --scenario` and `fi_orchestrate --plan`. `util::Config::parse`,
-// then `ScenarioSpec::from_config` and `ExperimentPlan::from_config`, must
-// answer every text with a Status and never throw; a spec they accept must
-// emit text (`to_config_string`) that parses back to the same text.
+// `fi_sim --scenario` and `fi_orchestrate --plan` — and for the overrides
+// that `fi_sim --set`, plan `set.*` keys and forks layer on a spec
+// (`Session::spec_with_overrides`). `util::Config::parse`, then
+// `ScenarioSpec::from_config` and `ExperimentPlan::from_config`, must
+// answer every text with a Status and never throw, and so must the
+// overrides; a spec they accept must emit text (`to_config_string`) that
+// parses back to the same text.
+//
+// An input is a config or plan text, optionally followed by a NUL byte and
+// NUL-separated `key=value` override records, each split at its first '='
+// as `fi_sim --set` splits its argument.
 //
 // Two build modes:
 //
@@ -15,15 +22,19 @@
 //   * any other compiler: a plain `main` takes config and plan files, or
 //     directories of them, as seeds and replays a deterministic battery
 //     over each: every value replaced by hostile tokens, every line
-//     dropped in turn, truncations and bit flips. ctest runs it over
-//     configs/ and plans/.
+//     dropped in turn, truncations and bit flips, and for each config
+//     every emitted key and a few odd ones overridden with the hostile
+//     tokens and with values only an override can carry. ctest runs it
+//     over configs/ and plans/.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
 
 #include "api/experiment_plan.h"
+#include "api/session.h"
 #include "scenario/spec.h"
 #include "util/config.h"
 
@@ -32,6 +43,8 @@ namespace {
 struct Outcome {
   bool spec_accepted = false;
   bool plan_accepted = false;
+  /// The input carried overrides and the overridden spec was accepted.
+  bool overrides_accepted = false;
   /// False when an accepted spec's emitted text does not read back to
   /// itself.
   bool round_trips = true;
@@ -43,17 +56,46 @@ fi::util::Result<fi::scenario::ScenarioSpec> read_spec(std::string_view text) {
   return fi::scenario::ScenarioSpec::from_config(config.value());
 }
 
+bool round_trips(const fi::scenario::ScenarioSpec& spec) {
+  const std::string emitted = spec.to_config_string();
+  auto again = read_spec(emitted);
+  return again.is_ok() && again.value().to_config_string() == emitted;
+}
+
+/// The NUL-separated `key=value` records of `records`; a record without
+/// '=' is a key with an empty value.
+fi::Session::OpenOptions overrides_of(std::string_view records) {
+  fi::Session::OpenOptions options;
+  while (!records.empty()) {
+    const std::string_view record = records.substr(0, records.find('\0'));
+    records.remove_prefix(std::min(records.size(), record.size() + 1));
+    const std::size_t eq = record.find('=');
+    options.overrides.emplace_back(
+        record.substr(0, eq),
+        eq == std::string_view::npos ? "" : record.substr(eq + 1));
+  }
+  return options;
+}
+
 // One fuzz iteration. Each reader parses its own `Config`, which records
 // the keys it consumed.
-Outcome one_input(std::string_view text) {
+Outcome one_input(std::string_view input) {
+  const std::size_t nul = input.find('\0');
+  const std::string_view text = input.substr(0, nul);
   Outcome outcome;
   auto spec = read_spec(text);
   if (spec.is_ok()) {
     outcome.spec_accepted = true;
-    const std::string emitted = spec.value().to_config_string();
-    auto again = read_spec(emitted);
-    outcome.round_trips =
-        again.is_ok() && again.value().to_config_string() == emitted;
+    outcome.round_trips = round_trips(spec.value());
+    if (nul != std::string_view::npos) {
+      auto overridden = fi::Session::spec_with_overrides(
+          spec.value(), overrides_of(input.substr(nul + 1)));
+      if (overridden.is_ok()) {
+        outcome.overrides_accepted = true;
+        outcome.round_trips =
+            outcome.round_trips && round_trips(overridden.value());
+      }
+    }
   }
   if (auto config = fi::util::Config::parse(text); config.is_ok()) {
     outcome.plan_accepted =
@@ -73,7 +115,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
 #if !defined(FI_HAVE_LIBFUZZER)
 
-#include <algorithm>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -111,6 +152,13 @@ constexpr std::string_view kHostileValues[] = {
     "#",
 };
 
+// Values only an override carries: the text parser trims each value, ends
+// it at a comment and ends its line at a newline, while `--set` splits at
+// the first '=' only.
+constexpr std::string_view kOverrideOnlyValues[] = {
+    " 1", "1 ", "1\n2", "1#2", "1;2", "1=2",
+};
+
 // xorshift64: deterministic harness-local noise, so a failure replays.
 std::uint64_t next_noise(std::uint64_t& s) {
   s ^= s << 13;
@@ -142,6 +190,7 @@ class Battery {
       const Outcome outcome = one_input(text);
       accepted_specs_ += outcome.spec_accepted;
       accepted_plans_ += outcome.plan_accepted;
+      accepted_overrides_ += outcome.overrides_accepted;
       if (outcome.round_trips) return true;
       std::cerr << "fuzz_config_reader: " << what
                 << ": the accepted spec does not round-trip\n";
@@ -190,19 +239,57 @@ class Battery {
       flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << (r >> 61)));
       ok &= run(flipped, name + " bit flip at byte " + std::to_string(byte));
     }
+    ok &= overrides(text, name);
+    return ok;
+  }
+
+  /// Overrides every key a config's spec emits, and keys it cannot take,
+  /// with each hostile and override-only value. A plan has no spec.
+  bool overrides(const std::string& text, const std::string& name) {
+    auto spec = read_spec(text);
+    if (!spec.is_ok()) return true;
+    // `run(text)` has failed a spec whose emitted text does not parse.
+    auto emitted = fi::util::Config::parse(spec.value().to_config_string());
+    if (!emitted.is_ok()) return false;
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : emitted.value().entries()) {
+      keys.push_back(key);
+    }
+    const std::string next_phase =
+        "phase." + std::to_string(spec.value().phases.size()) + ".";
+    const std::string next_adversary =
+        "adversary." + std::to_string(spec.value().adversaries.size()) + ".";
+    keys.insert(keys.end(),
+                {"", " seed", "seed ", next_phase + "kind",
+                 next_phase + "cycles", next_adversary + "strategy",
+                 next_adversary + "fraction", "node.0.id", "set.seed",
+                 "engine.workers", "net.cr_size"});
+    std::vector<std::string_view> values(std::begin(kHostileValues),
+                                         std::end(kHostileValues));
+    values.insert(values.end(), std::begin(kOverrideOnlyValues),
+                  std::end(kOverrideOnlyValues));
+    bool ok = true;
+    for (const std::string& key : keys) {
+      for (const std::string_view value : values) {
+        const std::string record = key + "=" + std::string(value);
+        ok &= run(text + '\0' + record, name + " --set '" + record + "'");
+      }
+    }
     return ok;
   }
 
   void summary(std::size_t seeds) const {
     std::cout << "fuzz_config_reader: replayed " << ran_ << " inputs from "
-              << seeds << " seeds; " << accepted_specs_ << " specs and "
-              << accepted_plans_ << " plans accepted\n";
+              << seeds << " seeds; " << accepted_specs_ << " specs, "
+              << accepted_plans_ << " plans and " << accepted_overrides_
+              << " overridden specs accepted\n";
   }
 
  private:
   std::size_t ran_ = 0;
   std::size_t accepted_specs_ = 0;
   std::size_t accepted_plans_ = 0;
+  std::size_t accepted_overrides_ = 0;
 };
 
 }  // namespace

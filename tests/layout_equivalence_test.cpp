@@ -832,7 +832,7 @@ core::FileRow random_row(Xoshiro256& rng, std::uint32_t cp) {
   }
   row.desc.cp = cp;
   row.desc.cntdown = static_cast<std::int64_t>(rng.uniform_below(64)) - 1;
-  row.desc.state = static_cast<core::FileState>(rng.uniform_below(3));
+  row.desc.state = static_cast<core::FileState>(rng.uniform_below(2));
   row.owner = rng.uniform_below(16);
   row.added_at = rng.uniform_below(1 << 20);
   return row;
@@ -908,10 +908,10 @@ TEST(LayoutEquivalence, AllocTableMatchesMapOracle) {
       }
       const std::uint64_t op = rng.uniform_below(16);
       if (op < 3) {
-        // Create/remove churn through a small id band exercises the slab
-        // pool's block reuse under the same observable order. Ids start at
-        // 1, as File_Add's do, and land anywhere in the band, so some fall
-        // below the window.
+        // Create/remove churn through a small id band hands free rows and
+        // their slot runs to later files of the same count, under the same
+        // observable order. Ids start at 1, as File_Add's do, and land
+        // anywhere in the band, so some fall below the window.
         const FileId file = band + rng.uniform_below(kFileUniverse - 1);
         if (!oracle.files.contains(file)) {
           const auto cp = static_cast<std::uint32_t>(1 + rng.uniform_below(4));

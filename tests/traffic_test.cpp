@@ -8,6 +8,8 @@
 // cannot write.
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <span>
@@ -246,6 +248,10 @@ TEST(PoissonEnvelopeDefenseTest, LoadRejectsTailsSaveCannotProduce) {
   // the envelope (17 bytes), the streaks, the flags and the first-flag
   // epochs.
   constexpr std::size_t kCountsAt = 8;
+  constexpr std::size_t kEpochsSeenAt = 32 + 32;
+  constexpr std::size_t kArmedAt = kEpochsSeenAt + 8;
+  constexpr std::size_t kEnvelopeAt = kArmedAt + 1;
+  constexpr std::size_t kStreaksAt = kEnvelopeAt + 8 + 8;
   constexpr std::size_t kFlagsAt = 32 + 32 + 17 + 32 + 8;
   constexpr std::size_t kEpochsAt = kFlagsAt + 24 + 8;
   ASSERT_EQ(base.size(), kEpochsAt + 24);
@@ -262,8 +268,17 @@ TEST(PoissonEnvelopeDefenseTest, LoadRejectsTailsSaveCannotProduce) {
     }
     return bytes;
   };
+  const auto with_envelope = [&](double envelope) {
+    return with(kEnvelopeAt, std::bit_cast<std::uint64_t>(envelope));
+  };
+  std::vector<std::uint8_t> disarmed = base;
+  disarmed[kArmedAt] = 0;
   ASSERT_EQ(with(kFlagsAt + 16, 1), base);
   ASSERT_EQ(with(kEpochsAt + 16, 2), base);
+  ASSERT_EQ(with(kEpochsSeenAt, 1), base);
+  ASSERT_EQ(base[kArmedAt], 1);
+  ASSERT_EQ(with_envelope(8.0), base);
+  ASSERT_EQ(with(kStreaksAt + 16, 2), base);
   EXPECT_TRUE(loads(base));
   const struct {
     const char* what;
@@ -274,6 +289,15 @@ TEST(PoissonEnvelopeDefenseTest, LoadRejectsTailsSaveCannotProduce) {
       {"a first-flag epoch without its flag", with(kEpochsAt, 1)},
       {"a flagged stream's flag cleared", with(kFlagsAt + 16, 0)},
       {"a flag above 1", with(kFlagsAt + 16, 2)},
+      {"an envelope of 1e300", with_envelope(1e300)},
+      {"a NaN envelope", with_envelope(std::nan(""))},
+      {"a negative envelope", with_envelope(-5.0)},
+      {"an envelope the warmup totals do not give", with_envelope(8.5)},
+      {"an armed envelope's armed byte cleared", disarmed},
+      {"a warmup counter past the warmup", with(kEpochsSeenAt, 2)},
+      {"an armed tail's warmup counter zeroed", with(kEpochsSeenAt, 0)},
+      {"an unflagged stream whose streak reached violations",
+       with(kStreaksAt, 2)},
   };
   for (const auto& c : cases) {
     EXPECT_FALSE(loads(c.bytes)) << c.what;
